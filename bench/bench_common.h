@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "apps/registry.h"
-#include "core/driver.h"
+#include "core/pipeline.h"
 #include "core/report_table.h"
 #include "explore/sweep.h"
 
@@ -33,10 +33,12 @@ namespace mhla::bench {
 /// DMA engine present (TE requires one).
 inline mem::PlatformConfig default_platform() { return mem::PlatformConfig{}; }
 
-/// Run the full two-step flow for one app on the default platform.
-inline core::RunResult run_app(const apps::AppInfo& info) {
-  auto ws = core::make_workspace(info.build(), default_platform(), mem::DmaEngine{});
-  return core::run_mhla(*ws);
+/// Run the full two-step flow (greedy + TE) for one app on the default
+/// platform.
+inline core::PipelineResult run_app(const apps::AppInfo& info) {
+  core::PipelineConfig config;
+  config.platform = default_platform();
+  return core::Pipeline(config).run(info.build());
 }
 
 /// The run-metadata object every bench embeds in its JSON summary as

@@ -1,10 +1,11 @@
-// Search-engine scaling: how fast the MHLA step-1 searches run with the
-// incremental CostEngine (apply/undo delta evaluation + branch-and-bound)
-// versus the from-scratch estimate_cost path, and how the layer-size sweep
-// scales across worker threads.
+// Search-engine scaling: how fast the MHLA step-1 searches run on the
+// incremental CostEngine (apply/undo delta evaluation, batched greedy
+// scoring, branch-and-bound), how parallel branch-and-bound scales with
+// threads under both schedulers, and how the layer-size sweep scales across
+// worker threads.
 //
-// The reproduction block prints per-app wall-clock and evaluation-rate
-// comparisons plus a machine-readable JSON object; the google-benchmark
+// The reproduction block prints per-app wall-clock and evaluation rates
+// plus a machine-readable JSON object; the google-benchmark
 // timers below repeat the measurements under its statistics (use
 // --benchmark_out=<file> --benchmark_out_format=json for the standard
 // BENCH JSON — stdout also carries the report block).
@@ -86,9 +87,9 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Medium instance both exhaustive paths accept (20 placements, well under
-/// the reference guard) whose search space exceeds the rate-measurement
-/// budget, so throughput is compared over an identical state count.
+/// Medium instance (20 placements) whose search space exceeds the
+/// rate-measurement budget, so branch-and-bound throughput is measured over
+/// a fixed state count.
 ir::Program rate_program() {
   ir::ProgramBuilder pb("rate");
   pb.array("a", {32, 16}, 4).input();
@@ -149,7 +150,6 @@ constexpr long kRateBudget = 50000;
 
 struct GreedyRow {
   std::string app;
-  double reference_s = 0.0;
   double engine_s = 0.0;
   int evaluations = 0;
 };
@@ -157,24 +157,22 @@ struct GreedyRow {
 struct FeasibilityRow {
   std::string app;
   long probes = 0;          ///< fits() calls per timed pass
-  double scratch_s = 0.0;   ///< from-scratch compute_footprints per probe
   double tracker_s = 0.0;   ///< FootprintTracker place/feasible/undo per probe
-  double greedy_scratch_s = 0.0;  ///< greedy end-to-end, scratch fits()
-  double greedy_tracker_s = 0.0;  ///< greedy end-to-end, tracker fits()
+  double greedy_tracker_s = 0.0;  ///< greedy end-to-end
 };
 
 /// The greedy hot loop distilled: probe "would this copy placement still
 /// fit?" for every (unselected candidate, on-chip layer) pair on top of the
-/// app's final greedy assignment.  The scratch pass clones the assignment
-/// and rebuilds the whole usage matrix per probe — exactly what
-/// `fits(ctx, next)` paid before this PR; the tracker pass answers the same
-/// probes with place/feasible/undo deltas.
+/// app's final greedy assignment, answered with tracker place/feasible/undo
+/// deltas.
 FeasibilityRow measure_feasibility(const apps::AppInfo& info) {
   FeasibilityRow row;
   row.app = info.name;
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  auto t0 = Clock::now();
+  assign::SearchResult greedy = assign::searcher("greedy").search(ctx, {});
+  row.greedy_tracker_s = seconds_since(t0);
   const assign::Assignment& base = greedy.assignment;
   const int background = ctx.hierarchy.background();
 
@@ -185,63 +183,35 @@ FeasibilityRow measure_feasibility(const apps::AppInfo& info) {
   }
 
   constexpr int kRepeats = 20;
-  long verdicts_scratch = 0;
-  auto t0 = Clock::now();
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    for (auto [cc_id, layer] : probes) {
-      assign::Assignment next = base;
-      next.copies.push_back({cc_id, layer});
-      verdicts_scratch += assign::fits(ctx, next) ? 1 : 0;
-    }
-  }
-  row.scratch_s = seconds_since(t0);
-
   assign::FootprintTracker tracker(ctx, base);
-  long verdicts_tracker = 0;
+  long verdicts = 0;
   t0 = Clock::now();
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (auto [cc_id, layer] : probes) {
       assign::FootprintTracker::Checkpoint cp = tracker.checkpoint();
       tracker.place_copy(cc_id, layer);
-      verdicts_tracker += tracker.feasible() ? 1 : 0;
+      verdicts += tracker.feasible() ? 1 : 0;
       tracker.undo_to(cp);
     }
   }
   row.tracker_s = seconds_since(t0);
   row.probes = static_cast<long>(probes.size()) * kRepeats;
-  if (verdicts_scratch != verdicts_tracker) {
-    std::cout << "WARNING: feasibility verdict mismatch on " << info.name << "\n";
-  }
-
-  assign::SearchOptions scratch_options;
-  scratch_options.use_footprint_tracker = false;
-  t0 = Clock::now();
-  assign::SearchResult slow = assign::searcher("greedy").search(ctx, scratch_options);
-  row.greedy_scratch_s = seconds_since(t0);
-  t0 = Clock::now();
-  assign::SearchResult fast = assign::searcher("greedy").search(ctx, {});
-  row.greedy_tracker_s = seconds_since(t0);
-  if (fast.scalar != slow.scalar || !(fast.assignment == slow.assignment)) {
-    std::cout << "WARNING: tracker/scratch greedy mismatch on " << info.name << "\n";
-  }
+  benchmark::DoNotOptimize(verdicts);
   return row;
 }
 
 struct DataLayoutRow {
   std::string app;
-  long moves = 0;              ///< accepted greedy moves (identical both paths)
-  double batched_s = 0.0;      ///< greedy end-to-end, batched round scoring
-  double per_candidate_s = 0.0;  ///< greedy end-to-end, apply/undo per candidate
+  long moves = 0;              ///< accepted greedy moves
+  double batched_s = 0.0;      ///< greedy end-to-end (batched round scoring)
   long steady_allocs = 0;      ///< heap allocations across one full move replay
   long allocs_per_move = 0;    ///< steady_allocs / moves (CI asserts 0)
 };
 
 /// The data-layout measurements: greedy end-to-end under batched round
-/// scoring versus the per-candidate checkpoint/apply/undo cycle (identical
-/// walks, so the wall-clock ratio is pure scoring cost), and the
-/// steady-state heap-allocation count of replaying the accepted move trail
-/// on a warmed-up engine (the SoA tables, scorer scratch, and arena journals
-/// make it zero by construction).
+/// scoring, and the steady-state heap-allocation count of replaying the
+/// accepted move trail on a warmed-up engine (the SoA tables, scorer
+/// scratch, and arena journals make it zero by construction).
 DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
   DataLayoutRow row;
   row.app = info.name;
@@ -249,25 +219,12 @@ DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
   auto ctx = ws->context();
 
   constexpr int kRepeats = 10;
-  assign::SearchOptions batched_options;  // batched scoring is the default
-  assign::SearchOptions per_candidate_options;
-  per_candidate_options.greedy_batched_scoring = false;
-
   assign::SearchResult batched;
   auto t0 = Clock::now();
   for (int rep = 0; rep < kRepeats; ++rep) {
-    batched = assign::searcher("greedy").search(ctx, batched_options);
+    batched = assign::searcher("greedy").search(ctx, {});
   }
   row.batched_s = seconds_since(t0) / kRepeats;
-  assign::SearchResult per_candidate;
-  t0 = Clock::now();
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    per_candidate = assign::searcher("greedy").search(ctx, per_candidate_options);
-  }
-  row.per_candidate_s = seconds_since(t0) / kRepeats;
-  if (batched.scalar != per_candidate.scalar || batched.moves.size() != per_candidate.moves.size()) {
-    std::cout << "WARNING: batched/per-candidate greedy mismatch on " << info.name << "\n";
-  }
   row.moves = static_cast<long>(batched.moves.size());
 
   // Steady-state allocations: replay the accepted trail on a prebuilt
@@ -302,70 +259,47 @@ void print_scaling_report() {
   bench::print_header("Search scaling: incremental cost engine + parallel sweep",
                       "fast, accurate and automatic exploration (tool-speed claim)");
 
-  // --- Greedy: engine vs from-scratch, every app of the registry.
+  // --- Greedy on the engine, every app of the registry.
   std::vector<GreedyRow> rows;
-  core::Table table({"application", "cost evals", "scratch ms", "engine ms", "speedup",
-                     "engine evals/s"});
+  core::Table table({"application", "cost evals", "engine ms", "engine evals/s"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
     auto ctx = ws->context();
-    assign::SearchOptions options;
-
     auto t0 = Clock::now();
-    assign::SearchResult slow = assign::searcher("greedy-ref").search(ctx, options);
-    double reference_s = seconds_since(t0);
-    t0 = Clock::now();
-    assign::SearchResult fast = assign::searcher("greedy").search(ctx, options);
+    assign::SearchResult fast = assign::searcher("greedy").search(ctx, {});
     double engine_s = seconds_since(t0);
-
-    if (fast.scalar != slow.scalar) {
-      std::cout << "WARNING: engine/reference scalar mismatch on " << info.name << "\n";
-    }
-    rows.push_back({info.name, reference_s, engine_s, fast.evaluations});
+    rows.push_back({info.name, engine_s, fast.evaluations});
     table.add_row({info.name, std::to_string(fast.evaluations),
-                   core::Table::num(reference_s * 1e3, 2), core::Table::num(engine_s * 1e3, 2),
-                   core::Table::num(reference_s / (engine_s > 0 ? engine_s : 1e-9), 1) + "x",
+                   core::Table::num(engine_s * 1e3, 2),
                    core::Table::num(fast.evaluations / (engine_s > 0 ? engine_s : 1e-9), 0)});
   }
   std::cout << table.str() << "\n";
 
-  // --- Feasibility: tracker-backed fits() vs the from-scratch rebuild, on
-  // the two largest apps (where fits() dominated greedy's per-candidate
-  // cost), plus greedy end-to-end with each feasibility path.
+  // --- Feasibility: tracker-backed fits() probes on the two largest apps,
+  // plus greedy end-to-end.
   std::vector<FeasibilityRow> feasibility;
-  core::Table feas_table({"application", "probes", "scratch ms", "tracker ms", "fits speedup",
-                          "greedy scratch ms", "greedy tracker ms", "greedy speedup"});
+  core::Table feas_table({"application", "probes", "tracker ms", "greedy ms"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     if (info.name != "motion_estimation" && info.name != "mpeg2_encoder") continue;
     FeasibilityRow row = measure_feasibility(info);
-    feas_table.add_row(
-        {row.app, std::to_string(row.probes), core::Table::num(row.scratch_s * 1e3, 2),
-         core::Table::num(row.tracker_s * 1e3, 2),
-         core::Table::num(row.scratch_s / (row.tracker_s > 0 ? row.tracker_s : 1e-9), 1) + "x",
-         core::Table::num(row.greedy_scratch_s * 1e3, 2),
-         core::Table::num(row.greedy_tracker_s * 1e3, 2),
-         core::Table::num(
-             row.greedy_scratch_s / (row.greedy_tracker_s > 0 ? row.greedy_tracker_s : 1e-9), 2) +
-             "x"});
+    feas_table.add_row({row.app, std::to_string(row.probes),
+                        core::Table::num(row.tracker_s * 1e3, 2),
+                        core::Table::num(row.greedy_tracker_s * 1e3, 2)});
     feasibility.push_back(std::move(row));
   }
   std::cout << "feasibility (fits() probes on the final greedy assignment):\n"
             << feas_table.str() << "\n";
 
-  // --- Data layout: batched round scoring vs per-candidate apply/undo, and
-  // the steady-state allocation count of the engine move loop (zero once the
-  // setup-time reservations hold; the CI bench smoke asserts it).
+  // --- Data layout: batched greedy end-to-end and the steady-state
+  // allocation count of the engine move loop (zero once the setup-time
+  // reservations hold; the CI bench smoke asserts it).
   std::vector<DataLayoutRow> data_layout;
-  core::Table dl_table({"application", "moves", "per-cand ms", "batched ms", "speedup",
-                        "batched moves/s", "allocs/move"});
+  core::Table dl_table({"application", "moves", "batched ms", "batched moves/s", "allocs/move"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     if (info.name != "motion_estimation" && info.name != "mpeg2_encoder") continue;
     DataLayoutRow row = measure_data_layout(info);
     dl_table.add_row(
-        {row.app, std::to_string(row.moves), core::Table::num(row.per_candidate_s * 1e3, 3),
-         core::Table::num(row.batched_s * 1e3, 3),
-         core::Table::num(row.per_candidate_s / (row.batched_s > 0 ? row.batched_s : 1e-9), 2) +
-             "x",
+        {row.app, std::to_string(row.moves), core::Table::num(row.batched_s * 1e3, 3),
          core::Table::num(row.moves / (row.batched_s > 0 ? row.batched_s : 1e-9), 0),
          std::to_string(row.allocs_per_move)});
     data_layout.push_back(std::move(row));
@@ -373,42 +307,20 @@ void print_scaling_report() {
   std::cout << "data layout (batched round scoring + arena journals):\n"
             << dl_table.str() << "\n";
 
-  // --- Exhaustive throughput: the mirror mode replays the reference DFS
-  // state for state (identical states_explored under the same budget), so
-  // states/sec isolates the per-state evaluation cost.  Branch-and-bound is
-  // then measured on top of the engine, and on a medium instance only the
-  // raised guard admits.
+  // --- Branch-and-bound on the rate instance under a fixed state budget,
+  // and on a medium instance only the engine guard admits.
   auto ws = core::make_workspace(rate_program(), rate_platform(), {});
   auto ctx = ws->context();
   assign::SearchOptions budget_options;
   budget_options.max_states = kRateBudget;
-  assign::SearchOptions mirror_options = budget_options;
-  mirror_options.use_branch_and_bound = false;
-
   auto t0 = Clock::now();
-  assign::SearchResult reference = assign::searcher("exhaustive-ref").search(ctx, budget_options);
-  double reference_s = seconds_since(t0);
-  t0 = Clock::now();
-  assign::SearchResult mirror = assign::searcher("exhaustive").search(ctx, mirror_options);
-  double mirror_s = seconds_since(t0);
-  t0 = Clock::now();
   assign::SearchResult pruned = assign::searcher("bnb").search(ctx, budget_options);
   double engine_s = seconds_since(t0);
-
-  double ref_rate = reference.states_explored / (reference_s > 0 ? reference_s : 1e-9);
-  double mirror_rate = mirror.states_explored / (mirror_s > 0 ? mirror_s : 1e-9);
-  std::cout << "exhaustive (rate instance, budget " << kRateBudget << "): scratch "
-            << reference.states_explored << " states, "
-            << core::Table::num(reference_s * 1e3, 2) << " ms ("
-            << core::Table::num(ref_rate, 0) << " states/s); engine mirror "
-            << mirror.states_explored << " states, " << core::Table::num(mirror_s * 1e3, 2)
-            << " ms (" << core::Table::num(mirror_rate, 0) << " states/s) — states/s speedup "
-            << core::Table::num(mirror_rate / ref_rate, 1) << "x\n";
-  std::cout << "branch-and-bound on top: " << pruned.states_explored << " states ("
-            << pruned.bound_prunes << " bound prunes, " << pruned.capacity_prunes
-            << " capacity prunes), " << core::Table::num(engine_s * 1e3, 2) << " ms, "
-            << (pruned.exhausted_budget ? "budget hit" : "search complete") << ", wall speedup vs scratch "
-            << core::Table::num(reference_s / (engine_s > 0 ? engine_s : 1e-9), 1) << "x\n";
+  std::cout << "branch-and-bound (rate instance, budget " << kRateBudget << "): "
+            << pruned.states_explored << " states (" << pruned.bound_prunes << " bound prunes, "
+            << pruned.capacity_prunes << " capacity prunes), "
+            << core::Table::num(engine_s * 1e3, 2) << " ms, "
+            << (pruned.exhausted_budget ? "budget hit" : "search complete") << "\n";
 
   auto medium_ws = core::make_workspace(apps::build_motion_estimation(),
                                         bench::default_platform(), {});
@@ -501,24 +413,20 @@ void print_scaling_report() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GreedyRow& row = rows[i];
     json << "    {\"app\": \"" << core::json_escape(row.app) << "\", \"evaluations\": "
-         << row.evaluations << ", \"scratch_s\": " << row.reference_s
-         << ", \"engine_s\": " << row.engine_s << "}" << (i + 1 < rows.size() ? "," : "")
-         << "\n";
+         << row.evaluations << ", \"engine_s\": " << row.engine_s << "}"
+         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"feasibility\": [\n";
   for (std::size_t i = 0; i < feasibility.size(); ++i) {
     const FeasibilityRow& row = feasibility[i];
     json << "    {\"app\": \"" << core::json_escape(row.app) << "\", \"probes\": " << row.probes
-         << ", \"scratch_s\": " << row.scratch_s << ", \"tracker_s\": " << row.tracker_s
-         << ", \"greedy_scratch_s\": " << row.greedy_scratch_s
+         << ", \"tracker_s\": " << row.tracker_s
          << ", \"greedy_tracker_s\": " << row.greedy_tracker_s << "}"
          << (i + 1 < feasibility.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"exhaustive\": {\"scratch_states\": " << reference.states_explored
-       << ", \"scratch_s\": " << reference_s << ", \"mirror_states\": "
-       << mirror.states_explored << ", \"mirror_s\": " << mirror_s
-       << ", \"bnb_states\": " << pruned.states_explored << ", \"bnb_s\": " << engine_s
+       << "  \"exhaustive\": {\"bnb_states\": " << pruned.states_explored
+       << ", \"bnb_s\": " << engine_s
        << ", \"bnb_bound_prunes\": " << pruned.bound_prunes
        << ", \"medium_states\": " << medium.states_explored
        << ", \"medium_bound_prunes\": " << medium.bound_prunes
@@ -540,9 +448,7 @@ void print_scaling_report() {
   for (std::size_t i = 0; i < data_layout.size(); ++i) {
     const DataLayoutRow& row = data_layout[i];
     json << "    {\"app\": \"" << core::json_escape(row.app) << "\", \"moves\": " << row.moves
-         << ", \"batched_s\": " << row.batched_s
-         << ", \"per_candidate_s\": " << row.per_candidate_s
-         << ", \"steady_allocs\": " << row.steady_allocs
+         << ", \"batched_s\": " << row.batched_s << ", \"steady_allocs\": " << row.steady_allocs
          << ", \"allocs_per_move\": " << row.allocs_per_move << "}"
          << (i + 1 < data_layout.size() ? "," : "") << "\n";
   }
@@ -552,22 +458,7 @@ void print_scaling_report() {
   std::cout << json.str() << "\n";
 }
 
-void BM_GreedyReference(benchmark::State& state) {
-  const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
-  auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
-  auto ctx = ws->context();
-  int evaluations = 0;
-  for (auto _ : state) {
-    assign::SearchResult result = assign::searcher("greedy-ref").search(ctx, {});
-    evaluations = result.evaluations;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["evals/s"] =
-      benchmark::Counter(static_cast<double>(evaluations), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel(info.name);
-}
 const int kLastAppIndex = static_cast<int>(apps::all_apps().size()) - 1;
-BENCHMARK(BM_GreedyReference)->DenseRange(0, kLastAppIndex);
 
 void BM_GreedyEngine(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
@@ -599,21 +490,6 @@ void run_exhaustive_bench(benchmark::State& state, const std::string& strategy,
       benchmark::Counter(static_cast<double>(states), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-void BM_ExhaustiveReference(benchmark::State& state) {
-  assign::SearchOptions options;
-  options.max_states = kRateBudget;
-  run_exhaustive_bench(state, "exhaustive-ref", options);
-}
-BENCHMARK(BM_ExhaustiveReference);
-
-void BM_ExhaustiveEngineMirror(benchmark::State& state) {
-  assign::SearchOptions options;
-  options.use_branch_and_bound = false;
-  options.max_states = kRateBudget;
-  run_exhaustive_bench(state, "exhaustive", options);
-}
-BENCHMARK(BM_ExhaustiveEngineMirror);
-
 void BM_ExhaustiveBranchAndBound(benchmark::State& state) {
   assign::SearchOptions options;
   options.max_states = kRateBudget;
@@ -638,11 +514,11 @@ void BM_BnbParallelStaticSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_BnbParallelStaticSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void run_fits_bench(benchmark::State& state, bool use_tracker) {
+void BM_FitsTracker(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
-  assign::Assignment base = assign::greedy_assign(ctx).assignment;
+  assign::Assignment base = assign::searcher("greedy").search(ctx, {}).assignment;
   std::vector<std::pair<int, int>> probes;
   for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
     if (cc.elems <= 0 || base.has_copy(cc.id)) continue;
@@ -654,16 +530,10 @@ void run_fits_bench(benchmark::State& state, bool use_tracker) {
   for (auto _ : state) {
     long feasible = 0;
     for (auto [cc_id, layer] : probes) {
-      if (use_tracker) {
-        assign::FootprintTracker::Checkpoint cp = tracker.checkpoint();
-        tracker.place_copy(cc_id, layer);
-        feasible += tracker.feasible() ? 1 : 0;
-        tracker.undo_to(cp);
-      } else {
-        assign::Assignment next = base;
-        next.copies.push_back({cc_id, layer});
-        feasible += assign::fits(ctx, next) ? 1 : 0;
-      }
+      assign::FootprintTracker::Checkpoint cp = tracker.checkpoint();
+      tracker.place_copy(cc_id, layer);
+      feasible += tracker.feasible() ? 1 : 0;
+      tracker.undo_to(cp);
     }
     benchmark::DoNotOptimize(feasible);
   }
@@ -672,10 +542,6 @@ void run_fits_bench(benchmark::State& state, bool use_tracker) {
   state.SetLabel(info.name);
 }
 
-void BM_FitsScratch(benchmark::State& state) { run_fits_bench(state, false); }
-BENCHMARK(BM_FitsScratch)->DenseRange(0, kLastAppIndex);
-
-void BM_FitsTracker(benchmark::State& state) { run_fits_bench(state, true); }
 BENCHMARK(BM_FitsTracker)->DenseRange(0, kLastAppIndex);
 
 void BM_SweepSerial(benchmark::State& state) {

@@ -46,7 +46,7 @@ void print_tiling_study() {
     auto ws = core::make_workspace(std::move(program), platform, {});
     auto ctx = ws->context();
     sim::SimResult oob = sim::simulate(ctx, assign::out_of_box(ctx));
-    assign::GreedyResult greedy = assign::mhla_step1(ctx);
+    assign::SearchResult greedy = assign::searcher("greedy").search(ctx, {});
     sim::SimResult opt = sim::simulate(ctx, greedy.assignment,
                                        {te::TransferMode::TimeExtended, {}});
     table.add_row({label,
@@ -77,12 +77,13 @@ BENCHMARK(BM_TileTransform)->Arg(64)->Arg(256);
 
 void BM_TiledPipeline(benchmark::State& state) {
   ir::Program tiled = ir::tile_loop(sweep_program(8192), "i", 256);
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 2 * 1024;
-  platform.l2_bytes = 0;
-  auto ws = core::make_workspace(std::move(tiled), platform, {});
+  core::PipelineConfig config;
+  config.platform.l1_bytes = 2 * 1024;
+  config.platform.l2_bytes = 0;
+  auto ws = core::make_workspace(std::move(tiled), config.platform, {});
+  core::Pipeline pipeline(config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_mhla(*ws));
+    benchmark::DoNotOptimize(pipeline.run(*ws));
   }
 }
 BENCHMARK(BM_TiledPipeline);

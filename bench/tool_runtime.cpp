@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 
-#include "assign/exhaustive.h"
+#include "assign/search.h"
 #include "ir/builder.h"
 
 namespace {
@@ -22,7 +22,7 @@ void print_tool_stats() {
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
     auto ctx = ws->context();
-    assign::GreedyResult greedy = assign::mhla_step1(ctx);
+    assign::SearchResult greedy = assign::searcher("greedy").search(ctx, {});
     table.add_row({info.name, std::to_string(ws->sites().size()),
                    std::to_string(ws->reuse().candidates().size()),
                    std::to_string(greedy.moves.size()), std::to_string(greedy.evaluations)});
@@ -42,13 +42,13 @@ void print_tool_stats() {
   platform.l2_bytes = 0;
   auto ws = core::make_workspace(pb.finish(), platform, {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
-  assign::ExhaustiveResult oracle = assign::exhaustive_assign(ctx);
+  assign::SearchResult greedy = assign::searcher("greedy").search(ctx, {});
+  assign::SearchResult oracle = assign::searcher("bnb").search(ctx, {});
   std::cout << "oracle check (small instance): greedy scalar = "
-            << core::Table::num(greedy.final_scalar, 4)
+            << core::Table::num(greedy.scalar, 4)
             << ", exhaustive scalar = " << core::Table::num(oracle.scalar, 4) << " over "
             << oracle.states_explored << " states — gap = "
-            << core::Table::num(100.0 * (greedy.final_scalar - oracle.scalar) /
+            << core::Table::num(100.0 * (greedy.scalar - oracle.scalar) /
                                     (oracle.scalar > 0 ? oracle.scalar : 1.0),
                                 2)
             << " %\n\n";
@@ -89,7 +89,7 @@ void BM_ExhaustiveOracle(benchmark::State& state) {
   auto ws = core::make_workspace(pb.finish(), platform, {});
   auto ctx = ws->context();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assign::exhaustive_assign(ctx));
+    benchmark::DoNotOptimize(assign::searcher("bnb").search(ctx, {}));
   }
 }
 BENCHMARK(BM_ExhaustiveOracle);

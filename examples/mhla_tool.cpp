@@ -127,7 +127,7 @@ int usage(const char* argv0) {
                "            4 run budget exhausted (degraded result), 5 I/O\n\n"
                "strategies:\n";
   for (const std::string& name : assign::searcher_names()) {
-    std::cerr << "  " << name << " — " << assign::searcher(name).description() << "\n";
+    std::cerr << "  " << name << " — " << assign::searcher(name).description << "\n";
   }
   std::cerr << "\napplications:\n";
   for (const apps::AppInfo& info : apps::all_apps()) {
@@ -403,12 +403,15 @@ int run_tool(Options& options) {
     }
 
     // The workspace build is the analyze stage (run(Program) would span it
-    // itself; this path pre-builds to keep the workspace for the reports).
+    // itself; this path pre-builds to keep the workspace for the reports),
+    // so its duration is recorded the way run(Program) records it.
     std::unique_ptr<core::Workspace> ws;
+    double analyze_s = 0.0;
     {
       obs::Span span("analyze", "pipeline");
       ws = core::make_workspace(std::move(program), options.pipeline.platform,
                                 options.pipeline.dma);
+      analyze_s = span.finish();
     }
     core::Pipeline pipeline(options.pipeline);
     if (options.verbose) {
@@ -417,6 +420,8 @@ int run_tool(Options& options) {
       });
     }
     core::PipelineResult run = pipeline.run(*ws);
+    run.timings.front().seconds = analyze_s;  // run(Workspace) reported 0 for "analyze"
+    run.total_seconds += analyze_s;
 
     if (options.verbose) {
       std::cout << "strategy " << run.strategy << ": " << run.search.moves.size()

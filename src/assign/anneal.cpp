@@ -1,10 +1,9 @@
-#include "assign/anneal.h"
-
 #include <cmath>
 #include <optional>
 #include <random>
 
 #include "assign/cost_engine.h"
+#include "assign/search.h"
 #include "obs/trace.h"
 
 namespace mhla::assign {
@@ -22,9 +21,9 @@ double draw_unit(std::mt19937& rng) {
 
 }  // namespace
 
-AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& options) {
+SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& options) {
   obs::Span span("anneal_walk", "search");
-  AnnealResult result;
+  SearchResult result;
 
   CostEngine engine(ctx);  // loads out_of_box
   Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
@@ -34,7 +33,7 @@ AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& option
   result.assignment = engine.assignment();
   result.scalar = current;
 
-  std::mt19937 rng(options.seed);
+  std::mt19937 rng(options.anneal_seed);
   const int background = ctx.hierarchy.background();
   const auto& candidates = ctx.reuse.candidates();
   const auto& arrays = ctx.program.arrays();
@@ -50,10 +49,11 @@ AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& option
     budget = &*local_budget;
   }
 
-  double temp = options.initial_temp;
-  for (int iter = 0; iter < options.iterations; ++iter, temp *= options.cooling) {
+  double temp = options.anneal_initial_temp;
+  for (int iter = 0; iter < options.anneal_iterations; ++iter, temp *= options.anneal_cooling) {
     if (!budget->probe()) {
       result.status = SearchStatus::BudgetExhausted;
+      result.exhausted_budget = true;
       break;
     }
     // Propose one move on the engine; `proposed` stays false when the draw
@@ -96,9 +96,7 @@ AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& option
     }
     if (!proposed) continue;
 
-    bool feasible = options.use_footprint_tracker ? engine.fits()
-                                                  : fits(ctx, engine.assignment());
-    if ((needs_layering_check && !engine.layering_valid()) || !feasible) {
+    if ((needs_layering_check && !engine.layering_valid()) || !engine.fits()) {
       engine.undo_to(cp);
       continue;
     }
@@ -112,7 +110,6 @@ AnnealResult anneal_assign(const AssignContext& ctx, const AnnealOptions& option
       continue;
     }
     current = scalar;
-    ++result.accepted;
     if (current < result.scalar) {
       result.scalar = current;
       result.assignment = engine.assignment();

@@ -54,8 +54,8 @@ namespace mhla::assign {
 /// re-accumulates them in the same canonical order (sites in id order, then
 /// transfers in copy-selection order, then pinned arrays in declaration
 /// order).  Floating-point summation order is part of the contract; searches
-/// built on the engine make exactly the decisions the from-scratch searches
-/// make.  The scalar read is O(sites + copies) cached additions; the
+/// built on the engine make exactly the decisions the from-scratch test
+/// oracles make.  The scalar read is O(sites + copies) cached additions; the
 /// expensive parts (resolution, model lookups, IR walks, allocation) are
 /// all precomputed or maintained incrementally.
 ///

@@ -1,169 +1,22 @@
-#include "assign/greedy.h"
-
 #include <algorithm>
 #include <optional>
 
 #include "assign/cost_engine.h"
+#include "assign/search.h"
 #include "obs/trace.h"
 
 namespace mhla::assign {
 
-namespace {
-
-/// A candidate move with its evaluation (reference path only; the engine
-/// path re-applies the winning move instead of storing a full assignment).
-struct ScoredMove {
-  GreedyMove move;
-  Assignment next;
-};
-
-/// Bytes the move claims on its target layer (>= 0; 0 for pure migrations
-/// that free space elsewhere).  Used for the gain-per-byte steering metric.
-i64 claimed_bytes(const AssignContext& ctx, const GreedyMove& move) {
-  switch (move.kind) {
-    case GreedyMove::Kind::SelectCopy:
-      return ctx.reuse.candidate(move.cc_id).bytes;
-    case GreedyMove::Kind::MigrateArray:
-      return ctx.program.array(move.array).bytes();
-    case GreedyMove::Kind::RemoveCopy:
-      return 1;  // removal frees space; any gain is pure win
-  }
-  return 1;
-}
-
-/// Reference implementation: every candidate move is scored by a fresh
-/// estimate_cost over a copied assignment.  Kept as the from-scratch oracle
-/// the engine path is property-tested against.
-GreedyResult greedy_assign_reference(const AssignContext& ctx, const GreedyOptions& options) {
-  GreedyResult result;
-  result.assignment = out_of_box(ctx);
-
-  Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
-  double current_scalar = objective.scalar(estimate_cost(ctx, result.assignment));
-  result.evaluations = 1;
-
-  int background = ctx.hierarchy.background();
-
-  // One probe per enumerated candidate, charged before the candidate is
-  // scored; expiry abandons the round before any move is applied, so the
-  // result is always the exact state after the last accepted move.  The
-  // reference and engine paths enumerate candidates identically, so they
-  // charge probes at identical points and a bounded budget truncates both
-  // at the same move.
-  std::optional<core::RunBudget> local_budget;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local_budget.emplace(options.budget);
-    budget = &*local_budget;
-  }
-  bool cancelled = false;
-  auto probe = [&]() {
-    if (!cancelled && !budget->probe()) cancelled = true;
-    return !cancelled;
-  };
-
-  for (int accepted = 0; accepted < options.max_moves && !cancelled; ++accepted) {
-    std::optional<ScoredMove> best;
-    double best_per_byte = 0.0;
-
-    auto consider = [&](GreedyMove move, Assignment next) {
-      if (!fits(ctx, next)) return;
-      if (move.kind == GreedyMove::Kind::SelectCopy && !layering_valid(ctx, next)) return;
-      double scalar = objective.scalar(estimate_cost(ctx, next));
-      ++result.evaluations;
-      double gain = current_scalar - scalar;
-      if (gain <= 1e-12) return;
-      double per_byte = gain / static_cast<double>(std::max<i64>(claimed_bytes(ctx, move), 1));
-      move.gain = gain;
-      move.gain_per_byte = per_byte;
-      if (!best || per_byte > best_per_byte) {
-        best_per_byte = per_byte;
-        best = ScoredMove{std::move(move), std::move(next)};
-      }
-    };
-
-    // Move type 1: select an unselected copy candidate onto an on-chip layer.
-    for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
-      if (cancelled) break;
-      if (result.assignment.has_copy(cc.id)) continue;
-      if (cc.elems <= 0) continue;
-      for (int layer = 0; layer < background; ++layer) {
-        if (!probe()) break;
-        const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-        Assignment next = result.assignment;
-        next.copies.push_back({cc.id, layer});
-        GreedyMove move;
-        move.kind = GreedyMove::Kind::SelectCopy;
-        move.cc_id = cc.id;
-        move.layer = layer;
-        consider(std::move(move), std::move(next));
-      }
-    }
-
-    // Move type 2: migrate an array's home layer.  Copies that the new home
-    // renders layering-invalid (e.g. a copy on the very layer the array
-    // moves to) are dropped as part of the compound move.
-    if (options.allow_array_migration) {
-      for (const ir::ArrayDecl& array : ctx.program.arrays()) {
-        if (cancelled) break;
-        int home = result.assignment.layer_of(array.name, background);
-        for (int layer = 0; layer < ctx.hierarchy.num_layers(); ++layer) {
-          if (!probe()) break;
-          if (layer == home) continue;
-          const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-          if (!target.unbounded() && array.bytes() > target.capacity_bytes) continue;
-          Assignment next = result.assignment;
-          next.array_layer[array.name] = layer;
-          drop_invalid_copies(ctx, next);
-          GreedyMove move;
-          move.kind = GreedyMove::Kind::MigrateArray;
-          move.array = array.name;
-          move.layer = layer;
-          consider(std::move(move), std::move(next));
-        }
-      }
-    }
-
-    // Move type 3: deselect a copy.  Earlier selections can turn harmful
-    // once arrays migrate on-chip (the copy then duplicates a cheap layer
-    // and only adds transfer traffic); removal also unblocks better chain
-    // configurations.  The objective strictly decreases with every accepted
-    // move, so add/remove sequences cannot cycle.
-    for (const PlacedCopy& pc : result.assignment.copies) {
-      if (!probe()) break;
-      Assignment next = result.assignment;
-      std::erase_if(next.copies,
-                    [&](const PlacedCopy& other) { return other.cc_id == pc.cc_id; });
-      GreedyMove move;
-      move.kind = GreedyMove::Kind::RemoveCopy;
-      move.cc_id = pc.cc_id;
-      move.layer = pc.layer;
-      consider(std::move(move), std::move(next));
-    }
-
-    if (cancelled || !best) break;
-    current_scalar -= best->move.gain;
-    result.assignment = std::move(best->next);
-    result.moves.push_back(std::move(best->move));
-  }
-
-  result.final_scalar = current_scalar;
-  result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
-  return result;
-}
-
-/// Engine path: identical move enumeration, scoring and tie-breaking, but
-/// every candidate is applied to the engine, scored from cached terms, and
+/// Every candidate is applied to the engine, scored from cached terms, and
 /// undone — no per-candidate assignment copy, no per-candidate resolve.
 /// The whole walk is id-based and allocation-free in steady state: arrays
 /// and candidates move by dense index, the best move of a round is tracked
-/// as PODs (its name materialized once on acceptance), and with
-/// `batched_scoring` the select-copy moves of each round are scored in one
-/// pass over the engine's contiguous term tables.
-GreedyResult greedy_assign_engine(const AssignContext& ctx, const GreedyOptions& options) {
+/// as PODs (its name materialized once on acceptance), and the select-copy
+/// moves of each round are scored in one pass over the engine's contiguous
+/// term tables.
+SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options) {
   obs::Span span("greedy_walk", "search");
-  GreedyResult result;
+  SearchResult result;
 
   CostEngine engine(ctx);  // loads out_of_box
   Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
@@ -174,9 +27,10 @@ GreedyResult greedy_assign_engine(const AssignContext& ctx, const GreedyOptions&
   const auto& arrays = ctx.program.arrays();
   const auto& candidates = ctx.reuse.candidates();
 
-  // Identical probe points to the reference path (see there); charged
-  // before each candidate's checkpoint/apply, so expiry never leaves a
-  // speculative move on the engine.
+  // One probe per enumerated candidate, charged before the candidate is
+  // scored (before its checkpoint/apply, so expiry never leaves a
+  // speculative move on the engine); expiry abandons the round before any
+  // move is applied.
   std::optional<core::RunBudget> local_budget;
   core::RunBudget* budget = options.shared_budget;
   if (!budget) {
@@ -206,22 +60,20 @@ GreedyResult greedy_assign_engine(const AssignContext& ctx, const GreedyOptions&
   std::vector<i64> slot_bytes;
   std::vector<double> slot_scalar;
   std::vector<unsigned char> slot_ok;
-  if (options.batched_scoring) {
-    std::size_t max_slots =
-        candidates.size() * static_cast<std::size_t>(std::max(background, 1));
-    slot_cc.reserve(max_slots);
-    slot_layer.reserve(max_slots);
-    slot_bytes.reserve(max_slots);
-    slot_scalar.reserve(max_slots);
-    slot_ok.reserve(max_slots);
-  }
+  const std::size_t max_slots =
+      candidates.size() * static_cast<std::size_t>(std::max(background, 1));
+  slot_cc.reserve(max_slots);
+  slot_layer.reserve(max_slots);
+  slot_bytes.reserve(max_slots);
+  slot_scalar.reserve(max_slots);
+  slot_ok.reserve(max_slots);
 
   for (int accepted = 0; accepted < options.max_moves && !cancelled; ++accepted) {
     Best best;
 
     // A move that passed its feasibility/validity gates, with its post-move
     // scalar: count the evaluation, keep it when it wins the per-byte race
-    // (strict — the first of equals wins, matching the reference path).
+    // (strict — the first of equals wins).
     auto offer = [&](GreedyMove::Kind kind, int cc_id, std::size_t array, int layer,
                      double scalar, i64 bytes) {
       ++result.evaluations;
@@ -233,65 +85,45 @@ GreedyResult greedy_assign_engine(const AssignContext& ctx, const GreedyOptions&
       }
     };
 
-    // The candidate move is already applied to the engine when this runs;
-    // it inspects the engine state and is followed by an undo.
+    // A migrate/remove move is already applied to the engine when this
+    // runs; it inspects the engine state and is followed by an undo.
     auto consider_applied = [&](GreedyMove::Kind kind, int cc_id, std::size_t array, int layer,
                                 i64 bytes) {
-      bool feasible = options.use_footprint_tracker ? engine.fits()
-                                                    : fits(ctx, engine.assignment());
-      if (!feasible) return;
-      if (kind == GreedyMove::Kind::SelectCopy && !engine.layering_valid()) return;
+      if (!engine.fits()) return;
       offer(kind, cc_id, array, layer, engine.scalar(objective), bytes);
     };
 
     // Move type 1: select an unselected copy candidate onto an on-chip layer.
-    if (options.batched_scoring) {
-      // Identical enumeration (and probe charges) to the sequential loop,
-      // collected into slots; one engine pass scores them all.  When the
-      // budget expires mid-enumeration the collected prefix is exactly the
-      // set the sequential loop scored before expiry, so evaluation counts
-      // stay identical — the round itself is abandoned below either way.
-      slot_cc.clear();
-      slot_layer.clear();
-      slot_bytes.clear();
-      for (const analysis::CopyCandidate& cc : candidates) {
-        if (cancelled) break;
-        if (engine.has_copy(cc.id)) continue;
-        if (cc.elems <= 0) continue;
-        for (int layer = 0; layer < background; ++layer) {
-          if (!probe()) break;
-          const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-          if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-          slot_cc.push_back(cc.id);
-          slot_layer.push_back(layer);
-          slot_bytes.push_back(cc.bytes);
-        }
+    // Enumerated (and probe-charged) one candidate at a time, collected
+    // into slots; one engine pass scores them all.  When the budget expires
+    // mid-enumeration only the collected prefix is scored, so evaluation
+    // counts match a one-at-a-time walk — the round itself is abandoned
+    // below either way.
+    slot_cc.clear();
+    slot_layer.clear();
+    slot_bytes.clear();
+    for (const analysis::CopyCandidate& cc : candidates) {
+      if (cancelled) break;
+      if (engine.has_copy(cc.id)) continue;
+      if (cc.elems <= 0) continue;
+      for (int layer = 0; layer < background; ++layer) {
+        if (!probe()) break;
+        const mem::MemLayer& target = ctx.hierarchy.layer(layer);
+        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
+        slot_cc.push_back(cc.id);
+        slot_layer.push_back(layer);
+        slot_bytes.push_back(cc.bytes);
       }
-      if (!slot_cc.empty()) {
-        slot_scalar.resize(slot_cc.size());
-        slot_ok.resize(slot_cc.size());
-        engine.score_select_candidates(objective, slot_cc.data(), slot_layer.data(),
-                                       slot_cc.size(), slot_scalar.data(), slot_ok.data());
-        for (std::size_t m = 0; m < slot_cc.size(); ++m) {
-          if (!slot_ok[m]) continue;
-          offer(GreedyMove::Kind::SelectCopy, slot_cc[m], 0, slot_layer[m], slot_scalar[m],
-                slot_bytes[m]);
-        }
-      }
-    } else {
-      for (const analysis::CopyCandidate& cc : candidates) {
-        if (cancelled) break;
-        if (engine.has_copy(cc.id)) continue;
-        if (cc.elems <= 0) continue;
-        for (int layer = 0; layer < background; ++layer) {
-          if (!probe()) break;
-          const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-          if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-          CostEngine::Checkpoint cp = engine.checkpoint();
-          engine.select_copy(cc.id, layer);
-          consider_applied(GreedyMove::Kind::SelectCopy, cc.id, 0, layer, cc.bytes);
-          engine.undo_to(cp);
-        }
+    }
+    if (!slot_cc.empty()) {
+      slot_scalar.resize(slot_cc.size());
+      slot_ok.resize(slot_cc.size());
+      engine.score_select_candidates(objective, slot_cc.data(), slot_layer.data(),
+                                     slot_cc.size(), slot_scalar.data(), slot_ok.data());
+      for (std::size_t m = 0; m < slot_cc.size(); ++m) {
+        if (!slot_ok[m]) continue;
+        offer(GreedyMove::Kind::SelectCopy, slot_cc[m], 0, slot_layer[m], slot_scalar[m],
+              slot_bytes[m]);
       }
     }
 
@@ -350,16 +182,10 @@ GreedyResult greedy_assign_engine(const AssignContext& ctx, const GreedyOptions&
   }
 
   result.assignment = engine.assignment();
-  result.final_scalar = current_scalar;
+  result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
+  result.exhausted_budget = cancelled;
   return result;
-}
-
-}  // namespace
-
-GreedyResult greedy_assign(const AssignContext& ctx, const GreedyOptions& options) {
-  return options.use_cost_engine ? greedy_assign_engine(ctx, options)
-                                 : greedy_assign_reference(ctx, options);
 }
 
 }  // namespace mhla::assign

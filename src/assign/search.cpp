@@ -63,184 +63,24 @@ SearchStatus parse_search_status(const std::string& name) {
 
 namespace {
 
-/// Narrowing views of SearchOptions for the concrete implementations.
-GreedyOptions to_greedy_options(const SearchOptions& options) {
-  GreedyOptions greedy;
-  greedy.energy_weight = options.energy_weight;
-  greedy.time_weight = options.time_weight;
-  greedy.max_moves = options.max_moves;
-  greedy.allow_array_migration = options.allow_array_migration;
-  greedy.use_cost_engine = options.use_cost_engine;
-  greedy.use_footprint_tracker = options.use_footprint_tracker;
-  greedy.batched_scoring = options.greedy_batched_scoring;
-  greedy.budget = options.budget;
-  greedy.shared_budget = options.shared_budget;
-  return greedy;
-}
-
-ExhaustiveOptions to_exhaustive_options(const SearchOptions& options) {
-  ExhaustiveOptions exhaustive;
-  exhaustive.energy_weight = options.energy_weight;
-  exhaustive.time_weight = options.time_weight;
-  exhaustive.max_states = options.max_states;
-  exhaustive.allow_array_migration = options.allow_array_migration;
-  exhaustive.use_cost_engine = options.use_cost_engine;
-  exhaustive.use_branch_and_bound = options.use_branch_and_bound;
-  exhaustive.use_footprint_tracker = options.use_footprint_tracker;
-  exhaustive.use_footprint_bound = options.use_footprint_bound;
-  exhaustive.num_threads = options.bnb_threads;
-  exhaustive.tasks_per_thread = options.bnb_tasks_per_thread;
-  exhaustive.seed_incumbent = options.bnb_seed_incumbent;
-  exhaustive.work_stealing = options.bnb_work_stealing;
-  exhaustive.budget = options.budget;
-  exhaustive.shared_budget = options.shared_budget;
-  return exhaustive;
-}
-
-AnnealOptions to_anneal_options(const SearchOptions& options) {
-  AnnealOptions anneal;
-  anneal.energy_weight = options.energy_weight;
-  anneal.time_weight = options.time_weight;
-  anneal.iterations = options.anneal_iterations;
-  anneal.seed = options.anneal_seed;
-  anneal.initial_temp = options.anneal_initial_temp;
-  anneal.cooling = options.anneal_cooling;
-  anneal.allow_array_migration = options.allow_array_migration;
-  anneal.use_footprint_tracker = options.use_footprint_tracker;
-  anneal.budget = options.budget;
-  anneal.shared_budget = options.shared_budget;
-  return anneal;
-}
-
-SearchResult from_greedy(GreedyResult greedy) {
-  SearchResult result;
-  result.assignment = std::move(greedy.assignment);
-  result.scalar = greedy.final_scalar;
-  result.moves = std::move(greedy.moves);
-  result.evaluations = greedy.evaluations;
-  result.status = greedy.status;
-  result.exhausted_budget = greedy.status == SearchStatus::BudgetExhausted;
-  return result;
-}
-
-SearchResult from_exhaustive(ExhaustiveResult exhaustive) {
-  SearchResult result;
-  result.assignment = std::move(exhaustive.assignment);
-  result.scalar = exhaustive.scalar;
-  result.states_explored = exhaustive.states_explored;
-  result.exhausted_budget = exhaustive.exhausted_budget;
-  result.bound_prunes = exhaustive.bound_prunes;
-  result.capacity_prunes = exhaustive.capacity_prunes;
-  result.status = exhaustive.status;
-  result.gap = exhaustive.gap;
-  result.lower_bound = exhaustive.lower_bound;
-  return result;
-}
-
-/// Greedy steering heuristic; `force_reference` pins the from-scratch path
-/// regardless of the options (the "greedy-ref" strategy).
-class GreedySearcher final : public Searcher {
- public:
-  GreedySearcher(std::string name, std::string description, bool force_reference)
-      : name_(std::move(name)), description_(std::move(description)),
-        force_reference_(force_reference) {}
-
-  std::string name() const override { return name_; }
-  std::string description() const override { return description_; }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    GreedyOptions greedy = to_greedy_options(options);
-    if (force_reference_) greedy.use_cost_engine = false;
-    return from_greedy(greedy_assign(ctx, greedy));
-  }
-
- private:
-  std::string name_;
-  std::string description_;
-  bool force_reference_;
-};
-
-/// Exhaustive enumeration.  The named variants pin the engine toggles so a
-/// strategy string alone selects a well-defined search behavior.
-class ExhaustiveSearcher final : public Searcher {
- public:
-  enum class Mode {
-    Free,       ///< honor the options' engine/bound toggles
-    BnB,        ///< force engine + branch-and-bound
-    Parallel,   ///< parallel branch-and-bound with a shared incumbent
-    Reference,  ///< force the from-scratch enumeration
-  };
-
-  ExhaustiveSearcher(std::string name, std::string description, Mode mode)
-      : name_(std::move(name)), description_(std::move(description)), mode_(mode) {}
-
-  std::string name() const override { return name_; }
-  std::string description() const override { return description_; }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    ExhaustiveOptions exhaustive = to_exhaustive_options(options);
-    if (mode_ == Mode::Parallel) {
-      return from_exhaustive(exhaustive_parallel_assign(ctx, exhaustive));
+std::map<std::string, Searcher>& registry() {
+  static std::map<std::string, Searcher> searchers = [] {
+    std::map<std::string, Searcher> built_in;
+    for (Searcher s : {
+             Searcher{"greedy", "engine-backed greedy steering heuristic (MHLA step 1)",
+                      greedy_assign},
+             Searcher{"bnb",
+                      "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
+                      exhaustive_assign},
+             Searcher{"bnb-par",
+                      "parallel branch-and-bound (work-stealing subtree tasks, shared "
+                      "incumbent; bit-identical to bnb)",
+                      exhaustive_parallel_assign},
+             Searcher{"anneal", "seeded simulated annealing over the cost-engine move set",
+                      anneal_assign},
+         }) {
+      built_in[s.name] = std::move(s);
     }
-    if (mode_ == Mode::BnB) {
-      exhaustive.use_cost_engine = true;
-      exhaustive.use_branch_and_bound = true;
-    } else if (mode_ == Mode::Reference) {
-      exhaustive.use_cost_engine = false;
-    }
-    return from_exhaustive(exhaustive_assign(ctx, exhaustive));
-  }
-
- private:
-  std::string name_;
-  std::string description_;
-  Mode mode_;
-};
-
-/// Seeded simulated annealing (assign/anneal.h).  Stateless across calls:
-/// every walk re-seeds from the options, so one registered instance serves
-/// parallel sweeps and explorations deterministically.
-class AnnealSearcher final : public Searcher {
- public:
-  std::string name() const override { return "anneal"; }
-  std::string description() const override {
-    return "seeded simulated annealing over the cost-engine move set";
-  }
-
-  SearchResult search(const AssignContext& ctx, const SearchOptions& options) const override {
-    AnnealResult anneal = anneal_assign(ctx, to_anneal_options(options));
-    SearchResult result;
-    result.assignment = std::move(anneal.assignment);
-    result.scalar = anneal.scalar;
-    result.evaluations = anneal.evaluations;
-    result.status = anneal.status;
-    result.exhausted_budget = anneal.status == SearchStatus::BudgetExhausted;
-    return result;
-  }
-};
-
-std::map<std::string, std::unique_ptr<Searcher>>& registry() {
-  static std::map<std::string, std::unique_ptr<Searcher>> searchers = [] {
-    std::map<std::string, std::unique_ptr<Searcher>> built_in;
-    auto add = [&](std::unique_ptr<Searcher> s) { built_in[s->name()] = std::move(s); };
-    add(std::make_unique<GreedySearcher>(
-        "greedy", "engine-backed greedy steering heuristic (MHLA step 1)", false));
-    add(std::make_unique<GreedySearcher>(
-        "greedy-ref", "from-scratch greedy reference (bit-identical, slower)", true));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "bnb", "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
-        ExhaustiveSearcher::Mode::BnB));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "bnb-par",
-        "parallel branch-and-bound (work-stealing subtree tasks, shared incumbent; bit-identical to bnb)",
-        ExhaustiveSearcher::Mode::Parallel));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "exhaustive", "exhaustive enumeration honoring the engine/bound toggles",
-        ExhaustiveSearcher::Mode::Free));
-    add(std::make_unique<ExhaustiveSearcher>(
-        "exhaustive-ref", "from-scratch exhaustive reference enumeration",
-        ExhaustiveSearcher::Mode::Reference));
-    add(std::make_unique<AnnealSearcher>());
     return built_in;
   }();
   return searchers;
@@ -264,12 +104,12 @@ const Searcher& searcher(const std::string& name) {
     for (const auto& [known, _] : searchers) message << " " << known;
     throw std::out_of_range(message.str());
   }
-  return *it->second;
+  return it->second;
 }
 
-void register_searcher(std::unique_ptr<Searcher> strategy) {
-  if (!strategy) throw std::invalid_argument("register_searcher: null strategy");
-  registry()[strategy->name()] = std::move(strategy);
+void register_searcher(Searcher strategy) {
+  if (!strategy.search) throw std::invalid_argument("register_searcher: null strategy");
+  registry()[strategy.name] = std::move(strategy);
 }
 
 }  // namespace mhla::assign

@@ -1,13 +1,12 @@
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "assign/anneal.h"
-#include "assign/exhaustive.h"
-#include "assign/greedy.h"
+#include "assign/cost.h"
+#include "assign/inplace.h"
 #include "assign/search_status.h"
 #include "core/run_budget.h"
 
@@ -22,8 +21,8 @@ enum class Target {
 };
 
 /// The one named-Target -> (energy_weight, time_weight) mapping.  Every
-/// caller — the legacy `mhla_step1` shim, the pipeline, the sweep — goes
-/// through here, so a target always means the same weights everywhere.
+/// caller — the pipeline, the sweep, the benches — goes through here, so a
+/// target always means the same weights everywhere.
 /// Target::Custom has no canonical weights and throws; use
 /// `SearchOptions::set_target`, which keeps the explicit weights for it.
 std::pair<double, double> target_weights(Target target);
@@ -33,10 +32,10 @@ std::pair<double, double> target_weights(Target target);
 Target parse_target(const std::string& name);
 std::string to_string(Target target);
 
-/// Unified options for every registered search strategy.  The strategy
-/// consumes the subset that applies to it (greedy reads `max_moves`,
-/// exhaustive reads `max_states`, ...) and ignores the rest, so one struct
-/// configures any strategy selected by name.
+/// Options of every search strategy.  Each strategy consumes the subset
+/// that applies to it (greedy reads `max_moves`, exhaustive reads
+/// `max_states`, ...) and ignores the rest, so one struct configures any
+/// strategy selected by name.
 struct SearchOptions {
   double energy_weight = 1.0;  ///< relative weight of normalized energy
   double time_weight = 1.0;    ///< relative weight of normalized time
@@ -45,39 +44,14 @@ struct SearchOptions {
   long max_states = 2'000'000;   ///< exhaustive: hard bound on evaluated states
   bool allow_array_migration = true;  ///< consider moving whole arrays on-chip
 
-  /// "anneal" knobs (see AnnealOptions for semantics).  The seed is part of
-  /// the options on purpose: a config document pins the whole stochastic
-  /// walk, so annealing results reproduce bit-identically from a file.
-  int anneal_iterations = 2000;
-  std::uint32_t anneal_seed = 1;
-  double anneal_initial_temp = 0.05;
-  double anneal_cooling = 0.997;
-
-  /// Engine toggles (see GreedyOptions / ExhaustiveOptions for semantics).
-  /// The "-ref" registry strategies, "bnb" and "bnb-par" override these;
-  /// "greedy" and "exhaustive" honor them.
-  bool use_cost_engine = true;
-  bool use_branch_and_bound = true;
-
-  /// Answer feasibility probes from the engine's incremental
-  /// FootprintTracker instead of a from-scratch `fits()` rebuild per probe
-  /// (engine-backed strategies: greedy, bnb, bnb-par, exhaustive, anneal).
-  /// Verdicts are exact either way, so results are bit-identical; off is
-  /// the reference path for the equivalence tests.
-  bool use_footprint_tracker = true;
-
-  /// Score each greedy round's select-copy moves in one batched pass over
-  /// the engine's contiguous term tables instead of a checkpoint/apply/undo
-  /// cycle per candidate (see GreedyOptions::batched_scoring).  Per-slot
-  /// accumulation preserves the canonical summation order, so the walk is
-  /// bit-identical; off is the reference path for the equivalence tests.
-  bool greedy_batched_scoring = true;
-
-  /// Filter the branch-and-bound copy-phase bound tables by the tracker's
-  /// homes-only per-nest headroom at each copy-phase entry (see
-  /// ExhaustiveOptions::use_footprint_bound).  Strictly tightens pruning;
-  /// results are bit-identical on or off.
-  bool use_footprint_bound = true;
+  /// "anneal": a Metropolis chain over the greedy move set.  Every random
+  /// draw comes from one PRNG seeded with `anneal_seed` and bounded by plain
+  /// modulo, so a config document pins the whole walk and annealing results
+  /// reproduce bit-identically from a file on every platform.
+  int anneal_iterations = 2000;       ///< proposed moves (integral evaluation budget)
+  std::uint32_t anneal_seed = 1;      ///< PRNG seed; same seed => bit-identical result
+  double anneal_initial_temp = 0.05;  ///< start temperature, in normalized-scalar units
+  double anneal_cooling = 0.997;      ///< geometric per-iteration temperature decay
 
   /// "bnb-par" knobs: parallel branch-and-bound over subtree tasks sharing
   /// one atomic incumbent bound.  The result is bit-identical to serial
@@ -85,10 +59,12 @@ struct SearchOptions {
   /// trade setup overhead against load balance and bound strength.
   unsigned bnb_threads = 0;        ///< worker threads (0 = hardware concurrency)
   int bnb_tasks_per_thread = 4;    ///< static split only: target root tasks per worker
-  bool bnb_seed_incumbent = true;  ///< seed the shared bound with the greedy scalar
+  /// Seed the incumbent bound with the greedy scalar ("bnb" and "bnb-par").
+  /// The seed only prunes (strictly), so the optimum is bit-identical.
+  bool bnb_seed_incumbent = true;
   /// Schedule "bnb-par" subtree tasks on work-stealing deques that split on
-  /// demand (default) instead of the fixed root-frontier split; off keeps
-  /// the static split as the scaling-comparison baseline.
+  /// demand (default) instead of the fixed root-frontier split of
+  /// ~`bnb_threads x bnb_tasks_per_thread` tasks on `core::parallel_for`.
   bool bnb_work_stealing = true;
 
   /// Cooperative run budget for any strategy (see core::BudgetSpec).  The
@@ -97,8 +73,7 @@ struct SearchOptions {
   /// live process object and never serialized.  When the budget binds, the
   /// strategy returns best-so-far with status BudgetExhausted instead of
   /// running on (exact strategies also certify an optimality gap), and a
-  /// bounded budget lifts the placement guard for engine-backed exact
-  /// search (anytime mode).
+  /// bounded budget lifts the placement guard of exact search (anytime mode).
   core::BudgetSpec budget;
 
   /// Live budget token shared across stages (search + time extension +
@@ -115,16 +90,28 @@ struct SearchOptions {
   friend bool operator==(const SearchOptions&, const SearchOptions&) = default;
 };
 
-/// Unified result of any strategy.  Greedy strategies fill the move trace
-/// and `evaluations`; exhaustive strategies fill the state counters.
+/// Trace entry for one accepted greedy move, for diagnostics and the
+/// tool-runtime benchmark.
+struct GreedyMove {
+  enum class Kind { SelectCopy, MigrateArray, RemoveCopy };
+  Kind kind = Kind::SelectCopy;
+  int cc_id = -1;           ///< for SelectCopy / RemoveCopy
+  std::string array;        ///< for MigrateArray
+  int layer = -1;
+  double gain = 0.0;        ///< scalar objective improvement
+  double gain_per_byte = 0.0;
+};
+
+/// Result of any strategy.  Greedy fills the move trace; the exact
+/// strategies fill the state counters.
 struct SearchResult {
   Assignment assignment;
   double scalar = 0.0;  ///< final scalarized objective value
 
-  std::vector<GreedyMove> moves;  ///< accepted-move trace (greedy strategies)
-  int evaluations = 0;            ///< cost-model invocations (greedy strategies)
+  std::vector<GreedyMove> moves;  ///< accepted-move trace (greedy)
+  int evaluations = 0;            ///< cost-model invocations (greedy, anneal)
 
-  long states_explored = 0;       ///< evaluated states (exhaustive strategies)
+  long states_explored = 0;       ///< evaluated states (exact strategies)
   bool exhausted_budget = false;  ///< status == BudgetExhausted (legacy mirror)
   long bound_prunes = 0;          ///< subtrees cut by the lower bound
   long capacity_prunes = 0;       ///< placements cut by cumulative capacity
@@ -132,44 +119,101 @@ struct SearchResult {
   /// Outcome contract (see assign/search_status.h).  Exact strategies that
   /// ran to completion report Optimal with gap 0; a budget-truncated exact
   /// search reports BudgetExhausted with a certified gap against
-  /// `lower_bound` (gap = -1 when no admissible bound was available);
-  /// heuristics report Feasible / BudgetExhausted with gap -1.
+  /// `lower_bound`; heuristics report Feasible / BudgetExhausted with
+  /// gap -1.
   SearchStatus status = SearchStatus::Feasible;
   double gap = -1.0;
-  double lower_bound = 0.0;  ///< global admissible root bound (engine B&B only)
+  double lower_bound = 0.0;  ///< global admissible root bound (exact strategies)
 };
 
-/// A search strategy selectable by name.  Implementations must be
-/// stateless across `search` calls (one registered instance serves every
-/// caller, including parallel batch drivers).
-class Searcher {
- public:
-  virtual ~Searcher() = default;
-  virtual std::string name() const = 0;
-  virtual std::string description() const = 0;
-  virtual SearchResult search(const AssignContext& ctx, const SearchOptions& options) const = 0;
+/// Greedy steering heuristic (registry "greedy", MHLA step 1): start from
+/// the out-of-box assignment and repeatedly apply the feasible move —
+/// select a copy candidate onto a layer, migrate an array's home layer, or
+/// deselect a copy — with the best objective gain per byte of on-chip space
+/// claimed; stop when no improving feasible move remains.  Every candidate
+/// is scored on the incremental CostEngine; the select-copy moves of a round
+/// are scored in one batched pass over its term tables.  One budget probe is
+/// charged per enumerated candidate; on expiry the round is abandoned, so
+/// the result is always the exact state after the last accepted move
+/// (status BudgetExhausted) and replays from `moves`.
+SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options = {});
+
+/// Instance-size guard of exact search: candidate placements (candidates x
+/// on-chip layers) above it throw std::invalid_argument unless a bounded run
+/// budget is attached.
+inline constexpr std::size_t kEnginePlacementGuard = 64;
+
+/// Branch-and-bound exhaustive search (registry "bnb"): enumerate every
+/// feasible (array homes) x (copy selection with a layer each) configuration
+/// in canonical DFS order on the CostEngine, pruning subtrees whose
+/// admissible lower bound cannot strictly beat the incumbent and placements
+/// whose cumulative (layer, nest) footprint overflows.  The copy-phase bound
+/// is filtered by the homes-only footprint headroom at each copy-phase entry.
+///
+/// Anytime contract: Optimal (gap 0) when the enumeration ran to completion;
+/// BudgetExhausted when `max_states` or the run budget bound, in which case
+/// the result is the best feasible state seen (the greedy incumbent seed
+/// serves as a floor) and `gap` certifies (scalar - lower_bound) / scalar
+/// against the global admissible root bound.  One probe per evaluated state
+/// plus one per array-phase node.  Over `kEnginePlacementGuard` placements it
+/// throws std::invalid_argument, unless a bounded run budget is attached
+/// (the guard exists to bound runtime, and a budget bounds it better).
+SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options = {});
+
+/// Parallel branch-and-bound (registry "bnb-par").  By default
+/// (`bnb_work_stealing`) subtree tasks live on per-worker work-stealing
+/// deques: one seed task descends from the root and every task offloads
+/// sibling branches — array homes first, then down into the copy phase — the
+/// moment the pool starves.  Tasks are canonical ordinal prefixes, replayed
+/// onto a per-worker engine; every worker prunes against a shared atomic
+/// incumbent bound (optionally seeded with the greedy scalar).  With
+/// `bnb_work_stealing` off, the fixed breadth-first root-frontier split
+/// (~`bnb_threads x bnb_tasks_per_thread` tasks on `core::parallel_for`)
+/// runs instead.
+///
+/// The result — best assignment and scalar — is **bit-identical to serial
+/// branch-and-bound for any thread count and any steal interleaving**: the
+/// shared incumbent only ever holds scalars of feasible assignments,
+/// cross-task pruning is strict, and under work stealing every leaf is keyed
+/// by its canonical DFS path with ties resolved to the lexicographically
+/// first path — exactly the leaf serial DFS reaches first.  The state/prune
+/// counters depend on incumbent-propagation timing and are not reproducible
+/// run to run; `max_states` bounds each worker (each static-split task), and
+/// the determinism guarantee requires the budget not to bind.
+SearchResult exhaustive_parallel_assign(const AssignContext& ctx,
+                                        const SearchOptions& options = {});
+
+/// Simulated annealing (registry "anneal"): a Metropolis chain over the
+/// greedy move set, applied and undone through the CostEngine, starting
+/// from the out-of-box assignment.  Infeasible or layering-invalid
+/// proposals are rejected before scoring.  Returns the best feasible state
+/// visited (never worse than out-of-box).  One budget probe per iteration,
+/// checked before the proposal is drawn, so an expired budget truncates the
+/// walk at an iteration boundary (status BudgetExhausted).
+SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& options = {});
+
+/// A search strategy selectable by name.  `search` must be stateless
+/// across calls (one registered entry serves every caller, including
+/// parallel batch drivers).
+using SearchFn = SearchResult (*)(const AssignContext&, const SearchOptions&);
+struct Searcher {
+  std::string name;
+  std::string description;
+  SearchFn search = nullptr;
 };
 
-/// Registered strategy names, sorted.  Built-ins: "anneal" (seeded
-/// simulated annealing on the cost engine), "greedy" (engine-backed
-/// steering heuristic), "greedy-ref" (from-scratch reference), "bnb"
-/// (branch-and-bound exhaustive), "bnb-par" (parallel branch-and-bound with
-/// a shared incumbent, bit-identical to "bnb"), "exhaustive" (engine
-/// enumeration honoring the toggles), "exhaustive-ref" (from-scratch
-/// enumeration).
+/// Registered strategy names, sorted.  Built-ins: "anneal"
+/// (`anneal_assign`), "bnb" (`exhaustive_assign`), "bnb-par"
+/// (`exhaustive_parallel_assign`) and "greedy" (`greedy_assign`).
 std::vector<std::string> searcher_names();
 
 /// Look up a strategy by name; throws std::out_of_range whose message lists
 /// every registered name (surfaced verbatim by the CLI tool).
 const Searcher& searcher(const std::string& name);
 
-/// Factory-style alias for `searcher(name)`.  The exploration subsystem and
-/// its docs refer to strategies through this name.
-inline const Searcher& make_searcher(const std::string& name) { return searcher(name); }
-
 /// Register a custom strategy (replaces any previous entry with the same
 /// name).  Not thread-safe against concurrent lookups; register during
 /// startup.
-void register_searcher(std::unique_ptr<Searcher> strategy);
+void register_searcher(Searcher strategy);
 
 }  // namespace mhla::assign

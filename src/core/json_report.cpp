@@ -288,11 +288,6 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"time_weight\": " << num_exact(search.time_weight)
       << ", \"max_moves\": " << search.max_moves << ", \"max_states\": " << search.max_states
       << ", \"allow_array_migration\": " << bool_text(search.allow_array_migration)
-      << ", \"use_cost_engine\": " << bool_text(search.use_cost_engine)
-      << ", \"use_branch_and_bound\": " << bool_text(search.use_branch_and_bound)
-      << ", \"use_footprint_tracker\": " << bool_text(search.use_footprint_tracker)
-      << ", \"greedy_batched_scoring\": " << bool_text(search.greedy_batched_scoring)
-      << ", \"use_footprint_bound\": " << bool_text(search.use_footprint_bound)
       << ",\n" << p1 << "             \"anneal_iterations\": " << search.anneal_iterations
       << ", \"anneal_seed\": " << search.anneal_seed
       << ", \"anneal_initial_temp\": " << num_exact(search.anneal_initial_temp)
@@ -306,8 +301,7 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
   out << p1 << "\"te\": {\"order\": \"" << order_name(config.te.order)
       << "\", \"max_lookahead\": " << config.te.max_lookahead
-      << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start)
-      << ", \"use_footprint_tracker\": " << bool_text(config.te.use_footprint_tracker) << "},\n";
+      << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start) << "},\n";
   out << p1 << "\"num_threads\": " << config.num_threads << "\n";
   out << p0 << "}";
   return out.str();
@@ -369,11 +363,6 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .field("max_moves", search.max_moves, as_int)
                    .field("max_states", search.max_states, as_long)
                    .field("allow_array_migration", search.allow_array_migration, as_bool)
-                   .field("use_cost_engine", search.use_cost_engine, as_bool)
-                   .field("use_branch_and_bound", search.use_branch_and_bound, as_bool)
-                   .field("use_footprint_tracker", search.use_footprint_tracker, as_bool)
-                   .field("greedy_batched_scoring", search.greedy_batched_scoring, as_bool)
-                   .field("use_footprint_bound", search.use_footprint_bound, as_bool)
                    .field("anneal_iterations", search.anneal_iterations, as_int)
                    .field("anneal_seed", search.anneal_seed, as_integer<std::uint32_t>)
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
@@ -392,8 +381,7 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                ObjectReader(j, "te")
                    .field("order", te.order, [](const Json& o) { return parse_order(o.string()); })
                    .field("max_lookahead", te.max_lookahead, as_int)
-                   .field("charge_cold_start", te.charge_cold_start, as_bool)
-                   .field("use_footprint_tracker", te.use_footprint_tracker, as_bool);
+                   .field("charge_cold_start", te.charge_cold_start, as_bool);
                return te;
              })
       .field("num_threads", config.num_threads, as_unsigned);

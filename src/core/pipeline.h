@@ -5,7 +5,8 @@
 #include <vector>
 
 #include "assign/search.h"
-#include "core/driver.h"
+#include "core/workspace.h"
+#include "sim/report.h"
 
 namespace mhla::core {
 
@@ -54,8 +55,9 @@ struct PipelineResult {
 
 /// Staged MHLA driver: analyze -> assign -> time-extend -> simulate, with
 /// one PipelineConfig driving every stage.  With the default "greedy"
-/// strategy the simulation points are bit-identical to `run_mhla` on the
-/// same workspace (covered by tests/core/pipeline_test.cpp).
+/// strategy the simulation points are bit-identical to the from-scratch
+/// greedy oracle plus `sim::simulate_four_points` on the same workspace
+/// (covered by tests/core/pipeline_test.cpp).
 class Pipeline {
  public:
   /// Validates the strategy name against the registry (throws

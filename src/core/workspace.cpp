@@ -1,4 +1,4 @@
-#include "core/driver.h"
+#include "core/workspace.h"
 
 #include "ir/validate.h"
 
@@ -18,18 +18,6 @@ std::unique_ptr<Workspace> make_workspace(ir::Program program, const mem::Platfo
                                           const mem::DmaEngine& dma) {
   ir::validate_or_throw(program);
   return std::unique_ptr<Workspace>(new Workspace(std::move(program), platform, dma));
-}
-
-RunResult run_mhla(const Workspace& workspace, assign::Target target,
-                   const te::TeOptions& te_options) {
-  assign::AssignContext ctx = workspace.context();
-  assign::Step1Options step1_options;
-  step1_options.target = target;
-
-  RunResult result;
-  result.step1 = assign::mhla_step1(ctx, step1_options);
-  result.points = sim::simulate_four_points(ctx, result.step1.assignment, te_options);
-  return result;
 }
 
 }  // namespace mhla::core

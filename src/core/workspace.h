@@ -1,10 +1,12 @@
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "assign/mhla_step1.h"
-#include "sim/report.h"
-#include "sim/simulator.h"
+#include "assign/assignment.h"
+#include "ir/program.h"
 
 namespace mhla::core {
 
@@ -45,22 +47,5 @@ class Workspace {
 std::unique_ptr<Workspace> make_workspace(ir::Program program,
                                           const mem::PlatformConfig& platform = {},
                                           const mem::DmaEngine& dma = {});
-
-/// One end-to-end MHLA run (step 1 + step 2) with the four reference
-/// simulations of the paper's figures.
-///
-/// Legacy fixed-strategy entry point, kept as the independent reference the
-/// pipeline equivalence tests compare against.  New code should drive
-/// `core::Pipeline` (core/pipeline.h): one PipelineConfig selects the
-/// strategy by registry name and adds stage timings, progress reporting,
-/// batch runs, and JSON config round-trip.
-struct RunResult {
-  assign::GreedyResult step1;
-  sim::FourPoint points;
-};
-
-RunResult run_mhla(const Workspace& workspace,
-                   assign::Target target = assign::Target::Balanced,
-                   const te::TeOptions& te_options = {});
 
 }  // namespace mhla::core

@@ -25,6 +25,21 @@ namespace mhla::xplore {
 
 namespace {
 
+/// Document format version.  Version 2 keys are hashed over a config text
+/// without the removed engine/reference toggles, so no version-1 key can
+/// ever hit again.
+constexpr std::int64_t kFormatVersion = 2;
+
+/// Thrown by from_json for a well-formed document of an older format
+/// version: load() reports it as stale instead of salvaging it as damaged.
+struct StaleVersion : std::invalid_argument {
+  std::int64_t version;
+  explicit StaleVersion(std::int64_t v)
+      : std::invalid_argument("stale cache version " + std::to_string(v) + " (current " +
+                              std::to_string(kFormatVersion) + ")"),
+        version(v) {}
+};
+
 std::string hex_key(std::uint64_t key) {
   std::ostringstream out;
   out.imbue(std::locale::classic());
@@ -41,10 +56,7 @@ std::uint64_t parse_hex_key(const std::string& text) {
 
 /// One cache entry from its JSON object — shared by the well-formed document
 /// path (from_json) and the line-by-line salvage scanner, so both accept
-/// exactly the same entries.  Throws on any missing/mistyped field.  The
-/// "status" field is optional for backward compatibility: documents written
-/// before it existed only ever contained completed results, so they load as
-/// Feasible.
+/// exactly the same entries.  Throws on any missing/mistyped field.
 std::pair<std::uint64_t, ResultCache::Entry> entry_from_json(const core::Json& item) {
   ResultCache::Entry entry;
   entry.l1_bytes = item.at("l1_bytes").integer();
@@ -53,9 +65,7 @@ std::pair<std::uint64_t, ResultCache::Entry> entry_from_json(const core::Json& i
   entry.with_te = item.at("with_te").boolean();
   entry.cycles = item.at("cycles").number();
   entry.energy_nj = item.at("energy_nj").number();
-  if (const core::Json* status = item.find("status")) {
-    entry.status = assign::parse_search_status(status->string());
-  }
+  entry.status = assign::parse_search_status(item.at("status").string());
   return {parse_hex_key(item.at("key").string()), std::move(entry)};
 }
 
@@ -129,6 +139,14 @@ ResultCache ResultCache::load(const std::string& path, LoadReport& report) {
     ResultCache cache = from_json(text);
     report.entries = cache.size();
     return cache;
+  } catch (const StaleVersion& stale) {
+    // Intact but written under an older key format: every entry is dead
+    // weight, so load empty and let the next save replace the document.
+    report.clean = false;
+    report.message = "result cache '" + path + "' has stale format version " +
+                     std::to_string(stale.version) + " (current " +
+                     std::to_string(kFormatVersion) + "); its entries were dropped";
+    return ResultCache{};
   } catch (const std::exception&) {
     // Fall through to the salvage path: a crash mid-write elsewhere (or a
     // stray editor) must not cost the warm entries that are still intact.
@@ -234,7 +252,8 @@ void ResultCache::save(const std::string& path) const {
 ResultCache ResultCache::from_json(const std::string& text) {
   core::Json document = core::Json::parse(text);
   std::int64_t version = document.at("version").integer();
-  if (version != 1) {
+  if (version >= 1 && version < kFormatVersion) throw StaleVersion(version);
+  if (version != kFormatVersion) {
     throw std::invalid_argument("unsupported cache version " + std::to_string(version));
   }
   ResultCache cache;
@@ -251,7 +270,8 @@ std::string ResultCache::to_json(int indent) const {
   std::string p2 = p1 + "  ";
   std::ostringstream out;
   out.imbue(std::locale::classic());
-  out << p0 << "{\n" << p1 << "\"version\": 1,\n" << p1 << "\"entries\": [";
+  out << p0 << "{\n" << p1 << "\"version\": " << kFormatVersion << ",\n"
+      << p1 << "\"entries\": [";
   bool first = true;
   for (const auto& [key, entry] : entries_) {  // std::map: sorted, byte-stable
     out << (first ? "\n" : ",\n");

@@ -93,9 +93,11 @@ class ResultCache : public ResultStore {
   using Entry = CacheEntry;
 
   /// What load() found on disk.  `clean` is true for a missing file or a
-  /// well-formed document; on a malformed document it is false, `salvaged`
-  /// counts the entries recovered from the wreckage, `quarantine_path`
-  /// names where the damaged original was preserved, and `message` is the
+  /// well-formed current-version document.  On a malformed document it is
+  /// false, `salvaged` counts the entries recovered from the wreckage, and
+  /// `quarantine_path` names where the damaged original was preserved.  On a
+  /// well-formed document of an older format version it is false and
+  /// nothing is kept (its keys can never hit).  `message` is the
   /// human-readable warning (also printed to stderr by the one-argument
   /// overload).
   struct LoadReport {
@@ -110,8 +112,8 @@ class ResultCache : public ResultStore {
   /// unreadable file throws std::runtime_error (proceeding cold would
   /// truncate the warm entries on the next save); a malformed document is
   /// salvaged entry by entry instead of throwing — the damaged original is
-  /// quarantined and a warning goes to stderr (one-argument overload) or
-  /// into `report`.
+  /// quarantined — and a stale-version document loads empty; either way a
+  /// warning goes to stderr (one-argument overload) or into `report`.
   static ResultCache load(const std::string& path);
   static ResultCache load(const std::string& path, LoadReport& report);
 
@@ -123,8 +125,8 @@ class ResultCache : public ResultStore {
   void save(const std::string& path) const;
 
   /// JSON round-trip used by load/save; exposed for tests and tooling.
-  /// Documents written before the entry status existed load with status
-  /// "feasible" (the contract every pre-status entry was written under).
+  /// A well-formed document of an older format version throws
+  /// std::invalid_argument naming its version ("stale cache version ...").
   static ResultCache from_json(const std::string& text);
   std::string to_json(int indent = 0) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "assign/footprint_tracker.h"
 #include "core/run_budget.h"
@@ -58,12 +57,11 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
   assign::Resolution res = assign::resolve(ctx, assignment);
   std::vector<double> nest_cycles = assign::nest_cpu_cycles(ctx, res);
 
-  // Tracker path: one load of the fixed assignment, then every freedom unit
-  // is a speculative extend_copy probed in O(extended lifetime) and undone
-  // on rejection — accepted extensions simply stay in the tracker, so the
-  // accumulated state always equals the reference path's extension vector.
-  std::optional<assign::FootprintTracker> tracker;
-  if (options.use_footprint_tracker) tracker.emplace(ctx, assignment);
+  // One load of the fixed assignment, then every freedom unit is a
+  // speculative extend_copy probed in O(extended lifetime) and undone on
+  // rejection — accepted extensions simply stay in the tracker, so it
+  // always holds exactly the extensions accepted so far.
+  assign::FootprintTracker tracker(ctx, assignment);
 
   // Budget probes land at BT and freedom-unit boundaries only, so an
   // expired budget never leaves a half-probed extension: the tracker holds
@@ -119,37 +117,21 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
       if (ext_cycles >= bt.cycles) break;  // fully time extended
       if (!probe()) break;
 
-      assign::CopyExtension grow;
-      grow.cc_id = bt.cc_id;
-      grow.extra_buffers = ext.extra_buffers + unit.extra_buffers;
-      grow.start_nest = unit.start_nest >= 0 ? unit.start_nest : ext.start_nest;
-
-      if (tracker) {
-        assign::FootprintTracker::Checkpoint mark = tracker->checkpoint();
-        tracker->extend_copy(grow.cc_id, grow.start_nest, grow.extra_buffers);
-        if (!tracker->feasible()) {
-          tracker->undo_to(mark);  // size constraint hit
-          break;
-        }
-      } else {
-        // Reference path: clone the extension vector, replace this copy's
-        // entry, and recompute every footprint from scratch.
-        std::vector<assign::CopyExtension> tentative = result.footprint_extensions;
-        std::erase_if(tentative,
-                      [&](const assign::CopyExtension& e) { return e.cc_id == bt.cc_id; });
-        tentative.push_back(grow);
-        if (!assign::fits(ctx, assignment, tentative)) break;  // size constraint hit
-        result.footprint_extensions = std::move(tentative);
+      int extra_buffers = ext.extra_buffers + unit.extra_buffers;
+      int start_nest = unit.start_nest >= 0 ? unit.start_nest : ext.start_nest;
+      assign::FootprintTracker::Checkpoint mark = tracker.checkpoint();
+      tracker.extend_copy(bt.cc_id, start_nest, extra_buffers);
+      if (!tracker.feasible()) {
+        tracker.undo_to(mark);  // size constraint hit
+        break;
       }
-
-      ext.extra_buffers = grow.extra_buffers;
-      ext.start_nest = grow.start_nest;
+      ext.extra_buffers = extra_buffers;
+      ext.start_nest = start_nest;
       ext_cycles += unit.hideable_cycles;
     }
-    if (tracker && (ext.extra_buffers > 0 || ext.start_nest >= 0)) {
-      // One entry per extended BT, in greedy processing order — exactly the
-      // final vector the reference path's replace-entry loop leaves behind
-      // (each BT owns a distinct copy, so entries never collide).
+    if (ext.extra_buffers > 0 || ext.start_nest >= 0) {
+      // One entry per extended BT, in greedy processing order (each BT owns
+      // a distinct copy, so entries never collide).
       result.footprint_extensions.push_back({bt.cc_id, ext.start_nest, ext.extra_buffers});
     }
 

@@ -25,13 +25,6 @@ struct TeOptions {
   /// refinement benches/tests turn it on.
   bool charge_cold_start = false;
 
-  /// Probe each freedom unit on an incremental assign::FootprintTracker
-  /// (speculative extend, undo on rejection) instead of cloning the
-  /// extension vector and recomputing every footprint from scratch per
-  /// unit.  Decisions are exact either way, so the TE result is
-  /// bit-identical; off is the reference path for the equivalence tests.
-  bool use_footprint_tracker = true;
-
   /// Cooperative run budget (one probe per BT plus one per freedom unit,
   /// charged before the unit is tried).  An expired budget stops extending
   /// at a unit boundary: extensions accepted so far keep their exact

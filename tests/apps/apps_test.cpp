@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analysis/reuse.h"
+#include "core/pipeline.h"
 #include "helpers.h"
 #include "ir/validate.h"
 
@@ -78,8 +79,7 @@ TEST_P(PerApp, ExposesRealReuse) {
 }
 
 TEST_P(PerApp, MhlaImprovesTimeAndEnergy) {
-  auto ws = testing::make_ws(GetParam().build(), mem::PlatformConfig{});
-  core::RunResult run = core::run_mhla(*ws);
+  core::PipelineResult run = core::Pipeline(core::PipelineConfig{}).run(GetParam().build());
   const sim::FourPoint& fp = run.points;
   EXPECT_LT(fp.mhla.total_cycles(), fp.out_of_box.total_cycles());
   EXPECT_LT(fp.mhla.energy_nj, fp.out_of_box.energy_nj);

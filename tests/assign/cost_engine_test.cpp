@@ -4,10 +4,10 @@
 
 #include <random>
 
-#include "assign/exhaustive.h"
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 #include "gen/random_program.h"
+#include "oracle/oracle.h"
 
 namespace mhla::assign {
 namespace {
@@ -136,19 +136,16 @@ TEST(CostEngine, PropertyRandomApplyUndoSequences) {
   }
 }
 
-/// Greedy with the engine must make the exact decisions of the reference
-/// from-scratch greedy: same moves, same evaluations, same result bits.
+/// Greedy with the engine must make the exact decisions of the from-scratch
+/// greedy oracle: same moves, same evaluations, same result bits.
 TEST(CostEngine, GreedyEquivalenceOnRandomPrograms) {
   for (std::uint32_t seed = 1; seed <= 10; ++seed) {
     auto ws = make_ws(gen::random_program(seed));
     auto ctx = ws->context();
-    GreedyOptions with_engine;
-    GreedyOptions reference;
-    reference.use_cost_engine = false;
-    GreedyResult fast = greedy_assign(ctx, with_engine);
-    GreedyResult slow = greedy_assign(ctx, reference);
+    SearchResult fast = greedy_assign(ctx);
+    SearchResult slow = oracle::greedy(ctx);
     EXPECT_EQ(fast.assignment, slow.assignment) << "seed " << seed;
-    EXPECT_EQ(fast.final_scalar, slow.final_scalar) << "seed " << seed;
+    EXPECT_EQ(fast.scalar, slow.scalar) << "seed " << seed;
     EXPECT_EQ(fast.evaluations, slow.evaluations) << "seed " << seed;
     ASSERT_EQ(fast.moves.size(), slow.moves.size()) << "seed " << seed;
     for (std::size_t i = 0; i < fast.moves.size(); ++i) {
@@ -161,7 +158,7 @@ TEST(CostEngine, GreedyEquivalenceOnRandomPrograms) {
   }
 }
 
-/// Branch-and-bound must return the same optimum as the un-pruned reference
+/// Branch-and-bound must return the same optimum as the un-pruned oracle
 /// enumeration whenever the instance is small enough for both.
 TEST(CostEngine, ExhaustiveEquivalenceOnRandomPrograms) {
   int checked = 0;
@@ -172,24 +169,13 @@ TEST(CostEngine, ExhaustiveEquivalenceOnRandomPrograms) {
     config.max_arrays = 2;
     auto ws = make_ws(gen::random_program(seed, config));
     auto ctx = ws->context();
-    std::size_t placements = ctx.reuse.candidates().size() *
-                             static_cast<std::size_t>(ctx.hierarchy.background());
-    if (placements > kReferencePlacementGuard) continue;
-    ExhaustiveOptions engine_options;
-    ExhaustiveOptions reference_options;
-    reference_options.use_cost_engine = false;
-    ExhaustiveOptions mirror_options;
-    mirror_options.use_branch_and_bound = false;
-    ExhaustiveResult pruned = exhaustive_assign(ctx, engine_options);
-    ExhaustiveResult reference = exhaustive_assign(ctx, reference_options);
+    if (oracle::candidate_placements(ctx) > oracle::kReferencePlacementGuard) continue;
+    SearchResult pruned = exhaustive_assign(ctx);
+    SearchResult reference = oracle::enumerate(ctx);
     if (pruned.exhausted_budget || reference.exhausted_budget) continue;
     EXPECT_EQ(pruned.assignment, reference.assignment) << "seed " << seed;
     EXPECT_EQ(pruned.scalar, reference.scalar) << "seed " << seed;
     EXPECT_LE(pruned.states_explored, reference.states_explored) << "seed " << seed;
-    ExhaustiveResult mirror = exhaustive_assign(ctx, mirror_options);
-    EXPECT_EQ(mirror.assignment, reference.assignment) << "seed " << seed;
-    EXPECT_EQ(mirror.scalar, reference.scalar) << "seed " << seed;
-    EXPECT_EQ(mirror.states_explored, reference.states_explored) << "seed " << seed;
     ++checked;
   }
   EXPECT_GT(checked, 0) << "no random instance was small enough to cross-check";

@@ -1,9 +1,9 @@
-#include "assign/exhaustive.h"
+#include "assign/search.h"
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
 #include "helpers.h"
+#include "oracle/oracle.h"
 
 namespace mhla::assign {
 namespace {
@@ -31,9 +31,9 @@ TEST(Exhaustive, FindsAtLeastAsGoodAsGreedy) {
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
 
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
-  GreedyResult greedy = greedy_assign(ctx);
-  EXPECT_LE(oracle.scalar, greedy.final_scalar + 1e-9);
+  SearchResult oracle = exhaustive_assign(ctx);
+  SearchResult greedy = greedy_assign(ctx);
+  EXPECT_LE(oracle.scalar, greedy.scalar + 1e-9);
   EXPECT_GT(oracle.states_explored, 0);
   EXPECT_FALSE(oracle.exhausted_budget);
 }
@@ -44,7 +44,7 @@ TEST(Exhaustive, BestIsFeasibleAndValid) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
+  SearchResult oracle = exhaustive_assign(ctx);
   EXPECT_TRUE(fits(ctx, oracle.assignment));
   EXPECT_TRUE(layering_valid(ctx, oracle.assignment));
 }
@@ -55,30 +55,27 @@ TEST(Exhaustive, BeatsBaselineOnReuseProgram) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveResult oracle = exhaustive_assign(ctx);
+  SearchResult oracle = exhaustive_assign(ctx);
   Objective obj = make_objective(ctx, 1.0, 1.0);
   EXPECT_LT(oracle.scalar, obj.scalar(estimate_cost(ctx, out_of_box(ctx))));
 }
 
 TEST(Exhaustive, ThrowsOnLargeInstance) {
   // wavelet: 54 candidates x 2 on-chip layers = 108 placements, over the
-  // engine guard (64) and far over the reference guard (24).
+  // engine guard (64) and far over the oracle's guard (24).
   auto ws = make_ws(mhla::apps::build_wavelet());
   auto ctx = ws->context();
   EXPECT_THROW(exhaustive_assign(ctx), std::invalid_argument);
-  ExhaustiveOptions reference;
-  reference.use_cost_engine = false;
-  EXPECT_THROW(exhaustive_assign(ctx, reference), std::invalid_argument);
+  EXPECT_THROW(exhaustive_parallel_assign(ctx), std::invalid_argument);
+  EXPECT_THROW(oracle::enumerate(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, ReferenceGuardStillRejectsMediumInstance) {
   // motion_estimation (46 placements) is too big for the un-pruned
-  // reference enumeration but within the branch-and-bound guard.
+  // oracle enumeration but within the branch-and-bound guard.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
-  ExhaustiveOptions reference;
-  reference.use_cost_engine = false;
-  EXPECT_THROW(exhaustive_assign(ctx, reference), std::invalid_argument);
+  EXPECT_THROW(oracle::enumerate(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
@@ -86,15 +83,15 @@ TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
   // the test fast while proving the search runs and returns a valid result.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
-  ExhaustiveOptions options;
+  SearchOptions options;
   options.max_states = 20000;
-  ExhaustiveResult result = exhaustive_assign(ctx, options);
+  SearchResult result = exhaustive_assign(ctx, options);
   EXPECT_GT(result.states_explored, 0);
   EXPECT_TRUE(fits(ctx, result.assignment));
   EXPECT_TRUE(layering_valid(ctx, result.assignment));
-  GreedyResult greedy = greedy_assign(ctx);
+  SearchResult greedy = greedy_assign(ctx);
   if (!result.exhausted_budget) {
-    EXPECT_LE(result.scalar, greedy.final_scalar + 1e-9);
+    EXPECT_LE(result.scalar, greedy.scalar + 1e-9);
   }
 }
 
@@ -104,23 +101,11 @@ TEST(Exhaustive, EngineMatchesReferenceEnumeration) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveOptions engine_options;
-  ExhaustiveOptions reference_options;
-  reference_options.use_cost_engine = false;
-  ExhaustiveResult pruned = exhaustive_assign(ctx, engine_options);
-  ExhaustiveResult reference = exhaustive_assign(ctx, reference_options);
+  SearchResult pruned = exhaustive_assign(ctx);
+  SearchResult reference = oracle::enumerate(ctx);
   EXPECT_EQ(pruned.assignment, reference.assignment);
   EXPECT_EQ(pruned.scalar, reference.scalar);  // bit-identical
   EXPECT_LE(pruned.states_explored, reference.states_explored);
-
-  // Without branch-and-bound the engine mirrors the reference DFS exactly,
-  // state for state.
-  ExhaustiveOptions mirror_options;
-  mirror_options.use_branch_and_bound = false;
-  ExhaustiveResult mirror = exhaustive_assign(ctx, mirror_options);
-  EXPECT_EQ(mirror.assignment, reference.assignment);
-  EXPECT_EQ(mirror.scalar, reference.scalar);
-  EXPECT_EQ(mirror.states_explored, reference.states_explored);
 }
 
 TEST(Exhaustive, StateBudgetIsHonored) {
@@ -129,12 +114,12 @@ TEST(Exhaustive, StateBudgetIsHonored) {
   platform.l2_bytes = 0;
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
-  ExhaustiveOptions options;
+  SearchOptions options;
   options.max_states = 2;
   // With the greedy incumbent seed the whole search can legitimately finish
   // inside two states; unseeded it cannot, which is what this test needs.
-  options.seed_incumbent = false;
-  ExhaustiveResult result = exhaustive_assign(ctx, options);
+  options.bnb_seed_incumbent = false;
+  SearchResult result = exhaustive_assign(ctx, options);
   EXPECT_TRUE(result.exhausted_budget);
   EXPECT_LE(result.states_explored, 3);
 }

@@ -1,4 +1,4 @@
-#include "assign/greedy.h"
+#include "assign/search.h"
 
 #include <gtest/gtest.h>
 
@@ -12,17 +12,17 @@ using testing::make_ws;
 TEST(Greedy, ImprovesOverBaseline) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   Objective obj = make_objective(ctx, 1.0, 1.0);
   double baseline = obj.scalar(estimate_cost(ctx, out_of_box(ctx)));
-  EXPECT_LT(result.final_scalar, baseline);
+  EXPECT_LT(result.scalar, baseline);
   EXPECT_FALSE(result.moves.empty());
 }
 
 TEST(Greedy, ResultIsFeasibleAndLayeringValid) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   EXPECT_TRUE(fits(ctx, result.assignment));
   EXPECT_TRUE(layering_valid(ctx, result.assignment));
 }
@@ -30,7 +30,7 @@ TEST(Greedy, ResultIsFeasibleAndLayeringValid) {
 TEST(Greedy, MovesHavePositiveGainsInChosenOrder) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   for (const GreedyMove& move : result.moves) {
     EXPECT_GT(move.gain, 0.0);
     EXPECT_GT(move.gain_per_byte, 0.0);
@@ -40,9 +40,9 @@ TEST(Greedy, MovesHavePositiveGainsInChosenOrder) {
 TEST(Greedy, FinalScalarMatchesReevaluation) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   Objective obj = make_objective(ctx, 1.0, 1.0);
-  EXPECT_NEAR(result.final_scalar, obj.scalar(estimate_cost(ctx, result.assignment)), 1e-9);
+  EXPECT_NEAR(result.scalar, obj.scalar(estimate_cost(ctx, result.assignment)), 1e-9);
 }
 
 TEST(Greedy, NoOnChipLayersMeansNoMoves) {
@@ -51,7 +51,7 @@ TEST(Greedy, NoOnChipLayersMeansNoMoves) {
   platform.l2_bytes = 0;
   auto ws = make_ws(testing::blocked_reuse_program(), platform);
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   EXPECT_TRUE(result.moves.empty());
   EXPECT_TRUE(result.assignment.copies.empty());
 }
@@ -62,7 +62,7 @@ TEST(Greedy, RespectsTinyCapacity) {
   platform.l2_bytes = 0;
   auto ws = make_ws(testing::blocked_reuse_program(), platform);
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   EXPECT_TRUE(fits(ctx, result.assignment));
   for (const PlacedCopy& pc : result.assignment.copies) {
     EXPECT_LE(ctx.reuse.candidate(pc.cc_id).bytes, 64);
@@ -72,18 +72,18 @@ TEST(Greedy, RespectsTinyCapacity) {
 TEST(Greedy, MaxMovesBoundsAcceptedMoves) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyOptions options;
+  SearchOptions options;
   options.max_moves = 1;
-  GreedyResult result = greedy_assign(ctx, options);
+  SearchResult result = greedy_assign(ctx, options);
   EXPECT_LE(result.moves.size(), 1u);
 }
 
 TEST(Greedy, ArrayMigrationCanBeDisabled) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyOptions options;
+  SearchOptions options;
   options.allow_array_migration = false;
-  GreedyResult result = greedy_assign(ctx, options);
+  SearchResult result = greedy_assign(ctx, options);
   int background = ctx.hierarchy.background();
   for (const ir::ArrayDecl& array : ctx.program.arrays()) {
     EXPECT_EQ(result.assignment.layer_of(array.name, background), background);
@@ -93,10 +93,10 @@ TEST(Greedy, ArrayMigrationCanBeDisabled) {
 TEST(Greedy, EnergyTargetNeverWorsensEnergy) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyOptions options;
+  SearchOptions options;
   options.energy_weight = 1.0;
   options.time_weight = 0.0;
-  GreedyResult result = greedy_assign(ctx, options);
+  SearchResult result = greedy_assign(ctx, options);
   CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
   CostEstimate optimized = estimate_cost(ctx, result.assignment);
   EXPECT_LE(optimized.energy_nj, baseline.energy_nj);
@@ -105,10 +105,10 @@ TEST(Greedy, EnergyTargetNeverWorsensEnergy) {
 TEST(Greedy, TimeTargetNeverWorsensTime) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyOptions options;
+  SearchOptions options;
   options.energy_weight = 0.0;
   options.time_weight = 1.0;
-  GreedyResult result = greedy_assign(ctx, options);
+  SearchResult result = greedy_assign(ctx, options);
   CostEstimate baseline = estimate_cost(ctx, out_of_box(ctx));
   CostEstimate optimized = estimate_cost(ctx, result.assignment);
   EXPECT_LE(optimized.total_cycles(), baseline.total_cycles());
@@ -117,7 +117,7 @@ TEST(Greedy, TimeTargetNeverWorsensTime) {
 TEST(Greedy, EvaluationCountIsReported) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  GreedyResult result = greedy_assign(ctx);
+  SearchResult result = greedy_assign(ctx);
   EXPECT_GT(result.evaluations, 0);
 }
 
@@ -127,9 +127,9 @@ TEST(Step1, TargetMapping) {
   // Each target must produce a feasible assignment; energy-only and
   // time-only runs may differ from balanced.
   for (Target target : {Target::Energy, Target::Time, Target::Balanced}) {
-    Step1Options options;
-    options.target = target;
-    GreedyResult result = mhla_step1(ctx, options);
+    SearchOptions options;
+    options.set_target(target);
+    SearchResult result = greedy_assign(ctx, options);
     EXPECT_TRUE(fits(ctx, result.assignment));
   }
 }

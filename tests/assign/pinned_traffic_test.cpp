@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "assign/search.h"
 #include "helpers.h"
+#include "sim/simulator.h"
 
 namespace mhla::assign {
 namespace {
@@ -121,7 +123,7 @@ TEST(PinnedTraffic, GreedyStillMigratesWhenWorthIt) {
   pb.end_loop();
   auto ws = make_ws(pb.finish());
   auto ctx = ws->context();
-  GreedyResult greedy = greedy_assign(ctx);
+  SearchResult greedy = greedy_assign(ctx);
   // Whether via migration or a whole-array copy (equivalent here: one fill,
   // recurring savings), the reads must end up served on-chip.
   Resolution res = resolve(ctx, greedy.assignment);
@@ -143,7 +145,7 @@ TEST(PinnedTraffic, GreedyAvoidsMigratingColdInputs) {
   pb.end_loop();
   auto ws = make_ws(pb.finish());
   auto ctx = ws->context();
-  GreedyResult greedy = greedy_assign(ctx);
+  SearchResult greedy = greedy_assign(ctx);
   EXPECT_EQ(greedy.assignment.layer_of("cold", -1), ctx.hierarchy.background());
 }
 

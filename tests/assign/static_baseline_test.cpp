@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::assign {
@@ -90,7 +90,7 @@ TEST(StaticBaseline, MhlaBeatsOrMatchesItEverywhere) {
     Objective obj = make_objective(ctx, 1.0, 1.0);
     double baseline_scalar =
         obj.scalar(estimate_cost(ctx, static_baseline_assign(ctx).assignment));
-    double mhla_scalar = greedy_assign(ctx).final_scalar;
+    double mhla_scalar = greedy_assign(ctx).scalar;
     EXPECT_LE(mhla_scalar, baseline_scalar + 1e-9) << info.name;
   }
 }
@@ -103,7 +103,7 @@ TEST(StaticBaseline, MhlaStrictlyWinsWhenArraysDontFit) {
   Objective obj = make_objective(ctx, 1.0, 1.0);
   double baseline_scalar =
       obj.scalar(estimate_cost(ctx, static_baseline_assign(ctx).assignment));
-  double mhla_scalar = assign::greedy_assign(ctx).final_scalar;
+  double mhla_scalar = assign::greedy_assign(ctx).scalar;
   EXPECT_LT(mhla_scalar, baseline_scalar * 0.8);
 }
 

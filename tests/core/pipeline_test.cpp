@@ -7,6 +7,7 @@
 #include "core/json.h"
 #include "core/json_report.h"
 #include "helpers.h"
+#include "oracle/oracle.h"
 
 namespace mhla::core {
 namespace {
@@ -65,10 +66,6 @@ PipelineConfig custom_config() {
   config.search.max_moves = 500;
   config.search.max_states = 12345;
   config.search.allow_array_migration = false;
-  config.search.use_cost_engine = false;
-  config.search.use_branch_and_bound = false;
-  config.search.use_footprint_tracker = false;
-  config.search.use_footprint_bound = false;
   config.search.bnb_threads = 6;
   config.search.bnb_tasks_per_thread = 2;
   config.search.bnb_seed_incumbent = false;
@@ -76,37 +73,53 @@ PipelineConfig custom_config() {
   config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
   config.te.charge_cold_start = true;
-  config.te.use_footprint_tracker = false;
   config.num_threads = 3;
   return config;
 }
 
-TEST(Pipeline, GreedyStrategyMatchesRunMhlaBitIdenticallyOnAllNineApps) {
-  // Acceptance criterion of the API redesign: the facade must not move a
-  // single bit relative to the legacy run_mhla driver.
+/// The pipeline's result assembled by hand from the from-scratch greedy
+/// oracle and the four reference simulations.
+struct OracleRun {
+  assign::SearchResult search;
+  sim::FourPoint points;
+};
+
+OracleRun oracle_run(const Workspace& ws, assign::Target target) {
+  assign::AssignContext ctx = ws.context();
+  assign::SearchOptions options;
+  options.set_target(target);
+  OracleRun run{oracle::greedy(ctx, options), {}};
+  run.points = sim::simulate_four_points(ctx, run.search.assignment, te::TeOptions{});
+  return run;
+}
+
+TEST(Pipeline, GreedyStrategyMatchesTheOracleBitIdenticallyOnAllNineApps) {
+  // The facade with the default "greedy" strategy must not move a single
+  // bit relative to the from-scratch greedy oracle + the reference
+  // simulations.
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = make_workspace(info.build(), {}, {});
-    RunResult legacy = run_mhla(*ws);
+    OracleRun expected = oracle_run(*ws, assign::Target::Balanced);
 
     Pipeline pipeline(PipelineConfig{});
     PipelineResult result = pipeline.run(*ws);
 
-    expect_same_points(result.points, legacy.points, info.name);
-    EXPECT_EQ(result.search.assignment, legacy.step1.assignment) << info.name;
-    EXPECT_EQ(result.search.scalar, legacy.step1.final_scalar) << info.name;
-    EXPECT_EQ(result.search.evaluations, legacy.step1.evaluations) << info.name;
+    expect_same_points(result.points, expected.points, info.name);
+    EXPECT_EQ(result.search.assignment, expected.search.assignment) << info.name;
+    EXPECT_EQ(result.search.scalar, expected.search.scalar) << info.name;
+    EXPECT_EQ(result.search.evaluations, expected.search.evaluations) << info.name;
   }
 }
 
-TEST(Pipeline, MatchesRunMhlaForEveryTarget) {
+TEST(Pipeline, MatchesTheOracleForEveryTarget) {
   auto ws = make_workspace(apps::build_cavity_detection(), {}, {});
   for (assign::Target target :
        {assign::Target::Energy, assign::Target::Time, assign::Target::Balanced}) {
-    RunResult legacy = run_mhla(*ws, target);
+    OracleRun expected = oracle_run(*ws, target);
     PipelineConfig config;
     config.target = target;
     PipelineResult result = Pipeline(config).run(*ws);
-    expect_same_points(result.points, legacy.points, assign::to_string(target));
+    expect_same_points(result.points, expected.points, assign::to_string(target));
   }
 }
 
@@ -254,6 +267,22 @@ TEST(PipelineConfigJson, MalformedInputGivesClearErrors) {
   EXPECT_THROW(pipeline_config_from_json(R"({"target": "speed"})"), std::invalid_argument);
   EXPECT_THROW(pipeline_config_from_json(R"({"te": {"order": "random"}})"),
                std::invalid_argument);
+  // Removed engine/reference toggles: old documents fail loudly instead of
+  // silently running on defaults.
+  for (const std::string key : {"search.use_cost_engine", "search.use_branch_and_bound",
+                                "search.use_footprint_tracker", "search.greedy_batched_scoring",
+                                "search.use_footprint_bound", "te.use_footprint_tracker"}) {
+    std::size_t dot = key.find('.');
+    std::string document =
+        "{\"" + key.substr(0, dot) + "\": {\"" + key.substr(dot + 1) + "\": true}}";
+    try {
+      pipeline_config_from_json(document);
+      FAIL() << "expected an unknown-key error for " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"" + key + "\""), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PipelineConfigJson, OutOfRangeIntegersThrowInsteadOfWrapping) {

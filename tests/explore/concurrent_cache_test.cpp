@@ -79,7 +79,7 @@ TEST(CacheStatusGuard, ConcurrentCacheRefusesNonCompletedResults) {
   EXPECT_EQ(cache.stats().rejected, 2u);
 }
 
-TEST(CacheStatusGuard, StatusRoundTripsAndPreStatusDocumentsLoadFeasible) {
+TEST(CacheStatusGuard, StatusRoundTripsAndVersionOneDocumentsAreStale) {
   ResultCache cache;
   cache.insert(7, entry_for(7, assign::SearchStatus::Optimal));
   ResultCache reloaded = ResultCache::from_json(cache.to_json());
@@ -87,17 +87,20 @@ TEST(CacheStatusGuard, StatusRoundTripsAndPreStatusDocumentsLoadFeasible) {
   EXPECT_EQ(reloaded.find(7)->status, assign::SearchStatus::Optimal);
   EXPECT_EQ(reloaded.entries(), cache.entries());
 
-  // A document written before entries carried a status (the pre-status
-  // format) loads as Feasible — the contract those entries were cached
-  // under — instead of being dropped or failing the parse.
+  // A version-1 document (keys hashed over the old config text) is stale:
+  // the parser names its version instead of returning entries that can
+  // never hit.
   const std::string legacy =
       "{\n  \"version\": 1,\n  \"entries\": [\n"
       "    {\"key\": \"000000000000002a\", \"l1_bytes\": 256, \"l2_bytes\": 0,"
       " \"strategy\": \"greedy\", \"with_te\": true, \"cycles\": 10.0,"
       " \"energy_nj\": 20.0}\n  ]\n}";
-  ResultCache migrated = ResultCache::from_json(legacy);
-  ASSERT_NE(migrated.find(42), nullptr);
-  EXPECT_EQ(migrated.find(42)->status, assign::SearchStatus::Feasible);
+  try {
+    ResultCache::from_json(legacy);
+    FAIL() << "expected a stale-version error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("stale cache version 1"), std::string::npos) << e.what();
+  }
 }
 
 // --- Bounds: LRU eviction above the cap, a hard floor below ------------------

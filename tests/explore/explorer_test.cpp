@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -83,7 +84,7 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
     }
   }
   ASSERT_FALSE(intact_line.empty());
-  std::ofstream(path) << "{\"version\": 1, \"entries\": [oops\n"
+  std::ofstream(path) << "{\"version\": 2, \"entries\": [oops\n"
                       << intact_line << "\n"
                       << "    {\"key\": \"00000000000000";  // truncated entry
 
@@ -104,6 +105,32 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
 
   std::remove(path.c_str());
   std::remove(report.quarantine_path.c_str());
+}
+
+TEST(ResultCache, VersionOneDocumentLoadsEmptyAsStale) {
+  // A well-formed version-1 document is intact but stale: its keys were
+  // hashed over the old config text and can never hit.  It loads empty, the
+  // report names the old version, and it is neither salvaged line by line
+  // nor quarantined as damaged.
+  std::string path = temp_path("mhla_cache_v1.json");
+  ResultCache full;
+  full.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
+  std::string document = full.to_json();
+  std::size_t at = document.find("\"version\": 2");
+  ASSERT_NE(at, std::string::npos);
+  document.replace(at, 12, "\"version\": 1");
+  std::ofstream(path) << document;
+
+  ResultCache::LoadReport report;
+  ResultCache loaded = ResultCache::load(path, report);
+  EXPECT_EQ(loaded.size(), 0u);
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.salvaged, 0u);
+  EXPECT_TRUE(report.quarantine_path.empty());
+  EXPECT_NE(report.message.find("version 1"), std::string::npos) << report.message;
+  EXPECT_EQ(report.message.find("malformed"), std::string::npos) << report.message;
+  EXPECT_FALSE(std::filesystem::exists(path + ".quarantine"));
+  std::remove(path.c_str());
 }
 
 TEST(ResultCache, WellFormedLoadReportsClean) {
@@ -356,6 +383,28 @@ TEST(Explorer, CacheKeysSeparateProgramsAndConfigs) {
   ExploreResult par_key = Explorer(par_knobs).run(testing::blocked_reuse_program());
   EXPECT_EQ(par_key.evaluations, 0u);
   std::remove(path.c_str());
+}
+
+TEST(Explorer, CacheKeyIgnoresExactlyTheResultInvariantKnobs) {
+  // Knobs that cannot change a completed result share one key, so one cell
+  // never caches under two; knobs that steer the result must split keys.
+  const std::string text = "program text";
+  const std::uint64_t key = design_cache_key(text, core::PipelineConfig{}, true);
+  auto key_with = [&](auto mutate) {
+    core::PipelineConfig config;
+    mutate(config);
+    return design_cache_key(text, config, true);
+  };
+  using Config = core::PipelineConfig;
+  EXPECT_EQ(key_with([](Config& c) { c.num_threads = 3; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_threads = 8; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_tasks_per_thread = 2; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_seed_incumbent = false; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_work_stealing = false; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.budget.deadline_seconds = 5.0; }), key);
+  EXPECT_EQ(key_with([](Config& c) { c.search.budget.max_probes = 100; }), key);
+  EXPECT_NE(key_with([](Config& c) { c.search.anneal_seed = 7; }), key);
+  EXPECT_NE(key_with([](Config& c) { c.search.max_moves = 10; }), key);
 }
 
 TEST(Corpus, ExploresEveryMemberAndAggregatesCounters) {

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "apps/registry.h"
-#include "core/driver.h"
+#include "core/workspace.h"
 #include "ir/builder.h"
 
 namespace mhla::testing {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "assign/search.h"
 #include "helpers.h"
+#include "sim/simulator.h"
 
 namespace mhla {
 namespace {
@@ -48,7 +50,7 @@ TEST_P(PerAppConsistency, TallyMatchesCostModelCounts) {
 TEST_P(PerAppConsistency, GreedyResultSurvivesResolveRoundtrip) {
   auto ws = core::make_workspace(GetParam().build(), {}, {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
   EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
 

@@ -96,15 +96,12 @@ TEST(EndToEnd, Figure2ClaimOnNineApps) {
 }
 
 TEST(EndToEnd, ReproductionBandsStayPut) {
-  // Stays on the legacy run_mhla shim on purpose: independent coverage of
-  // the reference path the Pipeline equivalence tests compare against.
   // Generous envelopes around the measured Figure 2/3 values recorded in
   // EXPERIMENTS.md.  If a model change pushes any app outside these bands,
   // the reproduction story changed and EXPERIMENTS.md must be re-examined.
+  Pipeline pipeline(PipelineConfig{});
   for (const apps::AppInfo& info : apps::all_apps()) {
-    auto ws = make_workspace(info.build(), {}, {});
-    RunResult run = run_mhla(*ws);
-    const sim::FourPoint& fp = run.points;
+    const sim::FourPoint fp = pipeline.run(info.build()).points;
     double time_pct =
         100.0 * fp.mhla.total_cycles() / fp.out_of_box.total_cycles();
     double te_pct =
@@ -117,8 +114,7 @@ TEST(EndToEnd, ReproductionBandsStayPut) {
     EXPECT_LE(energy_pct, 75.0) << info.name << ": energy gain regressed";
   }
   // TE must remain visibly useful on at least one stencil app.
-  auto ws = make_workspace(apps::build_cavity_detection(), {}, {});
-  RunResult run = run_mhla(*ws);
+  PipelineResult run = pipeline.run(apps::build_cavity_detection());
   double gain_pp = 100.0 *
                    (run.points.mhla.total_cycles() - run.points.mhla_te.total_cycles()) /
                    run.points.out_of_box.total_cycles();

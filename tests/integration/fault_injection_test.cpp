@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "assign/cost.h"
-#include "assign/exhaustive.h"
 #include "assign/search.h"
 #include "core/fault_injector.h"
 #include "core/json_report.h"
@@ -45,6 +44,7 @@
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracle/oracle.h"
 
 namespace mhla {
 namespace {
@@ -171,7 +171,7 @@ TEST(FaultInjection, ParallelForStopsClaimingOnceBudgetExpires) {
 TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  for (const std::string& strategy : {"greedy", "greedy-ref", "anneal", "bnb", "exhaustive"}) {
+  for (const std::string& strategy : assign::searcher_names()) {
     SCOPED_TRACE(strategy);
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
@@ -280,11 +280,9 @@ TEST(CancellationConsistency, GreedyTruncatesToAReplayablePrefix) {
     EXPECT_EQ(rebuilt.assignment, truncated.assignment);
     EXPECT_EQ(rebuilt.scalar, truncated.scalar);
 
-    // Reference path truncates at the identical probe, so the degraded
-    // result stays engine/reference bit-identical too.
-    assign::SearchOptions bounded_ref = bounded;
-    bounded_ref.use_cost_engine = false;
-    assign::SearchResult truncated_ref = assign::searcher("greedy").search(ctx, bounded_ref);
+    // The oracle truncates at the identical probe, so the degraded result
+    // stays engine/oracle bit-identical too.
+    assign::SearchResult truncated_ref = oracle::greedy(ctx, bounded);
     EXPECT_EQ(truncated_ref.assignment, truncated.assignment);
     EXPECT_EQ(truncated_ref.scalar, truncated.scalar);
     EXPECT_EQ(truncated_ref.moves.size(), truncated.moves.size());
@@ -303,9 +301,7 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto ws = testing::make_ws(gen::random_program(seed));
     auto ctx = ws->context();
-    std::size_t placements = ctx.reuse.candidates().size() *
-                             static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
-    if (placements > assign::kEnginePlacementGuard) continue;
+    if (oracle::candidate_placements(ctx) > assign::kEnginePlacementGuard) continue;
 
     assign::SearchResult baseline;
     long total = probes_of_full_run(ctx, "bnb", {}, &baseline);
@@ -417,8 +413,7 @@ TEST(CancellationConsistency, BnbParBitIdenticalAcrossThreadsWithNonBindingBudge
 TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   auto ws = core::make_workspace(apps::build_app("mpeg2_encoder"), mem::PlatformConfig{}, {});
   auto ctx = ws->context();
-  std::size_t placements = ctx.reuse.candidates().size() *
-                           static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
+  std::size_t placements = oracle::candidate_placements(ctx);
   ASSERT_GT(placements, assign::kEnginePlacementGuard)
       << "corpus drifted: mpeg2_encoder no longer exceeds the guard";
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "assign/search.h"
 #include "helpers.h"
+#include "sim/simulator.h"
 #include "ir/serialize.h"
 #include "ir/validate.h"
 #include "sim/trace.h"
@@ -72,11 +74,11 @@ TEST_P(Fuzz, SimAgreesWithCostModel) {
 TEST_P(Fuzz, GreedyIsFeasibleAndNeverWorseThanBaseline) {
   auto ws = core::make_workspace(gen::random_program(GetParam()), {}, {});
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
   assign::Objective obj = assign::make_objective(ctx, 1.0, 1.0);
-  EXPECT_LE(greedy.final_scalar,
+  EXPECT_LE(greedy.scalar,
             obj.scalar(assign::estimate_cost(ctx, assign::out_of_box(ctx))) + 1e-9);
 }
 

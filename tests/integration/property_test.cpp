@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "assign/search.h"
 #include "helpers.h"
+#include "sim/simulator.h"
 
 namespace mhla {
 namespace {
@@ -30,22 +32,22 @@ class PlatformSweep : public ::testing::TestWithParam<PlatformCase> {
 
 TEST_P(PlatformSweep, GreedyNeverWorseThanBaseline) {
   auto ctx = ws_->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   assign::Objective obj = assign::make_objective(ctx, 1.0, 1.0);
   double baseline = obj.scalar(assign::estimate_cost(ctx, assign::out_of_box(ctx)));
-  EXPECT_LE(greedy.final_scalar, baseline + 1e-9);
+  EXPECT_LE(greedy.scalar, baseline + 1e-9);
 }
 
 TEST_P(PlatformSweep, ResultAlwaysFeasible) {
   auto ctx = ws_->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
 }
 
 TEST_P(PlatformSweep, SimAgreesWithCost) {
   auto ctx = ws_->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   assign::CostEstimate cost = assign::estimate_cost(ctx, greedy.assignment);
   sim::SimResult result = sim::simulate(ctx, greedy.assignment);
   EXPECT_NEAR(result.total_cycles(), cost.total_cycles(), 1e-6 * cost.total_cycles());
@@ -54,7 +56,7 @@ TEST_P(PlatformSweep, SimAgreesWithCost) {
 
 TEST_P(PlatformSweep, EnergyInvariantUnderTe) {
   auto ctx = ws_->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   sim::SimResult blocking = sim::simulate(ctx, greedy.assignment,
                                           {te::TransferMode::Blocking, {}});
   sim::SimResult extended = sim::simulate(ctx, greedy.assignment,
@@ -64,7 +66,7 @@ TEST_P(PlatformSweep, EnergyInvariantUnderTe) {
 
 TEST_P(PlatformSweep, ModeOrderingHolds) {
   auto ctx = ws_->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   double blocking =
       sim::simulate(ctx, greedy.assignment, {te::TransferMode::Blocking, {}}).total_cycles();
   double extended =

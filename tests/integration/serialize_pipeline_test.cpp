@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
 #include "helpers.h"
 #include "ir/serialize.h"
 #include "ir/transform.h"
@@ -24,12 +25,13 @@ TEST_P(SerializedPipeline, IdenticalOptimizationResults) {
   EXPECT_EQ(ws1->sites().size(), ws2->sites().size());
   EXPECT_EQ(ws1->reuse().candidates().size(), ws2->reuse().candidates().size());
 
-  core::RunResult run1 = core::run_mhla(*ws1);
-  core::RunResult run2 = core::run_mhla(*ws2);
+  core::Pipeline pipeline(core::PipelineConfig{});
+  core::PipelineResult run1 = pipeline.run(*ws1);
+  core::PipelineResult run2 = pipeline.run(*ws2);
   EXPECT_DOUBLE_EQ(run1.points.mhla.total_cycles(), run2.points.mhla.total_cycles());
   EXPECT_DOUBLE_EQ(run1.points.mhla.energy_nj, run2.points.mhla.energy_nj);
   EXPECT_DOUBLE_EQ(run1.points.mhla_te.total_cycles(), run2.points.mhla_te.total_cycles());
-  EXPECT_EQ(run1.step1.assignment.copies.size(), run2.step1.assignment.copies.size());
+  EXPECT_EQ(run1.search.assignment.copies.size(), run2.search.assignment.copies.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNine, SerializedPipeline, ::testing::ValuesIn(apps::all_apps()),
@@ -76,13 +78,12 @@ TEST(TransformedPipeline, TilingNeverHurtsOptimizedCost) {
   ir::Program flat = pb.finish();
   ir::Program tiled = ir::tile_loop(flat, "i", 256);
 
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 2 * 1024;
-  platform.l2_bytes = 0;
-  auto ws_flat = core::make_workspace(std::move(flat), platform, {});
-  auto ws_tiled = core::make_workspace(std::move(tiled), platform, {});
-  core::RunResult flat_run = core::run_mhla(*ws_flat);
-  core::RunResult tiled_run = core::run_mhla(*ws_tiled);
+  core::PipelineConfig config;
+  config.platform.l1_bytes = 2 * 1024;
+  config.platform.l2_bytes = 0;
+  core::Pipeline pipeline(config);
+  core::PipelineResult flat_run = pipeline.run(std::move(flat));
+  core::PipelineResult tiled_run = pipeline.run(std::move(tiled));
   EXPECT_LE(tiled_run.points.mhla_te.total_cycles(),
             flat_run.points.mhla_te.total_cycles() + 1e-9);
 }

@@ -4,6 +4,7 @@
 
 #include "analysis/reuse.h"
 #include "analysis/sites.h"
+#include "core/pipeline.h"
 #include "helpers.h"
 #include "ir/validate.h"
 
@@ -143,13 +144,12 @@ TEST(Fusion, EnablesCrossNestReuseThroughOneCopy) {
   Program flat = pb.finish();
   Program fused = fuse_nests(flat, 0);
 
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 1024;  // too small for t (16 KiB): copies must carry it
-  platform.l2_bytes = 0;
-  auto ws_flat = core::make_workspace(std::move(flat), platform, {});
-  auto ws_fused = core::make_workspace(std::move(fused), platform, {});
-  core::RunResult run_flat = core::run_mhla(*ws_flat);
-  core::RunResult run_fused = core::run_mhla(*ws_fused);
+  core::PipelineConfig config;
+  config.platform.l1_bytes = 1024;  // too small for t (16 KiB): copies must carry it
+  config.platform.l2_bytes = 0;
+  core::Pipeline pipeline(config);
+  core::PipelineResult run_flat = pipeline.run(std::move(flat));
+  core::PipelineResult run_fused = pipeline.run(std::move(fused));
   EXPECT_LE(run_fused.points.mhla.energy_nj, run_flat.points.mhla.energy_nj);
 }
 

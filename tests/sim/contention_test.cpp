@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "sim/simulator.h"
 #include "ir/serialize.h"
 
 namespace mhla::sim {

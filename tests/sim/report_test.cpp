@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::sim {
@@ -31,7 +31,7 @@ TEST(Report, FormatResultMentionsLayersAndCycles) {
 TEST(Report, FormatFourPointsNormalizesTo100) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   FourPoint fp = simulate_four_points(ctx, greedy.assignment);
   std::string text = format_four_points("demo", fp);
   EXPECT_NE(text.find("demo"), std::string::npos);

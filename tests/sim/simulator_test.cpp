@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::sim {
@@ -24,7 +24,7 @@ TEST(Simulator, AgreesWithStaticCostModelBlocking) {
   // implementations; in Blocking mode they must agree exactly.
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
 
   for (const assign::Assignment& a : {assign::out_of_box(ctx), greedy.assignment}) {
     assign::CostEstimate cost = assign::estimate_cost(ctx, a);
@@ -41,7 +41,7 @@ TEST(Simulator, ModeOrdering) {
   // Ideal <= TimeExtended <= Blocking, always.
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
 
   SimResult blocking = simulate(ctx, greedy.assignment, {te::TransferMode::Blocking, {}});
   SimResult extended = simulate(ctx, greedy.assignment, {te::TransferMode::TimeExtended, {}});
@@ -57,7 +57,7 @@ TEST(Simulator, EnergyInvariantAcrossModes) {
   // counts memory accesses only.
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   SimResult blocking = simulate(ctx, greedy.assignment, {te::TransferMode::Blocking, {}});
   SimResult extended = simulate(ctx, greedy.assignment, {te::TransferMode::TimeExtended, {}});
   SimResult ideal = simulate(ctx, greedy.assignment, {te::TransferMode::Ideal, {}});
@@ -77,7 +77,7 @@ TEST(Simulator, NestCyclesSumToComputePlusAccess) {
 TEST(Simulator, LayerStatsConsistentWithEnergy) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   SimResult result = simulate(ctx, greedy.assignment);
   double layer_sum = 0.0;
   for (const LayerStats& layer : result.layers) layer_sum += layer.energy_nj;
@@ -87,7 +87,7 @@ TEST(Simulator, LayerStatsConsistentWithEnergy) {
 TEST(Simulator, FourPointsShape) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   FourPoint fp = simulate_four_points(ctx, greedy.assignment);
   EXPECT_LE(fp.mhla.total_cycles(), fp.out_of_box.total_cycles());
   EXPECT_LE(fp.mhla_te.total_cycles(), fp.mhla.total_cycles());

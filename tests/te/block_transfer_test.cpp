@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::te {
@@ -19,7 +19,7 @@ TEST(BlockTransfer, EmptyWithoutCopies) {
 TEST(BlockTransfer, OnePerSelectedCopy) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   ASSERT_FALSE(greedy.assignment.copies.empty());
   std::vector<BlockTransfer> bts = collect_block_transfers(ctx, greedy.assignment);
   EXPECT_EQ(bts.size(), greedy.assignment.copies.size());
@@ -52,7 +52,7 @@ TEST(BlockTransfer, FieldsMatchCandidate) {
 TEST(BlockTransfer, CyclesMatchDmaModel) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   for (const BlockTransfer& bt : collect_block_transfers(ctx, greedy.assignment)) {
     double expected = ctx.dma.transfer_cycles(bt.bytes, ctx.hierarchy.layer(bt.src_layer),
                                               ctx.hierarchy.layer(bt.dst_layer));
@@ -65,7 +65,7 @@ TEST(BlockTransfer, CyclesMatchDmaModel) {
 TEST(BlockTransfer, IdsAreDense) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  assign::GreedyResult greedy = assign::greedy_assign(ctx);
+  assign::SearchResult greedy = assign::greedy_assign(ctx);
   std::vector<BlockTransfer> bts = collect_block_transfers(ctx, greedy.assignment);
   for (std::size_t i = 0; i < bts.size(); ++i) {
     EXPECT_EQ(bts[i].id, static_cast<int>(i));

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assign/greedy.h"
+#include "assign/search.h"
 #include "helpers.h"
 
 namespace mhla::te {
