@@ -1,8 +1,8 @@
 // Search-engine scaling: how fast the MHLA step-1 searches run on the
 // incremental CostEngine (apply/undo delta evaluation, batched greedy
 // scoring, branch-and-bound), how parallel branch-and-bound scales with
-// threads under both schedulers, and how the layer-size sweep scales across
-// worker threads.
+// threads on a dense and a pruning-heavy instance, and how the layer-size
+// sweep scales across worker threads.
 //
 // The reproduction block prints per-app wall-clock and evaluation rates
 // plus a machine-readable JSON object; the google-benchmark
@@ -24,6 +24,7 @@
 #include "core/json_report.h"
 #include "core/parallel_for.h"
 #include "ir/builder.h"
+#include "obs/metrics.h"
 
 // ---- binary-wide allocation counter for the data-layout block -------------
 // Replacing the global operator new/delete with counting forms lets the
@@ -336,48 +337,61 @@ void print_scaling_report() {
             << (medium.exhausted_budget ? "budget hit" : "complete") << ", "
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
-  // --- Parallel branch-and-bound: thread-count scaling on the guard-64
-  // rate instance, work-stealing deques against the static root-frontier
-  // split recorded in the same run (same machine, same incumbent seeds).
-  // The optimum must be bit-identical at every thread count under both
-  // schedulers; wall-clock gains need real cores (the CI container has one).
-  auto g64_ws = core::make_workspace(guard64_program(), guard64_platform(), {});
-  auto g64_ctx = g64_ws->context();
-  assign::SearchOptions g64_options;
-  g64_options.max_states = 500'000'000;
-  t0 = Clock::now();
-  assign::SearchResult g64_serial = assign::searcher("bnb").search(g64_ctx, g64_options);
-  double g64_serial_s = seconds_since(t0);
-  std::cout << "guard-64 rate instance (52 placements): serial bnb "
-            << g64_serial.states_explored << " states, "
-            << core::Table::num(g64_serial_s * 1e3, 1) << " ms\n";
+  // --- Parallel branch-and-bound: thread-count scaling on the dense
+  // guard-64 rate instance (never prunes) and on the pruning-heavy registry
+  // apps (motion_estimation first), each against serial bnb in the same
+  // run — the fixed instances of the exact_search benchmark workload.  The optimum must be
+  // bit-identical at every thread count; wall-clock gains need real cores.
+  // `tasks` is the scheduler's task count for the search, read from the
+  // search.bnb_tasks histogram the search records itself.
   struct ParRow {
     unsigned threads;
     double seconds;
     long states;
+    long tasks;
   };
-  std::vector<ParRow> steal_rows;
-  std::vector<ParRow> static_rows;
-  for (bool stealing : {true, false}) {
-    std::vector<ParRow>& curve = stealing ? steal_rows : static_rows;
-    const char* label = stealing ? "work-steal" : "static    ";
+  struct ParCurve {
+    double serial_s = 0.0;
+    long serial_states = 0;
+    std::vector<ParRow> rows;
+  };
+  auto par_curve = [](const char* label, const assign::AssignContext& ctx) {
+    ParCurve curve;
+    assign::SearchOptions options;
+    options.max_states = 500'000'000;
+    auto start = Clock::now();
+    assign::SearchResult serial = assign::searcher("bnb").search(ctx, options);
+    curve.serial_s = seconds_since(start);
+    curve.serial_states = serial.states_explored;
+    std::cout << label << ": serial bnb " << serial.states_explored << " states, "
+              << core::Table::num(curve.serial_s * 1e3, 1) << " ms\n";
+    obs::Histogram& task_histogram = obs::Registry::instance().histogram("search.bnb_tasks");
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      assign::SearchOptions par_options = g64_options;
-      par_options.bnb_threads = threads;
-      par_options.bnb_work_stealing = stealing;
-      t0 = Clock::now();
-      assign::SearchResult par = assign::searcher("bnb-par").search(g64_ctx, par_options);
-      double par_s = seconds_since(t0);
-      if (par.assignment != g64_serial.assignment || par.scalar != g64_serial.scalar) {
-        std::cout << "WARNING: bnb-par optimum mismatch at " << threads << " threads ("
-                  << (stealing ? "work-stealing" : "static split") << ")\n";
+      options.bnb_threads = threads;
+      std::uint64_t tasks_before = task_histogram.snapshot().sum;
+      start = Clock::now();
+      assign::SearchResult par = assign::searcher("bnb-par").search(ctx, options);
+      double par_s = seconds_since(start);
+      long tasks = static_cast<long>(task_histogram.snapshot().sum - tasks_before);
+      if (par.assignment != serial.assignment || par.scalar != serial.scalar) {
+        std::cout << "WARNING: bnb-par optimum mismatch at " << threads << " threads (" << label
+                  << ")\n";
       }
-      curve.push_back({threads, par_s, par.states_explored});
-      std::cout << "  bnb-par " << label << " " << threads << " threads: "
-                << par.states_explored << " states, " << core::Table::num(par_s * 1e3, 1)
+      curve.rows.push_back({threads, par_s, par.states_explored, tasks});
+      std::cout << "  bnb-par " << threads << " threads: " << par.states_explored << " states, "
+                << tasks << " tasks, " << core::Table::num(par_s * 1e3, 2)
                 << " ms, speedup vs serial "
-                << core::Table::num(g64_serial_s / (par_s > 0 ? par_s : 1e-9), 2) << "x\n";
+                << core::Table::num(curve.serial_s / (par_s > 0 ? par_s : 1e-9), 2) << "x\n";
     }
+    return curve;
+  };
+  auto g64_ws = core::make_workspace(guard64_program(), guard64_platform(), {});
+  ParCurve g64 = par_curve("guard-64 rate instance (52 placements)", g64_ws->context());
+  std::vector<std::pair<std::string, ParCurve>> app_curves;
+  for (const char* app : {"motion_estimation", "adpcm_coder", "cavity_detection", "conv_filter"}) {
+    auto app_ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
+    std::string label = std::string(app) + " (default platform)";
+    app_curves.emplace_back(app, par_curve(label.c_str(), app_ws->context()));
   }
   std::cout << "\n";
 
@@ -431,18 +445,21 @@ void print_scaling_report() {
        << ", \"medium_states\": " << medium.states_explored
        << ", \"medium_bound_prunes\": " << medium.bound_prunes
        << ", \"medium_capacity_prunes\": " << medium.capacity_prunes << "},\n"
-       << "  \"bnb_par\": {\"placements\": 52, \"serial_s\": " << g64_serial_s
-       << ", \"serial_states\": " << g64_serial.states_explored << ", \"curve\": [\n";
+       << "  \"bnb_par\": {\"placements\": 52, \"serial_s\": " << g64.serial_s
+       << ", \"serial_states\": " << g64.serial_states << ", \"curve\": [\n";
   auto emit_curve = [&json](const std::vector<ParRow>& curve) {
     for (std::size_t i = 0; i < curve.size(); ++i) {
       json << "    {\"threads\": " << curve[i].threads << ", \"s\": " << curve[i].seconds
-           << ", \"states\": " << curve[i].states << "}" << (i + 1 < curve.size() ? "," : "")
-           << "\n";
+           << ", \"states\": " << curve[i].states << ", \"tasks\": " << curve[i].tasks << "}"
+           << (i + 1 < curve.size() ? "," : "") << "\n";
     }
   };
-  emit_curve(steal_rows);  // "curve" stays the headline (work-stealing) run
-  json << "  ], \"static_curve\": [\n";
-  emit_curve(static_rows);
+  emit_curve(g64.rows);  // "curve" stays the guard-64 headline
+  for (const auto& [app, curve] : app_curves) {
+    json << "  ], \"" << app << "_serial_s\": " << curve.serial_s << ", \"" << app
+         << "_serial_states\": " << curve.serial_states << ", \"" << app << "_curve\": [\n";
+    emit_curve(curve.rows);
+  }
   json << "  ]},\n"
        << "  \"data_layout\": [\n";
   for (std::size_t i = 0; i < data_layout.size(); ++i) {
@@ -504,15 +521,6 @@ void BM_BnbParallel(benchmark::State& state) {
   run_exhaustive_bench(state, "bnb-par", options);
 }
 BENCHMARK(BM_BnbParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_BnbParallelStaticSplit(benchmark::State& state) {
-  assign::SearchOptions options;
-  options.max_states = kRateBudget;
-  options.bnb_threads = static_cast<unsigned>(state.range(0));
-  options.bnb_work_stealing = false;
-  run_exhaustive_bench(state, "bnb-par", options);
-}
-BENCHMARK(BM_BnbParallelStaticSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_FitsTracker(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];

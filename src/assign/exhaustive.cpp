@@ -15,6 +15,7 @@
 #include "core/parallel_for.h"
 #include "core/run_budget.h"
 #include "core/work_stealing.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mhla::assign {
@@ -24,9 +25,9 @@ namespace {
 /// The canonical feasible-home enumeration: background first, then the
 /// on-chip layers outermost-in, skipping layers the array does not fit.
 /// Every phase that walks or mirrors the array-home decision — the DFS, the
-/// bound precompute and the bnb-par root-frontier split — goes through
-/// here: the parallel-vs-serial bit-identity guarantee leans on all of them
-/// visiting homes in exactly this order.
+/// bound precompute and the bnb-par task replay — goes through here: the
+/// parallel-vs-serial bit-identity guarantee leans on all of them visiting
+/// homes in exactly this order.
 template <typename Fn>
 void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array,
                             bool allow_migration, Fn&& fn) {
@@ -41,10 +42,16 @@ void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array
   }
 }
 
-/// The work-stealing copy phase offloads its Option-B branches only while
-/// at least this many candidates remain undecided: below it, replaying a
-/// task's prefix costs about as much as searching the subtree in place.
-constexpr std::size_t kMinCopySplit = 8;
+/// The parallel copy phase offloads its Option-B branches only while at
+/// least this many candidates remain undecided.  Below it a subtree is too
+/// small to pay for the task and its prefix replay; docs/perf.md ("Parallel
+/// branch-and-bound") has the per-instance measurements behind the value.
+constexpr std::size_t kMinCopySplit = 14;
+
+/// Units a parallel worker counts locally before charging them to the
+/// shared run budget in one `probe(n)` — one shared fetch_add per batch
+/// instead of per leaf.
+constexpr long kProbeBatch = 64;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
 /// map a completed run to Optimal/gap 0; on a truncated run substitute the
@@ -82,9 +89,9 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
 /// a bounded layer (copy selection only ever adds footprint, so no
 /// completion of such a branch is feasible).
 ///
-/// Copyable on purpose: the parallel search stamps one task search per
-/// root-frontier subtree from a shared prototype, reusing the engine
-/// precompute and the bound tables instead of rebuilding them per task.
+/// Copyable on purpose: the parallel search stamps one search per pool
+/// worker from a shared prototype, reusing the engine precompute and the
+/// bound tables instead of rebuilding them per worker.
 struct EngineSearch {
   const AssignContext& ctx;
   const SearchOptions& options;
@@ -97,12 +104,32 @@ struct EngineSearch {
   long bound_prunes = 0;
   long capacity_prunes = 0;
 
-  /// Cooperative run budget (never null in practice: the entry points
-  /// always resolve one, if only an unlimited local).  Probed once per
-  /// evaluated leaf and once per array-phase node; never affects any
-  /// decision unless it expires, so run-to-completion results are
-  /// bit-identical with or without a budget attached.
+  /// Cooperative run budget (never null: the entry points always resolve
+  /// one, if only an unlimited local).  Charged one unit per evaluated leaf
+  /// and per array-phase node; never affects any decision unless it expires,
+  /// so run-to-completion results are bit-identical with or without a
+  /// budget attached.
   core::RunBudget* run_budget = nullptr;
+
+  /// Units charged per `probe` call.  Serial search charges every unit as
+  /// it happens (batch 1), so `max_probes` and fault-injection hit counts
+  /// stay exact.  A parallel worker batches `kProbeBatch` units, reads the
+  /// plain `expired()` flag in between, and flushes the remainder when each
+  /// task ends.
+  long probe_batch = 1;
+  long unflushed_probes_ = 0;
+
+  /// Count one unit of work; false once the budget has expired.
+  bool charge() {
+    if (++unflushed_probes_ < probe_batch) return !run_budget->expired();
+    return flush_probes();
+  }
+
+  bool flush_probes() {
+    long n = unflushed_probes_;
+    unflushed_probes_ = 0;
+    return n == 0 || run_budget->probe(n);
+  }
 
   /// Shared incumbent of a parallel search (null when serial).  Tasks
   /// publish every locally improving scalar and prune against it *strictly*
@@ -118,12 +145,12 @@ struct EngineSearch {
   /// search keys every leaf by its canonical path: local pruning turns
   /// strict (a subtree that could still tie survives) and a tied leaf
   /// replaces the incumbent iff its path is lexicographically smaller — see
-  /// `evaluate_leaf` and the reduction in `exhaustive_parallel_ws`.
+  /// `evaluate_leaf` and the reduction in `exhaustive_parallel_assign`.
   bool ws_mode = false;
   core::WorkStealingPool* pool = nullptr;
   /// Offload hook: hand a canonical ordinal prefix to the pool as a new
-  /// task.  Set per worker by the parallel driver; consulted only when the
-  /// pool is starving.
+  /// task.  Set per worker by `exhaustive_parallel_assign`, and only when
+  /// the pool has peers to steal; consulted only when the pool is starving.
   std::function<void(std::vector<int>)> spawn_subtree;
   /// Canonical DFS path of the current node, one ordinal per decision:
   /// entry a < A is the position of array a's home in the canonical
@@ -377,7 +404,7 @@ struct EngineSearch {
 
   void evaluate_leaf() {
     if (budget_hit) return;
-    if (run_budget && !run_budget->probe()) {
+    if (!charge()) {
       budget_hit = true;
       return;
     }
@@ -456,53 +483,36 @@ struct EngineSearch {
       evaluate_leaf();
       return;
     }
-    const std::size_t A = ctx.program.arrays().size();
-    // Work-stealing split: when peers are starving and enough candidates
-    // remain for the subtree to outweigh a prefix replay, hand every
-    // Option-B branch to the pool and keep only the skip branch locally.
-    // The spawn-time guards mirror the local branch guards exactly —
-    // individual fit assigns the ordinal, cumulative overflow prunes — so a
-    // spawned ordinal always replays to a branch this DFS would have
-    // entered, with the identical capacity_prunes count.
-    if (ws_mode && spawn_subtree && candidates.size() - j >= kMinCopySplit &&
-        pool->starving()) {
-      const analysis::CopyCandidate& split_cc = candidates[j];
-      int ordinal = 0;
-      for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
-        const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && split_cc.bytes > target.capacity_bytes) continue;
-        ++ordinal;
-        if (!target.unbounded() &&
-            engine.footprint().usage(layer, split_cc.nest) + split_cc.bytes >
-                target.capacity_bytes) {
-          ++capacity_prunes;
-          continue;
-        }
-        std::vector<int> prefix(cur_path_.begin(),
-                                cur_path_.begin() + static_cast<std::ptrdiff_t>(A + j));
-        prefix.push_back(ordinal);
-        spawn_subtree(std::move(prefix));
-      }
-      cur_path_[A + j] = 0;
-      Bound child = bound;
-      std::size_t mark = saved_sites_.size();
-      tighten_sites(j, child);
-      recurse_copies(j + 1, child);
-      restore_sites(mark);
-      return;
-    }
+    // Parallel split: when peers are starving and enough candidates remain
+    // for the subtree to outweigh a prefix replay, hand every live Option-B
+    // branch to the pool first, then keep only the skip branch locally.
+    const bool offload = candidates.size() - j >= kMinCopySplit && should_split();
+    if (offload) place_copy(j, bound, /*offload=*/true);
     // Option A: skip this candidate.
     {
-      if (ws_mode) cur_path_[A + j] = 0;
+      if (ws_mode) cur_path_[ctx.program.arrays().size() + j] = 0;
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
       tighten_sites(j, child);
       recurse_copies(j + 1, child);
       restore_sites(mark);
     }
-    // Option B: place it on every on-chip layer it fits individually, unless
-    // the cumulative (lifetime-aware) footprint of its nest prunes the branch.
-    const analysis::CopyCandidate& cc = candidates[j];
+    if (!offload) place_copy(j, bound, /*offload=*/false);
+  }
+
+  /// Option B of candidate j: place it on every on-chip layer it fits
+  /// individually, unless the cumulative (lifetime-aware) footprint of its
+  /// nest prunes the branch.  Each surviving branch is either descended in
+  /// place or, when `offload`, bounded and — only if its bound survives —
+  /// handed to the pool as a task.  Offloading runs the exact guards the
+  /// local descent runs (individual fit assigns the ordinal, cumulative
+  /// overflow and the child bound prune), so a spawned ordinal always
+  /// replays to a live branch this DFS would have entered, and the prune
+  /// counters match.
+  void place_copy(std::size_t j, const Bound& bound, bool offload) {
+    const std::size_t A = ctx.program.arrays().size();
+    const std::size_t row = j * static_cast<std::size_t>(ctx.hierarchy.num_layers());
+    const analysis::CopyCandidate& cc = ctx.reuse.candidates()[j];
     int ordinal = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
@@ -523,15 +533,28 @@ struct EngineSearch {
       engine.select_copy(cc.id, layer);
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
-      child.opt_e += cc_lb_e_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                              static_cast<std::size_t>(layer)];
-      child.opt_c += cc_lb_c_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                              static_cast<std::size_t>(layer)];
+      child.opt_e += cc_lb_e_[row + static_cast<std::size_t>(layer)];
+      child.opt_c += cc_lb_c_[row + static_cast<std::size_t>(layer)];
       tighten_sites(j, child);
-      recurse_copies(j + 1, child);
+      if (!offload) {
+        recurse_copies(j + 1, child);
+      } else if (!prune(child)) {
+        spawn_prefix(A + j + 1);
+      }
       restore_sites(mark);
       engine.undo_to(cp);
     }
+  }
+
+  /// True where this parallel worker should hand branches to the pool: the
+  /// pool has more than one worker (`spawn_subtree` is set only then) and
+  /// peers are starving.
+  bool should_split() const { return spawn_subtree && pool->starving(); }
+
+  /// Offload the subtree under the first `len` decisions of the current path.
+  void spawn_prefix(std::size_t len) {
+    spawn_subtree(std::vector<int>(cur_path_.begin(),
+                                   cur_path_.begin() + static_cast<std::ptrdiff_t>(len)));
   }
 
   /// Map a home ordinal back to the layer at that position of the canonical
@@ -631,7 +654,7 @@ struct EngineSearch {
 
   void recurse_arrays(std::size_t index, Bound bound) {
     if (budget_hit) return;
-    if (run_budget && !run_budget->probe()) {
+    if (!charge()) {
       budget_hit = true;
       return;
     }
@@ -641,40 +664,23 @@ struct EngineSearch {
       enter_copy_phase();
       return;
     }
-    const ir::ArrayDecl& array = arrays[index];
-    // Work-stealing split: offload every sibling home but the canonical
-    // first and descend only that one.  The array phase is shallow and
-    // every subtree under it is large, so it splits whenever peers starve.
-    if (ws_mode && spawn_subtree && pool->starving()) {
-      int count = 0;
-      for_each_feasible_home(ctx, array, options.allow_array_migration, [&](int) { ++count; });
-      for (int ordinal = 1; ordinal < count; ++ordinal) {
-        std::vector<int> prefix(cur_path_.begin(),
-                                cur_path_.begin() + static_cast<std::ptrdiff_t>(index));
-        prefix.push_back(ordinal);
-        spawn_subtree(std::move(prefix));
-      }
-      if (count > 0) {
-        int first = home_ordinal_layer(index, 0);
-        cur_path_[index] = 0;
-        CostEngine::Checkpoint cp = engine.checkpoint();
-        engine.set_home(index, first);
-        Bound child = bound;
-        apply_home_to_bound(index, first, child);
-        recurse_arrays(index + 1, child);
-        engine.undo_to(cp);
-      }
-      return;
-    }
+    // Parallel split: the array phase is shallow and every subtree under it
+    // is large, so when peers starve every live home becomes a task (the
+    // last one spawned is this worker's next, LIFO) and this node returns.
+    const bool offload = should_split();
     int ordinal = 0;
-    for_each_feasible_home(ctx, array, options.allow_array_migration, [&](int layer) {
+    for_each_feasible_home(ctx, arrays[index], options.allow_array_migration, [&](int layer) {
       if (ws_mode) cur_path_[index] = ordinal;
       ++ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
       Bound child = bound;
       apply_home_to_bound(index, layer, child);
-      recurse_arrays(index + 1, child);
+      if (!offload) {
+        recurse_arrays(index + 1, child);
+      } else if (!prune(child)) {
+        spawn_prefix(index + 1);
+      }
       engine.undo_to(cp);
     });
   }
@@ -697,7 +703,7 @@ struct EngineSearch {
   }
 
   /// Global admissible scalar lower bound of the whole search (the root
-  /// bound of `run(0)` before any decision): every feasible assignment
+  /// bound of `run()` before any decision): every feasible assignment
   /// costs at least this much.  Built from the static per-site/per-array
   /// tables, so it is independent of the engine's current state — the
   /// anytime gap certificate compares the incumbent against it.
@@ -706,23 +712,21 @@ struct EngineSearch {
     return objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
   }
 
-  /// Run the search from array index `start` on; homes of arrays before
-  /// `start` must already be set on the engine (the static-split parallel
-  /// tasks replay their root-frontier prefix that way, the serial search
-  /// starts at 0).
-  void run(std::size_t start) { recurse_arrays(start, array_phase_bound(start)); }
+  /// Run the whole search from the root (serial "bnb").
+  void run() { recurse_arrays(0, array_phase_bound(0)); }
 
   /// Execute one work-stealing task: replay the canonical ordinal prefix
   /// onto this worker's engine, search the subtree under it, and unwind so
   /// the next task this worker claims starts from a pristine out-of-box
   /// engine.  A prefix inside the array phase rebuilds the root bound
-  /// exactly as `run(0)` does; a prefix reaching the copy phase lets
+  /// exactly as `run()` does; a prefix reaching the copy phase lets
   /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
   /// nothing from the spawning worker beyond the ordinals.
   ///
   /// `states` and `budget_hit` accumulate across every task this worker
   /// runs, so `max_states` bounds each *worker*, not each task; once hit,
-  /// later tasks return immediately and the run reports as truncated.
+  /// later tasks return immediately and the run reports as truncated.  The
+  /// task's uncharged probe remainder is flushed to the budget on exit.
   void run_task(const std::vector<int>& prefix) {
     if (budget_hit) return;
     const auto& arrays = ctx.program.arrays();
@@ -737,6 +741,7 @@ struct EngineSearch {
     } else {
       enter_copy_phase_at(prefix.size() - A, prefix.data() + A);
     }
+    if (!flush_probes()) budget_hit = true;
     // Blanket unwind: drop the replay's journal entries and rewind the
     // engine to out-of-box for the next task.
     restore_sites(0);
@@ -767,194 +772,6 @@ std::optional<SearchResult> seed_incumbent(const AssignContext& ctx, const Searc
   SearchResult seed = greedy_assign(ctx, greedy);
   incumbent.update(seed.scalar);
   return seed;
-}
-
-/// A root-frontier task of the parallel search: the home layers of the
-/// first `layers.size()` arrays, in declaration order.  Expanding the
-/// array-home prefix tree breadth-first — prefixes in order, layers in the
-/// serial branch order — keeps the task list in canonical DFS-subtree
-/// order, which the tie-breaking reduction below relies on.
-std::vector<std::vector<int>> split_root_frontier(const AssignContext& ctx,
-                                                  const SearchOptions& options,
-                                                  std::size_t target_tasks) {
-  const auto& arrays = ctx.program.arrays();
-
-  std::vector<std::vector<int>> frontier{{}};
-  for (std::size_t depth = 0; depth < arrays.size() && frontier.size() < target_tasks; ++depth) {
-    std::vector<std::vector<int>> next;
-    next.reserve(frontier.size() * static_cast<std::size_t>(ctx.hierarchy.num_layers()));
-    for (const std::vector<int>& prefix : frontier) {
-      for_each_feasible_home(ctx, arrays[depth], options.allow_array_migration, [&](int layer) {
-        std::vector<int> child = prefix;
-        child.push_back(layer);
-        next.push_back(std::move(child));
-      });
-    }
-    frontier = std::move(next);
-  }
-  return frontier;
-}
-
-/// The original static split, kept behind `bnb_work_stealing = false` as the
-/// comparison baseline: the root frontier is carved into a fixed task list
-/// up front, so uneven subtrees idle workers that finished early.
-SearchResult exhaustive_parallel_static(const AssignContext& ctx, const SearchOptions& options,
-                                        core::RunBudget* run_budget) {
-  // One prototype carries the engine precompute and the bound tables; every
-  // task copies it instead of rebuilding them.  Its out-of-box incumbent is
-  // also the serial search's starting incumbent.
-  EngineSearch prototype(ctx, options);
-  prototype.run_budget = run_budget;
-  double root_lb = prototype.root_scalar_bound();
-
-  SearchResult result;
-  result.assignment = prototype.best;
-  result.scalar = prototype.best_scalar;
-
-  unsigned threads = options.bnb_threads ? options.bnb_threads : core::default_parallelism();
-  std::size_t target_tasks = static_cast<std::size_t>(threads) *
-                             static_cast<std::size_t>(std::max(options.bnb_tasks_per_thread, 1));
-  std::vector<std::vector<int>> tasks = split_root_frontier(ctx, options, target_tasks);
-  // Unreachable while the background layer is unbounded (every array always
-  // has at least one feasible home); kept as a cheap defense so a future
-  // bounded-background hierarchy degrades to the serial no-leaves result.
-  if (tasks.empty()) {
-    finalize_anytime(result, ctx, /*budget_hit=*/false, root_lb, nullptr);
-    return result;
-  }
-
-  // The shared incumbent starts at the out-of-box scalar and, optionally,
-  // the greedy scalar: both are costs of feasible assignments, so pruning
-  // strictly above them never cuts an optimal state.  The seed is a bound
-  // only — the returned assignment always comes from the enumeration, with
-  // the greedy fallback substituted only on a budget-truncated run.
-  core::AtomicMin incumbent(prototype.best_scalar);
-  std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, incumbent);
-
-  struct TaskOutcome {
-    Assignment best;
-    double scalar = 0.0;
-    long states = 0;
-    bool budget_hit = false;
-    long bound_prunes = 0;
-    long capacity_prunes = 0;
-    bool ran = false;  ///< false when the budget expired before the task started
-  };
-  std::vector<TaskOutcome> outcomes(tasks.size());
-  core::parallel_for(tasks.size(), threads, [&](std::size_t t) {
-    obs::Span span("bnb_task", "search");
-    EngineSearch search(prototype);
-    search.shared_incumbent = &incumbent;
-    for (std::size_t a = 0; a < tasks[t].size(); ++a) {
-      search.engine.set_home(a, tasks[t][a]);
-    }
-    search.run(tasks[t].size());
-    outcomes[t] = {std::move(search.best),      search.best_scalar,
-                   search.states,               search.budget_hit,
-                   search.bound_prunes,         search.capacity_prunes,
-                   /*ran=*/true};
-  }, run_budget);
-
-  // Canonical-order reduction: strict improvement keeps the earliest task on
-  // ties, exactly as the serial DFS keeps the first state it visits.  A task
-  // the expired budget prevented from running leaves a default outcome that
-  // must not win the reduction — it only marks the run truncated.
-  bool budget_hit = false;
-  for (TaskOutcome& outcome : outcomes) {
-    if (!outcome.ran) {
-      budget_hit = true;
-      continue;
-    }
-    if (outcome.scalar < result.scalar) {
-      result.scalar = outcome.scalar;
-      result.assignment = std::move(outcome.best);
-    }
-    result.states_explored += outcome.states;
-    budget_hit = budget_hit || outcome.budget_hit;
-    result.bound_prunes += outcome.bound_prunes;
-    result.capacity_prunes += outcome.capacity_prunes;
-  }
-  finalize_anytime(result, ctx, budget_hit, root_lb, fallback ? &*fallback : nullptr);
-  return result;
-}
-
-/// Work-stealing parallel search: one `EngineSearch` per pool worker
-/// (lazily copied from the shared prototype), subtree tasks that split
-/// themselves on demand — root homes first, then down into the copy phase —
-/// whenever peers starve, a shared strictly-pruning incumbent, and a
-/// (scalar, canonical-path) reduction over the per-worker bests that
-/// returns exactly the serial `"bnb"` optimum for any thread count and any
-/// steal interleaving (see the ws_mode notes on `EngineSearch`).
-SearchResult exhaustive_parallel_ws(const AssignContext& ctx, const SearchOptions& options,
-                                    core::RunBudget* run_budget) {
-  EngineSearch prototype(ctx, options);
-  prototype.run_budget = run_budget;
-  double root_lb = prototype.root_scalar_bound();
-
-  SearchResult result;
-  result.assignment = prototype.best;
-  result.scalar = prototype.best_scalar;
-
-  // Both seeds are costs of feasible assignments, so strict pruning above
-  // them never cuts an optimal state; the returned assignment always comes
-  // from the enumeration (greedy substitutes only on a truncated run).
-  core::AtomicMin incumbent(prototype.best_scalar);
-  std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, incumbent);
-
-  unsigned threads = options.bnb_threads ? options.bnb_threads : core::default_parallelism();
-  core::WorkStealingPool pool(threads);
-
-  const std::size_t path_len = ctx.program.arrays().size() + ctx.reuse.candidates().size();
-  prototype.ws_mode = true;
-  prototype.pool = &pool;
-  prototype.shared_incumbent = &incumbent;
-  prototype.cur_path_.assign(path_len, 0);
-  prototype.best_path_.assign(path_len, 0);  // the out-of-box incumbent is the all-zero leaf
-
-  // One search per worker, created on its first task so idle workers never
-  // pay the engine copy; the search (and its engine) is reused for every
-  // task that worker claims.
-  std::vector<std::unique_ptr<EngineSearch>> workers(pool.num_workers());
-  std::function<void(unsigned, const std::vector<int>&)> run_subtree =
-      [&](unsigned w, const std::vector<int>& prefix) {
-        obs::Span span("bnb_task", "search");
-        if (!workers[w]) {
-          workers[w] = std::make_unique<EngineSearch>(prototype);
-          workers[w]->spawn_subtree = [&pool, &run_subtree, w](std::vector<int> child) {
-            pool.spawn(w, [&run_subtree, child = std::move(child)](unsigned worker) {
-              run_subtree(worker, child);
-            });
-          };
-        }
-        workers[w]->run_task(prefix);
-      };
-  pool.spawn(0, [&run_subtree](unsigned w) { run_subtree(w, std::vector<int>{}); });
-  std::size_t skipped = pool.run(run_budget);
-
-  // (scalar, canonical path) reduction over the per-worker searches: the
-  // smallest scalar wins and path order breaks ties exactly as serial DFS
-  // visit order would.  A null winner path stands for the all-zero
-  // out-of-box path, which no other path can precede.  Tasks the expired
-  // budget made the pool discard mark the run truncated.
-  bool budget_hit = skipped > 0;
-  const std::vector<int>* best_path = nullptr;
-  for (const std::unique_ptr<EngineSearch>& worker : workers) {
-    if (!worker) continue;
-    result.states_explored += worker->states;
-    result.bound_prunes += worker->bound_prunes;
-    result.capacity_prunes += worker->capacity_prunes;
-    budget_hit = budget_hit || worker->budget_hit;
-    bool wins = worker->best_scalar < result.scalar ||
-                (worker->best_scalar == result.scalar && best_path &&
-                 worker->best_path_ < *best_path);
-    if (wins) {
-      result.scalar = worker->best_scalar;
-      result.assignment = worker->best;
-      best_path = &worker->best_path_;
-    }
-  }
-  finalize_anytime(result, ctx, budget_hit, root_lb, fallback ? &*fallback : nullptr);
-  return result;
 }
 
 /// The guard throws only when there is nothing to bound the runtime: a
@@ -997,7 +814,7 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
   double root_lb = search.root_scalar_bound();
   {
     obs::Span span("bnb_walk", "search");
-    search.run(0);
+    search.run();
   }
 
   SearchResult result;
@@ -1010,12 +827,96 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
   return result;
 }
 
+/// Work-stealing parallel search: one `EngineSearch` per pool worker
+/// (lazily copied from the shared prototype), subtree tasks that split
+/// themselves on demand — root homes first, then down into the copy phase —
+/// whenever peers starve, a shared strictly-pruning incumbent, and a
+/// (scalar, canonical-path) reduction over the per-worker bests that
+/// returns exactly the serial `"bnb"` optimum for any thread count and any
+/// steal interleaving (see the ws_mode notes on `EngineSearch`).
 SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOptions& options) {
   check_placement_guard(ctx, options);
   std::optional<core::RunBudget> local;
   core::RunBudget* run_budget = resolve_budget(options, local);
-  return options.bnb_work_stealing ? exhaustive_parallel_ws(ctx, options, run_budget)
-                                   : exhaustive_parallel_static(ctx, options, run_budget);
+
+  EngineSearch prototype(ctx, options);
+  prototype.run_budget = run_budget;
+  double root_lb = prototype.root_scalar_bound();
+
+  SearchResult result;
+  result.assignment = prototype.best;
+  result.scalar = prototype.best_scalar;
+
+  // Both seeds are costs of feasible assignments, so strict pruning above
+  // them never cuts an optimal state; the returned assignment always comes
+  // from the enumeration (greedy substitutes only on a truncated run).
+  core::AtomicMin incumbent(prototype.best_scalar);
+  std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, incumbent);
+
+  unsigned threads = options.bnb_threads ? options.bnb_threads : core::default_parallelism();
+  core::WorkStealingPool pool(threads);
+
+  const std::size_t path_len = ctx.program.arrays().size() + ctx.reuse.candidates().size();
+  prototype.ws_mode = true;
+  prototype.pool = &pool;
+  prototype.probe_batch = kProbeBatch;
+  prototype.shared_incumbent = &incumbent;
+  prototype.cur_path_.assign(path_len, 0);
+  prototype.best_path_.assign(path_len, 0);  // the out-of-box incumbent is the all-zero leaf
+
+  // One search per worker, created on its first task so idle workers never
+  // pay the engine copy; the search (and its engine) is reused for every
+  // task that worker claims.  A single worker has nobody to feed, so it
+  // never splits and runs the one root task as a plain DFS.
+  std::vector<std::unique_ptr<EngineSearch>> workers(pool.num_workers());
+  std::function<void(unsigned, const std::vector<int>&)> run_subtree =
+      [&](unsigned w, const std::vector<int>& prefix) {
+        obs::Span span("bnb_task", "search");
+        if (!workers[w]) {
+          workers[w] = std::make_unique<EngineSearch>(prototype);
+          if (pool.num_workers() > 1) {
+            workers[w]->spawn_subtree = [&pool, &run_subtree, w](std::vector<int> child) {
+              pool.spawn(w, [&run_subtree, child = std::move(child)](unsigned worker) {
+                run_subtree(worker, child);
+              });
+            };
+          }
+        }
+        workers[w]->run_task(prefix);
+      };
+  pool.spawn(0, [&run_subtree](unsigned w) { run_subtree(w, std::vector<int>{}); });
+  std::size_t skipped = pool.run(run_budget);
+  // Scheduler telemetry, recorded once per search from the pool's
+  // per-worker tallies (nothing is counted on the task path itself).
+  obs::Registry& registry = obs::Registry::instance();
+  registry.histogram("search.bnb_tasks").record(static_cast<std::uint64_t>(pool.tasks_run()));
+  registry.counter("search.bnb_steals").add(static_cast<std::uint64_t>(pool.steals()));
+
+  // (scalar, canonical path) reduction over the per-worker searches: the
+  // smallest scalar wins and path order breaks ties exactly as serial DFS
+  // visit order would.  A null winner path stands for the all-zero
+  // out-of-box path, which no other path can precede.  Tasks the expired
+  // budget made the pool discard mark the run truncated.
+  bool budget_hit = skipped > 0;
+  const std::vector<int>* best_path = nullptr;
+  for (const std::unique_ptr<EngineSearch>& worker : workers) {
+    if (!worker) continue;
+    result.states_explored += worker->states;
+    result.bound_prunes += worker->bound_prunes;
+    result.capacity_prunes += worker->capacity_prunes;
+    budget_hit = budget_hit || worker->budget_hit;
+    bool wins = worker->best_scalar < result.scalar ||
+                (worker->best_scalar == result.scalar && best_path &&
+                 worker->best_path_ < *best_path);
+    if (wins) {
+      result.scalar = worker->best_scalar;
+      result.assignment = worker->best;
+      best_path = &worker->best_path_;
+    }
+  }
+  finalize_anytime(result, ctx, budget_hit, root_lb, fallback ? &*fallback : nullptr);
+  return result;
 }
+
 
 }  // namespace mhla::assign

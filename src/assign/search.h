@@ -53,19 +53,13 @@ struct SearchOptions {
   double anneal_initial_temp = 0.05;  ///< start temperature, in normalized-scalar units
   double anneal_cooling = 0.997;      ///< geometric per-iteration temperature decay
 
-  /// "bnb-par" knobs: parallel branch-and-bound over subtree tasks sharing
-  /// one atomic incumbent bound.  The result is bit-identical to serial
-  /// "bnb" for any thread count (the incumbent only prunes); the knobs
-  /// trade setup overhead against load balance and bound strength.
+  /// "bnb-par": parallel branch-and-bound over subtree tasks sharing one
+  /// atomic incumbent bound.  The result is bit-identical to serial "bnb"
+  /// for any thread count (the incumbent only prunes).
   unsigned bnb_threads = 0;        ///< worker threads (0 = hardware concurrency)
-  int bnb_tasks_per_thread = 4;    ///< static split only: target root tasks per worker
   /// Seed the incumbent bound with the greedy scalar ("bnb" and "bnb-par").
   /// The seed only prunes (strictly), so the optimum is bit-identical.
   bool bnb_seed_incumbent = true;
-  /// Schedule "bnb-par" subtree tasks on work-stealing deques that split on
-  /// demand (default) instead of the fixed root-frontier split of
-  /// ~`bnb_threads x bnb_tasks_per_thread` tasks on `core::parallel_for`.
-  bool bnb_work_stealing = true;
 
   /// Cooperative run budget for any strategy (see core::BudgetSpec).  The
   /// deadline/probe knobs round-trip through the JSON config ("search"
@@ -160,16 +154,16 @@ inline constexpr std::size_t kEnginePlacementGuard = 64;
 /// (the guard exists to bound runtime, and a budget bounds it better).
 SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
-/// Parallel branch-and-bound (registry "bnb-par").  By default
-/// (`bnb_work_stealing`) subtree tasks live on per-worker work-stealing
-/// deques: one seed task descends from the root and every task offloads
-/// sibling branches — array homes first, then down into the copy phase — the
-/// moment the pool starves.  Tasks are canonical ordinal prefixes, replayed
-/// onto a per-worker engine; every worker prunes against a shared atomic
-/// incumbent bound (optionally seeded with the greedy scalar).  With
-/// `bnb_work_stealing` off, the fixed breadth-first root-frontier split
-/// (~`bnb_threads x bnb_tasks_per_thread` tasks on `core::parallel_for`)
-/// runs instead.
+/// Parallel branch-and-bound (registry "bnb-par").  Subtree tasks live on
+/// the per-worker deques of a `core::WorkStealingPool`: one seed task
+/// descends from the root and, while the pool starves, a task offloads its
+/// sibling branches — array homes, then copy-phase placements while enough
+/// candidates remain — but only those whose child bound survives pruning.
+/// Tasks are canonical ordinal prefixes, replayed onto a per-worker engine;
+/// every worker prunes against a shared atomic incumbent bound (optionally
+/// seeded with the greedy scalar).  A worker charges the run budget in
+/// batches of 64 units (serial "bnb" charges each unit), so a `max_probes`
+/// allowance may be overshot by at most one batch per worker.
 ///
 /// The result — best assignment and scalar — is **bit-identical to serial
 /// branch-and-bound for any thread count and any steal interleaving**: the
@@ -178,8 +172,8 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
 /// by its canonical DFS path with ties resolved to the lexicographically
 /// first path — exactly the leaf serial DFS reaches first.  The state/prune
 /// counters depend on incumbent-propagation timing and are not reproducible
-/// run to run; `max_states` bounds each worker (each static-split task), and
-/// the determinism guarantee requires the budget not to bind.
+/// run to run; `max_states` bounds each worker, and the determinism
+/// guarantee requires the budget not to bind.
 SearchResult exhaustive_parallel_assign(const AssignContext& ctx,
                                         const SearchOptions& options = {});
 

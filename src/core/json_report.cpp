@@ -293,9 +293,7 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"anneal_initial_temp\": " << num_exact(search.anneal_initial_temp)
       << ", \"anneal_cooling\": " << num_exact(search.anneal_cooling)
       << ",\n" << p1 << "             \"bnb_threads\": " << search.bnb_threads
-      << ", \"bnb_tasks_per_thread\": " << search.bnb_tasks_per_thread
       << ", \"bnb_seed_incumbent\": " << bool_text(search.bnb_seed_incumbent)
-      << ", \"bnb_work_stealing\": " << bool_text(search.bnb_work_stealing)
       << ",\n" << p1 << "             \"deadline_seconds\": "
       << num_exact(search.budget.deadline_seconds)
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
@@ -368,9 +366,7 @@ PipelineConfig pipeline_config_from_json(const std::string& text) {
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
                    .field("anneal_cooling", search.anneal_cooling, as_double)
                    .field("bnb_threads", search.bnb_threads, as_unsigned)
-                   .field("bnb_tasks_per_thread", search.bnb_tasks_per_thread, as_int)
                    .field("bnb_seed_incumbent", search.bnb_seed_incumbent, as_bool)
-                   .field("bnb_work_stealing", search.bnb_work_stealing, as_bool)
                    .field("deadline_seconds", search.budget.deadline_seconds, as_double)
                    .field("max_probes", search.budget.max_probes, as_long);
                return search;

@@ -51,6 +51,11 @@ void WorkStealingPool::spawn(unsigned worker, Task task) {
     queue.tasks.push_back(std::move(task));
   }
   queued_.fetch_add(1, std::memory_order_relaxed);
+  // Check for sleepers and notify under sleep_mu_: a worker registers as
+  // idle, checks its wake predicate and starts waiting while holding the
+  // mutex, so it either sees this task queued or is already waiting when
+  // the notify lands — never in between.
+  std::lock_guard<std::mutex> lock(sleep_mu_);
   if (idle_.load(std::memory_order_relaxed) > 0) sleep_cv_.notify_one();
 }
 
@@ -72,6 +77,7 @@ bool WorkStealingPool::try_steal(unsigned thief, Task& out) {
     out = std::move(victim.tasks.front());  // victim: FIFO, largest subtree
     victim.tasks.pop_front();
     queued_.fetch_sub(1, std::memory_order_relaxed);
+    ++queues_[thief]->steals;
     return true;
   }
   return false;
@@ -79,7 +85,9 @@ bool WorkStealingPool::try_steal(unsigned thief, Task& out) {
 
 void WorkStealingPool::finish_task() {
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task down: wake every sleeper so the pool can drain out.
+    // Last task down: wake every sleeper so the pool can drain out (under
+    // sleep_mu_ for the same reason as in spawn).
+    std::lock_guard<std::mutex> lock(sleep_mu_);
     sleep_cv_.notify_all();
   }
 }
@@ -90,9 +98,8 @@ void WorkStealingPool::worker_loop(unsigned worker) {
     if (!try_pop(worker, task) && !try_steal(worker, task)) {
       if (pending_.load(std::memory_order_acquire) == 0) return;
       // Starved but tasks are still in flight elsewhere: sleep until a
-      // spawn or the final finish.  The timeout is a backstop against the
-      // benign notify race (spawn's notify can fire between our queue scan
-      // and the wait) — it costs at most one extra scan per millisecond.
+      // spawn or the final finish.  Both notify under sleep_mu_, so no wakeup
+      // is lost; the timeout is only a backstop.
       std::unique_lock<std::mutex> lock(sleep_mu_);
       idle_.fetch_add(1, std::memory_order_relaxed);
       sleep_cv_.wait_for(lock, std::chrono::milliseconds(1), [&] {
@@ -115,6 +122,7 @@ void WorkStealingPool::worker_loop(unsigned worker) {
           throw FaultInjectedError("work_stealing: injected fault in task");
         }
         task(worker);
+        ++queues_[worker]->tasks_run;
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mu_);
@@ -144,6 +152,18 @@ std::size_t WorkStealingPool::run(RunBudget* budget) {
   }
   if (error_) std::rethrow_exception(error_);
   return skipped_.load(std::memory_order_relaxed);
+}
+
+long WorkStealingPool::tasks_run() const {
+  long total = 0;
+  for (const auto& queue : queues_) total += queue->tasks_run;
+  return total;
+}
+
+long WorkStealingPool::steals() const {
+  long total = 0;
+  for (const auto& queue : queues_) total += queue->steals;
+  return total;
 }
 
 }  // namespace mhla::core

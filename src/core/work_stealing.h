@@ -15,7 +15,7 @@ class RunBudget;
 
 /// A pool of workers draining per-worker deques of tasks, with on-demand
 /// stealing — the load balancer behind the parallel branch-and-bound
-/// ("bnb-par") search, whose subtrees are far too uneven for a static split.
+/// ("bnb-par") search, whose subtrees are far too uneven to split up front.
 ///
 /// Each worker owns one lock-striped deque: it pushes and pops its own tasks
 /// LIFO (depth-first, cache-warm), and steals from a victim's deque FIFO
@@ -23,7 +23,7 @@ class RunBudget;
 /// shallowest, i.e. the largest stolen subtree.  Tasks may `spawn` further
 /// tasks at any point; `starving()` is the cheap hint a task consults to
 /// decide whether splitting itself up is worth the bookkeeping (it is true
-/// while some worker is hunting for work or the queues are near-empty).
+/// while some worker is hunting for work or the queues are empty).
 ///
 /// Semantics, matching `core::parallel_for`:
 ///
@@ -63,23 +63,33 @@ class WorkStealingPool {
   /// `run`.  Thread-safe.
   void spawn(unsigned worker, Task task);
 
-  /// True while some worker is idle or the queues are shallower than the
-  /// worker count — the moment a task should offload subtrees it would
-  /// otherwise recurse into.  One relaxed load per call; a stale verdict
-  /// merely splits a little earlier or later than ideal.
+  /// True while some worker is idle or no task is queued anywhere — the
+  /// moment a task should offload subtrees it would otherwise recurse into.
+  /// One queued task is reserve enough: a deeper reserve is mostly popped
+  /// back by the worker that spawned it, paying the split for nothing.  Two
+  /// relaxed loads per call; a stale verdict merely splits a little earlier
+  /// or later than ideal.
   bool starving() const {
     return idle_.load(std::memory_order_relaxed) > 0 ||
-           queued_.load(std::memory_order_relaxed) < static_cast<long>(num_workers_);
+           queued_.load(std::memory_order_relaxed) == 0;
   }
 
   /// Drain the pool: run every seeded and spawned task, return the number
   /// skipped (see class comment).  Call once per pool instance.
   std::size_t run(RunBudget* budget = nullptr);
 
+  /// Tasks executed (not skipped) and successful steals over the whole
+  /// `run`.  Each worker counts into its own plain fields, summed here, so
+  /// the scheduler pays no shared atomic per task; read only after `run`.
+  long tasks_run() const;
+  long steals() const;
+
  private:
   struct WorkerQueue {
     std::mutex mu;
     std::deque<Task> tasks;
+    long tasks_run = 0;  ///< written by the owning worker only
+    long steals = 0;     ///< written by the owning worker only
   };
 
   bool try_pop(unsigned worker, Task& out);

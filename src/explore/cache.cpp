@@ -25,10 +25,11 @@ namespace mhla::xplore {
 
 namespace {
 
-/// Document format version.  Version 2 keys are hashed over a config text
-/// without the removed engine/reference toggles, so no version-1 key can
-/// ever hit again.
-constexpr std::int64_t kFormatVersion = 2;
+/// Document format version.  Each bump follows a change of the config text
+/// keys are hashed over, so no older key can ever hit again: version 2
+/// dropped the engine/reference toggles, version 3 the bnb-par scheduler
+/// knobs (`bnb_work_stealing`, `bnb_tasks_per_thread`).
+constexpr std::int64_t kFormatVersion = 3;
 
 /// Thrown by from_json for a well-formed document of an older format
 /// version: load() reports it as stale instead of salvaging it as damaged.

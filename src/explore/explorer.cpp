@@ -74,18 +74,15 @@ std::uint64_t design_cache_key(const std::string& program_text, core::PipelineCo
                                bool with_te) {
   // The key covers everything that determines the cell's cost pair: the
   // program text and the *effective* pipeline document of the cell.  The
-  // thread counts are zeroed and the bnb-par scheduling/pruning knobs reset
-  // — parallelism must never change a key, and those knobs only steer the
-  // schedule and pruning (the bnb-par optimum is bit-identical for any
-  // setting).
+  // thread counts are zeroed and the incumbent-seed knob reset —
+  // parallelism must never change a key, and the seed only steers pruning
+  // (the bnb/bnb-par optimum is bit-identical either way).
   // That guarantee assumes the state budget does not bind; budget-bound
   // search results are therefore never cached (the cache layer's status
   // guard enforces it), so every cached entry really is knob-independent.
   effective.num_threads = 0;
   effective.search.bnb_threads = 0;
-  effective.search.bnb_tasks_per_thread = assign::SearchOptions{}.bnb_tasks_per_thread;
   effective.search.bnb_seed_incumbent = assign::SearchOptions{}.bnb_seed_incumbent;
-  effective.search.bnb_work_stealing = assign::SearchOptions{}.bnb_work_stealing;
   // The run budget is normalized away for the same reason: it cannot
   // change a completed result, and budget-truncated results are never
   // cached, so cached entries are shareable across deadline settings.

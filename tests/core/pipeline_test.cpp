@@ -67,9 +67,7 @@ PipelineConfig custom_config() {
   config.search.max_states = 12345;
   config.search.allow_array_migration = false;
   config.search.bnb_threads = 6;
-  config.search.bnb_tasks_per_thread = 2;
   config.search.bnb_seed_incumbent = false;
-  config.search.bnb_work_stealing = false;
   config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
   config.te.charge_cold_start = true;
@@ -229,16 +227,13 @@ TEST(PipelineConfigJson, BnbParKnobsRoundTrip) {
   // (CustomConfigRoundTripsLosslessly covers non-default values).
   PipelineConfig parsed = pipeline_config_from_json(
       R"({"strategy": "bnb-par",
-          "search": {"bnb_threads": 4, "bnb_tasks_per_thread": 8,
-                     "bnb_seed_incumbent": false}})");
+          "search": {"bnb_threads": 4, "bnb_seed_incumbent": false}})");
   EXPECT_EQ(parsed.strategy, "bnb-par");
   EXPECT_EQ(parsed.search.bnb_threads, 4u);
-  EXPECT_EQ(parsed.search.bnb_tasks_per_thread, 8);
   EXPECT_FALSE(parsed.search.bnb_seed_incumbent);
 
   std::string dumped = to_json(PipelineConfig{});
   EXPECT_NE(dumped.find("bnb_threads"), std::string::npos);
-  EXPECT_NE(dumped.find("bnb_tasks_per_thread"), std::string::npos);
   EXPECT_NE(dumped.find("bnb_seed_incumbent"), std::string::npos);
 }
 
@@ -267,11 +262,12 @@ TEST(PipelineConfigJson, MalformedInputGivesClearErrors) {
   EXPECT_THROW(pipeline_config_from_json(R"({"target": "speed"})"), std::invalid_argument);
   EXPECT_THROW(pipeline_config_from_json(R"({"te": {"order": "random"}})"),
                std::invalid_argument);
-  // Removed engine/reference toggles: old documents fail loudly instead of
-  // silently running on defaults.
+  // Removed engine/reference toggles and bnb-par scheduler knobs: old
+  // documents fail loudly instead of silently running on defaults.
   for (const std::string key : {"search.use_cost_engine", "search.use_branch_and_bound",
                                 "search.use_footprint_tracker", "search.greedy_batched_scoring",
-                                "search.use_footprint_bound", "te.use_footprint_tracker"}) {
+                                "search.use_footprint_bound", "te.use_footprint_tracker",
+                                "search.bnb_work_stealing", "search.bnb_tasks_per_thread"}) {
     std::size_t dot = key.find('.');
     std::string document =
         "{\"" + key.substr(0, dot) + "\": {\"" + key.substr(dot + 1) + "\": true}}";

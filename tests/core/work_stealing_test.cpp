@@ -22,6 +22,8 @@ TEST(WorkStealing, RunsEverySeededTaskExactlyOnce) {
                  [&hits, i](unsigned) { hits[i].fetch_add(1); });
     }
     EXPECT_EQ(pool.run(), 0u) << "threads " << threads;
+    EXPECT_EQ(pool.tasks_run(), static_cast<long>(hits.size())) << "threads " << threads;
+    EXPECT_LE(pool.steals(), pool.tasks_run()) << "threads " << threads;
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
@@ -91,16 +93,18 @@ TEST(WorkStealing, ExpiredBudgetSkipsUnclaimedTasks) {
   }
   EXPECT_EQ(pool.run(&budget), 32u);
   EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(pool.tasks_run(), 0);  // skipped tasks are not counted as run
 }
 
 TEST(WorkStealing, StarvingReflectsQueueDepth) {
   WorkStealingPool pool(4);
   EXPECT_TRUE(pool.starving());  // empty pool: any task should split
-  for (int i = 0; i < 8; ++i) {
-    pool.spawn(0, [](unsigned) {});
-  }
-  EXPECT_FALSE(pool.starving());  // two tasks queued per worker
+  pool.spawn(0, [](unsigned) {});
+  EXPECT_FALSE(pool.starving());  // one queued task is reserve enough
+  pool.spawn(1, [](unsigned) {});
+  EXPECT_FALSE(pool.starving());
   EXPECT_EQ(pool.run(), 0u);
+  EXPECT_TRUE(pool.starving());  // drained again
 }
 
 TEST(WorkStealing, StressManyUnevenTasksAcrossWorkers) {

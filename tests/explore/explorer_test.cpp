@@ -84,7 +84,7 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
     }
   }
   ASSERT_FALSE(intact_line.empty());
-  std::ofstream(path) << "{\"version\": 2, \"entries\": [oops\n"
+  std::ofstream(path) << "{\"version\": 3, \"entries\": [oops\n"
                       << intact_line << "\n"
                       << "    {\"key\": \"00000000000000";  // truncated entry
 
@@ -107,18 +107,18 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
   std::remove(report.quarantine_path.c_str());
 }
 
-TEST(ResultCache, VersionOneDocumentLoadsEmptyAsStale) {
-  // A well-formed version-1 document is intact but stale: its keys were
-  // hashed over the old config text and can never hit.  It loads empty, the
-  // report names the old version, and it is neither salvaged line by line
-  // nor quarantined as damaged.
-  std::string path = temp_path("mhla_cache_v1.json");
+/// A well-formed document of an older format `version` is intact but stale:
+/// its keys were hashed over an older config text and can never hit.  It
+/// loads empty, the report names the old version, and it is neither salvaged
+/// line by line nor quarantined as damaged.
+void expect_loads_empty_as_stale(int version) {
+  std::string path = temp_path("mhla_cache_v" + std::to_string(version) + ".json");
   ResultCache full;
   full.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
   std::string document = full.to_json();
-  std::size_t at = document.find("\"version\": 2");
+  std::size_t at = document.find("\"version\": 3");
   ASSERT_NE(at, std::string::npos);
-  document.replace(at, 12, "\"version\": 1");
+  document.replace(at, 12, "\"version\": " + std::to_string(version));
   std::ofstream(path) << document;
 
   ResultCache::LoadReport report;
@@ -127,10 +127,19 @@ TEST(ResultCache, VersionOneDocumentLoadsEmptyAsStale) {
   EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.salvaged, 0u);
   EXPECT_TRUE(report.quarantine_path.empty());
-  EXPECT_NE(report.message.find("version 1"), std::string::npos) << report.message;
+  EXPECT_NE(report.message.find("version " + std::to_string(version)), std::string::npos)
+      << report.message;
   EXPECT_EQ(report.message.find("malformed"), std::string::npos) << report.message;
   EXPECT_FALSE(std::filesystem::exists(path + ".quarantine"));
   std::remove(path.c_str());
+}
+
+TEST(ResultCache, VersionOneDocumentLoadsEmptyAsStale) { expect_loads_empty_as_stale(1); }
+
+TEST(ResultCache, VersionTwoDocumentLoadsEmptyAsStale) {
+  // Version 2 keys were hashed over a config text that still carried the
+  // removed bnb-par scheduler knobs.
+  expect_loads_empty_as_stale(2);
 }
 
 TEST(ResultCache, WellFormedLoadReportsClean) {
@@ -378,7 +387,6 @@ TEST(Explorer, CacheKeysSeparateProgramsAndConfigs) {
   // any setting), so they must not change keys either.
   ExplorerConfig par_knobs = config;
   par_knobs.pipeline.search.bnb_threads = 8;
-  par_knobs.pipeline.search.bnb_tasks_per_thread = 2;
   par_knobs.pipeline.search.bnb_seed_incumbent = false;
   ExploreResult par_key = Explorer(par_knobs).run(testing::blocked_reuse_program());
   EXPECT_EQ(par_key.evaluations, 0u);
@@ -398,9 +406,7 @@ TEST(Explorer, CacheKeyIgnoresExactlyTheResultInvariantKnobs) {
   using Config = core::PipelineConfig;
   EXPECT_EQ(key_with([](Config& c) { c.num_threads = 3; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.bnb_threads = 8; }), key);
-  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_tasks_per_thread = 2; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.bnb_seed_incumbent = false; }), key);
-  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_work_stealing = false; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.budget.deadline_seconds = 5.0; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.budget.max_probes = 100; }), key);
   EXPECT_NE(key_with([](Config& c) { c.search.anneal_seed = 7; }), key);

@@ -114,12 +114,9 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
         for (unsigned threads : {2u, 3u}) {
           assign::SearchOptions par_options = serial_options;
           par_options.bnb_threads = threads;
-          // Alternate schedulers across the corpus so both the work-stealing
-          // deques and the static-split baseline face every program shape.
-          par_options.bnb_work_stealing = (seed + threads) % 2 == 0;
           assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
-          // max_states bounds each task separately and task pruning depends
-          // on incumbent timing, so a task can run out of budget even when
+          // max_states bounds each worker separately and pruning depends on
+          // incumbent timing, so a worker can run out of budget even when
           // the serial search did not; bit-identity is only guaranteed
           // budget-free.
           if (parallel.exhausted_budget) continue;
@@ -156,11 +153,9 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
 std::vector<std::string> stress_apps() { return {"conv_filter", "cavity_detection"}; }
 
 TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
-  // Both schedulers — the work-stealing deques (default) and the static
-  // root-frontier split kept as the comparison baseline — must reproduce the
-  // serial optimum bit for bit at every thread count.  Under work stealing
-  // the subtree interleaving additionally depends on steal timing, so the
-  // same gate covers "any steal schedule".
+  // The work-stealing search must reproduce the serial optimum bit for bit
+  // at every thread count.  The subtree interleaving depends on steal
+  // timing, so repeating each count covers several steal schedules.
   for (const std::string& app : stress_apps()) {
     SCOPED_TRACE(app);
     auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
@@ -168,13 +163,11 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
     assign::SearchOptions options;
     assign::SearchResult serial = assign::searcher("bnb").search(ctx, options);
     ASSERT_FALSE(serial.exhausted_budget);
-    for (bool stealing : {true, false}) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
       for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE((stealing ? "work-stealing, threads " : "static split, threads ") +
-                     std::to_string(threads));
+        SCOPED_TRACE("threads " + std::to_string(threads));
         assign::SearchOptions par_options = options;
         par_options.bnb_threads = threads;
-        par_options.bnb_work_stealing = stealing;
         assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
         EXPECT_EQ(parallel.assignment, serial.assignment);
         EXPECT_EQ(parallel.scalar, serial.scalar);

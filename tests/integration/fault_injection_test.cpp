@@ -408,6 +408,58 @@ TEST(CancellationConsistency, BnbParBitIdenticalAcrossThreadsWithNonBindingBudge
   }
 }
 
+// --- Batched budget charging of the parallel search -------------------------
+
+/// Units a bnb-par worker charges per budget call (see
+/// exhaustive_parallel_assign in assign/search.h).
+constexpr long kBnbParProbeBatch = 64;
+
+TEST(CancellationConsistency, BnbParChargesEveryBatchedProbe) {
+  // Workers count probes locally and charge them in batches; the remainder
+  // of every task is flushed when the task ends, so a complete run charges
+  // at least one probe per evaluated state — no batch remainder is lost.
+  // The greedy seed is off: its own probes would mask a lost remainder.
+  for (const std::string& app : {"conv_filter", "cavity_detection", "adpcm_coder"}) {
+    SCOPED_TRACE(app);
+    auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
+    auto ctx = ws->context();
+    for (unsigned threads : {1u, 4u}) {
+      assign::SearchOptions options;
+      options.bnb_threads = threads;
+      options.bnb_seed_incumbent = false;
+      assign::SearchResult result;
+      long probes = probes_of_full_run(ctx, "bnb-par", options, &result);
+      EXPECT_EQ(result.status, assign::SearchStatus::Optimal) << "threads " << threads;
+      EXPECT_GE(probes, result.states_explored) << "threads " << threads;
+    }
+  }
+}
+
+TEST(CancellationConsistency, BnbParProbeAllowanceOvershootsByAtMostOneBatchPerWorker) {
+  // A probe allowance still truncates the parallel search; batching lets
+  // each worker overshoot it by at most one batch.  adpcm_coder enumerates
+  // the same ~50k states at any thread count, far above the allowance.
+  auto ws = core::make_workspace(apps::build_app("adpcm_coder"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  constexpr unsigned kThreads = 4;
+  constexpr long kAllowance = 10000;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    core::BudgetSpec spec;
+    spec.max_probes = kAllowance;
+    core::RunBudget token(spec);
+    assign::SearchOptions options;
+    options.bnb_threads = kThreads;
+    options.shared_budget = &token;
+    assign::SearchResult result = assign::searcher("bnb-par").search(ctx, options);
+    EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
+    EXPECT_EQ(token.reason(), core::StopReason::ProbeBudget);
+    EXPECT_GT(token.probes(), kAllowance);
+    EXPECT_LE(token.probes(), kAllowance + static_cast<long>(kThreads) * kBnbParProbeBatch);
+    EXPECT_TRUE(assign::fits(ctx, result.assignment));
+    EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
+  }
+}
+
 // --- Anytime exact search above the placement guard -------------------------
 
 TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {

@@ -10,6 +10,7 @@
 #include "apps/registry.h"
 #include "core/json.h"
 #include "core/pipeline.h"
+#include "obs/metrics.h"
 
 namespace mhla::obs {
 namespace {
@@ -149,6 +150,45 @@ TEST(ObsTrace, TracingNeverChangesResults) {
     EXPECT_EQ(on.search.states_explored, off.search.states_explored);
     EXPECT_EQ(on.search.evaluations, off.search.evaluations);
   }
+}
+
+TEST(ObsTrace, BnbParTelemetryIsRecordedOncePerSearchEitherWay) {
+  // bnb-par records its scheduler telemetry — tasks run per search into the
+  // search.bnb_tasks histogram, steals into the search.bnb_steals counter —
+  // exactly once per search, whether tracing is on or off, and the optimum
+  // stays bit-identical across the two.
+  auto bnb_tasks = [] {
+    MetricsSnapshot snapshot = Registry::instance().snapshot();
+    for (const auto& [name, histogram] : snapshot.histograms) {
+      if (name == "search.bnb_tasks") return histogram;
+    }
+    return HistogramSnapshot{};
+  };
+  auto has_steals_counter = [] {
+    MetricsSnapshot snapshot = Registry::instance().snapshot();
+    return std::any_of(snapshot.counters.begin(), snapshot.counters.end(),
+                       [](const auto& row) { return row.first == "search.bnb_steals"; });
+  };
+  core::PipelineConfig config;
+  config.strategy = "bnb-par";
+  config.search.bnb_threads = 4;
+
+  Tracer::instance().enable(false);
+  HistogramSnapshot before = bnb_tasks();
+  core::PipelineResult off = core::Pipeline(config).run(apps::build_app("cavity_detection"));
+  HistogramSnapshot after_off = bnb_tasks();
+  EXPECT_EQ(after_off.count, before.count + 1);
+  EXPECT_GE(after_off.sum, before.sum + 1);  // at least the root task ran
+  EXPECT_TRUE(has_steals_counter());
+
+  core::PipelineResult on;
+  {
+    TracerLease lease;
+    on = core::Pipeline(config).run(apps::build_app("cavity_detection"));
+  }
+  EXPECT_EQ(bnb_tasks().count, after_off.count + 1);
+  EXPECT_EQ(on.search.scalar, off.search.scalar);
+  EXPECT_TRUE(on.search.assignment == off.search.assignment);
 }
 
 TEST(ObsTrace, ConcurrentRecordingFromManyThreadsIsLosslessUnderCapacity) {
