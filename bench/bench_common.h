@@ -15,7 +15,7 @@
 #include "apps/registry.h"
 #include "core/pipeline.h"
 #include "core/report_table.h"
-#include "explore/sweep.h"
+#include "explore/explorer.h"
 
 // Measurement provenance, baked in by CMake at configure time (so archived
 // summaries say which commit and build type produced the numbers).  The

@@ -1,7 +1,8 @@
 // Adaptive exploration vs the fixed grid: the paper's trade-off exploration
 // "is able to find all the optimal trade-off points" — this bench shows the
-// adaptive xplore::Explorer recovering the fixed default_sweep() frontier
-// with a fraction of its pipeline evaluations, and times both drivers.
+// adaptive xplore::Explorer recovering the fixed grid's frontier (the same
+// lattice at seed stride 1) with a fraction of its pipeline evaluations, and
+// times both.
 
 #include "bench_common.h"
 
@@ -15,20 +16,24 @@ using namespace mhla;
 /// BENCHMARK Arg; names, not registry positions, select the workload).
 constexpr const char* kBenchApps[] = {"cavity_detection", "jpeg_compress", "fft_filter"};
 
-void print_comparison(const std::string& name) {
-  ir::Program program = apps::build_app(name);
+/// The default lattice evaluated in full (one stride-1 wave).
+xplore::ExplorerConfig fixed_grid() {
+  xplore::ExplorerConfig config = xplore::default_explorer();
+  config.seed_stride = 1;
+  return config;
+}
 
-  xplore::SweepConfig grid = xplore::default_sweep();
-  std::vector<xplore::SweepSample> samples = xplore::sweep_layer_sizes(program, grid);
-  std::vector<xplore::TradeoffPoint> grid_front = xplore::frontier(samples);
+void print_comparison(const std::string& name) {
+  xplore::ExploreResult grid = xplore::Explorer(fixed_grid()).run(apps::build_app(name));
+  const std::vector<xplore::TradeoffPoint>& grid_front = grid.frontier;
 
   xplore::ExplorerConfig config = xplore::default_explorer();
-  config.budget = samples.size() / 2;  // half the full grid
+  config.budget = grid.evaluations / 2;  // half the full grid
   xplore::Explorer explorer(config);
-  xplore::ExploreResult adaptive = explorer.run(program);
+  xplore::ExploreResult adaptive = explorer.run(apps::build_app(name));
 
   std::cout << "--- " << name << " ---\n"
-            << "fixed grid:  " << samples.size() << " evaluations, frontier "
+            << "fixed grid:  " << grid.evaluations << " evaluations, frontier "
             << grid_front.size() << " points\n"
             << "explorer:    " << adaptive.evaluations << " evaluations ("
             << adaptive.rounds << " rounds), frontier " << adaptive.frontier.size()
@@ -43,21 +48,19 @@ void print_explore_budget() {
 }
 
 void BM_FixedGrid(benchmark::State& state) {
-  ir::Program program = apps::build_app(kBenchApps[state.range(0)]);
-  xplore::SweepConfig config = xplore::default_sweep();
+  const xplore::Explorer grid(fixed_grid());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xplore::sweep_layer_sizes(program, config));
+    benchmark::DoNotOptimize(grid.run(apps::build_app(kBenchApps[state.range(0)])));
   }
   state.SetLabel(kBenchApps[state.range(0)]);
 }
 BENCHMARK(BM_FixedGrid)->Arg(0)->Arg(2);
 
 void BM_AdaptiveExplorer(benchmark::State& state) {
-  ir::Program program = apps::build_app(kBenchApps[state.range(0)]);
   xplore::ExplorerConfig config = xplore::default_explorer();
   xplore::Explorer explorer(config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(explorer.run(program));
+    benchmark::DoNotOptimize(explorer.run(apps::build_app(kBenchApps[state.range(0)])));
   }
   state.SetLabel(kBenchApps[state.range(0)]);
 }

@@ -1,8 +1,8 @@
 // Search-engine scaling: how fast the MHLA step-1 searches run on the
 // incremental CostEngine (apply/undo delta evaluation, batched greedy
 // scoring, branch-and-bound), how parallel branch-and-bound scales with
-// threads on a dense and a pruning-heavy instance, and how the layer-size
-// sweep scales across worker threads.
+// threads on a dense and a pruning-heavy instance, and how the fixed
+// layer-size grid (one stride-1 Explorer wave) scales across worker threads.
 //
 // The reproduction block prints per-app wall-clock and evaluation rates
 // plus a machine-readable JSON object; the google-benchmark
@@ -256,6 +256,15 @@ DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
   return row;
 }
 
+/// The default lattice evaluated in full (one stride-1 Explorer wave) on
+/// `threads` workers (0 = hardware concurrency).
+xplore::ExplorerConfig fixed_grid(unsigned threads) {
+  xplore::ExplorerConfig config = xplore::default_explorer();
+  config.seed_stride = 1;
+  config.pipeline.num_threads = threads;
+  return config;
+}
+
 void print_scaling_report() {
   bench::print_header("Search scaling: incremental cost engine + parallel sweep",
                       "fast, accurate and automatic exploration (tool-speed claim)");
@@ -395,26 +404,22 @@ void print_scaling_report() {
   }
   std::cout << "\n";
 
-  // --- Sweep: serial vs parallel wall-clock across the app registry.
+  // --- Fixed grid: serial vs parallel wall-clock across the app registry.
   unsigned hw = core::default_parallelism();
   double serial_total = 0.0;
   double parallel_total = 0.0;
   for (const apps::AppInfo& info : apps::all_apps()) {
-    ir::Program program = info.build();
-    xplore::SweepConfig config = xplore::default_sweep();
-    config.pipeline.num_threads = 1;
     t0 = Clock::now();
-    auto serial = xplore::sweep_layer_sizes(program, config);
+    auto serial = xplore::Explorer(fixed_grid(1)).run(info.build());
     serial_total += seconds_since(t0);
-    config.pipeline.num_threads = 0;  // hardware concurrency
     t0 = Clock::now();
-    auto parallel = xplore::sweep_layer_sizes(program, config);
+    auto parallel = xplore::Explorer(fixed_grid(0)).run(info.build());
     parallel_total += seconds_since(t0);
-    if (serial.size() != parallel.size()) {
+    if (serial.samples.size() != parallel.samples.size()) {
       std::cout << "WARNING: sweep sample-count mismatch on " << info.name << "\n";
     }
   }
-  std::cout << "default_sweep over 9 apps: serial " << core::Table::num(serial_total * 1e3, 1)
+  std::cout << "fixed 27-cell grid over 9 apps: serial " << core::Table::num(serial_total * 1e3, 1)
             << " ms, parallel (" << hw << " threads) "
             << core::Table::num(parallel_total * 1e3, 1) << " ms, speedup "
             << core::Table::num(serial_total / (parallel_total > 0 ? parallel_total : 1e-9), 2)
@@ -553,21 +558,17 @@ void BM_FitsTracker(benchmark::State& state) {
 BENCHMARK(BM_FitsTracker)->DenseRange(0, kLastAppIndex);
 
 void BM_SweepSerial(benchmark::State& state) {
-  ir::Program program = apps::build_motion_estimation();
-  xplore::SweepConfig config = xplore::default_sweep();
-  config.pipeline.num_threads = 1;
+  const xplore::Explorer grid(fixed_grid(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xplore::sweep_layer_sizes(program, config));
+    benchmark::DoNotOptimize(grid.run(apps::build_motion_estimation()));
   }
 }
 BENCHMARK(BM_SweepSerial);
 
 void BM_SweepParallel(benchmark::State& state) {
-  ir::Program program = apps::build_motion_estimation();
-  xplore::SweepConfig config = xplore::default_sweep();
-  config.pipeline.num_threads = 0;  // hardware concurrency
+  const xplore::Explorer grid(fixed_grid(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xplore::sweep_layer_sizes(program, config));
+    benchmark::DoNotOptimize(grid.run(apps::build_motion_estimation()));
   }
 }
 BENCHMARK(BM_SweepParallel);

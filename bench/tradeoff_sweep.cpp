@@ -4,7 +4,8 @@
 //
 // This bench sweeps the L1 scratchpad size over 256 B .. 64 KiB (with and
 // without an L2) on a representative subset of the applications, prints the
-// resulting (size, time, energy) samples and the Pareto frontier.
+// resulting (size, time, energy) samples and the Pareto frontier.  The grid
+// is one stride-1 xplore::Explorer wave.
 
 #include "bench_common.h"
 
@@ -12,18 +13,22 @@ namespace {
 
 using namespace mhla;
 
-void print_sweep_for(const apps::AppInfo& info) {
-  xplore::SweepConfig config;
-  for (ir::i64 size = 256; size <= 64 * 1024; size *= 2) config.l1_sizes.push_back(size);
-  config.l2_sizes = {0, 128 * 1024};
+/// The fixed grid: default L1 axis x {no L2, 128 KiB}, every cell evaluated.
+xplore::Explorer sweep_grid() {
+  xplore::ExplorerConfig config = xplore::default_explorer();
+  config.l2_axis = {0, 128 * 1024};
+  config.seed_stride = 1;
+  return xplore::Explorer(std::move(config));
+}
 
-  std::vector<xplore::SweepSample> samples =
-      xplore::sweep_layer_sizes(info.build(), config);
-  std::vector<xplore::TradeoffPoint> front = xplore::frontier(samples);
+void print_sweep_for(const apps::AppInfo& info) {
+  xplore::ExploreResult result = sweep_grid().run(info.build());
+  const std::vector<xplore::ExploreSample>& samples = result.samples;
+  const std::vector<xplore::TradeoffPoint>& front = result.frontier;
 
   std::cout << "--- " << info.name << " ---\n";
   core::Table table({"L1 bytes", "L2 bytes", "cycles", "energy nJ", "pareto"});
-  for (const xplore::SweepSample& sample : samples) {
+  for (const xplore::ExploreSample& sample : samples) {
     bool on_front = false;
     for (const xplore::TradeoffPoint& p : front) {
       if (p.l1_bytes == sample.point.l1_bytes && p.l2_bytes == sample.point.l2_bytes &&
@@ -49,14 +54,9 @@ void print_tradeoff() {
 
 void BM_LayerSizeSweep(benchmark::State& state) {
   const apps::AppInfo& info = apps::all_apps()[static_cast<std::size_t>(state.range(0))];
-  xplore::SweepConfig config;
-  for (ir::i64 size = 256; size <= 64 * 1024; size *= 2) config.l1_sizes.push_back(size);
-  config.l2_sizes = {0, 128 * 1024};
-  ir::Program program = info.build();
+  const xplore::Explorer grid = sweep_grid();
   for (auto _ : state) {
-    // Rebuild per iteration: the sweep consumes the program by reference
-    // but the analyses inside depend only on it, so reuse is safe.
-    benchmark::DoNotOptimize(xplore::sweep_layer_sizes(program, config));
+    benchmark::DoNotOptimize(grid.run(info.build()));
   }
   state.SetLabel(info.name);
 }

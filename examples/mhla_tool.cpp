@@ -17,7 +17,8 @@
 //   --target <t>      energy | time | balanced (default balanced)
 //   --strategy <s>    search strategy registry name (default greedy;
 //                     unknown names list the registry)
-//   --threads <n>     worker threads for --sweep (0 = hardware)
+//   --threads <n>     worker threads for the --sweep/--explore/--corpus
+//                     waves (0 = hardware)
 //   --bnb-threads <n> worker threads for --strategy bnb-par (0 = hardware;
 //                     the result is bit-identical for any count)
 //   --no-dma          platform without a transfer engine (TE not applicable)
@@ -84,7 +85,6 @@
 #include "core/report_table.h"
 #include "explore/corpus.h"
 #include "explore/explorer.h"
-#include "explore/sweep.h"
 #include "ir/printer.h"
 #include "ir/serialize.h"
 #include "obs/metrics.h"
@@ -288,21 +288,22 @@ ir::Program load_program(const Options& options) {
   return ir::parse_program(read_file(options.file));
 }
 
-void run_sweep(const ir::Program& program, const Options& options) {
-  xplore::SweepConfig config;
-  for (ir::i64 size = 256; size <= 64 * 1024; size *= 2) config.l1_sizes.push_back(size);
-  config.l2_sizes = {0, options.pipeline.platform.l2_bytes};
+/// The fixed grid: every cell of the default L1 axis x {no L2, the
+/// configured L2}, evaluated in one stride-1 exploration wave.
+void run_sweep(ir::Program program, const Options& options) {
+  xplore::ExplorerConfig config = xplore::default_explorer();
+  config.l2_axis = {0, options.pipeline.platform.l2_bytes};
   config.pipeline = options.pipeline;
+  config.seed_stride = 1;
 
-  auto samples = xplore::sweep_layer_sizes(program, config);
-  auto front = xplore::frontier(samples);
+  xplore::ExploreResult result = xplore::Explorer(std::move(config)).run(std::move(program));
   if (options.json) {
-    print_json_result(core::to_json(front), options);
+    print_json_result(core::to_json(result.frontier), options);
     return;
   }
-  std::cout << "explored " << samples.size() << " configurations; Pareto frontier:\n";
+  std::cout << "explored " << result.samples.size() << " configurations; Pareto frontier:\n";
   core::Table table({"L1", "L2", "cycles", "energy nJ"});
-  for (const xplore::TradeoffPoint& p : front) {
+  for (const xplore::TradeoffPoint& p : result.frontier) {
     table.add_row({std::to_string(p.l1_bytes), std::to_string(p.l2_bytes),
                    core::Table::num(p.cycles, 0), core::Table::num(p.energy_nj, 0)});
   }
@@ -330,9 +331,9 @@ void print_explore_report(const xplore::ExploreResult& result) {
   std::cout << table.str();
 }
 
-void run_explore(const ir::Program& program, const Options& options) {
+void run_explore(ir::Program program, const Options& options) {
   xplore::Explorer explorer(explorer_config(options));
-  xplore::ExploreResult result = explorer.run(program);
+  xplore::ExploreResult result = explorer.run(std::move(program));
   if (options.json) {
     print_json_result(xplore::to_json(result), options);
     return;
@@ -394,11 +395,11 @@ int run_tool(Options& options) {
     if (options.verbose) std::cout << ir::to_string(program) << "\n";
 
     if (options.sweep) {
-      run_sweep(program, options);
+      run_sweep(std::move(program), options);
       return 0;
     }
     if (options.explore) {
-      run_explore(program, options);
+      run_explore(std::move(program), options);
       return 0;
     }
 

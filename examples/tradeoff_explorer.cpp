@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   if (argc > 2) config.cache_path = argv[2];
 
   xplore::Explorer explorer(config);
-  xplore::ExploreResult result = explorer.run(program);
+  xplore::ExploreResult result = explorer.run(std::move(program));
 
   std::cout << "explored '" << app_name << "': " << result.evaluations << " pipeline runs for a "
             << result.lattice_cells << "-cell lattice (" << result.cache_hits

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 namespace mhla::assign {
@@ -23,7 +22,6 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
     layer_capacity_[static_cast<std::size_t>(l)] = layer.unbounded() ? 0 : layer.capacity_bytes;
   }
 
-  min_placeable_ = min_placeable_bytes(ctx_.program, ctx_.reuse);
   const auto& arrays = ctx_.program.arrays();
   array_bytes_.resize(arrays.size());
   array_first_.assign(arrays.size(), 0);
@@ -53,18 +51,6 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
   undo_.reserve(64 + 4 * candidates.size() + 2 * arrays.size());
 
   load(assignment, extensions);
-}
-
-i64 FootprintTracker::min_placeable_bytes(const ir::Program& program,
-                                          const analysis::ReuseAnalysis& reuse) {
-  i64 min_bytes = std::numeric_limits<i64>::max();
-  for (const ir::ArrayDecl& array : program.arrays()) {
-    if (array.bytes() > 0) min_bytes = std::min(min_bytes, array.bytes());
-  }
-  for (const analysis::CopyCandidate& cc : reuse.candidates()) {
-    if (cc.elems > 0 && cc.bytes > 0) min_bytes = std::min(min_bytes, cc.bytes);
-  }
-  return min_bytes;
 }
 
 std::size_t FootprintTracker::array_index(const std::string& name) const {
@@ -287,21 +273,6 @@ FootprintReport FootprintTracker::report() const {
   }
   report.feasible = feasible();
   return report;
-}
-
-bool FootprintTracker::provably_out_of_box() const {
-  return provably_out_of_box(ctx_.hierarchy, min_placeable_);
-}
-
-bool FootprintTracker::provably_out_of_box(const mem::Hierarchy& hierarchy, i64 min_placeable) {
-  if (min_placeable <= 0) return false;  // defensive: nothing degenerate skips
-  for (int l = 0; l < hierarchy.background(); ++l) {
-    const mem::MemLayer& layer = hierarchy.layer(l);
-    if (layer.unbounded() || layer.capacity_bytes >= min_placeable) {
-      return false;  // this layer can hold something
-    }
-  }
-  return true;
 }
 
 }  // namespace mhla::assign

@@ -121,22 +121,6 @@ class FootprintTracker {
     return cc_ext_buffers_[static_cast<std::size_t>(cc_id)];
   }
 
-  /// Bytes of the cheapest object any search could place on-chip: the
-  /// smallest non-empty array and the smallest non-degenerate copy box
-  /// (i64 max when nothing is placeable).  The static form is hierarchy-
-  /// independent, so sweeps hoist it out of their per-cell loop.
-  i64 min_placeable_bytes() const { return min_placeable_; }
-  static i64 min_placeable_bytes(const ir::Program& program,
-                                 const analysis::ReuseAnalysis& reuse);
-
-  /// Out-of-box probe: true when every on-chip layer is bounded below the
-  /// cheapest placeable object, so no copy selection or migration can ever
-  /// fit and every strategy provably returns the out-of-box assignment.
-  /// The static form probes a hierarchy against a hoisted constant without
-  /// constructing a tracker.
-  bool provably_out_of_box() const;
-  static bool provably_out_of_box(const mem::Hierarchy& hierarchy, i64 min_placeable);
-
  private:
   struct UndoRec {
     enum class Kind { Place, Remove, Home, Extend };
@@ -161,7 +145,6 @@ class FootprintTracker {
   int num_nests_ = 0;
   int background_ = 0;
   std::size_t row_ = 1;  ///< cells per layer row == max(num_nests, 1)
-  i64 min_placeable_ = 0;
 
   // ---- assignment-independent precomputation
   std::vector<i64> layer_capacity_;  ///< per layer; <= 0 = unbounded

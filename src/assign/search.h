@@ -21,7 +21,7 @@ enum class Target {
 };
 
 /// The one named-Target -> (energy_weight, time_weight) mapping.  Every
-/// caller — the pipeline, the sweep, the benches — goes through here, so a
+/// caller — the pipeline, the explorer, the benches — goes through here, so a
 /// target always means the same weights everywhere.
 /// Target::Custom has no canonical weights and throws; use
 /// `SearchOptions::set_target`, which keeps the explicit weights for it.
@@ -188,7 +188,7 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
 
 /// A search strategy selectable by name.  `search` must be stateless
 /// across calls (one registered entry serves every caller, including
-/// parallel batch drivers).
+/// the Explorer's parallel waves).
 using SearchFn = SearchResult (*)(const AssignContext&, const SearchOptions&);
 struct Searcher {
   std::string name;

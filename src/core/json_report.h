@@ -25,7 +25,7 @@ std::string to_json(const std::string& app_name, const sim::FourPoint& points, i
 /// search effort) and per-stage wall-clock timings.
 std::string to_json(const std::string& app_name, const PipelineResult& result, int indent = 0);
 
-/// A trade-off sample set (e.g. a sweep or its Pareto frontier).
+/// A trade-off sample set (e.g. an exploration's Pareto frontier).
 std::string to_json(const std::vector<xplore::TradeoffPoint>& points, int indent = 0);
 
 /// A footprint report (per-layer/per-nest live bytes, peaks, feasibility);

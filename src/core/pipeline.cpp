@@ -1,25 +1,12 @@
 #include "core/pipeline.h"
 
-#include <chrono>
-#include <mutex>
 #include <optional>
 
-#include "core/parallel_for.h"
 #include "core/run_budget.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mhla::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
   assign::searcher(config_.strategy);  // validate the name eagerly
@@ -48,8 +35,8 @@ PipelineResult Pipeline::run(const Workspace& workspace) const {
   options.set_target(config_.target);
 
   // One budget token covers the whole run: the search and the TE pass
-  // share it, so a deadline never restarts per stage.  A batch/exploration
-  // driver that already holds a token passes it through unchanged.
+  // share it, so a deadline never restarts per stage.  A caller that
+  // already holds a token passes it through unchanged.
   std::optional<RunBudget> local_budget;
   if (!options.shared_budget && options.budget.bounded()) {
     local_budget.emplace(options.budget);
@@ -77,6 +64,11 @@ PipelineResult Pipeline::run(const Workspace& workspace) const {
     te_options.budget = options.shared_budget;
     result.points.mhla_te = sim::simulate(ctx, result.search.assignment,
                                           {te::TransferMode::TimeExtended, te_options, false});
+    // A truncated TE point degrades the run exactly like a truncated search.
+    if (result.points.mhla_te.budget_exhausted &&
+        result.search.status != assign::SearchStatus::Infeasible) {
+      result.search.status = assign::SearchStatus::BudgetExhausted;
+    }
     double te_s = span.finish();
     result.timings.push_back({"time_extend", te_s});
     if (progress_) progress_("time_extend", te_s);
@@ -109,35 +101,6 @@ PipelineResult Pipeline::run(const Workspace& workspace) const {
   registry.histogram("search.states_per_run").record(result.search.states_explored);
   if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
   return result;
-}
-
-std::vector<PipelineResult> Pipeline::run_batch(std::vector<ir::Program> programs) const {
-  // Workers run a progress-silent copy (per-stage callbacks from worker
-  // threads would interleave); completion is reported per program instead.
-  Pipeline worker(config_);
-  std::mutex progress_mutex;
-
-  // A bounded budget spec is promoted to one batch-wide token: every
-  // program still runs (degraded, not skipped — results stay positionally
-  // aligned), but all of them race the same deadline/probe allowance.
-  std::optional<RunBudget> batch_budget;
-  if (!config_.search.shared_budget && config_.search.budget.bounded()) {
-    batch_budget.emplace(config_.search.budget);
-    worker.config_.search.shared_budget = &*batch_budget;
-  }
-
-  std::vector<PipelineResult> results(programs.size());
-  parallel_for(programs.size(), config_.num_threads, [&](std::size_t i) {
-    auto t0 = Clock::now();
-    std::string name = programs[i].name();
-    results[i] = worker.run(std::move(programs[i]));
-    if (progress_) {
-      double seconds = seconds_since(t0);
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      progress_(name, seconds);
-    }
-  });
-  return results;
 }
 
 }  // namespace mhla::core

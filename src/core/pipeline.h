@@ -12,8 +12,8 @@ namespace mhla::core {
 
 /// Everything one MHLA run needs, in one value: the platform, the transfer
 /// engine, the search strategy (by registry name) with its options, the
-/// time-extension options, and the batch parallelism.  Serializes to/from
-/// JSON (core/json_report.h) so batch drivers and external tooling can
+/// time-extension options, and the exploration parallelism.  Serializes
+/// to/from JSON (core/json_report.h) so drivers and external tooling can
 /// describe runs as documents.
 struct PipelineConfig {
   mem::PlatformConfig platform;
@@ -30,8 +30,8 @@ struct PipelineConfig {
 
   te::TeOptions te;
 
-  /// Worker threads for `run_batch`: 0 picks the hardware concurrency,
-  /// 1 forces the serial path.  Single runs ignore it.
+  /// Worker threads for the Explorer's waves: 0 picks the hardware
+  /// concurrency, 1 forces the serial path.  Single runs ignore it.
   unsigned num_threads = 0;
 
   friend bool operator==(const PipelineConfig&, const PipelineConfig&) = default;
@@ -44,7 +44,9 @@ struct StageTiming {
 };
 
 /// Result of one pipeline run: the search outcome, the four reference
-/// simulation points of the paper's figures, and per-stage timings.
+/// simulation points of the paper's figures, and per-stage timings.  A TE
+/// pass cut short by the run budget marks `search.status` BudgetExhausted
+/// (the `mhla_te` point is then truncated), whatever the search returned.
 struct PipelineResult {
   std::string strategy;  ///< registry name that produced `search`
   assign::SearchResult search;
@@ -67,8 +69,6 @@ class Pipeline {
   const PipelineConfig& config() const { return config_; }
 
   /// Called after each stage with the stage name and its wall-clock.
-  /// `run_batch` reports once per finished program instead (stage =
-  /// program name), serialized by an internal mutex.
   using ProgressFn = std::function<void(const std::string& stage, double seconds)>;
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
 
@@ -79,11 +79,6 @@ class Pipeline {
   /// The workspace's platform/DMA must match the config (the caller built
   /// it; the pipeline cannot re-derive it from the workspace).
   PipelineResult run(const Workspace& workspace) const;
-
-  /// One run per program, evaluated on a `core::parallel_for` pool of
-  /// `config().num_threads` workers.  Results are positionally aligned with
-  /// the inputs and identical for every thread count.
-  std::vector<PipelineResult> run_batch(std::vector<ir::Program> programs) const;
 
  private:
   PipelineConfig config_;

@@ -24,8 +24,13 @@ class Workspace {
   const analysis::ReuseAnalysis& reuse() const { return reuse_; }
 
   /// Borrowed view bundling everything for the assign/te/sim passes.
-  assign::AssignContext context() const {
-    return assign::AssignContext{program_, sites_, reuse_, live_, deps_, hierarchy_, dma_};
+  assign::AssignContext context() const { return context(hierarchy_); }
+
+  /// The same view over another memory hierarchy (the program-level
+  /// analyses are hierarchy independent), so one workspace serves every
+  /// layer-size cell of an exploration.  `hierarchy` must outlive the view.
+  assign::AssignContext context(const mem::Hierarchy& hierarchy) const {
+    return assign::AssignContext{program_, sites_, reuse_, live_, deps_, hierarchy, dma_};
   }
 
  private:

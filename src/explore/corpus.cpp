@@ -42,7 +42,7 @@ CorpusResult explore_corpus(const CorpusConfig& config, ResultStore& cache) {
   for (auto& [name, program] : programs) {
     CorpusEntry entry;
     entry.program = name;
-    entry.result = explorer.run(program, cache);
+    entry.result = explorer.run(std::move(program), cache);
     result.evaluations += entry.result.evaluations;
     result.cache_hits += entry.result.cache_hits;
     result.entries.push_back(std::move(entry));

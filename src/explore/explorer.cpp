@@ -92,16 +92,72 @@ std::uint64_t design_cache_key(const std::string& program_text, core::PipelineCo
                  (with_te ? "te" : "blocking"));
 }
 
-ExploreResult Explorer::run(const ir::Program& program) const {
+std::uint64_t cell_key(const std::string& program_text, core::PipelineConfig base,
+                       const DesignCell& cell) {
+  base.platform.l1_bytes = cell.l1_bytes;
+  base.platform.l2_bytes = cell.l2_bytes;
+  base.strategy = cell.strategy;
+  return design_cache_key(program_text, std::move(base), cell.with_te);
+}
+
+CacheEntry cell_entry(const DesignCell& cell, const CellOutcome& outcome) {
+  CacheEntry entry;
+  entry.l1_bytes = cell.l1_bytes;
+  entry.l2_bytes = cell.l2_bytes;
+  entry.strategy = cell.strategy;
+  entry.with_te = cell.with_te;
+  entry.cycles = outcome.point.cycles;
+  entry.energy_nj = outcome.point.energy_nj;
+  // The cache layer's status guard drops budget-truncated / infeasible
+  // results; no pre-filtering here, the contract lives in one place.
+  entry.status = outcome.status;
+  return entry;
+}
+
+CellOutcome evaluate_cell(const core::Workspace& workspace, const core::PipelineConfig& base,
+                          const DesignCell& cell) {
+  mem::PlatformConfig platform = base.platform;
+  platform.l1_bytes = cell.l1_bytes;
+  platform.l2_bytes = cell.l2_bytes;
+  const mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
+  const assign::AssignContext ctx = workspace.context(hierarchy);
+
+  assign::SearchOptions search = base.search;
+  search.set_target(base.target);
+  std::optional<core::RunBudget> local_budget;
+  if (!search.shared_budget && search.budget.bounded()) {
+    local_budget.emplace(search.budget);
+    search.shared_budget = &*local_budget;
+  }
+  assign::SearchResult found = assign::searcher(cell.strategy).search(ctx, search);
+
+  sim::SimOptions sim_options;
+  sim_options.mode = cell.with_te && base.dma.present ? te::TransferMode::TimeExtended
+                                                      : te::TransferMode::Blocking;
+  sim_options.te = base.te;
+  sim_options.te.budget = search.shared_budget;
+  const sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
+
+  CellOutcome outcome;
+  outcome.point = {cell.l1_bytes, cell.l2_bytes, sim.total_cycles(), sim.energy_nj};
+  outcome.status = found.status;
+  if (sim.budget_exhausted && outcome.status != assign::SearchStatus::Infeasible) {
+    outcome.status = assign::SearchStatus::BudgetExhausted;
+  }
+  outcome.gap = found.gap;
+  return outcome;
+}
+
+ExploreResult Explorer::run(ir::Program program) const {
   ResultCache cache =
       config_.cache_path.empty() ? ResultCache{} : ResultCache::load(config_.cache_path);
-  ExploreResult result = run(program, cache);
+  ExploreResult result = run(std::move(program), cache);
   // Only evaluations add entries; a fully-warm replay leaves the file alone.
   if (!config_.cache_path.empty() && result.evaluations > 0) cache.save(config_.cache_path);
   return result;
 }
 
-ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) const {
+ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
   const std::vector<i64>& l1_axis = config_.l1_axis;
   const std::vector<i64>& l2_axis = config_.l2_axis;
   // Without a transfer engine the TE axis cannot change any result (the
@@ -110,30 +166,25 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
       config_.explore_te && config_.pipeline.dma.present ? std::vector<bool>{false, true}
                                                          : std::vector<bool>{true};
 
-  assign::SearchOptions search = config_.pipeline.search;
-  search.set_target(config_.pipeline.target);
+  // Validation and the program-level analyses run once; every cell shares
+  // the workspace read-only across the worker pool.
+  const std::unique_ptr<core::Workspace> workspace =
+      core::make_workspace(std::move(program), config_.pipeline.platform, config_.pipeline.dma);
+  const std::string program_text = ir::serialize(workspace->program());
 
-  // One budget token for the whole exploration: every cell search draws on
-  // it, and the wave loop stops scheduling new waves once it has expired.
-  // Expiry inside a wave degrades that wave's cells individually (their
-  // searches return BudgetExhausted, which also makes them uncacheable), so
-  // the deadline only changes *how much* is explored — a completed wave's
-  // samples are the same as without a budget.
+  // One budget token for the whole exploration: every cell's search and TE
+  // pass draw on it, and the wave loop stops scheduling new waves once it
+  // has expired.  Expiry inside a wave degrades that wave's cells
+  // individually (they come back BudgetExhausted, which also makes them
+  // uncacheable), so the deadline only changes *how much* is explored — a
+  // completed wave's samples are the same as without a budget.
+  core::PipelineConfig base = config_.pipeline;
   std::optional<core::RunBudget> local_budget;
-  if (!search.shared_budget && search.budget.bounded()) {
-    local_budget.emplace(search.budget);
-    search.shared_budget = &*local_budget;
+  if (!base.search.shared_budget && base.search.budget.bounded()) {
+    local_budget.emplace(base.search.budget);
+    base.search.shared_budget = &*local_budget;
   }
-  core::RunBudget* run_budget = search.shared_budget;
-
-  // Program-level analyses are hierarchy independent; run them once and
-  // share them read-only across the worker pool (same as the fixed sweep).
-  std::vector<analysis::AccessSite> sites = analysis::collect_sites(program);
-  analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
-  std::map<std::string, analysis::LiveRange> live = analysis::array_live_ranges(program, sites);
-  analysis::DependenceInfo deps = analysis::DependenceInfo::run(program, sites);
-
-  const std::string program_text = ir::serialize(program);
+  core::RunBudget* run_budget = base.search.shared_budget;
 
   auto cell_of = [&](const CellIdx& idx) {
     DesignCell cell;
@@ -142,45 +193,6 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     cell.strategy = config_.strategies[idx.strat];
     cell.with_te = te_variants[idx.te];
     return cell;
-  };
-  auto key_of = [&](const DesignCell& cell) {
-    // design_cache_key normalizes away everything that cannot change a
-    // completed result (threads, pruning knobs, the run budget); only the
-    // cell coordinates vary here.
-    core::PipelineConfig effective = config_.pipeline;
-    effective.platform.l1_bytes = cell.l1_bytes;
-    effective.platform.l2_bytes = cell.l2_bytes;
-    effective.strategy = cell.strategy;
-    return design_cache_key(program_text, std::move(effective), cell.with_te);
-  };
-  auto evaluate = [&](const DesignCell& cell, assign::SearchStatus& status) {
-    mem::PlatformConfig platform = config_.pipeline.platform;
-    platform.l1_bytes = cell.l1_bytes;
-    platform.l2_bytes = cell.l2_bytes;
-    mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
-    assign::AssignContext ctx{program, sites, reuse,
-                              live,    deps,  hierarchy,
-                              config_.pipeline.dma};
-    const assign::Searcher& strategy = assign::searcher(cell.strategy);
-    assign::SearchResult found = strategy.search(ctx, search);
-    // The cell's outcome rides into the cache entry; the cache layer's
-    // status guard refuses budget-truncated or infeasible results, so a
-    // degraded wave degrades only this run, never the persistent cache.
-    status = found.status;
-
-    sim::SimOptions sim_options;
-    sim_options.mode = cell.with_te && config_.pipeline.dma.present
-                           ? te::TransferMode::TimeExtended
-                           : te::TransferMode::Blocking;
-    sim_options.te = config_.pipeline.te;
-    sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
-
-    TradeoffPoint point;
-    point.l1_bytes = cell.l1_bytes;
-    point.l2_bytes = cell.l2_bytes;
-    point.cycles = sim.total_cycles();
-    point.energy_nj = sim.energy_nj;
-    return point;
   };
 
   ExploreResult result;
@@ -234,7 +246,7 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
     std::vector<std::size_t> pending;
     for (std::size_t w = 0; w < wave.size(); ++w) {
       DesignCell cell = cell_of(wave[w]);
-      keys[w] = key_of(cell);
+      keys[w] = cell_key(program_text, base, cell);
       CacheEntry cached;
       if (cache.lookup(keys[w], cached)) {
         ExploreSample& sample = wave_samples[w];
@@ -251,27 +263,16 @@ ExploreResult Explorer::run(const ir::Program& program, ResultStore& cache) cons
       }
     }
 
-    std::vector<assign::SearchStatus> statuses(wave.size(), assign::SearchStatus::Feasible);
+    std::vector<CellOutcome> outcomes(pending.size());
     core::parallel_for(pending.size(), config_.pipeline.num_threads, [&](std::size_t p) {
-      std::size_t w = pending[p];
-      wave_samples[w].point = evaluate(wave_samples[w].cell, statuses[w]);
+      outcomes[p] = evaluate_cell(*workspace, base, wave_samples[pending[p]].cell);
     });
     result.evaluations += pending.size();
 
     for (std::size_t p = 0; p < pending.size(); ++p) {
-      std::size_t w = pending[p];
-      const ExploreSample& sample = wave_samples[w];
-      CacheEntry entry;
-      entry.l1_bytes = sample.cell.l1_bytes;
-      entry.l2_bytes = sample.cell.l2_bytes;
-      entry.strategy = sample.cell.strategy;
-      entry.with_te = sample.cell.with_te;
-      entry.cycles = sample.point.cycles;
-      entry.energy_nj = sample.point.energy_nj;
-      entry.status = statuses[w];
-      // The cache layer's status guard drops budget-truncated / infeasible
-      // results; no pre-filtering here, the contract lives in one place.
-      cache.insert(keys[w], std::move(entry));
+      ExploreSample& sample = wave_samples[pending[p]];
+      sample.point = outcomes[p].point;
+      cache.insert(keys[pending[p]], cell_entry(sample.cell, outcomes[p]));
     }
 
     for (std::size_t w = 0; w < wave.size(); ++w) {

@@ -112,11 +112,15 @@ struct ExploreResult {
 
 /// The adaptive design-space exploration engine.
 ///
-/// `run` shares the program-level analyses across every cell, evaluates
-/// each wave on a `core::parallel_for` pool (`config.pipeline.num_threads`)
-/// and consults/extends the persistent result cache around every wave, so
-/// repeated or sharded explorations of the same (program, config) skip all
-/// previously evaluated cells.
+/// `run` validates the program and builds one `core::Workspace`, whose
+/// program-level analyses every cell shares; it evaluates each wave's cells
+/// with `evaluate_cell` on a `core::parallel_for` pool
+/// (`config.pipeline.num_threads`) and consults/extends the persistent
+/// result cache around every wave, so repeated or sharded explorations of
+/// the same (program, config) skip all previously evaluated cells.  With
+/// `seed_stride = 1` the first wave is the full fixed grid: every cell
+/// equals a per-cell `core::Pipeline::run` bit for bit (its `mhla_te`
+/// point for a TE cell with a transfer engine, `mhla` otherwise).
 class Explorer {
  public:
   /// Canonicalizes the axes and validates every strategy name against the
@@ -128,13 +132,14 @@ class Explorer {
 
   /// Explore with the persistent cache at `config().cache_path`: loaded
   /// before the run, written back after it when anything was evaluated.
-  ExploreResult run(const ir::Program& program) const;
+  /// Throws what `core::make_workspace` throws for an invalid program.
+  ExploreResult run(ir::Program program) const;
 
   /// Explore against a caller-owned store (no file I/O).  Batch drivers
   /// load a ResultCache once, thread it through many runs, and save once;
   /// the server threads its process-wide ConcurrentResultCache through
   /// every job the same way.
-  ExploreResult run(const ir::Program& program, ResultStore& cache) const;
+  ExploreResult run(ir::Program program, ResultStore& cache) const;
 
  private:
   ExplorerConfig config_;
@@ -152,9 +157,36 @@ class Explorer {
 std::uint64_t design_cache_key(const std::string& program_text,
                                core::PipelineConfig effective, bool with_te);
 
-/// Explorer counterpart of `default_sweep()`: the same L1/L2 lattice
-/// (L1 256 B..64 KiB powers of two, L2 {0, 64 KiB, 256 KiB}) with coarse
-/// stride 2, unlimited budget, exact convergence.
+/// What evaluating one design cell yields: its cost pair, the search
+/// outcome and the search's certified gap (see assign/search_status.h).
+struct CellOutcome {
+  TradeoffPoint point;
+  assign::SearchStatus status = assign::SearchStatus::Feasible;
+  double gap = 0.0;
+};
+
+/// The single-cell evaluator shared by the Explorer's waves and
+/// `mhla_serve`'s submit path: search `cell` with its strategy on the
+/// cell's hierarchy (`base.platform` with the cell's layer sizes), then run
+/// one simulation — time-extended when `cell.with_te && base.dma.present`,
+/// blocking otherwise.  `workspace` supplies the program-level analyses and
+/// must have been built with `base.dma`.  One run budget (`base.search`'s
+/// shared token, else its bounded spec) covers the search and the TE pass;
+/// a TE pass the budget cut short makes the outcome BudgetExhausted, so the
+/// cache's status guard never keeps a truncated point.
+CellOutcome evaluate_cell(const core::Workspace& workspace, const core::PipelineConfig& base,
+                          const DesignCell& cell);
+
+/// Cache key and cache entry of one design cell of `base` (the one
+/// key/entry builder of every cache writer): `design_cache_key` over the
+/// cell's effective config, and the entry recording `outcome`.
+std::uint64_t cell_key(const std::string& program_text, core::PipelineConfig base,
+                       const DesignCell& cell);
+CacheEntry cell_entry(const DesignCell& cell, const CellOutcome& outcome);
+
+/// The default L1/L2 lattice (L1 256 B..64 KiB powers of two, L2 {0,
+/// 64 KiB, 256 KiB}) with coarse stride 2, unlimited budget, exact
+/// convergence.  `seed_stride = 1` turns it into the fixed 27-cell grid.
 ExplorerConfig default_explorer();
 
 /// Machine-readable exploration report: counters, every sample, and the

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "core/pipeline.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
 #include "obs/metrics.h"
@@ -364,13 +363,14 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
 }
 
 void Server::run_submit(Job& job) {
-  core::PipelineConfig effective = job.spec.config;
+  const core::PipelineConfig& config = job.spec.config;
 
   // A submit is one cell of the same design space the explorer walks: key
-  // it identically (canonical TE variant), so an explore-warmed cache
-  // answers a matching submit — and a submit warms future explores.
-  const bool with_te = true;
-  const std::uint64_t key = xplore::design_cache_key(job.spec.program_text, effective, with_te);
+  // and evaluate it identically (canonical TE variant), so an explore-warmed
+  // cache answers a matching submit — and a submit warms future explores.
+  const xplore::DesignCell cell{config.platform.l1_bytes, config.platform.l2_bytes,
+                                config.strategy, /*with_te=*/true};
+  const std::uint64_t key = xplore::cell_key(job.spec.program_text, config, cell);
 
   xplore::CacheEntry cached;
   if (cache_.lookup(key, cached)) {
@@ -387,31 +387,20 @@ void Server::run_submit(Job& job) {
   }
 
   // The job's cancel token rides into the run budget, so a `cancel` request
-  // reaches the search through its cooperative probes.
-  effective.search.budget.cancel = job.cancel;
-  core::Pipeline pipeline(effective);
-  core::PipelineResult run = pipeline.run(ir::parse_program(job.spec.program_text));
-
-  // Same point selection as the explorer's canonical variant: the TE'd
-  // simulation when a transfer engine exists, blocking otherwise.
-  const sim::SimResult& point = effective.dma.present ? run.points.mhla_te : run.points.mhla;
-
-  xplore::CacheEntry entry;
-  entry.l1_bytes = effective.platform.l1_bytes;
-  entry.l2_bytes = effective.platform.l2_bytes;
-  entry.strategy = effective.strategy;
-  entry.with_te = with_te;
-  entry.cycles = point.total_cycles();
-  entry.energy_nj = point.energy_nj;
-  entry.status = run.search.status;
-  cache_.insert(key, std::move(entry));  // status guard drops truncated results
+  // reaches the search and the TE pass through their cooperative probes.
+  core::PipelineConfig budgeted = config;
+  budgeted.search.budget.cancel = job.cancel;
+  const std::unique_ptr<core::Workspace> workspace = core::make_workspace(
+      ir::parse_program(job.spec.program_text), config.platform, config.dma);
+  const xplore::CellOutcome outcome = xplore::evaluate_cell(*workspace, budgeted, cell);
+  cache_.insert(key, xplore::cell_entry(cell, outcome));  // status guard drops truncated results
 
   const bool cancelled = job.cancel->load(std::memory_order_relaxed) &&
-                         run.search.status == assign::SearchStatus::BudgetExhausted;
+                         outcome.status == assign::SearchStatus::BudgetExhausted;
   queue_.finish(job, cancelled ? JobState::Cancelled : JobState::Done);
   (cancelled ? jobs_cancelled_ : jobs_done_).add();
-  job.sink->send(event_done_submit(job.id, cancelled ? "cancelled" : "done", run.search.status,
-                                   run.search.gap, point.total_cycles(), point.energy_nj,
+  job.sink->send(event_done_submit(job.id, cancelled ? "cancelled" : "done", outcome.status,
+                                   outcome.gap, outcome.point.cycles, outcome.point.energy_nj,
                                    /*from_cache=*/false, /*evaluations=*/1));
 }
 

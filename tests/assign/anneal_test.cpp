@@ -6,7 +6,6 @@
 
 #include "assign/cost.h"
 #include "core/pipeline.h"
-#include "explore/sweep.h"
 #include "helpers.h"
 
 namespace mhla::assign {
@@ -97,27 +96,6 @@ TEST(Anneal, RunsThroughThePipelineByStrategyName) {
   EXPECT_EQ(run.strategy, "anneal");
   EXPECT_GT(run.search.evaluations, 0);
   EXPECT_TRUE(run.points.mhla.feasible);
-}
-
-TEST(Anneal, SweepIsBitIdenticalAcrossThreadCounts) {
-  xplore::SweepConfig config;
-  config.l1_sizes = {256, 1024, 4096};
-  config.l2_sizes = {0, 8192};
-  config.pipeline.strategy = "anneal";
-  config.pipeline.search.anneal_iterations = 400;
-
-  config.pipeline.num_threads = 1;
-  auto serial = xplore::sweep_layer_sizes(testing::blocked_reuse_program(), config);
-  ASSERT_EQ(serial.size(), 6u);
-
-  config.pipeline.num_threads = 4;
-  auto parallel = xplore::sweep_layer_sizes(testing::blocked_reuse_program(), config);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].point.cycles, serial[i].point.cycles);
-    EXPECT_EQ(parallel[i].point.energy_nj, serial[i].point.energy_nj);
-    EXPECT_EQ(parallel[i].assignment, serial[i].assignment);
-  }
 }
 
 }  // namespace

@@ -284,25 +284,5 @@ TEST(FootprintTracker, TimeExtendDecisionsMatchFromScratchFits) {
   EXPECT_GT(stopped_by_capacity, 0) << "no BT ever hit the size constraint; corpus gone vacuous";
 }
 
-/// The sweep's infeasible-cell skip leans on this probe: it must fire
-/// exactly when no on-chip layer can hold the cheapest placeable object.
-TEST(FootprintTracker, OutOfBoxProbe) {
-  auto full_ws = make_ws(testing::blocked_reuse_program());
-  i64 min_placeable = FootprintTracker(full_ws->context()).min_placeable_bytes();
-  ASSERT_GT(min_placeable, 0);
-
-  mem::PlatformConfig tiny;
-  tiny.l1_bytes = min_placeable - 1;
-  tiny.l2_bytes = 0;
-  auto tiny_ws = make_ws(testing::blocked_reuse_program(), tiny);
-  EXPECT_TRUE(FootprintTracker(tiny_ws->context()).provably_out_of_box());
-
-  mem::PlatformConfig fits_one;
-  fits_one.l1_bytes = min_placeable;
-  fits_one.l2_bytes = 0;
-  auto fits_ws = make_ws(testing::blocked_reuse_program(), fits_one);
-  EXPECT_FALSE(FootprintTracker(fits_ws->context()).provably_out_of_box());
-}
-
 }  // namespace
 }  // namespace mhla::assign

@@ -157,43 +157,24 @@ TEST(Pipeline, ReportsStagesAndTimings) {
   EXPECT_DOUBLE_EQ(result.total_seconds, sum);
 }
 
-TEST(Pipeline, RunBatchIsDeterministicForAnyThreadCount) {
-  std::vector<ir::Program> programs;
-  programs.push_back(testing::tiny_stream_program());
-  programs.push_back(testing::blocked_reuse_program());
-  programs.push_back(testing::producer_consumer_program());
+TEST(Pipeline, TePassCutByTheRunBudgetDegradesTheResult) {
+  // A probe allowance one past the search's own probes: the search
+  // completes, the TE pass after it is cut, and the run must say so
+  // instead of reporting the search's status next to a truncated point.
+  for (const char* strategy : {"greedy", "bnb"}) {
+    PipelineConfig config;
+    config.strategy = strategy;
+    auto ws = make_workspace(apps::build_app("conv_filter"), config.platform, config.dma);
+    const PipelineResult full = Pipeline(config).run(*ws);
+    ASSERT_NE(full.search.status, assign::SearchStatus::BudgetExhausted) << strategy;
+    EXPECT_FALSE(full.points.mhla_te.budget_exhausted) << strategy;
 
-  PipelineConfig config;
-  config.platform = testing::small_platform();
-  config.num_threads = 1;
-  std::vector<PipelineResult> serial = Pipeline(config).run_batch([&] {
-    std::vector<ir::Program> copy;
-    copy.push_back(testing::tiny_stream_program());
-    copy.push_back(testing::blocked_reuse_program());
-    copy.push_back(testing::producer_consumer_program());
-    return copy;
-  }());
-  ASSERT_EQ(serial.size(), 3u);
-
-  for (unsigned threads : {0u, 2u, 4u}) {
-    config.num_threads = threads;
-    Pipeline pipeline(config);
-    int completed = 0;
-    pipeline.set_progress([&](const std::string&, double) { ++completed; });
-    std::vector<PipelineResult> parallel = pipeline.run_batch([&] {
-      std::vector<ir::Program> copy;
-      copy.push_back(testing::tiny_stream_program());
-      copy.push_back(testing::blocked_reuse_program());
-      copy.push_back(testing::producer_consumer_program());
-      return copy;
-    }());
-    ASSERT_EQ(parallel.size(), serial.size()) << "threads " << threads;
-    EXPECT_EQ(completed, 3) << "threads " << threads;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      expect_same_points(parallel[i].points, serial[i].points,
-                         "batch[" + std::to_string(i) + "] threads " + std::to_string(threads));
-      EXPECT_EQ(parallel[i].search.assignment, serial[i].search.assignment);
-    }
+    config.search.budget.max_probes = testing::search_probes(*ws, config) + 1;
+    const PipelineResult cut = Pipeline(config).run(*ws);
+    EXPECT_EQ(cut.search.assignment, full.search.assignment) << strategy;
+    EXPECT_NE(cut.points.mhla_te.total_cycles(), full.points.mhla_te.total_cycles()) << strategy;
+    EXPECT_TRUE(cut.points.mhla_te.budget_exhausted) << strategy;
+    EXPECT_EQ(cut.search.status, assign::SearchStatus::BudgetExhausted) << strategy;
   }
 }
 

@@ -315,14 +315,14 @@ TEST(ConcurrentCache, ExplorerWarmReplayHasZeroEvaluations) {
   config.l2_axis = {0, 8192};
   config.pipeline.platform = mhla::testing::small_platform();
   Explorer explorer(config);
-  ir::Program program = mhla::testing::blocked_reuse_program();
+  auto program = mhla::testing::blocked_reuse_program;
 
   // Reference: the single-threaded cache the batch drivers use.
   ResultCache reference_cache;
-  ExploreResult reference = explorer.run(program, reference_cache);
+  ExploreResult reference = explorer.run(program(), reference_cache);
 
   ConcurrentResultCache cache;
-  ExploreResult cold = explorer.run(program, cache);
+  ExploreResult cold = explorer.run(program(), cache);
   EXPECT_GT(cold.evaluations, 0u);
   ASSERT_EQ(cold.samples.size(), reference.samples.size());
   for (std::size_t i = 0; i < cold.samples.size(); ++i) {
@@ -332,7 +332,7 @@ TEST(ConcurrentCache, ExplorerWarmReplayHasZeroEvaluations) {
   EXPECT_EQ(cache.snapshot().entries(), reference_cache.entries());
 
   // Warm replay: identical samples, zero pipeline runs.
-  ExploreResult warm = explorer.run(program, cache);
+  ExploreResult warm = explorer.run(program(), cache);
   EXPECT_EQ(warm.evaluations, 0u);
   EXPECT_EQ(warm.cache_hits, warm.samples.size());
   ASSERT_EQ(warm.frontier.size(), cold.frontier.size());

@@ -10,7 +10,6 @@
 
 #include "apps/registry.h"
 #include "explore/corpus.h"
-#include "explore/sweep.h"
 #include "helpers.h"
 
 namespace mhla::xplore {
@@ -28,6 +27,41 @@ ExplorerConfig small_config() {
   config.l1_axis = {128, 256, 512, 1024, 2048};
   config.l2_axis = {0, 8192};
   return config;
+}
+
+/// `config` evaluating its whole lattice in one wave: the fixed grid.
+ExplorerConfig full_grid(ExplorerConfig config) {
+  config.seed_stride = 1;
+  return config;
+}
+
+/// A one-nest program over `array a 16` whose only access is `a[index]`.
+ir::Program single_access_program(const std::string& array, ir::AffineExpr index) {
+  ir::ProgramBuilder pb("bad_access");
+  pb.array("a", {16}, 4).input();
+  pb.begin_loop("i", 0, 16);
+  pb.stmt("s", 1).read(array, {std::move(index)});
+  pb.end_loop();
+  return pb.finish();
+}
+
+/// The Explorer must reject exactly what the Pipeline rejects, with the
+/// same validation message and before any cell is evaluated.
+void expect_rejected_like_the_pipeline(const std::string& array, const ir::AffineExpr& index,
+                                       const std::string& issue) {
+  std::string pipeline_error;
+  try {
+    core::Pipeline(core::PipelineConfig{}).run(single_access_program(array, index));
+  } catch (const std::invalid_argument& error) {
+    pipeline_error = error.what();
+  }
+  ASSERT_NE(pipeline_error.find(issue), std::string::npos) << pipeline_error;
+  try {
+    Explorer(small_config()).run(single_access_program(array, index));
+    ADD_FAILURE() << "explored an invalid program";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), pipeline_error);
+  }
 }
 
 TEST(ResultCache, JsonRoundTripsEntries) {
@@ -168,6 +202,65 @@ TEST(Explorer, ValidatesItsConfiguration) {
   config = small_config();
   config.strategies = {"no-such-strategy"};
   EXPECT_THROW(Explorer{config}, std::out_of_range);
+
+  // The default strategy axis is the pipeline's strategy, checked the same.
+  config = full_grid(small_config());
+  config.pipeline.strategy = "no-such-strategy";
+  EXPECT_THROW(Explorer{config}, std::out_of_range);
+}
+
+TEST(Explorer, RejectsAnOutOfBoundsSubscriptLikeThePipeline) {
+  expect_rejected_like_the_pipeline("a", ir::av("i") + ir::ac(1000), "outside [0, 15]");
+}
+
+TEST(Explorer, RejectsAnUnboundSubscriptVariableLikeThePipeline) {
+  expect_rejected_like_the_pipeline("a", ir::av("j"), "is not bound");
+}
+
+TEST(Explorer, RejectsAnUndeclaredArrayLikeThePipeline) {
+  expect_rejected_like_the_pipeline("ghost", ir::av("i"), "undeclared array 'ghost'");
+}
+
+TEST(Explorer, FullGridEqualsPerCellPipelineRuns) {
+  // Seed stride 1 is the fixed layer-size grid: one wave, every cell, and
+  // each cell is exactly what a single pipeline run of that cell reports
+  // (the TE'd point with a transfer engine, the blocking one without).
+  struct Case {
+    ir::Program (*program)();
+    ExplorerConfig config;
+  };
+  // Pricier SDRAM: the platform models must flow into every cell, too.
+  ExplorerConfig pricey = full_grid(small_config());
+  pricey.pipeline.platform.sdram.read_energy_nj *= 10.0;
+  pricey.pipeline.platform.sdram.write_energy_nj *= 10.0;
+  const Case cases[] = {{testing::blocked_reuse_program, full_grid(small_config())},
+                        {testing::blocked_reuse_program, pricey},
+                        {apps::build_conv_filter, full_grid(default_explorer())}};
+  for (const Case& c : cases) {
+    for (const char* strategy : {"greedy", "anneal"}) {
+      for (bool dma : {true, false}) {
+        ExplorerConfig config = c.config;
+        config.pipeline.strategy = strategy;
+        config.pipeline.search.anneal_iterations = 400;
+        config.pipeline.dma.present = dma;
+        const std::string where = c.program().name() + " " + strategy + (dma ? " dma" : " no-dma");
+        ExploreResult result = Explorer(config).run(c.program());
+        ASSERT_EQ(result.rounds, 1u) << where;
+        ASSERT_EQ(result.samples.size(), result.lattice_cells) << where;
+        for (const ExploreSample& sample : result.samples) {
+          core::PipelineConfig cell = config.pipeline;
+          cell.platform.l1_bytes = sample.cell.l1_bytes;
+          cell.platform.l2_bytes = sample.cell.l2_bytes;
+          const sim::FourPoint points = core::Pipeline(cell).run(c.program()).points;
+          const sim::SimResult& expected = dma ? points.mhla_te : points.mhla;
+          EXPECT_EQ(sample.point.cycles, expected.total_cycles())
+              << where << " L1 " << sample.cell.l1_bytes << " L2 " << sample.cell.l2_bytes;
+          EXPECT_EQ(sample.point.energy_nj, expected.energy_nj)
+              << where << " L1 " << sample.cell.l1_bytes << " L2 " << sample.cell.l2_bytes;
+        }
+      }
+    }
+  }
 }
 
 TEST(Explorer, DuplicateStrategiesCollapseToOneAxisEntry) {
@@ -175,6 +268,13 @@ TEST(Explorer, DuplicateStrategiesCollapseToOneAxisEntry) {
   config.strategies = {"greedy", "greedy"};
   Explorer explorer(config);
   EXPECT_EQ(explorer.config().strategies.size(), 1u);
+
+  // Repeated sizes collapse too: the lattice holds each cell once.
+  ExplorerConfig repeated = config;
+  repeated.l1_axis = {1024, 256, 1024, 256};
+  repeated.l2_axis = {0, 8192, 0};
+  EXPECT_EQ(Explorer(repeated).config().l1_axis, (std::vector<i64>{256, 1024}));
+  EXPECT_EQ(Explorer(repeated).config().l2_axis, (std::vector<i64>{0, 8192}));
   ExploreResult result = explorer.run(testing::blocked_reuse_program());
   EXPECT_EQ(result.lattice_cells, config.l1_axis.size() * config.l2_axis.size());
 }
@@ -187,6 +287,27 @@ TEST(Explorer, TeAxisCollapsesWithoutADmaEngine) {
   config.pipeline.dma.present = false;
   ExploreResult result = Explorer(config).run(testing::blocked_reuse_program());
   EXPECT_EQ(result.lattice_cells, config.l1_axis.size() * config.l2_axis.size());
+}
+
+TEST(Explorer, TimeExtensionAndABiggerL1NeverHurtCycles) {
+  // On this monotone workload more on-chip memory can only help (or tie)
+  // the greedy result, and time extensions never lose to blocking
+  // transfers of the same cell.
+  ExplorerConfig config = full_grid(small_config());
+  config.l1_axis = {128, 512, 2048};
+  config.l2_axis = {0};
+  config.explore_te = true;
+  ExploreResult result = Explorer(config).run(testing::blocked_reuse_program());
+  ASSERT_EQ(result.samples.size(), 6u);  // canonical order: TE off, then on
+  for (std::size_t te = 0; te < 2; ++te) {
+    const ExploreSample* row = &result.samples[3 * te];
+    EXPECT_EQ(row[0].cell.with_te, te == 1);
+    EXPECT_GE(row[0].point.cycles, row[1].point.cycles);
+    EXPECT_GE(row[1].point.cycles, row[2].point.cycles);
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_LE(result.samples[3 + i].point.cycles, result.samples[i].point.cycles);
+  }
 }
 
 TEST(Explorer, BudgetOnAWaveBoundaryAddsNoEmptyRound) {
@@ -203,26 +324,35 @@ TEST(Explorer, BudgetOnAWaveBoundaryAddsNoEmptyRound) {
 }
 
 TEST(Explorer, BitIdenticalAcrossThreadCounts) {
-  ExplorerConfig config = small_config();
-  config.pipeline.num_threads = 1;
-  ExploreResult serial = Explorer(config).run(testing::blocked_reuse_program());
-  ASSERT_FALSE(serial.samples.empty());
+  // Adaptive refinement, and the full grid (one wave) for a deterministic
+  // and a stochastic strategy.
+  ExplorerConfig anneal_grid = full_grid(small_config());
+  anneal_grid.pipeline.strategy = "anneal";
+  anneal_grid.pipeline.search.anneal_iterations = 400;
+  for (ExplorerConfig config : {small_config(), full_grid(small_config()), anneal_grid}) {
+    const std::string where = config.pipeline.strategy + " stride " +
+                              std::to_string(config.seed_stride);
+    config.pipeline.num_threads = 1;
+    ExploreResult serial = Explorer(config).run(testing::blocked_reuse_program());
+    ASSERT_FALSE(serial.samples.empty()) << where;
 
-  for (unsigned threads : {0u, 4u}) {
-    config.pipeline.num_threads = threads;
-    ExploreResult parallel = Explorer(config).run(testing::blocked_reuse_program());
-    ASSERT_EQ(parallel.samples.size(), serial.samples.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-      EXPECT_EQ(parallel.samples[i].cell, serial.samples[i].cell);
-      EXPECT_EQ(parallel.samples[i].point.cycles, serial.samples[i].point.cycles);
-      EXPECT_EQ(parallel.samples[i].point.energy_nj, serial.samples[i].point.energy_nj);
-    }
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-    EXPECT_EQ(parallel.rounds, serial.rounds);
-    ASSERT_EQ(parallel.frontier.size(), serial.frontier.size());
-    for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
-      EXPECT_EQ(parallel.frontier[i].cycles, serial.frontier[i].cycles);
-      EXPECT_EQ(parallel.frontier[i].energy_nj, serial.frontier[i].energy_nj);
+    for (unsigned threads : {0u, 2u, 3u, 4u, 8u}) {
+      config.pipeline.num_threads = threads;
+      ExploreResult parallel = Explorer(config).run(testing::blocked_reuse_program());
+      ASSERT_EQ(parallel.samples.size(), serial.samples.size()) << where << " threads " << threads;
+      for (std::size_t i = 0; i < serial.samples.size(); ++i) {
+        EXPECT_EQ(parallel.samples[i].cell, serial.samples[i].cell) << where;
+        EXPECT_EQ(parallel.samples[i].point.cycles, serial.samples[i].point.cycles) << where;
+        EXPECT_EQ(parallel.samples[i].point.energy_nj, serial.samples[i].point.energy_nj)
+            << where;
+      }
+      EXPECT_EQ(parallel.evaluations, serial.evaluations) << where;
+      EXPECT_EQ(parallel.rounds, serial.rounds) << where;
+      ASSERT_EQ(parallel.frontier.size(), serial.frontier.size()) << where;
+      for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
+        EXPECT_EQ(parallel.frontier[i].cycles, serial.frontier[i].cycles) << where;
+        EXPECT_EQ(parallel.frontier[i].energy_nj, serial.frontier[i].energy_nj) << where;
+      }
     }
   }
 }
@@ -293,18 +423,15 @@ TEST(Explorer, HalfBudgetFrontierDominatesDefaultSweepOnTwoApps) {
   // adaptive refinement recovers the full fixed grid's frontier from at
   // most half the grid's pipeline evaluations.
   for (const char* app : {"cavity_detection", "fft_filter"}) {
-    ir::Program program = apps::build_app(app);
-
-    SweepConfig grid = default_sweep();
-    std::vector<SweepSample> samples = sweep_layer_sizes(program, grid);
-    std::vector<TradeoffPoint> grid_front = frontier(samples);
+    ExploreResult grid = Explorer(full_grid(default_explorer())).run(apps::build_app(app));
+    ASSERT_EQ(grid.evaluations, 27u) << app;
 
     ExplorerConfig config = default_explorer();
-    config.budget = samples.size() / 2;
-    ExploreResult adaptive = Explorer(config).run(program);
+    config.budget = grid.evaluations / 2;
+    ExploreResult adaptive = Explorer(config).run(apps::build_app(app));
 
-    EXPECT_LE(adaptive.evaluations, samples.size() / 2) << app;
-    EXPECT_TRUE(frontier_covers(adaptive.frontier, grid_front)) << app;
+    EXPECT_LE(adaptive.evaluations, grid.evaluations / 2) << app;
+    EXPECT_TRUE(frontier_covers(adaptive.frontier, grid.frontier)) << app;
   }
 }
 

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "apps/registry.h"
+#include "core/pipeline.h"
+#include "core/run_budget.h"
 #include "core/workspace.h"
 #include "ir/builder.h"
 
@@ -76,6 +78,18 @@ inline std::unique_ptr<core::Workspace> make_ws(ir::Program program,
                                                 mem::PlatformConfig platform = small_platform(),
                                                 mem::DmaEngine dma = {}) {
   return core::make_workspace(std::move(program), platform, dma);
+}
+
+/// Probes the search of `config` charges on `workspace`'s program, counted
+/// on an unlimited token.  A `max_probes` of this + 1 lets that search run
+/// to completion and cuts the TE pass after it at its second probe.
+inline long search_probes(const core::Workspace& workspace, const core::PipelineConfig& config) {
+  core::RunBudget token;
+  assign::SearchOptions options = config.search;
+  options.set_target(config.target);
+  options.shared_budget = &token;
+  assign::searcher(config.strategy).search(workspace.context(), options);
+  return token.probes();
 }
 
 /// Binary-wide heap-allocation counter (tests/helpers_alloc.cpp replaces the

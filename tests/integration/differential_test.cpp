@@ -202,7 +202,6 @@ TEST(Differential, ExplorerWithBnbParIsBitIdenticalAcrossThreadCounts) {
   // depend on the explorer's own worker count or on bnb-par's.
   for (const std::string& app : stress_apps()) {
     SCOPED_TRACE(app);
-    ir::Program program = apps::build_app(app);
     xplore::ExplorerConfig config;
     config.l1_axis = {256, 1024, 4096};
     config.l2_axis = {0, 8192};
@@ -210,12 +209,12 @@ TEST(Differential, ExplorerWithBnbParIsBitIdenticalAcrossThreadCounts) {
     config.pipeline.search.bnb_threads = 2;
 
     config.pipeline.num_threads = 1;
-    xplore::ExploreResult serial = xplore::Explorer(config).run(program);
+    xplore::ExploreResult serial = xplore::Explorer(config).run(apps::build_app(app));
     ASSERT_FALSE(serial.samples.empty());
 
     for (unsigned threads : {2u, 4u, 8u}) {
       config.pipeline.num_threads = threads;
-      xplore::ExploreResult parallel = xplore::Explorer(config).run(program);
+      xplore::ExploreResult parallel = xplore::Explorer(config).run(apps::build_app(app));
       ASSERT_EQ(parallel.samples.size(), serial.samples.size()) << "threads " << threads;
       for (std::size_t i = 0; i < serial.samples.size(); ++i) {
         EXPECT_EQ(parallel.samples[i].cell, serial.samples[i].cell);

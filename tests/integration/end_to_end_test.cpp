@@ -79,15 +79,11 @@ TEST(EndToEnd, Figure2ClaimOnNineApps) {
   // Paper Figure 2: step 1 improves performance by 40-60% "for specific
   // memory sizes"; TE adds more, approaching ideal.  We assert the
   // reproduction-grade envelope: every app improves by at least 30%, and
-  // TE never loses to plain MHLA.  Runs as one pipeline batch over the
-  // registry (the multi-app driver the facade exists for).
-  std::vector<ir::Program> programs;
-  for (const apps::AppInfo& info : apps::all_apps()) programs.push_back(info.build());
-  std::vector<PipelineResult> runs = Pipeline(PipelineConfig{}).run_batch(std::move(programs));
-  ASSERT_EQ(runs.size(), apps::all_apps().size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const std::string& name = apps::all_apps()[i].name;
-    const PipelineResult& run = runs[i];
+  // TE never loses to plain MHLA.
+  Pipeline pipeline(PipelineConfig{});
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    const std::string& name = info.name;
+    const PipelineResult run = pipeline.run(info.build());
     double mhla_pct = 100.0 * run.points.mhla.total_cycles() /
                       run.points.out_of_box.total_cycles();
     EXPECT_LE(mhla_pct, 70.0) << name << ": step 1 too weak";
@@ -123,14 +119,12 @@ TEST(EndToEnd, ReproductionBandsStayPut) {
 
 TEST(EndToEnd, Figure3ClaimOnNineApps) {
   // Paper Figure 3: energy reduced significantly, up to 70%.
-  std::vector<ir::Program> programs;
-  for (const apps::AppInfo& info : apps::all_apps()) programs.push_back(info.build());
-  std::vector<PipelineResult> runs = Pipeline(PipelineConfig{}).run_batch(std::move(programs));
+  Pipeline pipeline(PipelineConfig{});
   double best_reduction = 0.0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    double reduction =
-        1.0 - runs[i].points.mhla.energy_nj / runs[i].points.out_of_box.energy_nj;
-    EXPECT_GT(reduction, 0.0) << apps::all_apps()[i].name;
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    const sim::FourPoint fp = pipeline.run(info.build()).points;
+    double reduction = 1.0 - fp.mhla.energy_nj / fp.out_of_box.energy_nj;
+    EXPECT_GT(reduction, 0.0) << info.name;
     best_reduction = std::max(best_reduction, reduction);
   }
   EXPECT_GE(best_reduction, 0.6);  // "up to 70%"

@@ -162,6 +162,103 @@ TEST(Server, ExploreStreamsFrontierEventsAndWarmReplayEvaluatesNothing) {
   EXPECT_EQ(cross.at("evaluations").integer(), 0);
 }
 
+TEST(Server, SubmitWarmsTheCellOfALaterExplore) {
+  Server server({});
+  TestClient client(server.port());
+
+  Request submit = submit_request(mhla::testing::blocked_reuse_program());
+  submit.config.platform.l1_bytes = 1024;
+  submit.config.platform.l2_bytes = 8192;
+  client.send(submit);
+  client.next_named("accepted");
+  Json cold = client.next_named("done");
+  EXPECT_FALSE(cold.at("from_cache").boolean());
+
+  // The exploration's lattice holds the submitted cell and nothing else, so
+  // its frontier is that cell, and it must come from the submit's entry.
+  Request explore = explore_request(mhla::testing::blocked_reuse_program());
+  explore.explore.l1_axis = {1024};
+  explore.explore.l2_axis = {8192};
+  client.send(explore);
+  client.next_named("accepted");
+  Json frontier = client.next_named("frontier");
+  Json done = client.next_named("done");
+  EXPECT_EQ(done.at("state").string(), "done");
+  EXPECT_EQ(done.at("evaluations").integer(), 0);
+  EXPECT_EQ(done.at("cache_hits").integer(), 1);
+  ASSERT_EQ(frontier.at("frontier").array().size(), 1u);
+  const Json& point = frontier.at("frontier").array()[0];
+  EXPECT_EQ(point.at("cycles").number(), cold.at("cycles").number());
+  EXPECT_EQ(point.at("energy_nj").number(), cold.at("energy_nj").number());
+
+  // A wider exploration serves the same cell from cache and evaluates the rest.
+  client.send(explore_request(mhla::testing::blocked_reuse_program()));
+  client.next_named("accepted");
+  Json wide = client.next_named("done");
+  EXPECT_EQ(wide.at("cache_hits").integer(), 1);
+  EXPECT_EQ(wide.at("evaluations").integer(), wide.at("samples").integer() - 1);
+}
+
+TEST(Server, SubmitWhoseTePassTheBudgetCutIsReportedAndNotCached) {
+  Server server({});
+  TestClient client(server.port());
+
+  Request request;
+  request.command = Command::Submit;
+  request.program_text = ir::serialize(apps::build_app("conv_filter"));
+  request.has_config = true;
+  auto ws = core::make_workspace(apps::build_app("conv_filter"), request.config.platform,
+                                 request.config.dma);
+  const core::PipelineResult full = core::Pipeline(request.config).run(*ws);
+
+  // A probe allowance one past the search's own probes cuts the TE pass.
+  Request budgeted = request;
+  budgeted.config.search.budget.max_probes =
+      mhla::testing::search_probes(*ws, request.config) + 1;
+  client.send(budgeted);
+  client.next_named("accepted");
+  Json cut = client.next_named("done");
+  EXPECT_EQ(cut.at("state").string(), "done");
+  EXPECT_EQ(cut.at("status").string(), "budget_exhausted");
+  EXPECT_NE(cut.at("cycles").number(), full.points.mhla_te.total_cycles());
+  EXPECT_EQ(server.cache().stats().entries, 0u);
+
+  // The budget is not part of the key, so only the guard kept the truncated
+  // point out: the unbudgeted submit must evaluate and return the full value.
+  client.send(request);
+  client.next_named("accepted");
+  Json whole = client.next_named("done");
+  EXPECT_FALSE(whole.at("from_cache").boolean());
+  EXPECT_EQ(whole.at("status").string(), assign::to_string(full.search.status));
+  EXPECT_EQ(whole.at("cycles").number(), full.points.mhla_te.total_cycles());
+  EXPECT_EQ(whole.at("energy_nj").number(), full.points.mhla_te.energy_nj);
+}
+
+TEST(Server, ExploreOfAnInvalidProgramFailsWithTheValidationMessageLikeASubmit) {
+  Server server({});
+  TestClient client(server.port());
+
+  // Parses fine, but reads `a[i + 1000]` of a 16-element array.
+  ir::ProgramBuilder pb("bad_access");
+  pb.array("a", {16}, 4).input();
+  pb.begin_loop("i", 0, 16);
+  pb.stmt("s", 1).read("a", {ir::av("i") + ir::ac(1000)});
+  pb.end_loop();
+  const ir::Program program = pb.finish();
+
+  for (const Request& request : {submit_request(program), explore_request(program)}) {
+    client.send(request);
+    client.next_named("accepted");
+    Json done = client.next_named("done");
+    EXPECT_EQ(done.at("state").string(), "failed");
+    const std::string& message = done.at("message").string();
+    EXPECT_NE(message.find("failed validation"), std::string::npos) << message;
+    EXPECT_NE(message.find("outside [0, 15]"), std::string::npos) << message;
+  }
+  EXPECT_EQ(server.metrics_view().jobs_failed, 2u);
+  EXPECT_EQ(server.cache().stats().entries, 0u);
+}
+
 TEST(Server, CancelMidFlightEndsBudgetExhaustedWithCertifiedGap) {
   ServerConfig config;
   Server server(config);
