@@ -45,40 +45,6 @@ Box footprint(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const i
   return box;
 }
 
-std::vector<DimInterval> footprint_intervals(const ir::ArrayDecl& array,
-                                             const ir::ArrayAccess& access,
-                                             const ir::LoopPath& path, std::size_t fixed) {
-  std::vector<DimInterval> intervals(static_cast<std::size_t>(array.rank()));
-  for (int dim = 0; dim < array.rank(); ++dim) {
-    const ir::AffineExpr& expr = access.index[static_cast<std::size_t>(dim)];
-    DimInterval iv;
-    iv.lo = expr.constant();
-    iv.hi = expr.constant();
-    for (std::size_t level = fixed; level < path.size(); ++level) {
-      const ir::LoopNode& loop = *path[level];
-      i64 coef = expr.coef(loop.iter());
-      if (coef == 0 || loop.trip() <= 0) continue;
-      i64 first = loop.lower();
-      i64 last = loop.lower() + (loop.trip() - 1) * loop.step();
-      iv.lo += std::min(coef * first, coef * last);
-      iv.hi += std::max(coef * first, coef * last);
-    }
-    intervals[static_cast<std::size_t>(dim)] = iv;
-  }
-  return intervals;
-}
-
-std::map<std::string, i64> fixed_signature(const ir::ArrayAccess& access, const ir::LoopPath& path,
-                                           std::size_t fixed, int dim) {
-  std::map<std::string, i64> signature;
-  const ir::AffineExpr& expr = access.index[static_cast<std::size_t>(dim)];
-  for (std::size_t level = 0; level < fixed && level < path.size(); ++level) {
-    i64 coef = expr.coef(path[level]->iter());
-    if (coef != 0) signature[path[level]->iter()] = coef;
-  }
-  return signature;
-}
-
 i64 delta_elems(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const ir::LoopPath& path,
                 std::size_t fixed) {
   Box box = footprint(array, access, path, fixed);

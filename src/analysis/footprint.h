@@ -1,7 +1,5 @@
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "ir/array.h"
@@ -45,28 +43,5 @@ Box footprint(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const i
 /// This models MHLA's inter-copy reuse ("delta" block transfers).
 i64 delta_elems(const ir::ArrayDecl& array, const ir::ArrayAccess& access, const ir::LoopPath& path,
                 std::size_t fixed);
-
-/// One dimension of a footprint as an interval *relative to the symbolic
-/// base* spanned by the fixed outer iterators: the subscript, with fixed
-/// iterators treated as unknowns, ranges over [lo, hi] as the varying loops
-/// run.  Two accesses under the same fixed loops can be unioned exactly when
-/// their fixed-iterator coefficients agree (same symbolic base).
-struct DimInterval {
-  i64 lo = 0;
-  i64 hi = 0;  ///< inclusive
-  i64 width() const { return hi - lo + 1; }
-};
-
-/// Relative interval per array dimension of `access` with `fixed` outer
-/// loops held constant.
-std::vector<DimInterval> footprint_intervals(const ir::ArrayDecl& array,
-                                             const ir::ArrayAccess& access,
-                                             const ir::LoopPath& path, std::size_t fixed);
-
-/// Coefficients of the fixed outer iterators in dimension `dim` of `access`
-/// (the "symbolic base" signature).  Union of two accesses' intervals is
-/// exact iff their signatures match per dimension.
-std::map<std::string, i64> fixed_signature(const ir::ArrayAccess& access, const ir::LoopPath& path,
-                                           std::size_t fixed, int dim);
 
 }  // namespace mhla::analysis

@@ -19,6 +19,7 @@ namespace mhla::analysis {
 struct CopyCandidate {
   int id = 0;
   std::string array;
+  int array_id = 0;       ///< index of `array` in Program::arrays()
   int nest = 0;           ///< top-level node index the CC lives in
   int level = 0;          ///< number of fixed outer loops (0 = once per nest)
   i64 elems = 0;          ///< box size, elements
@@ -67,6 +68,13 @@ class ReuseAnalysis {
   /// the program's access sites.  Sites are merged into one candidate when
   /// they refer to the same array in the same nest under the same `level`
   /// outer loops (union bounding box).
+  ///
+  /// Candidate ids follow (array name, nest, level, program order of the
+  /// fixed loops): candidates that tie on (array, nest, level) sit under
+  /// sibling loops and are ordered by where those loops appear in the
+  /// program, so the ids depend only on the program, never on where its
+  /// nodes were allocated.  Throws std::overflow_error if a transfer or
+  /// access count overflows i64 (`ir::validate` rejects such programs).
   static ReuseAnalysis run(const ir::Program& program, const std::vector<AccessSite>& sites);
 
   const std::vector<CopyCandidate>& candidates() const { return candidates_; }

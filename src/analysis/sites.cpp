@@ -13,6 +13,7 @@ std::vector<AccessSite> collect_sites(const ir::Program& program) {
       site.stmt = &stmt;
       site.access = &access;
       site.array = program.find_array(access.array);
+      if (site.array) site.array_id = static_cast<int>(site.array - program.arrays().data());
       sites.push_back(std::move(site));
     }
   });

@@ -17,6 +17,7 @@ struct AccessSite {
   const ir::StmtNode* stmt = nullptr;
   const ir::ArrayAccess* access = nullptr;
   const ir::ArrayDecl* array = nullptr;
+  int array_id = -1;             ///< index of `array` in Program::arrays(), -1 if undeclared
 
   /// Dynamic executions of the statement instance.
   i64 iterations() const { return ir::iterations_of(path); }

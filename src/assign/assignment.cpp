@@ -27,7 +27,7 @@ Assignment out_of_box(const AssignContext& ctx) {
 
 bool cc_covers_site(const analysis::CopyCandidate& cc, const analysis::AccessSite& site) {
   if (cc.nest != site.nest) return false;
-  if (cc.array != site.access->array) return false;
+  if (cc.array_id != site.array_id) return false;
   if (site.path.size() < cc.prefix.size()) return false;
   for (std::size_t i = 0; i < cc.prefix.size(); ++i) {
     if (cc.prefix[i] != site.path[i]) return false;
@@ -36,7 +36,7 @@ bool cc_covers_site(const analysis::CopyCandidate& cc, const analysis::AccessSit
 }
 
 bool cc_is_ancestor(const analysis::CopyCandidate& parent, const analysis::CopyCandidate& child) {
-  if (parent.array != child.array || parent.nest != child.nest) return false;
+  if (parent.array_id != child.array_id || parent.nest != child.nest) return false;
   if (parent.level >= child.level) return false;
   for (std::size_t i = 0; i < parent.prefix.size(); ++i) {
     if (parent.prefix[i] != child.prefix[i]) return false;

@@ -9,27 +9,6 @@
 
 namespace mhla::assign {
 
-namespace {
-
-/// Flatten a jagged row collection into CSR form: one contiguous item array
-/// plus a size+1 offset array.  Construction-time only.
-void flatten_rows(const std::vector<std::vector<int>>& rows, std::vector<int>& items,
-                  std::vector<std::size_t>& offsets) {
-  offsets.assign(rows.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    total += rows[r].size();
-    offsets[r + 1] = total;
-  }
-  items.clear();
-  items.reserve(total);
-  for (const std::vector<int>& row : rows) {
-    items.insert(items.end(), row.begin(), row.end());
-  }
-}
-
-}  // namespace
-
 CostEngine::CostEngine(const AssignContext& ctx)
     : ctx_(ctx),
       num_layers_(ctx.hierarchy.num_layers()),
@@ -56,8 +35,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
   pin_flush_cycles_.assign(arrays.size() * L, 0.0);
   const mem::MemLayer& bg = ctx_.hierarchy.layer(background_);
   for (std::size_t a = 0; a < arrays.size(); ++a) {
-    array_names_.push_back(arrays[a].name);
-    array_index_.emplace(arrays[a].name, a);
     array_input_[a] = arrays[a].is_input;
     array_output_[a] = arrays[a].is_output;
     array_elems_[a] = arrays[a].elems();
@@ -79,14 +56,16 @@ CostEngine::CostEngine(const AssignContext& ctx)
   site_array_.resize(S);
   site_energy_.assign(S * L, 0.0);
   site_cycles_.assign(S * L, 0.0);
-  std::vector<std::vector<int>> covering(S);
   for (const analysis::AccessSite& site : ctx_.sites) {
     std::size_t s = static_cast<std::size_t>(site.id);
+    if (site.array_id < 0) {
+      throw std::invalid_argument("CostEngine: unknown array " + site.access->array);
+    }
     i64 n = site.dynamic_accesses();
     bool is_write = site.is_write();
     site_n_[s] = n;
     site_write_[s] = is_write;
-    site_array_[s] = array_index(site.access->array);
+    site_array_[s] = static_cast<std::size_t>(site.array_id);
     for (int l = 0; l < num_layers_; ++l) {
       const mem::MemLayer& layer = ctx_.hierarchy.layer(l);
       site_energy_[s * L + static_cast<std::size_t>(l)] =
@@ -96,9 +75,9 @@ CostEngine::CostEngine(const AssignContext& ctx)
     }
   }
 
-  // Per-candidate structure and transfer terms for every layer pair.  The
-  // jagged covering / member-site / ancestor rows are built locally and
-  // flattened into CSR arrays once sorted.
+  // Per-candidate structure and transfer terms for every layer pair.  A
+  // candidate covers exactly its member sites (same array, nest and fixed
+  // loops), so the member lists are the candidate -> sites rows.
   const auto& candidates = ctx_.reuse.candidates();
   const std::size_t C = candidates.size();
   cc_level_.resize(C);
@@ -106,8 +85,8 @@ CostEngine::CostEngine(const AssignContext& ctx)
   cc_write_back_.resize(C);
   cc_elems_moved_.resize(C);
   cc_array_.resize(C);
-  std::vector<std::vector<int>> cc_sites(C);
-  std::vector<std::vector<int>> cc_ancestors(C);
+  cc_sites_off_.assign(C + 1, 0);
+  cc_sites_items_.clear();
   fill_energy_.assign(C * L * L, 0.0);
   wb_energy_.assign(C * L * L, 0.0);
   xfer_cycles_.assign(C * L * L, 0.0);
@@ -117,7 +96,9 @@ CostEngine::CostEngine(const AssignContext& ctx)
     cc_fill_free_[c] = cc.fill_free;
     cc_write_back_[c] = cc.has_writes();
     cc_elems_moved_[c] = cc.transfers * cc.elems_per_transfer;
-    cc_array_[c] = array_index(cc.array);
+    cc_array_[c] = static_cast<std::size_t>(cc.array_id);
+    cc_sites_items_.insert(cc_sites_items_.end(), cc.site_ids.begin(), cc.site_ids.end());
+    cc_sites_off_[c + 1] = cc_sites_items_.size();
     double fills = static_cast<double>(cc_elems_moved_[c]);
     for (int src = 0; src < num_layers_; ++src) {
       const mem::MemLayer& sl = ctx_.hierarchy.layer(src);
@@ -130,54 +111,57 @@ CostEngine::CostEngine(const AssignContext& ctx)
         xfer_cycles_[idx] = static_cast<double>(cc.transfers) * per_issue;
       }
     }
-    for (const analysis::AccessSite& site : ctx_.sites) {
-      if (cc_covers_site(cc, site)) {
-        cc_sites[c].push_back(site.id);
-        covering[static_cast<std::size_t>(site.id)].push_back(cc.id);
-      }
-    }
-    for (const analysis::CopyCandidate& other : candidates) {
-      if (cc_is_ancestor(other, cc)) cc_ancestors[c].push_back(other.id);
-    }
-    std::sort(cc_ancestors[c].begin(), cc_ancestors[c].end(),
-              [&](int a, int b) { return candidates[static_cast<std::size_t>(a)].level >
-                                         candidates[static_cast<std::size_t>(b)].level; });
-  }
-  for (std::vector<int>& cov : covering) {
-    std::sort(cov.begin(), cov.end(), [&](int a, int b) {
-      return candidates[static_cast<std::size_t>(a)].level >
-             candidates[static_cast<std::size_t>(b)].level;
-    });
   }
 
-  // Suffix minima for the branch-and-bound bound: column C is "no candidate
-  // left" (+inf); walking candidate ids downward folds in the cheapest term
-  // candidate j could still give each of its member sites.
+  // Site -> covering candidates, deepest first.  The candidates covering
+  // one site form its reuse chain, whose ids rise with the level
+  // (ReuseAnalysis numbers them by array, nest, level), so appending in
+  // descending id order leaves every row level-descending.
+  covering_off_.assign(S + 1, 0);
+  for (int site : cc_sites_items_) ++covering_off_[static_cast<std::size_t>(site) + 1];
+  for (std::size_t s = 0; s < S; ++s) covering_off_[s + 1] += covering_off_[s];
+  covering_items_.resize(covering_off_[S]);
+  std::vector<std::size_t> row_next(covering_off_.begin(), covering_off_.end() - 1);
+  for (std::size_t c = C; c-- > 0;) {
+    for (int site : candidate_sites(static_cast<int>(c))) {
+      covering_items_[row_next[static_cast<std::size_t>(site)]++] = static_cast<int>(c);
+    }
+  }
+
+  // A candidate's ancestors are the shallower candidates of its chain:
+  // the rest of any member site's covering row after the candidate itself.
+  cc_anc_.resize(C);
+  for (std::size_t c = 0; c < C; ++c) {
+    std::size_t s = static_cast<std::size_t>(candidates[c].site_ids.front());
+    std::size_t pos = covering_off_[s];
+    while (covering_items_[pos] != static_cast<int>(c)) ++pos;
+    cc_anc_[c] = {pos + 1, covering_off_[s + 1]};
+  }
+
+  // Suffix minima for the branch-and-bound bound, one site row at a time:
+  // seed column j with the cheapest term candidate j offers the site on a
+  // layer it fits, then fold right to left; column C is "no candidate
+  // left" (+inf).
   const double inf = std::numeric_limits<double>::infinity();
   site_suffix_e_.assign(S * (C + 1), inf);
   site_suffix_c_.assign(S * (C + 1), inf);
-  for (std::size_t c = C; c-- > 0;) {
-    for (std::size_t s = 0; s < S; ++s) {
-      site_suffix_e_[s * (C + 1) + c] = site_suffix_e_[s * (C + 1) + c + 1];
-      site_suffix_c_[s * (C + 1) + c] = site_suffix_c_[s * (C + 1) + c + 1];
-    }
-    const analysis::CopyCandidate& cc = candidates[c];
-    for (int layer = 0; layer < background_; ++layer) {
-      const mem::MemLayer& target = ctx_.hierarchy.layer(layer);
-      if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-      for (int site : cc_sites[c]) {
-        std::size_t s = static_cast<std::size_t>(site);
-        site_suffix_e_[s * (C + 1) + c] =
-            std::min(site_suffix_e_[s * (C + 1) + c], site_energy_term(s, layer));
-        site_suffix_c_[s * (C + 1) + c] =
-            std::min(site_suffix_c_[s * (C + 1) + c], site_cycle_term(s, layer));
+  for (std::size_t s = 0; s < S; ++s) {
+    double* row_e = site_suffix_e_.data() + s * (C + 1);
+    double* row_c = site_suffix_c_.data() + s * (C + 1);
+    for (int cc : covering(s)) {
+      std::size_t c = static_cast<std::size_t>(cc);
+      for (int layer = 0; layer < background_; ++layer) {
+        const mem::MemLayer& target = ctx_.hierarchy.layer(layer);
+        if (!target.unbounded() && candidates[c].bytes > target.capacity_bytes) continue;
+        row_e[c] = std::min(row_e[c], site_energy_term(s, layer));
+        row_c[c] = std::min(row_c[c], site_cycle_term(s, layer));
       }
     }
+    for (std::size_t c = C; c-- > 0;) {
+      row_e[c] = std::min(row_e[c], row_e[c + 1]);
+      row_c[c] = std::min(row_c[c], row_c[c + 1]);
+    }
   }
-
-  flatten_rows(covering, covering_items_, covering_off_);
-  flatten_rows(cc_sites, cc_sites_items_, cc_sites_off_);
-  flatten_rows(cc_ancestors, cc_anc_items_, cc_anc_off_);
 
   // Steady-state allocation discipline: size the undo arena for a deep
   // speculative excursion plus a healthy accepted-move history, and every
@@ -200,11 +184,9 @@ CostEngine::CostEngine(const AssignContext& ctx)
 }
 
 std::size_t CostEngine::array_index(const std::string& name) const {
-  auto it = array_index_.find(name);
-  if (it == array_index_.end()) {
-    throw std::invalid_argument("CostEngine: unknown array " + name);
-  }
-  return it->second;
+  const ir::ArrayDecl* array = ctx_.program.find_array(name);
+  if (!array) throw std::invalid_argument("CostEngine: unknown array " + name);
+  return static_cast<std::size_t>(array - ctx_.program.arrays().data());
 }
 
 void CostEngine::validate_copy(int cc_id, int layer) const {
@@ -233,12 +215,13 @@ void CostEngine::load(const Assignment& assignment) {
   // select_copy's push_back (and undo's re-insert) allocation-free for good.
   assignment_.copies.reserve(copy_layer_.size());
   assignment_dirty_ = false;
-  home_touched_.assign(array_names_.size(), 0);
+  const auto& arrays = ctx_.program.arrays();
+  home_touched_.assign(arrays.size(), 0);
   home_touched_list_.clear();
 
-  home_.resize(array_names_.size());
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
-    home_[a] = assignment_.layer_of(array_names_[a], background_);
+  home_.resize(arrays.size());
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    home_[a] = assignment_.layer_of(arrays[a].name, background_);
   }
 
   serving_cc_.assign(site_n_.size(), -1);
@@ -257,7 +240,7 @@ void CostEngine::load(const Assignment& assignment) {
 void CostEngine::sync_assignment() const {
   for (int a : home_touched_list_) {
     std::size_t idx = static_cast<std::size_t>(a);
-    assignment_.array_layer[array_names_[idx]] = home_[idx];
+    assignment_.array_layer[ctx_.program.arrays()[idx].name] = home_[idx];
   }
   assignment_dirty_ = false;
 }
@@ -429,7 +412,7 @@ CostEngine::Totals CostEngine::totals() const {
     }
   }
   const std::size_t Lp = static_cast<std::size_t>(num_layers_);
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
+  for (std::size_t a = 0; a < home_.size(); ++a) {
     int home = home_[a];
     if (home == background_) continue;
     std::size_t idx = a * Lp + static_cast<std::size_t>(home);
@@ -515,7 +498,7 @@ void CostEngine::score_select_candidates(const Objective& objective, const int* 
   // order.
   scr_pin_e_.clear();
   scr_pin_c_.clear();
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
+  for (std::size_t a = 0; a < home_.size(); ++a) {
     int home = home_[a];
     if (home == background_) continue;
     std::size_t idx = a * L + static_cast<std::size_t>(home);
@@ -614,7 +597,7 @@ CostEstimate CostEngine::cost() const {
     }
   }
   std::size_t bg = static_cast<std::size_t>(background_);
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
+  for (std::size_t a = 0; a < home_.size(); ++a) {
     int home = home_[a];
     if (home == background_) continue;
     std::size_t h = static_cast<std::size_t>(home);
@@ -670,7 +653,7 @@ std::pair<double, double> CostEngine::pinned_totals() const {
   double energy = 0.0;
   double cycles = 0.0;
   const std::size_t L = static_cast<std::size_t>(num_layers_);
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
+  for (std::size_t a = 0; a < home_.size(); ++a) {
     int home = home_[a];
     if (home == background_) continue;
     std::size_t idx = a * L + static_cast<std::size_t>(home);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,13 +37,16 @@ namespace mhla::assign {
 /// ## Data layout
 ///
 /// The hot paths are allocation-free in steady state and string-free
-/// throughout: array and candidate names are interned into dense integer ids
-/// at construction (the string overloads of `set_home` / `migrate_array` are
-/// setup-time shims that validate and forward to the id overloads), the
-/// site -> covering and candidate -> sites/ancestors maps are flattened into
-/// contiguous offset-indexed arrays (accessors return `core::IntSpan` views),
-/// and the undo journal lives in a reserve-once `core::ArenaStack` that
-/// rewinding never returns to the heap.
+/// throughout, and so is the construction: arrays are the dense ids the
+/// analyses already carry (`AccessSite::array_id`, `CopyCandidate::array_id`;
+/// the string overloads of `set_home` / `migrate_array` are setup-time shims
+/// that validate and forward to the id overloads).  A candidate's member
+/// sites are its covered sites, so the candidate -> sites rows are the
+/// member lists, each site's covering row (deepest first) is their inverse,
+/// and a candidate's ancestors are the tail of a member site's covering row
+/// after it.  All three are contiguous offset-indexed arrays (accessors
+/// return `core::IntSpan` views), and the undo journal lives in a
+/// reserve-once `core::ArenaStack` that rewinding never returns to the heap.
 ///
 /// ## Exactness contract
 ///
@@ -119,7 +121,7 @@ class CostEngine {
   /// Dense id of a declared array name (throws std::invalid_argument on
   /// unknown names).  Intern once at setup; move with the id overloads.
   std::size_t array_id(const std::string& name) const { return array_index(name); }
-  std::size_t num_arrays() const { return array_names_.size(); }
+  std::size_t num_arrays() const { return home_.size(); }
 
   // ------------------------------------------------------------ queries
   bool has_copy(int cc_id) const { return copy_layer_[static_cast<std::size_t>(cc_id)] >= 0; }
@@ -278,8 +280,8 @@ class CostEngine {
 
   core::IntSpan ancestors(int cc_id) const {
     std::size_t c = static_cast<std::size_t>(cc_id);
-    const int* base = cc_anc_items_.data();
-    return {base + cc_anc_off_[c], base + cc_anc_off_[c + 1]};
+    const int* base = covering_items_.data();
+    return {base + cc_anc_[c].first, base + cc_anc_[c].second};
   }
 
   void set_serving(std::size_t site, int cc_id);
@@ -308,16 +310,14 @@ class CostEngine {
   std::vector<i64> cc_elems_moved_;
   std::vector<int> cc_sites_items_;          ///< cc -> member site ids (CSR)
   std::vector<std::size_t> cc_sites_off_;    ///< size candidates + 1
-  std::vector<int> cc_anc_items_;            ///< cc -> ancestor ids, level desc (CSR)
-  std::vector<std::size_t> cc_anc_off_;      ///< size candidates + 1
+  /// cc -> ancestor ids, level desc: a [first, second) range of covering_items_
+  std::vector<std::pair<std::size_t, std::size_t>> cc_anc_;
   std::vector<std::size_t> cc_array_;          ///< cc -> array index
   std::vector<double> fill_energy_;    ///< [cc][src][dst]
   std::vector<double> wb_energy_;      ///< [cc][src][dst]
   std::vector<double> xfer_cycles_;    ///< [cc][src][dst] (per direction)
   std::vector<double> site_suffix_e_;  ///< [site][next_cc] suffix minima
   std::vector<double> site_suffix_c_;  ///< [site][next_cc]
-  std::vector<std::string> array_names_;          ///< array index -> name
-  std::map<std::string, std::size_t> array_index_;  ///< setup-time interning only
   std::vector<bool> array_input_;
   std::vector<bool> array_output_;
   std::vector<i64> array_elems_;

@@ -27,8 +27,6 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
   array_first_.assign(arrays.size(), 0);
   array_last_.assign(arrays.size(), -1);  // dead unless a live range says otherwise
   for (std::size_t a = 0; a < arrays.size(); ++a) {
-    array_names_.push_back(arrays[a].name);
-    array_index_.emplace(arrays[a].name, a);
     array_bytes_[a] = arrays[a].bytes();
     auto it = ctx_.live.find(arrays[a].name);
     if (it == ctx_.live.end() || analysis::is_dead(it->second)) continue;
@@ -54,11 +52,9 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
 }
 
 std::size_t FootprintTracker::array_index(const std::string& name) const {
-  auto it = array_index_.find(name);
-  if (it == array_index_.end()) {
-    throw std::invalid_argument("FootprintTracker: unknown array " + name);
-  }
-  return it->second;
+  const ir::ArrayDecl* array = ctx_.program.find_array(name);
+  if (!array) throw std::invalid_argument("FootprintTracker: unknown array " + name);
+  return static_cast<std::size_t>(array - ctx_.program.arrays().data());
 }
 
 void FootprintTracker::validate_copy(int cc_id, int layer) const {
@@ -115,9 +111,10 @@ void FootprintTracker::load(const Assignment& assignment,
   usage_.assign(static_cast<std::size_t>(num_layers_) * row_, 0);
   overfull_cells_ = 0;
 
-  home_.resize(array_names_.size());
-  for (std::size_t a = 0; a < array_names_.size(); ++a) {
-    home_[a] = assignment.layer_of(array_names_[a], background_);
+  const auto& arrays = ctx_.program.arrays();
+  home_.resize(arrays.size());
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    home_[a] = assignment.layer_of(arrays[a].name, background_);
     apply_array(a, home_[a], +1);
   }
 

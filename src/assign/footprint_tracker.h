@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -148,8 +147,6 @@ class FootprintTracker {
 
   // ---- assignment-independent precomputation
   std::vector<i64> layer_capacity_;  ///< per layer; <= 0 = unbounded
-  std::vector<std::string> array_names_;
-  std::map<std::string, std::size_t> array_index_;
   std::vector<i64> array_bytes_;
   std::vector<int> array_first_;  ///< clipped live span (first > last = dead)
   std::vector<int> array_last_;

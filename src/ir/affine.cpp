@@ -1,19 +1,49 @@
 #include "ir/affine.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
+#include "ir/checked.h"
+
 namespace mhla::ir {
+
+namespace {
+
+/// |value| without the overflow of negating INT64_MIN.
+std::uint64_t magnitude(i64 value) {
+  return value < 0 ? 0 - static_cast<std::uint64_t>(value) : static_cast<std::uint64_t>(value);
+}
+
+}  // namespace
 
 AffineExpr AffineExpr::variable(const std::string& var, i64 coef) {
   AffineExpr e;
-  if (coef != 0) e.terms_[var] = coef;
+  if (coef != 0) e.terms_.emplace_back(var, coef);
   return e;
 }
 
-i64 AffineExpr::coef(const std::string& var) const {
-  auto it = terms_.find(var);
-  return it == terms_.end() ? 0 : it->second;
+i64 AffineExpr::coef(std::string_view var) const {
+  for (const Term& term : terms_) {
+    if (term.first == var) return term.second;
+  }
+  return 0;
+}
+
+AffineExpr& AffineExpr::add_term(std::string_view var, i64 coef) {
+  auto it = std::lower_bound(terms_.begin(), terms_.end(), var,
+                             [](const Term& term, std::string_view v) { return term.first < v; });
+  if (it != terms_.end() && it->first == var) {
+    i64 merged = checked_add(it->second, coef);
+    if (merged == 0) {
+      terms_.erase(it);
+    } else {
+      it->second = merged;
+    }
+  } else if (coef != 0) {
+    terms_.emplace(it, std::string(var), coef);
+  }
+  return *this;
 }
 
 i64 AffineExpr::evaluate(const std::map<std::string, i64>& binding) const {
@@ -29,15 +59,8 @@ i64 AffineExpr::evaluate(const std::map<std::string, i64>& binding) const {
 }
 
 AffineExpr& AffineExpr::operator+=(const AffineExpr& rhs) {
-  constant_ += rhs.constant_;
-  for (const auto& [var, coef] : rhs.terms_) {
-    i64 merged = coef + this->coef(var);
-    if (merged == 0) {
-      terms_.erase(var);
-    } else {
-      terms_[var] = merged;
-    }
-  }
+  constant_ = checked_add(constant_, rhs.constant_);
+  for (const auto& [var, coef] : rhs.terms_) add_term(var, coef);
   return *this;
 }
 
@@ -53,8 +76,8 @@ AffineExpr& AffineExpr::operator*=(i64 scale) {
     constant_ = 0;
     return *this;
   }
-  constant_ *= scale;
-  for (auto& [var, coef] : terms_) coef *= scale;
+  constant_ = checked_mul(constant_, scale);
+  for (auto& [var, coef] : terms_) coef = checked_mul(coef, scale);
   return *this;
 }
 
@@ -68,7 +91,7 @@ std::string AffineExpr::to_string() const {
   for (const auto& [var, coef] : terms_) {
     if (!first) out << (coef < 0 ? " - " : " + ");
     if (first && coef < 0) out << "-";
-    i64 mag = coef < 0 ? -coef : coef;
+    std::uint64_t mag = magnitude(coef);
     if (mag != 1) out << mag << "*";
     out << var;
     first = false;
@@ -76,7 +99,7 @@ std::string AffineExpr::to_string() const {
   if (constant_ != 0 || first) {
     if (!first) out << (constant_ < 0 ? " - " : " + ");
     if (first && constant_ < 0) out << "-";
-    out << (constant_ < 0 ? -constant_ : constant_);
+    out << magnitude(constant_);
   }
   return out.str();
 }

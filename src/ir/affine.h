@@ -3,6 +3,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace mhla::ir {
 
@@ -14,9 +17,14 @@ using i64 = std::int64_t;
 ///
 /// This is the only index-expression form the MHLA analyses need: array
 /// subscripts in the supported application domain (multimedia loop nests)
-/// are affine in the enclosing loop iterators.  Value type, cheap to copy.
+/// are affine in the enclosing loop iterators.  Value type, cheap to copy:
+/// the terms are one small flat vector kept in variable-name order.
+///
+/// Arithmetic is checked: a coefficient or constant that would overflow
+/// i64 throws std::overflow_error instead of wrapping.
 class AffineExpr {
  public:
+  using Term = std::pair<std::string, i64>;
   /// The zero expression.
   AffineExpr() = default;
 
@@ -30,11 +38,14 @@ class AffineExpr {
   i64 constant() const { return constant_; }
 
   /// Coefficient of `var` (0 if absent).
-  i64 coef(const std::string& var) const;
+  i64 coef(std::string_view var) const;
 
   /// All (variable, coefficient) terms with non-zero coefficient,
   /// ordered by variable name.
-  const std::map<std::string, i64>& terms() const { return terms_; }
+  const std::vector<Term>& terms() const { return terms_; }
+
+  /// Add `coef * var` in place (no temporary expression).
+  AffineExpr& add_term(std::string_view var, i64 coef);
 
   /// True iff the expression has no variable terms.
   bool is_constant() const { return terms_.empty(); }
@@ -53,7 +64,7 @@ class AffineExpr {
   std::string to_string() const;
 
  private:
-  std::map<std::string, i64> terms_;
+  std::vector<Term> terms_;
   i64 constant_ = 0;
 };
 

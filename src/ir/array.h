@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "ir/affine.h"
+#include "ir/checked.h"
 
 namespace mhla::ir {
 
@@ -26,15 +26,16 @@ struct ArrayDecl {
   /// (e.g. the output bitstream).  Affects lifetime analysis.
   bool is_output = false;
 
-  /// Total number of elements.
+  /// Total number of elements.  Throws std::overflow_error if it does not
+  /// fit i64 (`Program::add_array` rejects such a declaration up front).
   i64 elems() const {
     i64 n = 1;
-    for (i64 d : dims) n *= d;
+    for (i64 d : dims) n = checked_mul(n, d);
     return n;
   }
 
-  /// Total size in bytes.
-  i64 bytes() const { return elems() * elem_bytes; }
+  /// Total size in bytes (checked like `elems`).
+  i64 bytes() const { return checked_mul(elems(), elem_bytes); }
 
   /// Number of dimensions.
   int rank() const { return static_cast<int>(dims.size()); }

@@ -9,6 +9,10 @@ const LoopNode& Node::as_loop() const {
   return static_cast<const LoopNode&>(*this);
 }
 
+void LoopNode::trip_overflow() const {
+  throw std::overflow_error("loop '" + iter_ + "': trip count overflows i64");
+}
+
 const StmtNode& Node::as_stmt() const {
   if (!is_stmt()) throw std::logic_error("Node::as_stmt called on a loop");
   return static_cast<const StmtNode&>(*this);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,16 +63,33 @@ class LoopNode final : public Node {
   i64 upper() const { return upper_; }  ///< exclusive
   i64 step() const { return step_; }
 
-  /// Number of iterations (0 if the range is empty).
+  /// Number of iterations (0 if the range is empty).  Throws
+  /// std::overflow_error if the count does not fit i64; `validate` reports
+  /// such a loop instead.
   i64 trip() const {
     if (upper_ <= lower_ || step_ <= 0) return 0;
-    return (upper_ - lower_ + step_ - 1) / step_;
+    // The unsigned span is exact even where upper - lower overflows i64.
+    std::uint64_t span = static_cast<std::uint64_t>(upper_) - static_cast<std::uint64_t>(lower_);
+    std::uint64_t step = static_cast<std::uint64_t>(step_);
+    std::uint64_t count = span / step + (span % step != 0 ? 1 : 0);
+    if (count > static_cast<std::uint64_t>(std::numeric_limits<i64>::max())) trip_overflow();
+    return static_cast<i64>(count);
+  }
+
+  /// Iterator value on the last iteration; requires trip() > 0.  It lies
+  /// in [lower, upper), so it fits i64 even where (trip-1)*step does not.
+  i64 last() const {
+    return static_cast<i64>(static_cast<std::uint64_t>(lower_) +
+                            static_cast<std::uint64_t>(trip() - 1) *
+                                static_cast<std::uint64_t>(step_));
   }
 
   const std::vector<NodePtr>& body() const { return body_; }
   void append(NodePtr child) { body_.push_back(std::move(child)); }
 
  private:
+  [[noreturn]] void trip_overflow() const;
+
   std::string iter_;
   i64 lower_;
   i64 upper_;

@@ -19,6 +19,12 @@ const ArrayDecl& Program::add_array(ArrayDecl decl) {
       throw std::invalid_argument("Program::add_array: non-positive extent in '" + decl.name + "'");
     }
   }
+  try {
+    (void)decl.bytes();
+  } catch (const std::overflow_error&) {
+    throw std::invalid_argument("Program::add_array: size of '" + decl.name +
+                                "' overflows i64");
+  }
   array_index_[decl.name] = arrays_.size();
   arrays_.push_back(std::move(decl));
   return arrays_.back();

@@ -22,7 +22,8 @@ class Program {
   const std::string& name() const { return name_; }
 
   /// Declare an array; returns a stable reference.
-  /// Throws std::invalid_argument on duplicate names or degenerate shapes.
+  /// Throws std::invalid_argument on duplicate names, degenerate shapes or
+  /// a byte size that overflows i64.
   const ArrayDecl& add_array(ArrayDecl decl);
 
   const std::vector<ArrayDecl>& arrays() const { return arrays_; }

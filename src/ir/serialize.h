@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "ir/program.h"
 
@@ -29,13 +30,17 @@ namespace mhla::ir {
 /// boundary (see DESIGN.md).
 std::string serialize(const Program& program);
 
-/// Parse the format back; throws std::invalid_argument with a line number
-/// on malformed input.  `serialize(parse_program(serialize(p)))` is the
-/// identity for every valid program.
-Program parse_program(const std::string& text);
+/// Parse the format back in one pass over `text`.  Every malformed input
+/// throws std::invalid_argument whose message names the line and column
+/// ("parse_program: line 3:14: ..."): bad syntax, a number that is not a
+/// whole base-10 token or does not fit i64, loops nested deeper than 256,
+/// and declarations `Program::add_array` rejects.
+/// `serialize(parse_program(serialize(p)))` is the identity for every valid
+/// program.
+Program parse_program(std::string_view text);
 
 /// Parse one affine expression, e.g. "16*by+y-3".  Exposed for tests.
-AffineExpr parse_affine(const std::string& text);
+AffineExpr parse_affine(std::string_view text);
 
 /// Serialize one affine expression in the compact format.
 std::string format_affine(const AffineExpr& expr);

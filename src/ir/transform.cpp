@@ -174,7 +174,7 @@ RelInterval relative_interval(const AffineExpr& expr, const LoopPath& path,
     i64 coef = expr.coef(loop->iter());
     if (coef == 0 || loop->trip() <= 0) continue;
     i64 first = loop->lower();
-    i64 last = loop->lower() + (loop->trip() - 1) * loop->step();
+    i64 last = loop->last();
     out.lo += std::min(coef * first, coef * last);
     out.hi += std::max(coef * first, coef * last);
   }

@@ -16,12 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
+#include "apps/registry.h"
 #include "assign/cost.h"
 #include "assign/cost_engine.h"
 #include "assign/footprint_tracker.h"
 #include "helpers.h"
+#include "ir/serialize.h"
 
 namespace mhla {
 namespace {
@@ -145,6 +149,29 @@ TEST(AllocRegression, FootprintTrackerSteadyStateMovesAreAllocationFree) {
   for (int i = 0; i < 200; ++i) cycle();
   EXPECT_EQ(testing::heap_allocations() - before, 0)
       << "tracker moves must stay allocation-free after the first cycle";
+}
+
+// The front end — parse_program plus make_workspace — runs once per design
+// cell.  Heap allocations per app, parent of the single-pass lexer and the
+// flat reuse partitions (line-based parser, string-keyed partitions and
+// affine terms): motion_estimation 599, qsdpcm 1525, mpeg2_encoder 1306,
+// cavity_detection 1119, jpeg_compress 799, wavelet 1619, conv_filter 409,
+// adpcm_coder 547, fft_filter 1281.  Each must stay at or below half that.
+TEST(AllocRegression, FrontEndAllocatesAtMostHalfTheLineParser) {
+  const std::map<std::string, long> parent = {
+      {"motion_estimation", 599}, {"qsdpcm", 1525},     {"mpeg2_encoder", 1306},
+      {"cavity_detection", 1119}, {"jpeg_compress", 799}, {"wavelet", 1619},
+      {"conv_filter", 409},       {"adpcm_coder", 547},  {"fft_filter", 1281}};
+  for (const apps::AppInfo& app : apps::all_apps()) {
+    std::string text = ir::serialize(app.build());
+    long before = testing::heap_allocations();
+    {
+      auto ws = core::make_workspace(ir::parse_program(text));
+      ASSERT_FALSE(ws->reuse().candidates().empty());
+    }
+    long allocations = testing::heap_allocations() - before;
+    EXPECT_LE(allocations, parent.at(app.name) / 2) << app.name;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "core/pipeline.h"
 #include "helpers.h"
 #include "ir/serialize.h"
@@ -37,6 +41,88 @@ TEST_P(SerializedPipeline, IdenticalOptimizationResults) {
 INSTANTIATE_TEST_SUITE_P(AllNine, SerializedPipeline, ::testing::ValuesIn(apps::all_apps()),
                          [](const ::testing::TestParamInfo<apps::AppInfo>& info) {
                            return info.param.name;
+                         });
+
+/// Preorder (program) position of every loop of `program`.
+std::map<const ir::LoopNode*, int> loop_positions(const ir::Program& program) {
+  std::map<const ir::LoopNode*, int> positions;
+  auto visit = [&](const auto& self, const ir::Node& node) -> void {
+    if (!node.is_loop()) return;
+    positions.emplace(&node.as_loop(), static_cast<int>(positions.size()));
+    for (const ir::NodePtr& child : node.as_loop().body()) self(self, *child);
+  };
+  for (const ir::NodePtr& top : program.top()) visit(visit, *top);
+  return positions;
+}
+
+/// Every field of every copy candidate, with the fixed loops named by their
+/// program position, so candidate lists of two copies compare as text.
+std::string describe_candidates(const core::Workspace& ws) {
+  std::map<const ir::LoopNode*, int> positions = loop_positions(ws.program());
+  std::ostringstream out;
+  for (const analysis::CopyCandidate& cc : ws.reuse().candidates()) {
+    out << cc.id << " " << cc.array << "#" << cc.array_id << " nest " << cc.nest << " level "
+        << cc.level << " elems " << cc.elems << " bytes " << cc.bytes << " transfers "
+        << cc.transfers << " per " << cc.elems_per_transfer << " r " << cc.reads_served << " w "
+        << cc.writes_served << " fill_free " << cc.fill_free << " sites";
+    for (int site : cc.site_ids) out << " " << site;
+    out << " prefix";
+    for (const ir::LoopNode* loop : cc.prefix) out << " " << positions.at(loop);
+    out << "\n";
+  }
+  return out.str();
+}
+
+// mpeg2_encoder, jpeg_compress and fft_filter have copy candidates that tie
+// on (array, nest, level) under sibling loops.  Their ids once followed the
+// heap addresses of those loops, so a built and a parsed copy of the same
+// program could number them differently — and anneal, which walks
+// candidates by id, then returned different results.
+class TiedCandidates : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TiedCandidates, IdsFollowProgramOrderNotAllocation) {
+  ir::Program built = apps::build_app(GetParam());
+  ir::Program parsed = ir::parse_program(ir::serialize(built));
+  auto ws_built = core::make_workspace(std::move(built), {}, {});
+  auto ws_parsed = core::make_workspace(std::move(parsed), {}, {});
+  EXPECT_EQ(describe_candidates(*ws_built), describe_candidates(*ws_parsed));
+
+  // Ties are ordered by the program position of the innermost fixed loop.
+  std::map<const ir::LoopNode*, int> positions = loop_positions(ws_built->program());
+  const auto& candidates = ws_built->reuse().candidates();
+  int ties = 0;
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const analysis::CopyCandidate& a = candidates[i - 1];
+    const analysis::CopyCandidate& b = candidates[i];
+    if (a.array != b.array || a.nest != b.nest || a.level != b.level) continue;
+    ++ties;
+    EXPECT_LT(positions.at(a.prefix.back()), positions.at(b.prefix.back())) << a.id;
+  }
+  EXPECT_GT(ties, 0) << "the app no longer has tied candidates";
+
+  core::PipelineConfig config;
+  config.strategy = "anneal";
+  core::Pipeline pipeline(config);
+  core::PipelineResult a = pipeline.run(*ws_built);
+  core::PipelineResult b = pipeline.run(*ws_parsed);
+  EXPECT_TRUE(a.search.assignment == b.search.assignment);
+  EXPECT_EQ(a.search.scalar, b.search.scalar);
+  EXPECT_EQ(a.search.evaluations, b.search.evaluations);
+  const sim::SimResult* pa[] = {&a.points.out_of_box, &a.points.mhla, &a.points.mhla_te,
+                                &a.points.ideal};
+  const sim::SimResult* pb[] = {&b.points.out_of_box, &b.points.mhla, &b.points.mhla_te,
+                                &b.points.ideal};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(pa[k]->total_cycles(), pb[k]->total_cycles()) << k;
+    EXPECT_EQ(pa[k]->energy_nj, pb[k]->energy_nj) << k;
+    EXPECT_EQ(pa[k]->stall_cycles, pb[k]->stall_cycles) << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreeApps, TiedCandidates,
+                         ::testing::Values("mpeg2_encoder", "jpeg_compress", "fft_filter"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
                          });
 
 TEST(TransformedPipeline, TilingPreservesBaselineSemantics) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace mhla::ir {
@@ -104,6 +105,25 @@ TEST(AffineExpr, ToStringComposite) {
 TEST(AffineExpr, NegativeEvaluation) {
   AffineExpr e = av("i", -4) + ac(2);
   EXPECT_EQ(e.evaluate({{"i", 3}}), -10);
+}
+
+TEST(AffineExpr, OverflowThrowsInsteadOfWrapping) {
+  EXPECT_THROW(av("i", INT64_MAX) + av("i"), std::overflow_error);
+  EXPECT_THROW(ac(INT64_MIN) - ac(1), std::overflow_error);
+  EXPECT_THROW(3 * av("i", INT64_MAX / 2), std::overflow_error);
+  EXPECT_THROW(-1 * ac(INT64_MIN), std::overflow_error);
+  EXPECT_EQ((av("i", INT64_MAX) + av("i", -1)).coef("i"), INT64_MAX - 1);
+}
+
+TEST(AffineExpr, TermsStayInNameOrder) {
+  AffineExpr e = av("z") + av("a", 2) + av("m", -3);
+  ASSERT_EQ(e.terms().size(), 3u);
+  EXPECT_EQ(e.terms()[0].first, "a");
+  EXPECT_EQ(e.terms()[1].first, "m");
+  EXPECT_EQ(e.terms()[2].first, "z");
+  EXPECT_EQ(e.to_string(), "2*a - 3*m + z");
+  e.add_term("m", 3);
+  EXPECT_EQ(e.to_string(), "2*a + z");
 }
 
 }  // namespace

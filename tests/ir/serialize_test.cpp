@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "apps/registry.h"
 #include "ir/builder.h"
 #include "ir/validate.h"
@@ -127,6 +130,97 @@ TEST(Parse, Rejections) {
   EXPECT_THROW(parse_program("program p\narray a 4 : elem 4 banana\n"), std::invalid_argument);
   EXPECT_THROW(
       parse_program("program p\nstmt s ops 1 {\n  jump a [0]\n}\n"), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `text` is rejected with; fails
+/// the test when it parses or throws anything else.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_program(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped parse error: " << e.what();
+    return "";
+  }
+  ADD_FAILURE() << "parsed: " << text;
+  return "";
+}
+
+/// `depth` loops nested around one statement.
+std::string nested_program(int depth) {
+  std::string text = "program deep\narray a 1 : elem 4\n";
+  for (int i = 0; i < depth; ++i) text += "loop i" + std::to_string(i) + " 0 1 1 {\n";
+  text += "stmt s ops 1 {\nread a [0]\n}\n";
+  for (int i = 0; i < depth; ++i) text += "}\n";
+  return text;
+}
+
+TEST(Parse, DeepNestingIsATypedErrorNotACrash) {
+  EXPECT_EQ(parse_program(nested_program(256)).top().size(), 1u);
+  EXPECT_NE(parse_error(nested_program(257)).find("line 259:1: loops nested deeper than 256"),
+            std::string::npos);
+  // The ~0.45 MB program that used to overflow the recursive parser's stack.
+  std::string huge = nested_program(20000);
+  EXPECT_GT(huge.size(), 400000u);
+  EXPECT_NE(parse_error(huge).find("nested deeper"), std::string::npos);
+}
+
+TEST(Parse, ErrorsNameLineAndColumn) {
+  EXPECT_NE(parse_error("program p\nloop i 0 4 1 {\n  bogus\n}\n")
+                .find("parse_program: line 3:3: expected loop/stmt, got 'bogus'"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\narray a 4 : elem 4 banana\n").find("line 2:20:"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\nstmt s ops 1 {\n  read a [i+]\n}\n").find("line 3:13:"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\n\n  loop i 0 4 1 {\n").find("line 3:3: unterminated loop"),
+            std::string::npos);
+  EXPECT_NE(parse_error("# nothing\n").find("line 1:1:"), std::string::npos);
+  EXPECT_NE(parse_error("program p\narray a 4 : elem 4\narray a 4 : elem 4\n")
+                .find("line 3:1: Program::add_array: duplicate array 'a'"),
+            std::string::npos);
+}
+
+TEST(Parse, OutOfRangeNumbersAreTypedErrors) {
+  const std::string big = "99999999999999999999";
+  EXPECT_NE(parse_error("program p\nloop i 0 " + big + " 1 {\n}\n").find("line 2:10:"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\narray a " + big + " : elem 4\n").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\nstmt s ops " + big + " {\n}\n").find("out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\nstmt s ops 1 {\nread a [" + big + "*i]\n}\n")
+                .find("line 3:9: number out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\nstmt s ops 1 {\nread a [0] x" + big + "\n}\n")
+                .find("out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_error("program p\nstmt s ops 1 {\nread a [9223372036854775807*i+i]\n}\n")
+                .find("coefficient out of range"),
+            std::string::npos);
+  // The extremes themselves still parse.
+  Program p = parse_program(
+      "program p\nloop i -9223372036854775808 9223372036854775807 1 {\n}\n");
+  EXPECT_EQ(p.top()[0]->as_loop().lower(), INT64_MIN);
+}
+
+TEST(Parse, PartialNumbersAreRejected) {
+  EXPECT_NE(parse_error("program p\nloop i 0 5abc 1 {\n}\n")
+                .find("line 2:10: expected loop upper bound, got '5abc'"),
+            std::string::npos);
+  parse_error("program p\narray a 4x : elem 4\n");
+  parse_error("program p\narray a 4 : elem 4.0\n");
+  parse_error("program p\nstmt s ops 0x10 {\n}\n");
+  parse_error("program p\nstmt s ops 1 {\nread a [0] x5abc\n}\n");
+  parse_error("program p\nloop i 0 +-5 1 {\n}\n");
+  // A leading sign is part of the number syntax, as before.
+  EXPECT_EQ(parse_program("program p\nloop i -2 +5 1 {\n}\n").top()[0]->as_loop().upper(), 5);
+}
+
+TEST(Parse, WhitespaceOnlyLinesAreBlank) {
+  Program p = parse_program("program p\n \r\n\v\n\t\f\r\narray a 4 : elem 4\r\n");
+  EXPECT_EQ(p.arrays().size(), 1u);
 }
 
 TEST(Parse, StmtWithoutBraceRejected) {

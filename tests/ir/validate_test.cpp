@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "ir/builder.h"
 
@@ -140,6 +142,68 @@ TEST(Validate, AllNineAppsPassValidation) {
   pb.stmt("s", 1).read("a", {av("i")});
   pb.end_loop();
   EXPECT_NO_THROW(validate_or_throw(pb.finish()));
+}
+
+bool any_issue_mentions(const Program& program, const std::string& needle) {
+  for (const ValidationIssue& issue : validate(program)) {
+    if (issue.message.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(Validate, SubscriptRangeThatWrapsIsRejected) {
+  // 2^62 * 4 wraps to 0 in i64, so unchecked arithmetic saw the range
+  // [0, 0] and accepted the access.
+  ProgramBuilder pb("p");
+  pb.array("a", {16}, 4);
+  pb.begin_loop("i", 0, 5);
+  pb.stmt("s", 1).read("a", {av("i", INT64_C(4611686018427387904))});
+  pb.end_loop();
+  Program p = pb.finish();
+  EXPECT_TRUE(any_issue_mentions(p, "overflows i64")) << validate(p).size();
+  EXPECT_THROW(validate_or_throw(p), std::invalid_argument);
+}
+
+TEST(Validate, IterationCountOverflowIsRejected) {
+  // Three loops of 2^22 trips: each subscript is in range, but the 2^66
+  // dynamic accesses do not fit i64.
+  ProgramBuilder pb("p");
+  pb.array("a", {4194304}, 1);
+  pb.begin_loop("i", 0, 4194304);
+  pb.begin_loop("j", 0, 4194304);
+  pb.begin_loop("k", 0, 4194304);
+  pb.stmt("s", 1).read("a", {av("k")});
+  pb.end_loop();
+  pb.end_loop();
+  pb.end_loop();
+  EXPECT_TRUE(any_issue_mentions(pb.finish(), "iteration count overflows i64"));
+}
+
+TEST(Validate, TripCountOverflowIsRejected) {
+  LoopNode whole("i", INT64_MIN, INT64_MAX, 1);
+  EXPECT_THROW(whole.trip(), std::overflow_error);
+  // The span overflows i64 but the count does not: counted exactly.
+  LoopNode wide("i", -6'000'000'000'000'000'000, 6'000'000'000'000'000'000,
+                2'000'000'000'000'000'000);
+  EXPECT_EQ(wide.trip(), 6);
+  EXPECT_EQ(wide.last(), 4'000'000'000'000'000'000);
+
+  ProgramBuilder pb("p");
+  pb.array("a", {4}, 4);
+  pb.begin_loop("i", INT64_MIN, INT64_MAX);
+  pb.stmt("s", 1).read("a", {ac(0)});
+  pb.end_loop();
+  EXPECT_TRUE(any_issue_mentions(pb.finish(), "trip count that overflows i64"));
+}
+
+TEST(Validate, ArraySizeOverflowIsRejectedAtDeclaration) {
+  Program p("p");
+  ArrayDecl huge{"huge", {INT64_C(4294967296), INT64_C(4294967296)}, 1};
+  EXPECT_THROW(huge.elems(), std::overflow_error);
+  EXPECT_THROW(p.add_array(huge), std::invalid_argument);
+  ArrayDecl wide{"wide", {INT64_C(4611686018427387904)}, 4};
+  EXPECT_THROW(p.add_array(wide), std::invalid_argument);
+  EXPECT_TRUE(p.arrays().empty());
 }
 
 }  // namespace
