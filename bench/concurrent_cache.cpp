@@ -1,7 +1,8 @@
 // Concurrent result-cache throughput: how the sharded, lock-striped
-// ConcurrentResultCache behind mhla_serve scales with reader/writer threads,
-// against the single-mutex alternative it replaces (one ResultCache behind
-// one lock), and what bounded LRU eviction costs on the insert path.
+// ResultCache behind mhla_serve scales with reader/writer threads, against
+// the single-mutex alternative (the same cache with one shard, so every
+// operation takes one lock), and what bounded LRU eviction costs on the
+// insert path.
 //
 // The interesting comparisons:
 //   * Lookup/Insert at ->Threads(1..8): per-op time should stay roughly flat
@@ -9,17 +10,16 @@
 //     GlobalLock variants serialize and degrade.
 //   * BoundedInsert vs Insert: the eviction bookkeeping (LRU splice + floor
 //     CAS) on every insert past the cap.
-//   * Snapshot: the periodic persister's pause — what save_if_dirty pays
+//   * Serialize: the periodic persister's pause — what save_if_dirty pays
 //     before any I/O happens.
 
 #include "bench_common.h"
 
 #include <chrono>
-#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "explore/concurrent_cache.h"
+#include "explore/cache.h"
 
 namespace {
 
@@ -47,7 +47,7 @@ std::uint64_t nth_key(int thread, std::uint64_t i) {
 }
 
 void ConcurrentCacheLookup(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache;
+  static xplore::ResultCache cache;
   if (state.thread_index() == 0) {
     for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
   }
@@ -61,7 +61,7 @@ void ConcurrentCacheLookup(benchmark::State& state) {
 BENCHMARK(ConcurrentCacheLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 void ConcurrentCacheInsert(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache;
+  static xplore::ResultCache cache;
   std::uint64_t i = 0;
   for (auto _ : state) {
     std::uint64_t key = nth_key(state.thread_index(), i++);
@@ -74,7 +74,7 @@ BENCHMARK(ConcurrentCacheInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8)
 /// Bounded cache under eviction pressure: cap at half the working set, so
 /// roughly every other insert pays the LRU eviction + floor CAS.
 void ConcurrentCacheBoundedInsert(benchmark::State& state) {
-  static xplore::ConcurrentResultCache cache(
+  static xplore::ResultCache cache(
       {/*max_entries=*/kWorkingSet / 2, /*evict_floor=*/kWorkingSet / 4});
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -85,55 +85,45 @@ void ConcurrentCacheBoundedInsert(benchmark::State& state) {
 }
 BENCHMARK(ConcurrentCacheBoundedInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
-/// The baseline the striping replaces: the single-threaded ResultCache
-/// behind one global mutex.
-struct GlobalLockCache {
-  std::mutex mu;
-  xplore::ResultCache cache;
-};
-
+/// The baseline the striping replaces: one shard, so every operation
+/// serializes on one mutex.
 void GlobalLockLookup(benchmark::State& state) {
-  static GlobalLockCache locked;
+  static xplore::ResultCache cache({}, /*shard_count=*/1);
   if (state.thread_index() == 0) {
-    std::lock_guard<std::mutex> lock(locked.mu);
-    for (std::uint64_t key = 0; key < kWorkingSet; ++key) {
-      locked.cache.insert(key, entry_for(key));
-    }
+    for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
   }
   std::uint64_t i = 0;
   CacheEntry out;
   for (auto _ : state) {
-    std::lock_guard<std::mutex> lock(locked.mu);
-    benchmark::DoNotOptimize(locked.cache.lookup(nth_key(state.thread_index(), i++), out));
+    benchmark::DoNotOptimize(cache.lookup(nth_key(state.thread_index(), i++), out));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(GlobalLockLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 void GlobalLockInsert(benchmark::State& state) {
-  static GlobalLockCache locked;
+  static xplore::ResultCache cache({}, /*shard_count=*/1);
   std::uint64_t i = 0;
   for (auto _ : state) {
     std::uint64_t key = nth_key(state.thread_index(), i++);
-    std::lock_guard<std::mutex> lock(locked.mu);
-    benchmark::DoNotOptimize(locked.cache.insert(key, entry_for(key)));
+    benchmark::DoNotOptimize(cache.insert(key, entry_for(key)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(GlobalLockInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
-/// The persister's synchronous cost: snapshotting every shard into the
-/// plain ResultCache that the crash-safe saver serializes.
-void ConcurrentCacheSnapshot(benchmark::State& state) {
-  xplore::ConcurrentResultCache cache;
+/// The persister's synchronous cost: copying every shard out and rendering
+/// the sorted document the crash-safe saver writes.
+void ConcurrentCacheSerialize(benchmark::State& state) {
+  xplore::ResultCache cache;
   for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
   for (auto _ : state) {
-    xplore::ResultCache snapshot = cache.snapshot();
-    benchmark::DoNotOptimize(snapshot.size());
+    std::string document = cache.to_json();
+    benchmark::DoNotOptimize(document.size());
   }
   state.SetItemsProcessed(state.iterations() * kWorkingSet);
 }
-BENCHMARK(ConcurrentCacheSnapshot);
+BENCHMARK(ConcurrentCacheSerialize);
 
 /// One-shot scaling table: mixed lookup/insert operations per second over
 /// thread counts, sharded vs global-lock — the headline number that
@@ -158,11 +148,11 @@ void print_scaling_report() {
       "Concurrent result-cache scaling (mhla_serve hot path)",
       "lock-striped shards keep cache throughput flat as server workers grow");
 
-  xplore::ConcurrentResultCache sharded;
-  GlobalLockCache global;
+  xplore::ResultCache sharded;
+  xplore::ResultCache global({}, /*shard_count=*/1);
   for (std::uint64_t key = 0; key < kWorkingSet; ++key) {
     sharded.insert(key, entry_for(key));
-    global.cache.insert(key, entry_for(key));
+    global.insert(key, entry_for(key));
   }
 
   std::printf("%8s  %18s  %18s  %8s\n", "threads", "sharded ops/s", "global-lock ops/s",
@@ -180,11 +170,10 @@ void print_scaling_report() {
     double global_rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
       CacheEntry out;
       std::uint64_t key = nth_key(t, i);
-      std::lock_guard<std::mutex> lock(global.mu);
       if (i % 8 == 0) {
-        global.cache.insert(key, entry_for(key));
+        global.insert(key, entry_for(key));
       } else {
-        benchmark::DoNotOptimize(global.cache.lookup(key, out));
+        benchmark::DoNotOptimize(global.lookup(key, out));
       }
     });
     std::printf("%8d  %18.0f  %18.0f  %7.2fx\n", threads, shard_rate, global_rate,

@@ -7,8 +7,8 @@
 //   mhla_serve [--host <ipv4>] [--port <n>] [--port-file <path>]
 //              [--workers <n>] [--cache <file.json>]
 //              [--persist-interval <seconds>] [--cache-max-entries <n>]
-//              [--cache-evict-floor <n>] [--cache-shards <n>]
-//              [--stats-interval <seconds>] [--job-retention <n>]
+//              [--cache-evict-floor <n>] [--stats-interval <seconds>]
+//              [--job-retention <n>]
 //
 // Options:
 //   --host <ipv4>             bind address (default 127.0.0.1)
@@ -24,7 +24,6 @@
 //                             shutdown (default 0)
 //   --cache-max-entries <n>   bound on resident cache entries (0 = unbounded)
 //   --cache-evict-floor <n>   eviction never drops the cache below this
-//   --cache-shards <n>        lock stripes (rounded up to a power of two)
 //   --stats-interval <s>      broadcast a `stats` metrics event every <s>
 //                             seconds to connections subscribed via
 //                             {"cmd":"metrics","stream":true}; 0 disables
@@ -65,8 +64,7 @@ int usage(const char* argv0) {
             << " [--host <ipv4>] [--port <n>] [--port-file <path>] [--workers <n>]\n"
                "       [--cache <file.json>] [--persist-interval <seconds>]\n"
                "       [--cache-max-entries <n>] [--cache-evict-floor <n>]\n"
-               "       [--cache-shards <n>] [--stats-interval <seconds>]\n"
-               "       [--job-retention <n>]\n\n"
+               "       [--stats-interval <seconds>] [--job-retention <n>]\n\n"
                "exit codes: 0 clean shutdown, 2 usage, 3 validation, 5 I/O\n";
   return 2;
 }
@@ -125,10 +123,6 @@ int main(int argc, char** argv) {
         long long n = std::stoll(next());
         if (n < 0) throw std::invalid_argument("--cache-evict-floor must be >= 0");
         config.cache_bounds.evict_floor = static_cast<std::size_t>(n);
-      } else if (arg == "--cache-shards") {
-        long long n = std::stoll(next());
-        if (n < 0) throw std::invalid_argument("--cache-shards must be >= 0");
-        config.cache_shards = static_cast<std::size_t>(n);
       } else if (arg == "--job-retention") {
         long long n = std::stoll(next());
         if (n < 0) throw std::invalid_argument("--job-retention must be >= 0");

@@ -246,24 +246,20 @@ bool parse_args(int argc, char** argv, Options& options) {
 int run_cache_merge(const Options& options) {
   const std::string& out_path = options.cache_merge.front();
   // An existing output participates in the merge, so repeated invocations
-  // accumulate instead of overwriting earlier shards.
+  // accumulate instead of overwriting earlier shards; each later shard wins
+  // on key collisions.
   xplore::ResultCache merged;
-  if (std::filesystem::exists(out_path)) {
-    xplore::ResultCache::LoadReport report;
-    merged = xplore::ResultCache::load(out_path, report);
-    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
-  }
+  xplore::ResultCache::LoadReport report = merged.load(out_path);
+  if (!report.clean) std::cerr << "warning: " << report.message << "\n";
   std::size_t adopted = 0;
   for (std::size_t i = 1; i < options.cache_merge.size(); ++i) {
     const std::string& shard_path = options.cache_merge[i];
     if (!std::filesystem::exists(shard_path)) {
       throw std::invalid_argument("cache shard '" + shard_path + "' does not exist");
     }
-    xplore::ResultCache::LoadReport report;
-    xplore::ResultCache shard = xplore::ResultCache::load(shard_path, report);
+    report = merged.load(shard_path);
     if (!report.clean) std::cerr << "warning: " << report.message << "\n";
-    adopted += shard.size();
-    merged.merge_from(shard);
+    adopted += report.entries;
   }
   merged.save(out_path);  // crash-safe: temp + fsync + atomic rename
   std::cout << "merged " << (options.cache_merge.size() - 1) << " shards (" << adopted

@@ -1,11 +1,19 @@
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "assign/search_status.h"
 #include "explore/pareto.h"
+#include "obs/metrics.h"
 
 namespace mhla::xplore {
 
@@ -48,12 +56,10 @@ inline bool cacheable_status(assign::SearchStatus status) {
 }
 
 /// Minimal store interface the explorer runs against: copy-out lookup and
-/// guarded insert.  Implemented by the single-threaded `ResultCache` (batch
-/// drivers, file round-trip) and the sharded `ConcurrentResultCache`
-/// (explore/concurrent_cache.h, the server's process-wide cache).  Lookup
-/// copies the entry out instead of returning a pointer on purpose: a
-/// concurrent implementation may evict or move the node the moment its
-/// shard lock drops.
+/// guarded insert.  Implemented by `ResultCache`; benches wrap it to time
+/// every call.  Lookup copies the entry out instead of returning a pointer
+/// on purpose: a concurrent implementation may evict or move the node the
+/// moment its shard lock drops.
 class ResultStore {
  public:
   virtual ~ResultStore() = default;
@@ -68,38 +74,61 @@ class ResultStore {
   virtual bool insert(std::uint64_t key, CacheEntry entry) = 0;
 };
 
-/// Persistent store of evaluated design-space cells (see explore/explorer.h),
-/// JSON on disk.  One entry per canonical key carries the cell coordinates
-/// (for human inspection and report tooling) and the measured cost pair,
-/// emitted with max_digits10 so a reloaded entry reproduces the evaluated
-/// doubles bit for bit — a warm re-exploration returns the identical
-/// frontier with zero pipeline runs.
+/// Capacity policy of a ResultCache.  `max_entries` is enforced per shard
+/// (at most ceil(max/shards) each), so the global count can overshoot by at
+/// most one entry per shard under a skewed key distribution.  `evict_floor`
+/// is the hard lower guarantee: eviction never shrinks the cache below it,
+/// so a reader cannot find a warm cache drained mid-lookup by a concurrent
+/// eviction storm.  A floor above the cap raises the cap to the floor.
+struct CacheBounds {
+  std::size_t max_entries = 0;  ///< 0 = unbounded (no eviction)
+  std::size_t evict_floor = 0;  ///< eviction never drops the count below this
+
+  friend bool operator==(const CacheBounds&, const CacheBounds&) = default;
+};
+
+/// Counters of a ResultCache, for the server's `cache_stats` protocol verb
+/// and the bench harness.  Monotonic except `entries`.
+struct CacheStats {
+  std::size_t entries = 0;
+  std::size_t shards = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t insertions = 0;  ///< accepted inserts (including overwrites)
+  std::uint64_t rejected = 0;    ///< inserts refused by the status guard
+  std::uint64_t evictions = 0;
+  std::uint64_t saves = 0;       ///< completed persistence passes
+};
+
+/// The result cache of evaluated design-space cells (see explore/explorer.h):
+/// one in-memory store for the batch drivers and `mhla_serve`, persisted as
+/// a JSON document.
 ///
-/// Single-writer by design: `load` + `save` rewrite the whole document.
-/// Concurrent explorations over one file should shard to distinct paths and
-/// merge afterwards (`merge_from`, or `mhla_tool --cache-merge`); a single
-/// process that wants concurrent readers/writers over one in-memory cache
-/// uses `ConcurrentResultCache` instead.
-///
-/// Crash safety: `save` stages the document in a temp file, flushes it to
-/// stable storage (fsync) and atomically renames it over the target, so a
-/// crash at any point leaves either the complete old document or the
-/// complete new one — never a truncated mix.  `load` in turn never throws
-/// the warm results away on a malformed document: it salvages every
-/// well-formed entry line, quarantines the damaged original next to the
-/// cache (".quarantine") and reports what happened (see LoadReport).
+///  * **Sharding.**  Keys are spread over a power-of-two number of shards
+///    (mixed first — cache keys are already FNV hashes, but the mix keeps
+///    adversarial key sets from serializing on one stripe).  Each shard is
+///    an unordered map plus an LRU list behind its own mutex, so concurrent
+///    lookups and inserts on different shards never contend.
+///  * **Bounds + LRU eviction.**  See CacheBounds.  An insert that pushes its
+///    shard over the per-shard cap evicts from that shard's cold tail; each
+///    eviction claims its decrement of the global size with a
+///    compare-exchange that refuses to cross `evict_floor`.
+///  * **Persistence.**  Crash-safe `save` (see below); a `load` that finds a
+///    malformed document salvages every intact entry line and quarantines
+///    the original.  Every accepted insert marks the cache dirty and a
+///    completed save marks it clean.  A clean current-version load into an
+///    empty cache leaves it clean; a salvaged or stale load leaves it dirty,
+///    so the next `save_if_dirty` repairs the document.  Batch drivers and
+///    the server all finish with `save_if_dirty`.
 class ResultCache : public ResultStore {
  public:
   using Entry = CacheEntry;
 
-  /// What load() found on disk.  `clean` is true for a missing file or a
-  /// well-formed current-version document.  On a malformed document it is
-  /// false, `salvaged` counts the entries recovered from the wreckage, and
-  /// `quarantine_path` names where the damaged original was preserved.  On a
-  /// well-formed document of an older format version it is false and
-  /// nothing is kept (its keys can never hit).  `message` is the
-  /// human-readable warning (also printed to stderr by the one-argument
-  /// overload).
+  /// What load() found on disk.  `clean`: a missing file or a well-formed
+  /// current-version document.  A malformed document sets `salvaged` (the
+  /// entries recovered) and `quarantine_path`; a stale-version one keeps
+  /// nothing (its keys can never hit).  `entries` counts the document
+  /// entries the cache accepted; `message` is the warning to print.
   struct LoadReport {
     bool clean = true;
     std::size_t entries = 0;
@@ -108,42 +137,86 @@ class ResultCache : public ResultStore {
     std::string message;
   };
 
-  /// Load from `path`.  A missing file is an empty cache; an existing but
-  /// unreadable file throws std::runtime_error (proceeding cold would
-  /// truncate the warm entries on the next save); a malformed document is
-  /// salvaged entry by entry instead of throwing — the damaged original is
-  /// quarantined — and a stale-version document loads empty; either way a
-  /// warning goes to stderr (one-argument overload) or into `report`.
-  static ResultCache load(const std::string& path);
-  static ResultCache load(const std::string& path, LoadReport& report);
+  /// 16 shards by default.  `shard_count` is rounded up to a power of two;
+  /// tests pass 1 to make the LRU order globally observable, and
+  /// `bench_concurrent_cache` to time one global lock.
+  explicit ResultCache(CacheBounds bounds = {}, std::size_t shard_count = 16);
 
-  /// Rewrite `path` with every entry (sorted by key — byte-stable output)
-  /// via temp file + fsync + atomic rename: a previously persisted document
-  /// survives any mid-save crash or failure intact.  Throws
-  /// std::runtime_error when the file cannot be written (the temp file is
-  /// cleaned up and the target left untouched).
-  void save(const std::string& path) const;
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
-  /// JSON round-trip used by load/save; exposed for tests and tooling.
-  /// A well-formed document of an older format version throws
-  /// std::invalid_argument naming its version ("stale cache version ...").
-  static ResultCache from_json(const std::string& text);
-  std::string to_json(int indent = 0) const;
-
-  const Entry* find(std::uint64_t key) const;
-
-  /// ResultStore interface (copy-out lookup; status-guarded insert).
+  /// ResultStore interface.  `lookup` copies the entry out under the shard
+  /// lock and bumps its recency; `insert` applies the status guard, then
+  /// stores (last write wins) and evicts the shard's LRU tail past the cap.
   bool lookup(std::uint64_t key, CacheEntry& out) override;
   bool insert(std::uint64_t key, CacheEntry entry) override;
 
-  /// Adopt every cacheable entry of `other` (other wins on key collisions).
-  void merge_from(const ResultCache& other);
+  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  CacheStats stats() const;
 
-  std::size_t size() const { return entries_.size(); }
-  const std::map<std::uint64_t, Entry>& entries() const { return entries_; }
+  /// Expose the counters as `<prefix>.hits`, `.misses`, `.insertions`,
+  /// `.rejected`, `.evictions`, `.saves` and the gauge `.entries`, read from
+  /// the lock-free cells `stats()` sums, so the two never drift apart.
+  /// Returns the source id; `remove_source` it before destroying the cache.
+  std::uint64_t register_metrics(obs::Registry& registry, std::string prefix) const;
+
+  /// Point-in-time copy of every entry, sorted by key (shards are copied
+  /// one at a time).
+  std::vector<std::pair<std::uint64_t, Entry>> entries() const;
+
+  /// Merge the document at `path` into this cache; the document wins on key
+  /// collisions, so shards converge by loading them all into one cache
+  /// (`mhla_tool --cache-merge`).  A missing file adds nothing; an existing
+  /// but unreadable one throws std::runtime_error (proceeding cold would
+  /// truncate the warm entries on the next save).
+  LoadReport load(const std::string& path);
+
+  /// Rewrite `path` with every entry via temp file + fsync + atomic rename,
+  /// so a mid-save crash or failure leaves the previous document intact
+  /// (throws std::runtime_error).  `save_if_dirty` skips a clean cache and
+  /// returns whether it saved.  Saves are serialized internally.
+  void save(const std::string& path) const { persist(path, false); }
+  bool save_if_dirty(const std::string& path) const { return persist(path, true); }
+
+  /// The document `save` writes (version 3, entries sorted by key).
+  std::string to_json() const;
 
  private:
-  std::map<std::uint64_t, Entry> entries_;
+  struct Node {
+    CacheEntry entry;
+    std::list<std::uint64_t>::iterator lru_it;
+  };
+  struct Shard {
+    std::mutex mu;
+    std::unordered_map<std::uint64_t, Node> map;
+    std::list<std::uint64_t> lru;  ///< front = most recently used
+    // Lock-free, so `stats()` and a registered metrics source read the
+    // same cells without taking the shard lock.
+    obs::Counter hits;
+    obs::Counter misses;
+    obs::Counter evictions;
+  };
+
+  Shard& shard_of(std::uint64_t key) const;
+
+  /// Claim one eviction against the global size without ever crossing the
+  /// floor; false when the floor (or an empty cache) forbids it.
+  bool claim_eviction();
+
+  /// The one body of save and save_if_dirty.
+  bool persist(const std::string& path, bool only_if_dirty) const;
+
+  CacheBounds bounds_;
+  std::size_t per_shard_cap_ = 0;  ///< 0 = unbounded
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::size_t> size_{0};
+  obs::Counter insertions_;
+  obs::Counter rejected_;
+  std::atomic<std::uint64_t> version_{0};  ///< bumped on every accepted mutation
+
+  mutable std::mutex save_mu_;
+  mutable std::uint64_t saved_version_ = 0;  ///< guarded by save_mu_
+  mutable obs::Counter saves_;               ///< readable lock-free
 };
 
 }  // namespace mhla::xplore

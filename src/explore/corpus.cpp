@@ -1,5 +1,6 @@
 #include "explore/corpus.h"
 
+#include <iostream>
 #include <sstream>
 #include <utility>
 
@@ -11,11 +12,15 @@ namespace mhla::xplore {
 
 CorpusResult explore_corpus(const CorpusConfig& config) {
   // One cache for the whole corpus: load once, thread it through every
-  // run, write back once (and only if anything was evaluated).
-  const std::string& cache_path = config.explorer.cache_path;
-  ResultCache cache = cache_path.empty() ? ResultCache{} : ResultCache::load(cache_path);
+  // run, write back once (and only if anything changed).
+  ResultCache cache;
+  const std::string& path = config.explorer.cache_path;
+  if (!path.empty()) {
+    ResultCache::LoadReport report = cache.load(path);
+    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
+  }
   CorpusResult result = explore_corpus(config, cache);
-  if (!cache_path.empty() && result.evaluations > 0) cache.save(cache_path);
+  if (!path.empty()) cache.save_if_dirty(path);
   return result;
 }
 

@@ -38,14 +38,16 @@ struct CorpusResult {
 
 /// Explore every corpus member with one Explorer configuration.  Programs
 /// run sequentially (each exploration parallelizes internally), sharing the
-/// persistent result cache when `explorer.cache_path` is set, so repeated
-/// corpus runs skip every previously evaluated cell.
+/// persistent result cache when `explorer.cache_path` is set (loaded once,
+/// written back once with `save_if_dirty`), so repeated corpus runs skip
+/// every previously evaluated cell.
 CorpusResult explore_corpus(const CorpusConfig& config);
 
 /// Same, against a caller-owned store (no file I/O; `explorer.cache_path`
 /// is ignored).  This is the distributed form: N workers or N servers each
-/// drive a corpus against their own ConcurrentResultCache and converge by
-/// merging shards (`merge_from`, `mhla_tool --cache-merge`).
+/// drive a corpus against their own ResultCache, save it as a shard, and
+/// converge by loading every shard into one cache (`mhla_tool
+/// --cache-merge`).
 CorpusResult explore_corpus(const CorpusConfig& config, ResultStore& cache);
 
 /// Combined frontier report, one object per program.

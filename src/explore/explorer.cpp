@@ -1,6 +1,7 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
+#include <iostream>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -149,11 +150,15 @@ CellOutcome evaluate_cell(const core::Workspace& workspace, const core::Pipeline
 }
 
 ExploreResult Explorer::run(ir::Program program) const {
-  ResultCache cache =
-      config_.cache_path.empty() ? ResultCache{} : ResultCache::load(config_.cache_path);
+  ResultCache cache;
+  const std::string& path = config_.cache_path;
+  if (!path.empty()) {
+    ResultCache::LoadReport report = cache.load(path);
+    if (!report.clean) std::cerr << "warning: " << report.message << "\n";
+  }
   ExploreResult result = run(std::move(program), cache);
-  // Only evaluations add entries; a fully-warm replay leaves the file alone.
-  if (!config_.cache_path.empty() && result.evaluations > 0) cache.save(config_.cache_path);
+  // A fully-warm replay of a clean document leaves the file alone.
+  if (!path.empty()) cache.save_if_dirty(path);
   return result;
 }
 

@@ -131,14 +131,15 @@ class Explorer {
   const ExplorerConfig& config() const { return config_; }
 
   /// Explore with the persistent cache at `config().cache_path`: loaded
-  /// before the run, written back after it when anything was evaluated.
-  /// Throws what `core::make_workspace` throws for an invalid program.
+  /// before the run (a non-clean load report goes to stderr), written back
+  /// after it with `save_if_dirty`.  Throws what `core::make_workspace`
+  /// throws for an invalid program.
   ExploreResult run(ir::Program program) const;
 
   /// Explore against a caller-owned store (no file I/O).  Batch drivers
   /// load a ResultCache once, thread it through many runs, and save once;
-  /// the server threads its process-wide ConcurrentResultCache through
-  /// every job the same way.
+  /// the server threads its process-wide ResultCache through every job the
+  /// same way.
   ExploreResult run(ir::Program program, ResultStore& cache) const;
 
  private:

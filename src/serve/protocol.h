@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "explore/concurrent_cache.h"
+#include "explore/cache.h"
 #include "explore/explorer.h"
 
 namespace mhla::serve {
@@ -85,7 +85,7 @@ std::string to_json(const Request& request);
 ///                 status, certified gap and the measured cost pair,
 ///                 explore carries the exploration counters)
 ///   status      — {"event":"status","jobs":[{"job":N,"command":..,"state":..}]}
-///   cache_stats — the ConcurrentResultCache counters
+///   cache_stats — the ResultCache counters
 ///   cancelled   — cancel acknowledgement ({"found":false} for unknown jobs)
 ///   shutdown    — shutdown acknowledgement
 ///   error       — {"event":"error","message":...}

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "explore/concurrent_cache.h"
+#include "explore/cache.h"
 #include "serve/job_queue.h"
 #include "serve/socket.h"
 
@@ -33,7 +33,6 @@ struct ServerConfig {
   double persist_interval_seconds = 0.0;
 
   xplore::CacheBounds cache_bounds;
-  std::size_t cache_shards = 0;  ///< 0 = ConcurrentResultCache default
 
   /// Period of the `stats` event broadcast to connections that subscribed
   /// via `{"cmd":"metrics","stream":true}`; <= 0 disables the broadcaster
@@ -52,7 +51,7 @@ struct ServerConfig {
 /// Threads: one acceptor, one reader per connection (the Session, which is
 /// also the job's event sink), `config.workers` job workers draining one
 /// JobQueue, and an optional periodic persister.  All jobs share the one
-/// process-wide ConcurrentResultCache, so a submit is answered from cache
+/// process-wide ResultCache, so a submit is answered from cache
 /// when any earlier job — submit or explore — evaluated the same design
 /// point (see xplore::design_cache_key).
 ///
@@ -75,7 +74,7 @@ class Server {
 
   int port() const { return listener_.port(); }
   const ServerConfig& config() const { return config_; }
-  xplore::ConcurrentResultCache& cache() { return cache_; }
+  xplore::ResultCache& cache() { return cache_; }
 
   /// The metrics the `metrics`/`stats` events report, read from the live
   /// cells every other surface uses: the queue's gauge/counters, the cache's
@@ -120,7 +119,7 @@ class Server {
   void run_explore(Job& job);
 
   ServerConfig config_;
-  xplore::ConcurrentResultCache cache_;
+  xplore::ResultCache cache_;
   Listener listener_;
   JobQueue queue_;
 

@@ -1,4 +1,4 @@
-#include "explore/concurrent_cache.h"
+#include "explore/cache.h"
 
 #include <gtest/gtest.h>
 
@@ -57,57 +57,51 @@ TEST(CacheStatusGuard, ResultCacheRefusesNonCompletedResults) {
   EXPECT_FALSE(cache.insert(3, entry_for(3, assign::SearchStatus::BudgetExhausted)));
   EXPECT_FALSE(cache.insert(4, entry_for(4, assign::SearchStatus::Infeasible)));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(3), nullptr);
-  EXPECT_EQ(cache.find(4), nullptr);
+  CacheEntry out;
+  EXPECT_FALSE(cache.lookup(3, out));
+  EXPECT_FALSE(cache.lookup(4, out));
 
   // An overwrite attempt with a truncated result must not clobber the
   // completed entry either.
   EXPECT_FALSE(cache.insert(1, entry_for(1, assign::SearchStatus::BudgetExhausted)));
-  ASSERT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.find(1)->status, assign::SearchStatus::Optimal);
-}
-
-TEST(CacheStatusGuard, ConcurrentCacheRefusesNonCompletedResults) {
-  ConcurrentResultCache cache;
-  EXPECT_TRUE(cache.insert(1, entry_for(1, assign::SearchStatus::Optimal)));
-  EXPECT_FALSE(cache.insert(2, entry_for(2, assign::SearchStatus::BudgetExhausted)));
-  EXPECT_FALSE(cache.insert(3, entry_for(3, assign::SearchStatus::Infeasible)));
-  EXPECT_EQ(cache.size(), 1u);
-  CacheEntry out;
-  EXPECT_FALSE(cache.lookup(2, out));
-  EXPECT_FALSE(cache.lookup(3, out));
-  EXPECT_EQ(cache.stats().rejected, 2u);
+  ASSERT_TRUE(cache.lookup(1, out));
+  EXPECT_EQ(out.status, assign::SearchStatus::Optimal);
+  EXPECT_EQ(cache.stats().rejected, 3u);
 }
 
 TEST(CacheStatusGuard, StatusRoundTripsAndVersionOneDocumentsAreStale) {
+  std::string path = temp_path("mhla_cache_status.json");
   ResultCache cache;
   cache.insert(7, entry_for(7, assign::SearchStatus::Optimal));
-  ResultCache reloaded = ResultCache::from_json(cache.to_json());
-  ASSERT_NE(reloaded.find(7), nullptr);
-  EXPECT_EQ(reloaded.find(7)->status, assign::SearchStatus::Optimal);
+  cache.save(path);
+  ResultCache reloaded;
+  EXPECT_TRUE(reloaded.load(path).clean);
+  CacheEntry out;
+  ASSERT_TRUE(reloaded.lookup(7, out));
+  EXPECT_EQ(out.status, assign::SearchStatus::Optimal);
   EXPECT_EQ(reloaded.entries(), cache.entries());
 
   // A version-1 document (keys hashed over the old config text) is stale:
-  // the parser names its version instead of returning entries that can
-  // never hit.
-  const std::string legacy =
-      "{\n  \"version\": 1,\n  \"entries\": [\n"
-      "    {\"key\": \"000000000000002a\", \"l1_bytes\": 256, \"l2_bytes\": 0,"
-      " \"strategy\": \"greedy\", \"with_te\": true, \"cycles\": 10.0,"
-      " \"energy_nj\": 20.0}\n  ]\n}";
-  try {
-    ResultCache::from_json(legacy);
-    FAIL() << "expected a stale-version error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("stale cache version 1"), std::string::npos) << e.what();
-  }
+  // the load names its version instead of keeping entries that can never
+  // hit.
+  std::ofstream(path, std::ios::trunc)
+      << "{\n  \"version\": 1,\n  \"entries\": [\n"
+         "    {\"key\": \"000000000000002a\", \"l1_bytes\": 256, \"l2_bytes\": 0,"
+         " \"strategy\": \"greedy\", \"with_te\": true, \"cycles\": 10.0,"
+         " \"energy_nj\": 20.0}\n  ]\n}";
+  ResultCache legacy;
+  ResultCache::LoadReport report = legacy.load(path);
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(legacy.size(), 0u);
+  EXPECT_NE(report.message.find("stale format version 1"), std::string::npos) << report.message;
+  std::remove(path.c_str());
 }
 
 // --- Bounds: LRU eviction above the cap, a hard floor below ------------------
 
 TEST(ConcurrentCache, EvictsLeastRecentlyUsedPastTheCap) {
   // One shard makes the LRU order globally observable.
-  ConcurrentResultCache cache({/*max_entries=*/4, /*evict_floor=*/0}, /*shard_count=*/1);
+  ResultCache cache({/*max_entries=*/4, /*evict_floor=*/0}, /*shard_count=*/1);
   for (std::uint64_t key = 0; key < 4; ++key) ASSERT_TRUE(cache.insert(key, entry_for(key)));
 
   // Touch key 0 so key 1 is now the cold tail.
@@ -124,7 +118,7 @@ TEST(ConcurrentCache, EvictsLeastRecentlyUsedPastTheCap) {
 }
 
 TEST(ConcurrentCache, OverwriteDoesNotGrowOrEvict) {
-  ConcurrentResultCache cache({/*max_entries=*/2, /*evict_floor=*/0}, 1);
+  ResultCache cache({/*max_entries=*/2, /*evict_floor=*/0}, 1);
   ASSERT_TRUE(cache.insert(1, entry_for(1)));
   ASSERT_TRUE(cache.insert(2, entry_for(2)));
   CacheEntry updated = entry_for(1);
@@ -142,7 +136,7 @@ TEST(ConcurrentCache, EvictionNeverDropsBelowTheFloorUnderContention) {
   // Cap below the floor: the floor wins, so this is the worst-case eviction
   // pressure — every insert past the cap wants to evict and the floor must
   // hold under any interleaving.
-  ConcurrentResultCache cache({/*max_entries=*/8, /*evict_floor=*/kFloor}, /*shard_count=*/4);
+  ResultCache cache({/*max_entries=*/8, /*evict_floor=*/kFloor}, /*shard_count=*/4);
 
   // Warm past the floor, then hammer it from writers while readers assert
   // the floor invariant on every observation.
@@ -182,7 +176,7 @@ TEST(ConcurrentCache, EvictionNeverDropsBelowTheFloorUnderContention) {
 TEST(ConcurrentCache, ConcurrentInsertsAndLookupsMatchReferenceModel) {
   const int kThreads = 8;
   const std::uint64_t kKeys = 512;
-  ConcurrentResultCache cache({}, /*shard_count=*/8);
+  ResultCache cache({}, /*shard_count=*/8);
 
   // Every thread inserts every key (same derived value — the oracle) in a
   // different order and verifies whatever it reads back.
@@ -204,7 +198,7 @@ TEST(ConcurrentCache, ConcurrentInsertsAndLookupsMatchReferenceModel) {
   // The single-threaded reference model: the same inserts in any order.
   ResultCache reference;
   for (std::uint64_t key = 0; key < kKeys; ++key) reference.insert(key, entry_for(key));
-  EXPECT_EQ(cache.snapshot().entries(), reference.entries());
+  EXPECT_EQ(cache.entries(), reference.entries());
 
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, kKeys);
@@ -214,32 +208,49 @@ TEST(ConcurrentCache, ConcurrentInsertsAndLookupsMatchReferenceModel) {
 
 // --- Merge convergence -------------------------------------------------------
 
-TEST(ConcurrentCache, MergeFromShardsConvergesOnTheReferenceMerge) {
+TEST(ConcurrentCache, LoadingShardsConvergesOnTheReferenceMerge) {
+  // Shard b overlaps shard a on keys 20..39 with different values: loading
+  // a then b must leave b's values there (the later document wins).
+  auto b_entry = [](std::uint64_t key) {
+    CacheEntry entry = entry_for(key);
+    entry.cycles += 1000.0;
+    return entry;
+  };
+  std::string path_a = temp_path("mhla_ccache_shard_a.json");
+  std::string path_b = temp_path("mhla_ccache_shard_b.json");
   ResultCache shard_a, shard_b;
   for (std::uint64_t key = 0; key < 40; ++key) shard_a.insert(key, entry_for(key));
-  for (std::uint64_t key = 20; key < 60; ++key) shard_b.insert(key, entry_for(key));
+  for (std::uint64_t key = 20; key < 60; ++key) shard_b.insert(key, b_entry(key));
+  shard_a.save(path_a);
+  shard_b.save(path_b);
 
-  ConcurrentResultCache cache;
-  cache.merge_from(shard_a);
-  cache.merge_from(shard_b);
+  ResultCache cache;
+  ResultCache::LoadReport report = cache.load(path_a);
+  EXPECT_TRUE(report.clean);
+  EXPECT_EQ(report.entries, 40u);
+  report = cache.load(path_b);
+  EXPECT_TRUE(report.clean);
+  EXPECT_EQ(report.entries, 40u);
 
   ResultCache reference;
-  reference.merge_from(shard_a);
-  reference.merge_from(shard_b);
-  EXPECT_EQ(cache.snapshot().entries(), reference.entries());
+  for (std::uint64_t key = 0; key < 20; ++key) reference.insert(key, entry_for(key));
+  for (std::uint64_t key = 20; key < 60; ++key) reference.insert(key, b_entry(key));
+  EXPECT_EQ(cache.entries(), reference.entries());
 
-  // Concurrent-to-concurrent merge too (server adopting another server's
-  // in-memory cache).
-  ConcurrentResultCache other;
-  other.merge_from(cache);
-  EXPECT_EQ(other.snapshot().entries(), reference.entries());
+  // A server adopting another server's cache: through its saved document.
+  cache.save(path_a);
+  ResultCache other;
+  other.load(path_a);
+  EXPECT_EQ(other.entries(), reference.entries());
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 // --- Crash-safe persistence --------------------------------------------------
 
 TEST(ConcurrentCache, SaveCrashNeverLosesThePersistedDocument) {
   std::string path = temp_path("mhla_ccache_crash.json");
-  ConcurrentResultCache cache;
+  ResultCache cache;
   for (std::uint64_t key = 0; key < 8; ++key) ASSERT_TRUE(cache.insert(key, entry_for(key)));
   cache.save(path);
   const std::string persisted = slurp(path);
@@ -262,17 +273,16 @@ TEST(ConcurrentCache, SaveCrashNeverLosesThePersistedDocument) {
     EXPECT_THROW(cache.save_if_dirty(path), std::runtime_error);
   }
   EXPECT_TRUE(cache.save_if_dirty(path));
-  ResultCache::LoadReport report;
-  ConcurrentResultCache reloaded;
-  report = reloaded.load_file(path);
+  ResultCache reloaded;
+  ResultCache::LoadReport report = reloaded.load(path);
   EXPECT_TRUE(report.clean);
-  EXPECT_EQ(reloaded.snapshot().entries(), cache.snapshot().entries());
+  EXPECT_EQ(reloaded.entries(), cache.entries());
   std::remove(path.c_str());
 }
 
 TEST(ConcurrentCache, SaveIfDirtySkipsWhenNothingChanged) {
   std::string path = temp_path("mhla_ccache_dirty.json");
-  ConcurrentResultCache cache;
+  ResultCache cache;
   ASSERT_TRUE(cache.insert(1, entry_for(1)));
   EXPECT_TRUE(cache.save_if_dirty(path));
   EXPECT_FALSE(cache.save_if_dirty(path)) << "clean cache must skip the I/O";
@@ -282,7 +292,58 @@ TEST(ConcurrentCache, SaveIfDirtySkipsWhenNothingChanged) {
   std::remove(path.c_str());
 }
 
-TEST(ConcurrentCache, LoadFileSalvagesDamagedDocuments) {
+TEST(ResultCache, LoadLeavesTheCacheDirtyOnlyWhenTheDocumentNeedsRewriting) {
+  std::string path = temp_path("mhla_ccache_load_dirty.json");
+  std::string other_path = temp_path("mhla_ccache_load_dirty_other.json");
+  ResultCache seed;
+  for (std::uint64_t key = 0; key < 4; ++key) ASSERT_TRUE(seed.insert(key, entry_for(key)));
+  seed.save(path);
+  const std::string document = slurp(path);
+
+  // A clean load into an empty cache matches the document: nothing to save.
+  ResultCache clean;
+  ASSERT_TRUE(clean.load(path).clean);
+  EXPECT_FALSE(clean.save_if_dirty(other_path));
+
+  // A clean load into a non-empty cache merges, so memory differs from
+  // every document on disk.
+  ResultCache merged;
+  ASSERT_TRUE(merged.insert(100, entry_for(100)));
+  ASSERT_TRUE(merged.load(path).clean);
+  EXPECT_TRUE(merged.save_if_dirty(other_path));
+
+  // A salvaged load is dirty, and the save it triggers repairs the document.
+  std::string damaged = document;
+  damaged.replace(damaged.find("\"version\": 3,"), 13, "\"version\": 3,,");
+  std::ofstream(path, std::ios::trunc) << damaged;
+  ResultCache salvaged;
+  ResultCache::LoadReport report = salvaged.load(path);
+  ASSERT_FALSE(report.clean);
+  EXPECT_EQ(report.salvaged, 4u);
+  EXPECT_TRUE(salvaged.save_if_dirty(path));
+  ResultCache repaired;
+  EXPECT_TRUE(repaired.load(path).clean);
+  EXPECT_EQ(repaired.entries(), seed.entries());
+  EXPECT_EQ(slurp(path), document);
+
+  // A stale load keeps nothing and is dirty: the save replaces the document
+  // with an empty current-version one.
+  std::string stale = document;
+  stale.replace(stale.find("\"version\": 3"), 12, "\"version\": 2");
+  std::ofstream(path, std::ios::trunc) << stale;
+  ResultCache dropped;
+  ASSERT_FALSE(dropped.load(path).clean);
+  EXPECT_TRUE(dropped.save_if_dirty(path));
+  ResultCache current;
+  EXPECT_TRUE(current.load(path).clean);
+  EXPECT_EQ(current.size(), 0u);
+
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".quarantine");
+  std::filesystem::remove(other_path);
+}
+
+TEST(ConcurrentCache, LoadSalvagesDamagedDocuments) {
   std::string path = temp_path("mhla_ccache_salvage.json");
   ResultCache seed;
   seed.insert(1, entry_for(1));
@@ -296,8 +357,8 @@ TEST(ConcurrentCache, LoadFileSalvagesDamagedDocuments) {
   ASSERT_NE(second_entry, std::string::npos);
   std::ofstream(path, std::ios::trunc) << document.substr(0, second_entry);
 
-  ConcurrentResultCache cache;
-  ResultCache::LoadReport report = cache.load_file(path);
+  ResultCache cache;
+  ResultCache::LoadReport report = cache.load(path);
   EXPECT_FALSE(report.clean);
   EXPECT_GE(report.salvaged, 1u);
   CacheEntry out;
@@ -317,11 +378,11 @@ TEST(ConcurrentCache, ExplorerWarmReplayHasZeroEvaluations) {
   Explorer explorer(config);
   auto program = mhla::testing::blocked_reuse_program;
 
-  // Reference: the single-threaded cache the batch drivers use.
-  ResultCache reference_cache;
+  // Reference: a one-shard cache, so every operation takes one lock.
+  ResultCache reference_cache({}, /*shard_count=*/1);
   ExploreResult reference = explorer.run(program(), reference_cache);
 
-  ConcurrentResultCache cache;
+  ResultCache cache;
   ExploreResult cold = explorer.run(program(), cache);
   EXPECT_GT(cold.evaluations, 0u);
   ASSERT_EQ(cold.samples.size(), reference.samples.size());
@@ -329,7 +390,7 @@ TEST(ConcurrentCache, ExplorerWarmReplayHasZeroEvaluations) {
     EXPECT_EQ(cold.samples[i].point.cycles, reference.samples[i].point.cycles);
     EXPECT_EQ(cold.samples[i].point.energy_nj, reference.samples[i].point.energy_nj);
   }
-  EXPECT_EQ(cache.snapshot().entries(), reference_cache.entries());
+  EXPECT_EQ(cache.entries(), reference_cache.entries());
 
   // Warm replay: identical samples, zero pipeline runs.
   ExploreResult warm = explorer.run(program(), cache);

@@ -21,6 +21,13 @@ std::string temp_path(const std::string& name) {
   return path;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 /// Small lattice over the test platform for the cheap structural tests.
 ExplorerConfig small_config() {
   ExplorerConfig config;
@@ -78,13 +85,17 @@ TEST(ResultCache, JsonRoundTripsEntries) {
   entry.with_te = false;
   cache.insert(fnv1a64("cell-b"), entry);
 
-  ResultCache reloaded = ResultCache::from_json(cache.to_json());
+  std::string path = temp_path("mhla_cache_json_roundtrip.json");
+  cache.save(path);
+  ResultCache reloaded;
+  EXPECT_TRUE(reloaded.load(path).clean);
   ASSERT_EQ(reloaded.size(), 2u);
   EXPECT_EQ(reloaded.entries(), cache.entries());
-  const ResultCache::Entry* found = reloaded.find(fnv1a64("cell-a"));
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->cycles, 1.0 / 3.0);
-  EXPECT_EQ(found->strategy, "greedy");
+  ResultCache::Entry found;
+  ASSERT_TRUE(reloaded.lookup(fnv1a64("cell-a"), found));
+  EXPECT_EQ(found.cycles, 1.0 / 3.0);
+  EXPECT_EQ(found.strategy, "greedy");
+  std::remove(path.c_str());
 }
 
 TEST(ResultCache, SaveAndLoadPersist) {
@@ -92,13 +103,16 @@ TEST(ResultCache, SaveAndLoadPersist) {
   ResultCache cache;
   cache.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
   cache.save(path);
-  ResultCache loaded = ResultCache::load(path);
+  ResultCache loaded;
+  loaded.load(path);
   EXPECT_EQ(loaded.entries(), cache.entries());
   std::remove(path.c_str());
 }
 
 TEST(ResultCache, MissingFileIsACleanColdCache) {
-  EXPECT_EQ(ResultCache::load(temp_path("mhla_cache_never_written.json")).size(), 0u);
+  ResultCache cache;
+  EXPECT_TRUE(cache.load(temp_path("mhla_cache_never_written.json")).clean);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
@@ -122,8 +136,8 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
                       << intact_line << "\n"
                       << "    {\"key\": \"00000000000000";  // truncated entry
 
-  ResultCache::LoadReport report;
-  ResultCache salvaged = ResultCache::load(path, report);
+  ResultCache salvaged;
+  ResultCache::LoadReport report = salvaged.load(path);
   EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.salvaged, 1u);
   EXPECT_NE(report.message.find(path), std::string::npos) << report.message;
@@ -155,8 +169,8 @@ void expect_loads_empty_as_stale(int version) {
   document.replace(at, 12, "\"version\": " + std::to_string(version));
   std::ofstream(path) << document;
 
-  ResultCache::LoadReport report;
-  ResultCache loaded = ResultCache::load(path, report);
+  ResultCache loaded;
+  ResultCache::LoadReport report = loaded.load(path);
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_FALSE(report.clean);
   EXPECT_EQ(report.salvaged, 0u);
@@ -181,13 +195,55 @@ TEST(ResultCache, WellFormedLoadReportsClean) {
   ResultCache cache;
   cache.insert(3, {128, 0, "bnb", false, 1.0, 2.0});
   cache.save(path);
-  ResultCache::LoadReport report;
-  ResultCache loaded = ResultCache::load(path, report);
+  ResultCache loaded;
+  ResultCache::LoadReport report = loaded.load(path);
   EXPECT_TRUE(report.clean);
   EXPECT_EQ(report.entries, 1u);
   EXPECT_EQ(report.salvaged, 0u);
   EXPECT_EQ(loaded.entries(), cache.entries());
   std::remove(path.c_str());
+}
+
+TEST(ResultCache, VersionThreeDocumentIsByteStable) {
+  // Written by the saver of the previous (map-backed) implementation via
+  // `mhla_tool --cache-merge` over two small explorations.  It must load
+  // clean, and both to_json() and save() must reproduce it byte for byte:
+  // entries sorted by key, doubles with 17 significant digits.
+  const std::string document =
+      "{\n"
+      "  \"version\": 3,\n"
+      "  \"entries\": [\n"
+      "    {\"key\": \"814822206720f075\", \"l1_bytes\": 256, \"l2_bytes\": 0, "
+      "\"strategy\": \"greedy\", \"with_te\": true, \"status\": \"feasible\", "
+      "\"cycles\": 4292766, \"energy_nj\": 817620.22400000005},\n"
+      "    {\"key\": \"d1241f72f9d00e13\", \"l1_bytes\": 1024, \"l2_bytes\": 0, "
+      "\"strategy\": \"bnb\", \"with_te\": true, \"status\": \"optimal\", "
+      "\"cycles\": 10254566, \"energy_nj\": 3957886.6799999997},\n"
+      "    {\"key\": \"e2c8e8fe8c846f49\", \"l1_bytes\": 256, \"l2_bytes\": 0, "
+      "\"strategy\": \"bnb\", \"with_te\": true, \"status\": \"optimal\", "
+      "\"cycles\": 12582912, \"energy_nj\": 3637406.4400000004},\n"
+      "    {\"key\": \"ed980b41de836675\", \"l1_bytes\": 1024, \"l2_bytes\": 0, "
+      "\"strategy\": \"greedy\", \"with_te\": true, \"status\": \"feasible\", "
+      "\"cycles\": 1843132, \"energy_nj\": 579806.71999999997}\n"
+      "  ]\n"
+      "}";
+  std::string path = temp_path("mhla_cache_v3_stable.json");
+  std::ofstream(path) << document << "\n";
+
+  ResultCache cache;
+  ResultCache::LoadReport report = cache.load(path);
+  EXPECT_TRUE(report.clean) << report.message;
+  EXPECT_EQ(report.entries, 4u);
+  EXPECT_EQ(cache.to_json(), document);
+
+  std::string saved_path = temp_path("mhla_cache_v3_resaved.json");
+  cache.save(saved_path);
+  EXPECT_EQ(slurp(saved_path), document + "\n");
+
+  // The empty document keeps its shape too.
+  EXPECT_EQ(ResultCache{}.to_json(), "{\n  \"version\": 3,\n  \"entries\": []\n}");
+  std::remove(path.c_str());
+  std::remove(saved_path.c_str());
 }
 
 TEST(Explorer, ValidatesItsConfiguration) {
@@ -460,6 +516,34 @@ TEST(Explorer, WarmCacheRunsZeroEvaluationsAndReproducesTheFrontier) {
     EXPECT_EQ(warm.frontier[i].energy_nj, cold.frontier[i].energy_nj);
   }
   std::remove(path.c_str());
+}
+
+TEST(Explorer, WarmRunRepairsASalvagedCacheDocument) {
+  // A damaged document is salvaged on load; the warm run that follows must
+  // write it back, so the next load is clean again and the quarantine is
+  // not overwritten on every later run.
+  std::string path = temp_path("mhla_cache_repair.json");
+  ExplorerConfig config = small_config();
+  config.cache_path = path;
+  ExploreResult cold = Explorer(config).run(testing::blocked_reuse_program());
+  ASSERT_GT(cold.evaluations, 0u);
+  ResultCache original;
+  ASSERT_TRUE(original.load(path).clean);
+
+  std::string document = slurp(path);
+  std::size_t at = document.find("\"version\": 3,");
+  ASSERT_NE(at, std::string::npos);
+  document.replace(at, 13, "\"version\": 3,,");
+  std::ofstream(path, std::ios::trunc) << document;
+
+  ExploreResult warm = Explorer(config).run(testing::blocked_reuse_program());
+  EXPECT_EQ(warm.evaluations, 0u);
+  ResultCache repaired;
+  ResultCache::LoadReport report = repaired.load(path);
+  EXPECT_TRUE(report.clean) << report.message;
+  EXPECT_EQ(repaired.entries(), original.entries());
+  std::remove(path.c_str());
+  std::remove((path + ".quarantine").c_str());
 }
 
 TEST(Explorer, BudgetTruncatedRunReplaysWarmWithZeroEvaluations) {

@@ -192,7 +192,8 @@ TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
   first.save(path);
   const std::string persisted = slurp(path);
 
-  xplore::ResultCache second = first;
+  xplore::ResultCache second;
+  second.load(path);
   second.insert(3, {1024, 0, "anneal", true, 500.0, 600.0});
 
   // Kill the save at each of its three I/O steps (open, write+flush,
@@ -208,8 +209,9 @@ TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
       EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos) << e.what();
     }
     EXPECT_EQ(slurp(path), persisted);
-    xplore::ResultCache::LoadReport report;
-    EXPECT_EQ(xplore::ResultCache::load(path, report).entries(), first.entries());
+    xplore::ResultCache reloaded;
+    xplore::ResultCache::LoadReport report = reloaded.load(path);
+    EXPECT_EQ(reloaded.entries(), first.entries());
     EXPECT_TRUE(report.clean);
     // No temp wreckage left behind.
     for (const auto& entry : std::filesystem::directory_iterator(::testing::TempDir())) {
@@ -220,7 +222,9 @@ TEST(FaultInjection, CacheSaveCrashNeverLosesPersistedEntries) {
 
   // With the injector quiet the same save goes through.
   second.save(path);
-  EXPECT_EQ(xplore::ResultCache::load(path).entries(), second.entries());
+  xplore::ResultCache reloaded;
+  reloaded.load(path);
+  EXPECT_EQ(reloaded.entries(), second.entries());
   std::remove(path.c_str());
 }
 

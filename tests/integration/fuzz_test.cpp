@@ -8,7 +8,7 @@
 #include "sim/simulator.h"
 #include "ir/serialize.h"
 #include "ir/validate.h"
-#include "sim/trace.h"
+#include "oracle/trace.h"
 #include "gen/random_program.h"
 
 namespace mhla {
@@ -30,7 +30,7 @@ TEST_P(Fuzz, SerializeRoundTripIsIdentity) {
 }
 
 TEST_P(Fuzz, TraceMatchesAnalyticCounts) {
-  sim::ExactCounts exact = sim::enumerate_program(program_, 2'000'000);
+  oracle::ExactCounts exact = oracle::enumerate_program(program_, 2'000'000);
   if (exact.truncated) GTEST_SKIP() << "program too large for enumeration";
   EXPECT_TRUE(exact.in_bounds);
   auto sites = analysis::collect_sites(program_);
@@ -51,7 +51,7 @@ TEST_P(Fuzz, FootprintsAreSound) {
       const analysis::AccessSite& site = sites[static_cast<std::size_t>(site_id)];
       if (site.iterations() > 200'000) continue;  // keep the test fast
       ir::i64 exact =
-          sim::exact_footprint_elems(program_, site, static_cast<std::size_t>(cc.level));
+          oracle::exact_footprint_elems(program_, site, static_cast<std::size_t>(cc.level));
       EXPECT_GE(cc.elems, exact) << "cc " << cc.id << " site " << site_id << "\n"
                                  << ir::serialize(program_);
     }

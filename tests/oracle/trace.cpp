@@ -1,9 +1,9 @@
-#include "sim/trace.h"
+#include "oracle/trace.h"
 
 #include <algorithm>
 #include <unordered_set>
 
-namespace mhla::sim {
+namespace mhla::oracle {
 
 namespace {
 
@@ -128,4 +128,4 @@ i64 exact_footprint_elems(const ir::Program& /*program*/, const analysis::Access
   return worst;
 }
 
-}  // namespace mhla::sim
+}  // namespace mhla::oracle

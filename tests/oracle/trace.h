@@ -6,7 +6,7 @@
 #include "analysis/sites.h"
 #include "ir/program.h"
 
-namespace mhla::sim {
+namespace mhla::oracle {
 
 using ir::i64;
 
@@ -40,4 +40,4 @@ ExactCounts enumerate_program(const ir::Program& program, i64 max_instances = 5'
 i64 exact_footprint_elems(const ir::Program& program, const analysis::AccessSite& site,
                           std::size_t fixed);
 
-}  // namespace mhla::sim
+}  // namespace mhla::oracle

@@ -2,7 +2,7 @@
 // analytic models: exact access counts match the site analysis, and the
 // bounding-box footprints are sound (superset of the exact touch set).
 
-#include "sim/trace.h"
+#include "oracle/trace.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include "analysis/reuse.h"
 #include "helpers.h"
 
-namespace mhla::sim {
+namespace mhla::oracle {
 namespace {
 
 using ir::ac;
@@ -203,4 +203,4 @@ TEST(TraceProperty, ProgramFootprintMatchesWholeArrayTouch) {
 }
 
 }  // namespace
-}  // namespace mhla::sim
+}  // namespace mhla::oracle
