@@ -79,52 +79,66 @@ const Json& Json::at(const std::string& key) const {
 }
 
 std::string Json::dump() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
+  std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (kind_) {
     case Kind::Null:
-      out << "null";
+      out += "null";
       break;
     case Kind::Bool:
-      out << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       break;
-    case Kind::Number:
+    case Kind::Number: {
       // Integral values print without a fraction (they parse back exactly);
-      // everything else goes through max_digits10 for a bit-exact round trip.
-      if (std::nearbyint(number_) == number_ && number_ >= -9007199254740992.0 &&
-          number_ <= 9007199254740992.0) {
-        out << static_cast<std::int64_t>(number_);
+      // everything else, -0 included, goes through max_digits10 for a
+      // bit-exact round trip.
+      const bool negative_zero = number_ == 0.0 && std::signbit(number_);
+      if (!negative_zero && std::nearbyint(number_) == number_ &&
+          number_ >= -9007199254740992.0 && number_ <= 9007199254740992.0) {
+        char buffer[24];
+        out.append(buffer,
+                   std::to_chars(buffer, buffer + sizeof buffer,
+                                 static_cast<std::int64_t>(number_)).ptr);
       } else {
-        out << json_number_exact(number_);
+        out += json_number_exact(number_);
       }
       break;
+    }
     case Kind::String:
-      out << '"' << json_escape(string_) << '"';
+      out += '"';
+      out += json_escape(string_);
+      out += '"';
       break;
     case Kind::Array: {
-      out << '[';
+      out += '[';
       bool first = true;
       for (const Json& item : array_) {
-        if (!first) out << ", ";
+        if (!first) out += ", ";
         first = false;
-        out << item.dump();
+        item.dump_to(out);
       }
-      out << ']';
+      out += ']';
       break;
     }
     case Kind::Object: {
-      out << '{';
+      out += '{';
       bool first = true;
       for (const auto& [key, value] : object_) {
-        if (!first) out << ", ";
+        if (!first) out += ", ";
         first = false;
-        out << '"' << json_escape(key) << "\": " << value.dump();
+        out += '"';
+        out += json_escape(key);
+        out += "\": ";
+        value.dump_to(out);
       }
-      out << '}';
+      out += '}';
       break;
     }
   }
-  return out.str();
 }
 
 /// Recursive-descent parser over the raw text.  Tracks the byte offset and

@@ -48,11 +48,13 @@ class Json {
   /// Re-serialize this value as one compact JSON document.  Numbers are
   /// emitted with max_digits10 (integral values without a fraction), so
   /// `parse(dump())` reproduces every double bit for bit — which is what
-  /// lets the server pass an embedded config object on to
-  /// `pipeline_config_from_json` without loss.
+  /// lets `serve::to_json` put a config document on one request line
+  /// without loss.
   std::string dump() const;
 
  private:
+  void dump_to(std::string& out) const;
+
   friend class JsonParser;
   Kind kind_ = Kind::Null;
   bool bool_ = false;

@@ -1,11 +1,13 @@
 #include "core/json_report.h"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <exception>
-#include <iomanip>
 #include <limits>
-#include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "core/json.h"
 
@@ -15,13 +17,48 @@ namespace {
 
 std::string pad(int indent) { return std::string(static_cast<std::size_t>(indent) * 2, ' '); }
 
-/// All emission goes through classic-locale streams: a host application
-/// that installs a grouping/comma-decimal global locale must not change
-/// the documents we produce.
-std::ostringstream c_stream() {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  return out;
+/// Append-only text builder behind every emitter here.  Integers go through
+/// std::to_chars and doubles only through json_number/json_number_exact,
+/// so the documents are locale-free (a host that installs a grouping or
+/// comma-decimal global locale must not change them) and no stream is
+/// built per value — the config document is part of every design-cell key.
+class Text {
+ public:
+  Text& operator<<(std::string_view text) {
+    out_.append(text);
+    return *this;
+  }
+  Text& operator<<(const std::string& text) { return *this << std::string_view(text); }
+  Text& operator<<(const char* text) { return *this << std::string_view(text); }
+  Text& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+  Text& operator<<(T value) {
+    char buffer[24];
+    out_.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+    return *this;
+  }
+  // Doubles and bools must pick their format explicitly (num/num_exact,
+  // bool_text) instead of converting silently to a char.
+  Text& operator<<(bool) = delete;
+  template <std::floating_point T>
+  Text& operator<<(T) = delete;
+
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// %.{precision}g in the classic locale.
+std::string format_general(double value, int precision) {
+  char buffer[32];
+  return std::string(buffer, std::to_chars(buffer, buffer + sizeof buffer, value,
+                                           std::chars_format::general, precision)
+                                 .ptr);
 }
 
 /// Local shorthands for the public formatters.
@@ -109,17 +146,9 @@ unsigned as_unsigned(const Json& j) { return as_integer<unsigned>(j); }
 
 }  // namespace
 
-std::string json_number(double value) {
-  std::ostringstream out = c_stream();
-  out << std::setprecision(15) << value;
-  return out.str();
-}
+std::string json_number(double value) { return format_general(value, 15); }
 
-std::string json_number_exact(double value) {
-  std::ostringstream out = c_stream();
-  out << std::setprecision(17) << value;
-  return out.str();
-}
+std::string json_number_exact(double value) { return format_general(value, 17); }
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -133,9 +162,10 @@ std::string json_escape(const std::string& text) {
       case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0') << static_cast<int>(c);
-          out += esc.str();
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
         } else {
           out += c;
         }
@@ -145,7 +175,7 @@ std::string json_escape(const std::string& text) {
 }
 
 std::string to_json(const sim::SimResult& result, int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   std::string p2 = pad(indent + 2);
@@ -167,11 +197,11 @@ std::string to_json(const sim::SimResult& result, int indent) {
   }
   out << p1 << "]\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const std::string& app_name, const sim::FourPoint& points, int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   out << p0 << "{\n";
@@ -181,11 +211,11 @@ std::string to_json(const std::string& app_name, const sim::FourPoint& points, i
   out << p1 << "\"mhla_te\":\n" << to_json(points.mhla_te, indent + 1) << ",\n";
   out << p1 << "\"ideal\":\n" << to_json(points.ideal, indent + 1) << "\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const std::string& app_name, const PipelineResult& result, int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   std::string p2 = pad(indent + 2);
@@ -209,11 +239,11 @@ std::string to_json(const std::string& app_name, const PipelineResult& result, i
   out << p1 << "\"total_seconds\": " << num(result.total_seconds) << ",\n";
   out << p1 << "\"points\":\n" << to_json(app_name, result.points, indent + 1) << "\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const std::vector<xplore::TradeoffPoint>& points, int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   out << p0 << "[\n";
@@ -224,12 +254,12 @@ std::string to_json(const std::vector<xplore::TradeoffPoint>& points, int indent
         << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
   out << p0 << "]";
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const assign::FootprintReport& report, const mem::Hierarchy& hierarchy,
                     int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   std::string p2 = pad(indent + 2);
@@ -249,13 +279,13 @@ std::string to_json(const assign::FootprintReport& report, const mem::Hierarchy&
   }
   out << p1 << "]\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const obs::MetricsSnapshot& snapshot) { return obs::to_json(snapshot); }
 
 std::string to_json(const PipelineConfig& config, int indent) {
-  std::ostringstream out = c_stream();
+  Text out;
   std::string p0 = pad(indent);
   std::string p1 = pad(indent + 1);
   std::string p2 = pad(indent + 2);
@@ -302,11 +332,14 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start) << "},\n";
   out << p1 << "\"num_threads\": " << config.num_threads << "\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 PipelineConfig pipeline_config_from_json(const std::string& text) {
-  Json document = Json::parse(text);
+  return pipeline_config_from_json(Json::parse(text));
+}
+
+PipelineConfig pipeline_config_from_json(const Json& document) {
   PipelineConfig config;
   ObjectReader(document, "config")
       .field("platform", config.platform,

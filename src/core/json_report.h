@@ -10,6 +10,8 @@
 
 namespace mhla::core {
 
+class Json;
+
 /// Machine-readable export (JSON) of results, so the reproduced figures can
 /// be plotted without scraping the text tables — plus the PipelineConfig
 /// document round-trip (emit + parse) that lets batch drivers and external
@@ -47,6 +49,11 @@ std::string to_json(const PipelineConfig& config, int indent = 0);
 /// their defaults); unknown keys, type mismatches, and malformed JSON throw
 /// std::invalid_argument with a message pinpointing the problem.
 PipelineConfig pipeline_config_from_json(const std::string& text);
+
+/// The one config reader, over an already parsed document (e.g. the
+/// "config" member of a serve request): the text overload is
+/// `Json::parse` plus this call.
+PipelineConfig pipeline_config_from_json(const Json& document);
 
 /// Escape a string for embedding in JSON.
 std::string json_escape(const std::string& text);

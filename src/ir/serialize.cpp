@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -16,31 +16,51 @@ std::uint64_t magnitude(i64 value) {
   return value < 0 ? 0 - static_cast<std::uint64_t>(value) : static_cast<std::uint64_t>(value);
 }
 
-}  // namespace
+/// Stream-free text building for the writer below (the canonical text is
+/// rebuilt for every submitted program): `append(out, parts...)` over
+/// strings, chars and integers.
+void append_part(std::string& out, std::string_view text) { out += text; }
+void append_part(std::string& out, char c) { out += c; }
+template <std::integral Int>
+  requires(!std::same_as<Int, char>)
+void append_part(std::string& out, Int value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+template <class... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (append_part(out, parts), ...);
+}
 
-std::string format_affine(const AffineExpr& expr) {
-  std::ostringstream out;
+void append_affine(std::string& out, const AffineExpr& expr) {
   bool first = true;
   for (const auto& [var, coef] : expr.terms()) {
     if (coef < 0) {
-      out << "-";
+      out += '-';
     } else if (!first) {
-      out << "+";
+      out += '+';
     }
     std::uint64_t mag = magnitude(coef);
-    if (mag != 1) out << mag << "*";
-    out << var;
+    if (mag != 1) append(out, mag, '*');
+    out += var;
     first = false;
   }
   if (expr.constant() != 0 || first) {
     if (expr.constant() < 0) {
-      out << "-" << magnitude(expr.constant());
+      append(out, '-', magnitude(expr.constant()));
     } else {
-      if (!first) out << "+";
-      out << expr.constant();
+      if (!first) out += '+';
+      append(out, expr.constant());
     }
   }
-  return out.str();
+}
+
+}  // namespace
+
+std::string format_affine(const AffineExpr& expr) {
+  std::string out;
+  append_affine(out, expr);
+  return out;
 }
 
 namespace {
@@ -301,42 +321,46 @@ AffineExpr parse_affine(std::string_view text) {
 
 namespace {
 
-void serialize_node(std::ostringstream& out, const Node& node, int depth) {
-  std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
+void serialize_node(std::string& out, const Node& node, std::size_t depth) {
+  const std::string pad(2 * depth, ' ');
   if (node.is_loop()) {
     const LoopNode& loop = node.as_loop();
-    out << pad << "loop " << loop.iter() << " " << loop.lower() << " " << loop.upper() << " "
-        << loop.step() << " {\n";
+    append(out, pad, "loop ", loop.iter(), ' ', loop.lower(), ' ', loop.upper(), ' ',
+           loop.step(), " {\n");
     for (const NodePtr& child : loop.body()) serialize_node(out, *child, depth + 1);
-    out << pad << "}\n";
+    append(out, pad, "}\n");
     return;
   }
   const StmtNode& stmt = node.as_stmt();
-  out << pad << "stmt " << stmt.name() << " ops " << stmt.op_cycles() << " {\n";
+  append(out, pad, "stmt ", stmt.name(), " ops ", stmt.op_cycles(), " {\n");
   for (const ArrayAccess& access : stmt.accesses()) {
-    out << pad << "  " << (access.kind == AccessKind::Read ? "read " : "write ") << access.array;
-    for (const AffineExpr& index : access.index) out << " [" << format_affine(index) << "]";
-    if (access.count != 1) out << " x" << access.count;
-    out << "\n";
+    append(out, pad, access.kind == AccessKind::Read ? "  read " : "  write ", access.array);
+    for (const AffineExpr& index : access.index) {
+      out += " [";
+      append_affine(out, index);
+      out += ']';
+    }
+    if (access.count != 1) append(out, " x", access.count);
+    out += '\n';
   }
-  out << pad << "}\n";
+  append(out, pad, "}\n");
 }
 
 }  // namespace
 
 std::string serialize(const Program& program) {
-  std::ostringstream out;
-  out << "program " << program.name() << "\n";
+  std::string out;
+  append(out, "program ", program.name(), '\n');
   for (const ArrayDecl& array : program.arrays()) {
-    out << "array " << array.name;
-    for (i64 d : array.dims) out << " " << d;
-    out << " : elem " << array.elem_bytes;
-    if (array.is_input) out << " input";
-    if (array.is_output) out << " output";
-    out << "\n";
+    append(out, "array ", array.name);
+    for (i64 d : array.dims) append(out, ' ', d);
+    append(out, " : elem ", array.elem_bytes);
+    if (array.is_input) out += " input";
+    if (array.is_output) out += " output";
+    out += '\n';
   }
   for (const NodePtr& top : program.top()) serialize_node(out, *top, 0);
-  return out.str();
+  return out;
 }
 
 Program parse_program(std::string_view text) {

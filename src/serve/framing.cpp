@@ -24,9 +24,17 @@ bool LineReader::read_line(std::string& line) {
   }
 }
 
-bool write_line(Socket& socket, const std::string& line) {
-  std::string frame = line;
-  frame.push_back('\n');
+bool write_line(Socket& socket, const std::string& line) { return write_lines(socket, {line}); }
+
+bool write_lines(Socket& socket, std::initializer_list<std::string_view> lines) {
+  std::size_t size = 0;
+  for (std::string_view line : lines) size += line.size() + 1;
+  std::string frame;
+  frame.reserve(size);
+  for (std::string_view line : lines) {
+    frame.append(line);
+    frame.push_back('\n');
+  }
   return socket.write_all(frame.data(), frame.size());
 }
 

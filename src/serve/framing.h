@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "serve/socket.h"
 
@@ -36,5 +38,10 @@ class LineReader {
 
 /// Write `line` plus the '\n' terminator; false when the peer is gone.
 bool write_line(Socket& socket, const std::string& line);
+
+/// Write `lines`, each plus its terminator, as one frame in one write (so a
+/// reader never sees the first without the rest having been sent); false
+/// when the peer is gone.
+bool write_lines(Socket& socket, std::initializer_list<std::string_view> lines);
 
 }  // namespace mhla::serve

@@ -134,7 +134,14 @@ void JobQueue::cancel_all() {
 }
 
 void JobQueue::retire_locked(std::uint64_t id) {
-  if (jobs_.find(id) == jobs_.end()) return;
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return;
+  // Up to retain_terminal_ jobs stay registered: without this each would
+  // pin a parsed program for as long as it is retained.
+  JobSpec& spec = it->second->spec;
+  spec.program.reset();
+  spec.config = {};
+  spec.explore = {};
   terminal_fifo_.push_back(id);
   while (terminal_fifo_.size() > retain_terminal_) {
     jobs_.erase(terminal_fifo_.front());

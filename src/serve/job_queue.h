@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,15 +38,19 @@ class EventSink {
   virtual bool send(const std::string& line) = 0;
 };
 
-/// Everything a worker needs to run one job.  The program rides as its
-/// canonical serialized text — validated and re-serialized at submission,
-/// re-parsed by the worker.  The text is simultaneously the cache-key
-/// component (see xplore::design_cache_key), and parsing is trivial next to
-/// a pipeline run, so carrying the parsed (move-only) form too buys
-/// nothing.
+/// Everything a worker needs to run one job.  The session parses the
+/// request's program once, at submission (a syntax error is an `error`
+/// event, never a job), and the parsed program moves into the job: the
+/// worker builds its workspace or exploration straight from it.  A submit
+/// also carries the cell key the session computed for its cache lookup
+/// (over the canonical serialization, see xplore::design_cache_key), so a
+/// miss is neither re-parsed nor re-keyed.  JobQueue drops the payload
+/// when the job turns terminal: retained jobs answer `status` from id,
+/// command and state alone.
 struct JobSpec {
   Command command = Command::Submit;
-  std::string program_text;
+  std::optional<ir::Program> program;
+  std::uint64_t key = 0;  ///< submit: the design cell's cache key
   core::PipelineConfig config;
   ExploreParams explore;
 };
@@ -76,8 +81,7 @@ enum class CancelOutcome {
 /// FIFO queue plus registry of the jobs the server has accepted.  Terminal
 /// jobs are retained for `status` queries only up to a bounded window
 /// (`retain_terminal`, FIFO over completion order) — without the bound a
-/// long-running server leaks one map entry plus the full program text per
-/// request.  All methods are thread-safe; `pop` blocks until a job is
+/// long-running server leaks one map entry per request.  All methods are thread-safe; `pop` blocks until a job is
 /// available or the queue is closed.
 class JobQueue {
  public:
@@ -88,8 +92,10 @@ class JobQueue {
   /// to the workers yet.  Returns null (and drops the job) once the queue
   /// is closed.  Acceptance and enqueueing are split deliberately: the
   /// server must put the `accepted` event on the wire before a worker can
-  /// possibly emit the job's terminal event (a cache-served job finishes in
+  /// possibly emit the job's terminal event (an invalid program fails in
   /// microseconds), or a client could observe `done` before `accepted`.
+  /// A job answered from cache is accepted and finished on the session
+  /// thread and never enqueued.
   std::shared_ptr<Job> accept(JobSpec spec, std::shared_ptr<EventSink> sink);
 
   /// Make an accepted job visible to the workers.  False once the queue is
@@ -103,9 +109,9 @@ class JobQueue {
   std::shared_ptr<Job> pop();
 
   /// Record a job's terminal state and retire it into the bounded retention
-  /// window.  Every terminal transition must go through here (or through
-  /// the internal paths of cancel/close/enqueue-on-closed) or the job would
-  /// be tracked forever.
+  /// window, dropping its program and config.  Every terminal transition
+  /// must go through here (or through the internal paths of
+  /// cancel/close/enqueue-on-closed) or the job would be tracked forever.
   void finish(Job& job, JobState state);
 
   /// Cancel a job.  A job still sitting in the queue is *dequeued*: marked
@@ -147,9 +153,10 @@ class JobQueue {
   }
 
  private:
-  /// Push `id` onto the terminal FIFO and prune the oldest retained
-  /// terminals past the window.  Caller holds mu_; `id` must be in jobs_
-  /// (a pruned id is ignored so late finishes stay harmless).
+  /// Drop the job's payload, push `id` onto the terminal FIFO and prune the
+  /// oldest retained terminals past the window.  Caller holds mu_; `id`
+  /// must be in jobs_ (a pruned id is ignored so late finishes stay
+  /// harmless).
   void retire_locked(std::uint64_t id);
 
   mutable std::mutex mu_;

@@ -89,10 +89,10 @@ Request parse_request(const std::string& line) {
     if (key == "program") {
       request.program_text = value.string();
     } else if (key == "config") {
-      // Re-serialize the embedded object and hand it to the one config
-      // parser in the tree, so a request config means exactly what the same
-      // document means to mhla_tool --config.
-      request.config = core::pipeline_config_from_json(value.dump());
+      // The one config reader in the tree, over the parsed member: a
+      // request config means exactly what the same document means to
+      // mhla_tool --config.
+      request.config = core::pipeline_config_from_json(value);
       request.has_config = true;
     } else if (key == "job") {
       std::int64_t id = value.integer();
@@ -281,7 +281,14 @@ std::string metrics_payload(const char* event, const ServerMetricsView& view) {
       << ", \"cache\": {\"entries\": " << view.cache.entries << ", \"hits\": " << view.cache.hits
       << ", \"misses\": " << view.cache.misses << ", \"insertions\": " << view.cache.insertions
       << ", \"rejected\": " << view.cache.rejected << ", \"evictions\": " << view.cache.evictions
-      << ", \"saves\": " << view.cache.saves << "}}";
+      << ", \"saves\": " << view.cache.saves << "}, \"latency_us\": {";
+  for (std::size_t i = 0; i < view.latency_us.size(); ++i) {
+    const auto& [phase, histogram] = view.latency_us[i];
+    out << (i ? ", " : "") << "\"" << json_escape(phase) << "\": {\"count\": " << histogram.count
+        << ", \"p50\": " << histogram.quantile_bound(0.5)
+        << ", \"p99\": " << histogram.quantile_bound(0.99) << "}";
+  }
+  out << "}}";
   return out.str();
 }
 

@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "explore/cache.h"
 #include "explore/explorer.h"
+#include "obs/metrics.h"
 
 namespace mhla::serve {
 
@@ -136,6 +138,10 @@ struct ServerMetricsView {
   std::uint64_t lines_sent = 0;
   double uptime_seconds = 0.0;
   xplore::CacheStats cache;
+  /// Per-phase latency histograms in µs (see Server), reported as
+  /// `"latency_us": {"<phase>": {"count", "p50", "p99"}}` — the p50/p99
+  /// values are the inclusive upper bounds of their power-of-two buckets.
+  std::vector<std::pair<std::string, obs::HistogramSnapshot>> latency_us;
 };
 
 /// Reply to the `metrics` verb ({"event":"metrics",...}).

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <cstdio>
-
 #include "explore/explorer.h"
 #include "ir/serialize.h"
 #include "obs/metrics.h"
@@ -17,6 +15,29 @@
 #include "serve/protocol.h"
 
 namespace mhla::serve {
+
+namespace {
+
+/// Whole µs from `begin_ns` to `end_ns`, rounded up (so a histogram's
+/// bucket bound stays an upper bound on the real latency).
+std::uint64_t micros(std::uint64_t begin_ns, std::uint64_t end_ns) {
+  return end_ns > begin_ns ? (end_ns - begin_ns + 999) / 1000 : 0;
+}
+
+/// The design cell a submit evaluates: its config's layer sizes and
+/// strategy in the canonical TE variant, keyed and evaluated exactly as
+/// the explorer does it — so an explore-warmed cache answers a matching
+/// submit, and a submit warms future explores.
+xplore::DesignCell submit_cell(const core::PipelineConfig& config) {
+  return {config.platform.l1_bytes, config.platform.l2_bytes, config.strategy,
+          /*with_te=*/true};
+}
+
+std::string job_args(std::uint64_t job) {
+  return "{\"job\": " + std::to_string(job) + "}";
+}
+
+}  // namespace
 
 /// One connection: the reader thread that parses request lines, and the
 /// event sink its jobs write to.  Kept alive by shared_ptr — the server's
@@ -31,14 +52,20 @@ class Server::Session : public EventSink, public std::enable_shared_from_this<Se
     thread_ = std::thread([self = shared_from_this()] { self->loop(); });
   }
 
-  bool send(const std::string& line) override {
+  bool send(const std::string& line) override { return send_lines({line}); }
+
+  /// Several events as one frame, in order, with one write (a cache hit's
+  /// `accepted` + `done`); the counters still count lines, not writes.
+  bool send_lines(std::initializer_list<std::string_view> lines) {
     std::lock_guard<std::mutex> lock(write_mu_);
     // Count before the bytes hit the wire: a client that reacts to a line it
     // just read must find that line already in the metrics.  (A failed write
     // leaves a small overcount on a connection that is going away anyway.)
-    server_.bytes_sent_.add(line.size() + 1);  // +1: the newline framing
-    server_.lines_sent_.add();
-    return write_line(socket_, line);
+    for (std::string_view line : lines) {
+      server_.bytes_sent_.add(line.size() + 1);  // +1: the newline framing
+      server_.lines_sent_.add();
+    }
+    return write_lines(socket_, lines);
   }
 
   void shutdown() { socket_.shutdown_both(); }
@@ -106,6 +133,9 @@ Server::Server(ServerConfig config)
     out.counters.emplace_back("serve.lines_sent", view.lines_sent);
     out.gauges.emplace_back("serve.queue_depth", view.queue_depth);
     out.gauges.emplace_back("serve.connections", view.connections);
+    for (auto& [phase, histogram] : view.latency_us) {
+      out.histograms.emplace_back("serve.latency_us." + phase, histogram);
+    }
   });
 
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -186,7 +216,7 @@ void Server::stop() {
   // events here, or the accepted == done+failed+cancelled invariant breaks.
   queue_.cancel_all();
   for (const std::shared_ptr<Job>& dropped : queue_.close()) {
-    jobs_cancelled_.add();  // before the event: see run_submit's ordering note
+    jobs_cancelled_.add();  // before the event: see serve_hit's ordering note
     dropped->sink->send(event_done_cancelled(dropped->id));
   }
   for (std::thread& worker : worker_threads_) {
@@ -259,6 +289,8 @@ void Server::reap_loop() {
 }
 
 void Server::handle_request(const std::shared_ptr<Session>& session, const std::string& line) {
+  const obs::Tracer& tracer = obs::Tracer::instance();
+  const std::uint64_t received_ns = tracer.now_ns();
   Request request;
   try {
     request = parse_request(line);
@@ -266,6 +298,8 @@ void Server::handle_request(const std::shared_ptr<Session>& session, const std::
     session->send(event_error(error.what()));
     return;
   }
+  const std::uint64_t parsed_ns = tracer.now_ns();
+  request_parse_us_.record(micros(received_ns, parsed_ns));
 
   switch (request.command) {
     case Command::Submit:
@@ -273,29 +307,40 @@ void Server::handle_request(const std::shared_ptr<Session>& session, const std::
       JobSpec spec;
       spec.command = request.command;
       try {
-        // Validate now, fail fast; store the canonical serialization — the
-        // same text the explorer hashes, so formatting differences in the
-        // request never split cache keys.
-        spec.program_text = ir::serialize(ir::parse_program(request.program_text));
+        // Validate now, fail fast; the parsed program rides into the job.
+        spec.program.emplace(ir::parse_program(request.program_text));
       } catch (const std::exception& error) {
         session->send(event_error(error.what()));
         return;
       }
-      spec.config = request.config;
-      spec.explore = request.explore;
+      if (request.command == Command::Submit) {
+        // Key over the canonical serialization — the same text the explorer
+        // hashes, so formatting differences in the request never split keys.
+        spec.key = xplore::cell_key(ir::serialize(*spec.program), request.config,
+                                    submit_cell(request.config));
+        xplore::CacheEntry cached;
+        const bool hit = cache_.lookup(spec.key, cached);
+        key_lookup_us_.record(micros(parsed_ns, tracer.now_ns()));
+        if (hit) {
+          serve_hit(session, cached, received_ns);
+          return;
+        }
+      }
+      spec.config = std::move(request.config);
+      spec.explore = std::move(request.explore);
       std::shared_ptr<Job> job = queue_.accept(std::move(spec), session);
       if (!job) {
         session->send(event_error("server is shutting down"));
         return;
       }
-      // `accepted` must be on the wire before a worker can see the job: a
-      // cache-served job finishes instantly, and its terminal event must
-      // never overtake the acceptance.
+      // `accepted` must be on the wire before a worker can see the job: an
+      // invalid program fails instantly, and its terminal event must never
+      // overtake the acceptance.
       session->send(event_accepted(job->id, request.command));
       if (!queue_.enqueue(job)) {
         // The queue marked the job Failed and retired it; the counter must
         // follow or accepted would exceed the terminal counters forever.
-        jobs_failed_.add();  // before the event: see run_submit's ordering note
+        jobs_failed_.add();  // before the event: see serve_hit's ordering note
         job->sink->send(event_done_failed(job->id, "server is shutting down"));
       }
       break;
@@ -331,6 +376,33 @@ void Server::handle_request(const std::shared_ptr<Session>& session, const std::
   }
 }
 
+void Server::serve_hit(const std::shared_ptr<Session>& session, const xplore::CacheEntry& cached,
+                       std::uint64_t received_ns) {
+  // A hit never touches the queue: it is accepted (for its id and the
+  // accepted counter) and finished right here on the session thread.
+  std::shared_ptr<Job> job = queue_.accept(JobSpec{}, session);  // a submit, no payload
+  if (!job) {
+    session->send(event_error("server is shutting down"));
+    return;
+  }
+  queue_.finish(*job, JobState::Done);
+  // Outcome counters bump *before* the terminal event goes out (here and
+  // in every terminal path): a client that reads `done` and immediately
+  // asks for `metrics` must find its job counted.
+  jobs_done_.add();
+  const double gap = cached.status == assign::SearchStatus::Optimal ? 0.0 : -1.0;
+  session->send_lines({event_accepted(job->id, Command::Submit),
+                       event_done_submit(job->id, "done", cached.status, gap, cached.cycles,
+                                         cached.energy_nj, /*from_cache=*/true,
+                                         /*evaluations=*/0)});
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const std::uint64_t sent_ns = tracer.now_ns();
+  hit_us_.record(micros(received_ns, sent_ns));
+  if (tracer.enabled()) {
+    tracer.record_complete("cache_hit", "serve", received_ns, sent_ns, job_args(job->id));
+  }
+}
+
 void Server::worker_loop() {
   while (std::shared_ptr<Job> job = queue_.pop()) run_job(job);
 }
@@ -340,9 +412,8 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
   // accept/pop) as one retroactive complete event, then the run itself as a
   // live span on this worker thread.
   obs::Tracer& tracer = obs::Tracer::instance();
-  char args[48];
-  std::snprintf(args, sizeof args, "{\"job\": %llu}",
-                static_cast<unsigned long long>(job->id));
+  const std::string args = job_args(job->id);
+  queue_wait_us_.record(micros(job->accepted_ns, job->started_ns));
   if (tracer.enabled() && job->started_ns >= job->accepted_ns) {
     tracer.record_complete("queue_wait", "serve", job->accepted_ns, job->started_ns, args);
   }
@@ -357,43 +428,25 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     }
   } catch (const std::exception& error) {
     queue_.finish(*job, JobState::Failed);
-    jobs_failed_.add();  // before the event: see run_submit's ordering note
+    jobs_failed_.add();  // before the event: see serve_hit's ordering note
     job->sink->send(event_done_failed(job->id, error.what()));
   }
+  job_run_us_.record(micros(job->started_ns, tracer.now_ns()));
 }
 
 void Server::run_submit(Job& job) {
   const core::PipelineConfig& config = job.spec.config;
-
-  // A submit is one cell of the same design space the explorer walks: key
-  // and evaluate it identically (canonical TE variant), so an explore-warmed
-  // cache answers a matching submit — and a submit warms future explores.
-  const xplore::DesignCell cell{config.platform.l1_bytes, config.platform.l2_bytes,
-                                config.strategy, /*with_te=*/true};
-  const std::uint64_t key = xplore::cell_key(job.spec.program_text, config, cell);
-
-  xplore::CacheEntry cached;
-  if (cache_.lookup(key, cached)) {
-    queue_.finish(job, JobState::Done);
-    // Outcome counters bump *before* the terminal event goes out (here and
-    // in every terminal path): a client that reads `done` and immediately
-    // asks for `metrics` must find its job counted.
-    jobs_done_.add();
-    double gap = cached.status == assign::SearchStatus::Optimal ? 0.0 : -1.0;
-    job.sink->send(event_done_submit(job.id, "done", cached.status, gap, cached.cycles,
-                                     cached.energy_nj, /*from_cache=*/true,
-                                     /*evaluations=*/0));
-    return;
-  }
+  const xplore::DesignCell cell = submit_cell(config);
 
   // The job's cancel token rides into the run budget, so a `cancel` request
   // reaches the search and the TE pass through their cooperative probes.
   core::PipelineConfig budgeted = config;
   budgeted.search.budget.cancel = job.cancel;
-  const std::unique_ptr<core::Workspace> workspace = core::make_workspace(
-      ir::parse_program(job.spec.program_text), config.platform, config.dma);
+  const std::unique_ptr<core::Workspace> workspace =
+      core::make_workspace(std::move(*job.spec.program), config.platform, config.dma);
   const xplore::CellOutcome outcome = xplore::evaluate_cell(*workspace, budgeted, cell);
-  cache_.insert(key, xplore::cell_entry(cell, outcome));  // status guard drops truncated results
+  // The status guard drops truncated results.
+  cache_.insert(job.spec.key, xplore::cell_entry(cell, outcome));
 
   const bool cancelled = job.cancel->load(std::memory_order_relaxed) &&
                          outcome.status == assign::SearchStatus::BudgetExhausted;
@@ -422,7 +475,7 @@ void Server::run_explore(Job& job) {
   };
 
   xplore::Explorer explorer(std::move(config));
-  xplore::ExploreResult result = explorer.run(ir::parse_program(job.spec.program_text), cache_);
+  xplore::ExploreResult result = explorer.run(std::move(*job.spec.program), cache_);
 
   const bool cancelled =
       job.cancel->load(std::memory_order_relaxed) && result.budget_exhausted;
@@ -445,6 +498,11 @@ ServerMetricsView Server::metrics_view() const {
   view.uptime_seconds =
       static_cast<double>(obs::Tracer::instance().now_ns() - start_ns_) * 1e-9;
   view.cache = cache_.stats();
+  view.latency_us = {{"request_parse", request_parse_us_.snapshot()},
+                     {"key_lookup", key_lookup_us_.snapshot()},
+                     {"hit", hit_us_.snapshot()},
+                     {"queue_wait", queue_wait_us_.snapshot()},
+                     {"job_run", job_run_us_.snapshot()}};
   return view;
 }
 

@@ -41,7 +41,7 @@ struct ServerConfig {
 
   /// Terminal jobs kept in the registry for `status` queries (FIFO over
   /// completion order).  Bounds the job map: without it a long-lived server
-  /// leaks one entry plus the program text per request ever served.
+  /// leaks one entry per request ever served.
   std::size_t job_retention = 1024;
 };
 
@@ -51,9 +51,11 @@ struct ServerConfig {
 /// Threads: one acceptor, one reader per connection (the Session, which is
 /// also the job's event sink), `config.workers` job workers draining one
 /// JobQueue, and an optional periodic persister.  All jobs share the one
-/// process-wide ResultCache, so a submit is answered from cache
-/// when any earlier job — submit or explore — evaluated the same design
-/// point (see xplore::design_cache_key).
+/// process-wide ResultCache, so a submit is answered from cache when any
+/// earlier job — submit or explore — evaluated the same design point (see
+/// xplore::design_cache_key).  The session keys and looks up every submit
+/// itself; a hit is answered there, `accepted` and `done` in one write,
+/// and never queued, so hits do not wait behind misses.
 ///
 /// The constructor binds and starts serving.  A `shutdown` request only
 /// *requests* the stop (wait()/wait_for() observe it); the owning thread
@@ -78,7 +80,8 @@ class Server {
 
   /// The metrics the `metrics`/`stats` events report, read from the live
   /// cells every other surface uses: the queue's gauge/counters, the cache's
-  /// lock-free counters, the session list, the framing counters.
+  /// lock-free counters, the session list, the framing counters and the
+  /// per-phase latency histograms.
   ServerMetricsView metrics_view() const;
 
   /// Ask the server to stop (idempotent, callable from any thread,
@@ -114,6 +117,9 @@ class Server {
   /// and stop() keeps sole ownership of the join.
   void on_session_exit(const std::shared_ptr<Session>& session);
   void handle_request(const std::shared_ptr<Session>& session, const std::string& line);
+  /// Answer a cache hit on the session thread (see the class comment).
+  void serve_hit(const std::shared_ptr<Session>& session, const xplore::CacheEntry& cached,
+                 std::uint64_t received_ns);
   void run_job(const std::shared_ptr<Job>& job);
   void run_submit(Job& job);
   void run_explore(Job& job);
@@ -133,6 +139,14 @@ class Server {
   obs::Counter jobs_done_;
   obs::Counter jobs_failed_;
   obs::Counter jobs_cancelled_;
+  // Per-phase latency histograms of the request path, in µs: request parse;
+  // canonicalize + key + cache lookup (submits); a hit's whole session-
+  // thread service; and, for queued jobs, the queue wait and the run.
+  obs::Histogram request_parse_us_;
+  obs::Histogram key_lookup_us_;
+  obs::Histogram hit_us_;
+  obs::Histogram queue_wait_us_;
+  obs::Histogram job_run_us_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t metrics_source_ = 0;
   std::uint64_t cache_metrics_source_ = 0;

@@ -6,9 +6,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/registry.h"
 #include "core/json.h"
@@ -73,6 +75,23 @@ Request submit_request(const ir::Program& program) {
   request.config.platform = mhla::testing::small_platform();
   request.has_config = true;
   return request;
+}
+
+/// The state `status` reports for `job` ("" when unknown).
+std::string job_state(TestClient& client, std::uint64_t job) {
+  Request status;
+  status.command = Command::Status;
+  status.job = job;
+  status.has_job = true;
+  client.send(status);
+  const Json report = client.next_named("status");
+  const Json::Array& rows = report.at("jobs").array();
+  return rows.empty() ? "" : rows[0].at("state").string();
+}
+
+/// One phase of a `metrics` event's latency_us object.
+const Json& latency(const Json& metrics, const std::string& phase) {
+  return metrics.at("latency_us").at(phase);
 }
 
 Request explore_request(const ir::Program& program) {
@@ -565,6 +584,175 @@ TEST(Server, CancelWhileQueuedEmitsImmediateTerminalEvent) {
   ServerMetricsView view = server.metrics_view();
   EXPECT_EQ(view.jobs_accepted,
             view.jobs_done + view.jobs_failed + view.jobs_cancelled);
+}
+
+TEST(Server, CacheHitIsAnsweredWhileTheOnlyWorkerIsBusy) {
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  TestClient client(server.port());
+
+  Request warm = submit_request(mhla::testing::tiny_stream_program());
+  client.send(warm);
+  client.next_named("accepted");
+  EXPECT_FALSE(client.next_named("done").at("from_cache").boolean());
+
+  // Occupy the only worker with a long exact search (no state cap; the
+  // 10 s deadline only bounds the run should the hit wait behind it), and
+  // make sure the worker has claimed it.
+  Request blocker;
+  blocker.command = Command::Submit;
+  blocker.program_text = ir::serialize(apps::build_app("mpeg2_encoder"));
+  blocker.config.strategy = "bnb";
+  blocker.config.search.max_states = 2'000'000'000L;
+  blocker.config.search.budget.deadline_seconds = 10.0;
+  blocker.has_config = true;
+  client.send(blocker);
+  const std::uint64_t running =
+      static_cast<std::uint64_t>(client.next_named("accepted").at("job").integer());
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (job_state(client, running) != "running") {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "the worker never claimed the job";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // The warm cell, re-submitted from a second connection, is answered from
+  // cache without waiting for the worker: the long job is still running.
+  TestClient second(server.port());
+  second.send(warm);
+  const std::uint64_t hit =
+      static_cast<std::uint64_t>(second.next_named("accepted").at("job").integer());
+  Json done = second.next();
+  EXPECT_EQ(done.at("event").string(), "done");
+  EXPECT_EQ(static_cast<std::uint64_t>(done.at("job").integer()), hit);
+  EXPECT_TRUE(done.at("from_cache").boolean());
+  const bool still_running = job_state(client, running) == "running";
+  EXPECT_TRUE(still_running) << "the hit waited for the busy worker";
+  EXPECT_EQ(server.metrics_view().queue_depth, 0);
+
+  Request cancel;
+  cancel.command = Command::Cancel;
+  cancel.job = running;
+  cancel.has_job = true;
+  client.send(cancel);
+  client.next_named("cancelled");
+  if (still_running) {
+    EXPECT_EQ(client.next_named("done").at("state").string(), "cancelled");
+  }
+}
+
+TEST(Server, LatencyHistogramsCountHitsAndQueuedMisses) {
+  Server server({});
+  TestClient client(server.port());
+
+  // Two misses (distinct cells), three hits.
+  Request first = submit_request(mhla::testing::tiny_stream_program());
+  Request second = first;
+  second.config.platform.l1_bytes *= 2;
+  for (const Request* request : {&first, &first, &second, &first, &second}) {
+    client.send(*request);
+    client.next_named("accepted");
+    client.next_named("done");
+  }
+
+  Request metrics;
+  metrics.command = Command::Metrics;
+  client.send(metrics);
+  Json view = client.next_named("metrics");
+  EXPECT_EQ(latency(view, "hit").at("count").integer(), 3);
+  EXPECT_EQ(latency(view, "queue_wait").at("count").integer(), 2);
+  EXPECT_EQ(latency(view, "key_lookup").at("count").integer(), 5);
+  EXPECT_GE(latency(view, "request_parse").at("count").integer(), 5);
+  EXPECT_LE(latency(view, "hit").at("p50").integer(), latency(view, "hit").at("p99").integer());
+  EXPECT_GT(latency(view, "hit").at("p99").integer(), 0);
+
+  // The same cells through the registry source.
+  obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  auto count = [&snap](const std::string& name) -> std::int64_t {
+    for (const auto& [n, h] : snap.histograms) {
+      if (n == name) return static_cast<std::int64_t>(h.count);
+    }
+    return -1;
+  };
+  EXPECT_EQ(count("serve.latency_us.hit"), 3);
+  EXPECT_EQ(count("serve.latency_us.queue_wait"), 2);
+
+  // A run is recorded after its terminal event; once the workers are
+  // joined every miss has one.
+  server.stop();
+  EXPECT_EQ(server.metrics_view().latency_us.size(), 5u);
+  for (const auto& [phase, histogram] : server.metrics_view().latency_us) {
+    if (phase == "job_run") {
+      EXPECT_EQ(histogram.count, 2u);
+    }
+  }
+}
+
+TEST(Server, MixedHitsMissesAndACancelKeepTheBooks) {
+  Server server({});
+  constexpr int kCells = 4;
+  std::vector<Request> cells;
+  for (int c = 0; c < kCells; ++c) {
+    Request request = submit_request(mhla::testing::blocked_reuse_program());
+    request.config.platform.l1_bytes = 128 << c;
+    cells.push_back(request);
+  }
+
+  // Both connections pipeline every cell (in opposite orders), so each cell
+  // is submitted twice and hits race misses; B cancels its first job.
+  TestClient a(server.port());
+  TestClient b(server.port());
+  for (int c = 0; c < kCells; ++c) a.send(cells[static_cast<std::size_t>(c)]);
+  for (int c = kCells - 1; c >= 0; --c) b.send(cells[static_cast<std::size_t>(c)]);
+
+  std::size_t lines_read = 0;
+  // Reads until `expected` terminal events arrived; checks each job's
+  // `accepted` precedes its `done` on its connection.
+  auto drain = [&lines_read](TestClient& client, int expected, std::uint64_t* first_job,
+                             const Request* cancel_first) {
+    std::map<std::uint64_t, bool> accepted;
+    int done = 0;
+    bool acked = cancel_first == nullptr;
+    while (done < expected || !acked) {
+      Json event = client.next();
+      ++lines_read;
+      const std::string& name = event.at("event").string();
+      if (name == "cancelled") {
+        acked = true;
+        continue;
+      }
+      const std::uint64_t job = static_cast<std::uint64_t>(event.at("job").integer());
+      if (name == "accepted") {
+        EXPECT_FALSE(accepted[job]) << "second accepted for job " << job;
+        accepted[job] = true;
+        if (first_job && *first_job == 0) {
+          *first_job = job;
+          if (cancel_first) {
+            Request cancel = *cancel_first;
+            cancel.job = job;
+            client.send(cancel);
+          }
+        }
+      } else {
+        ASSERT_EQ(name, "done");
+        EXPECT_TRUE(accepted[job]) << "done before accepted for job " << job;
+        ++done;
+      }
+    }
+  };
+  Request cancel;
+  cancel.command = Command::Cancel;
+  cancel.has_job = true;
+  std::uint64_t b_first = 0;
+  drain(a, kCells, nullptr, nullptr);
+  drain(b, kCells, &b_first, &cancel);
+
+  const ServerMetricsView view = server.metrics_view();
+  EXPECT_EQ(view.jobs_accepted, 2u * kCells);
+  EXPECT_EQ(view.jobs_accepted, view.jobs_done + view.jobs_failed + view.jobs_cancelled);
+  EXPECT_EQ(view.cache.hits + view.cache.misses, 2u * kCells);
+  EXPECT_EQ(view.lines_sent, lines_read);
+  EXPECT_EQ(view.queue_depth, 0);
 }
 
 TEST(Server, StopWithQueuedWorkCancelsCleanly) {
