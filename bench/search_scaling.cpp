@@ -117,7 +117,8 @@ mem::PlatformConfig rate_platform() {
 /// The guard-64 rate instance for the parallel branch-and-bound curve:
 /// three blocked 2D streams with per-block reuse plus three reused tables —
 /// 26 candidates x 2 on-chip layers = 52 placements, close to the engine
-/// guard, with a ~10M-state exact search space.
+/// guard, with a ~10M-leaf exact search space that the bound cuts to a
+/// handful of evaluated leaves.
 ir::Program guard64_program() {
   ir::ProgramBuilder pb("guard64");
   pb.array("a", {32, 16}, 4).input();
@@ -347,7 +348,7 @@ void print_scaling_report() {
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the dense
-  // guard-64 rate instance (never prunes) and on the pruning-heavy registry
+  // guard-64 rate instance and on the pruning-heavy registry
   // apps (motion_estimation first), each against serial bnb in the same
   // run — the fixed instances of the exact_search benchmark workload.  The optimum must be
   // bit-identical at every thread count; wall-clock gains need real cores.

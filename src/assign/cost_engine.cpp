@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 #include "ir/walk.h"
@@ -136,31 +135,6 @@ CostEngine::CostEngine(const AssignContext& ctx)
     std::size_t pos = covering_off_[s];
     while (covering_items_[pos] != static_cast<int>(c)) ++pos;
     cc_anc_[c] = {pos + 1, covering_off_[s + 1]};
-  }
-
-  // Suffix minima for the branch-and-bound bound, one site row at a time:
-  // seed column j with the cheapest term candidate j offers the site on a
-  // layer it fits, then fold right to left; column C is "no candidate
-  // left" (+inf).
-  const double inf = std::numeric_limits<double>::infinity();
-  site_suffix_e_.assign(S * (C + 1), inf);
-  site_suffix_c_.assign(S * (C + 1), inf);
-  for (std::size_t s = 0; s < S; ++s) {
-    double* row_e = site_suffix_e_.data() + s * (C + 1);
-    double* row_c = site_suffix_c_.data() + s * (C + 1);
-    for (int cc : covering(s)) {
-      std::size_t c = static_cast<std::size_t>(cc);
-      for (int layer = 0; layer < background_; ++layer) {
-        const mem::MemLayer& target = ctx_.hierarchy.layer(layer);
-        if (!target.unbounded() && candidates[c].bytes > target.capacity_bytes) continue;
-        row_e[c] = std::min(row_e[c], site_energy_term(s, layer));
-        row_c[c] = std::min(row_c[c], site_cycle_term(s, layer));
-      }
-    }
-    for (std::size_t c = C; c-- > 0;) {
-      row_e[c] = std::min(row_e[c], row_e[c + 1]);
-      row_c[c] = std::min(row_c[c], row_c[c + 1]);
-    }
   }
 
   // Steady-state allocation discipline: size the undo arena for a deep

@@ -229,20 +229,16 @@ class CostEngine {
     return {base + cc_sites_off_[c], base + cc_sites_off_[c + 1]};
   }
 
-  /// Suffix minima over undecided candidates, for bound tightening in the
-  /// branch-and-bound searches.  With candidates decided in id order,
-  /// `site_suffix_energy(s, j)` is the cheapest energy term any *undecided*
-  /// candidate (id >= j) covering `s` could still give the site — the min
-  /// over those candidates and every on-chip layer each individually fits —
-  /// or +infinity once no covering candidate remains open.  Together with
-  /// the site's current serving term this bounds the site's final term from
-  /// below (admissibly: the final serving layer is either the current one or
-  /// one offered by an undecided covering candidate).
-  double site_suffix_energy(std::size_t site, std::size_t next_cc) const {
-    return site_suffix_e_[site * (num_candidates() + 1) + next_cc];
-  }
-  double site_suffix_cycles(std::size_t site, std::size_t next_cc) const {
-    return site_suffix_c_[site * (num_candidates() + 1) + next_cc];
+  /// Ancestor ids of candidate `cc_id` (the shallower candidates of its
+  /// reuse chain), deepest first: the tail of a member site's covering row
+  /// after the candidate itself.  Covering rows are id-descending, so every
+  /// ancestor has a smaller id than the candidate — a search deciding
+  /// candidates in id order knows a candidate's parent store exactly when
+  /// it decides it.
+  core::IntSpan ancestors(int cc_id) const {
+    std::size_t c = static_cast<std::size_t>(cc_id);
+    const int* base = covering_items_.data();
+    return {base + cc_anc_[c].first, base + cc_anc_[c].second};
   }
 
   /// Energy / blocking-cycle contribution of selecting `cc_id` with parent
@@ -278,12 +274,6 @@ class CostEngine {
            static_cast<std::size_t>(dst);
   }
 
-  core::IntSpan ancestors(int cc_id) const {
-    std::size_t c = static_cast<std::size_t>(cc_id);
-    const int* base = covering_items_.data();
-    return {base + cc_anc_[c].first, base + cc_anc_[c].second};
-  }
-
   void set_serving(std::size_t site, int cc_id);
   void validate_copy(int cc_id, int layer) const;
   std::size_t array_index(const std::string& name) const;
@@ -316,8 +306,6 @@ class CostEngine {
   std::vector<double> fill_energy_;    ///< [cc][src][dst]
   std::vector<double> wb_energy_;      ///< [cc][src][dst]
   std::vector<double> xfer_cycles_;    ///< [cc][src][dst] (per direction)
-  std::vector<double> site_suffix_e_;  ///< [site][next_cc] suffix minima
-  std::vector<double> site_suffix_c_;  ///< [site][next_cc]
   std::vector<bool> array_input_;
   std::vector<bool> array_output_;
   std::vector<i64> array_elems_;

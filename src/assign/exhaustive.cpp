@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -50,7 +51,7 @@ constexpr std::size_t kMinCopySplit = 14;
 
 /// Units a parallel worker counts locally before charging them to the
 /// shared run budget in one `probe(n)` — one shared fetch_add per batch
-/// instead of per leaf.
+/// instead of per node.
 constexpr long kProbeBatch = 64;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
@@ -85,9 +86,10 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
 /// copy candidates skip-first), so the first strictly-improving state is the
 /// one a plain enumeration finds; pruning discards only subtrees whose
 /// admissible lower bound shows they cannot *strictly* beat the incumbent,
-/// and placements whose cumulative (layer, nest) footprint already overflows
+/// placements whose cumulative (layer, nest) footprint already overflows
 /// a bounded layer (copy selection only ever adds footprint, so no
-/// completion of such a branch is feasible).
+/// completion of such a branch is feasible), and placements not strictly
+/// below the copy's parent store (fixed by then, so never layering-valid).
 ///
 /// Copyable on purpose: the parallel search stamps one search per pool
 /// worker from a shared prototype, reusing the engine precompute and the
@@ -105,8 +107,10 @@ struct EngineSearch {
   long capacity_prunes = 0;
 
   /// Cooperative run budget (never null: the entry points always resolve
-  /// one, if only an unlimited local).  Charged one unit per evaluated leaf
-  /// and per array-phase node; never affects any decision unless it expires,
+  /// one, if only an unlimited local).  Charged one unit per array-phase
+  /// and per copy-phase node (leaves included), so an allowance or a
+  /// deadline bounds the walk even where the bound cuts nearly every leaf;
+  /// never affects any decision unless it expires,
   /// so run-to-completion results are bit-identical with or without a
   /// budget attached.
   core::RunBudget* run_budget = nullptr;
@@ -175,15 +179,30 @@ struct EngineSearch {
   };
 
   // -- static bound tables (per context) --
-  std::vector<double> cc_lb_e_;  ///< [cc * L + dst]: min over src > dst
-  std::vector<double> cc_lb_c_;
+  /// [cc * background + layer]: the candidate's cheapest transfer into
+  /// `layer` over every layering-valid parent store (src > layer), divided
+  /// by its member-site count — the share of that transfer each member site
+  /// carries while the candidate is undecided.  Admissible: a selected copy
+  /// serves a subset of its member sites and pays at least the cheapest
+  /// transfer, so the shares of the sites it serves sum to at most what it
+  /// pays.
+  std::vector<double> share_e_;
+  std::vector<double> share_c_;
+  /// Per-site suffix minima over undecided candidates, [site * (C + 1) +
+  /// next_cc]: with candidates decided in id order, the cheapest term any
+  /// undecided candidate (id >= next_cc) covering the site could still give
+  /// it — its access term on a layer the candidate individually fits plus
+  /// the candidate's transfer share there — or +infinity once no covering
+  /// candidate remains open.
+  std::vector<double> suffix_e_;
+  std::vector<double> suffix_c_;
   /// [j] -> sites whose suffix minimum actually changes when candidate j is
-  /// decided (engine.site_suffix at j+1 differs from j).  With candidates
-  /// sorted (array, nest, level) the deepest chain member usually carries
-  /// the minimum, so for most candidates this list is empty and the
-  /// per-node tightening costs nothing; a site whose last useful candidate
-  /// dies mid-chain tightens the moment it does.  CSR-flattened (items +
-  /// offsets) so per-worker copies are two contiguous blocks.
+  /// decided (suffix at j+1 differs from j) — what the skip branch
+  /// re-bounds.  With candidates sorted (array, nest, level) the deepest
+  /// chain member usually carries the minimum, so for most candidates this
+  /// list is empty and skipping costs nothing; a site whose last useful
+  /// candidate dies mid-chain tightens the moment it does.  CSR-flattened
+  /// (items + offsets) so per-worker copies are two contiguous blocks.
   std::vector<int> tighten_items_;
   std::vector<std::size_t> tighten_off_;
   core::IntSpan tighten_at(std::size_t j) const {
@@ -191,8 +210,11 @@ struct EngineSearch {
     return {base + tighten_off_[j], base + tighten_off_[j + 1]};
   }
   /// Per-site optimistic term before the array's home is decided: min over
-  /// the homes the DFS may choose (background always qualifies) and over
-  /// the copy suffix minima — the array-home-phase part of the bound.
+  /// the homes the DFS may choose (background always qualifies) of the
+  /// site's term there plus its share of the array's pinned fill/flush
+  /// (divided evenly over the array's sites, so the shares sum to exactly
+  /// the pinned traffic), and over the copy suffix minima — the
+  /// array-home-phase part of the bound.
   std::vector<double> site_open_e_;
   std::vector<double> site_open_c_;
   std::vector<int> array_sites_items_;  ///< array index -> site ids (CSR)
@@ -206,7 +228,7 @@ struct EngineSearch {
   std::vector<double> site_lb_c_;
 
   // -- footprint-aware copy-phase bound (rebuilt at each copy-phase entry) --
-  /// The engine's static suffix tables min over every layer a candidate
+  /// The static suffix tables min over every layer a candidate
   /// *individually* fits — too optimistic once the homes-only footprint of
   /// this copy-phase entry already denies some of those placements.  When
   /// that happens the dynamic tables below rebuild the identical suffix
@@ -221,15 +243,73 @@ struct EngineSearch {
   bool dyn_active_ = false;
   std::vector<double> dyn_suffix_e_;  ///< [site * (C + 1) + next_cc]
   std::vector<double> dyn_suffix_c_;
-  std::vector<char> entry_fits_;      ///< scratch: [cc * background + layer]
+  std::vector<char> placeable_;       ///< scratch: [cc * background + layer]
 
   double suffix_e(std::size_t site, std::size_t next_cc) const {
-    return dyn_active_ ? dyn_suffix_e_[site * (ctx.reuse.candidates().size() + 1) + next_cc]
-                       : engine.site_suffix_energy(site, next_cc);
+    std::size_t i = site * (engine.num_candidates() + 1) + next_cc;
+    return dyn_active_ ? dyn_suffix_e_[i] : suffix_e_[i];
   }
   double suffix_c(std::size_t site, std::size_t next_cc) const {
-    return dyn_active_ ? dyn_suffix_c_[site * (ctx.reuse.candidates().size() + 1) + next_cc]
-                       : engine.site_suffix_cycles(site, next_cc);
+    std::size_t i = site * (engine.num_candidates() + 1) + next_cc;
+    return dyn_active_ ? dyn_suffix_c_[i] : suffix_c_[i];
+  }
+
+  /// Mark in `placeable_` every (candidate, on-chip layer) placement the
+  /// candidate individually fits and, with `entry_headroom`, that still
+  /// fits the live footprint of its nest.  Returns true iff the headroom
+  /// check denied a placement the individual fit allows.
+  bool mark_placeable(bool entry_headroom) {
+    const auto& candidates = ctx.reuse.candidates();
+    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
+    placeable_.assign(candidates.size() * B, 0);
+    bool denied = false;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      const analysis::CopyCandidate& cc = candidates[c];
+      for (std::size_t layer = 0; layer < B; ++layer) {
+        const mem::MemLayer& target = ctx.hierarchy.layer(static_cast<int>(layer));
+        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
+        if (entry_headroom && !target.unbounded() &&
+            engine.footprint().usage(static_cast<int>(layer), cc.nest) + cc.bytes >
+                target.capacity_bytes) {
+          denied = true;
+          continue;
+        }
+        placeable_[c * B + layer] = 1;
+      }
+    }
+    return denied;
+  }
+
+  /// The suffix-minimum recurrence over the placements `placeable_` marks,
+  /// one site row at a time: seed column j with the cheapest term candidate
+  /// j offers the site (access term plus transfer share), then fold right
+  /// to left; column C is "no candidate left" (+inf).  Builds the static
+  /// tables at construction (nothing denied) and the footprint-filtered
+  /// ones at a copy-phase entry.
+  void build_suffix(std::vector<double>& out_e, std::vector<double>& out_c) const {
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::size_t C = engine.num_candidates();
+    const std::size_t S = engine.num_sites();
+    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
+    out_e.assign(S * (C + 1), inf);
+    out_c.assign(S * (C + 1), inf);
+    for (std::size_t s = 0; s < S; ++s) {
+      double* row_e = out_e.data() + s * (C + 1);
+      double* row_c = out_c.data() + s * (C + 1);
+      for (int cc : engine.covering(s)) {
+        std::size_t c = static_cast<std::size_t>(cc);
+        for (std::size_t layer = 0; layer < B; ++layer) {
+          if (!placeable_[c * B + layer]) continue;
+          int l = static_cast<int>(layer);
+          row_e[c] = std::min(row_e[c], engine.site_energy_term(s, l) + share_e_[c * B + layer]);
+          row_c[c] = std::min(row_c[c], engine.site_cycle_term(s, l) + share_c_[c * B + layer]);
+        }
+      }
+      for (std::size_t c = C; c-- > 0;) {
+        row_e[c] = std::min(row_e[c], row_e[c + 1]);
+        row_c[c] = std::min(row_c[c], row_c[c + 1]);
+      }
+    }
   }
 
   /// Recompute the entry-feasibility filter and, if it denies anything, the
@@ -238,62 +318,14 @@ struct EngineSearch {
   /// usage; a replayed task recomputes byte-identical tables because the
   /// same homes produce the same footprint.
   void prepare_copy_bound() {
-    dyn_active_ = false;
-    const auto& candidates = ctx.reuse.candidates();
-    const std::size_t C = candidates.size();
-    const int background = ctx.hierarchy.background();
-    entry_fits_.assign(C * static_cast<std::size_t>(background), 0);
-    bool denied = false;
-    for (std::size_t c = 0; c < C; ++c) {
-      const analysis::CopyCandidate& cc = candidates[c];
-      for (int layer = 0; layer < background; ++layer) {
-        const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-        bool fits_here = target.unbounded() ||
-                         engine.footprint().usage(layer, cc.nest) + cc.bytes <=
-                             target.capacity_bytes;
-        if (fits_here) {
-          entry_fits_[c * static_cast<std::size_t>(background) +
-                      static_cast<std::size_t>(layer)] = 1;
-        } else {
-          denied = true;
-        }
-      }
-    }
-    if (!denied) return;  // static tables already exact for this entry
-    dyn_active_ = true;
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t S = engine.num_sites();
-    dyn_suffix_e_.assign(S * (C + 1), inf);
-    dyn_suffix_c_.assign(S * (C + 1), inf);
-    // Same recurrence as the engine's static precompute, filtered: column C
-    // is "no candidate left"; walking ids downward folds in the cheapest
-    // *entry-feasible* term candidate c could still give each member site.
-    for (std::size_t c = C; c-- > 0;) {
-      for (std::size_t s = 0; s < S; ++s) {
-        dyn_suffix_e_[s * (C + 1) + c] = dyn_suffix_e_[s * (C + 1) + c + 1];
-        dyn_suffix_c_[s * (C + 1) + c] = dyn_suffix_c_[s * (C + 1) + c + 1];
-      }
-      for (int layer = 0; layer < background; ++layer) {
-        if (!entry_fits_[c * static_cast<std::size_t>(background) +
-                         static_cast<std::size_t>(layer)]) {
-          continue;
-        }
-        for (int site : engine.candidate_sites(static_cast<int>(c))) {
-          std::size_t s = static_cast<std::size_t>(site);
-          dyn_suffix_e_[s * (C + 1) + c] =
-              std::min(dyn_suffix_e_[s * (C + 1) + c], engine.site_energy_term(s, layer));
-          dyn_suffix_c_[s * (C + 1) + c] =
-              std::min(dyn_suffix_c_[s * (C + 1) + c], engine.site_cycle_term(s, layer));
-        }
-      }
-    }
+    dyn_active_ = mark_placeable(/*entry_headroom=*/true);
+    if (dyn_active_) build_suffix(dyn_suffix_e_, dyn_suffix_c_);
   }
 
   /// Backtracking journal for the per-site bound contributions; tighten
   /// pushes the displaced values, restore pops to a mark.  An arena stack
-  /// reserved for the deepest possible DFS path (every tighten list fully
-  /// pushed at once) keeps the hot path allocation-free outright.
+  /// reserved for the deepest possible DFS path (every candidate's member
+  /// sites pushed once) keeps the hot path allocation-free outright.
   struct SavedSite {
     int site;
     double e;
@@ -310,47 +342,51 @@ struct EngineSearch {
 
   void precompute_bounds() {
     const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t C = ctx.reuse.candidates().size();
+    const std::size_t C = engine.num_candidates();
     const std::size_t S = engine.num_sites();
     const int L = ctx.hierarchy.num_layers();
-    const int background = ctx.hierarchy.background();
+    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
 
-    cc_lb_e_.assign(C * static_cast<std::size_t>(L), 0.0);
-    cc_lb_c_.assign(C * static_cast<std::size_t>(L), 0.0);
+    share_e_.assign(C * B, 0.0);
+    share_c_.assign(C * B, 0.0);
+    std::size_t member_sites = 0;
     for (std::size_t c = 0; c < C; ++c) {
-      for (int dst = 0; dst < background; ++dst) {
+      int cc = static_cast<int>(c);
+      std::size_t members = engine.candidate_sites(cc).size();
+      member_sites += members;
+      double per_site = 1.0 / static_cast<double>(std::max<std::size_t>(members, 1));
+      for (std::size_t dst = 0; dst < B; ++dst) {
         double lb_e = inf;
         double lb_c = inf;
-        // Layering-valid states have src > dst; invalid leaves are rejected,
-        // so bounding over valid parents only is admissible.
-        for (int src = dst + 1; src < L; ++src) {
-          lb_e = std::min(lb_e, engine.cc_energy_term(static_cast<int>(c), src, dst));
-          lb_c = std::min(lb_c, engine.cc_cycle_term(static_cast<int>(c), src, dst));
+        // Layering-valid states have src > dst (the search cuts the rest),
+        // so the cheapest valid parent bounds the transfer admissibly.
+        for (int src = static_cast<int>(dst) + 1; src < L; ++src) {
+          lb_e = std::min(lb_e, engine.cc_energy_term(cc, src, static_cast<int>(dst)));
+          lb_c = std::min(lb_c, engine.cc_cycle_term(cc, src, static_cast<int>(dst)));
         }
-        cc_lb_e_[c * static_cast<std::size_t>(L) + static_cast<std::size_t>(dst)] = lb_e;
-        cc_lb_c_[c * static_cast<std::size_t>(L) + static_cast<std::size_t>(dst)] = lb_c;
+        share_e_[c * B + dst] = lb_e * per_site;
+        share_c_[c * B + dst] = lb_c * per_site;
       }
     }
+    mark_placeable(/*entry_headroom=*/false);
+    build_suffix(suffix_e_, suffix_c_);
 
-    // Both per-index site lists are built row by row and flattened to CSR:
-    // tighten lists directly into the flat arrays (candidate order), the
-    // array->sites map via a counting sort over the site->array table.
     tighten_off_.assign(C + 1, 0);
     tighten_items_.clear();
     for (std::size_t c = 0; c < C; ++c) {
       for (int site : engine.candidate_sites(static_cast<int>(c))) {
-        std::size_t s = static_cast<std::size_t>(site);
-        if (engine.site_suffix_energy(s, c + 1) != engine.site_suffix_energy(s, c) ||
-            engine.site_suffix_cycles(s, c + 1) != engine.site_suffix_cycles(s, c)) {
+        std::size_t i = static_cast<std::size_t>(site) * (C + 1) + c;
+        if (suffix_e_[i + 1] != suffix_e_[i] || suffix_c_[i + 1] != suffix_c_[i]) {
           tighten_items_.push_back(site);
         }
       }
       tighten_off_[c + 1] = tighten_items_.size();
     }
-    // The deepest DFS path pushes every tighten list at most once, so the
-    // flat item count bounds the journal depth exactly.
-    saved_sites_.reserve(tighten_items_.size());
+    // The deepest DFS path decides every candidate once, pushing at most its
+    // member sites, so the member-site total bounds the journal depth.
+    saved_sites_.reserve(member_sites);
 
+    // The array->sites map via a counting sort over the site->array table.
     const auto& arrays = ctx.program.arrays();
     array_sites_off_.assign(arrays.size() + 1, 0);
     for (std::size_t s = 0; s < S; ++s) ++array_sites_off_[engine.site_array(s) + 1];
@@ -367,17 +403,24 @@ struct EngineSearch {
     site_open_e_.assign(S, inf);
     site_open_c_.assign(S, inf);
     for (std::size_t a = 0; a < arrays.size(); ++a) {
+      // An array without access sites has no row to carry a share; its
+      // pinned traffic simply enters the bound exactly once its home is set.
+      core::IntSpan sites = array_sites(a);
+      if (sites.empty()) continue;
+      double per_site = 1.0 / static_cast<double>(sites.size());
       for_each_feasible_home(ctx, arrays[a], options.allow_array_migration, [&](int home) {
-        for (int site : array_sites(a)) {
+        double pin_e = engine.pinned_energy_term(a, home) * per_site;
+        double pin_c = engine.pinned_cycle_term(a, home) * per_site;
+        for (int site : sites) {
           std::size_t s = static_cast<std::size_t>(site);
-          site_open_e_[s] = std::min(site_open_e_[s], engine.site_energy_term(s, home));
-          site_open_c_[s] = std::min(site_open_c_[s], engine.site_cycle_term(s, home));
+          site_open_e_[s] = std::min(site_open_e_[s], engine.site_energy_term(s, home) + pin_e);
+          site_open_c_[s] = std::min(site_open_c_[s], engine.site_cycle_term(s, home) + pin_c);
         }
       });
     }
     for (std::size_t s = 0; s < S; ++s) {
-      site_open_e_[s] = std::min(site_open_e_[s], engine.site_suffix_energy(s, 0));
-      site_open_c_[s] = std::min(site_open_c_[s], engine.site_suffix_cycles(s, 0));
+      site_open_e_[s] = std::min(site_open_e_[s], suffix_e_[s * (C + 1)]);
+      site_open_c_[s] = std::min(site_open_c_[s], suffix_c_[s * (C + 1)]);
     }
   }
 
@@ -403,18 +446,13 @@ struct EngineSearch {
   }
 
   void evaluate_leaf() {
-    if (budget_hit) return;
-    if (!charge()) {
-      budget_hit = true;
-      return;
-    }
     if (++states > options.max_states) {
       budget_hit = true;
       return;
     }
-    // Feasibility holds by construction — every placement on the path
-    // passed the incremental (layer, nest) footprint check — so this O(1)
-    // tracker read is a guard, not a filter.
+    // Both hold by construction — every placement on the path passed the
+    // incremental (layer, nest) footprint check and sits below its parent
+    // store — so these reads are guards, not filters.
     if (!engine.fits()) return;
     if (!engine.layering_valid()) return;
     double scalar = engine.scalar(objective);
@@ -439,19 +477,24 @@ struct EngineSearch {
     }
   }
 
-  /// Candidate j has just been decided (skipped, or selected on the engine):
-  /// its member sites can no longer receive a copy from it, so each bound
-  /// contribution tightens to min(current serving term, suffix minimum over
-  /// candidates > j).  Once a site's last covering candidate is decided the
-  /// suffix is +inf and the contribution becomes the exact serving term.
-  /// Displaced values go on `saved_sites_`; the caller restores to its mark.
-  /// Only sites whose *static* suffix minimum moves are touched — with the
-  /// dynamic (footprint-filtered) tables active a site may keep a stale,
-  /// smaller contribution past the step where only its dynamic suffix rose;
-  /// that is merely a weaker admissible bound, and spawn/replay tighten at
-  /// identical steps either way.
-  void tighten_sites(std::size_t j, Bound& bound) {
-    for (int site : tighten_at(j)) {
+  /// Candidate j has just been decided: `sites` can no longer receive a
+  /// copy from it, so each one's bound contribution tightens to
+  /// min(current serving term, suffix minimum over candidates > j).  Once a
+  /// site's last covering candidate is decided the suffix is +inf and the
+  /// contribution becomes the exact serving term.  Displaced values go on
+  /// `saved_sites_`; the caller restores to its mark.
+  ///
+  /// A skip re-bounds only `tighten_at(j)`, the sites whose *static* suffix
+  /// moves: the others keep a contribution at most the new minimum.  With
+  /// the dynamic (footprint-filtered) tables active a site may keep a
+  /// stale, smaller contribution past the step where only its dynamic
+  /// suffix rose; that is merely a weaker admissible bound, and spawn and
+  /// replay tighten at identical steps either way.  A selection re-bounds
+  /// every member site: they are now served by the copy, whose transfer is
+  /// charged exactly, so a contribution still holding the copy's own share
+  /// would count that transfer twice.
+  void tighten_sites(core::IntSpan sites, std::size_t j, Bound& bound) {
+    for (int site : sites) {
       std::size_t s = static_cast<std::size_t>(site);
       int layer = engine.serving_layer(s);
       double e = std::min(engine.site_energy_term(s, layer), suffix_e(s, j + 1));
@@ -462,6 +505,18 @@ struct EngineSearch {
       site_lb_e_[s] = e;
       site_lb_c_[s] = c;
     }
+  }
+
+  /// Select candidate j on `layer` below its parent store and fold the
+  /// decision into the bound: the copy's transfer is exact (its ancestors
+  /// all have smaller ids, so its parent store is final), and its member
+  /// sites re-bound against the new serving layer.
+  void select_into_bound(std::size_t j, int parent, int layer, Bound& bound) {
+    int id = static_cast<int>(j);
+    engine.select_copy(id, layer);
+    bound.exact_e += engine.cc_energy_term(id, parent, layer);
+    bound.exact_c += engine.cc_cycle_term(id, parent, layer);
+    tighten_sites(engine.candidate_sites(id), j, bound);
   }
 
   void restore_sites(std::size_t mark) {
@@ -476,6 +531,10 @@ struct EngineSearch {
 
   void recurse_copies(std::size_t j, Bound bound) {
     if (budget_hit) return;
+    if (!charge()) {
+      budget_hit = true;
+      return;
+    }
     if (prune(bound)) return;
 
     const auto& candidates = ctx.reuse.candidates();
@@ -493,7 +552,7 @@ struct EngineSearch {
       if (ws_mode) cur_path_[ctx.program.arrays().size() + j] = 0;
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
-      tighten_sites(j, child);
+      tighten_sites(tighten_at(j), j, child);
       recurse_copies(j + 1, child);
       restore_sites(mark);
     }
@@ -501,41 +560,46 @@ struct EngineSearch {
   }
 
   /// Option B of candidate j: place it on every on-chip layer it fits
-  /// individually, unless the cumulative (lifetime-aware) footprint of its
-  /// nest prunes the branch.  Each surviving branch is either descended in
-  /// place or, when `offload`, bounded and — only if its bound survives —
-  /// handed to the pool as a task.  Offloading runs the exact guards the
-  /// local descent runs (individual fit assigns the ordinal, cumulative
-  /// overflow and the child bound prune), so a spawned ordinal always
-  /// replays to a live branch this DFS would have entered, and the prune
-  /// counters match.
+  /// individually, unless the branch has no feasible, layering-valid
+  /// completion.  Each surviving branch is either descended in place or,
+  /// when `offload`, bounded and — only if its bound survives — handed to
+  /// the pool as a task.  Offloading runs the exact guards the local
+  /// descent runs (individual fit assigns the ordinal, the placement cuts
+  /// and the child bound prune), so a spawned ordinal always replays to a
+  /// live branch this DFS would have entered, and the prune counters match.
   void place_copy(std::size_t j, const Bound& bound, bool offload) {
     const std::size_t A = ctx.program.arrays().size();
-    const std::size_t row = j * static_cast<std::size_t>(ctx.hierarchy.num_layers());
     const analysis::CopyCandidate& cc = ctx.reuse.candidates()[j];
+    assert(cc.id == static_cast<int>(j));
+    // Candidates are decided in id order and every ancestor has a smaller
+    // id, so the parent store read here is the one the copy will have in
+    // every completion of this branch.
+    assert(std::all_of(engine.ancestors(cc.id).begin(), engine.ancestors(cc.id).end(),
+                       [j](int anc) { return static_cast<std::size_t>(anc) < j; }));
+    const int parent = engine.parent_layer(cc.id);
     int ordinal = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
       if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
       ++ordinal;
-      // The engine's tracker carries the cumulative (layer, nest) footprint
-      // of the whole path — array homes plus the copies selected so far —
-      // so one cell read decides whether this placement can still fit.
-      // Copy selection only ever adds footprint: an overflowing branch has
-      // no feasible completion and is cut here.
-      if (!target.unbounded() &&
-          engine.footprint().usage(layer, cc.nest) + cc.bytes > target.capacity_bytes) {
+      // Two cuts, counted together.  A copy not strictly below its (final)
+      // parent store can never become layering-valid.  And the engine's
+      // tracker carries the cumulative (layer, nest) footprint of the whole
+      // path — array homes plus the copies selected so far — so one cell
+      // read decides whether this placement can still fit; copy selection
+      // only ever adds footprint, so an overflowing branch has no feasible
+      // completion.
+      if (parent <= layer ||
+          (!target.unbounded() &&
+           engine.footprint().usage(layer, cc.nest) + cc.bytes > target.capacity_bytes)) {
         ++capacity_prunes;
         continue;
       }
       if (ws_mode) cur_path_[A + j] = ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
-      engine.select_copy(cc.id, layer);
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
-      child.opt_e += cc_lb_e_[row + static_cast<std::size_t>(layer)];
-      child.opt_c += cc_lb_c_[row + static_cast<std::size_t>(layer)];
-      tighten_sites(j, child);
+      select_into_bound(j, parent, layer, child);
       if (!offload) {
         recurse_copies(j + 1, child);
       } else if (!prune(child)) {
@@ -591,14 +655,11 @@ struct EngineSearch {
   void apply_copy_ordinal(std::size_t j, int ordinal, Bound& bound) {
     cur_path_[ctx.program.arrays().size() + j] = ordinal;
     if (ordinal > 0) {
-      int layer = copy_ordinal_layer(j, ordinal);
-      engine.select_copy(ctx.reuse.candidates()[j].id, layer);
-      bound.opt_e += cc_lb_e_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                              static_cast<std::size_t>(layer)];
-      bound.opt_c += cc_lb_c_[j * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                              static_cast<std::size_t>(layer)];
+      int parent = engine.parent_layer(static_cast<int>(j));
+      select_into_bound(j, parent, copy_ordinal_layer(j, ordinal), bound);
+    } else {
+      tighten_sites(tighten_at(j), j, bound);
     }
-    tighten_sites(j, bound);
   }
 
   /// Copy-phase entry, optionally replaying the copy-ordinal prefix of a
@@ -643,10 +704,11 @@ struct EngineSearch {
   void apply_home_to_bound(std::size_t a, int home, Bound& bound) {
     bound.exact_e += engine.pinned_energy_term(a, home);
     bound.exact_c += engine.pinned_cycle_term(a, home);
+    const std::size_t C = engine.num_candidates();
     for (int site : array_sites(a)) {
       std::size_t s = static_cast<std::size_t>(site);
-      double e = std::min(engine.site_energy_term(s, home), engine.site_suffix_energy(s, 0));
-      double c = std::min(engine.site_cycle_term(s, home), engine.site_suffix_cycles(s, 0));
+      double e = std::min(engine.site_energy_term(s, home), suffix_e_[s * (C + 1)]);
+      double c = std::min(engine.site_cycle_term(s, home), suffix_c_[s * (C + 1)]);
       bound.opt_e += e - site_open_e_[s];
       bound.opt_c += c - site_open_c_[s];
     }

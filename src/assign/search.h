@@ -108,7 +108,7 @@ struct SearchResult {
   long states_explored = 0;       ///< evaluated states (exact strategies)
   bool exhausted_budget = false;  ///< status == BudgetExhausted (legacy mirror)
   long bound_prunes = 0;          ///< subtrees cut by the lower bound
-  long capacity_prunes = 0;       ///< placements cut by cumulative capacity
+  long capacity_prunes = 0;       ///< placements cut by cumulative capacity or layering
 
   /// Outcome contract (see assign/search_status.h).  Exact strategies that
   /// ran to completion report Optimal with gap 0; a budget-truncated exact

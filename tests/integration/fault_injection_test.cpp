@@ -441,12 +441,21 @@ TEST(CancellationConsistency, BnbParChargesEveryBatchedProbe) {
 
 TEST(CancellationConsistency, BnbParProbeAllowanceOvershootsByAtMostOneBatchPerWorker) {
   // A probe allowance still truncates the parallel search; batching lets
-  // each worker overshoot it by at most one batch.  adpcm_coder enumerates
-  // the same ~50k states at any thread count, far above the allowance.
+  // each worker overshoot it by at most one batch.  The full adpcm_coder
+  // search charges about 9,400 units (one per array- and copy-phase node);
+  // the guard below keeps the allowance binding should the bound tighten
+  // again.
   auto ws = core::make_workspace(apps::build_app("adpcm_coder"), mem::PlatformConfig{}, {});
   auto ctx = ws->context();
   constexpr unsigned kThreads = 4;
-  constexpr long kAllowance = 10000;
+  constexpr long kAllowance = 4000;
+  {
+    assign::SearchOptions unbudgeted;
+    unbudgeted.bnb_threads = kThreads;
+    long full = probes_of_full_run(ctx, "bnb-par", unbudgeted, nullptr);
+    ASSERT_GT(full, kAllowance + static_cast<long>(kThreads) * kBnbParProbeBatch)
+        << "the allowance no longer binds: the full search fits inside it";
+  }
   for (int repeat = 0; repeat < 3; ++repeat) {
     core::BudgetSpec spec;
     spec.max_probes = kAllowance;
