@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/footprint.h"
 #include "analysis/sites.h"
 
 namespace mhla::analysis {

@@ -27,7 +27,7 @@ namespace {
 /// on-chip layers outermost-in, skipping layers the array does not fit.
 /// Every phase that walks or mirrors the array-home decision — the DFS, the
 /// bound precompute and the bnb-par task replay — goes through here: the
-/// parallel-vs-serial bit-identity guarantee leans on all of them visiting
+/// bit-identity guarantee across thread counts leans on all of them visiting
 /// homes in exactly this order.
 template <typename Fn>
 void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array,
@@ -49,9 +49,9 @@ void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array
 /// branch-and-bound") has the per-instance measurements behind the value.
 constexpr std::size_t kMinCopySplit = 14;
 
-/// Units a parallel worker counts locally before charging them to the
-/// shared run budget in one `probe(n)` — one shared fetch_add per batch
-/// instead of per node.
+/// Units a worker of a multi-worker search counts locally before charging
+/// them to the shared run budget in one `probe(n)` — one shared fetch_add
+/// per batch instead of per node.
 constexpr long kProbeBatch = 64;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
@@ -91,9 +91,17 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
 /// completion of such a branch is feasible), and placements not strictly
 /// below the copy's parent store (fixed by then, so never layering-valid).
 ///
-/// Copyable on purpose: the parallel search stamps one search per pool
+/// Copyable on purpose: a multi-worker search stamps one search per pool
 /// worker from a shared prototype, reusing the engine precompute and the
-/// bound tables instead of rebuilding them per worker.
+/// bound tables instead of rebuilding them per worker (a one-worker search
+/// runs on the prototype itself).
+///
+/// Workers visit subtree tasks in steal order, not canonical DFS order, so
+/// canonical-first tie semantics cannot lean on visit order.  Instead every
+/// leaf is keyed by its canonical path: pruning is strict (a subtree that
+/// could still tie survives) and a tied leaf replaces the incumbent iff its
+/// path is lexicographically smaller — see `evaluate_leaf` and the
+/// reduction in `branch_and_bound`.
 struct EngineSearch {
   const AssignContext& ctx;
   const SearchOptions& options;
@@ -115,11 +123,11 @@ struct EngineSearch {
   /// budget attached.
   core::RunBudget* run_budget = nullptr;
 
-  /// Units charged per `probe` call.  Serial search charges every unit as
-  /// it happens (batch 1), so `max_probes` and fault-injection hit counts
-  /// stay exact.  A parallel worker batches `kProbeBatch` units, reads the
-  /// plain `expired()` flag in between, and flushes the remainder when each
-  /// task ends.
+  /// Units charged per `probe` call.  A one-worker search charges every
+  /// unit as it happens (batch 1), so `max_probes` and fault-injection hit
+  /// counts stay exact.  A worker with peers batches `kProbeBatch` units,
+  /// reads the plain `expired()` flag in between, and flushes the remainder
+  /// when each task ends.
   long probe_batch = 1;
   long unflushed_probes_ = 0;
 
@@ -135,26 +143,18 @@ struct EngineSearch {
     return n == 0 || run_budget->probe(n);
   }
 
-  /// Shared incumbent of a parallel search (null when serial).  Tasks
-  /// publish every locally improving scalar and prune against it *strictly*
-  /// — a subtree is cut only when it provably cannot even equal the shared
-  /// value — so the canonical-DFS-order optimum survives in its own task
-  /// regardless of which task lowered the bound first.
+  /// Incumbent shared by every worker of the search (and seeded with the
+  /// greedy scalar).  Tasks publish every locally improving scalar and
+  /// prune against it *strictly* — a subtree is cut only when it provably
+  /// cannot even equal the shared value — so the canonical-DFS-order
+  /// optimum survives in its own task regardless of which task lowered the
+  /// bound first.
   core::AtomicMin* shared_incumbent = nullptr;
 
-  // ---- work-stealing mode (one search per pool worker) ----
-  /// On: this search is one worker of a work-stealing parallel run and
-  /// accumulates bests from subtree tasks visited in *arbitrary* order, so
-  /// canonical-first tie semantics cannot lean on visit order.  Instead the
-  /// search keys every leaf by its canonical path: local pruning turns
-  /// strict (a subtree that could still tie survives) and a tied leaf
-  /// replaces the incumbent iff its path is lexicographically smaller — see
-  /// `evaluate_leaf` and the reduction in `exhaustive_parallel_assign`.
-  bool ws_mode = false;
   core::WorkStealingPool* pool = nullptr;
   /// Offload hook: hand a canonical ordinal prefix to the pool as a new
-  /// task.  Set per worker by `exhaustive_parallel_assign`, and only when
-  /// the pool has peers to steal; consulted only when the pool is starving.
+  /// task.  Set per worker by `branch_and_bound`, and only when the pool
+  /// has peers to steal; consulted only when the pool is starving.
   std::function<void(std::vector<int>)> spawn_subtree;
   /// Canonical DFS path of the current node, one ordinal per decision:
   /// entry a < A is the position of array a's home in the canonical
@@ -163,7 +163,7 @@ struct EngineSearch {
   /// fits.  The mapping is assignment-state-independent (cumulative
   /// overflow never renumbers), so a prefix replays to the identical
   /// subtree on any worker, and lexicographic order over full paths equals
-  /// canonical DFS order.  Maintained only in ws_mode.
+  /// canonical DFS order.
   std::vector<int> cur_path_;
   std::vector<int> best_path_;  ///< path of `best` (all zeros = out-of-box)
 
@@ -427,18 +427,14 @@ struct EngineSearch {
   /// Admissible scalar lower bound for every completion of the current node.
   /// The tiny relative margin absorbs floating-point drift in the running
   /// sums so pruning never discards a state that could strictly improve.
-  /// Against the local incumbent the cut is `>=` in serial mode (first
-  /// state found in DFS order keeps a tied scalar, so a later tie is
-  /// useless) but strictly `>` in ws_mode: the worker's best may come from
-  /// a canonically *later* task, so a subtree that could still tie may hold
-  /// the canonical-first optimum and must survive for the path tie-break.
-  /// Against the shared incumbent of a parallel search the cut is always
-  /// strict for the same reason.
+  /// The cut is against the shared incumbent, which every worker's best
+  /// improvement lowers (so it is never above `best_scalar`), and strict:
+  /// the best may come from a canonically *later* task, so a subtree that
+  /// could still tie may hold the canonical-first optimum and must survive
+  /// for the path tie-break.
   bool prune(const Bound& bound) {
     double lb = objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
-    double discounted = lb * (1.0 - 1e-9);
-    bool local_cut = ws_mode ? discounted > best_scalar : discounted >= best_scalar;
-    if (local_cut || (shared_incumbent && discounted > shared_incumbent->load())) {
+    if (lb * (1.0 - 1e-9) > shared_incumbent->load()) {
       ++bound_prunes;
       return true;
     }
@@ -456,16 +452,13 @@ struct EngineSearch {
     if (!engine.fits()) return;
     if (!engine.layering_valid()) return;
     double scalar = engine.scalar(objective);
-    // Serial tie semantics fall out of visit order (first tie wins, later
-    // ties are not improvements).  In ws_mode ties are decided by canonical
-    // path instead, because this worker visits subtrees in steal order.
-    bool improved = scalar < best_scalar ||
-                    (ws_mode && scalar == best_scalar && cur_path_ < best_path_);
-    if (improved) {
+    // Ties go to the canonically first path, because this worker visits
+    // subtrees in steal order.
+    if (scalar < best_scalar || (scalar == best_scalar && cur_path_ < best_path_)) {
       best_scalar = scalar;
       best = engine.assignment();
-      if (ws_mode) best_path_ = cur_path_;
-      if (shared_incumbent) shared_incumbent->update(scalar);
+      best_path_ = cur_path_;
+      shared_incumbent->update(scalar);
       // Incumbent timeline: rare (once per improvement), observation-only,
       // and gated on one relaxed load, so the search path never changes.
       obs::Tracer& tracer = obs::Tracer::instance();
@@ -549,7 +542,7 @@ struct EngineSearch {
     if (offload) place_copy(j, bound, /*offload=*/true);
     // Option A: skip this candidate.
     {
-      if (ws_mode) cur_path_[ctx.program.arrays().size() + j] = 0;
+      cur_path_[ctx.program.arrays().size() + j] = 0;
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
       tighten_sites(tighten_at(j), j, child);
@@ -595,7 +588,7 @@ struct EngineSearch {
         ++capacity_prunes;
         continue;
       }
-      if (ws_mode) cur_path_[A + j] = ordinal;
+      cur_path_[A + j] = ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
@@ -610,7 +603,7 @@ struct EngineSearch {
     }
   }
 
-  /// True where this parallel worker should hand branches to the pool: the
+  /// True where this worker should hand branches to the pool: the
   /// pool has more than one worker (`spawn_subtree` is set only then) and
   /// peers are starving.
   bool should_split() const { return spawn_subtree && pool->starving(); }
@@ -649,9 +642,9 @@ struct EngineSearch {
   }
 
   /// Replay one copy decision of a stolen task's prefix onto the engine and
-  /// the bound (ws_mode only).  No prune or feasibility
-  /// re-checks: the spawning worker ran them on the identical deterministic
-  /// state before offloading, so re-running could only agree.
+  /// the bound.  No prune or feasibility re-checks: the spawning worker ran
+  /// them on the identical deterministic state before offloading, so
+  /// re-running could only agree.
   void apply_copy_ordinal(std::size_t j, int ordinal, Bound& bound) {
     cur_path_[ctx.program.arrays().size() + j] = ordinal;
     if (ordinal > 0) {
@@ -695,8 +688,6 @@ struct EngineSearch {
     recurse_copies(j0, bound);
   }
 
-  void enter_copy_phase() { enter_copy_phase_at(0, nullptr); }
-
   /// Fold array `a`'s home decision into the array-phase bound: its pinned
   /// traffic becomes exact and its sites' contributions move from the
   /// any-home optimistic term to min(term at the chosen home, copy suffix).
@@ -723,7 +714,7 @@ struct EngineSearch {
     if (prune(bound)) return;
     const auto& arrays = ctx.program.arrays();
     if (index == arrays.size()) {
-      enter_copy_phase();
+      enter_copy_phase_at(0, nullptr);
       return;
     }
     // Parallel split: the array phase is shallow and every subtree under it
@@ -732,7 +723,7 @@ struct EngineSearch {
     const bool offload = should_split();
     int ordinal = 0;
     for_each_feasible_home(ctx, arrays[index], options.allow_array_migration, [&](int layer) {
-      if (ws_mode) cur_path_[index] = ordinal;
+      cur_path_[index] = ordinal;
       ++ordinal;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
@@ -765,7 +756,7 @@ struct EngineSearch {
   }
 
   /// Global admissible scalar lower bound of the whole search (the root
-  /// bound of `run()` before any decision): every feasible assignment
+  /// task's bound before any decision): every feasible assignment
   /// costs at least this much.  Built from the static per-site/per-array
   /// tables, so it is independent of the engine's current state — the
   /// anytime gap certificate compares the incumbent against it.
@@ -774,14 +765,11 @@ struct EngineSearch {
     return objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
   }
 
-  /// Run the whole search from the root (serial "bnb").
-  void run() { recurse_arrays(0, array_phase_bound(0)); }
-
   /// Execute one work-stealing task: replay the canonical ordinal prefix
   /// onto this worker's engine, search the subtree under it, and unwind so
   /// the next task this worker claims starts from a pristine out-of-box
-  /// engine.  A prefix inside the array phase rebuilds the root bound
-  /// exactly as `run()` does; a prefix reaching the copy phase lets
+  /// engine.  A prefix inside the array phase rebuilds the array-phase
+  /// bound from the decided homes; a prefix reaching the copy phase lets
   /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
   /// nothing from the spawning worker beyond the ordinals.
   ///
@@ -861,42 +849,16 @@ core::RunBudget* resolve_budget(const SearchOptions& options,
   return &*local;
 }
 
-}  // namespace
-
-SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options) {
-  check_placement_guard(ctx, options);
-  std::optional<core::RunBudget> local;
-  core::RunBudget* run_budget = resolve_budget(options, local);
-
-  EngineSearch search(ctx, options);
-  search.run_budget = run_budget;
-  core::AtomicMin seed(search.best_scalar);
-  std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, seed);
-  if (fallback) search.shared_incumbent = &seed;
-  double root_lb = search.root_scalar_bound();
-  {
-    obs::Span span("bnb_walk", "search");
-    search.run();
-  }
-
-  SearchResult result;
-  result.assignment = std::move(search.best);
-  result.scalar = search.best_scalar;
-  result.states_explored = search.states;
-  result.bound_prunes = search.bound_prunes;
-  result.capacity_prunes = search.capacity_prunes;
-  finalize_anytime(result, ctx, search.budget_hit, root_lb, fallback ? &*fallback : nullptr);
-  return result;
-}
-
-/// Work-stealing parallel search: one `EngineSearch` per pool worker
-/// (lazily copied from the shared prototype), subtree tasks that split
-/// themselves on demand — root homes first, then down into the copy phase —
-/// whenever peers starve, a shared strictly-pruning incumbent, and a
+/// The one branch-and-bound driver behind "bnb" (one worker) and "bnb-par"
+/// (`bnb_threads` workers): one `EngineSearch` per pool worker — the
+/// prototype itself when alone, else a lazy copy of it — subtree tasks that
+/// split themselves on demand (root homes first, then down into the copy
+/// phase) whenever peers starve, a shared strictly-pruning incumbent, and a
 /// (scalar, canonical-path) reduction over the per-worker bests that
-/// returns exactly the serial `"bnb"` optimum for any thread count and any
-/// steal interleaving (see the ws_mode notes on `EngineSearch`).
-SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOptions& options) {
+/// returns the canonical-DFS-order optimum for any worker count and any
+/// steal interleaving (see the notes on `EngineSearch`).
+SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& options,
+                              unsigned threads) {
   check_placement_guard(ctx, options);
   std::optional<core::RunBudget> local;
   core::RunBudget* run_budget = resolve_budget(options, local);
@@ -915,34 +877,34 @@ SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOp
   core::AtomicMin incumbent(prototype.best_scalar);
   std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, incumbent);
 
-  unsigned threads = options.bnb_threads ? options.bnb_threads : core::default_parallelism();
   core::WorkStealingPool pool(threads);
+  const bool alone = pool.num_workers() == 1;
 
   const std::size_t path_len = ctx.program.arrays().size() + ctx.reuse.candidates().size();
-  prototype.ws_mode = true;
   prototype.pool = &pool;
-  prototype.probe_batch = kProbeBatch;
+  prototype.probe_batch = alone ? 1 : kProbeBatch;
   prototype.shared_incumbent = &incumbent;
   prototype.cur_path_.assign(path_len, 0);
   prototype.best_path_.assign(path_len, 0);  // the out-of-box incumbent is the all-zero leaf
 
   // One search per worker, created on its first task so idle workers never
   // pay the engine copy; the search (and its engine) is reused for every
-  // task that worker claims.  A single worker has nobody to feed, so it
-  // never splits and runs the one root task as a plain DFS.
-  std::vector<std::unique_ptr<EngineSearch>> workers(pool.num_workers());
+  // task that worker claims.  A lone worker has nobody to feed, so it never
+  // splits and runs the one root task as a plain DFS on the prototype.
+  std::vector<std::unique_ptr<EngineSearch>> copies(pool.num_workers());
+  std::vector<EngineSearch*> workers(pool.num_workers(), nullptr);
+  if (alone) workers[0] = &prototype;
   std::function<void(unsigned, const std::vector<int>&)> run_subtree =
       [&](unsigned w, const std::vector<int>& prefix) {
         obs::Span span("bnb_task", "search");
         if (!workers[w]) {
-          workers[w] = std::make_unique<EngineSearch>(prototype);
-          if (pool.num_workers() > 1) {
-            workers[w]->spawn_subtree = [&pool, &run_subtree, w](std::vector<int> child) {
-              pool.spawn(w, [&run_subtree, child = std::move(child)](unsigned worker) {
-                run_subtree(worker, child);
-              });
-            };
-          }
+          copies[w] = std::make_unique<EngineSearch>(prototype);
+          workers[w] = copies[w].get();
+          workers[w]->spawn_subtree = [&pool, &run_subtree, w](std::vector<int> child) {
+            pool.spawn(w, [&run_subtree, child = std::move(child)](unsigned worker) {
+              run_subtree(worker, child);
+            });
+          };
         }
         workers[w]->run_task(prefix);
       };
@@ -955,13 +917,13 @@ SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOp
   registry.counter("search.bnb_steals").add(static_cast<std::uint64_t>(pool.steals()));
 
   // (scalar, canonical path) reduction over the per-worker searches: the
-  // smallest scalar wins and path order breaks ties exactly as serial DFS
-  // visit order would.  A null winner path stands for the all-zero
+  // smallest scalar wins and path order breaks ties exactly as canonical
+  // DFS visit order would.  A null winner path stands for the all-zero
   // out-of-box path, which no other path can precede.  Tasks the expired
   // budget made the pool discard mark the run truncated.
   bool budget_hit = skipped > 0;
   const std::vector<int>* best_path = nullptr;
-  for (const std::unique_ptr<EngineSearch>& worker : workers) {
+  for (const EngineSearch* worker : workers) {
     if (!worker) continue;
     result.states_explored += worker->states;
     result.bound_prunes += worker->bound_prunes;
@@ -980,5 +942,15 @@ SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOp
   return result;
 }
 
+}  // namespace
+
+SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options) {
+  return branch_and_bound(ctx, options, 1);
+}
+
+SearchResult exhaustive_parallel_assign(const AssignContext& ctx, const SearchOptions& options) {
+  return branch_and_bound(ctx, options,
+                          options.bnb_threads ? options.bnb_threads : core::default_parallelism());
+}
 
 }  // namespace mhla::assign

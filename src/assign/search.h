@@ -53,9 +53,9 @@ struct SearchOptions {
   double anneal_initial_temp = 0.05;  ///< start temperature, in normalized-scalar units
   double anneal_cooling = 0.997;      ///< geometric per-iteration temperature decay
 
-  /// "bnb-par": parallel branch-and-bound over subtree tasks sharing one
-  /// atomic incumbent bound.  The result is bit-identical to serial "bnb"
-  /// for any thread count (the incumbent only prunes).
+  /// "bnb-par": the "bnb" driver on this many workers, sharing one atomic
+  /// incumbent bound.  The result is bit-identical to "bnb" for any thread
+  /// count (the incumbent only prunes).
   unsigned bnb_threads = 0;        ///< worker threads (0 = hardware concurrency)
   /// Seed the incumbent bound with the greedy scalar ("bnb" and "bnb-par").
   /// The seed only prunes (strictly), so the optimum is bit-identical.
@@ -148,29 +148,33 @@ inline constexpr std::size_t kEnginePlacementGuard = 64;
 /// BudgetExhausted when `max_states` or the run budget bound, in which case
 /// the result is the best feasible state seen (the greedy incumbent seed
 /// serves as a floor) and `gap` certifies (scalar - lower_bound) / scalar
-/// against the global admissible root bound.  One probe per evaluated state
-/// plus one per array-phase node.  Over `kEnginePlacementGuard` placements it
-/// throws std::invalid_argument, unless a bounded run budget is attached
-/// (the guard exists to bound runtime, and a budget bounds it better).
+/// against the global admissible root bound.  One probe per array- and
+/// copy-phase node (leaves included), each charged as it happens.  The
+/// search is the one-worker run of the `exhaustive_parallel_assign` driver:
+/// its single `core::WorkStealingPool` task runs on the calling thread.
+/// Over `kEnginePlacementGuard` placements it throws std::invalid_argument,
+/// unless a bounded run budget is attached (the guard exists to bound
+/// runtime, and a budget bounds it better).
 SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
-/// Parallel branch-and-bound (registry "bnb-par").  Subtree tasks live on
-/// the per-worker deques of a `core::WorkStealingPool`: one seed task
-/// descends from the root and, while the pool starves, a task offloads its
+/// Parallel branch-and-bound (registry "bnb-par"): the "bnb" driver with
+/// `bnb_threads` workers.  Subtree tasks live on the per-worker deques of a
+/// `core::WorkStealingPool`: one seed task descends from the root and,
+/// while the pool starves, a task offloads its
 /// sibling branches — array homes, then copy-phase placements while enough
 /// candidates remain — but only those whose child bound survives pruning.
 /// Tasks are canonical ordinal prefixes, replayed onto a per-worker engine;
 /// every worker prunes against a shared atomic incumbent bound (optionally
-/// seeded with the greedy scalar).  A worker charges the run budget in
-/// batches of 64 units (serial "bnb" charges each unit), so a `max_probes`
-/// allowance may be overshot by at most one batch per worker.
+/// seeded with the greedy scalar).  With more than one worker each charges
+/// the run budget in batches of 64 units, so a `max_probes` allowance may be
+/// overshot by at most one batch per worker; a lone worker charges each unit
+/// exactly as "bnb" does.
 ///
-/// The result — best assignment and scalar — is **bit-identical to serial
-/// branch-and-bound for any thread count and any steal interleaving**: the
-/// shared incumbent only ever holds scalars of feasible assignments,
-/// cross-task pruning is strict, and under work stealing every leaf is keyed
-/// by its canonical DFS path with ties resolved to the lexicographically
-/// first path — exactly the leaf serial DFS reaches first.  The state/prune
+/// The result — best assignment and scalar — is **bit-identical to "bnb"
+/// for any thread count and any steal interleaving**: the shared incumbent
+/// only ever holds scalars of feasible assignments, pruning is strict, and every leaf is keyed by its canonical DFS path with
+/// ties resolved to the lexicographically first path — exactly the leaf a
+/// one-worker DFS reaches first.  With more than one worker the state/prune
 /// counters depend on incumbent-propagation timing and are not reproducible
 /// run to run; `max_states` bounds each worker, and the determinism
 /// guarantee requires the budget not to bind.

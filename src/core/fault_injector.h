@@ -22,9 +22,11 @@ class FaultInjectedError : public std::runtime_error {
 /// subsequent hit (1-based, one-shot): the nth `IoWrite` hit makes
 /// `ResultCache::save` fail mid-write, the nth `BudgetProbe` hit expires a
 /// `RunBudget` with `StopReason::Injected`, the nth `ParallelBody` hit
-/// throws `FaultInjectedError` out of a `parallel_for` body.  Because the
-/// trigger is a hit count, not a timer or a random draw, every injected
-/// failure is reproducible run to run.
+/// throws `FaultInjectedError` out of a `WorkStealingPool` task (one task
+/// per `parallel_for` index, and every branch-and-bound task, including the
+/// single task of a one-worker "bnb" search).  Because the trigger is a hit
+/// count, not a timer or a random draw, every injected failure is
+/// reproducible run to run.
 ///
 /// The registry is process-global (the hooks live in hot paths that cannot
 /// thread a handle), so tests that arm sites must not run concurrently
@@ -36,7 +38,7 @@ class FaultInjector {
   enum class Site : int {
     IoWrite = 0,       ///< persistence write/flush/rename steps
     BudgetProbe = 1,   ///< RunBudget::probe
-    ParallelBody = 2,  ///< parallel_for body invocation
+    ParallelBody = 2,  ///< WorkStealingPool task run
   };
   static constexpr int kNumSites = 3;
 

@@ -142,7 +142,14 @@ T as_integer(const Json& j) {
 int as_int(const Json& j) { return as_integer<int>(j); }
 long as_long(const Json& j) { return as_integer<long>(j); }
 ir::i64 as_i64(const Json& j) { return as_integer<ir::i64>(j); }
-unsigned as_unsigned(const Json& j) { return as_integer<unsigned>(j); }
+unsigned as_thread_count(const Json& j) {
+  unsigned value = as_integer<unsigned>(j);
+  if (value > kMaxThreads) {
+    throw std::invalid_argument("thread count " + std::to_string(value) + " above the limit " +
+                                std::to_string(kMaxThreads));
+  }
+  return value;
+}
 
 }  // namespace
 
@@ -398,7 +405,7 @@ PipelineConfig pipeline_config_from_json(const Json& document) {
                    .field("anneal_seed", search.anneal_seed, as_integer<std::uint32_t>)
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
                    .field("anneal_cooling", search.anneal_cooling, as_double)
-                   .field("bnb_threads", search.bnb_threads, as_unsigned)
+                   .field("bnb_threads", search.bnb_threads, as_thread_count)
                    .field("bnb_seed_incumbent", search.bnb_seed_incumbent, as_bool)
                    .field("deadline_seconds", search.budget.deadline_seconds, as_double)
                    .field("max_probes", search.budget.max_probes, as_long);
@@ -413,7 +420,7 @@ PipelineConfig pipeline_config_from_json(const Json& document) {
                    .field("charge_cold_start", te.charge_cold_start, as_bool);
                return te;
              })
-      .field("num_threads", config.num_threads, as_unsigned);
+      .field("num_threads", config.num_threads, as_thread_count);
   return config;
 }
 

@@ -1,45 +1,11 @@
 #include "core/parallel_for.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
-#include "core/fault_injector.h"
-#include "core/run_budget.h"
+#include "core/work_stealing.h"
 
 namespace mhla::core {
-namespace {
-
-/// Joins every joinable thread in the vector on scope exit.  Guards both
-/// the normal path and a throwing `threads.emplace_back` mid-spawn, where
-/// destructing an unjoined std::thread would call std::terminate.
-class ThreadJoiner {
- public:
-  explicit ThreadJoiner(std::vector<std::thread>& threads) : threads_(threads) {}
-  ~ThreadJoiner() {
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
-
- private:
-  std::vector<std::thread>& threads_;
-};
-
-void invoke_body(const std::function<void(std::size_t)>& body, std::size_t i) {
-  if (FaultInjector::fire(FaultInjector::Site::ParallelBody)) {
-    throw FaultInjectedError("parallel_for: injected fault in body " + std::to_string(i));
-  }
-  body(i);
-}
-
-}  // namespace
 
 unsigned default_parallelism() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -50,48 +16,14 @@ void parallel_for(std::size_t count, unsigned num_threads,
                   const std::function<void(std::size_t)>& body, RunBudget* budget) {
   if (count == 0) return;
   if (num_threads == 0) num_threads = default_parallelism();
-  num_threads = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, count));
-
-  if (num_threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (budget && budget->expired()) return;
-      invoke_body(body, i);
-    }
-    return;
+  WorkStealingPool pool(static_cast<unsigned>(std::min<std::size_t>(num_threads, count)));
+  // Index i goes to worker i % n, seeded last-first: each worker pops its
+  // own deque LIFO, so it runs its indices in ascending order.
+  const unsigned n = pool.num_workers();
+  for (std::size_t i = count; i-- > 0;) {
+    pool.spawn(static_cast<unsigned>(i % n), [&body, i](unsigned) { body(i); });
   }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  std::atomic<bool> failed{false};
-
-  auto worker = [&]() {
-    for (;;) {
-      // Check for a peer's failure (and budget expiry) before claiming, so
-      // an index is never consumed by a worker that won't run it.
-      if (failed.load(std::memory_order_relaxed)) return;
-      if (budget && budget->expired()) return;
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        invoke_body(body, i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  {
-    ThreadJoiner joiner(threads);
-    for (unsigned t = 0; t < num_threads; ++t) threads.emplace_back(worker);
-  }
-  if (error) std::rethrow_exception(error);
+  pool.run(budget);
 }
 
 }  // namespace mhla::core

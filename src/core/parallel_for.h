@@ -12,33 +12,29 @@ class RunBudget;
 /// the hardware concurrency, with a floor of 1.
 unsigned default_parallelism();
 
-/// Run `body(i)` for every i in [0, count) on a small pool of std::thread
-/// workers pulling indices from a shared atomic counter.
+/// Run `body(i)` for every i in [0, count) as one `WorkStealingPool` task
+/// per index, so exceptions, budget skipping and the `ParallelBody` fault
+/// site follow the pool's rules.
 ///
-///  * `num_threads == 0` picks `default_parallelism()`; a single worker (or
-///    `count <= 1`) degenerates to a plain serial loop on the calling thread.
-///  * Each index is executed exactly once; workers share nothing else, so a
-///    body that only writes to its own index's slot is deterministic for any
-///    thread count.
+///  * `num_threads == 0` picks `default_parallelism()`; the pool gets at
+///    most `count` workers, and a single worker runs every body on the
+///    calling thread.
+///  * Index i is seeded onto worker i % workers so that each worker runs its
+///    own indices in ascending order (a lone worker runs 0, 1, 2, ...); idle
+///    workers steal the rest.  Each index runs at most once, so a body that
+///    only writes its own index's slot is deterministic for any thread count.
 ///  * The first exception thrown by any body is rethrown on the calling
-///    thread after all workers have joined; remaining indices may be skipped.
-///    Workers re-check the failure flag before claiming another index, so a
-///    peer's exception stops the pool after at most one in-flight body per
-///    worker.  Spawned threads are joined on every path (including a failed
-///    spawn), never leaked to std::terminate.
-///  * With a `budget`, workers stop claiming new indices once the budget has
-///    expired; already-claimed bodies run to completion.  The caller decides
-///    what a partially covered index space means (e.g. mark the run budget-
-///    exhausted).  The budget is observed, never charged — bodies that want
-///    to spend probes do so themselves.
-///  * The fault injector's `ParallelBody` site wraps every body invocation:
-///    an armed injector makes the Nth body throw `FaultInjectedError`, which
-///    then follows the normal exception path above.
+///    thread after every worker has joined; bodies not yet started are
+///    skipped.
+///  * With a `budget`, bodies not yet started once it has expired are
+///    skipped; running bodies finish.  The caller decides what a partially
+///    covered index space means (e.g. mark the run budget-exhausted).  The
+///    budget is observed, never charged.
 void parallel_for(std::size_t count, unsigned num_threads,
                   const std::function<void(std::size_t)>& body,
                   RunBudget* budget = nullptr);
 
-/// Lock-free running minimum over doubles, shared by `parallel_for` workers.
+/// Lock-free running minimum over doubles, shared by concurrent workers.
 ///
 /// `update` folds a candidate in with a compare-exchange loop; min is
 /// commutative and associative, so the final value is the true minimum of

@@ -37,6 +37,11 @@ struct PipelineConfig {
   friend bool operator==(const PipelineConfig&, const PipelineConfig&) = default;
 };
 
+/// Largest `num_threads` or `search.bnb_threads` a config document may ask
+/// for: each pool worker is a thread with its own queue, so an unchecked
+/// count on one request line could start thousands of threads.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Wall-clock of one pipeline stage.
 struct StageTiming {
   std::string stage;  ///< "analyze", "assign", "time_extend", "simulate"

@@ -11,8 +11,8 @@ namespace mhla::core {
 
 namespace {
 
-/// Joins every joinable thread on scope exit (same guard parallel_for uses):
-/// a throwing emplace_back mid-spawn must not destruct an unjoined thread.
+/// Joins every joinable thread on scope exit: a throwing emplace_back
+/// mid-spawn must not destruct an unjoined thread.
 class ThreadJoiner {
  public:
   explicit ThreadJoiner(std::vector<std::thread>& threads) : threads_(threads) {}

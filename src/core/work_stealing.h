@@ -14,8 +14,10 @@ namespace mhla::core {
 class RunBudget;
 
 /// A pool of workers draining per-worker deques of tasks, with on-demand
-/// stealing — the load balancer behind the parallel branch-and-bound
-/// ("bnb-par") search, whose subtrees are far too uneven to split up front.
+/// stealing — the one thread pool of the library: it runs the
+/// branch-and-bound search ("bnb" with one worker, "bnb-par" with many),
+/// whose subtrees are far too uneven to split up front, and every
+/// `core::parallel_for` (one task per index).
 ///
 /// Each worker owns one lock-striped deque: it pushes and pops its own tasks
 /// LIFO (depth-first, cache-warm), and steals from a victim's deque FIFO
@@ -25,7 +27,7 @@ class RunBudget;
 /// decide whether splitting itself up is worth the bookkeeping (it is true
 /// while some worker is hunting for work or the queues are empty).
 ///
-/// Semantics, matching `core::parallel_for`:
+/// Semantics:
 ///
 ///  * `run` blocks until every task (seeded and spawned) has finished, then
 ///    returns the number of tasks *skipped*.  Tasks are skipped — claimed
@@ -39,6 +41,9 @@ class RunBudget;
 ///    deterministic loop.
 ///  * The budget is observed, never charged — tasks that want to spend
 ///    probes do so themselves.
+///  * The fault injector's `ParallelBody` site fires once per task run: an
+///    armed injector makes the Nth task throw `FaultInjectedError`, which
+///    then follows the exception path above.
 ///
 /// The pool makes no ordering promise between tasks: callers needing a
 /// deterministic reduction must make their per-task results order-free

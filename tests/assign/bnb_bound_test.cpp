@@ -2,13 +2,17 @@
 // its actual parent store and spreads every open transfer over the sites
 // that would pay it.  These tests pin the precondition that makes the
 // parent charge exact, the guard-64 instance the old bound never pruned,
-// and the zero-site corner of the per-site shares.
+// and the zero-site corner of the per-site shares.  The guard-64 instance
+// also anchors the check that "bnb" is exactly the one-worker "bnb-par".
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "assign/cost_engine.h"
 #include "assign/search.h"
@@ -132,6 +136,78 @@ TEST(BnbBound, Guard64PrunesToAHandfulOfLeaves) {
     EXPECT_EQ(parallel.assignment, serial.assignment);
     EXPECT_LE(parallel.states_explored, kMaxLeaves);
   }
+}
+
+/// Run `strategy` on `ctx` against a shared budget token; returns the
+/// result and the probes the token counted.
+std::pair<assign::SearchResult, long> run_counted(const assign::AssignContext& ctx,
+                                                  const std::string& strategy,
+                                                  const assign::SearchOptions& options,
+                                                  const core::BudgetSpec& spec) {
+  core::RunBudget token(spec);
+  assign::SearchOptions counted = options;
+  counted.shared_budget = &token;
+  assign::SearchResult result = assign::searcher(strategy).search(ctx, counted);
+  return {std::move(result), token.probes()};
+}
+
+void expect_same_search(const assign::SearchResult& a, const assign::SearchResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.scalar, b.scalar);
+  EXPECT_EQ(a.states_explored, b.states_explored);
+  EXPECT_EQ(a.bound_prunes, b.bound_prunes);
+  EXPECT_EQ(a.capacity_prunes, b.capacity_prunes);
+}
+
+TEST(Exhaustive, BnbIsTheOneWorkerBnbPar) {
+  // "bnb" is the branch-and-bound driver on one worker, so "bnb-par" with
+  // one thread must match it in every field, counters included.  A lone
+  // worker charges the budget one unit at a time, so a probe allowance
+  // stops both at the same probe: the allowance plus the one it refused.
+  std::vector<std::pair<std::string, std::unique_ptr<core::Workspace>>> instances;
+  instances.emplace_back("guard64", testing::make_ws(guard64_program(), guard64_platform()));
+  std::size_t apps_under_guard = 0;
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    auto ws = testing::make_ws(info.build(), mem::PlatformConfig{});
+    if (oracle::candidate_placements(ws->context()) > assign::kEnginePlacementGuard) continue;
+    ++apps_under_guard;
+    instances.emplace_back(info.name, std::move(ws));
+  }
+  EXPECT_EQ(apps_under_guard, 4u) << "corpus drifted";
+  std::size_t random_under_guard = 0;
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    auto ws = testing::make_ws(gen::random_program(seed));
+    if (oracle::candidate_placements(ws->context()) > assign::kEnginePlacementGuard) continue;
+    ++random_under_guard;
+    instances.emplace_back("seed " + std::to_string(seed), std::move(ws));
+  }
+  EXPECT_GE(random_under_guard, 10u) << "corpus drifted";
+
+  assign::SearchOptions one_worker;
+  one_worker.bnb_threads = 1;
+  std::size_t budget_bound = 0;
+  for (const auto& [name, ws] : instances) {
+    SCOPED_TRACE(name);
+    auto ctx = ws->context();
+    auto [serial, full] = run_counted(ctx, "bnb", {}, {});
+    auto [parallel, full_par] = run_counted(ctx, "bnb-par", one_worker, {});
+    ASSERT_EQ(serial.status, assign::SearchStatus::Optimal);
+    expect_same_search(serial, parallel);
+    EXPECT_EQ(full, full_par);
+    if (full < 4) continue;
+
+    core::BudgetSpec spec;
+    spec.max_probes = full / 2;
+    auto [cut, cut_probes] = run_counted(ctx, "bnb", {}, spec);
+    auto [cut_par, cut_par_probes] = run_counted(ctx, "bnb-par", one_worker, spec);
+    EXPECT_EQ(cut.status, assign::SearchStatus::BudgetExhausted);
+    expect_same_search(cut, cut_par);
+    EXPECT_EQ(cut_probes, spec.max_probes + 1);
+    EXPECT_EQ(cut_par_probes, spec.max_probes + 1);
+    ++budget_bound;
+  }
+  EXPECT_GE(budget_bound, 5u);
 }
 
 /// A reuse program that also declares arrays no statement touches: an

@@ -36,6 +36,16 @@ TEST(ParallelFor, MoreThreadsThanWork) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ParallelFor, SingleWorkerRunsIndicesInAscendingOrder) {
+  // The pool pops a worker's own deque last-in first-out, so the indices
+  // are seeded last-first: a lone worker still visits 0, 1, 2, ...
+  std::vector<std::size_t> order;
+  parallel_for(37, 1, [&](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> ascending(37);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  EXPECT_EQ(order, ascending);
+}
+
 TEST(ParallelFor, DeterministicSlotWrites) {
   std::vector<int> serial(64), parallel(64);
   parallel_for(serial.size(), 1, [&](std::size_t i) { serial[i] = static_cast<int>(i * i); });

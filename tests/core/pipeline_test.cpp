@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/json.h"
 #include "core/json_report.h"
@@ -269,6 +271,30 @@ TEST(PipelineConfigJson, OutOfRangeIntegersThrowInsteadOfWrapping) {
   EXPECT_THROW(pipeline_config_from_json(R"({"num_threads": -1})"), std::invalid_argument);
   EXPECT_THROW(pipeline_config_from_json(R"({"dma": {"setup_cycles": 3000000000}})"),
                std::invalid_argument);
+}
+
+TEST(PipelineConfigJson, ThreadCountsAboveTheLimitAreRejectedByName) {
+  // Parsing only: no pool is built, so no thread starts.
+  PipelineConfig at_limit =
+      pipeline_config_from_json(R"({"num_threads": 256, "search": {"bnb_threads": 256}})");
+  EXPECT_EQ(at_limit.num_threads, kMaxThreads);
+  EXPECT_EQ(at_limit.search.bnb_threads, kMaxThreads);
+  for (const char* value : {"257", "50000", "4294967295"}) {
+    const std::string num = std::string(R"({"num_threads": )") + value + "}";
+    const std::string bnb =
+        std::string(R"({"strategy": "bnb-par", "search": {"bnb_threads": )") + value + "}}";
+    for (const auto& [document, key] :
+         {std::pair{num, "num_threads"}, std::pair{bnb, "search.bnb_threads"}}) {
+      SCOPED_TRACE(document);
+      try {
+        pipeline_config_from_json(document);
+        ADD_FAILURE() << "expected a thread-count error";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("256"), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 TEST(Pipeline, CustomTargetHonorsExplicitWeights) {

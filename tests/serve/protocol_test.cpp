@@ -66,6 +66,19 @@ TEST(Protocol, ParsesEmbeddedConfigThroughTheOneConfigParser) {
   EXPECT_EQ(request.config.search.budget.deadline_seconds, 2.5);
 }
 
+TEST(Protocol, RejectsAnUnboundedThreadCountInASubmitConfig) {
+  // Parsing only: a worker never sees the job, so no pool is built.
+  const std::string line =
+      R"({"cmd": "submit", "program": "p", "config": {"strategy": "bnb-par",)"
+      R"( "search": {"bnb_threads": 4294967295}}})";
+  try {
+    parse_request(line);
+    FAIL() << "expected the thread count to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("bnb_threads"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request("not json"), std::exception);
   EXPECT_THROW(parse_request(R"({"cmd": "frobnicate"})"), std::invalid_argument);
