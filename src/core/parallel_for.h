@@ -17,14 +17,15 @@ unsigned default_parallelism();
 /// site follow the pool's rules.
 ///
 ///  * `num_threads == 0` picks `default_parallelism()`; the pool gets at
-///    most `count` workers, and a single worker runs every body on the
-///    calling thread.
+///    most `count` workers.  The calling thread is worker 0 (a single
+///    worker runs every body on it); the others run on helper threads
+///    borrowed from the pool's process-wide cache (see `WorkStealingPool`).
 ///  * Index i is seeded onto worker i % workers so that each worker runs its
 ///    own indices in ascending order (a lone worker runs 0, 1, 2, ...); idle
 ///    workers steal the rest.  Each index runs at most once, so a body that
 ///    only writes its own index's slot is deterministic for any thread count.
 ///  * The first exception thrown by any body is rethrown on the calling
-///    thread after every worker has joined; bodies not yet started are
+///    thread after the pool has drained; bodies not yet started are
 ///    skipped.
 ///  * With a `budget`, bodies not yet started once it has expired are
 ///    skipped; running bodies finish.  The caller decides what a partially

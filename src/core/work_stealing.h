@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -27,23 +28,41 @@ class RunBudget;
 /// decide whether splitting itself up is worth the bookkeeping (it is true
 /// while some worker is hunting for work or the queues are empty).
 ///
+/// Threads: the calling thread is worker 0.  Workers 1..n-1 run on helper
+/// threads borrowed from one lazily started, process-wide cache that no run
+/// owns: `run` creates no thread unless more helpers are borrowed at once
+/// than ever before, so the process holds as many helpers as its peak
+/// concurrent demand and keeps them until exit.  A helper that finishes a
+/// run spins briefly for the next post before it parks, and a worker that
+/// finds no task spins briefly before it sleeps, so back-to-back runs of a
+/// few milliseconds pay neither a thread start nor a wake-up.  Every task
+/// can be stolen by any worker, so a helper that claims its post late, or
+/// not at all (once the run has drained, an unclaimed post is revoked; a
+/// run the system refuses a new thread goes ahead with fewer helpers),
+/// costs parallelism, never a task.
+///
 /// Semantics:
 ///
-///  * `run` blocks until every task (seeded and spawned) has finished, then
-///    returns the number of tasks *skipped*.  Tasks are skipped — claimed
-///    and discarded unrun — once the budget has expired or a peer task has
-///    thrown; already-running tasks always run to completion.  A zero
-///    return means complete coverage.
+///  * `run` blocks until every task (seeded and spawned) has finished and
+///    every helper that joined the run has left it, then returns the number
+///    of tasks *skipped*.  Tasks are skipped — claimed and discarded unrun —
+///    once the budget has expired or a peer task has thrown; already-running
+///    tasks always run to completion.  A zero return means complete
+///    coverage.
 ///  * The first exception thrown by any task is rethrown on the calling
 ///    thread after the pool has drained; the remaining tasks are skipped.
 ///  * With `num_threads <= 1` the calling thread runs every task itself (no
-///    worker threads are spawned), so a single-worker run is an ordinary
+///    helper is borrowed), so a single-worker run is an ordinary
 ///    deterministic loop.
 ///  * The budget is observed, never charged — tasks that want to spend
 ///    probes do so themselves.
 ///  * The fault injector's `ParallelBody` site fires once per task run: an
 ///    armed injector makes the Nth task throw `FaultInjectedError`, which
 ///    then follows the exception path above.
+///  * Telemetry: the `core.pool_threads_started` counter counts the helper
+///    threads the cache has started, and each multi-worker run records one
+///    `core.pool_idle_us` sample per worker that joined it (µs spent
+///    without a task), from per-worker plain fields like `tasks_run`.
 ///
 /// The pool makes no ordering promise between tasks: callers needing a
 /// deterministic reduction must make their per-task results order-free
@@ -89,18 +108,29 @@ class WorkStealingPool {
   long tasks_run() const;
   long steals() const;
 
+  /// Helper threads the process-wide cache has started so far (it never
+  /// shrinks, so this is also the number it holds); the registry reports
+  /// it as the `core.pool_threads_started` counter.
+  static std::uint64_t helper_threads_started();
+
  private:
   struct WorkerQueue {
     std::mutex mu;
     std::deque<Task> tasks;
-    long tasks_run = 0;  ///< written by the owning worker only
-    long steals = 0;     ///< written by the owning worker only
+    long tasks_run = 0;         ///< written by the owning worker only
+    long steals = 0;            ///< written by the owning worker only
+    std::uint64_t idle_ns = 0;  ///< written by the owning worker only
+    bool joined = false;        ///< written by the owning worker only
   };
+
+  class HelperCache;  ///< the process-wide helper threads (work_stealing.cpp)
 
   bool try_pop(unsigned worker, Task& out);
   bool try_steal(unsigned thief, Task& out);
-  void worker_loop(unsigned worker);
+  void worker_loop(unsigned worker) noexcept;
+  void wait_for_work(WorkerQueue& own);
   void finish_task();
+  void record_idle() const;
 
   unsigned num_workers_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

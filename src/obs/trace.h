@@ -43,8 +43,8 @@ struct TraceEvent {
 /// measures, and it keeps export/record interleavings TSan-clean).  Rings
 /// drop their *oldest* event on overflow: a long run keeps the most recent
 /// window, which is the one you want in a post-mortem.  Rings are owned by
-/// shared_ptr and survive thread exit, so export after a pool has joined
-/// still sees every worker's events.  Thread ids are small integers handed
+/// shared_ptr and survive thread exit, so export after a thread has
+/// exited still sees its events.  Thread ids are small integers handed
 /// out at first record per thread.
 class Tracer {
  public:

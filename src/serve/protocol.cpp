@@ -288,7 +288,10 @@ std::string metrics_payload(const char* event, const ServerMetricsView& view) {
         << ", \"p50\": " << histogram.quantile_bound(0.5)
         << ", \"p99\": " << histogram.quantile_bound(0.99) << "}";
   }
-  out << "}}";
+  out << "}, \"pool\": {\"threads_started\": " << view.pool_threads_started
+      << ", \"idle_us\": {\"count\": " << view.pool_idle_us.count
+      << ", \"p50\": " << view.pool_idle_us.quantile_bound(0.5)
+      << ", \"p99\": " << view.pool_idle_us.quantile_bound(0.99) << "}}}";
   return out.str();
 }
 

@@ -142,6 +142,11 @@ struct ServerMetricsView {
   /// `"latency_us": {"<phase>": {"count", "p50", "p99"}}` — the p50/p99
   /// values are the inclusive upper bounds of their power-of-two buckets.
   std::vector<std::pair<std::string, obs::HistogramSnapshot>> latency_us;
+  /// The process-wide work-stealing pool, reported as `"pool":
+  /// {"threads_started", "idle_us": {"count", "p50", "p99"}}`: helper
+  /// threads started so far and each pool worker's idle µs per run.
+  std::uint64_t pool_threads_started = 0;
+  obs::HistogramSnapshot pool_idle_us;
 };
 
 /// Reply to the `metrics` verb ({"event":"metrics",...}).

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/work_stealing.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
 #include "obs/metrics.h"
@@ -503,6 +504,8 @@ ServerMetricsView Server::metrics_view() const {
                      {"hit", hit_us_.snapshot()},
                      {"queue_wait", queue_wait_us_.snapshot()},
                      {"job_run", job_run_us_.snapshot()}};
+  view.pool_threads_started = core::WorkStealingPool::helper_threads_started();
+  view.pool_idle_us = obs::Registry::instance().histogram("core.pool_idle_us").snapshot();
   return view;
 }
 

@@ -70,37 +70,6 @@ TEST(BnbBound, AncestorsHaveSmallerIdsOnTheAppsAndTheRandomCorpus) {
   }
 }
 
-// The guard-64 rate instance of bench/search_scaling.cpp (the benchmark
-// extracts that definition by text, so it is copied here, not shared).
-ir::Program guard64_program() {
-  ir::ProgramBuilder pb("guard64");
-  pb.array("a", {32, 16}, 4).input();
-  pb.array("b", {16}, 4).input();
-  pb.array("c", {32, 16}, 4).input();
-  pb.array("d", {24}, 4).input();
-  pb.array("e", {32, 16}, 4).input();
-  pb.array("f", {48}, 4).input();
-  pb.array("o", {32}, 4).output();
-  pb.begin_loop("i", 0, 32);
-  pb.begin_loop("r", 0, 4);
-  pb.begin_loop("j", 0, 16);
-  pb.stmt("s", 2).read("a", {av("i"), av("j")}).read("b", {av("j")});
-  pb.stmt("t", 2).read("c", {av("i"), av("j")}).read("d", {av("j")});
-  pb.stmt("u", 2).read("e", {av("i"), av("j")}).read("f", {av("j", 3)});
-  pb.end_loop();
-  pb.end_loop();
-  pb.stmt("g", 1).write("o", {av("i")});
-  pb.end_loop();
-  return pb.finish();
-}
-
-mem::PlatformConfig guard64_platform() {
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 640;
-  platform.l2_bytes = 4096;
-  return platform;
-}
-
 TEST(BnbBound, Guard64PrunesToAHandfulOfLeaves) {
   // The full enumeration has 10,024,964 leaves.  The parent-exact charge
   // leaves single digits (charging the cheapest source instead evaluates
@@ -108,7 +77,7 @@ TEST(BnbBound, Guard64PrunesToAHandfulOfLeaves) {
   // around them, which the serial run's probe count (one per node, plus
   // the greedy seed's) sees: about 163k, against 370k without the shares
   // and 2.2M without the cut.
-  auto ws = testing::make_ws(guard64_program(), guard64_platform());
+  auto ws = testing::make_ws(testing::guard64_program(), testing::guard64_platform());
   auto ctx = ws->context();
   ASSERT_LE(oracle::candidate_placements(ctx), assign::kEnginePlacementGuard);
   constexpr double kOptimum = 0x1.1c0bf8063e98cp-2;
@@ -166,7 +135,8 @@ TEST(Exhaustive, BnbIsTheOneWorkerBnbPar) {
   // worker charges the budget one unit at a time, so a probe allowance
   // stops both at the same probe: the allowance plus the one it refused.
   std::vector<std::pair<std::string, std::unique_ptr<core::Workspace>>> instances;
-  instances.emplace_back("guard64", testing::make_ws(guard64_program(), guard64_platform()));
+  instances.emplace_back("guard64",
+                         testing::make_ws(testing::guard64_program(), testing::guard64_platform()));
   std::size_t apps_under_guard = 0;
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = testing::make_ws(info.build(), mem::PlatformConfig{});

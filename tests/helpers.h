@@ -73,6 +73,38 @@ inline mem::PlatformConfig small_platform() {
   return platform;
 }
 
+/// The guard-64 rate instance of bench/search_scaling.cpp (the benchmark
+/// extracts that definition by text, so it is copied here, not shared):
+/// 52 candidate placements, about 10M leaves unpruned, 4 with the bound.
+inline ir::Program guard64_program() {
+  ir::ProgramBuilder pb("guard64");
+  pb.array("a", {32, 16}, 4).input();
+  pb.array("b", {16}, 4).input();
+  pb.array("c", {32, 16}, 4).input();
+  pb.array("d", {24}, 4).input();
+  pb.array("e", {32, 16}, 4).input();
+  pb.array("f", {48}, 4).input();
+  pb.array("o", {32}, 4).output();
+  pb.begin_loop("i", 0, 32);
+  pb.begin_loop("r", 0, 4);
+  pb.begin_loop("j", 0, 16);
+  pb.stmt("s", 2).read("a", {av("i"), av("j")}).read("b", {av("j")});
+  pb.stmt("t", 2).read("c", {av("i"), av("j")}).read("d", {av("j")});
+  pb.stmt("u", 2).read("e", {av("i"), av("j")}).read("f", {av("j", 3)});
+  pb.end_loop();
+  pb.end_loop();
+  pb.stmt("g", 1).write("o", {av("i")});
+  pb.end_loop();
+  return pb.finish();
+}
+
+inline mem::PlatformConfig guard64_platform() {
+  mem::PlatformConfig platform;
+  platform.l1_bytes = 640;
+  platform.l2_bytes = 4096;
+  return platform;
+}
+
 /// Workspace over any program with the small test platform.
 inline std::unique_ptr<core::Workspace> make_ws(ir::Program program,
                                                 mem::PlatformConfig platform = small_platform(),

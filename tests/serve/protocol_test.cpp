@@ -149,6 +149,9 @@ TEST(Protocol, MetricsEventCarriesEveryServerCounter) {
   view.uptime_seconds = 1.5;
   view.cache.entries = 8;
   view.cache.hits = 9;
+  view.pool_threads_started = 3;
+  view.pool_idle_us.count = 2;
+  view.pool_idle_us.buckets[4] = 2;  // two samples in [8, 16) µs
 
   for (const std::string& line : {event_metrics(view), event_stats(view)}) {
     SCOPED_TRACE(line);
@@ -165,6 +168,9 @@ TEST(Protocol, MetricsEventCarriesEveryServerCounter) {
     EXPECT_EQ(event.at("uptime_seconds").number(), 1.5);
     EXPECT_EQ(event.at("cache").at("entries").integer(), 8);
     EXPECT_EQ(event.at("cache").at("hits").integer(), 9);
+    EXPECT_EQ(event.at("pool").at("threads_started").integer(), 3);
+    EXPECT_EQ(event.at("pool").at("idle_us").at("count").integer(), 2);
+    EXPECT_EQ(event.at("pool").at("idle_us").at("p50").integer(), 15);
   }
   EXPECT_EQ(Json::parse(event_metrics(view)).at("event").string(), "metrics");
   EXPECT_EQ(Json::parse(event_stats(view)).at("event").string(), "stats");

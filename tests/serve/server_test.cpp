@@ -14,6 +14,7 @@
 
 #include "apps/registry.h"
 #include "core/json.h"
+#include "core/work_stealing.h"
 #include "helpers.h"
 #include "obs/metrics.h"
 #include "ir/serialize.h"
@@ -381,6 +382,10 @@ TEST(Server, MetricsVerbReportsJobQueueCacheAndConnectionCounters) {
   EXPECT_GT(view.at("uptime_seconds").number(), 0.0);
   EXPECT_EQ(view.at("cache").at("entries").integer(), 1);
   EXPECT_GE(view.at("cache").at("hits").integer(), 1);
+  // The process-wide pool's block reads the same numbers as the registry.
+  EXPECT_EQ(view.at("pool").at("threads_started").integer(),
+            static_cast<std::int64_t>(core::WorkStealingPool::helper_threads_started()));
+  EXPECT_GE(view.at("pool").at("idle_us").at("count").integer(), 0);
 
   // The same cells feed the process-wide registry through the server's
   // sources — one source of truth, two doors.
@@ -395,6 +400,8 @@ TEST(Server, MetricsVerbReportsJobQueueCacheAndConnectionCounters) {
   EXPECT_EQ(counter("serve.jobs_done"), 2);
   EXPECT_EQ(counter("serve.jobs_accepted"), 2);
   EXPECT_GE(counter("serve.cache.hits"), 1);
+  EXPECT_EQ(counter("core.pool_threads_started"),
+            static_cast<std::int64_t>(core::WorkStealingPool::helper_threads_started()));
 }
 
 TEST(Server, StatsStreamBroadcastsToSubscribedConnections) {
