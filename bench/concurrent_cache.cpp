@@ -1,15 +1,12 @@
-// Concurrent result-cache throughput: how the sharded, lock-striped
-// ResultCache behind mhla_serve scales with reader/writer threads, against
-// the single-mutex alternative (the same cache with one shard, so every
-// operation takes one lock), and what bounded LRU eviction costs on the
-// insert path.
+// Concurrent result-cache throughput: how the one-mutex ResultCache behind
+// mhla_serve behaves with reader/writer threads, and what bounded LRU
+// eviction costs on the insert path.
 //
 // The interesting comparisons:
-//   * Lookup/Insert at ->Threads(1..8): per-op time should stay roughly flat
-//     as threads grow (shards contend only on key collisions), where the
-//     GlobalLock variants serialize and degrade.
-//   * BoundedInsert vs Insert: the eviction bookkeeping (LRU splice + floor
-//     CAS) on every insert past the cap.
+//   * Lookup/Insert at ->Threads(1..8): per-op time as threads contend for
+//     the one lock (a lookup holds it for one probe and one list splice).
+//   * BoundedInsert vs Insert: the eviction bookkeeping (one LRU pop and
+//     one map erase) on every insert past the cap.
 //   * Serialize: the periodic persister's pause — what save_if_dirty pays
 //     before any I/O happens.
 
@@ -72,10 +69,9 @@ void ConcurrentCacheInsert(benchmark::State& state) {
 BENCHMARK(ConcurrentCacheInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
 /// Bounded cache under eviction pressure: cap at half the working set, so
-/// roughly every other insert pays the LRU eviction + floor CAS.
+/// roughly every other insert pays an LRU eviction.
 void ConcurrentCacheBoundedInsert(benchmark::State& state) {
-  static xplore::ResultCache cache(
-      {/*max_entries=*/kWorkingSet / 2, /*evict_floor=*/kWorkingSet / 4});
+  static xplore::ResultCache cache(/*max_entries=*/kWorkingSet / 2);
   std::uint64_t i = 0;
   for (auto _ : state) {
     std::uint64_t key = nth_key(state.thread_index(), i++);
@@ -85,34 +81,7 @@ void ConcurrentCacheBoundedInsert(benchmark::State& state) {
 }
 BENCHMARK(ConcurrentCacheBoundedInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
 
-/// The baseline the striping replaces: one shard, so every operation
-/// serializes on one mutex.
-void GlobalLockLookup(benchmark::State& state) {
-  static xplore::ResultCache cache({}, /*shard_count=*/1);
-  if (state.thread_index() == 0) {
-    for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
-  }
-  std::uint64_t i = 0;
-  CacheEntry out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(nth_key(state.thread_index(), i++), out));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(GlobalLockLookup)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-void GlobalLockInsert(benchmark::State& state) {
-  static xplore::ResultCache cache({}, /*shard_count=*/1);
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    std::uint64_t key = nth_key(state.thread_index(), i++);
-    benchmark::DoNotOptimize(cache.insert(key, entry_for(key)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(GlobalLockInsert)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-/// The persister's synchronous cost: copying every shard out and rendering
+/// The persister's synchronous cost: copying every entry out and rendering
 /// the sorted document the crash-safe saver writes.
 void ConcurrentCacheSerialize(benchmark::State& state) {
   xplore::ResultCache cache;
@@ -126,8 +95,7 @@ void ConcurrentCacheSerialize(benchmark::State& state) {
 BENCHMARK(ConcurrentCacheSerialize);
 
 /// One-shot scaling table: mixed lookup/insert operations per second over
-/// thread counts, sharded vs global-lock — the headline number that
-/// justifies the striping in mhla_serve's hot path.
+/// thread counts — the cache's ceiling in mhla_serve's hot path.
 template <typename Op>
 double ops_per_second(int threads, Op op) {
   constexpr std::uint64_t kOpsPerThread = 200'000;
@@ -144,40 +112,24 @@ double ops_per_second(int threads, Op op) {
 }
 
 void print_scaling_report() {
-  bench::print_header(
-      "Concurrent result-cache scaling (mhla_serve hot path)",
-      "lock-striped shards keep cache throughput flat as server workers grow");
+  bench::print_header("Concurrent result-cache scaling (mhla_serve hot path)",
+                      "one mutex: 7 lookups per insert over a 4096-key working set");
 
-  xplore::ResultCache sharded;
-  xplore::ResultCache global({}, /*shard_count=*/1);
-  for (std::uint64_t key = 0; key < kWorkingSet; ++key) {
-    sharded.insert(key, entry_for(key));
-    global.insert(key, entry_for(key));
-  }
+  xplore::ResultCache cache;
+  for (std::uint64_t key = 0; key < kWorkingSet; ++key) cache.insert(key, entry_for(key));
 
-  std::printf("%8s  %18s  %18s  %8s\n", "threads", "sharded ops/s", "global-lock ops/s",
-              "speedup");
+  std::printf("%8s  %14s\n", "threads", "ops/s");
   for (int threads : {1, 2, 4, 8}) {
-    double shard_rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
+    double rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
       CacheEntry out;
       std::uint64_t key = nth_key(t, i);
       if (i % 8 == 0) {
-        sharded.insert(key, entry_for(key));
+        cache.insert(key, entry_for(key));
       } else {
-        benchmark::DoNotOptimize(sharded.lookup(key, out));
+        benchmark::DoNotOptimize(cache.lookup(key, out));
       }
     });
-    double global_rate = ops_per_second(threads, [&](int t, std::uint64_t i) {
-      CacheEntry out;
-      std::uint64_t key = nth_key(t, i);
-      if (i % 8 == 0) {
-        global.insert(key, entry_for(key));
-      } else {
-        benchmark::DoNotOptimize(global.lookup(key, out));
-      }
-    });
-    std::printf("%8d  %18.0f  %18.0f  %7.2fx\n", threads, shard_rate, global_rate,
-                shard_rate / global_rate);
+    std::printf("%8d  %14.0f\n", threads, rate);
   }
   std::printf("\n");
 }

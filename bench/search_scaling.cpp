@@ -331,7 +331,7 @@ void print_scaling_report() {
             << pruned.states_explored << " states (" << pruned.bound_prunes << " bound prunes, "
             << pruned.capacity_prunes << " capacity prunes), "
             << core::Table::num(engine_s * 1e3, 2) << " ms, "
-            << (pruned.exhausted_budget ? "budget hit" : "search complete") << "\n";
+            << (pruned.status == assign::SearchStatus::Optimal ? "search complete" : "budget hit") << "\n";
 
   auto medium_ws = core::make_workspace(apps::build_motion_estimation(),
                                         bench::default_platform(), {});
@@ -344,7 +344,7 @@ void print_scaling_report() {
   std::cout << "branch-and-bound (motion_estimation, 46 placements, budget 200k): "
             << medium.states_explored << " states, " << medium.bound_prunes
             << " bound prunes, " << medium.capacity_prunes << " capacity prunes, "
-            << (medium.exhausted_budget ? "budget hit" : "complete") << ", "
+            << (medium.status == assign::SearchStatus::Optimal ? "complete" : "budget hit") << ", "
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the dense

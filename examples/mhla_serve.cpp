@@ -7,8 +7,7 @@
 //   mhla_serve [--host <ipv4>] [--port <n>] [--port-file <path>]
 //              [--workers <n>] [--cache <file.json>]
 //              [--persist-interval <seconds>] [--cache-max-entries <n>]
-//              [--cache-evict-floor <n>] [--stats-interval <seconds>]
-//              [--job-retention <n>]
+//              [--stats-interval <seconds>] [--job-retention <n>]
 //
 // Options:
 //   --host <ipv4>             bind address (default 127.0.0.1)
@@ -22,8 +21,8 @@
 //                             periodic persister and at shutdown
 //   --persist-interval <s>    periodic persistence period; 0 saves only at
 //                             shutdown (default 0)
-//   --cache-max-entries <n>   bound on resident cache entries (0 = unbounded)
-//   --cache-evict-floor <n>   eviction never drops the cache below this
+//   --cache-max-entries <n>   bound on resident cache entries, least recently
+//                             used evicted first (0 = unbounded)
 //   --stats-interval <s>      broadcast a `stats` metrics event every <s>
 //                             seconds to connections subscribed via
 //                             {"cmd":"metrics","stream":true}; 0 disables
@@ -63,8 +62,8 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--host <ipv4>] [--port <n>] [--port-file <path>] [--workers <n>]\n"
                "       [--cache <file.json>] [--persist-interval <seconds>]\n"
-               "       [--cache-max-entries <n>] [--cache-evict-floor <n>]\n"
-               "       [--stats-interval <seconds>] [--job-retention <n>]\n\n"
+               "       [--cache-max-entries <n>] [--stats-interval <seconds>]\n"
+               "       [--job-retention <n>]\n\n"
                "exit codes: 0 clean shutdown, 2 usage, 3 validation, 5 I/O\n";
   return 2;
 }
@@ -118,11 +117,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-max-entries") {
         long long n = std::stoll(next());
         if (n < 0) throw std::invalid_argument("--cache-max-entries must be >= 0");
-        config.cache_bounds.max_entries = static_cast<std::size_t>(n);
-      } else if (arg == "--cache-evict-floor") {
-        long long n = std::stoll(next());
-        if (n < 0) throw std::invalid_argument("--cache-evict-floor must be >= 0");
-        config.cache_bounds.evict_floor = static_cast<std::size_t>(n);
+        config.cache_max_entries = static_cast<std::size_t>(n);
       } else if (arg == "--job-retention") {
         long long n = std::stoll(next());
         if (n < 0) throw std::invalid_argument("--job-retention must be >= 0");

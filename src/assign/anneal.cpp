@@ -53,7 +53,6 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
   for (int iter = 0; iter < options.anneal_iterations; ++iter, temp *= options.anneal_cooling) {
     if (!budget->probe()) {
       result.status = SearchStatus::BudgetExhausted;
-      result.exhausted_budget = true;
       break;
     }
     // Propose one move on the engine; `proposed` stays false when the draw
@@ -69,7 +68,7 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
         int layer = static_cast<int>(draw(rng, static_cast<std::size_t>(background)));
         if (cc.elems <= 0 || engine.has_copy(cc.id)) break;
         const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && cc.bytes > target.capacity_bytes) break;
+        if (!target.fits(cc.bytes)) break;
         engine.select_copy(cc.id, layer);
         needs_layering_check = true;
         proposed = true;
@@ -88,7 +87,7 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
         int layer = static_cast<int>(draw(rng, static_cast<std::size_t>(ctx.hierarchy.num_layers())));
         if (layer == engine.home_of(a)) break;
         const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && arrays[a].bytes() > target.capacity_bytes) break;
+        if (!target.fits(arrays[a].bytes())) break;
         engine.migrate_array(a, layer);
         proposed = true;
         break;

@@ -38,7 +38,7 @@ void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array
   for (int offset = 0; offset <= last; ++offset) {
     int layer = (background + L - offset) % L;
     const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-    if (!target.unbounded() && array.bytes() > target.capacity_bytes) continue;
+    if (!target.fits(array.bytes())) continue;
     fn(layer);
   }
 }
@@ -61,7 +61,6 @@ constexpr long kProbeBatch = 64;
 /// consumable.
 void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budget_hit,
                       double lower_bound, const SearchResult* fallback) {
-  result.exhausted_budget = budget_hit;
   result.lower_bound = lower_bound;
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
@@ -267,10 +266,9 @@ struct EngineSearch {
       const analysis::CopyCandidate& cc = candidates[c];
       for (std::size_t layer = 0; layer < B; ++layer) {
         const mem::MemLayer& target = ctx.hierarchy.layer(static_cast<int>(layer));
-        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
-        if (entry_headroom && !target.unbounded() &&
-            engine.footprint().usage(static_cast<int>(layer), cc.nest) + cc.bytes >
-                target.capacity_bytes) {
+        if (!target.fits(cc.bytes)) continue;
+        if (entry_headroom &&
+            !target.fits(engine.footprint().usage(static_cast<int>(layer), cc.nest) + cc.bytes)) {
           denied = true;
           continue;
         }
@@ -573,7 +571,7 @@ struct EngineSearch {
     int ordinal = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-      if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
+      if (!target.fits(cc.bytes)) continue;
       ++ordinal;
       // Two cuts, counted together.  A copy not strictly below its (final)
       // parent store can never become layering-valid.  And the engine's
@@ -582,9 +580,7 @@ struct EngineSearch {
       // read decides whether this placement can still fit; copy selection
       // only ever adds footprint, so an overflowing branch has no feasible
       // completion.
-      if (parent <= layer ||
-          (!target.unbounded() &&
-           engine.footprint().usage(layer, cc.nest) + cc.bytes > target.capacity_bytes)) {
+      if (parent <= layer || !target.fits(engine.footprint().usage(layer, cc.nest) + cc.bytes)) {
         ++capacity_prunes;
         continue;
       }
@@ -635,7 +631,7 @@ struct EngineSearch {
     int seen = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-      if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
+      if (!target.fits(cc.bytes)) continue;
       if (++seen == ordinal) return layer;
     }
     throw std::logic_error("exhaustive: copy ordinal out of range");

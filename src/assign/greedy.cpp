@@ -109,7 +109,7 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
       for (int layer = 0; layer < background; ++layer) {
         if (!probe()) break;
         const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-        if (!target.unbounded() && cc.bytes > target.capacity_bytes) continue;
+        if (!target.fits(cc.bytes)) continue;
         slot_cc.push_back(cc.id);
         slot_layer.push_back(layer);
         slot_bytes.push_back(cc.bytes);
@@ -137,7 +137,7 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
           if (!probe()) break;
           if (layer == home) continue;
           const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-          if (!target.unbounded() && arrays[a].bytes() > target.capacity_bytes) continue;
+          if (!target.fits(arrays[a].bytes())) continue;
           CostEngine::Checkpoint cp = engine.checkpoint();
           engine.migrate_array(a, layer);
           consider_applied(GreedyMove::Kind::MigrateArray, -1, a, layer, arrays[a].bytes());
@@ -184,7 +184,6 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
   result.assignment = engine.assignment();
   result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
-  result.exhausted_budget = cancelled;
   return result;
 }
 

@@ -50,7 +50,7 @@ FootprintReport compute_footprints(const AssignContext& ctx, const Assignment& a
     i64 peak = row.empty() ? 0 : *std::max_element(row.begin(), row.end());
     report.peak_bytes[static_cast<std::size_t>(l)] = peak;
     const mem::MemLayer& layer = ctx.hierarchy.layer(l);
-    if (!layer.unbounded() && peak > layer.capacity_bytes) report.feasible = false;
+    if (!layer.fits(peak)) report.feasible = false;
   }
   return report;
 }

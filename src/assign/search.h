@@ -106,7 +106,6 @@ struct SearchResult {
   int evaluations = 0;            ///< cost-model invocations (greedy, anneal)
 
   long states_explored = 0;       ///< evaluated states (exact strategies)
-  bool exhausted_budget = false;  ///< status == BudgetExhausted (legacy mirror)
   long bound_prunes = 0;          ///< subtrees cut by the lower bound
   long capacity_prunes = 0;       ///< placements cut by cumulative capacity or layering
 

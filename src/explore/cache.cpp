@@ -1,7 +1,6 @@
 #include "explore/cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -157,17 +156,6 @@ void write_atomically(const std::string& path, const std::string& text) {
   sync_path(parent.empty() ? "." : parent.string());
 }
 
-/// Finalizer mix (splitmix64 tail): cache keys are already FNV hashes, but
-/// the mix keeps any externally supplied key set from piling onto one shard.
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(const std::string& text) {
@@ -179,44 +167,16 @@ std::uint64_t fnv1a64(const std::string& text) {
   return hash;
 }
 
-ResultCache::ResultCache(CacheBounds bounds, std::size_t shard_count) : bounds_(bounds) {
-  // A power of two, so shard selection is a mask, not a modulo.
-  std::size_t shards = std::bit_ceil(shard_count);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  if (bounds_.max_entries > 0) {
-    // The floor wins over a smaller cap (a cache that must keep N entries
-    // cannot be bounded below N), and every shard gets at least one slot.
-    std::size_t cap = std::max(bounds_.max_entries, bounds_.evict_floor);
-    per_shard_cap_ = std::max<std::size_t>(1, (cap + shards - 1) / shards);
-  }
-}
-
-ResultCache::Shard& ResultCache::shard_of(std::uint64_t key) const {
-  return *shards_[mix(key) & (shards_.size() - 1)];
-}
-
-bool ResultCache::claim_eviction() {
-  std::size_t current = size_.load(std::memory_order_relaxed);
-  while (current > bounds_.evict_floor) {
-    if (size_.compare_exchange_weak(current, current - 1, std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ResultCache::lookup(std::uint64_t key, CacheEntry& out) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    shard.misses.add();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++stats_.misses;
     return false;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   out = it->second.entry;
-  shard.hits.add();
+  ++stats_.hits;
   return true;
 }
 
@@ -225,55 +185,40 @@ bool ResultCache::insert(std::uint64_t key, CacheEntry entry) {
   // truncated (BudgetExhausted) or infeasible result must never be stored,
   // no matter which caller produced it — its value depends on knobs the
   // cache key normalizes away.
+  std::lock_guard<std::mutex> lock(mu_);
   if (!cacheable_status(entry.status)) {
-    rejected_.add();
+    ++stats_.rejected;
     return false;
   }
-  Shard& shard = shard_of(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      it->second.entry = std::move(entry);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    } else {
-      shard.lru.push_front(key);
-      shard.map.emplace(key, Node{std::move(entry), shard.lru.begin()});
-      size_.fetch_add(1, std::memory_order_relaxed);
-      // Evict this shard's cold tail past the per-shard cap.  Each removal
-      // first claims its decrement against the global floor, so concurrent
-      // evictions on other shards can never team up to breach it.  The
-      // just-inserted entry sits at the LRU front and the cap is >= 1, so
-      // it is never its own victim.
-      while (per_shard_cap_ != 0 && shard.map.size() > per_shard_cap_) {
-        if (!claim_eviction()) break;
-        std::uint64_t victim = shard.lru.back();
-        shard.lru.pop_back();
-        shard.map.erase(victim);
-        shard.evictions.add();
-      }
+  auto it = map_.find(key);
+  if (it != map_.end()) {
+    it->second.entry = std::move(entry);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  } else {
+    lru_.push_front(key);
+    map_.emplace(key, Node{std::move(entry), lru_.begin()});
+    // The new entry sits at the LRU front and the cap is >= 1 when set, so
+    // it is never its own victim.
+    if (max_entries_ != 0 && map_.size() > max_entries_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+      ++stats_.evictions;
     }
   }
-  insertions_.add();
-  version_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.insertions;
+  ++version_;
   return true;
 }
 
+std::size_t ResultCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
+}
+
 CacheStats ResultCache::stats() const {
-  // Every row is a lock-free read of the same cells a registered metrics
-  // source reads: the `cache_stats` verb and a registry snapshot cannot
-  // disagree about this cache.
-  CacheStats stats;
-  stats.shards = shards_.size();
-  stats.entries = size();
-  stats.insertions = insertions_.value();
-  stats.rejected = rejected_.value();
-  for (const auto& shard : shards_) {
-    stats.hits += shard->hits.value();
-    stats.misses += shard->misses.value();
-    stats.evictions += shard->evictions.value();
-  }
-  stats.saves = saves_.value();
+  std::lock_guard<std::mutex> lock(mu_);
+  CacheStats stats = stats_;
+  stats.entries = map_.size();
   return stats;
 }
 
@@ -292,9 +237,10 @@ std::uint64_t ResultCache::register_metrics(obs::Registry& registry, std::string
 
 std::vector<std::pair<std::uint64_t, CacheEntry>> ResultCache::entries() const {
   std::vector<KeyedEntry> copy;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, node] : shard->map) copy.emplace_back(key, node.entry);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    copy.reserve(map_.size());
+    for (const auto& [key, node] : map_) copy.emplace_back(key, node.entry);
   }
   std::sort(copy.begin(), copy.end(),
             [](const KeyedEntry& a, const KeyedEntry& b) { return a.first < b.first; });
@@ -368,11 +314,11 @@ ResultCache::LoadReport ResultCache::load(const std::string& path) {
   // next save_if_dirty; a clean one loaded into an empty cache already
   // matches memory.  (Loads run before the cache is shared, so no insert
   // from another thread can slip between the two.)
-  std::lock_guard<std::mutex> lock(save_mu_);
+  std::scoped_lock lock(save_mu_, mu_);
   if (!report.clean) {
-    version_.fetch_add(1, std::memory_order_relaxed);
+    ++version_;
   } else if (was_empty) {
-    saved_version_ = version_.load(std::memory_order_acquire);
+    saved_version_ = version_;
   }
   return report;
 }
@@ -382,11 +328,15 @@ bool ResultCache::persist(const std::string& path, bool only_if_dirty) const {
   // Read the version before serializing: entries that land in between are
   // persisted now but re-persisted by the next dirty save — duplicated work
   // at worst, never lost work.  A failed save leaves the cache dirty.
-  std::uint64_t version = version_.load(std::memory_order_acquire);
+  const std::uint64_t version = [this] {
+    std::lock_guard<std::mutex> state_lock(mu_);
+    return version_;
+  }();
   if (only_if_dirty && version == saved_version_) return false;
   write_atomically(path, to_json());
   saved_version_ = version;
-  saves_.add();
+  std::lock_guard<std::mutex> state_lock(mu_);
+  ++stats_.saves;
   return true;
 }
 

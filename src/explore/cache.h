@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -59,7 +57,7 @@ inline bool cacheable_status(assign::SearchStatus status) {
 /// guarded insert.  Implemented by `ResultCache`; benches wrap it to time
 /// every call.  Lookup copies the entry out instead of returning a pointer
 /// on purpose: a concurrent implementation may evict or move the node the
-/// moment its shard lock drops.
+/// moment its lock drops.
 class ResultStore {
  public:
   virtual ~ResultStore() = default;
@@ -74,24 +72,10 @@ class ResultStore {
   virtual bool insert(std::uint64_t key, CacheEntry entry) = 0;
 };
 
-/// Capacity policy of a ResultCache.  `max_entries` is enforced per shard
-/// (at most ceil(max/shards) each), so the global count can overshoot by at
-/// most one entry per shard under a skewed key distribution.  `evict_floor`
-/// is the hard lower guarantee: eviction never shrinks the cache below it,
-/// so a reader cannot find a warm cache drained mid-lookup by a concurrent
-/// eviction storm.  A floor above the cap raises the cap to the floor.
-struct CacheBounds {
-  std::size_t max_entries = 0;  ///< 0 = unbounded (no eviction)
-  std::size_t evict_floor = 0;  ///< eviction never drops the count below this
-
-  friend bool operator==(const CacheBounds&, const CacheBounds&) = default;
-};
-
 /// Counters of a ResultCache, for the server's `cache_stats` protocol verb
 /// and the bench harness.  Monotonic except `entries`.
 struct CacheStats {
   std::size_t entries = 0;
-  std::size_t shards = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;  ///< accepted inserts (including overwrites)
@@ -104,15 +88,11 @@ struct CacheStats {
 /// one in-memory store for the batch drivers and `mhla_serve`, persisted as
 /// a JSON document.
 ///
-///  * **Sharding.**  Keys are spread over a power-of-two number of shards
-///    (mixed first — cache keys are already FNV hashes, but the mix keeps
-///    adversarial key sets from serializing on one stripe).  Each shard is
-///    an unordered map plus an LRU list behind its own mutex, so concurrent
-///    lookups and inserts on different shards never contend.
-///  * **Bounds + LRU eviction.**  See CacheBounds.  An insert that pushes its
-///    shard over the per-shard cap evicts from that shard's cold tail; each
-///    eviction claims its decrement of the global size with a
-///    compare-exchange that refuses to cross `evict_floor`.
+///  * **One lock.**  An unordered map plus an LRU list behind one mutex; a
+///    lookup holds it for one probe and one list splice.
+///  * **Bound + LRU eviction.**  `max_entries` (0 = unbounded) is exact: an
+///    insert that pushes the count past it evicts the least recently used
+///    entry, cache-wide.
 ///  * **Persistence.**  Crash-safe `save` (see below); a `load` that finds a
 ///    malformed document salvages every intact entry line and quarantines
 ///    the original.  Every accepted insert marks the cache dirty and a
@@ -137,35 +117,32 @@ class ResultCache : public ResultStore {
     std::string message;
   };
 
-  /// 16 shards by default.  `shard_count` is rounded up to a power of two;
-  /// tests pass 1 to make the LRU order globally observable, and
-  /// `bench_concurrent_cache` to time one global lock.
-  explicit ResultCache(CacheBounds bounds = {}, std::size_t shard_count = 16);
+  /// At most `max_entries` entries; 0 = unbounded (no eviction).
+  explicit ResultCache(std::size_t max_entries = 0) : max_entries_(max_entries) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// ResultStore interface.  `lookup` copies the entry out under the shard
-  /// lock and bumps its recency; `insert` applies the status guard, then
-  /// stores (last write wins) and evicts the shard's LRU tail past the cap.
+  /// ResultStore interface.  `lookup` copies the entry out under the lock
+  /// and bumps its recency; `insert` applies the status guard, then stores
+  /// (last write wins) and evicts the LRU tail past the cap.
   bool lookup(std::uint64_t key, CacheEntry& out) override;
   bool insert(std::uint64_t key, CacheEntry entry) override;
 
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  std::size_t size() const;
   CacheStats stats() const;
 
   /// Expose the counters as `<prefix>.hits`, `.misses`, `.insertions`,
-  /// `.rejected`, `.evictions`, `.saves` and the gauge `.entries`, read from
-  /// the lock-free cells `stats()` sums, so the two never drift apart.
+  /// `.rejected`, `.evictions`, `.saves` and the gauge `.entries`, read
+  /// through `stats()`, so the two never drift apart.
   /// Returns the source id; `remove_source` it before destroying the cache.
   std::uint64_t register_metrics(obs::Registry& registry, std::string prefix) const;
 
-  /// Point-in-time copy of every entry, sorted by key (shards are copied
-  /// one at a time).
+  /// Point-in-time copy of every entry, sorted by key.
   std::vector<std::pair<std::uint64_t, Entry>> entries() const;
 
   /// Merge the document at `path` into this cache; the document wins on key
-  /// collisions, so shards converge by loading them all into one cache
+  /// collisions, so documents converge by loading them all into one cache
   /// (`mhla_tool --cache-merge`).  A missing file adds nothing; an existing
   /// but unreadable one throws std::runtime_error (proceeding cold would
   /// truncate the warm entries on the next save).
@@ -186,37 +163,20 @@ class ResultCache : public ResultStore {
     CacheEntry entry;
     std::list<std::uint64_t>::iterator lru_it;
   };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, Node> map;
-    std::list<std::uint64_t> lru;  ///< front = most recently used
-    // Lock-free, so `stats()` and a registered metrics source read the
-    // same cells without taking the shard lock.
-    obs::Counter hits;
-    obs::Counter misses;
-    obs::Counter evictions;
-  };
-
-  Shard& shard_of(std::uint64_t key) const;
-
-  /// Claim one eviction against the global size without ever crossing the
-  /// floor; false when the floor (or an empty cache) forbids it.
-  bool claim_eviction();
 
   /// The one body of save and save_if_dirty.
   bool persist(const std::string& path, bool only_if_dirty) const;
 
-  CacheBounds bounds_;
-  std::size_t per_shard_cap_ = 0;  ///< 0 = unbounded
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> size_{0};
-  obs::Counter insertions_;
-  obs::Counter rejected_;
-  std::atomic<std::uint64_t> version_{0};  ///< bumped on every accepted mutation
+  const std::size_t max_entries_;  ///< 0 = unbounded
 
-  mutable std::mutex save_mu_;
+  mutable std::mutex mu_;  ///< guards every field below up to save_mu_
+  std::unordered_map<std::uint64_t, Node> map_;
+  std::list<std::uint64_t> lru_;  ///< front = most recently used
+  mutable CacheStats stats_;      ///< every row but `entries`
+  std::uint64_t version_ = 0;     ///< bumped on every accepted mutation
+
+  mutable std::mutex save_mu_;  ///< serializes saves; taken before mu_
   mutable std::uint64_t saved_version_ = 0;  ///< guarded by save_mu_
-  mutable obs::Counter saves_;               ///< readable lock-free
 };
 
 }  // namespace mhla::xplore

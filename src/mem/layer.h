@@ -29,6 +29,10 @@ struct MemLayer {
 
   bool unbounded() const { return capacity_bytes <= 0; }
 
+  /// Whether `bytes` fit in this layer — the one capacity test of the
+  /// assignment searches.
+  bool fits(i64 bytes) const { return unbounded() || bytes <= capacity_bytes; }
+
   double access_energy_nj(bool is_write) const {
     return is_write ? write_energy_nj : read_energy_nj;
   }

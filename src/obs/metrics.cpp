@@ -42,15 +42,6 @@ std::string escape(const std::string& text) {
 
 std::string pad(int indent) { return std::string(static_cast<std::size_t>(indent) * 2, ' '); }
 
-/// Shard slot of the calling thread: a small id handed out once per thread,
-/// folded onto the shard array.  Distinct ids, not a hash of thread::id, so
-/// a pool of N <= kShards workers never collides.
-std::size_t thread_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-  return slot % Histogram::kShards;
-}
-
 }  // namespace
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
@@ -76,30 +67,25 @@ std::uint64_t HistogramSnapshot::quantile_bound(double q) const {
 }
 
 void Histogram::record(std::uint64_t value) {
-  Shard& shard = shards_[thread_slot()];
-  shard.buckets[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
+  buckets_[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
-  for (const Shard& shard : shards_) {
-    for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-      out.buckets[i] += shard.buckets[i].load(std::memory_order_relaxed);
-    }
-    out.count += shard.count.load(std::memory_order_relaxed);
-    out.sum += shard.sum.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
+    out.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
+  out.count = count_.load(std::memory_order_relaxed);
+  out.sum = sum_.load(std::memory_order_relaxed);
   return out;
 }
 
 void Histogram::reset() {
-  for (Shard& shard : shards_) {
-    for (auto& bucket : shard.buckets) bucket.store(0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-  }
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 Registry& Registry::instance() {
@@ -159,7 +145,7 @@ MetricsSnapshot Registry::snapshot() const {
     for (const auto& [id, source] : sources_) sources.push_back(source);
   }
   // Sources run outside the registry lock: they read component-owned
-  // counters and may themselves take component locks (cache shard mutexes).
+  // counters and may themselves take component locks (the result cache's mutex).
   for (const Source& source : sources) source(out);
   auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
   std::sort(out.counters.begin(), out.counters.end(), by_name);

@@ -65,27 +65,20 @@ struct HistogramSnapshot {
   friend bool operator==(const HistogramSnapshot&, const HistogramSnapshot&) = default;
 };
 
-/// Thread-sharded histogram over power-of-two buckets.  `record` touches
-/// only the calling thread's shard (relaxed atomics, no locks), so threads
-/// never contend; `snapshot` merges the shards losslessly.  A snapshot taken
-/// while writers are still running is a consistent-enough view (each bucket
-/// read is atomic); tests quiesce writers first for exact counts.
+/// Histogram over power-of-two buckets.  `record` is three relaxed
+/// fetch-adds (bucket, count, sum) — no locks.  A snapshot taken while
+/// writers are still running is a consistent-enough view (each bucket read
+/// is atomic); tests quiesce writers first for exact counts.
 class Histogram {
  public:
   void record(std::uint64_t value);
   HistogramSnapshot snapshot() const;
   void reset();
 
-  static constexpr std::size_t kShards = 16;
-
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBuckets> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-  };
-
-  std::array<Shard, kShards> shards_;
+  std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
 };
 
 /// Everything the registry knows at one instant, sorted by name within each
@@ -110,7 +103,7 @@ std::string to_json(const MetricsSnapshot& snapshot, int indent = 0);
 /// Process-wide metrics registry.  Instruments are created on first use and
 /// never destroyed (stable references: cache the result of `counter()` at a
 /// call site and `add` forever).  Components that keep their own counters as
-/// the source of truth — the concurrent cache's per-shard counters, the job
+/// the source of truth — the result cache's counters, the job
 /// queue's depth — register a *source*: a callback that appends rows to
 /// every snapshot, so `snapshot()` reports owned and external instruments
 /// through one door without double counting.

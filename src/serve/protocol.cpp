@@ -260,8 +260,7 @@ std::string event_status(const std::vector<JobStatusView>& jobs) {
 std::string event_cache_stats(const xplore::CacheStats& stats) {
   std::ostringstream out;
   out << "{\"event\": \"cache_stats\", \"entries\": " << stats.entries
-      << ", \"shards\": " << stats.shards << ", \"hits\": " << stats.hits
-      << ", \"misses\": " << stats.misses << ", \"insertions\": " << stats.insertions
+      << ", \"hits\": " << stats.hits << ", \"misses\": " << stats.misses << ", \"insertions\": " << stats.insertions
       << ", \"rejected\": " << stats.rejected << ", \"evictions\": " << stats.evictions
       << ", \"saves\": " << stats.saves << "}";
   return out.str();

@@ -110,7 +110,7 @@ class Server::Session : public EventSink, public std::enable_shared_from_this<Se
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache_bounds),
+      cache_(config_.cache_max_entries),
       listener_(config_.host, config_.port),
       queue_(config_.job_retention) {
   if (!config_.cache_path.empty()) {

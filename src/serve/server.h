@@ -32,7 +32,8 @@ struct ServerConfig {
   /// save still runs).
   double persist_interval_seconds = 0.0;
 
-  xplore::CacheBounds cache_bounds;
+  /// Bound on resident cache entries; 0 = unbounded (see ResultCache).
+  std::size_t cache_max_entries = 0;
 
   /// Period of the `stats` event broadcast to connections that subscribed
   /// via `{"cmd":"metrics","stream":true}`; <= 0 disables the broadcaster
@@ -80,8 +81,8 @@ class Server {
 
   /// The metrics the `metrics`/`stats` events report, read from the live
   /// cells every other surface uses: the queue's gauge/counters, the cache's
-  /// lock-free counters, the session list, the framing counters and the
-  /// per-phase latency histograms.
+  /// counters, the session list, the framing counters and the per-phase
+  /// latency histograms.
   ServerMetricsView metrics_view() const;
 
   /// Ask the server to stop (idempotent, callable from any thread,

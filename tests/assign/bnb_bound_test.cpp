@@ -212,7 +212,7 @@ TEST(BnbBound, ArrayWithoutAccessSitesMatchesTheOracle) {
     assign::SearchOptions options;
     options.allow_array_migration = migration;
     assign::SearchResult reference = oracle::enumerate(ctx, options);
-    ASSERT_FALSE(reference.exhausted_budget);
+    ASSERT_EQ(reference.status, assign::SearchStatus::Optimal);
     assign::SearchResult bnb = assign::searcher("bnb").search(ctx, options);
     EXPECT_EQ(bnb.status, assign::SearchStatus::Optimal);
     EXPECT_EQ(bnb.assignment, reference.assignment);

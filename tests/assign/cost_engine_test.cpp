@@ -172,7 +172,9 @@ TEST(CostEngine, ExhaustiveEquivalenceOnRandomPrograms) {
     if (oracle::candidate_placements(ctx) > oracle::kReferencePlacementGuard) continue;
     SearchResult pruned = exhaustive_assign(ctx);
     SearchResult reference = oracle::enumerate(ctx);
-    if (pruned.exhausted_budget || reference.exhausted_budget) continue;
+    if (pruned.status != SearchStatus::Optimal || reference.status != SearchStatus::Optimal) {
+      continue;
+    }
     EXPECT_EQ(pruned.assignment, reference.assignment) << "seed " << seed;
     EXPECT_EQ(pruned.scalar, reference.scalar) << "seed " << seed;
     EXPECT_LE(pruned.states_explored, reference.states_explored) << "seed " << seed;

@@ -35,7 +35,7 @@ TEST(Exhaustive, FindsAtLeastAsGoodAsGreedy) {
   SearchResult greedy = greedy_assign(ctx);
   EXPECT_LE(oracle.scalar, greedy.scalar + 1e-9);
   EXPECT_GT(oracle.states_explored, 0);
-  EXPECT_FALSE(oracle.exhausted_budget);
+  EXPECT_EQ(oracle.status, SearchStatus::Optimal);
 }
 
 TEST(Exhaustive, BestIsFeasibleAndValid) {
@@ -90,7 +90,7 @@ TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
   EXPECT_TRUE(fits(ctx, result.assignment));
   EXPECT_TRUE(layering_valid(ctx, result.assignment));
   SearchResult greedy = greedy_assign(ctx);
-  if (!result.exhausted_budget) {
+  if (result.status == SearchStatus::Optimal) {
     EXPECT_LE(result.scalar, greedy.scalar + 1e-9);
   }
 }
@@ -120,7 +120,7 @@ TEST(Exhaustive, StateBudgetIsHonored) {
   // inside two states; unseeded it cannot, which is what this test needs.
   options.bnb_seed_incumbent = false;
   SearchResult result = exhaustive_assign(ctx, options);
-  EXPECT_TRUE(result.exhausted_budget);
+  EXPECT_EQ(result.status, SearchStatus::BudgetExhausted);
   EXPECT_LE(result.states_explored, 3);
 }
 

@@ -97,11 +97,10 @@ TEST(CacheStatusGuard, StatusRoundTripsAndVersionOneDocumentsAreStale) {
   std::remove(path.c_str());
 }
 
-// --- Bounds: LRU eviction above the cap, a hard floor below ------------------
+// --- Bound: an exact cap, least recently used evicted first -----------------
 
 TEST(ConcurrentCache, EvictsLeastRecentlyUsedPastTheCap) {
-  // One shard makes the LRU order globally observable.
-  ResultCache cache({/*max_entries=*/4, /*evict_floor=*/0}, /*shard_count=*/1);
+  ResultCache cache(/*max_entries=*/4);
   for (std::uint64_t key = 0; key < 4; ++key) ASSERT_TRUE(cache.insert(key, entry_for(key)));
 
   // Touch key 0 so key 1 is now the cold tail.
@@ -118,7 +117,7 @@ TEST(ConcurrentCache, EvictsLeastRecentlyUsedPastTheCap) {
 }
 
 TEST(ConcurrentCache, OverwriteDoesNotGrowOrEvict) {
-  ResultCache cache({/*max_entries=*/2, /*evict_floor=*/0}, 1);
+  ResultCache cache(/*max_entries=*/2);
   ASSERT_TRUE(cache.insert(1, entry_for(1)));
   ASSERT_TRUE(cache.insert(2, entry_for(2)));
   CacheEntry updated = entry_for(1);
@@ -131,44 +130,57 @@ TEST(ConcurrentCache, OverwriteDoesNotGrowOrEvict) {
   EXPECT_EQ(out.cycles, 999.0);
 }
 
-TEST(ConcurrentCache, EvictionNeverDropsBelowTheFloorUnderContention) {
-  const std::size_t kFloor = 24;
-  // Cap below the floor: the floor wins, so this is the worst-case eviction
-  // pressure — every insert past the cap wants to evict and the floor must
-  // hold under any interleaving.
-  ResultCache cache({/*max_entries=*/8, /*evict_floor=*/kFloor}, /*shard_count=*/4);
+TEST(ConcurrentCache, CapIsExactAndEvictionIsGlobalLruUnderContention) {
+  const std::size_t kCap = 10;
+  const int kWriters = 4;
+  const std::uint64_t kPerWriter = 2000;
+  ResultCache cache(kCap);
 
-  // Warm past the floor, then hammer it from writers while readers assert
-  // the floor invariant on every observation.
-  for (std::uint64_t key = 0; key < kFloor; ++key) ASSERT_TRUE(cache.insert(key, entry_for(key)));
-  ASSERT_GE(cache.size(), kFloor);
-
+  // Writer t inserts its own keys t*kPerWriter .. in ascending order, and
+  // every observer checks the cap on every observation.
   std::atomic<bool> stop{false};
-  std::atomic<bool> violated{false};
+  std::atomic<bool> over_cap{false};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < 2000; ++i) {
-        std::uint64_t key = 1000 + static_cast<std::uint64_t>(t) * 10000 + i;
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        std::uint64_t key = static_cast<std::uint64_t>(t) * kPerWriter + i;
         cache.insert(key, entry_for(key));
-        if (cache.size() < kFloor) violated.store(true);
+        if (cache.size() > kCap) over_cap.store(true);
       }
     });
   }
   std::thread reader([&] {
     while (!stop.load()) {
-      if (cache.size() < kFloor) violated.store(true);
-      CacheEntry out;
-      cache.lookup(3, out);  // recency churn while evictions race
+      if (cache.size() > kCap || cache.stats().entries > kCap) over_cap.store(true);
     }
   });
   for (std::thread& thread : threads) thread.join();
   stop.store(true);
   reader.join();
+  EXPECT_FALSE(over_cap.load()) << "cache grew past max_entries";
 
-  EXPECT_FALSE(violated.load()) << "cache shrank below the eviction floor";
-  EXPECT_GE(cache.size(), kFloor);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  // Quiesced: the cache holds exactly the kCap most recent inserts of the
+  // lock order.  That order keeps each writer's program order, so from every
+  // writer the cache holds a suffix of its keys (a later key of the same
+  // writer can never be evicted before an earlier one), and nothing else.
+  std::vector<std::pair<std::uint64_t, CacheEntry>> held = cache.entries();
+  ASSERT_EQ(held.size(), kCap);
+  std::vector<std::uint64_t> per_writer(kWriters, 0);
+  for (const auto& [key, entry] : held) {
+    EXPECT_EQ(entry, entry_for(key));
+    ++per_writer[key / kPerWriter];
+  }
+  for (int t = 0; t < kWriters; ++t) {
+    for (std::uint64_t back = 0; back < per_writer[t]; ++back) {
+      std::uint64_t key = (static_cast<std::uint64_t>(t) + 1) * kPerWriter - 1 - back;
+      CacheEntry out;
+      EXPECT_TRUE(cache.lookup(key, out)) << "writer " << t << " holds a gap at key " << key;
+    }
+  }
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, kCap);
+  EXPECT_EQ(stats.evictions, kWriters * kPerWriter - kCap);
 }
 
 // --- Concurrent property: N threads vs the single-threaded model -------------
@@ -176,7 +188,7 @@ TEST(ConcurrentCache, EvictionNeverDropsBelowTheFloorUnderContention) {
 TEST(ConcurrentCache, ConcurrentInsertsAndLookupsMatchReferenceModel) {
   const int kThreads = 8;
   const std::uint64_t kKeys = 512;
-  ResultCache cache({}, /*shard_count=*/8);
+  ResultCache cache;
 
   // Every thread inserts every key (same derived value — the oracle) in a
   // different order and verifies whatever it reads back.
@@ -378,8 +390,8 @@ TEST(ConcurrentCache, ExplorerWarmReplayHasZeroEvaluations) {
   Explorer explorer(config);
   auto program = mhla::testing::blocked_reuse_program;
 
-  // Reference: a one-shard cache, so every operation takes one lock.
-  ResultCache reference_cache({}, /*shard_count=*/1);
+  // Reference: an independent cold run into its own cache.
+  ResultCache reference_cache;
   ExploreResult reference = explorer.run(program(), reference_cache);
 
   ResultCache cache;

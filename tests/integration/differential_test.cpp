@@ -90,7 +90,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
       exact.max_states = 120000;
       assign::SearchResult reference = oracle::enumerate(ctx, exact);
       assign::SearchResult bnb = assign::searcher("bnb").search(ctx, exact);
-      if (!reference.exhausted_budget && !bnb.exhausted_budget) {
+      if (reference.status == assign::SearchStatus::Optimal && bnb.status == assign::SearchStatus::Optimal) {
         EXPECT_EQ(bnb.assignment, reference.assignment);
         EXPECT_EQ(bnb.scalar, reference.scalar);
         EXPECT_LE(bnb.states_explored, reference.states_explored);
@@ -106,7 +106,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
       assign::SearchOptions serial_options = options;
       serial_options.max_states = 300000;
       assign::SearchResult serial = assign::searcher("bnb").search(ctx, serial_options);
-      if (!serial.exhausted_budget) {
+      if (serial.status == assign::SearchStatus::Optimal) {
         if (!have_optimum) {
           have_optimum = true;
           optimum = serial;
@@ -119,7 +119,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
           // incumbent timing, so a worker can run out of budget even when
           // the serial search did not; bit-identity is only guaranteed
           // budget-free.
-          if (parallel.exhausted_budget) continue;
+          if (parallel.status != assign::SearchStatus::Optimal) continue;
           EXPECT_EQ(parallel.assignment, serial.assignment) << "threads " << threads;
           EXPECT_EQ(parallel.scalar, serial.scalar) << "threads " << threads;
         }
@@ -162,7 +162,7 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
     auto ctx = ws->context();
     assign::SearchOptions options;
     assign::SearchResult serial = assign::searcher("bnb").search(ctx, options);
-    ASSERT_FALSE(serial.exhausted_budget);
+    ASSERT_EQ(serial.status, assign::SearchStatus::Optimal);
     for (int repeat = 0; repeat < 2; ++repeat) {
       for (unsigned threads : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
@@ -171,7 +171,7 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
         assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, par_options);
         EXPECT_EQ(parallel.assignment, serial.assignment);
         EXPECT_EQ(parallel.scalar, serial.scalar);
-        EXPECT_FALSE(parallel.exhausted_budget);
+        EXPECT_EQ(parallel.status, assign::SearchStatus::Optimal);
       }
     }
   }

@@ -37,6 +37,7 @@
 #include "assign/cost.h"
 #include "assign/search.h"
 #include "core/fault_injector.h"
+#include "core/json.h"
 #include "core/json_report.h"
 #include "core/parallel_for.h"
 #include "core/pipeline.h"
@@ -176,7 +177,6 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
     EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
-    EXPECT_TRUE(result.exhausted_budget);
     EXPECT_TRUE(assign::fits(ctx, result.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   }
@@ -309,7 +309,7 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
 
     assign::SearchResult baseline;
     long total = probes_of_full_run(ctx, "bnb", {}, &baseline);
-    if (baseline.exhausted_budget || total < 2) continue;
+    if (baseline.status == assign::SearchStatus::BudgetExhausted || total < 2) continue;
     EXPECT_EQ(baseline.status, assign::SearchStatus::Optimal);
     EXPECT_EQ(baseline.gap, 0.0);
 
@@ -491,7 +491,6 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   bounded.budget.max_probes = 20000;
   assign::SearchResult result = assign::searcher("bnb").search(ctx, bounded);
   EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
-  EXPECT_TRUE(result.exhausted_budget);
   EXPECT_TRUE(assign::fits(ctx, result.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   EXPECT_GT(result.scalar, 0.0);
@@ -522,7 +521,6 @@ TEST(Robustness, PipelineDeadlineDegradesInsteadOfFailing) {
   core::Pipeline pipeline(config);
   core::PipelineResult run = pipeline.run(apps::build_app("conv_filter"));
   EXPECT_EQ(run.search.status, assign::SearchStatus::BudgetExhausted);
-  EXPECT_TRUE(run.search.exhausted_budget);
   // The degraded run still produces the full four-point report.
   EXPECT_GT(run.points.out_of_box.total_cycles(), 0.0);
   EXPECT_GT(run.points.mhla_te.total_cycles(), 0.0);
@@ -530,6 +528,27 @@ TEST(Robustness, PipelineDeadlineDegradesInsteadOfFailing) {
   std::string json = core::to_json("conv_filter", run);
   EXPECT_NE(json.find("\"status\": \"budget_exhausted\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"gap\": "), std::string::npos) << json;
+}
+
+TEST(Robustness, ReportBudgetFieldsAgreeWhenOnlyTimeExtensionIsCut) {
+  // A probe allowance one past the search's own probe count lets the search
+  // finish and cuts only the TE pass: the run is BudgetExhausted, and the
+  // report's `exhausted_budget` key must say the same as its `status`.
+  core::PipelineConfig config;
+  auto ws = core::make_workspace(apps::build_app("conv_filter"), config.platform, config.dma);
+  assign::SearchOptions options = config.search;
+  options.set_target(config.target);
+  assign::SearchResult search;
+  long probes = probes_of_full_run(ws->context(), config.strategy, options, &search);
+  ASSERT_EQ(search.status, assign::SearchStatus::Feasible);
+
+  config.search.budget.max_probes = probes + 1;
+  core::PipelineResult run = core::Pipeline(config).run(*ws);
+  EXPECT_EQ(run.search.assignment, search.assignment);
+  EXPECT_EQ(run.search.status, assign::SearchStatus::BudgetExhausted);
+  core::Json report = core::Json::parse(core::to_json("conv_filter", run));
+  EXPECT_EQ(report.at("search").at("status").string(), "budget_exhausted");
+  EXPECT_TRUE(report.at("search").at("exhausted_budget").boolean());
 }
 
 TEST(Robustness, BudgetKnobsRoundTripThroughConfigJson) {

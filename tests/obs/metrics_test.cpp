@@ -67,7 +67,7 @@ TEST(ObsMetrics, HistogramConcurrentRecordsMatchSingleThreadedReference) {
   }
   for (std::thread& worker : pool) worker.join();
 
-  // Writers quiesced: the sharded merge must be exactly the reference.
+  // Writers quiesced: the snapshot must be exactly the reference.
   EXPECT_EQ(histogram.snapshot(), expected);
 
   histogram.reset();

@@ -204,7 +204,6 @@ SearchResult greedy(const assign::AssignContext& ctx, const SearchOptions& optio
 
   result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
-  result.exhausted_budget = cancelled;
   return result;
 }
 
@@ -227,7 +226,6 @@ SearchResult enumerate(const assign::AssignContext& ctx, const SearchOptions& op
   result.assignment = std::move(search.best);
   result.scalar = search.best_scalar;
   result.states_explored = search.states;
-  result.exhausted_budget = search.budget_hit;
   if (!search.budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;

@@ -190,7 +190,6 @@ TEST(Protocol, EventsAreSingleLineParseableJson) {
 
   xplore::CacheStats stats;
   stats.entries = 5;
-  stats.shards = 16;
   stats.hits = 7;
 
   const std::vector<std::string> events = {
