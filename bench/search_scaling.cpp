@@ -88,9 +88,8 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Medium instance (20 placements) whose search space exceeds the
-/// rate-measurement budget, so branch-and-bound throughput is measured over
-/// a fixed state count.
+/// Medium instance (20 placements) for the branch-and-bound rate
+/// benchmarks, each search capped at `kRateBudget` nodes.
 ir::Program rate_program() {
   ir::ProgramBuilder pb("rate");
   pb.array("a", {32, 16}, 4).input();
@@ -116,9 +115,8 @@ mem::PlatformConfig rate_platform() {
 
 /// The guard-64 rate instance for the parallel branch-and-bound curve:
 /// three blocked 2D streams with per-block reuse plus three reused tables —
-/// 26 candidates x 2 on-chip layers = 52 placements, close to the engine
-/// guard, with a ~10M-leaf exact search space that the bound cuts to a
-/// handful of evaluated leaves.
+/// 26 candidates x 2 on-chip layers = 52 placements, with a ~10M-leaf
+/// exact search space that the bound cuts to a handful of evaluated leaves.
 ir::Program guard64_program() {
   ir::ProgramBuilder pb("guard64");
   pb.array("a", {32, 16}, 4).input();
@@ -318,8 +316,8 @@ void print_scaling_report() {
   std::cout << "data layout (batched round scoring + arena journals):\n"
             << dl_table.str() << "\n";
 
-  // --- Branch-and-bound on the rate instance under a fixed state budget,
-  // and on a medium instance only the engine guard admits.
+  // --- Branch-and-bound on the rate instance under a fixed node cap, and
+  // on a medium instance the oracle enumeration refuses.
   auto ws = core::make_workspace(rate_program(), rate_platform(), {});
   auto ctx = ws->context();
   assign::SearchOptions budget_options;
@@ -327,11 +325,11 @@ void print_scaling_report() {
   auto t0 = Clock::now();
   assign::SearchResult pruned = assign::searcher("bnb").search(ctx, budget_options);
   double engine_s = seconds_since(t0);
-  std::cout << "branch-and-bound (rate instance, budget " << kRateBudget << "): "
+  std::cout << "branch-and-bound (rate instance, cap " << kRateBudget << " nodes): "
             << pruned.states_explored << " states (" << pruned.bound_prunes << " bound prunes, "
             << pruned.capacity_prunes << " capacity prunes), "
             << core::Table::num(engine_s * 1e3, 2) << " ms, "
-            << (pruned.status == assign::SearchStatus::Optimal ? "search complete" : "budget hit") << "\n";
+            << (pruned.status == assign::SearchStatus::Optimal ? "search complete" : "cap hit") << "\n";
 
   auto medium_ws = core::make_workspace(apps::build_motion_estimation(),
                                         bench::default_platform(), {});
@@ -341,10 +339,10 @@ void print_scaling_report() {
   t0 = Clock::now();
   assign::SearchResult medium = assign::searcher("bnb").search(medium_ctx, medium_options);
   double medium_s = seconds_since(t0);
-  std::cout << "branch-and-bound (motion_estimation, 46 placements, budget 200k): "
+  std::cout << "branch-and-bound (motion_estimation, 46 placements, cap 200k nodes): "
             << medium.states_explored << " states, " << medium.bound_prunes
             << " bound prunes, " << medium.capacity_prunes << " capacity prunes, "
-            << (medium.status == assign::SearchStatus::Optimal ? "complete" : "budget hit") << ", "
+            << (medium.status == assign::SearchStatus::Optimal ? "complete" : "cap hit") << ", "
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the dense

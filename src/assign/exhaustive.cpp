@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -23,23 +22,25 @@ namespace mhla::assign {
 
 namespace {
 
-/// The canonical feasible-home enumeration: background first, then the
-/// on-chip layers outermost-in, skipping layers the array does not fit.
-/// Every phase that walks or mirrors the array-home decision — the DFS, the
-/// bound precompute and the bnb-par task replay — goes through here: the
-/// bit-identity guarantee across thread counts leans on all of them visiting
-/// homes in exactly this order.
+/// The layer at `offset` of the canonical home order: background first,
+/// then the on-chip layers outermost-in.
+int home_layer(const AssignContext& ctx, int offset) {
+  const int L = ctx.hierarchy.num_layers();
+  return (ctx.hierarchy.background() + L - offset) % L;
+}
+
+/// The canonical feasible-home enumeration: `fn(offset, layer)` for each
+/// layer of the home order the array fits.  Every phase that walks the
+/// array-home decision — the DFS and the bound precompute — goes through
+/// here, and the DFS path stores the offset, so a bnb-par task replays a
+/// home with `home_layer` alone.
 template <typename Fn>
 void for_each_feasible_home(const AssignContext& ctx, const ir::ArrayDecl& array,
                             bool allow_migration, Fn&& fn) {
-  const int L = ctx.hierarchy.num_layers();
-  const int background = ctx.hierarchy.background();
-  int last = allow_migration ? L - 1 : 0;
+  int last = allow_migration ? ctx.hierarchy.num_layers() - 1 : 0;
   for (int offset = 0; offset <= last; ++offset) {
-    int layer = (background + L - offset) % L;
-    const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-    if (!target.fits(array.bytes())) continue;
-    fn(layer);
+    int layer = home_layer(ctx, offset);
+    if (ctx.hierarchy.layer(layer).fits(array.bytes())) fn(offset, layer);
   }
 }
 
@@ -108,7 +109,8 @@ struct EngineSearch {
   Objective objective;
   Assignment best;
   double best_scalar = 0.0;
-  long states = 0;
+  long states = 0;  ///< leaves evaluated
+  long nodes = 0;   ///< nodes charged, across every task of this worker
   bool budget_hit = false;
   long bound_prunes = 0;
   long capacity_prunes = 0;
@@ -130,8 +132,10 @@ struct EngineSearch {
   long probe_batch = 1;
   long unflushed_probes_ = 0;
 
-  /// Count one unit of work; false once the budget has expired.
+  /// Count one search node; false once this worker has charged
+  /// `max_states` nodes or the budget has expired.
   bool charge() {
+    if (++nodes > options.max_states) return false;
     if (++unflushed_probes_ < probe_batch) return !run_budget->expired();
     return flush_probes();
   }
@@ -151,18 +155,17 @@ struct EngineSearch {
   core::AtomicMin* shared_incumbent = nullptr;
 
   core::WorkStealingPool* pool = nullptr;
-  /// Offload hook: hand a canonical ordinal prefix to the pool as a new
+  /// Offload hook: hand a canonical path prefix to the pool as a new
   /// task.  Set per worker by `branch_and_bound`, and only when the pool
   /// has peers to steal; consulted only when the pool is starving.
   std::function<void(std::vector<int>)> spawn_subtree;
-  /// Canonical DFS path of the current node, one ordinal per decision:
-  /// entry a < A is the position of array a's home in the canonical
-  /// feasible-home enumeration; entry A + j is candidate j's choice — 0 to
-  /// skip, k >= 1 for the k-th on-chip layer the candidate *individually*
-  /// fits.  The mapping is assignment-state-independent (cumulative
-  /// overflow never renumbers), so a prefix replays to the identical
-  /// subtree on any worker, and lexicographic order over full paths equals
-  /// canonical DFS order.
+  /// Canonical DFS path of the current node, one code per decision: entry
+  /// a < A is array a's home as its offset in the home order (see
+  /// `home_layer`); entry A + j is candidate j's choice — 0 to skip,
+  /// layer + 1 to place it on `layer`.  Each code maps to its layer by
+  /// arithmetic alone, so a prefix replays to the identical subtree on any
+  /// worker, and each grows strictly with visit order at its position, so
+  /// lexicographic order over full paths equals canonical DFS order.
   std::vector<int> cur_path_;
   std::vector<int> best_path_;  ///< path of `best` (all zeros = out-of-box)
 
@@ -406,7 +409,7 @@ struct EngineSearch {
       core::IntSpan sites = array_sites(a);
       if (sites.empty()) continue;
       double per_site = 1.0 / static_cast<double>(sites.size());
-      for_each_feasible_home(ctx, arrays[a], options.allow_array_migration, [&](int home) {
+      for_each_feasible_home(ctx, arrays[a], options.allow_array_migration, [&](int, int home) {
         double pin_e = engine.pinned_energy_term(a, home) * per_site;
         double pin_c = engine.pinned_cycle_term(a, home) * per_site;
         for (int site : sites) {
@@ -440,10 +443,7 @@ struct EngineSearch {
   }
 
   void evaluate_leaf() {
-    if (++states > options.max_states) {
-      budget_hit = true;
-      return;
-    }
+    ++states;
     // Both hold by construction — every placement on the path passed the
     // incremental (layer, nest) footprint check and sits below its parent
     // store — so these reads are guards, not filters.
@@ -555,9 +555,9 @@ struct EngineSearch {
   /// completion.  Each surviving branch is either descended in place or,
   /// when `offload`, bounded and — only if its bound survives — handed to
   /// the pool as a task.  Offloading runs the exact guards the local
-  /// descent runs (individual fit assigns the ordinal, the placement cuts
-  /// and the child bound prune), so a spawned ordinal always replays to a
-  /// live branch this DFS would have entered, and the prune counters match.
+  /// descent runs (the placement cuts and the child bound prune), so a
+  /// spawned code always replays to a live branch this DFS would have
+  /// entered, and the prune counters match.
   void place_copy(std::size_t j, const Bound& bound, bool offload) {
     const std::size_t A = ctx.program.arrays().size();
     const analysis::CopyCandidate& cc = ctx.reuse.candidates()[j];
@@ -568,11 +568,9 @@ struct EngineSearch {
     assert(std::all_of(engine.ancestors(cc.id).begin(), engine.ancestors(cc.id).end(),
                        [j](int anc) { return static_cast<std::size_t>(anc) < j; }));
     const int parent = engine.parent_layer(cc.id);
-    int ordinal = 0;
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
       if (!target.fits(cc.bytes)) continue;
-      ++ordinal;
       // Two cuts, counted together.  A copy not strictly below its (final)
       // parent store can never become layering-valid.  And the engine's
       // tracker carries the cumulative (layer, nest) footprint of the whole
@@ -584,7 +582,7 @@ struct EngineSearch {
         ++capacity_prunes;
         continue;
       }
-      cur_path_[A + j] = ordinal;
+      cur_path_[A + j] = layer + 1;
       CostEngine::Checkpoint cp = engine.checkpoint();
       Bound child = bound;
       std::size_t mark = saved_sites_.size();
@@ -610,48 +608,21 @@ struct EngineSearch {
                                    cur_path_.begin() + static_cast<std::ptrdiff_t>(len)));
   }
 
-  /// Map a home ordinal back to the layer at that position of the canonical
-  /// feasible-home enumeration for array `a` — the inverse of the numbering
-  /// in `recurse_arrays`.
-  int home_ordinal_layer(std::size_t a, int ordinal) const {
-    int found = -1;
-    int seen = 0;
-    for_each_feasible_home(ctx, ctx.program.arrays()[a], options.allow_array_migration,
-                           [&](int layer) {
-                             if (seen++ == ordinal) found = layer;
-                           });
-    if (found < 0) throw std::logic_error("exhaustive: home ordinal out of range");
-    return found;
-  }
-
-  /// Map a copy ordinal k >= 1 back to the k-th on-chip layer candidate `j`
-  /// individually fits — the inverse of the numbering in `recurse_copies`.
-  int copy_ordinal_layer(std::size_t j, int ordinal) const {
-    const analysis::CopyCandidate& cc = ctx.reuse.candidates()[j];
-    int seen = 0;
-    for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
-      const mem::MemLayer& target = ctx.hierarchy.layer(layer);
-      if (!target.fits(cc.bytes)) continue;
-      if (++seen == ordinal) return layer;
-    }
-    throw std::logic_error("exhaustive: copy ordinal out of range");
-  }
-
   /// Replay one copy decision of a stolen task's prefix onto the engine and
   /// the bound.  No prune or feasibility re-checks: the spawning worker ran
   /// them on the identical deterministic state before offloading, so
   /// re-running could only agree.
-  void apply_copy_ordinal(std::size_t j, int ordinal, Bound& bound) {
-    cur_path_[ctx.program.arrays().size() + j] = ordinal;
-    if (ordinal > 0) {
+  void apply_copy_code(std::size_t j, int code, Bound& bound) {
+    cur_path_[ctx.program.arrays().size() + j] = code;
+    if (code > 0) {
       int parent = engine.parent_layer(static_cast<int>(j));
-      select_into_bound(j, parent, copy_ordinal_layer(j, ordinal), bound);
+      select_into_bound(j, parent, code - 1, bound);
     } else {
       tighten_sites(tighten_at(j), j, bound);
     }
   }
 
-  /// Copy-phase entry, optionally replaying the copy-ordinal prefix of a
+  /// Copy-phase entry, optionally replaying the copy-code prefix of a
   /// stolen task before recursing at candidate `j0`.  Array homes are fixed
   /// from here on: the pinned traffic and the array-only footprint are
   /// exact, and no copies are selected yet, so the engine's tracker holds
@@ -659,7 +630,7 @@ struct EngineSearch {
   /// against.  The bound is rebuilt from scratch — the same homes always
   /// produce the same numbers, so a replayed subtree prunes identically to
   /// the subtree the spawning worker would have descended.
-  void enter_copy_phase_at(std::size_t j0, const int* ordinals) {
+  void enter_copy_phase_at(std::size_t j0, const int* codes) {
     if (!engine.fits()) return;  // no copy subset can shrink an array overflow
 
     prepare_copy_bound();
@@ -680,7 +651,7 @@ struct EngineSearch {
       bound.opt_e += site_lb_e_[s];
       bound.opt_c += site_lb_c_[s];
     }
-    for (std::size_t j = 0; j < j0; ++j) apply_copy_ordinal(j, ordinals[j], bound);
+    for (std::size_t j = 0; j < j0; ++j) apply_copy_code(j, codes[j], bound);
     recurse_copies(j0, bound);
   }
 
@@ -717,10 +688,9 @@ struct EngineSearch {
     // is large, so when peers starve every live home becomes a task (the
     // last one spawned is this worker's next, LIFO) and this node returns.
     const bool offload = should_split();
-    int ordinal = 0;
-    for_each_feasible_home(ctx, arrays[index], options.allow_array_migration, [&](int layer) {
-      cur_path_[index] = ordinal;
-      ++ordinal;
+    for_each_feasible_home(ctx, arrays[index], options.allow_array_migration,
+                           [&](int offset, int layer) {
+      cur_path_[index] = offset;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
       Bound child = bound;
@@ -761,15 +731,15 @@ struct EngineSearch {
     return objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
   }
 
-  /// Execute one work-stealing task: replay the canonical ordinal prefix
+  /// Execute one work-stealing task: replay the canonical path prefix
   /// onto this worker's engine, search the subtree under it, and unwind so
   /// the next task this worker claims starts from a pristine out-of-box
   /// engine.  A prefix inside the array phase rebuilds the array-phase
   /// bound from the decided homes; a prefix reaching the copy phase lets
   /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
-  /// nothing from the spawning worker beyond the ordinals.
+  /// nothing from the spawning worker beyond the codes.
   ///
-  /// `states` and `budget_hit` accumulate across every task this worker
+  /// `nodes` and `budget_hit` accumulate across every task this worker
   /// runs, so `max_states` bounds each *worker*, not each task; once hit,
   /// later tasks return immediately and the run reports as truncated.  The
   /// task's uncharged probe remainder is flushed to the budget on exit.
@@ -780,7 +750,7 @@ struct EngineSearch {
     std::size_t homes = std::min(prefix.size(), A);
     for (std::size_t a = 0; a < homes; ++a) {
       cur_path_[a] = prefix[a];
-      engine.set_home(a, home_ordinal_layer(a, prefix[a]));
+      engine.set_home(a, home_layer(ctx, prefix[a]));
     }
     if (prefix.size() < A) {
       recurse_arrays(prefix.size(), array_phase_bound(homes));
@@ -820,21 +790,6 @@ std::optional<SearchResult> seed_incumbent(const AssignContext& ctx, const Searc
   return seed;
 }
 
-/// The guard throws only when there is nothing to bound the runtime: a
-/// bounded run budget lifts it (anytime mode — the budget truncates the
-/// search where the guard would have refused it).
-void check_placement_guard(const AssignContext& ctx, const SearchOptions& options) {
-  std::size_t placements = ctx.reuse.candidates().size() *
-                           static_cast<std::size_t>(std::max(ctx.hierarchy.background(), 1));
-  bool anytime = options.shared_budget != nullptr || options.budget.bounded();
-  if (placements <= kEnginePlacementGuard || anytime) return;
-  throw std::invalid_argument(
-      "exhaustive_assign: instance too large (" + std::to_string(placements) +
-      " candidate placements, guard " + std::to_string(kEnginePlacementGuard) +
-      "); use greedy_assign, or attach a run budget (deadline/max_probes/cancel) "
-      "for an anytime search");
-}
-
 /// Resolve the active budget token: the caller's shared token wins; else a
 /// local one is built from the spec.  A local token is created even for an
 /// unbounded spec so the fault injector's BudgetProbe site is always live.
@@ -855,7 +810,6 @@ core::RunBudget* resolve_budget(const SearchOptions& options,
 /// steal interleaving (see the notes on `EngineSearch`).
 SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& options,
                               unsigned threads) {
-  check_placement_guard(ctx, options);
   std::optional<core::RunBudget> local;
   core::RunBudget* run_budget = resolve_budget(options, local);
 

@@ -41,7 +41,7 @@ struct SearchOptions {
   double time_weight = 1.0;    ///< relative weight of normalized time
 
   int max_moves = 100000;        ///< greedy: safety bound on accepted moves
-  long max_states = 2'000'000;   ///< exhaustive: hard bound on evaluated states
+  long max_states = 2'000'000;   ///< exact search: search nodes per worker
   bool allow_array_migration = true;  ///< consider moving whole arrays on-chip
 
   /// "anneal": a Metropolis chain over the greedy move set.  Every random
@@ -66,8 +66,7 @@ struct SearchOptions {
   /// object keys "deadline_seconds" / "max_probes"); the cancel flag is a
   /// live process object and never serialized.  When the budget binds, the
   /// strategy returns best-so-far with status BudgetExhausted instead of
-  /// running on (exact strategies also certify an optimality gap), and a
-  /// bounded budget lifts the placement guard of exact search (anytime mode).
+  /// running on (exact strategies also certify an optimality gap).
   core::BudgetSpec budget;
 
   /// Live budget token shared across stages (search + time extension +
@@ -105,7 +104,7 @@ struct SearchResult {
   std::vector<GreedyMove> moves;  ///< accepted-move trace (greedy)
   int evaluations = 0;            ///< cost-model invocations (greedy, anneal)
 
-  long states_explored = 0;       ///< evaluated states (exact strategies)
+  long states_explored = 0;       ///< evaluated leaves (exact strategies)
   long bound_prunes = 0;          ///< subtrees cut by the lower bound
   long capacity_prunes = 0;       ///< placements cut by cumulative capacity or layering
 
@@ -131,11 +130,6 @@ struct SearchResult {
 /// (status BudgetExhausted) and replays from `moves`.
 SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
-/// Instance-size guard of exact search: candidate placements (candidates x
-/// on-chip layers) above it throw std::invalid_argument unless a bounded run
-/// budget is attached.
-inline constexpr std::size_t kEnginePlacementGuard = 64;
-
 /// Branch-and-bound exhaustive search (registry "bnb"): enumerate every
 /// feasible (array homes) x (copy selection with a layer each) configuration
 /// in canonical DFS order on the CostEngine, pruning subtrees whose
@@ -143,17 +137,17 @@ inline constexpr std::size_t kEnginePlacementGuard = 64;
 /// whose cumulative (layer, nest) footprint overflows.  The copy-phase bound
 /// is filtered by the homes-only footprint headroom at each copy-phase entry.
 ///
-/// Anytime contract: Optimal (gap 0) when the enumeration ran to completion;
-/// BudgetExhausted when `max_states` or the run budget bound, in which case
-/// the result is the best feasible state seen (the greedy incumbent seed
-/// serves as a floor) and `gap` certifies (scalar - lower_bound) / scalar
-/// against the global admissible root bound.  One probe per array- and
-/// copy-phase node (leaves included), each charged as it happens.  The
-/// search is the one-worker run of the `exhaustive_parallel_assign` driver:
-/// its single `core::WorkStealingPool` task runs on the calling thread.
-/// Over `kEnginePlacementGuard` placements it throws std::invalid_argument,
-/// unless a bounded run budget is attached (the guard exists to bound
-/// runtime, and a budget bounds it better).
+/// Anytime contract, on every instance: Optimal (gap 0) when the
+/// enumeration ran to completion; BudgetExhausted when `max_states` or the
+/// run budget bound, in which case the result is the best feasible state
+/// seen (the greedy incumbent seed serves as a floor) and `gap` certifies
+/// (scalar - lower_bound) / scalar against the global admissible root
+/// bound.  Each array- and copy-phase node (leaves included) counts
+/// against `max_states` and charges one budget probe as it happens, so the
+/// default cap bounds the run time of any request; `states_explored`
+/// counts the leaves.  The search is the one-worker run of the
+/// `exhaustive_parallel_assign` driver: its single `core::WorkStealingPool`
+/// task runs on the calling thread.
 SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
 /// Parallel branch-and-bound (registry "bnb-par"): the "bnb" driver with
@@ -162,7 +156,7 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
 /// while the pool starves, a task offloads its
 /// sibling branches — array homes, then copy-phase placements while enough
 /// candidates remain — but only those whose child bound survives pruning.
-/// Tasks are canonical ordinal prefixes, replayed onto a per-worker engine;
+/// Tasks are canonical path prefixes, replayed onto a per-worker engine;
 /// every worker prunes against a shared atomic incumbent bound (optionally
 /// seeded with the greedy scalar).  With more than one worker each charges
 /// the run budget in batches of 64 units, so a `max_probes` allowance may be

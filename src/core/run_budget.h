@@ -38,8 +38,8 @@ struct BudgetSpec {
   /// budgeted runs observe it.
   std::shared_ptr<std::atomic<bool>> cancel;
 
-  /// True when any knob can make the budget expire.  Engines use this to
-  /// decide whether an over-guard instance may run in anytime mode.
+  /// True when any knob can make the budget expire.  Drivers use this to
+  /// decide whether a run needs one shared token across its stages.
   bool bounded() const {
     return deadline_seconds > 0.0 || max_probes > 0 || cancel != nullptr;
   }

@@ -79,7 +79,7 @@ TEST(BnbBound, Guard64PrunesToAHandfulOfLeaves) {
   // and 2.2M without the cut.
   auto ws = testing::make_ws(testing::guard64_program(), testing::guard64_platform());
   auto ctx = ws->context();
-  ASSERT_LE(oracle::candidate_placements(ctx), assign::kEnginePlacementGuard);
+  ASSERT_LE(oracle::candidate_placements(ctx), oracle::kExactCorpusPlacements);
   constexpr double kOptimum = 0x1.1c0bf8063e98cp-2;
   constexpr long kMaxLeaves = 1000;
   constexpr long kMaxSerialProbes = 250'000;
@@ -140,7 +140,7 @@ TEST(Exhaustive, BnbIsTheOneWorkerBnbPar) {
   std::size_t apps_under_guard = 0;
   for (const apps::AppInfo& info : apps::all_apps()) {
     auto ws = testing::make_ws(info.build(), mem::PlatformConfig{});
-    if (oracle::candidate_placements(ws->context()) > assign::kEnginePlacementGuard) continue;
+    if (oracle::candidate_placements(ws->context()) > oracle::kExactCorpusPlacements) continue;
     ++apps_under_guard;
     instances.emplace_back(info.name, std::move(ws));
   }
@@ -148,7 +148,7 @@ TEST(Exhaustive, BnbIsTheOneWorkerBnbPar) {
   std::size_t random_under_guard = 0;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     auto ws = testing::make_ws(gen::random_program(seed));
-    if (oracle::candidate_placements(ws->context()) > assign::kEnginePlacementGuard) continue;
+    if (oracle::candidate_placements(ws->context()) > oracle::kExactCorpusPlacements) continue;
     ++random_under_guard;
     instances.emplace_back("seed " + std::to_string(seed), std::move(ws));
   }

@@ -61,26 +61,25 @@ TEST(Exhaustive, BeatsBaselineOnReuseProgram) {
 }
 
 TEST(Exhaustive, ThrowsOnLargeInstance) {
-  // wavelet: 54 candidates x 2 on-chip layers = 108 placements, over the
-  // engine guard (64) and far over the oracle's guard (24).
+  // wavelet: 54 candidates x 2 on-chip layers = 108 placements, far over
+  // the oracle's guard (24).  Branch-and-bound has no guard: its node cap
+  // bounds it instead (see the Anytime tests).
   auto ws = make_ws(mhla::apps::build_wavelet());
   auto ctx = ws->context();
-  EXPECT_THROW(exhaustive_assign(ctx), std::invalid_argument);
-  EXPECT_THROW(exhaustive_parallel_assign(ctx), std::invalid_argument);
   EXPECT_THROW(oracle::enumerate(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, ReferenceGuardStillRejectsMediumInstance) {
   // motion_estimation (46 placements) is too big for the un-pruned
-  // oracle enumeration but within the branch-and-bound guard.
+  // oracle enumeration.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
   EXPECT_THROW(oracle::enumerate(ctx), std::invalid_argument);
 }
 
 TEST(Exhaustive, BranchAndBoundAcceptsMediumInstance) {
-  // The raised guard admits motion_estimation; a small state budget keeps
-  // the test fast while proving the search runs and returns a valid result.
+  // Branch-and-bound takes motion_estimation; a small node cap keeps the
+  // test fast while proving the search runs and returns a valid result.
   auto ws = make_ws(mhla::apps::build_motion_estimation());
   auto ctx = ws->context();
   SearchOptions options;
@@ -115,10 +114,7 @@ TEST(Exhaustive, StateBudgetIsHonored) {
   auto ws = make_ws(micro_program(), platform);
   auto ctx = ws->context();
   SearchOptions options;
-  options.max_states = 2;
-  // With the greedy incumbent seed the whole search can legitimately finish
-  // inside two states; unseeded it cannot, which is what this test needs.
-  options.bnb_seed_incumbent = false;
+  options.max_states = 2;  // search nodes; the full search takes 12
   SearchResult result = exhaustive_assign(ctx, options);
   EXPECT_EQ(result.status, SearchStatus::BudgetExhausted);
   EXPECT_LE(result.states_explored, 3);

@@ -15,9 +15,9 @@
 //    greedy's truncated move trace is a replayable prefix, the exact
 //    strategies' incumbent re-evaluates bit for bit.
 //
-//  * Anytime exact search: above the placement guard a bounded budget
-//    lifts the guard, and the truncated branch-and-bound certifies an
-//    optimality gap against its admissible root bound.
+//  * Anytime exact search: the `max_states` node cap bounds every
+//    branch-and-bound run, and a truncated one certifies an optimality
+//    gap against its admissible root bound.
 //
 // The fault injector is process-global, so this suite never runs its
 // tests concurrently (gtest runs them sequentially in one binary).
@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -305,7 +306,7 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     auto ws = testing::make_ws(gen::random_program(seed));
     auto ctx = ws->context();
-    if (oracle::candidate_placements(ctx) > assign::kEnginePlacementGuard) continue;
+    if (oracle::candidate_placements(ctx) > oracle::kExactCorpusPlacements) continue;
 
     assign::SearchResult baseline;
     long total = probes_of_full_run(ctx, "bnb", {}, &baseline);
@@ -473,23 +474,13 @@ TEST(CancellationConsistency, BnbParProbeAllowanceOvershootsByAtMostOneBatchPerW
   }
 }
 
-// --- Anytime exact search above the placement guard -------------------------
+// --- Anytime exact search: the node cap bounds every run ---------------------
 
-TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
-  auto ws = core::make_workspace(apps::build_app("mpeg2_encoder"), mem::PlatformConfig{}, {});
-  auto ctx = ws->context();
-  std::size_t placements = oracle::candidate_placements(ctx);
-  ASSERT_GT(placements, assign::kEnginePlacementGuard)
-      << "corpus drifted: mpeg2_encoder no longer exceeds the guard";
-
-  // Unbudgeted exact search must still refuse the oversized instance...
-  EXPECT_THROW(assign::searcher("bnb").search(ctx, {}), std::invalid_argument);
-
-  // ...but a deterministic probe allowance lifts the guard into anytime
-  // mode: best-so-far assignment, certified gap, reproducible run to run.
-  assign::SearchOptions bounded;
-  bounded.budget.max_probes = 20000;
-  assign::SearchResult result = assign::searcher("bnb").search(ctx, bounded);
+/// The anytime contract of a truncated exact search: a consumable
+/// best-so-far assignment and a finite gap certified by a root bound that
+/// does not exceed it.
+void expect_certified_best_so_far(const assign::AssignContext& ctx,
+                                  const assign::SearchResult& result) {
   EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
   EXPECT_TRUE(assign::fits(ctx, result.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
@@ -498,6 +489,25 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   EXPECT_TRUE(std::isfinite(result.gap));
   EXPECT_GT(result.lower_bound, 0.0);
   EXPECT_LE(result.lower_bound, result.scalar);
+}
+
+TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
+  auto ws = core::make_workspace(apps::build_app("mpeg2_encoder"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  std::size_t placements = oracle::candidate_placements(ctx);
+  ASSERT_GT(placements, oracle::kExactCorpusPlacements)
+      << "corpus drifted: mpeg2_encoder is no longer a large exact instance";
+
+  // Unbudgeted exact search answers the large instance: the default node
+  // cap truncates it into a certified best-so-far...
+  expect_certified_best_so_far(ctx, assign::searcher("bnb").search(ctx, {}));
+
+  // ...and so does a deterministic probe allowance: best-so-far
+  // assignment, certified gap, reproducible run to run.
+  assign::SearchOptions bounded;
+  bounded.budget.max_probes = 20000;
+  assign::SearchResult result = assign::searcher("bnb").search(ctx, bounded);
+  expect_certified_best_so_far(ctx, result);
 
   assign::SearchResult again = assign::searcher("bnb").search(ctx, bounded);
   EXPECT_EQ(again.assignment, result.assignment);
@@ -511,6 +521,57 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   EXPECT_EQ(parallel.status, assign::SearchStatus::BudgetExhausted);
   EXPECT_TRUE(assign::fits(ctx, parallel.assignment));
   EXPECT_GE(parallel.gap, 0.0);
+}
+
+TEST(Anytime, DefaultNodeCapTruncatesTheHardApps) {
+  // The other two apps whose exact search runs for seconds or more (the
+  // test above covers mpeg2_encoder): default options must return a
+  // certified best-so-far once `max_states` nodes are spent, with no
+  // budget attached.
+  for (const char* app : {"wavelet", "fft_filter"}) {
+    SCOPED_TRACE(app);
+    auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
+    auto ctx = ws->context();
+    expect_certified_best_so_far(ctx, assign::searcher("bnb").search(ctx, {}));
+  }
+}
+
+TEST(Anytime, DefaultNodeCapLetsTheLargeEasyAppsFinish) {
+  // qsdpcm (100 placements) and jpeg_compress (68) finish well inside the
+  // default cap, and two workers reproduce the serial optimum bit for bit.
+  for (const char* app : {"qsdpcm", "jpeg_compress"}) {
+    SCOPED_TRACE(app);
+    auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
+    auto ctx = ws->context();
+    ASSERT_GT(oracle::candidate_placements(ctx), oracle::kExactCorpusPlacements);
+    assign::SearchResult serial = assign::searcher("bnb").search(ctx, {});
+    EXPECT_EQ(serial.status, assign::SearchStatus::Optimal);
+    EXPECT_EQ(serial.gap, 0.0);
+
+    assign::SearchOptions two_workers;
+    two_workers.bnb_threads = 2;
+    assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, two_workers);
+    EXPECT_EQ(parallel.status, assign::SearchStatus::Optimal);
+    EXPECT_EQ(parallel.assignment, serial.assignment);
+    EXPECT_EQ(parallel.scalar, serial.scalar);
+  }
+}
+
+TEST(Anytime, NodeCapStopsASearchWhoseOnlyBudgetIsACancelFlag) {
+  // A serve job's budget is a cancel flag nobody raises.  The node cap,
+  // not the clock, must end the search: the 60 s deadline is only a
+  // backstop, and the shared token must not have expired.
+  auto ws = core::make_workspace(apps::build_app("wavelet"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  core::BudgetSpec spec;
+  spec.cancel = std::make_shared<std::atomic<bool>>(false);
+  spec.deadline_seconds = 60.0;
+  core::RunBudget token(spec);
+  assign::SearchOptions options;
+  options.shared_budget = &token;
+  assign::SearchResult result = assign::searcher("bnb").search(ctx, options);
+  expect_certified_best_so_far(ctx, result);
+  EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
 }
 
 // --- Pipeline / report integration ------------------------------------------

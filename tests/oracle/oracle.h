@@ -17,8 +17,14 @@ namespace mhla::oracle {
 /// exponential in them.
 inline constexpr std::size_t kReferencePlacementGuard = 24;
 
-/// Candidate placements of an instance, the quantity both placement guards
-/// are stated in.
+/// Candidate placements up to which a test corpus counts an instance as
+/// small for branch-and-bound.  Suites that compare full exact searches
+/// filter their corpora with it: the four registry apps at or below it
+/// finish `bnb` in milliseconds, and most random programs do too.
+inline constexpr std::size_t kExactCorpusPlacements = 64;
+
+/// Candidate placements of an instance, the quantity both limits above are
+/// stated in.
 std::size_t candidate_placements(const assign::AssignContext& ctx);
 
 /// The greedy steering heuristic, every candidate scored by a fresh
