@@ -88,31 +88,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Medium instance (20 placements) for the branch-and-bound rate
-/// benchmarks, each search capped at `kRateBudget` nodes.
-ir::Program rate_program() {
-  ir::ProgramBuilder pb("rate");
-  pb.array("a", {32, 16}, 4).input();
-  pb.array("b", {16}, 4).input();
-  pb.array("o", {32}, 4).output();
-  pb.begin_loop("i", 0, 32);
-  pb.begin_loop("r", 0, 4);
-  pb.begin_loop("j", 0, 16);
-  pb.stmt("s", 2).read("a", {ir::av("i"), ir::av("j")}).read("b", {ir::av("j")});
-  pb.end_loop();
-  pb.end_loop();
-  pb.stmt("e", 1).write("o", {ir::av("i")});
-  pb.end_loop();
-  return pb.finish();
-}
-
-mem::PlatformConfig rate_platform() {
-  mem::PlatformConfig platform;
-  platform.l1_bytes = 512;
-  platform.l2_bytes = 4096;
-  return platform;
-}
-
 /// The guard-64 rate instance for the parallel branch-and-bound curve:
 /// three blocked 2D streams with per-block reuse plus three reused tables —
 /// 26 candidates x 2 on-chip layers = 52 placements, with a ~10M-leaf
@@ -147,6 +122,15 @@ mem::PlatformConfig guard64_platform() {
 }
 
 constexpr long kRateBudget = 50000;
+
+/// The branch-and-bound rate instance: the registry wavelet at the default
+/// platform, whose exact search runs far past `kRateBudget` nodes.  A
+/// search that stops on the cap spends exactly that many nodes per worker,
+/// so the cap turns a serial search time into a node rate (set-up
+/// included: the engine, the root bound and the greedy incumbent seed).
+std::unique_ptr<core::Workspace> rate_workspace() {
+  return core::make_workspace(apps::build_app("wavelet"), bench::default_platform(), {});
+}
 
 struct GreedyRow {
   std::string app;
@@ -264,7 +248,9 @@ xplore::ExplorerConfig fixed_grid(unsigned threads) {
   return config;
 }
 
-void print_scaling_report() {
+/// Print the reproduction block; false when the rate instance no longer
+/// binds the node cap (its node rate would then be meaningless).
+bool print_scaling_report() {
   bench::print_header("Search scaling: incremental cost engine + parallel sweep",
                       "fast, accurate and automatic exploration (tool-speed claim)");
 
@@ -316,20 +302,23 @@ void print_scaling_report() {
   std::cout << "data layout (batched round scoring + arena journals):\n"
             << dl_table.str() << "\n";
 
-  // --- Branch-and-bound on the rate instance under a fixed node cap, and
-  // on a medium instance the oracle enumeration refuses.
-  auto ws = core::make_workspace(rate_program(), rate_platform(), {});
+  // --- Branch-and-bound node rate on the rate instance (valid only while
+  // the cap binds), and a medium instance under a looser cap.
+  auto ws = rate_workspace();
   auto ctx = ws->context();
   assign::SearchOptions budget_options;
   budget_options.max_states = kRateBudget;
   auto t0 = Clock::now();
   assign::SearchResult pruned = assign::searcher("bnb").search(ctx, budget_options);
   double engine_s = seconds_since(t0);
-  std::cout << "branch-and-bound (rate instance, cap " << kRateBudget << " nodes): "
-            << pruned.states_explored << " states (" << pruned.bound_prunes << " bound prunes, "
-            << pruned.capacity_prunes << " capacity prunes), "
-            << core::Table::num(engine_s * 1e3, 2) << " ms, "
-            << (pruned.status == assign::SearchStatus::Optimal ? "search complete" : "cap hit") << "\n";
+  const bool rate_binds = pruned.stop == core::StopReason::NodeCap;
+  const double nodes_per_s = kRateBudget / (engine_s > 0 ? engine_s : 1e-9);
+  std::cout << "branch-and-bound (wavelet, cap " << kRateBudget << " nodes): "
+            << core::Table::num(nodes_per_s, 0) << " nodes/s (" << pruned.bound_prunes
+            << " bound prunes, " << pruned.capacity_prunes << " capacity prunes), "
+            << core::Table::num(engine_s * 1e3, 2) << " ms, stop "
+            << core::to_string(pruned.stop) << "\n";
+  if (!rate_binds) std::cout << "WARNING: the rate instance no longer binds the node cap\n";
 
   auto medium_ws = core::make_workspace(apps::build_motion_estimation(),
                                         bench::default_platform(), {});
@@ -342,7 +331,7 @@ void print_scaling_report() {
   std::cout << "branch-and-bound (motion_estimation, 46 placements, cap 200k nodes): "
             << medium.states_explored << " states, " << medium.bound_prunes
             << " bound prunes, " << medium.capacity_prunes << " capacity prunes, "
-            << (medium.status == assign::SearchStatus::Optimal ? "complete" : "cap hit") << ", "
+            << "stop " << core::to_string(medium.stop) << ", "
             << core::Table::num(medium_s * 1e3, 2) << " ms\n";
 
   // --- Parallel branch-and-bound: thread-count scaling on the dense
@@ -443,8 +432,9 @@ void print_scaling_report() {
          << (i + 1 < feasibility.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"exhaustive\": {\"bnb_states\": " << pruned.states_explored
-       << ", \"bnb_s\": " << engine_s
+       << "  \"exhaustive\": {\"bnb_nodes\": " << kRateBudget
+       << ", \"bnb_stop\": \"" << core::to_string(pruned.stop) << "\""
+       << ", \"bnb_s\": " << engine_s << ", \"bnb_nodes_per_s\": " << nodes_per_s
        << ", \"bnb_bound_prunes\": " << pruned.bound_prunes
        << ", \"medium_states\": " << medium.states_explored
        << ", \"medium_bound_prunes\": " << medium.bound_prunes
@@ -477,6 +467,7 @@ void print_scaling_report() {
        << "  \"sweep\": {\"threads\": " << hw << ", \"serial_s\": " << serial_total
        << ", \"parallel_s\": " << parallel_total << "}\n}\n";
   std::cout << json.str() << "\n";
+  return rate_binds;
 }
 
 const int kLastAppIndex = static_cast<int>(apps::all_apps().size()) - 1;
@@ -497,27 +488,33 @@ void BM_GreedyEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyEngine)->DenseRange(0, kLastAppIndex);
 
+/// Time capped searches of the rate instance; a search that stops on
+/// anything but the node cap fails the benchmark.
 void run_exhaustive_bench(benchmark::State& state, const std::string& strategy,
                           const assign::SearchOptions& options) {
-  auto ws = core::make_workspace(rate_program(), rate_platform(), {});
+  auto ws = rate_workspace();
   auto ctx = ws->context();
-  long states = 0;
   for (auto _ : state) {
     assign::SearchResult result = assign::searcher(strategy).search(ctx, options);
-    states = result.states_explored;
+    if (result.stop != core::StopReason::NodeCap) {
+      state.SkipWithError("the rate instance no longer binds the node cap");
+      break;
+    }
     benchmark::DoNotOptimize(result);
   }
-  state.counters["states/s"] =
-      benchmark::Counter(static_cast<double>(states), benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void BM_ExhaustiveBranchAndBound(benchmark::State& state) {
   assign::SearchOptions options;
   options.max_states = kRateBudget;
   run_exhaustive_bench(state, "bnb", options);
+  state.counters["nodes/s"] = benchmark::Counter(static_cast<double>(kRateBudget),
+                                                 benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_ExhaustiveBranchAndBound);
 
+/// Time per search only: the cap bounds each worker, so the node total
+/// varies with the worker count and the steal interleaving.
 void BM_BnbParallel(benchmark::State& state) {
   assign::SearchOptions options;
   options.max_states = kRateBudget;
@@ -575,8 +572,8 @@ BENCHMARK(BM_SweepParallel);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_scaling_report();
+  const bool rate_binds = print_scaling_report();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return rate_binds ? 0 : 1;
 }

@@ -38,9 +38,10 @@
 //                     warning; a missing shard path is a validation error.
 //   --deadline <s>    wall-clock run budget in seconds (0 = unbounded); an
 //                     expired budget degrades the run (best-so-far result,
-//                     status budget_exhausted) instead of failing it
+//                     stop "deadline") instead of failing it
 //   --max-probes <n>  deterministic run budget in search probes (0 = off) —
-//                     same degradation, reproducible truncation point
+//                     same degradation (stop "probe_budget"), reproducible
+//                     truncation point
 //   --trace <file>    record the run's span timeline and write it as Chrome
 //                     trace-event JSON (load in Perfetto / chrome://tracing);
 //                     covers every pipeline stage plus search/explore
@@ -61,8 +62,10 @@
 //   1  unexpected internal error
 //   2  usage error (bad flags; this listing)
 //   3  validation error (bad config value, unknown app/strategy, bad input)
-//   4  run budget exhausted (single pipeline run returned a degraded,
-//      best-so-far result — output is still complete and well-formed)
+//   4  stopped early (single pipeline run returned a degraded, best-so-far
+//      result — output is still complete and well-formed; stderr says
+//      "stopped early: <stop>", the report's "stop" key names the same
+//      reason: deadline, probe_budget, cancelled or node_cap)
 //   5  I/O failure (unreadable/unwritable file, cache persistence)
 //
 // --cache-merge uses the same table: 0 on success (salvaged shards
@@ -124,7 +127,7 @@ int usage(const char* argv0) {
                "       [--dump-config] [--footprints] [--verbose] [--json]\n"
                "       " << argv0 << " --cache-merge <out.json> <shard.json>...\n\n"
                "exit codes: 0 ok, 1 internal, 2 usage, 3 validation,\n"
-               "            4 run budget exhausted (degraded result), 5 I/O\n\n"
+               "            4 stopped early (degraded result; stderr names the stop), 5 I/O\n\n"
                "strategies:\n";
   for (const std::string& name : assign::searcher_names()) {
     std::cerr << "  " << name << " — " << assign::searcher(name).description << "\n";
@@ -317,8 +320,11 @@ xplore::ExplorerConfig explorer_config(const Options& options) {
 void print_explore_report(const xplore::ExploreResult& result) {
   std::cout << "evaluated " << result.evaluations << " of " << result.lattice_cells
             << " lattice cells (" << result.cache_hits << " cache hits, " << result.rounds
-            << " rounds" << (result.converged ? ", converged" : "")
-            << (result.budget_exhausted ? ", budget exhausted" : "") << "); Pareto frontier:\n";
+            << " rounds" << (result.converged ? ", converged" : "");
+  if (result.stop != core::StopReason::None) {
+    std::cout << ", stopped early: " << core::to_string(result.stop);
+  }
+  std::cout << "); Pareto frontier:\n";
   core::Table table({"L1", "L2", "cycles", "energy nJ"});
   for (const xplore::TradeoffPoint& p : result.frontier) {
     table.add_row({std::to_string(p.l1_bytes), std::to_string(p.l2_bytes),
@@ -467,11 +473,13 @@ int run_tool(Options& options) {
         std::cout << table.str();
       }
     }
-    // Exit 4 signals the degraded (best-so-far) outcome of a bounded single
-    // run: the output above is complete and well-formed, scripts just learn
-    // the search did not run to its natural end.  Explorer/corpus cell
+    // Exit 4 signals the degraded (best-so-far) outcome of a single run:
+    // the output above is complete and well-formed, scripts just learn the
+    // search did not run to its natural end, and why.  Explorer/corpus cell
     // budgets are a sampling knob, not a failure, and stay exit 0.
-    return run.search.status == assign::SearchStatus::BudgetExhausted ? 4 : 0;
+    if (run.search.status != assign::SearchStatus::BudgetExhausted) return 0;
+    std::cerr << "stopped early: " << core::to_string(run.search.stop) << "\n";
+    return 4;
 }
 
 }  // namespace

@@ -43,16 +43,14 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
   // expired budget truncates the walk at an iteration boundary, where the
   // engine holds the last accepted state and the best tracker is complete.
   std::optional<core::RunBudget> local_budget;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local_budget.emplace(options.budget);
-    budget = &*local_budget;
-  }
+  core::RunBudget* budget =
+      core::resolve_budget(options.budget, options.shared_budget, local_budget);
 
   double temp = options.anneal_initial_temp;
   for (int iter = 0; iter < options.anneal_iterations; ++iter, temp *= options.anneal_cooling) {
     if (!budget->probe()) {
       result.status = SearchStatus::BudgetExhausted;
+      result.stop = budget->reason();
       break;
     }
     // Propose one move on the engine; `proposed` stays false when the draw

@@ -56,18 +56,21 @@ constexpr std::size_t kMinCopySplit = 14;
 constexpr long kProbeBatch = 64;
 
 /// Stamp the anytime contract fields onto a finished (or truncated) result:
-/// map a completed run to Optimal/gap 0; on a truncated run substitute the
-/// greedy fallback when it beats the incumbent, certify the gap against the
-/// global root lower bound, and verify the returned assignment is actually
+/// map a completed run to Optimal/gap 0; on a truncated run name its stop
+/// (the expired budget's reason, else the node cap), substitute the greedy
+/// fallback when it beats the incumbent, certify the gap against the global
+/// root lower bound, and verify the returned assignment is actually
 /// consumable.
 void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budget_hit,
-                      double lower_bound, const SearchResult* fallback) {
+                      const core::RunBudget& budget, double lower_bound,
+                      const SearchResult* fallback) {
   result.lower_bound = lower_bound;
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
     return;
   }
+  result.stop = budget.expired() ? budget.reason() : core::StopReason::NodeCap;
   if (fallback && fallback->scalar < result.scalar) {
     result.assignment = fallback->assignment;
     result.scalar = fallback->scalar;
@@ -790,16 +793,6 @@ std::optional<SearchResult> seed_incumbent(const AssignContext& ctx, const Searc
   return seed;
 }
 
-/// Resolve the active budget token: the caller's shared token wins; else a
-/// local one is built from the spec.  A local token is created even for an
-/// unbounded spec so the fault injector's BudgetProbe site is always live.
-core::RunBudget* resolve_budget(const SearchOptions& options,
-                                std::optional<core::RunBudget>& local) {
-  if (options.shared_budget) return options.shared_budget;
-  local.emplace(options.budget);
-  return &*local;
-}
-
 /// The one branch-and-bound driver behind "bnb" (one worker) and "bnb-par"
 /// (`bnb_threads` workers): one `EngineSearch` per pool worker — the
 /// prototype itself when alone, else a lazy copy of it — subtree tasks that
@@ -811,7 +804,7 @@ core::RunBudget* resolve_budget(const SearchOptions& options,
 SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& options,
                               unsigned threads) {
   std::optional<core::RunBudget> local;
-  core::RunBudget* run_budget = resolve_budget(options, local);
+  core::RunBudget* run_budget = core::resolve_budget(options.budget, options.shared_budget, local);
 
   EngineSearch prototype(ctx, options);
   prototype.run_budget = run_budget;
@@ -888,7 +881,8 @@ SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& opt
       best_path = &worker->best_path_;
     }
   }
-  finalize_anytime(result, ctx, budget_hit, root_lb, fallback ? &*fallback : nullptr);
+  finalize_anytime(result, ctx, budget_hit, *run_budget, root_lb,
+                   fallback ? &*fallback : nullptr);
   return result;
 }
 

@@ -32,11 +32,8 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
   // speculative move on the engine); expiry abandons the round before any
   // move is applied.
   std::optional<core::RunBudget> local_budget;
-  core::RunBudget* budget = options.shared_budget;
-  if (!budget) {
-    local_budget.emplace(options.budget);
-    budget = &*local_budget;
-  }
+  core::RunBudget* budget =
+      core::resolve_budget(options.budget, options.shared_budget, local_budget);
   bool cancelled = false;
   auto probe = [&]() {
     if (!cancelled && !budget->probe()) cancelled = true;
@@ -184,6 +181,7 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
   result.assignment = engine.assignment();
   result.scalar = current_scalar;
   result.status = cancelled ? SearchStatus::BudgetExhausted : SearchStatus::Feasible;
+  if (cancelled) result.stop = budget->reason();
   return result;
 }
 

@@ -116,6 +116,7 @@ struct SearchResult {
   SearchStatus status = SearchStatus::Feasible;
   double gap = -1.0;
   double lower_bound = 0.0;  ///< global admissible root bound (exact strategies)
+  core::StopReason stop = core::StopReason::None;  ///< budget's reason, else NodeCap
 };
 
 /// Greedy steering heuristic (registry "greedy", MHLA step 1): start from

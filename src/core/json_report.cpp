@@ -235,8 +235,7 @@ std::string to_json(const std::string& app_name, const PipelineResult& result, i
       << ", \"states_explored\": " << result.search.states_explored
       << ", \"status\": \"" << assign::to_string(result.search.status) << "\""
       << ", \"gap\": " << num(result.search.gap)
-      << ", \"exhausted_budget\": "
-      << bool_text(result.search.status == assign::SearchStatus::BudgetExhausted) << "},\n";
+      << ", \"stop\": \"" << to_string(result.search.stop) << "\"},\n";
   out << p1 << "\"timings\": [\n";
   for (std::size_t i = 0; i < result.timings.size(); ++i) {
     out << p2 << "{\"stage\": \"" << json_escape(result.timings[i].stage)

@@ -65,9 +65,10 @@ PipelineResult Pipeline::run(const Workspace& workspace) const {
     result.points.mhla_te = sim::simulate(ctx, result.search.assignment,
                                           {te::TransferMode::TimeExtended, te_options, false});
     // A truncated TE point degrades the run exactly like a truncated search.
-    if (result.points.mhla_te.budget_exhausted &&
+    if (result.points.mhla_te.stop != StopReason::None &&
         result.search.status != assign::SearchStatus::Infeasible) {
       result.search.status = assign::SearchStatus::BudgetExhausted;
+      result.search.stop = result.points.mhla_te.stop;
     }
     double te_s = span.finish();
     result.timings.push_back({"time_extend", te_s});

@@ -11,6 +11,8 @@ std::string to_string(StopReason reason) {
     case StopReason::ProbeBudget: return "probe_budget";
     case StopReason::Cancelled: return "cancelled";
     case StopReason::Injected: return "injected";
+    case StopReason::NodeCap: return "node_cap";
+    case StopReason::CellBudget: return "cell_budget";
   }
   return "none";
 }

@@ -3,20 +3,24 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace mhla::core {
 
-/// Why a budgeted run stopped early.  `None` means the budget never bound
-/// (the run completed on its own terms).
+/// Why a run stopped early, the one vocabulary of every early stop.  Where
+/// an expired `RunBudget` and a count cap both bound, the budget's wins.
 enum class StopReason {
-  None,         ///< budget never expired
+  None,         ///< nothing bound
   Deadline,     ///< wall-clock deadline passed
   ProbeBudget,  ///< cooperative probe allowance spent
   Cancelled,    ///< external cancel flag raised
   Injected,     ///< fault injector forced an expiry (tests only)
+  NodeCap,      ///< exact search spent `max_states` nodes on a worker
+  CellBudget,   ///< Explorer sampled its `budget` of cells
 };
 
+/// Snake-case wire name ("none", "node_cap", "probe_budget", ...).
 std::string to_string(StopReason reason);
 
 /// Serializable knobs of a cooperative run budget.  Part of
@@ -105,5 +109,13 @@ class RunBudget {
   Clock::time_point deadline_{};
   std::shared_ptr<std::atomic<bool>> cancel_;
 };
+
+/// The budget token a strategy charges: the caller's `shared` token wins;
+/// else `local` is built from `spec`, even an unbounded one, so the fault
+/// injector's BudgetProbe site is live on every run.
+inline RunBudget* resolve_budget(const BudgetSpec& spec, RunBudget* shared,
+                                 std::optional<RunBudget>& local) {
+  return shared ? shared : &local.emplace(spec);
+}
 
 }  // namespace mhla::core

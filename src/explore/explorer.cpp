@@ -139,13 +139,12 @@ CellOutcome evaluate_cell(const core::Workspace& workspace, const core::Pipeline
   sim_options.te.budget = search.shared_budget;
   const sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
 
-  CellOutcome outcome;
-  outcome.point = {cell.l1_bytes, cell.l2_bytes, sim.total_cycles(), sim.energy_nj};
-  outcome.status = found.status;
-  if (sim.budget_exhausted && outcome.status != assign::SearchStatus::Infeasible) {
+  CellOutcome outcome{{cell.l1_bytes, cell.l2_bytes, sim.total_cycles(), sim.energy_nj},
+                      found.status, found.gap, found.stop};
+  if (sim.stop != core::StopReason::None && outcome.status != assign::SearchStatus::Infeasible) {
     outcome.status = assign::SearchStatus::BudgetExhausted;
+    outcome.stop = sim.stop;
   }
-  outcome.gap = found.gap;
   return outcome;
 }
 
@@ -223,13 +222,6 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
   std::sort(wave.begin(), wave.end());
 
   while (!wave.empty()) {
-    // A run budget (deadline/probes/cancel) is checked at wave boundaries
-    // only: an expired budget stops the exploration with everything
-    // sampled so far instead of starting another wave.
-    if (run_budget && run_budget->expired()) {
-      result.budget_exhausted = true;
-      break;
-    }
     // The budget truncates the wave itself (canonical order), cache hits
     // included, so the sample sequence is a pure function of the config —
     // a warm cache replays it with fewer (or zero) pipeline runs.
@@ -237,7 +229,7 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
       std::size_t remaining = config_.budget - result.samples.size();
       if (wave.size() > remaining) {
         wave.resize(remaining);
-        result.budget_exhausted = true;
+        result.stop = core::StopReason::CellBudget;
         if (wave.empty()) break;  // budget landed exactly on a wave boundary
       }
     }
@@ -329,11 +321,13 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
       wave_span.set_args(args);
     }
 
-    // Stream the wave's running result (incremental frontier) before the
-    // termination checks, so an observer sees the final wave too.
+    // A run budget expired inside the wave ends the run with everything
+    // sampled so far; its reason outranks a cell budget.  The running result
+    // streams before the termination checks, so an observer sees it too.
+    if (run_budget && run_budget->expired()) result.stop = run_budget->reason();
     if (config_.on_wave) config_.on_wave(result);
 
-    if (result.budget_exhausted) break;
+    if (result.stop != core::StopReason::None) break;
     if (!improved) {
       result.converged = true;
       break;
@@ -423,7 +417,7 @@ std::string to_json(const ExploreResult& result, int indent) {
   out << p1 << "\"evaluations\": " << result.evaluations << ",\n";
   out << p1 << "\"cache_hits\": " << result.cache_hits << ",\n";
   out << p1 << "\"rounds\": " << result.rounds << ",\n";
-  out << p1 << "\"budget_exhausted\": " << (result.budget_exhausted ? "true" : "false") << ",\n";
+  out << p1 << "\"stop\": \"" << core::to_string(result.stop) << "\",\n";
   out << p1 << "\"converged\": " << (result.converged ? "true" : "false") << ",\n";
   out << p1 << "\"samples\": [";
   for (std::size_t i = 0; i < result.samples.size(); ++i) {

@@ -106,7 +106,7 @@ struct ExploreResult {
   std::size_t evaluations = 0;      ///< pipeline runs actually performed
   std::size_t cache_hits = 0;
   std::size_t rounds = 0;           ///< seed wave + refinement waves
-  bool budget_exhausted = false;
+  core::StopReason stop = core::StopReason::None;  ///< run budget's reason, else CellBudget
   bool converged = false;           ///< a refinement round brought no improvement
 };
 
@@ -164,6 +164,7 @@ struct CellOutcome {
   TradeoffPoint point;
   assign::SearchStatus status = assign::SearchStatus::Feasible;
   double gap = 0.0;
+  core::StopReason stop = core::StopReason::None;  ///< the search's, or the TE pass's
 };
 
 /// The single-cell evaluator shared by the Explorer's waves and

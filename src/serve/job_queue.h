@@ -58,7 +58,7 @@ struct JobSpec {
 /// One accepted job.  The cancel flag doubles as the budget's cancel token:
 /// the worker threads it into the run's `core::BudgetSpec`, so a `cancel`
 /// request reaches a mid-flight search through the ordinary cooperative
-/// probe path and the job drains with an anytime (budget_exhausted) result.
+/// probe path and the job drains with an anytime result (stop Cancelled).
 struct Job {
   std::uint64_t id = 0;
   JobSpec spec;

@@ -58,8 +58,8 @@ void append_explore_counters(std::ostringstream& out, const xplore::ExploreResul
   out << "\"samples\": " << result.samples.size() << ", \"evaluations\": " << result.evaluations
       << ", \"cache_hits\": " << result.cache_hits << ", \"rounds\": " << result.rounds
       << ", \"lattice_cells\": " << result.lattice_cells
-      << ", \"budget_exhausted\": " << (result.budget_exhausted ? "true" : "false")
-      << ", \"converged\": " << (result.converged ? "true" : "false");
+      << ", \"stop\": \"" << core::to_string(result.stop)
+      << "\", \"converged\": " << (result.converged ? "true" : "false");
 }
 
 }  // namespace
@@ -218,7 +218,8 @@ std::string event_done_explore(std::uint64_t job, const std::string& state,
 
 std::string event_done_submit(std::uint64_t job, const std::string& state,
                               assign::SearchStatus status, double gap, double cycles,
-                              double energy_nj, bool from_cache, std::size_t evaluations) {
+                              double energy_nj, bool from_cache, std::size_t evaluations,
+                              core::StopReason stop) {
   std::ostringstream out;
   out << "{\"event\": \"done\", \"job\": " << job << ", \"kind\": \"submit\", \"state\": \""
       << json_escape(state) << "\", \"status\": \"" << assign::to_string(status)
@@ -226,7 +227,8 @@ std::string event_done_submit(std::uint64_t job, const std::string& state,
       << ", \"cycles\": " << json_number_exact(cycles)
       << ", \"energy_nj\": " << json_number_exact(energy_nj)
       << ", \"from_cache\": " << (from_cache ? "true" : "false")
-      << ", \"evaluations\": " << evaluations << "}";
+      << ", \"evaluations\": " << evaluations << ", \"stop\": \"" << core::to_string(stop)
+      << "\"}";
   return out.str();
 }
 
@@ -241,7 +243,8 @@ std::string event_done_failed(std::uint64_t job, const std::string& message) {
 std::string event_done_cancelled(std::uint64_t job) {
   std::ostringstream out;
   out << "{\"event\": \"done\", \"job\": " << job
-      << ", \"kind\": \"cancelled\", \"state\": \"cancelled\"}";
+      << ", \"kind\": \"cancelled\", \"state\": \"cancelled\", \"stop\": \""
+      << core::to_string(core::StopReason::Cancelled) << "\"}";
   return out.str();
 }
 

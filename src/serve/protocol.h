@@ -84,8 +84,8 @@ std::string to_json(const Request& request);
 ///                 plus the current frontier with full cell coordinates
 ///   done        — terminal event of a submit/explore job ("state" is
 ///                 "done"/"cancelled"/"failed"; submit carries the search
-///                 status, certified gap and the measured cost pair,
-///                 explore carries the exploration counters)
+///                 status, certified gap, measured cost pair and "stop",
+///                 explore carries the exploration counters and "stop")
 ///   status      — {"event":"status","jobs":[{"job":N,"command":..,"state":..}]}
 ///   cache_stats — the ResultCache counters
 ///   cancelled   — cancel acknowledgement ({"found":false} for unknown jobs)
@@ -103,13 +103,14 @@ std::string event_done_explore(std::uint64_t job, const std::string& state,
 /// Terminal event of a submit job.  `gap` < 0 means "no certified gap".
 std::string event_done_submit(std::uint64_t job, const std::string& state,
                               assign::SearchStatus status, double gap, double cycles,
-                              double energy_nj, bool from_cache, std::size_t evaluations);
+                              double energy_nj, bool from_cache, std::size_t evaluations,
+                              core::StopReason stop = core::StopReason::None);
 
 /// Terminal event of a job that failed before producing a result.
 std::string event_done_failed(std::uint64_t job, const std::string& message);
 
 /// Terminal event of a job cancelled before any worker picked it up (the
-/// queued-cancel and shutdown-drop paths) — no result, no error.
+/// queued-cancel and shutdown-drop paths): no result, stop "cancelled".
 std::string event_done_cancelled(std::uint64_t job);
 
 /// One row of a status report.

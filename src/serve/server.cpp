@@ -449,13 +449,12 @@ void Server::run_submit(Job& job) {
   // The status guard drops truncated results.
   cache_.insert(job.spec.key, xplore::cell_entry(cell, outcome));
 
-  const bool cancelled = job.cancel->load(std::memory_order_relaxed) &&
-                         outcome.status == assign::SearchStatus::BudgetExhausted;
+  const bool cancelled = outcome.stop == core::StopReason::Cancelled;
   queue_.finish(job, cancelled ? JobState::Cancelled : JobState::Done);
   (cancelled ? jobs_cancelled_ : jobs_done_).add();
   job.sink->send(event_done_submit(job.id, cancelled ? "cancelled" : "done", outcome.status,
                                    outcome.gap, outcome.point.cycles, outcome.point.energy_nj,
-                                   /*from_cache=*/false, /*evaluations=*/1));
+                                   /*from_cache=*/false, /*evaluations=*/1, outcome.stop));
 }
 
 void Server::run_explore(Job& job) {
@@ -478,8 +477,7 @@ void Server::run_explore(Job& job) {
   xplore::Explorer explorer(std::move(config));
   xplore::ExploreResult result = explorer.run(std::move(*job.spec.program), cache_);
 
-  const bool cancelled =
-      job.cancel->load(std::memory_order_relaxed) && result.budget_exhausted;
+  const bool cancelled = result.stop == core::StopReason::Cancelled;
   queue_.finish(job, cancelled ? JobState::Cancelled : JobState::Done);
   (cancelled ? jobs_cancelled_ : jobs_done_).add();
   job.sink->send(event_done_explore(job.id, cancelled ? "cancelled" : "done", result));

@@ -58,7 +58,7 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
       }
     }
     extensions = te_result.footprint_extensions;
-    result.budget_exhausted = te_result.budget_exhausted;
+    result.stop = te_result.stop;
   } else {
     result.stall_cycles = te::total_stall_cycles(bts, options.mode, nullptr);
   }

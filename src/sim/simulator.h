@@ -33,7 +33,7 @@ struct SimResult {
   std::vector<double> nest_cycles;  ///< CPU cycles per top-level nest (no stalls)
   assign::FootprintReport footprints;
   bool feasible = true;
-  bool budget_exhausted = false;  ///< the run budget cut the TE pass short
+  core::StopReason stop = core::StopReason::None;  ///< why the run budget cut the TE pass
 
   double total_cycles() const { return compute_cycles + access_cycles + stall_cycles; }
 };

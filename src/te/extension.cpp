@@ -145,7 +145,7 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
         ext.hidden_cycles * static_cast<double>(bt.issues) - ext.cold_start_stall_cycles;
   }
 
-  result.budget_exhausted = out_of_budget;
+  if (out_of_budget) result.stop = options.budget->reason();
 
   // dma_priority(): issue order = earliest start first, then the greedy
   // sort factor as tie break (urgent transfers drain first).

@@ -2,11 +2,8 @@
 
 #include "assign/cost.h"
 #include "assign/inplace.h"
+#include "core/run_budget.h"
 #include "te/block_transfer.h"
-
-namespace mhla::core {
-class RunBudget;
-}
 
 namespace mhla::te {
 
@@ -28,10 +25,10 @@ struct TeOptions {
   /// Cooperative run budget (one probe per BT plus one per freedom unit,
   /// charged before the unit is tried).  An expired budget stops extending
   /// at a unit boundary: extensions accepted so far keep their exact
-  /// footprint state, unprocessed BTs stay unextended, and the result is
-  /// marked budget_exhausted.  The pipeline shares its search budget here
-  /// so one deadline covers search + TE.  Not serialized; compared by
-  /// identity in operator==.
+  /// footprint state, unprocessed BTs stay unextended, and the result's
+  /// `stop` names the budget's reason.  The pipeline shares its search
+  /// budget here so one deadline covers search + TE.  Not serialized;
+  /// compared by identity in operator==.
   core::RunBudget* budget = nullptr;
 
   friend bool operator==(const TeOptions&, const TeOptions&) = default;
@@ -53,7 +50,7 @@ struct TeResult {
   std::vector<BtExtension> extensions;      ///< one per BT, indexed by bt id
   std::vector<assign::CopyExtension> footprint_extensions;  ///< for inplace checks
   double total_hidden_cycles = 0.0;         ///< sum over all issues
-  bool budget_exhausted = false;  ///< run budget expired before every BT was processed
+  core::StopReason stop = core::StopReason::None;  ///< why the budget cut the pass, if it did
 
   const BtExtension& for_bt(int bt_id) const {
     return extensions.at(static_cast<std::size_t>(bt_id));

@@ -169,14 +169,16 @@ TEST(Pipeline, TePassCutByTheRunBudgetDegradesTheResult) {
     auto ws = make_workspace(apps::build_app("conv_filter"), config.platform, config.dma);
     const PipelineResult full = Pipeline(config).run(*ws);
     ASSERT_NE(full.search.status, assign::SearchStatus::BudgetExhausted) << strategy;
-    EXPECT_FALSE(full.points.mhla_te.budget_exhausted) << strategy;
+    EXPECT_EQ(full.points.mhla_te.stop, core::StopReason::None) << strategy;
+    EXPECT_EQ(full.search.stop, core::StopReason::None) << strategy;
 
     config.search.budget.max_probes = testing::search_probes(*ws, config) + 1;
     const PipelineResult cut = Pipeline(config).run(*ws);
     EXPECT_EQ(cut.search.assignment, full.search.assignment) << strategy;
     EXPECT_NE(cut.points.mhla_te.total_cycles(), full.points.mhla_te.total_cycles()) << strategy;
-    EXPECT_TRUE(cut.points.mhla_te.budget_exhausted) << strategy;
+    EXPECT_EQ(cut.points.mhla_te.stop, core::StopReason::ProbeBudget) << strategy;
     EXPECT_EQ(cut.search.status, assign::SearchStatus::BudgetExhausted) << strategy;
+    EXPECT_EQ(cut.search.stop, core::StopReason::ProbeBudget) << strategy;
   }
 }
 

@@ -372,7 +372,7 @@ TEST(Explorer, BudgetOnAWaveBoundaryAddsNoEmptyRound) {
   ExploreResult exact = Explorer(config).run(testing::blocked_reuse_program());
   EXPECT_EQ(exact.evaluations, 6u);
   EXPECT_EQ(exact.rounds, 1u);
-  EXPECT_TRUE(exact.budget_exhausted);
+  EXPECT_EQ(exact.stop, core::StopReason::CellBudget);
 
   config.budget = 5;
   ExploreResult under = Explorer(config).run(testing::blocked_reuse_program());
@@ -418,8 +418,25 @@ TEST(Explorer, BudgetCapsPipelineEvaluations) {
   config.budget = 4;
   ExploreResult result = Explorer(config).run(testing::blocked_reuse_program());
   EXPECT_EQ(result.evaluations, 4u);
-  EXPECT_TRUE(result.budget_exhausted);
+  EXPECT_EQ(result.stop, core::StopReason::CellBudget);
   EXPECT_EQ(result.samples.size(), 4u);
+  const std::string json = to_json(result);
+  EXPECT_NE(json.find("\"stop\": \"cell_budget\""), std::string::npos) << json;
+}
+
+TEST(Explorer, AnExpiredRunBudgetNamesTheStopOverTheCellBudget) {
+  // A deadline that expires on the first probe cuts the seed wave's cells:
+  // the run ends after that wave, and the deadline names the stop whether
+  // or not the cell budget bound too.
+  for (std::size_t budget : {0u, 4u}) {
+    ExplorerConfig config = small_config();
+    config.budget = budget;
+    config.pipeline.search.budget.deadline_seconds = 1e-9;
+    ExploreResult result = Explorer(config).run(testing::blocked_reuse_program());
+    EXPECT_EQ(result.stop, core::StopReason::Deadline) << core::to_string(result.stop);
+    EXPECT_EQ(result.rounds, 1u);
+    EXPECT_FALSE(result.converged);
+  }
 }
 
 TEST(Explorer, AnytimeFrontierIsValidUnderAnyBudget) {
@@ -557,7 +574,7 @@ TEST(Explorer, BudgetTruncatedRunReplaysWarmWithZeroEvaluations) {
 
   ExploreResult cold = Explorer(config).run(testing::blocked_reuse_program());
   EXPECT_EQ(cold.evaluations, 7u);
-  EXPECT_TRUE(cold.budget_exhausted);
+  EXPECT_EQ(cold.stop, core::StopReason::CellBudget);
 
   ExploreResult warm = Explorer(config).run(testing::blocked_reuse_program());
   EXPECT_EQ(warm.evaluations, 0u);

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -178,6 +179,7 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
     core::ScopedFault fault(FaultInjector::Site::BudgetProbe, 10);
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
     EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
+    EXPECT_EQ(result.stop, core::StopReason::Injected) << core::to_string(result.stop);
     EXPECT_TRUE(assign::fits(ctx, result.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   }
@@ -477,11 +479,12 @@ TEST(CancellationConsistency, BnbParProbeAllowanceOvershootsByAtMostOneBatchPerW
 // --- Anytime exact search: the node cap bounds every run ---------------------
 
 /// The anytime contract of a truncated exact search: a consumable
-/// best-so-far assignment and a finite gap certified by a root bound that
-/// does not exceed it.
+/// best-so-far assignment, a finite gap certified by a root bound that
+/// does not exceed it, and the reason it stopped.
 void expect_certified_best_so_far(const assign::AssignContext& ctx,
-                                  const assign::SearchResult& result) {
+                                  const assign::SearchResult& result, core::StopReason stop) {
   EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
+  EXPECT_EQ(result.stop, stop) << core::to_string(result.stop);
   EXPECT_TRUE(assign::fits(ctx, result.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   EXPECT_GT(result.scalar, 0.0);
@@ -498,16 +501,13 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   ASSERT_GT(placements, oracle::kExactCorpusPlacements)
       << "corpus drifted: mpeg2_encoder is no longer a large exact instance";
 
-  // Unbudgeted exact search answers the large instance: the default node
-  // cap truncates it into a certified best-so-far...
-  expect_certified_best_so_far(ctx, assign::searcher("bnb").search(ctx, {}));
-
-  // ...and so does a deterministic probe allowance: best-so-far
-  // assignment, certified gap, reproducible run to run.
+  // A deterministic probe allowance truncates the large instance into a
+  // certified best-so-far, reproducible run to run (the default node cap
+  // alone is covered by DefaultNodeCapTruncatesTheHardApps below).
   assign::SearchOptions bounded;
   bounded.budget.max_probes = 20000;
   assign::SearchResult result = assign::searcher("bnb").search(ctx, bounded);
-  expect_certified_best_so_far(ctx, result);
+  expect_certified_best_so_far(ctx, result, core::StopReason::ProbeBudget);
 
   assign::SearchResult again = assign::searcher("bnb").search(ctx, bounded);
   EXPECT_EQ(again.assignment, result.assignment);
@@ -519,20 +519,63 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   bounded_par.bnb_threads = 2;
   assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, bounded_par);
   EXPECT_EQ(parallel.status, assign::SearchStatus::BudgetExhausted);
+  EXPECT_EQ(parallel.stop, core::StopReason::ProbeBudget) << core::to_string(parallel.stop);
   EXPECT_TRUE(assign::fits(ctx, parallel.assignment));
   EXPECT_GE(parallel.gap, 0.0);
 }
 
 TEST(Anytime, DefaultNodeCapTruncatesTheHardApps) {
-  // The other two apps whose exact search runs for seconds or more (the
-  // test above covers mpeg2_encoder): default options must return a
-  // certified best-so-far once `max_states` nodes are spent, with no
-  // budget attached.
-  for (const char* app : {"wavelet", "fft_filter"}) {
+  // The three apps whose exact search runs for seconds or more: default
+  // options must return a certified best-so-far once `max_states` nodes
+  // are spent, name the node cap as the stop, and leave the (unbounded)
+  // shared budget unexpired.
+  for (const char* app : {"mpeg2_encoder", "wavelet", "fft_filter"}) {
     SCOPED_TRACE(app);
     auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
     auto ctx = ws->context();
-    expect_certified_best_so_far(ctx, assign::searcher("bnb").search(ctx, {}));
+    core::RunBudget token;
+    assign::SearchOptions options;
+    options.shared_budget = &token;
+    expect_certified_best_so_far(ctx, assign::searcher("bnb").search(ctx, options),
+                                 core::StopReason::NodeCap);
+    EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
+  }
+}
+
+TEST(Anytime, EveryStrategyNamesAProbeBudgetStop) {
+  // A probe allowance that binds names itself as the stop in every
+  // strategy, including bnb-par's batched charging on two workers (its
+  // greedy seed is off, so the allowance binds inside the parallel search).
+  auto ws = core::make_workspace(apps::build_app("wavelet"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  for (const std::string& strategy : {"greedy", "anneal", "bnb", "bnb-par"}) {
+    SCOPED_TRACE(strategy);
+    assign::SearchOptions options;
+    options.budget.max_probes = 1000;
+    options.bnb_threads = 2;
+    options.bnb_seed_incumbent = strategy != "bnb-par";
+    assign::SearchResult result = assign::searcher(strategy).search(ctx, options);
+    EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
+    EXPECT_EQ(result.stop, core::StopReason::ProbeBudget) << core::to_string(result.stop);
+  }
+}
+
+TEST(Anytime, ARaisedCancelFlagNamesTheStopCancelled) {
+  // A serve job's cancel-only budget, raised: the cancel, not the node cap,
+  // ends the search and names the stop, serially and on two workers.
+  auto ws = core::make_workspace(apps::build_app("wavelet"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  for (const char* strategy : {"bnb", "bnb-par"}) {
+    SCOPED_TRACE(strategy);
+    core::BudgetSpec spec;
+    spec.cancel = std::make_shared<std::atomic<bool>>(true);
+    core::RunBudget token(spec);
+    assign::SearchOptions options;
+    options.shared_budget = &token;
+    options.bnb_threads = 2;
+    expect_certified_best_so_far(ctx, assign::searcher(strategy).search(ctx, options),
+                                 core::StopReason::Cancelled);
+    EXPECT_EQ(token.reason(), core::StopReason::Cancelled);
   }
 }
 
@@ -570,7 +613,7 @@ TEST(Anytime, NodeCapStopsASearchWhoseOnlyBudgetIsACancelFlag) {
   assign::SearchOptions options;
   options.shared_budget = &token;
   assign::SearchResult result = assign::searcher("bnb").search(ctx, options);
-  expect_certified_best_so_far(ctx, result);
+  expect_certified_best_so_far(ctx, result, core::StopReason::NodeCap);
   EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
 }
 
@@ -588,13 +631,14 @@ TEST(Robustness, PipelineDeadlineDegradesInsteadOfFailing) {
 
   std::string json = core::to_json("conv_filter", run);
   EXPECT_NE(json.find("\"status\": \"budget_exhausted\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"stop\": \"deadline\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"gap\": "), std::string::npos) << json;
 }
 
-TEST(Robustness, ReportBudgetFieldsAgreeWhenOnlyTimeExtensionIsCut) {
+TEST(Robustness, ReportStopFollowsStatusAcrossAnInjectionSweep) {
   // A probe allowance one past the search's own probe count lets the search
   // finish and cuts only the TE pass: the run is BudgetExhausted, and the
-  // report's `exhausted_budget` key must say the same as its `status`.
+  // report's `stop` names the allowance.
   core::PipelineConfig config;
   auto ws = core::make_workspace(apps::build_app("conv_filter"), config.platform, config.dma);
   assign::SearchOptions options = config.search;
@@ -609,7 +653,37 @@ TEST(Robustness, ReportBudgetFieldsAgreeWhenOnlyTimeExtensionIsCut) {
   EXPECT_EQ(run.search.status, assign::SearchStatus::BudgetExhausted);
   core::Json report = core::Json::parse(core::to_json("conv_filter", run));
   EXPECT_EQ(report.at("search").at("status").string(), "budget_exhausted");
-  EXPECT_TRUE(report.at("search").at("exhausted_budget").boolean());
+  EXPECT_EQ(report.at("search").at("stop").string(), "probe_budget");
+
+  // An injected expiry swept over the probes of the whole run (a bounded
+  // spec shares one token between the search and the TE pass): `stop` is
+  // "injected" exactly where the injector fired, and it is not "none"
+  // exactly when the status is budget_exhausted.
+  config.search.budget.max_probes = 1'000'000'000;  // attached, never binding
+  for (const char* strategy : {"greedy", "bnb"}) {
+    SCOPED_TRACE(strategy);
+    config.strategy = strategy;
+    core::Pipeline pipeline(config);
+    long hits = 0;
+    {
+      core::ScopedFault count(FaultInjector::Site::BudgetProbe, std::numeric_limits<long>::max());
+      pipeline.run(*ws);
+      hits = FaultInjector::hits(FaultInjector::Site::BudgetProbe);
+    }
+    ASSERT_GT(hits, 2);
+    std::vector<long> sweep;
+    for (long nth = 1; nth < hits; nth += std::max(1L, hits / 40)) sweep.push_back(nth);
+    sweep.insert(sweep.end(), {hits, hits + 1});
+    for (long nth : sweep) {
+      SCOPED_TRACE("injected at probe " + std::to_string(nth) + " of " + std::to_string(hits));
+      core::ScopedFault fault(FaultInjector::Site::BudgetProbe, nth);
+      core::Json search = core::Json::parse(core::to_json("conv_filter", pipeline.run(*ws)))
+                              .at("search");
+      const std::string& stop = search.at("stop").string();
+      EXPECT_EQ(stop != "none", search.at("status").string() == "budget_exhausted") << stop;
+      EXPECT_EQ(stop == "injected", nth <= hits) << stop;
+    }
+  }
 }
 
 TEST(Robustness, BudgetKnobsRoundTripThroughConfigJson) {

@@ -16,15 +16,6 @@ using assign::SearchOptions;
 using assign::SearchResult;
 using assign::SearchStatus;
 
-/// The caller's shared token wins; else a local one is built from the spec
-/// (even for an unbounded spec, so the fault injector's probe site is live).
-core::RunBudget* resolve_budget(const SearchOptions& options,
-                                std::optional<core::RunBudget>& local) {
-  if (options.shared_budget) return options.shared_budget;
-  local.emplace(options.budget);
-  return &*local;
-}
-
 /// Bytes a greedy move claims on its target layer, for the gain-per-byte
 /// steering metric (removals free space: any gain is pure win).
 i64 claimed_bytes(const assign::AssignContext& ctx, const GreedyMove& move) {
@@ -128,7 +119,7 @@ SearchResult greedy(const assign::AssignContext& ctx, const SearchOptions& optio
   // One probe per enumerated candidate, charged before it is scored; expiry
   // abandons the round before any move is applied.
   std::optional<core::RunBudget> local;
-  core::RunBudget* budget = resolve_budget(options, local);
+  core::RunBudget* budget = core::resolve_budget(options.budget, options.shared_budget, local);
   bool cancelled = false;
   auto probe = [&]() {
     if (!cancelled && !budget->probe()) cancelled = true;
@@ -217,7 +208,8 @@ SearchResult enumerate(const assign::AssignContext& ctx, const SearchOptions& op
   std::optional<core::RunBudget> local;
   Enumeration search{ctx, options,
                      assign::make_objective(ctx, options.energy_weight, options.time_weight),
-                     resolve_budget(options, local), assign::out_of_box(ctx)};
+                     core::resolve_budget(options.budget, options.shared_budget, local),
+                     assign::out_of_box(ctx)};
   search.best_scalar = search.objective.scalar(assign::estimate_cost(ctx, search.best));
   Assignment scratch = assign::out_of_box(ctx);
   search.homes(scratch, 0);

@@ -216,7 +216,8 @@ TEST(Protocol, EventsAreSingleLineParseableJson) {
 TEST(Protocol, DoneSubmitEventCarriesTheResultContract) {
   Json event = Json::parse(event_done_submit(11, "cancelled",
                                              assign::SearchStatus::BudgetExhausted, 0.125,
-                                             1000.0, 250.5, false, 1));
+                                             1000.0, 250.5, false, 1,
+                                             core::StopReason::Cancelled));
   EXPECT_EQ(event.at("event").string(), "done");
   EXPECT_EQ(event.at("kind").string(), "submit");
   EXPECT_EQ(event.at("job").integer(), 11);
@@ -227,6 +228,12 @@ TEST(Protocol, DoneSubmitEventCarriesTheResultContract) {
   EXPECT_EQ(event.at("energy_nj").number(), 250.5);
   EXPECT_FALSE(event.at("from_cache").boolean());
   EXPECT_EQ(event.at("evaluations").integer(), 1);
+  EXPECT_EQ(event.at("stop").string(), "cancelled");
+
+  // A cache hit passes no stop: it never stopped early.
+  Json hit = Json::parse(event_done_submit(12, "done", assign::SearchStatus::Optimal, 0.0, 1.0,
+                                           1.0, true, 0));
+  EXPECT_EQ(hit.at("stop").string(), "none");
 }
 
 TEST(Protocol, FrontierEventCarriesFullCellCoordinates) {
@@ -235,9 +242,11 @@ TEST(Protocol, FrontierEventCarriesFullCellCoordinates) {
   result.frontier.push_back({512, 8192, 100.0, 50.0});
   result.frontier_cells.push_back({512, 8192, "bnb", false});
   result.evaluations = 2;
+  result.stop = core::StopReason::CellBudget;
 
   Json event = Json::parse(event_frontier(1, result));
   EXPECT_EQ(event.at("event").string(), "frontier");
+  EXPECT_EQ(event.at("stop").string(), "cell_budget");
   ASSERT_EQ(event.at("frontier").array().size(), 1u);
   const Json& point = event.at("frontier").array()[0];
   EXPECT_EQ(point.at("l1_bytes").integer(), 512);

@@ -137,6 +137,7 @@ TEST(Server, SubmitColdThenWarmFromCache) {
   EXPECT_EQ(warm.at("cycles").number(), cold.at("cycles").number());
   EXPECT_EQ(warm.at("energy_nj").number(), cold.at("energy_nj").number());
   EXPECT_EQ(warm.at("status").string(), cold.at("status").string());
+  EXPECT_EQ(warm.at("stop").string(), "none");
 }
 
 TEST(Server, ExploreStreamsFrontierEventsAndWarmReplayEvaluatesNothing) {
@@ -164,6 +165,7 @@ TEST(Server, ExploreStreamsFrontierEventsAndWarmReplayEvaluatesNothing) {
   EXPECT_GE(frontier_events, 1u);
   EXPECT_EQ(done.at("kind").string(), "explore");
   EXPECT_EQ(done.at("state").string(), "done");
+  EXPECT_EQ(done.at("stop").string(), "none");
   EXPECT_GT(done.at("evaluations").integer(), 0);
   EXPECT_GT(done.at("frontier_size").integer(), 0);
 
@@ -244,6 +246,7 @@ TEST(Server, SubmitWhoseTePassTheBudgetCutIsReportedAndNotCached) {
   Json cut = client.next_named("done");
   EXPECT_EQ(cut.at("state").string(), "done");
   EXPECT_EQ(cut.at("status").string(), "budget_exhausted");
+  EXPECT_EQ(cut.at("stop").string(), "probe_budget");
   EXPECT_NE(cut.at("cycles").number(), full.points.mhla_te.total_cycles());
   EXPECT_EQ(server.cache().stats().entries, 0u);
 
@@ -320,6 +323,7 @@ TEST(Server, CancelMidFlightEndsBudgetExhaustedWithCertifiedGap) {
   Json done = client.next_named("done");
   EXPECT_EQ(done.at("state").string(), "cancelled");
   EXPECT_EQ(done.at("status").string(), "budget_exhausted");
+  EXPECT_EQ(done.at("stop").string(), "cancelled");
   EXPECT_GE(done.at("gap").number(), 0.0) << "an exact engine must certify its gap";
   EXPECT_FALSE(done.at("from_cache").boolean());
 
@@ -332,6 +336,63 @@ TEST(Server, CancelMidFlightEndsBudgetExhaustedWithCertifiedGap) {
   // A budget-truncated result must not have poisoned the cache: the same
   // submit without the cancel must actually evaluate.
   EXPECT_EQ(server.cache().stats().entries, 0u);
+}
+
+TEST(Server, JobStateFollowsTheStopReason) {
+  // A job is cancelled exactly when its stop is the cancel: a node-capped
+  // search and a cell-budgeted explore stopped early too, but they finished.
+  Server server({});
+  TestClient client(server.port());
+
+  Request capped;
+  capped.command = Command::Submit;
+  capped.program_text = ir::serialize(apps::build_app("wavelet"));
+  capped.config.strategy = "bnb";
+  capped.has_config = true;
+  client.send(capped);
+  client.next_named("accepted");
+  Json done = client.next_named("done");
+  EXPECT_EQ(done.at("state").string(), "done");
+  EXPECT_EQ(done.at("status").string(), "budget_exhausted");
+  EXPECT_EQ(done.at("stop").string(), "node_cap");
+
+  Request sampled = explore_request(mhla::testing::blocked_reuse_program());
+  sampled.explore.budget = 3;
+  client.send(sampled);
+  client.next_named("accepted");
+  Json frontier = client.next_named("frontier");
+  EXPECT_EQ(frontier.at("stop").string(), "cell_budget");
+  done = client.next_named("done");
+  EXPECT_EQ(done.at("state").string(), "done");
+  EXPECT_EQ(done.at("stop").string(), "cell_budget");
+  EXPECT_EQ(done.at("samples").integer(), 3);
+
+  // One exact cell that only the cancel (or the 60 s backstop) can end.
+  Request long_running = explore_request(apps::build_app("mpeg2_encoder"));
+  long_running.config.platform = mem::PlatformConfig{};
+  long_running.config.strategy = "bnb";
+  long_running.config.search.max_states = 2'000'000'000L;
+  long_running.config.search.budget.deadline_seconds = 60.0;
+  long_running.explore.l1_axis = {long_running.config.platform.l1_bytes};
+  long_running.explore.l2_axis = {long_running.config.platform.l2_bytes};
+  client.send(long_running);
+  Json accepted = client.next_named("accepted");
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  TestClient canceller(server.port());
+  Request cancel;
+  cancel.command = Command::Cancel;
+  cancel.job = static_cast<std::uint64_t>(accepted.at("job").integer());
+  cancel.has_job = true;
+  canceller.send(cancel);
+  EXPECT_TRUE(canceller.next_named("cancelled").at("found").boolean());
+  done = client.next_named("done");
+  EXPECT_EQ(done.at("state").string(), "cancelled");
+  EXPECT_EQ(done.at("stop").string(), "cancelled");
+
+  const ServerMetricsView view = server.metrics_view();
+  EXPECT_EQ(view.jobs_done, 2u);
+  EXPECT_EQ(view.jobs_cancelled, 1u);
+  EXPECT_EQ(view.jobs_accepted, view.jobs_done + view.jobs_failed + view.jobs_cancelled);
 }
 
 TEST(Server, StatusAndCacheStatsReportJobsAndCounters) {
@@ -582,6 +643,7 @@ TEST(Server, CancelWhileQueuedEmitsImmediateTerminalEvent) {
   EXPECT_EQ(static_cast<std::uint64_t>(done.at("job").integer()), queued);
   EXPECT_EQ(done.at("state").string(), "cancelled");
   EXPECT_EQ(done.at("kind").string(), "cancelled");
+  EXPECT_EQ(done.at("stop").string(), "cancelled");
   EXPECT_EQ(server.metrics_view().jobs_cancelled, 1u);
 
   // Now release the worker and check the books: both jobs terminal, the
