@@ -125,8 +125,8 @@ constexpr long kRateBudget = 50000;
 
 /// The branch-and-bound rate instance: the registry wavelet at the default
 /// platform, whose exact search runs far past `kRateBudget` nodes.  A
-/// search that stops on the cap spends exactly that many nodes per worker,
-/// so the cap turns a serial search time into a node rate (set-up
+/// serial search that stops on the cap spends exactly that many nodes, so
+/// the cap turns a serial search time into a node rate (set-up
 /// included: the engine, the root bound and the greedy incumbent seed).
 std::unique_ptr<core::Workspace> rate_workspace() {
   return core::make_workspace(apps::build_app("wavelet"), bench::default_platform(), {});
@@ -513,8 +513,9 @@ void BM_ExhaustiveBranchAndBound(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveBranchAndBound);
 
-/// Time per search only: the cap bounds each worker, so the node total
-/// varies with the worker count and the steal interleaving.
+/// Time per search only: the cap bounds the whole search but is overshot
+/// by up to one 64-node batch per worker, so the node total varies a little
+/// with the worker count and the steal interleaving.
 void BM_BnbParallel(benchmark::State& state) {
   assign::SearchOptions options;
   options.max_states = kRateBudget;

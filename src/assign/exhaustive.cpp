@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <functional>
 #include <limits>
@@ -113,7 +114,9 @@ struct EngineSearch {
   Assignment best;
   double best_scalar = 0.0;
   long states = 0;  ///< leaves evaluated
-  long nodes = 0;   ///< nodes charged, across every task of this worker
+  /// Nodes charged: exact for a lone worker; with peers, the search's total
+  /// at this worker's last flush plus its own nodes since.
+  long nodes = 0;
   bool budget_hit = false;
   long bound_prunes = 0;
   long capacity_prunes = 0;
@@ -135,8 +138,13 @@ struct EngineSearch {
   long probe_batch = 1;
   long unflushed_probes_ = 0;
 
-  /// Count one search node; false once this worker has charged
-  /// `max_states` nodes or the budget has expired.
+  /// Node total of a multi-worker search (null for a lone worker): each
+  /// flush adds its batch and reads the sum back, so `max_states` caps the
+  /// search, overshot by at most one batch per worker.
+  std::atomic<long>* shared_nodes = nullptr;
+
+  /// Count one search node; false once the search has charged `max_states`
+  /// nodes or the budget has expired.
   bool charge() {
     if (++nodes > options.max_states) return false;
     if (++unflushed_probes_ < probe_batch) return !run_budget->expired();
@@ -146,6 +154,7 @@ struct EngineSearch {
   bool flush_probes() {
     long n = unflushed_probes_;
     unflushed_probes_ = 0;
+    if (n != 0 && shared_nodes) nodes = shared_nodes->fetch_add(n, std::memory_order_relaxed) + n;
     return n == 0 || run_budget->probe(n);
   }
 
@@ -742,10 +751,10 @@ struct EngineSearch {
   /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
   /// nothing from the spawning worker beyond the codes.
   ///
-  /// `nodes` and `budget_hit` accumulate across every task this worker
-  /// runs, so `max_states` bounds each *worker*, not each task; once hit,
-  /// later tasks return immediately and the run reports as truncated.  The
-  /// task's uncharged probe remainder is flushed to the budget on exit.
+  /// `nodes` and `budget_hit` outlive the task, so `max_states` bounds the
+  /// whole search, not each task; once hit, this worker's later tasks
+  /// return immediately and the run reports as truncated.  The task's
+  /// uncharged probe remainder is flushed to the budget on exit.
   void run_task(const std::vector<int>& prefix) {
     if (budget_hit) return;
     const auto& arrays = ctx.program.arrays();
@@ -826,6 +835,8 @@ SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& opt
   const std::size_t path_len = ctx.program.arrays().size() + ctx.reuse.candidates().size();
   prototype.pool = &pool;
   prototype.probe_batch = alone ? 1 : kProbeBatch;
+  std::atomic<long> search_nodes{0};
+  if (!alone) prototype.shared_nodes = &search_nodes;
   prototype.shared_incumbent = &incumbent;
   prototype.cur_path_.assign(path_len, 0);
   prototype.best_path_.assign(path_len, 0);  // the out-of-box incumbent is the all-zero leaf

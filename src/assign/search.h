@@ -41,7 +41,7 @@ struct SearchOptions {
   double time_weight = 1.0;    ///< relative weight of normalized time
 
   int max_moves = 100000;        ///< greedy: safety bound on accepted moves
-  long max_states = 2'000'000;   ///< exact search: search nodes per worker
+  long max_states = 2'000'000;   ///< exact search: search nodes per search
   bool allow_array_migration = true;  ///< consider moving whole arrays on-chip
 
   /// "anneal": a Metropolis chain over the greedy move set.  Every random
@@ -160,9 +160,10 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
 /// Tasks are canonical path prefixes, replayed onto a per-worker engine;
 /// every worker prunes against a shared atomic incumbent bound (optionally
 /// seeded with the greedy scalar).  With more than one worker each charges
-/// the run budget in batches of 64 units, so a `max_probes` allowance may be
-/// overshot by at most one batch per worker; a lone worker charges each unit
-/// exactly as "bnb" does.
+/// the run budget and a shared node total in batches of 64 units, so a
+/// `max_probes` allowance or the `max_states` cap may be overshot by at most
+/// one batch per worker; a lone worker charges each unit exactly as "bnb"
+/// does.
 ///
 /// The result — best assignment and scalar — is **bit-identical to "bnb"
 /// for any thread count and any steal interleaving**: the shared incumbent
@@ -170,7 +171,7 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
 /// ties resolved to the lexicographically first path — exactly the leaf a
 /// one-worker DFS reaches first.  With more than one worker the state/prune
 /// counters depend on incumbent-propagation timing and are not reproducible
-/// run to run; `max_states` bounds each worker, and the determinism
+/// run to run; `max_states` bounds the whole search, and the determinism
 /// guarantee requires the budget not to bind.
 SearchResult exhaustive_parallel_assign(const AssignContext& ctx,
                                         const SearchOptions& options = {});

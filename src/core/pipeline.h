@@ -60,6 +60,14 @@ struct PipelineResult {
   double total_seconds = 0.0;
 };
 
+/// One design point of a config: the search outcome and the one simulation
+/// `Pipeline::evaluate` ran on its assignment.
+struct PointResult {
+  assign::SearchResult search;
+  sim::SimResult sim;
+  std::vector<StageTiming> timings;  ///< "assign", "time_extend"
+};
+
 /// Staged MHLA driver: analyze -> assign -> time-extend -> simulate, with
 /// one PipelineConfig driving every stage.  With the default "greedy"
 /// strategy the simulation points are bit-identical to the from-scratch
@@ -81,11 +89,21 @@ class Pipeline {
   PipelineResult run(ir::Program program) const;
 
   /// Run on an existing workspace; the analyze stage is reported as 0 s.
-  /// The workspace's platform/DMA must match the config (the caller built
-  /// it; the pipeline cannot re-derive it from the workspace).
+  /// The stages run on a hierarchy built from the config's platform, so
+  /// the workspace only has to match the config's DMA.
   PipelineResult run(const Workspace& workspace) const;
 
+  /// One design point, the entry of `run`, Explorer cells and serve
+  /// submits: search on the config's hierarchy, then one simulation —
+  /// time-extended when `time_extend` is set and the config has a DMA
+  /// engine, blocking otherwise.  Owns the target weights, the one run
+  /// budget of both stages, the TE-cut rule above, the stage spans and the
+  /// counter flush.  `workspace` must match the config's DMA.
+  PointResult evaluate(const Workspace& workspace, bool time_extend = true) const;
+
  private:
+  PointResult evaluate(const assign::AssignContext& ctx, bool time_extend) const;
+
   PipelineConfig config_;
   ProgressFn progress_;
 };

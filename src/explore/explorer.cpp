@@ -93,59 +93,26 @@ std::uint64_t design_cache_key(const std::string& program_text, core::PipelineCo
                  (with_te ? "te" : "blocking"));
 }
 
-std::uint64_t cell_key(const std::string& program_text, core::PipelineConfig base,
-                       const DesignCell& cell) {
+core::PipelineConfig cell_config(core::PipelineConfig base, const DesignCell& cell) {
   base.platform.l1_bytes = cell.l1_bytes;
   base.platform.l2_bytes = cell.l2_bytes;
   base.strategy = cell.strategy;
-  return design_cache_key(program_text, std::move(base), cell.with_te);
+  return base;
 }
 
-CacheEntry cell_entry(const DesignCell& cell, const CellOutcome& outcome) {
+CacheEntry cell_entry(const core::PipelineConfig& effective, bool with_te,
+                      const core::PointResult& point) {
   CacheEntry entry;
-  entry.l1_bytes = cell.l1_bytes;
-  entry.l2_bytes = cell.l2_bytes;
-  entry.strategy = cell.strategy;
-  entry.with_te = cell.with_te;
-  entry.cycles = outcome.point.cycles;
-  entry.energy_nj = outcome.point.energy_nj;
+  entry.l1_bytes = effective.platform.l1_bytes;
+  entry.l2_bytes = effective.platform.l2_bytes;
+  entry.strategy = effective.strategy;
+  entry.with_te = with_te;
+  entry.cycles = point.sim.total_cycles();
+  entry.energy_nj = point.sim.energy_nj;
   // The cache layer's status guard drops budget-truncated / infeasible
   // results; no pre-filtering here, the contract lives in one place.
-  entry.status = outcome.status;
+  entry.status = point.search.status;
   return entry;
-}
-
-CellOutcome evaluate_cell(const core::Workspace& workspace, const core::PipelineConfig& base,
-                          const DesignCell& cell) {
-  mem::PlatformConfig platform = base.platform;
-  platform.l1_bytes = cell.l1_bytes;
-  platform.l2_bytes = cell.l2_bytes;
-  const mem::Hierarchy hierarchy = mem::make_hierarchy(platform);
-  const assign::AssignContext ctx = workspace.context(hierarchy);
-
-  assign::SearchOptions search = base.search;
-  search.set_target(base.target);
-  std::optional<core::RunBudget> local_budget;
-  if (!search.shared_budget && search.budget.bounded()) {
-    local_budget.emplace(search.budget);
-    search.shared_budget = &*local_budget;
-  }
-  assign::SearchResult found = assign::searcher(cell.strategy).search(ctx, search);
-
-  sim::SimOptions sim_options;
-  sim_options.mode = cell.with_te && base.dma.present ? te::TransferMode::TimeExtended
-                                                      : te::TransferMode::Blocking;
-  sim_options.te = base.te;
-  sim_options.te.budget = search.shared_budget;
-  const sim::SimResult sim = sim::simulate(ctx, found.assignment, sim_options);
-
-  CellOutcome outcome{{cell.l1_bytes, cell.l2_bytes, sim.total_cycles(), sim.energy_nj},
-                      found.status, found.gap, found.stop};
-  if (sim.stop != core::StopReason::None && outcome.status != assign::SearchStatus::Infeasible) {
-    outcome.status = assign::SearchStatus::BudgetExhausted;
-    outcome.stop = sim.stop;
-  }
-  return outcome;
 }
 
 ExploreResult Explorer::run(ir::Program program) const {
@@ -241,9 +208,11 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
     std::vector<ExploreSample> wave_samples(wave.size());
     std::vector<std::uint64_t> keys(wave.size());
     std::vector<std::size_t> pending;
+    std::vector<core::PipelineConfig> configs;  ///< aligned with `pending`
     for (std::size_t w = 0; w < wave.size(); ++w) {
       DesignCell cell = cell_of(wave[w]);
-      keys[w] = cell_key(program_text, base, cell);
+      core::PipelineConfig effective = cell_config(base, cell);
+      keys[w] = design_cache_key(program_text, effective, cell.with_te);
       CacheEntry cached;
       if (cache.lookup(keys[w], cached)) {
         ExploreSample& sample = wave_samples[w];
@@ -257,19 +226,22 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
       } else {
         wave_samples[w].cell = std::move(cell);
         pending.push_back(w);
+        configs.push_back(std::move(effective));
       }
     }
 
-    std::vector<CellOutcome> outcomes(pending.size());
+    std::vector<CacheEntry> entries(pending.size());
     core::parallel_for(pending.size(), config_.pipeline.num_threads, [&](std::size_t p) {
-      outcomes[p] = evaluate_cell(*workspace, base, wave_samples[pending[p]].cell);
+      ExploreSample& sample = wave_samples[pending[p]];
+      const core::PointResult point =
+          core::Pipeline(configs[p]).evaluate(*workspace, sample.cell.with_te);
+      sample.point = {sample.cell.l1_bytes, sample.cell.l2_bytes, point.sim.total_cycles(),
+                      point.sim.energy_nj};
+      entries[p] = cell_entry(configs[p], sample.cell.with_te, point);
     });
     result.evaluations += pending.size();
-
     for (std::size_t p = 0; p < pending.size(); ++p) {
-      ExploreSample& sample = wave_samples[pending[p]];
-      sample.point = outcomes[p].point;
-      cache.insert(keys[pending[p]], cell_entry(sample.cell, outcomes[p]));
+      cache.insert(keys[pending[p]], std::move(entries[p]));
     }
 
     for (std::size_t w = 0; w < wave.size(); ++w) {

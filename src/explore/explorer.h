@@ -114,7 +114,7 @@ struct ExploreResult {
 ///
 /// `run` validates the program and builds one `core::Workspace`, whose
 /// program-level analyses every cell shares; it evaluates each wave's cells
-/// with `evaluate_cell` on a `core::parallel_for` pool
+/// with `core::Pipeline::evaluate` on a `core::parallel_for` pool
 /// (`config.pipeline.num_threads`) and consults/extends the persistent
 /// result cache around every wave, so repeated or sharded explorations of
 /// the same (program, config) skip all previously evaluated cells.  With
@@ -158,33 +158,15 @@ class Explorer {
 std::uint64_t design_cache_key(const std::string& program_text,
                                core::PipelineConfig effective, bool with_te);
 
-/// What evaluating one design cell yields: its cost pair, the search
-/// outcome and the search's certified gap (see assign/search_status.h).
-struct CellOutcome {
-  TradeoffPoint point;
-  assign::SearchStatus status = assign::SearchStatus::Feasible;
-  double gap = 0.0;
-  core::StopReason stop = core::StopReason::None;  ///< the search's, or the TE pass's
-};
+/// `base` with the cell's layer sizes and strategy: the config a cell is
+/// evaluated with (`core::Pipeline::evaluate`) and keyed over.
+core::PipelineConfig cell_config(core::PipelineConfig base, const DesignCell& cell);
 
-/// The single-cell evaluator shared by the Explorer's waves and
-/// `mhla_serve`'s submit path: search `cell` with its strategy on the
-/// cell's hierarchy (`base.platform` with the cell's layer sizes), then run
-/// one simulation — time-extended when `cell.with_te && base.dma.present`,
-/// blocking otherwise.  `workspace` supplies the program-level analyses and
-/// must have been built with `base.dma`.  One run budget (`base.search`'s
-/// shared token, else its bounded spec) covers the search and the TE pass;
-/// a TE pass the budget cut short makes the outcome BudgetExhausted, so the
-/// cache's status guard never keeps a truncated point.
-CellOutcome evaluate_cell(const core::Workspace& workspace, const core::PipelineConfig& base,
-                          const DesignCell& cell);
-
-/// Cache key and cache entry of one design cell of `base` (the one
-/// key/entry builder of every cache writer): `design_cache_key` over the
-/// cell's effective config, and the entry recording `outcome`.
-std::uint64_t cell_key(const std::string& program_text, core::PipelineConfig base,
-                       const DesignCell& cell);
-CacheEntry cell_entry(const DesignCell& cell, const CellOutcome& outcome);
+/// The cache entry recording one evaluated design point (the one entry
+/// builder of every cache writer): `effective`'s layer sizes and strategy,
+/// the TE variant, and `point`'s simulated pair and search status.
+CacheEntry cell_entry(const core::PipelineConfig& effective, bool with_te,
+                      const core::PointResult& point);
 
 /// The default L1/L2 lattice (L1 256 B..64 KiB powers of two, L2 {0,
 /// 64 KiB, 256 KiB}) with coarse stride 2, unlimited budget, exact

@@ -25,13 +25,8 @@ std::uint64_t micros(std::uint64_t begin_ns, std::uint64_t end_ns) {
   return end_ns > begin_ns ? (end_ns - begin_ns + 999) / 1000 : 0;
 }
 
-/// The design cell a submit evaluates: its config's layer sizes and
-/// strategy in the canonical TE variant, keyed and evaluated exactly as
-/// the explorer does it — so an explore-warmed cache answers a matching
-/// submit, and a submit warms future explores.
-xplore::DesignCell submit_cell(const core::PipelineConfig& config) {
-  return {config.platform.l1_bytes, config.platform.l2_bytes, config.strategy,
-          /*with_te=*/true};
+bool persists_periodically(const ServerConfig& config) {
+  return !config.cache_path.empty() && config.persist_interval_seconds > 0.0;
 }
 
 std::string job_args(std::uint64_t job) {
@@ -145,11 +140,8 @@ Server::Server(ServerConfig config)
   for (unsigned i = 0; i < workers; ++i) {
     worker_threads_.emplace_back([this] { worker_loop(); });
   }
-  if (!config_.cache_path.empty() && config_.persist_interval_seconds > 0.0) {
-    persist_thread_ = std::thread([this] { persist_loop(); });
-  }
-  if (config_.stats_interval_seconds > 0.0) {
-    stats_thread_ = std::thread([this] { stats_loop(); });
+  if (persists_periodically(config_) || config_.stats_interval_seconds > 0.0) {
+    tick_thread_ = std::thread([this] { tick_loop(); });
   }
 }
 
@@ -225,9 +217,8 @@ void Server::stop() {
   }
   worker_threads_.clear();
 
-  // 5. Stop the persister and the stats broadcaster, write the final save.
-  if (persist_thread_.joinable()) persist_thread_.join();
-  if (stats_thread_.joinable()) stats_thread_.join();
+  // 5. Stop the ticker, write the final save.
+  if (tick_thread_.joinable()) tick_thread_.join();
   if (!config_.cache_path.empty()) {
     try {
       cache_.save_if_dirty(config_.cache_path);
@@ -315,10 +306,11 @@ void Server::handle_request(const std::shared_ptr<Session>& session, const std::
         return;
       }
       if (request.command == Command::Submit) {
-        // Key over the canonical serialization — the same text the explorer
-        // hashes, so formatting differences in the request never split keys.
-        spec.key = xplore::cell_key(ir::serialize(*spec.program), request.config,
-                                    submit_cell(request.config));
+        // A submit is its config's own cell in the TE variant, keyed over
+        // the canonical serialization as the explorer keys it, so submits
+        // and explores share entries and formatting never splits keys.
+        spec.key = xplore::design_cache_key(ir::serialize(*spec.program), request.config,
+                                            /*with_te=*/true);
         xplore::CacheEntry cached;
         const bool hit = cache_.lookup(spec.key, cached);
         key_lookup_us_.record(micros(parsed_ns, tracer.now_ns()));
@@ -436,25 +428,23 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
 }
 
 void Server::run_submit(Job& job) {
-  const core::PipelineConfig& config = job.spec.config;
-  const xplore::DesignCell cell = submit_cell(config);
-
   // The job's cancel token rides into the run budget, so a `cancel` request
   // reaches the search and the TE pass through their cooperative probes.
-  core::PipelineConfig budgeted = config;
-  budgeted.search.budget.cancel = job.cancel;
+  core::PipelineConfig config = job.spec.config;
+  config.search.budget.cancel = job.cancel;
   const std::unique_ptr<core::Workspace> workspace =
       core::make_workspace(std::move(*job.spec.program), config.platform, config.dma);
-  const xplore::CellOutcome outcome = xplore::evaluate_cell(*workspace, budgeted, cell);
+  const core::PointResult point = core::Pipeline(config).evaluate(*workspace);
   // The status guard drops truncated results.
-  cache_.insert(job.spec.key, xplore::cell_entry(cell, outcome));
+  cache_.insert(job.spec.key, xplore::cell_entry(config, /*with_te=*/true, point));
 
-  const bool cancelled = outcome.stop == core::StopReason::Cancelled;
+  const assign::SearchResult& search = point.search;
+  const bool cancelled = search.stop == core::StopReason::Cancelled;
   queue_.finish(job, cancelled ? JobState::Cancelled : JobState::Done);
   (cancelled ? jobs_cancelled_ : jobs_done_).add();
-  job.sink->send(event_done_submit(job.id, cancelled ? "cancelled" : "done", outcome.status,
-                                   outcome.gap, outcome.point.cycles, outcome.point.energy_nj,
-                                   /*from_cache=*/false, /*evaluations=*/1, outcome.stop));
+  job.sink->send(event_done_submit(job.id, cancelled ? "cancelled" : "done", search.status,
+                                   search.gap, point.sim.total_cycles(), point.sim.energy_nj,
+                                   /*from_cache=*/false, /*evaluations=*/1, search.stop));
 }
 
 void Server::run_explore(Job& job) {
@@ -507,42 +497,48 @@ ServerMetricsView Server::metrics_view() const {
   return view;
 }
 
-void Server::stats_loop() {
-  const auto interval = std::chrono::duration<double>(config_.stats_interval_seconds);
+void Server::tick_loop() {
+  // One timed loop for both periodic duties: sleep until the earlier due
+  // time, run what is due, and reschedule it one period after it ran.  A
+  // duty without a period is never due.
+  using Clock = std::chrono::steady_clock;
+  auto due_after = [](double seconds) {
+    return seconds > 0.0 ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                              std::chrono::duration<double>(seconds))
+                         : Clock::time_point::max();
+  };
+  const double persist_s = persists_periodically(config_) ? config_.persist_interval_seconds : 0;
+  Clock::time_point persist_due = due_after(persist_s);
+  Clock::time_point stats_due = due_after(config_.stats_interval_seconds);
   std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!stop_requested_) {
-    stop_cv_.wait_for(lock, interval, [&] { return stop_requested_; });
-    if (stop_requested_) return;
+  // The final save runs in stop().
+  while (!stop_cv_.wait_until(lock, std::min(persist_due, stats_due),
+                              [&] { return stop_requested_; })) {
     lock.unlock();
-    // One snapshot per tick, the same line to every subscriber — readers of
-    // several connections can correlate the streams.
-    std::string line = event_stats(metrics_view());
-    std::vector<std::shared_ptr<Session>> sessions;
-    {
-      std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
-      sessions = sessions_;
+    if (Clock::now() >= stats_due) {
+      // One snapshot per tick, the same line to every subscriber — readers
+      // of several connections can correlate the streams.
+      std::string line = event_stats(metrics_view());
+      std::vector<std::shared_ptr<Session>> sessions;
+      {
+        std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
+        sessions = sessions_;
+      }
+      for (const auto& session : sessions) {
+        if (session->wants_stats() && !session->finished()) session->send(line);
+      }
+      stats_due = due_after(config_.stats_interval_seconds);
     }
-    for (const auto& session : sessions) {
-      if (session->wants_stats() && !session->finished()) session->send(line);
-    }
-    lock.lock();
-  }
-}
-
-void Server::persist_loop() {
-  const auto interval = std::chrono::duration<double>(config_.persist_interval_seconds);
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  while (!stop_requested_) {
-    stop_cv_.wait_for(lock, interval, [&] { return stop_requested_; });
-    if (stop_requested_) return;  // the final save runs in stop()
-    lock.unlock();
-    try {
-      cache_.save_if_dirty(config_.cache_path);
-    } catch (const std::exception& error) {
-      // Persistence failures must not take the server down; the previous
-      // document on disk is intact (crash-safe saver) and the next tick
-      // retries.
-      std::cerr << "mhla_serve: periodic cache save failed: " << error.what() << "\n";
+    if (Clock::now() >= persist_due) {
+      try {
+        cache_.save_if_dirty(config_.cache_path);
+      } catch (const std::exception& error) {
+        // Persistence failures must not take the server down; the previous
+        // document on disk is intact (crash-safe saver) and the next tick
+        // retries.
+        std::cerr << "mhla_serve: periodic cache save failed: " << error.what() << "\n";
+      }
+      persist_due = due_after(persist_s);
     }
     lock.lock();
   }

@@ -28,16 +28,16 @@ struct ServerConfig {
   /// the periodic persister and at shutdown via the crash-safe saver.
   std::string cache_path;
 
-  /// Persister period; <= 0 disables the periodic thread (the shutdown
-  /// save still runs).
+  /// Persister period; <= 0 disables the periodic save (the shutdown save
+  /// still runs).
   double persist_interval_seconds = 0.0;
 
   /// Bound on resident cache entries; 0 = unbounded (see ResultCache).
   std::size_t cache_max_entries = 0;
 
   /// Period of the `stats` event broadcast to connections that subscribed
-  /// via `{"cmd":"metrics","stream":true}`; <= 0 disables the broadcaster
-  /// thread (the one-shot `metrics` snapshot always works).
+  /// via `{"cmd":"metrics","stream":true}`; <= 0 disables the broadcast
+  /// (the one-shot `metrics` snapshot always works).
   double stats_interval_seconds = 0.0;
 
   /// Terminal jobs kept in the registry for `status` queries (FIFO over
@@ -49,9 +49,10 @@ struct ServerConfig {
 /// The mhla_serve engine: a TCP server speaking the newline-delimited JSON
 /// protocol of serve/protocol.h.
 ///
-/// Threads: one acceptor, one reader per connection (the Session, which is
-/// also the job's event sink), `config.workers` job workers draining one
-/// JobQueue, and an optional periodic persister.  All jobs share the one
+/// Threads: one acceptor, one reaper, one reader per connection (the
+/// Session, which is also the job's event sink), `config.workers` job
+/// workers draining one JobQueue, and one ticker when a persist or stats
+/// period is set.  All jobs share the one
 /// process-wide ResultCache, so a submit is answered from cache when any
 /// earlier job — submit or explore — evaluated the same design point (see
 /// xplore::design_cache_key).  The session keys and looks up every submit
@@ -98,7 +99,7 @@ class Server {
 
   /// Full teardown: stop accepting, unblock and join every session, drain
   /// the job queue (running jobs are cancelled and finish with anytime
-  /// results), join the workers and the persister, write the final cache
+  /// results), join the workers and the ticker, write the final cache
   /// save.  Idempotent; must not be called from a session thread.
   void stop();
 
@@ -107,8 +108,9 @@ class Server {
 
   void accept_loop();
   void worker_loop();
-  void persist_loop();
-  void stats_loop();
+  /// The one periodic thread: the cache persister and the `stats`
+  /// broadcaster, each on its own period (started when either is set).
+  void tick_loop();
   void reap_loop();
   /// Called by a session's reader thread as its last act: move the session
   /// from the live list to the zombie list and wake the reaper, so exited
@@ -165,8 +167,7 @@ class Server {
 
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
-  std::thread persist_thread_;
-  std::thread stats_thread_;
+  std::thread tick_thread_;
   std::thread reap_thread_;
 };
 

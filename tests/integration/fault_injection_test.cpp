@@ -617,6 +617,29 @@ TEST(Anytime, NodeCapStopsASearchWhoseOnlyBudgetIsACancelFlag) {
   EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
 }
 
+TEST(Anytime, NodeCapBoundsTheWholeParallelSearch) {
+  // `max_states` caps the nodes of one search, not of each worker: four
+  // workers of a capped wavelet search charge at most the cap plus one
+  // unflushed 64-node probe batch each.  Every node charges one probe of
+  // the shared (unbounded) token, and the greedy seed is off so only the
+  // search's own nodes are counted.
+  constexpr long kCap = 50'000;
+  constexpr long kProbeBatch = 64;  // exhaustive.cpp's per-worker batch
+  auto ws = core::make_workspace(apps::build_app("wavelet"), mem::PlatformConfig{}, {});
+  auto ctx = ws->context();
+  core::RunBudget token;
+  assign::SearchOptions options;
+  options.shared_budget = &token;
+  options.max_states = kCap;
+  options.bnb_threads = 4;
+  options.bnb_seed_incumbent = false;
+  assign::SearchResult result = assign::searcher("bnb-par").search(ctx, options);
+  EXPECT_EQ(result.stop, core::StopReason::NodeCap) << core::to_string(result.stop);
+  EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
+  EXPECT_GE(token.probes(), kCap);
+  EXPECT_LE(token.probes(), kCap + 4 * kProbeBatch);
+}
+
 // --- Pipeline / report integration ------------------------------------------
 
 TEST(Robustness, PipelineDeadlineDegradesInsteadOfFailing) {

@@ -21,6 +21,7 @@
 #include "core/work_stealing.h"
 #include "helpers.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ir/serialize.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
@@ -468,6 +469,51 @@ TEST(Server, MetricsVerbReportsJobQueueCacheAndConnectionCounters) {
             static_cast<std::int64_t>(core::WorkStealingPool::helper_threads_started()));
 }
 
+TEST(Server, ExploreCellsAndSubmitsRunThePipelineStagesAndCounters) {
+  // Every explored cell and every served miss is one `core::Pipeline`
+  // design point: each bumps `pipeline.runs` and flushes the `search.*`
+  // counters, and a traced submit's stage spans nest in its job span.
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const std::uint64_t runs_before = registry.counter("pipeline.runs").value();
+  const std::uint64_t evaluations_before = registry.counter("search.evaluations").value();
+  tracer.clear();
+  tracer.enable(true);
+
+  Server server({});
+  TestClient client(server.port());
+  Request explore = explore_request(mhla::testing::blocked_reuse_program());
+  explore.explore.l2_axis = {0};
+  client.send(explore);
+  const Json explored = client.next_named("done");
+  ASSERT_EQ(explored.at("state").string(), "done");
+  const std::int64_t cells = explored.at("evaluations").integer();
+  EXPECT_GT(cells, 0);
+  client.send(submit_request(mhla::testing::tiny_stream_program()));
+  const Json submitted = client.next_named("done");
+  ASSERT_FALSE(submitted.at("from_cache").boolean());
+
+  tracer.enable(false);
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.clear();
+  EXPECT_EQ(registry.counter("pipeline.runs").value() - runs_before,
+            static_cast<std::uint64_t>(cells) + 1);
+  EXPECT_GT(registry.counter("search.evaluations").value(), evaluations_before);
+
+  const auto job = std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& e) {
+    return e.name == "job_submit";
+  });
+  ASSERT_NE(job, events.end());
+  for (const char* stage : {"assign", "time_extend"}) {
+    SCOPED_TRACE(stage);
+    const bool nested = std::any_of(events.begin(), events.end(), [&](const obs::TraceEvent& e) {
+      return e.name == stage && e.tid == job->tid && e.ts_ns >= job->ts_ns &&
+             e.ts_ns + e.dur_ns <= job->ts_ns + job->dur_ns;
+    });
+    EXPECT_TRUE(nested);
+  }
+}
+
 TEST(Server, StatsStreamBroadcastsToSubscribedConnections) {
   ServerConfig config;
   config.stats_interval_seconds = 0.05;
@@ -854,13 +900,72 @@ TEST(Server, StopWithQueuedWorkCancelsCleanly) {
 }
 
 /// Open descriptors of this process (-1 where /proc/self/fd is unavailable).
-long open_fd_count() {
+/// Entries of a /proc/self directory: open descriptors ("fd") or threads
+/// ("task"); -1 where /proc is unavailable.
+long proc_self_count(const char* dir) {
   std::error_code error;
-  std::filesystem::directory_iterator it("/proc/self/fd", error);
+  std::filesystem::directory_iterator it(std::filesystem::path("/proc/self") / dir, error);
   if (error) return -1;
   long count = 0;
   for (; it != std::filesystem::directory_iterator(); ++it) ++count;
   return count;
+}
+
+long open_fd_count() { return proc_self_count("fd"); }
+
+/// Threads of this process once the count holds still for 30 ms: a thread
+/// joined just before can linger in /proc/self/task for an instant.
+long settled_thread_count() {
+  long count = proc_self_count("task");
+  for (int stable = 0, i = 0; stable < 3 && i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const long now = proc_self_count("task");
+    stable = now == count ? stable + 1 : 0;
+    count = now;
+  }
+  return count;
+}
+
+TEST(Server, OneTickerThreadServesBothPeriods) {
+  // The cache persister and the stats broadcaster share one thread, started
+  // when either period is set: a server with both set starts one thread
+  // more than a server with neither (acceptor, reaper, one worker).
+  const long before = settled_thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task";
+  ServerConfig idle;
+  idle.workers = 1;
+  long idle_threads = 0;
+  {
+    Server server(idle);
+    idle_threads = proc_self_count("task") - before;
+  }
+  EXPECT_EQ(idle_threads, 3);
+  ASSERT_EQ(settled_thread_count(), before);
+
+  ServerConfig ticking = idle;
+  ticking.cache_path = temp_path("mhla_ticker_cache.json");
+  ticking.persist_interval_seconds = 0.02;
+  ticking.stats_interval_seconds = 0.02;
+  Server server(ticking);
+  EXPECT_EQ(proc_self_count("task") - before, idle_threads + 1);
+
+  // The one ticker runs both duties: subscribed stats lines arrive, and a
+  // miss's dirty cache reaches the file before any shutdown save.
+  TestClient client(server.port());
+  client.send(submit_request(mhla::testing::tiny_stream_program()));
+  client.next_named("done");
+  Request subscribe;
+  subscribe.command = Command::Metrics;
+  subscribe.stream_stats = true;
+  client.send(subscribe);
+  client.next_named("metrics");
+  client.next_named("stats");
+  client.next_named("stats");
+  for (int i = 0; i < 500 && !std::filesystem::exists(ticking.cache_path); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(std::filesystem::exists(ticking.cache_path));
+  std::remove(ticking.cache_path.c_str());
 }
 
 TEST(Server, SoakOfRandomVerbsWhileStopLandsKeepsTheBooks) {
