@@ -9,10 +9,10 @@
 #include <vector>
 
 #include <cstddef>
-#include <cstdio>
 
 #include "assign/cost_engine.h"
 #include "assign/search.h"
+#include "core/json.h"
 #include "core/parallel_for.h"
 #include "core/run_budget.h"
 #include "core/work_stealing.h"
@@ -473,9 +473,10 @@ struct EngineSearch {
       // and gated on one relaxed load, so the search path never changes.
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled()) {
-        char args[64];
-        std::snprintf(args, sizeof args, "{\"scalar\": %.17g, \"state\": %ld}", scalar, states);
-        tracer.instant("incumbent", "search", args);
+        core::JsonText args;
+        args << "{\"scalar\": " << core::json_number_exact(scalar) << ", \"state\": " << states
+             << "}";
+        tracer.instant("incumbent", "search", args.take());
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "assign/search.h"
 
-#include <map>
-#include <sstream>
+#include <array>
 #include <stdexcept>
 #include <tuple>
 
@@ -63,26 +62,18 @@ SearchStatus parse_search_status(const std::string& name) {
 
 namespace {
 
-std::map<std::string, Searcher>& registry() {
-  static std::map<std::string, Searcher> searchers = [] {
-    std::map<std::string, Searcher> built_in;
-    for (Searcher s : {
-             Searcher{"greedy", "engine-backed greedy steering heuristic (MHLA step 1)",
-                      greedy_assign},
-             Searcher{"bnb",
-                      "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
-                      exhaustive_assign},
-             Searcher{"bnb-par",
-                      "parallel branch-and-bound (work-stealing subtree tasks, shared "
-                      "incumbent; bit-identical to bnb)",
-                      exhaustive_parallel_assign},
-             Searcher{"anneal", "seeded simulated annealing over the cost-engine move set",
-                      anneal_assign},
-         }) {
-      built_in[s.name] = std::move(s);
-    }
-    return built_in;
-  }();
+/// The built-in strategies, sorted by name.
+const std::array<Searcher, 4>& registry() {
+  static const std::array<Searcher, 4> searchers{{
+      {"anneal", "seeded simulated annealing over the cost-engine move set", anneal_assign},
+      {"bnb", "branch-and-bound exhaustive search (engine lower bound + capacity pruning)",
+       exhaustive_assign},
+      {"bnb-par",
+       "parallel branch-and-bound (work-stealing subtree tasks, shared incumbent; "
+       "bit-identical to bnb)",
+       exhaustive_parallel_assign},
+      {"greedy", "engine-backed greedy steering heuristic (MHLA step 1)", greedy_assign},
+  }};
   return searchers;
 }
 
@@ -90,26 +81,17 @@ std::map<std::string, Searcher>& registry() {
 
 std::vector<std::string> searcher_names() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, _] : registry()) names.push_back(name);
-  return names;  // std::map iterates sorted
+  for (const Searcher& s : registry()) names.push_back(s.name);
+  return names;
 }
 
 const Searcher& searcher(const std::string& name) {
-  const auto& searchers = registry();
-  auto it = searchers.find(name);
-  if (it == searchers.end()) {
-    std::ostringstream message;
-    message << "unknown search strategy '" << name << "'; registered strategies:";
-    for (const auto& [known, _] : searchers) message << " " << known;
-    throw std::out_of_range(message.str());
+  for (const Searcher& s : registry()) {
+    if (s.name == name) return s;
   }
-  return it->second;
-}
-
-void register_searcher(Searcher strategy) {
-  if (!strategy.search) throw std::invalid_argument("register_searcher: null strategy");
-  registry()[strategy.name] = std::move(strategy);
+  std::string message = "unknown search strategy '" + name + "'; registered strategies:";
+  for (const Searcher& s : registry()) message += " " + s.name;
+  throw std::out_of_range(message);
 }
 
 }  // namespace mhla::assign

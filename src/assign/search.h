@@ -185,9 +185,9 @@ SearchResult exhaustive_parallel_assign(const AssignContext& ctx,
 /// walk at an iteration boundary (status BudgetExhausted).
 SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
-/// A search strategy selectable by name.  `search` must be stateless
-/// across calls (one registered entry serves every caller, including
-/// the Explorer's parallel waves).
+/// A search strategy selectable by name.  `search` is stateless across
+/// calls (one table entry serves every caller, including the Explorer's
+/// parallel waves).
 using SearchFn = SearchResult (*)(const AssignContext&, const SearchOptions&);
 struct Searcher {
   std::string name;
@@ -195,18 +195,13 @@ struct Searcher {
   SearchFn search = nullptr;
 };
 
-/// Registered strategy names, sorted.  Built-ins: "anneal"
-/// (`anneal_assign`), "bnb" (`exhaustive_assign`), "bnb-par"
-/// (`exhaustive_parallel_assign`) and "greedy" (`greedy_assign`).
+/// The strategy names, sorted: "anneal" (`anneal_assign`), "bnb"
+/// (`exhaustive_assign`), "bnb-par" (`exhaustive_parallel_assign`) and
+/// "greedy" (`greedy_assign`).  The table is fixed at build time.
 std::vector<std::string> searcher_names();
 
 /// Look up a strategy by name; throws std::out_of_range whose message lists
-/// every registered name (surfaced verbatim by the CLI tool).
+/// every strategy name (surfaced verbatim by the CLI tool).
 const Searcher& searcher(const std::string& name);
-
-/// Register a custom strategy (replaces any previous entry with the same
-/// name).  Not thread-safe against concurrent lookups; register during
-/// startup.
-void register_searcher(Searcher strategy);
 
 }  // namespace mhla::assign

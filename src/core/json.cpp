@@ -3,12 +3,44 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
-#include "core/json_report.h"
-
 namespace mhla::core {
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string format_general(double value, int precision) {
+  char buffer[32];
+  return std::string(buffer, std::to_chars(buffer, buffer + sizeof buffer, value,
+                                           std::chars_format::general, precision)
+                                 .ptr);
+}
+
+std::string json_number(double value) { return format_general(value, 15); }
+
+std::string json_number_exact(double value) { return format_general(value, 17); }
 
 namespace {
 
@@ -79,18 +111,18 @@ const Json& Json::at(const std::string& key) const {
 }
 
 std::string Json::dump() const {
-  std::string out;
+  JsonText out;
   dump_to(out);
-  return out;
+  return out.take();
 }
 
-void Json::dump_to(std::string& out) const {
+void Json::dump_to(JsonText& out) const {
   switch (kind_) {
     case Kind::Null:
-      out += "null";
+      out << "null";
       break;
     case Kind::Bool:
-      out += bool_ ? "true" : "false";
+      out << json_bool(bool_);
       break;
     case Kind::Number: {
       // Integral values print without a fraction (they parse back exactly);
@@ -99,43 +131,34 @@ void Json::dump_to(std::string& out) const {
       const bool negative_zero = number_ == 0.0 && std::signbit(number_);
       if (!negative_zero && std::nearbyint(number_) == number_ &&
           number_ >= -9007199254740992.0 && number_ <= 9007199254740992.0) {
-        char buffer[24];
-        out.append(buffer,
-                   std::to_chars(buffer, buffer + sizeof buffer,
-                                 static_cast<std::int64_t>(number_)).ptr);
+        out << static_cast<std::int64_t>(number_);
       } else {
-        out += json_number_exact(number_);
+        out << json_number_exact(number_);
       }
       break;
     }
     case Kind::String:
-      out += '"';
-      out += json_escape(string_);
-      out += '"';
+      out << '"' << json_escape(string_) << '"';
       break;
     case Kind::Array: {
-      out += '[';
-      bool first = true;
-      for (const Json& item : array_) {
-        if (!first) out += ", ";
-        first = false;
-        item.dump_to(out);
+      out << '[';
+      for (std::size_t i = 0; i < array_.size(); ++i) {
+        if (i) out << ", ";
+        array_[i].dump_to(out);
       }
-      out += ']';
+      out << ']';
       break;
     }
     case Kind::Object: {
-      out += '{';
+      out << '{';
       bool first = true;
       for (const auto& [key, value] : object_) {
-        if (!first) out += ", ";
+        if (!first) out << ", ";
         first = false;
-        out += '"';
-        out += json_escape(key);
-        out += "\": ";
+        out << '"' << json_escape(key) << "\": ";
         value.dump_to(out);
       }
-      out += '}';
+      out << '}';
       break;
     }
   }
@@ -165,9 +188,8 @@ class JsonParser {
         ++column;
       }
     }
-    std::ostringstream message;
-    message << "JSON parse error at " << line << ":" << column << ": " << what;
-    throw std::invalid_argument(message.str());
+    throw std::invalid_argument("JSON parse error at " + std::to_string(line) + ":" +
+                                std::to_string(column) + ": " + what);
   }
 
   char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }

@@ -1,71 +1,14 @@
 #include "core/json_report.h"
 
 #include <algorithm>
-#include <charconv>
-#include <concepts>
 #include <cstdint>
 #include <exception>
 #include <limits>
-#include <string_view>
 #include <utility>
-
-#include "core/json.h"
 
 namespace mhla::core {
 
 namespace {
-
-std::string pad(int indent) { return std::string(static_cast<std::size_t>(indent) * 2, ' '); }
-
-/// Append-only text builder behind every emitter here.  Integers go through
-/// std::to_chars and doubles only through json_number/json_number_exact,
-/// so the documents are locale-free (a host that installs a grouping or
-/// comma-decimal global locale must not change them) and no stream is
-/// built per value — the config document is part of every design-cell key.
-class Text {
- public:
-  Text& operator<<(std::string_view text) {
-    out_.append(text);
-    return *this;
-  }
-  Text& operator<<(const std::string& text) { return *this << std::string_view(text); }
-  Text& operator<<(const char* text) { return *this << std::string_view(text); }
-  Text& operator<<(char c) {
-    out_.push_back(c);
-    return *this;
-  }
-  template <std::integral T>
-    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
-  Text& operator<<(T value) {
-    char buffer[24];
-    out_.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
-    return *this;
-  }
-  // Doubles and bools must pick their format explicitly (num/num_exact,
-  // bool_text) instead of converting silently to a char.
-  Text& operator<<(bool) = delete;
-  template <std::floating_point T>
-  Text& operator<<(T) = delete;
-
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// %.{precision}g in the classic locale.
-std::string format_general(double value, int precision) {
-  char buffer[32];
-  return std::string(buffer, std::to_chars(buffer, buffer + sizeof buffer, value,
-                                           std::chars_format::general, precision)
-                                 .ptr);
-}
-
-/// Local shorthands for the public formatters.
-std::string num(double value) { return json_number(value); }
-std::string num_exact(double value) { return json_number_exact(value); }
-
-std::string bool_text(bool value) { return value ? "true" : "false"; }
 
 const char* order_name(te::ExtensionOrder order) {
   switch (order) {
@@ -153,53 +96,26 @@ unsigned as_thread_count(const Json& j) {
 
 }  // namespace
 
-std::string json_number(double value) { return format_general(value, 15); }
-
-std::string json_number_exact(double value) { return format_general(value, 17); }
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json(const sim::SimResult& result, int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
-  std::string p2 = pad(indent + 2);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
+  std::string p2 = json_pad(indent + 2);
   out << p0 << "{\n";
-  out << p1 << "\"total_cycles\": " << num(result.total_cycles()) << ",\n";
-  out << p1 << "\"compute_cycles\": " << num(result.compute_cycles) << ",\n";
-  out << p1 << "\"access_cycles\": " << num(result.access_cycles) << ",\n";
-  out << p1 << "\"stall_cycles\": " << num(result.stall_cycles) << ",\n";
-  out << p1 << "\"energy_nj\": " << num(result.energy_nj) << ",\n";
-  out << p1 << "\"dma_busy_cycles\": " << num(result.dma_busy_cycles) << ",\n";
+  out << p1 << "\"total_cycles\": " << json_number(result.total_cycles()) << ",\n";
+  out << p1 << "\"compute_cycles\": " << json_number(result.compute_cycles) << ",\n";
+  out << p1 << "\"access_cycles\": " << json_number(result.access_cycles) << ",\n";
+  out << p1 << "\"stall_cycles\": " << json_number(result.stall_cycles) << ",\n";
+  out << p1 << "\"energy_nj\": " << json_number(result.energy_nj) << ",\n";
+  out << p1 << "\"dma_busy_cycles\": " << json_number(result.dma_busy_cycles) << ",\n";
   out << p1 << "\"block_transfer_streams\": " << result.num_block_transfers << ",\n";
-  out << p1 << "\"feasible\": " << bool_text(result.feasible) << ",\n";
+  out << p1 << "\"feasible\": " << json_bool(result.feasible) << ",\n";
   out << p1 << "\"layers\": [\n";
   for (std::size_t l = 0; l < result.layers.size(); ++l) {
     const sim::LayerStats& layer = result.layers[l];
     out << p2 << "{\"name\": \"" << json_escape(layer.name) << "\", \"reads\": " << layer.reads
-        << ", \"writes\": " << layer.writes << ", \"energy_nj\": " << num(layer.energy_nj) << "}"
+        << ", \"writes\": " << layer.writes
+        << ", \"energy_nj\": " << json_number(layer.energy_nj) << "}"
         << (l + 1 < result.layers.size() ? "," : "") << "\n";
   }
   out << p1 << "]\n";
@@ -208,9 +124,9 @@ std::string to_json(const sim::SimResult& result, int indent) {
 }
 
 std::string to_json(const std::string& app_name, const sim::FourPoint& points, int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
   out << p0 << "{\n";
   out << p1 << "\"application\": \"" << json_escape(app_name) << "\",\n";
   out << p1 << "\"out_of_box\":\n" << to_json(points.out_of_box, indent + 1) << ",\n";
@@ -222,42 +138,43 @@ std::string to_json(const std::string& app_name, const sim::FourPoint& points, i
 }
 
 std::string to_json(const std::string& app_name, const PipelineResult& result, int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
-  std::string p2 = pad(indent + 2);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
+  std::string p2 = json_pad(indent + 2);
   out << p0 << "{\n";
   out << p1 << "\"application\": \"" << json_escape(app_name) << "\",\n";
   out << p1 << "\"strategy\": \"" << json_escape(result.strategy) << "\",\n";
-  out << p1 << "\"search\": {\"scalar\": " << num(result.search.scalar)
+  out << p1 << "\"search\": {\"scalar\": " << json_number(result.search.scalar)
       << ", \"moves\": " << result.search.moves.size()
       << ", \"evaluations\": " << result.search.evaluations
       << ", \"states_explored\": " << result.search.states_explored
       << ", \"status\": \"" << assign::to_string(result.search.status) << "\""
-      << ", \"gap\": " << num(result.search.gap)
+      << ", \"gap\": " << json_number(result.search.gap)
       << ", \"stop\": \"" << to_string(result.search.stop) << "\"},\n";
   out << p1 << "\"timings\": [\n";
   for (std::size_t i = 0; i < result.timings.size(); ++i) {
     out << p2 << "{\"stage\": \"" << json_escape(result.timings[i].stage)
-        << "\", \"seconds\": " << num(result.timings[i].seconds) << "}"
+        << "\", \"seconds\": " << json_number(result.timings[i].seconds) << "}"
         << (i + 1 < result.timings.size() ? "," : "") << "\n";
   }
   out << p1 << "],\n";
-  out << p1 << "\"total_seconds\": " << num(result.total_seconds) << ",\n";
+  out << p1 << "\"total_seconds\": " << json_number(result.total_seconds) << ",\n";
   out << p1 << "\"points\":\n" << to_json(app_name, result.points, indent + 1) << "\n";
   out << p0 << "}";
   return out.take();
 }
 
 std::string to_json(const std::vector<xplore::TradeoffPoint>& points, int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
   out << p0 << "[\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const xplore::TradeoffPoint& point = points[i];
     out << p1 << "{\"l1_bytes\": " << point.l1_bytes << ", \"l2_bytes\": " << point.l2_bytes
-        << ", \"cycles\": " << num(point.cycles) << ", \"energy_nj\": " << num(point.energy_nj)
+        << ", \"cycles\": " << json_number(point.cycles)
+        << ", \"energy_nj\": " << json_number(point.energy_nj)
         << "}" << (i + 1 < points.size() ? "," : "") << "\n";
   }
   out << p0 << "]";
@@ -266,12 +183,12 @@ std::string to_json(const std::vector<xplore::TradeoffPoint>& points, int indent
 
 std::string to_json(const assign::FootprintReport& report, const mem::Hierarchy& hierarchy,
                     int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
-  std::string p2 = pad(indent + 2);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
+  std::string p2 = json_pad(indent + 2);
   out << p0 << "{\n";
-  out << p1 << "\"feasible\": " << bool_text(report.feasible) << ",\n";
+  out << p1 << "\"feasible\": " << json_bool(report.feasible) << ",\n";
   out << p1 << "\"layers\": [\n";
   for (std::size_t l = 0; l < report.usage.size(); ++l) {
     const mem::MemLayer& layer = hierarchy.layer(static_cast<int>(l));
@@ -292,51 +209,51 @@ std::string to_json(const assign::FootprintReport& report, const mem::Hierarchy&
 std::string to_json(const obs::MetricsSnapshot& snapshot) { return obs::to_json(snapshot); }
 
 std::string to_json(const PipelineConfig& config, int indent) {
-  Text out;
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
-  std::string p2 = pad(indent + 2);
+  JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
+  std::string p2 = json_pad(indent + 2);
   out << p0 << "{\n";
   out << p1 << "\"platform\": {\n";
   out << p2 << "\"l1_bytes\": " << config.platform.l1_bytes << ",\n";
   out << p2 << "\"l2_bytes\": " << config.platform.l2_bytes << ",\n";
   const mem::SramModelParams& sram = config.platform.sram;
-  out << p2 << "\"sram\": {\"base_energy_nj\": " << num_exact(sram.base_energy_nj)
-      << ", \"slope_energy_nj\": " << num_exact(sram.slope_energy_nj)
-      << ", \"write_factor\": " << num_exact(sram.write_factor)
+  out << p2 << "\"sram\": {\"base_energy_nj\": " << json_number_exact(sram.base_energy_nj)
+      << ", \"slope_energy_nj\": " << json_number_exact(sram.slope_energy_nj)
+      << ", \"write_factor\": " << json_number_exact(sram.write_factor)
       << ", \"base_latency\": " << sram.base_latency
       << ", \"latency_step_bytes\": " << sram.latency_step_bytes
-      << ", \"bytes_per_cycle\": " << num_exact(sram.bytes_per_cycle) << "},\n";
+      << ", \"bytes_per_cycle\": " << json_number_exact(sram.bytes_per_cycle) << "},\n";
   const mem::SdramModelParams& sdram = config.platform.sdram;
-  out << p2 << "\"sdram\": {\"read_energy_nj\": " << num_exact(sdram.read_energy_nj)
-      << ", \"write_energy_nj\": " << num_exact(sdram.write_energy_nj)
+  out << p2 << "\"sdram\": {\"read_energy_nj\": " << json_number_exact(sdram.read_energy_nj)
+      << ", \"write_energy_nj\": " << json_number_exact(sdram.write_energy_nj)
       << ", \"read_latency\": " << sdram.read_latency
       << ", \"write_latency\": " << sdram.write_latency
-      << ", \"bytes_per_cycle\": " << num_exact(sdram.bytes_per_cycle) << "}\n";
+      << ", \"bytes_per_cycle\": " << json_number_exact(sdram.bytes_per_cycle) << "}\n";
   out << p1 << "},\n";
-  out << p1 << "\"dma\": {\"present\": " << bool_text(config.dma.present)
+  out << p1 << "\"dma\": {\"present\": " << json_bool(config.dma.present)
       << ", \"setup_cycles\": " << config.dma.setup_cycles
-      << ", \"bytes_per_cycle\": " << num_exact(config.dma.bytes_per_cycle)
+      << ", \"bytes_per_cycle\": " << json_number_exact(config.dma.bytes_per_cycle)
       << ", \"channels\": " << config.dma.channels << "},\n";
   out << p1 << "\"strategy\": \"" << json_escape(config.strategy) << "\",\n";
   out << p1 << "\"target\": \"" << assign::to_string(config.target) << "\",\n";
   const assign::SearchOptions& search = config.search;
-  out << p1 << "\"search\": {\"energy_weight\": " << num_exact(search.energy_weight)
-      << ", \"time_weight\": " << num_exact(search.time_weight)
+  out << p1 << "\"search\": {\"energy_weight\": " << json_number_exact(search.energy_weight)
+      << ", \"time_weight\": " << json_number_exact(search.time_weight)
       << ", \"max_moves\": " << search.max_moves << ", \"max_states\": " << search.max_states
-      << ", \"allow_array_migration\": " << bool_text(search.allow_array_migration)
+      << ", \"allow_array_migration\": " << json_bool(search.allow_array_migration)
       << ",\n" << p1 << "             \"anneal_iterations\": " << search.anneal_iterations
       << ", \"anneal_seed\": " << search.anneal_seed
-      << ", \"anneal_initial_temp\": " << num_exact(search.anneal_initial_temp)
-      << ", \"anneal_cooling\": " << num_exact(search.anneal_cooling)
+      << ", \"anneal_initial_temp\": " << json_number_exact(search.anneal_initial_temp)
+      << ", \"anneal_cooling\": " << json_number_exact(search.anneal_cooling)
       << ",\n" << p1 << "             \"bnb_threads\": " << search.bnb_threads
-      << ", \"bnb_seed_incumbent\": " << bool_text(search.bnb_seed_incumbent)
+      << ", \"bnb_seed_incumbent\": " << json_bool(search.bnb_seed_incumbent)
       << ",\n" << p1 << "             \"deadline_seconds\": "
-      << num_exact(search.budget.deadline_seconds)
+      << json_number_exact(search.budget.deadline_seconds)
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
   out << p1 << "\"te\": {\"order\": \"" << order_name(config.te.order)
       << "\", \"max_lookahead\": " << config.te.max_lookahead
-      << ", \"charge_cold_start\": " << bool_text(config.te.charge_cold_start) << "},\n";
+      << ", \"charge_cold_start\": " << json_bool(config.te.charge_cold_start) << "},\n";
   out << p1 << "\"num_threads\": " << config.num_threads << "\n";
   out << p0 << "}";
   return out.take();

@@ -3,14 +3,13 @@
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "core/pipeline.h"
 #include "explore/pareto.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace mhla::core {
-
-class Json;
 
 /// Machine-readable export (JSON) of results, so the reproduced figures can
 /// be plotted without scraping the text tables — plus the PipelineConfig
@@ -54,16 +53,5 @@ PipelineConfig pipeline_config_from_json(const std::string& text);
 /// "config" member of a serve request): the text overload is
 /// `Json::parse` plus this call.
 PipelineConfig pipeline_config_from_json(const Json& document);
-
-/// Escape a string for embedding in JSON.
-std::string json_escape(const std::string& text);
-
-/// Classic-locale double formatting shared by every JSON emitter in the
-/// tree (report, result cache, explorer): 15 significant digits for
-/// display values, max_digits10 for round-trip-exact storage (parsing
-/// `json_number_exact(v)` gives back v's bits — the config and cache
-/// round-trip contracts rely on it).
-std::string json_number(double value);
-std::string json_number_exact(double value);
 
 }  // namespace mhla::core

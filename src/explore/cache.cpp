@@ -19,7 +19,6 @@
 
 #include "core/fault_injector.h"
 #include "core/json.h"
-#include "core/json_report.h"
 
 namespace mhla::xplore {
 
@@ -341,8 +340,7 @@ bool ResultCache::persist(const std::string& path, bool only_if_dirty) const {
 }
 
 std::string ResultCache::to_json() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
+  core::JsonText out;
   out << "{\n  \"version\": " << kFormatVersion << ",\n  \"entries\": [";
   bool first = true;
   for (const auto& [key, entry] : entries()) {
@@ -351,13 +349,13 @@ std::string ResultCache::to_json() const {
     out << "    {\"key\": \"" << hex_key(key) << "\", \"l1_bytes\": " << entry.l1_bytes
         << ", \"l2_bytes\": " << entry.l2_bytes << ", \"strategy\": \""
         << core::json_escape(entry.strategy) << "\", \"with_te\": "
-        << (entry.with_te ? "true" : "false")
+        << core::json_bool(entry.with_te)
         << ", \"status\": \"" << assign::to_string(entry.status)
         << "\", \"cycles\": " << core::json_number_exact(entry.cycles)
         << ", \"energy_nj\": " << core::json_number_exact(entry.energy_nj) << "}";
   }
   out << (first ? "" : "\n  ") << "]\n}";
-  return out.str();
+  return out.take();
 }
 
 }  // namespace mhla::xplore

@@ -1,11 +1,10 @@
 #include "explore/corpus.h"
 
 #include <iostream>
-#include <sstream>
 #include <utility>
 
 #include "apps/registry.h"
-#include "core/json_report.h"
+#include "core/json.h"
 #include "gen/random_program.h"
 
 namespace mhla::xplore {
@@ -56,11 +55,10 @@ CorpusResult explore_corpus(const CorpusConfig& config, ResultStore& cache) {
 }
 
 std::string to_json(const CorpusResult& result, int indent) {
-  std::string p0(static_cast<std::size_t>(indent) * 2, ' ');
-  std::string p1 = p0 + "  ";
-  std::string p2 = p1 + "  ";
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
+  std::string p0 = core::json_pad(indent);
+  std::string p1 = core::json_pad(indent + 1);
+  std::string p2 = core::json_pad(indent + 2);
+  core::JsonText out;
   out << p0 << "{\n";
   out << p1 << "\"evaluations\": " << result.evaluations << ",\n";
   out << p1 << "\"cache_hits\": " << result.cache_hits << ",\n";
@@ -73,7 +71,7 @@ std::string to_json(const CorpusResult& result, int indent) {
   }
   out << (result.entries.empty() ? "" : "\n" + p1) << "]\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 }  // namespace mhla::xplore

@@ -4,11 +4,8 @@
 #include <iostream>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#include <cstdio>
 
 #include "core/json_report.h"
 #include "core/parallel_for.h"
@@ -250,17 +247,15 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
       result.samples.push_back(std::move(wave_samples[w]));
     }
 
-    // A round improves when some new sample escapes (epsilon-)dominance by
-    // everything known before the round.
-    const double eps = config_.convergence_epsilon;
+    // A round improves when some new sample escapes dominance by everything
+    // known before the round.
     bool improved = false;
     for (std::size_t n = prev_count; n < result.samples.size() && !improved; ++n) {
       const TradeoffPoint& s = result.samples[n].point;
       bool covered = false;
       for (std::size_t o = 0; o < prev_count && !covered; ++o) {
         const TradeoffPoint& old = result.samples[o].point;
-        covered = old.cycles <= s.cycles * (1.0 + eps) &&
-                  old.energy_nj <= s.energy_nj * (1.0 + eps);
+        covered = old.cycles <= s.cycles && old.energy_nj <= s.energy_nj;
       }
       improved = !covered;
     }
@@ -284,13 +279,11 @@ ExploreResult Explorer::run(ir::Program program, ResultStore& cache) const {
     }
 
     if (obs::Tracer::instance().enabled()) {
-      char args[160];
-      std::snprintf(args, sizeof args,
-                    "{\"cells\": %zu, \"cache_served\": %zu, \"evaluated\": %zu, "
-                    "\"frontier\": %zu}",
-                    wave.size(), wave.size() - pending.size(), pending.size(),
-                    result.frontier.size());
-      wave_span.set_args(args);
+      core::JsonText args;
+      args << "{\"cells\": " << wave.size() << ", \"cache_served\": " << wave.size() - pending.size()
+           << ", \"evaluated\": " << pending.size() << ", \"frontier\": " << result.frontier.size()
+           << "}";
+      wave_span.set_args(args.take());
     }
 
     // A run budget expired inside the wave ends the run with everything
@@ -379,18 +372,17 @@ ExplorerConfig default_explorer() {
 }
 
 std::string to_json(const ExploreResult& result, int indent) {
-  std::string p0(static_cast<std::size_t>(indent) * 2, ' ');
-  std::string p1 = p0 + "  ";
-  std::string p2 = p1 + "  ";
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
+  std::string p0 = core::json_pad(indent);
+  std::string p1 = core::json_pad(indent + 1);
+  std::string p2 = core::json_pad(indent + 2);
+  core::JsonText out;
   out << p0 << "{\n";
   out << p1 << "\"lattice_cells\": " << result.lattice_cells << ",\n";
   out << p1 << "\"evaluations\": " << result.evaluations << ",\n";
   out << p1 << "\"cache_hits\": " << result.cache_hits << ",\n";
   out << p1 << "\"rounds\": " << result.rounds << ",\n";
   out << p1 << "\"stop\": \"" << core::to_string(result.stop) << "\",\n";
-  out << p1 << "\"converged\": " << (result.converged ? "true" : "false") << ",\n";
+  out << p1 << "\"converged\": " << core::json_bool(result.converged) << ",\n";
   out << p1 << "\"samples\": [";
   for (std::size_t i = 0; i < result.samples.size(); ++i) {
     const ExploreSample& sample = result.samples[i];
@@ -398,8 +390,8 @@ std::string to_json(const ExploreResult& result, int indent) {
     out << p2 << "{\"l1_bytes\": " << sample.cell.l1_bytes
         << ", \"l2_bytes\": " << sample.cell.l2_bytes << ", \"strategy\": \""
         << core::json_escape(sample.cell.strategy) << "\", \"with_te\": "
-        << (sample.cell.with_te ? "true" : "false") << ", \"from_cache\": "
-        << (sample.from_cache ? "true" : "false")
+        << core::json_bool(sample.cell.with_te) << ", \"from_cache\": "
+        << core::json_bool(sample.from_cache)
         << ", \"cycles\": " << core::json_number(sample.point.cycles)
         << ", \"energy_nj\": " << core::json_number(sample.point.energy_nj) << "}";
   }
@@ -412,14 +404,14 @@ std::string to_json(const ExploreResult& result, int indent) {
     if (i < result.frontier_cells.size()) {
       const DesignCell& cell = result.frontier_cells[i];
       out << ", \"strategy\": \"" << core::json_escape(cell.strategy)
-          << "\", \"with_te\": " << (cell.with_te ? "true" : "false");
+          << "\", \"with_te\": " << core::json_bool(cell.with_te);
     }
     out << ", \"cycles\": " << core::json_number(point.cycles)
         << ", \"energy_nj\": " << core::json_number(point.energy_nj) << "}";
   }
   out << (result.frontier.empty() ? "" : "\n" + p1) << "]\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 }  // namespace mhla::xplore

@@ -75,10 +75,6 @@ struct ExplorerConfig {
   /// cold run stopped.
   std::size_t budget = 0;
 
-  /// A refinement round "improves" only if some new sample escapes
-  /// epsilon-dominance by the previous samples (0 = exact dominance).
-  double convergence_epsilon = 0.0;
-
   /// Persistent result cache path; empty = in-memory only.
   std::string cache_path;
 };

@@ -2,47 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <locale>
-#include <sstream>
+
+#include "core/json.h"
 
 namespace mhla::obs {
 
-namespace {
-
-/// Classic-locale stream, mirroring core/json_report's c_stream(): metric
-/// dumps must be machine-parseable regardless of the process locale.
-std::ostringstream plain_stream() {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  return out;
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string pad(int indent) { return std::string(static_cast<std::size_t>(indent) * 2, ' '); }
-
-}  // namespace
+using core::json_escape;
+using core::json_pad;
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
@@ -162,45 +128,46 @@ void Registry::reset_all() {
 }
 
 std::string to_text(const MetricsSnapshot& snapshot) {
-  std::ostringstream out = plain_stream();
+  core::JsonText out;
   for (const auto& [name, value] : snapshot.counters) out << name << " " << value << "\n";
   for (const auto& [name, value] : snapshot.gauges) out << name << " " << value << "\n";
   for (const auto& [name, h] : snapshot.histograms) {
-    out << name << " count=" << h.count << " mean=" << h.mean()
+    // mean= keeps the stream default: 6 significant digits.
+    out << name << " count=" << h.count << " mean=" << core::format_general(h.mean(), 6)
         << " p50<=" << h.quantile_bound(0.5) << " p99<=" << h.quantile_bound(0.99) << "\n";
   }
-  return out.str();
+  return out.take();
 }
 
 std::string to_json(const MetricsSnapshot& snapshot, int indent) {
-  std::ostringstream out = plain_stream();
-  std::string p0 = pad(indent);
-  std::string p1 = pad(indent + 1);
-  std::string p2 = pad(indent + 2);
+  core::JsonText out;
+  std::string p0 = json_pad(indent);
+  std::string p1 = json_pad(indent + 1);
+  std::string p2 = json_pad(indent + 2);
   out << p0 << "{\n";
   out << p1 << "\"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out << (i ? "," : "") << "\n"
-        << p2 << "\"" << escape(snapshot.counters[i].first) << "\": " << snapshot.counters[i].second;
+    out << (i ? "," : "") << "\n" << p2 << "\"" << json_escape(snapshot.counters[i].first)
+        << "\": " << snapshot.counters[i].second;
   }
   out << (snapshot.counters.empty() ? "" : "\n" + p1) << "},\n";
   out << p1 << "\"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out << (i ? "," : "") << "\n"
-        << p2 << "\"" << escape(snapshot.gauges[i].first) << "\": " << snapshot.gauges[i].second;
+    out << (i ? "," : "") << "\n" << p2 << "\"" << json_escape(snapshot.gauges[i].first)
+        << "\": " << snapshot.gauges[i].second;
   }
   out << (snapshot.gauges.empty() ? "" : "\n" + p1) << "},\n";
   out << p1 << "\"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i].second;
-    out << (i ? "," : "") << "\n"
-        << p2 << "\"" << escape(snapshot.histograms[i].first) << "\": {\"count\": " << h.count
+    out << (i ? "," : "") << "\n" << p2 << "\"" << json_escape(snapshot.histograms[i].first)
+        << "\": {\"count\": " << h.count
         << ", \"sum\": " << h.sum << ", \"p50\": " << h.quantile_bound(0.5)
         << ", \"p99\": " << h.quantile_bound(0.99) << "}";
   }
   out << (snapshot.histograms.empty() ? "" : "\n" + p1) << "}\n";
   out << p0 << "}";
-  return out.str();
+  return out.take();
 }
 
 }  // namespace mhla::obs

@@ -1,48 +1,19 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <locale>
-#include <sstream>
+
+#include "core/json.h"
 
 namespace mhla::obs {
 
 namespace {
 
-std::ostringstream plain_stream() {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  return out;
-}
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microseconds with nanosecond fraction, as Chrome's "ts"/"dur" expect.
 std::string micros(std::uint64_t ns) {
-  std::ostringstream out = plain_stream();
-  out << ns / 1000 << "." << static_cast<char>('0' + (ns % 1000) / 100)
+  core::JsonText out;
+  out << ns / 1000 << '.' << static_cast<char>('0' + (ns % 1000) / 100)
       << static_cast<char>('0' + (ns % 100) / 10) << static_cast<char>('0' + ns % 10);
-  return out.str();
+  return out.take();
 }
 
 }  // namespace
@@ -154,13 +125,13 @@ void Tracer::set_ring_capacity(std::size_t capacity) {
 
 std::string Tracer::chrome_trace_json() const {
   std::vector<TraceEvent> all = events();
-  std::ostringstream out = plain_stream();
+  core::JsonText out;
   out << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
   for (std::size_t i = 0; i < all.size(); ++i) {
     const TraceEvent& event = all[i];
-    out << (i ? "," : "") << "\n    {\"name\": \"" << escape(event.name) << "\", \"cat\": \""
-        << escape(event.cat) << "\", \"ph\": \"" << event.phase << "\", \"ts\": "
-        << micros(event.ts_ns);
+    out << (i ? "," : "") << "\n    {\"name\": \"" << core::json_escape(event.name)
+        << "\", \"cat\": \"" << core::json_escape(event.cat) << "\", \"ph\": \"" << event.phase
+        << "\", \"ts\": " << micros(event.ts_ns);
     if (event.phase == 'X') out << ", \"dur\": " << micros(event.dur_ns);
     if (event.phase == 'i') out << ", \"s\": \"t\"";
     out << ", \"pid\": 1, \"tid\": " << event.tid;
@@ -168,7 +139,7 @@ std::string Tracer::chrome_trace_json() const {
     out << "}";
   }
   out << (all.empty() ? "" : "\n  ") << "]\n}\n";
-  return out.str();
+  return out.take();
 }
 
 Span::Span(std::string name, const char* cat)

@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "core/json.h"
@@ -11,8 +10,10 @@ namespace mhla::serve {
 namespace {
 
 using core::Json;
+using core::json_bool;
 using core::json_escape;
 using core::json_number_exact;
+using core::JsonText;
 
 Command parse_command(const std::string& name) {
   if (name == "submit") return Command::Submit;
@@ -45,21 +46,64 @@ std::size_t parse_size(const Json& value, const char* key) {
   return static_cast<std::size_t>(n);
 }
 
-void append_point(std::ostringstream& out, const xplore::TradeoffPoint& point,
+/// `, "key": [a, b, ...]`, or nothing for an empty axis.
+void append_axis(JsonText& out, const char* key, const std::vector<xplore::i64>& axis) {
+  if (axis.empty()) return;
+  out << ", \"" << key << "\": [";
+  for (std::size_t i = 0; i < axis.size(); ++i) out << (i ? ", " : "") << axis[i];
+  out << "]";
+}
+
+void append_point(JsonText& out, const xplore::TradeoffPoint& point,
                   const xplore::DesignCell& cell) {
   out << "{\"l1_bytes\": " << point.l1_bytes << ", \"l2_bytes\": " << point.l2_bytes
       << ", \"strategy\": \"" << json_escape(cell.strategy) << "\""
-      << ", \"with_te\": " << (cell.with_te ? "true" : "false")
+      << ", \"with_te\": " << json_bool(cell.with_te)
       << ", \"cycles\": " << json_number_exact(point.cycles)
       << ", \"energy_nj\": " << json_number_exact(point.energy_nj) << "}";
 }
 
-void append_explore_counters(std::ostringstream& out, const xplore::ExploreResult& result) {
+void append_explore_counters(JsonText& out, const xplore::ExploreResult& result) {
   out << "\"samples\": " << result.samples.size() << ", \"evaluations\": " << result.evaluations
       << ", \"cache_hits\": " << result.cache_hits << ", \"rounds\": " << result.rounds
       << ", \"lattice_cells\": " << result.lattice_cells
       << ", \"stop\": \"" << core::to_string(result.stop)
-      << "\", \"converged\": " << (result.converged ? "true" : "false");
+      << "\", \"converged\": " << json_bool(result.converged);
+}
+
+void append_cache_stats(JsonText& out, const xplore::CacheStats& stats) {
+  out << "\"entries\": " << stats.entries << ", \"hits\": " << stats.hits
+      << ", \"misses\": " << stats.misses << ", \"insertions\": " << stats.insertions
+      << ", \"rejected\": " << stats.rejected << ", \"evictions\": " << stats.evictions
+      << ", \"saves\": " << stats.saves;
+}
+
+void append_quantiles(JsonText& out, const obs::HistogramSnapshot& histogram) {
+  out << "{\"count\": " << histogram.count << ", \"p50\": " << histogram.quantile_bound(0.5)
+      << ", \"p99\": " << histogram.quantile_bound(0.99) << "}";
+}
+
+std::string metrics_payload(const char* event, const ServerMetricsView& view) {
+  JsonText out;
+  out << "{\"event\": \"" << event << "\", \"jobs_accepted\": " << view.jobs_accepted
+      << ", \"jobs_done\": " << view.jobs_done << ", \"jobs_failed\": " << view.jobs_failed
+      << ", \"jobs_cancelled\": " << view.jobs_cancelled
+      << ", \"jobs_tracked\": " << view.jobs_tracked
+      << ", \"queue_depth\": " << view.queue_depth << ", \"connections\": " << view.connections
+      << ", \"bytes_sent\": " << view.bytes_sent << ", \"lines_sent\": " << view.lines_sent
+      << ", \"uptime_seconds\": " << json_number_exact(view.uptime_seconds) << ", \"cache\": {";
+  append_cache_stats(out, view.cache);
+  out << "}, \"latency_us\": {";
+  for (std::size_t i = 0; i < view.latency_us.size(); ++i) {
+    const auto& [phase, histogram] = view.latency_us[i];
+    out << (i ? ", " : "") << "\"" << json_escape(phase) << "\": ";
+    append_quantiles(out, histogram);
+  }
+  out << "}, \"pool\": {\"threads_started\": " << view.pool_threads_started
+      << ", \"idle_us\": ";
+  append_quantiles(out, view.pool_idle_us);
+  out << "}}";
+  return out.take();
 }
 
 }  // namespace
@@ -144,7 +188,7 @@ Request parse_request(const std::string& line) {
 }
 
 std::string to_json(const Request& request) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"cmd\": \"" << to_string(request.command) << "\"";
   if (!request.program_text.empty()) {
     out << ", \"program\": \"" << json_escape(request.program_text) << "\"";
@@ -155,20 +199,8 @@ std::string to_json(const Request& request) {
     out << ", \"config\": " << Json::parse(core::to_json(request.config)).dump();
   }
   if (request.has_job) out << ", \"job\": " << request.job;
-  if (!request.explore.l1_axis.empty()) {
-    out << ", \"l1_axis\": [";
-    for (std::size_t i = 0; i < request.explore.l1_axis.size(); ++i) {
-      out << (i ? ", " : "") << request.explore.l1_axis[i];
-    }
-    out << "]";
-  }
-  if (!request.explore.l2_axis.empty()) {
-    out << ", \"l2_axis\": [";
-    for (std::size_t i = 0; i < request.explore.l2_axis.size(); ++i) {
-      out << (i ? ", " : "") << request.explore.l2_axis[i];
-    }
-    out << "]";
-  }
+  append_axis(out, "l1_axis", request.explore.l1_axis);
+  append_axis(out, "l2_axis", request.explore.l2_axis);
   if (!request.explore.strategies.empty()) {
     out << ", \"strategies\": [";
     for (std::size_t i = 0; i < request.explore.strategies.size(); ++i) {
@@ -183,18 +215,18 @@ std::string to_json(const Request& request) {
   if (request.explore.budget != 0) out << ", \"budget\": " << request.explore.budget;
   if (request.stream_stats) out << ", \"stream\": true";
   out << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_accepted(std::uint64_t job, Command command) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"accepted\", \"job\": " << job << ", \"command\": \""
       << to_string(command) << "\"}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_frontier(std::uint64_t job, const xplore::ExploreResult& result) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"frontier\", \"job\": " << job << ", ";
   append_explore_counters(out, result);
   out << ", \"frontier\": [";
@@ -203,53 +235,53 @@ std::string event_frontier(std::uint64_t job, const xplore::ExploreResult& resul
     append_point(out, result.frontier[i], result.frontier_cells[i]);
   }
   out << "]}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_done_explore(std::uint64_t job, const std::string& state,
                                const xplore::ExploreResult& result) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"done\", \"job\": " << job << ", \"kind\": \"explore\", \"state\": \""
       << json_escape(state) << "\", ";
   append_explore_counters(out, result);
   out << ", \"frontier_size\": " << result.frontier.size() << "}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_done_submit(std::uint64_t job, const std::string& state,
                               assign::SearchStatus status, double gap, double cycles,
                               double energy_nj, bool from_cache, std::size_t evaluations,
                               core::StopReason stop) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"done\", \"job\": " << job << ", \"kind\": \"submit\", \"state\": \""
       << json_escape(state) << "\", \"status\": \"" << assign::to_string(status)
       << "\", \"gap\": " << json_number_exact(gap)
       << ", \"cycles\": " << json_number_exact(cycles)
       << ", \"energy_nj\": " << json_number_exact(energy_nj)
-      << ", \"from_cache\": " << (from_cache ? "true" : "false")
+      << ", \"from_cache\": " << json_bool(from_cache)
       << ", \"evaluations\": " << evaluations << ", \"stop\": \"" << core::to_string(stop)
       << "\"}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_done_failed(std::uint64_t job, const std::string& message) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"done\", \"job\": " << job
       << ", \"kind\": \"error\", \"state\": \"failed\", \"message\": \""
       << json_escape(message) << "\"}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_done_cancelled(std::uint64_t job) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"done\", \"job\": " << job
       << ", \"kind\": \"cancelled\", \"state\": \"cancelled\", \"stop\": \""
       << core::to_string(core::StopReason::Cancelled) << "\"}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_status(const std::vector<JobStatusView>& jobs) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"status\", \"jobs\": [";
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (i) out << ", ";
@@ -257,47 +289,16 @@ std::string event_status(const std::vector<JobStatusView>& jobs) {
         << "\", \"state\": \"" << json_escape(jobs[i].state) << "\"}";
   }
   out << "]}";
-  return out.str();
+  return out.take();
 }
 
 std::string event_cache_stats(const xplore::CacheStats& stats) {
-  std::ostringstream out;
-  out << "{\"event\": \"cache_stats\", \"entries\": " << stats.entries
-      << ", \"hits\": " << stats.hits << ", \"misses\": " << stats.misses << ", \"insertions\": " << stats.insertions
-      << ", \"rejected\": " << stats.rejected << ", \"evictions\": " << stats.evictions
-      << ", \"saves\": " << stats.saves << "}";
-  return out.str();
+  JsonText out;
+  out << "{\"event\": \"cache_stats\", ";
+  append_cache_stats(out, stats);
+  out << "}";
+  return out.take();
 }
-
-namespace {
-
-std::string metrics_payload(const char* event, const ServerMetricsView& view) {
-  std::ostringstream out;
-  out << "{\"event\": \"" << event << "\", \"jobs_accepted\": " << view.jobs_accepted
-      << ", \"jobs_done\": " << view.jobs_done << ", \"jobs_failed\": " << view.jobs_failed
-      << ", \"jobs_cancelled\": " << view.jobs_cancelled
-      << ", \"jobs_tracked\": " << view.jobs_tracked
-      << ", \"queue_depth\": " << view.queue_depth << ", \"connections\": " << view.connections
-      << ", \"bytes_sent\": " << view.bytes_sent << ", \"lines_sent\": " << view.lines_sent
-      << ", \"uptime_seconds\": " << json_number_exact(view.uptime_seconds)
-      << ", \"cache\": {\"entries\": " << view.cache.entries << ", \"hits\": " << view.cache.hits
-      << ", \"misses\": " << view.cache.misses << ", \"insertions\": " << view.cache.insertions
-      << ", \"rejected\": " << view.cache.rejected << ", \"evictions\": " << view.cache.evictions
-      << ", \"saves\": " << view.cache.saves << "}, \"latency_us\": {";
-  for (std::size_t i = 0; i < view.latency_us.size(); ++i) {
-    const auto& [phase, histogram] = view.latency_us[i];
-    out << (i ? ", " : "") << "\"" << json_escape(phase) << "\": {\"count\": " << histogram.count
-        << ", \"p50\": " << histogram.quantile_bound(0.5)
-        << ", \"p99\": " << histogram.quantile_bound(0.99) << "}";
-  }
-  out << "}, \"pool\": {\"threads_started\": " << view.pool_threads_started
-      << ", \"idle_us\": {\"count\": " << view.pool_idle_us.count
-      << ", \"p50\": " << view.pool_idle_us.quantile_bound(0.5)
-      << ", \"p99\": " << view.pool_idle_us.quantile_bound(0.99) << "}}}";
-  return out.str();
-}
-
-}  // namespace
 
 std::string event_metrics(const ServerMetricsView& view) {
   return metrics_payload("metrics", view);
@@ -306,10 +307,10 @@ std::string event_metrics(const ServerMetricsView& view) {
 std::string event_stats(const ServerMetricsView& view) { return metrics_payload("stats", view); }
 
 std::string event_cancelled(std::uint64_t job, bool found) {
-  std::ostringstream out;
+  JsonText out;
   out << "{\"event\": \"cancelled\", \"job\": " << job
-      << ", \"found\": " << (found ? "true" : "false") << "}";
-  return out.str();
+      << ", \"found\": " << json_bool(found) << "}";
+  return out.take();
 }
 
 std::string event_shutdown() { return "{\"event\": \"shutdown\"}"; }

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <locale>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -178,6 +180,26 @@ TEST(ObsMetrics, TextAndJsonDumpsAreWellFormed) {
   EXPECT_EQ(document.at("counters").at("test.obs.dump").integer(), 3);
   EXPECT_EQ(document.at("gauges").at("test.obs.level").integer(), 2);
   EXPECT_EQ(document.at("histograms").at("test.obs.dist").at("count").integer(), 1);
+}
+
+TEST(ObsMetrics, TextMeanKeepsTheStreamDefaultSixDigits) {
+  // to_text's mean= is the bytes a classic-locale stream prints for a double
+  // (6 significant digits), for every magnitude it can take.
+  for (std::uint64_t sum : {0ull, 1ull, 7ull, 1000ull, 3703ull, 1234567ull, 98765432109ull}) {
+    for (std::uint64_t count : {1ull, 3ull, 7ull}) {
+      MetricsSnapshot snap;
+      HistogramSnapshot h;
+      h.count = count;
+      h.sum = sum;
+      h.buckets[1] = count;
+      snap.histograms = {{"h", h}};
+      std::ostringstream expected;
+      expected.imbue(std::locale::classic());
+      expected << "mean=" << h.mean() << " ";
+      EXPECT_NE(to_text(snap).find(expected.str()), std::string::npos)
+          << to_text(snap) << " vs " << expected.str();
+    }
+  }
 }
 
 }  // namespace
