@@ -15,7 +15,7 @@
 //   --port-file <path>        write the bound port to <path> once listening
 //                             (atomically, so a watcher never reads half a
 //                             number) — how scripts find an ephemeral port
-//   --workers <n>             concurrent job workers (default 2)
+//   --workers <n>             concurrent job workers (default 2, at most 256)
 //   --cache <file.json>       persistent result cache: loaded at startup
 //                             (salvaging a damaged document), saved by the
 //                             periodic persister and at shutdown
@@ -48,6 +48,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/pipeline.h"
 #include "serve/server.h"
 
 using namespace mhla;
@@ -104,8 +105,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--workers") {
-        long workers = std::stol(next());
-        if (workers < 1) throw std::invalid_argument("--workers must be >= 1");
+        long long workers = std::stoll(next());
+        if (workers < 1 || workers > core::kMaxThreads) {
+          throw std::invalid_argument("--workers must be in [1, " +
+                                      std::to_string(core::kMaxThreads) + "]");
+        }
         config.workers = static_cast<unsigned>(workers);
       } else if (arg == "--cache") {
         config.cache_path = next();

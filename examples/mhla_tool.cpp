@@ -18,9 +18,9 @@
 //   --strategy <s>    search strategy registry name (default greedy;
 //                     unknown names list the registry)
 //   --threads <n>     worker threads for the --sweep/--explore/--corpus
-//                     waves (0 = hardware)
-//   --bnb-threads <n> worker threads for --strategy bnb-par (0 = hardware;
-//                     the result is bit-identical for any count)
+//                     waves (0 = hardware, at most 256)
+//   --bnb-threads <n> worker threads for --strategy bnb-par (0 = hardware,
+//                     at most 256; the result is bit-identical for any count)
 //   --no-dma          platform without a transfer engine (TE not applicable)
 //   --sweep           run the fixed layer-size trade-off grid instead
 //   --explore         run the adaptive design-space exploration instead
@@ -78,7 +78,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -162,6 +161,15 @@ bool parse_args(int argc, char** argv, Options& options) {
       if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
       return argv[++i];
     };
+    // Config documents cap thread counts at the same limit, by key name.
+    auto thread_count = [&](const std::string& flag) -> unsigned {
+      long long threads = std::stoll(next());
+      if (threads < 0 || threads > core::kMaxThreads) {
+        throw std::invalid_argument(flag + " must be in [0, " +
+                                    std::to_string(core::kMaxThreads) + "]");
+      }
+      return static_cast<unsigned>(threads);
+    };
     if (arg == "--app") {
       options.app = next();
     } else if (arg == "--file") {
@@ -180,17 +188,9 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.pipeline.strategy = next();
       assign::searcher(options.pipeline.strategy);  // fail fast, listing the registry
     } else if (arg == "--threads") {
-      long long threads = std::stoll(next());
-      if (threads < 0 || threads > std::numeric_limits<unsigned>::max()) {
-        throw std::invalid_argument("--threads out of range");
-      }
-      options.pipeline.num_threads = static_cast<unsigned>(threads);
+      options.pipeline.num_threads = thread_count(arg);
     } else if (arg == "--bnb-threads") {
-      long long threads = std::stoll(next());
-      if (threads < 0 || threads > std::numeric_limits<unsigned>::max()) {
-        throw std::invalid_argument("--bnb-threads out of range");
-      }
-      options.pipeline.search.bnb_threads = static_cast<unsigned>(threads);
+      options.pipeline.search.bnb_threads = thread_count(arg);
     } else if (arg == "--no-dma") {
       options.pipeline.dma.present = false;
     } else if (arg == "--sweep") {

@@ -26,7 +26,7 @@ SearchResult anneal_assign(const AssignContext& ctx, const SearchOptions& option
   SearchResult result;
 
   CostEngine engine(ctx);  // loads out_of_box
-  Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
+  Objective objective = engine.objective(options.energy_weight, options.time_weight);
   double current = engine.scalar(objective);
   result.evaluations = 1;
 

@@ -83,7 +83,7 @@ bool cc_covers_site(const analysis::CopyCandidate& cc, const analysis::AccessSit
 /// reuse chain (same array/nest, parent's prefix is a proper prefix).
 bool cc_is_ancestor(const analysis::CopyCandidate& parent, const analysis::CopyCandidate& child);
 
-/// Resolve an assignment.  Does not check feasibility (see inplace.h) but
+/// Resolve an assignment.  Does not check feasibility (see FootprintTracker) but
 /// throws std::invalid_argument on structurally broken assignments
 /// (unknown cc ids, copy on the background layer with no gain, etc. are
 /// permitted — they are merely bad, not broken).

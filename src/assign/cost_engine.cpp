@@ -16,7 +16,7 @@ CostEngine::CostEngine(const AssignContext& ctx)
   const std::size_t L = static_cast<std::size_t>(num_layers_);
 
   // Assignment-independent compute cycles: one IR walk, accumulated exactly
-  // like estimate_cost so the cached value is bit-identical.
+  // like oracle::estimate_cost so the cached value is bit-identical.
   ir::walk_statements(ctx_.program,
                       [&](int /*nest*/, const ir::LoopPath& path, const ir::StmtNode& stmt) {
                         compute_cycles_ += static_cast<double>(ir::iterations_of(path)) *
@@ -155,6 +155,16 @@ CostEngine::CostEngine(const AssignContext& ctx)
   scr_pin_c_.reserve(2 * arrays.size());
 
   load(out_of_box(ctx_));
+  baseline_ = totals();
+}
+
+Objective CostEngine::objective(double energy_weight, double time_weight) const {
+  Objective obj;
+  obj.energy_weight = energy_weight;
+  obj.time_weight = time_weight;
+  obj.baseline_energy_nj = baseline_.energy_nj > 0 ? baseline_.energy_nj : 1.0;
+  obj.baseline_cycles = baseline_.total_cycles() > 0 ? baseline_.total_cycles() : 1.0;
+  return obj;
 }
 
 std::size_t CostEngine::array_index(const std::string& name) const {
@@ -362,7 +372,7 @@ bool CostEngine::layering_valid() const {
 }
 
 CostEngine::Totals CostEngine::totals() const {
-  // Accumulation mirrors estimate_cost term by term and in the same order:
+  // Accumulation mirrors oracle::estimate_cost term by term, in its order:
   // sites in id order, transfers in copy-selection order, pinned arrays in
   // declaration order.  Identical doubles in, identical order, identical out.
   Totals t;

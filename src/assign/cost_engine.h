@@ -12,13 +12,15 @@
 
 namespace mhla::assign {
 
-/// Incremental cost evaluator for the MHLA searches.
+/// Incremental cost evaluator for the MHLA searches — the one production
+/// evaluator of `CostEstimate` and of the objective's baseline.
 ///
-/// `estimate_cost()` pays a full `resolve()` (O(sites x copies) with string
-/// map lookups), a complete IR statement walk for the assignment-independent
-/// compute cycles, and a pass over every access site — for *every* candidate
-/// state a search scores.  The engine precomputes every assignment-independent
-/// term once per `AssignContext`:
+/// A from-scratch evaluation (the test oracle's `oracle::estimate_cost`,
+/// tests/oracle/model.h) pays a full `resolve()` (O(sites x copies) with
+/// string map lookups), a complete IR statement walk for the
+/// assignment-independent compute cycles, and a pass over every access site
+/// — for *every* candidate state a search scores.  The engine precomputes
+/// every assignment-independent term once per `AssignContext`:
 ///
 ///  * total compute cycles (one IR walk at construction),
 ///  * per-site access counts and the energy/latency term for every possible
@@ -51,7 +53,8 @@ namespace mhla::assign {
 /// ## Exactness contract
 ///
 /// `cost()` / `totals()` / `scalar()` are **bit-identical** to
-/// `estimate_cost(ctx, assignment())` (and `Objective::scalar` of it): the
+/// `oracle::estimate_cost(ctx, assignment())` (and `Objective::scalar` of
+/// it), and `objective()` is bit-identical to `oracle::make_objective`: the
 /// engine caches the very term values the from-scratch path computes and
 /// re-accumulates them in the same canonical order (sites in id order, then
 /// transfers in copy-selection order, then pinned arrays in declaration
@@ -144,8 +147,8 @@ class CostEngine {
   bool layering_valid() const;
 
   /// O(1) feasibility of the live assignment — exactly
-  /// `fits(ctx, assignment())`, answered from the composed FootprintTracker
-  /// (maintained in lockstep with every move and undo).
+  /// `oracle::fits(ctx, assignment())`, answered from the composed
+  /// FootprintTracker (maintained in lockstep with every move and undo).
   bool fits() const { return footprint_.feasible(); }
 
   /// The composed tracker, for searches that need the usage matrix itself
@@ -163,13 +166,21 @@ class CostEngine {
     double total_cycles() const { return compute_cycles + access_cycles + transfer_cycles; }
   };
 
-  /// Bit-identical to the double fields of `estimate_cost(ctx, assignment())`.
+  /// Bit-identical to the double fields of
+  /// `oracle::estimate_cost(ctx, assignment())`.
   Totals totals() const;
 
-  /// Bit-identical to `estimate_cost(ctx, assignment())`, counts included.
+  /// Bit-identical to `oracle::estimate_cost(ctx, assignment())`, counts
+  /// included.
   CostEstimate cost() const;
 
-  /// Bit-identical to `objective.scalar(estimate_cost(ctx, assignment()))`.
+  /// The search objective for these weights, normalized against the
+  /// `totals()` of `out_of_box(ctx)`, which the constructor loads and keeps
+  /// (a non-positive baseline term normalizes by 1).  Independent of the
+  /// live state; bit-identical to `oracle::make_objective(ctx, ...)`.
+  Objective objective(double energy_weight, double time_weight) const;
+
+  /// Bit-identical to `objective.scalar(oracle::estimate_cost(ctx, assignment()))`.
   double scalar(const Objective& objective) const {
     Totals t = totals();
     return objective.scalar_terms(t.energy_nj, t.total_cycles());
@@ -286,6 +297,7 @@ class CostEngine {
   int background_ = 0;
 
   // ---- assignment-independent precomputation
+  Totals baseline_;  ///< totals() of out_of_box(ctx), the objective's baseline
   double compute_cycles_ = 0.0;
   std::vector<i64> site_n_;            ///< dynamic accesses per site
   std::vector<bool> site_write_;

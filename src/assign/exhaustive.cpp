@@ -76,9 +76,9 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
     result.assignment = fallback->assignment;
     result.scalar = fallback->scalar;
   }
-  result.status = fits(ctx, result.assignment) && layering_valid(ctx, result.assignment)
-                      ? SearchStatus::BudgetExhausted
-                      : SearchStatus::Infeasible;
+  bool usable = FootprintTracker(ctx, result.assignment).feasible() &&
+                layering_valid(ctx, result.assignment);
+  result.status = usable ? SearchStatus::BudgetExhausted : SearchStatus::Infeasible;
   if (result.scalar > 0.0) {
     result.gap = std::max(0.0, (result.scalar - lower_bound) / result.scalar);
   } else {
@@ -347,7 +347,10 @@ struct EngineSearch {
   core::ArenaStack<SavedSite> saved_sites_;
 
   EngineSearch(const AssignContext& c, const SearchOptions& o)
-      : ctx(c), options(o), engine(c), objective(make_objective(c, o.energy_weight, o.time_weight)) {
+      : ctx(c),
+        options(o),
+        engine(c),
+        objective(engine.objective(o.energy_weight, o.time_weight)) {
     best_scalar = engine.scalar(objective);
     best = engine.assignment();
     precompute_bounds();

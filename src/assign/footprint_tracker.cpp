@@ -30,7 +30,7 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
     array_bytes_[a] = arrays[a].bytes();
     auto it = ctx_.live.find(arrays[a].name);
     if (it == ctx_.live.end() || analysis::is_dead(it->second)) continue;
-    // Clip to the matrix exactly like compute_footprints' loop bounds.
+    // Clip to the matrix like oracle::compute_footprints' loop bounds.
     array_first_[a] = std::max(it->second.first, 0);
     array_last_[a] = std::min(it->second.last, num_nests_ - 1);
   }
@@ -92,7 +92,8 @@ void FootprintTracker::apply_copy(std::size_t c, int sign) {
   for (int t = start; t <= nest && t < num_nests_; ++t) {
     if (t < 0) continue;
     // Multi-buffering only matters during the copy's own nest; the
-    // prefetch tail occupies one buffer (same rule as compute_footprints).
+    // prefetch tail occupies one buffer (the oracle::compute_footprints
+    // rule).
     i64 cell_bytes = (t == nest) ? bytes * buffers : bytes;
     add_cell(layer, t, sign * cell_bytes);
   }
@@ -129,8 +130,8 @@ void FootprintTracker::load(const Assignment& assignment,
                                   std::to_string(pc.cc_id));
     }
     cc_layer_[c] = pc.layer;
-    // Fold every matching extension entry like compute_footprints: earliest
-    // start wins, extra buffers accumulate.
+    // Fold every matching extension entry like oracle::compute_footprints:
+    // earliest start wins, extra buffers accumulate.
     int start = cc_nest_[c];
     for (const CopyExtension& ext : extensions) {
       if (ext.cc_id != pc.cc_id) continue;
@@ -263,8 +264,9 @@ FootprintReport FootprintTracker::report() const {
   for (int l = 0; l < num_layers_; ++l) {
     auto begin = usage_.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(l) * row_);
     report.usage[static_cast<std::size_t>(l)].assign(begin, begin + static_cast<std::ptrdiff_t>(row_));
-    // compute_footprints takes the max over the whole (padded) row, whose
-    // pad cells are always zero, so the padded max equals the clipped max.
+    // oracle::compute_footprints takes the max over the whole (padded) row,
+    // whose pad cells are always zero, so the padded max equals the clipped
+    // max.
     report.peak_bytes[static_cast<std::size_t>(l)] =
         *std::max_element(begin, begin + static_cast<std::ptrdiff_t>(row_));
   }

@@ -4,18 +4,42 @@
 #include <string>
 #include <vector>
 
-#include "assign/inplace.h"
+#include "assign/assignment.h"
 #include "core/arena.h"
 
 namespace mhla::assign {
 
+/// Lifetime extension of one copy buffer caused by time extensions:
+/// the buffer becomes live from `start_nest` (instead of only during its own
+/// nest) and `extra_buffers` additional buffer instances coexist during its
+/// own nest (multi-buffering for iteration lookahead).
+struct CopyExtension {
+  int cc_id = -1;
+  int start_nest = -1;   ///< -1 means "no earlier than its own nest"
+  int extra_buffers = 0;
+};
+
+/// Per-layer in-place (lifetime-aware) footprints: at every step of the
+/// coarse time axis (top-level nest index), a layer holds the arrays whose
+/// live ranges cover that step plus the copy buffers of that nest (extended
+/// per the `CopyExtension`s).  A dead-range array contributes nothing.  This
+/// models the paper's "limited lifetime of the arrays" exploitation: layer
+/// usage is the *peak* concurrent footprint, not the sum of sizes.
+struct FootprintReport {
+  std::vector<i64> peak_bytes;          ///< per layer, max over the time axis
+  std::vector<std::vector<i64>> usage;  ///< [layer][nest] live bytes
+  bool feasible = true;                 ///< all bounded layers within capacity
+};
+
 /// Incremental footprint/feasibility tracker for the MHLA searches and the
 /// time-extension stage.
 ///
-/// `fits()` pays a full `compute_footprints` — a rebuild of the complete
-/// per-layer x per-nest usage matrix from every array live range and every
-/// placed copy — for *every* feasibility probe a search makes.  The tracker
-/// owns that matrix and maintains it incrementally under undoable moves:
+/// The one production evaluator of `FootprintReport`: the searches, TE,
+/// `sim::simulate` and the anytime fallback all read it.  A from-scratch
+/// evaluation rebuilds the complete per-layer x per-nest usage matrix from
+/// every array live range and every placed copy per feasibility probe; the
+/// tracker owns that matrix and maintains it incrementally under undoable
+/// moves:
 ///
 ///  * `place_copy` / `remove_copy` — a copy's footprint touches only the
 ///    cells of its (possibly extended) lifetime, O(lifetime) instead of
@@ -27,10 +51,10 @@ namespace mhla::assign {
 ///
 /// Feasibility is answered in O(1) from a running count of overfull
 /// (layer, nest) cells: a bounded layer's peak exceeds its capacity iff at
-/// least one of its cells does, so `feasible()` is exactly
-/// `compute_footprints(...).feasible` — verdicts are exact, never
-/// approximated.  All arithmetic is integer, so there is no accumulation
-///-order concern: `report()` is bit-identical to `compute_footprints` on
+/// least one of its cells does, so `feasible()` is exactly the test oracle's
+/// `oracle::fits` — verdicts are exact, never approximated.  All arithmetic
+/// is integer, so there is no accumulation-order concern: `report()` is
+/// bit-identical to `oracle::compute_footprints` (tests/oracle/model.h) on
 /// the mirrored (assignment, extensions) state by construction, and
 /// tests/assign/footprint_tracker_test.cpp property-tests the contract over
 /// randomized move/undo sequences.
@@ -48,8 +72,8 @@ namespace mhla::assign {
 /// replace-entry discipline `time_extend` previously implemented with a
 /// clone + `std::erase_if` per freedom unit).  `extend_copy` replaces the
 /// copy's extension outright; `remove_copy` clears it (and undo restores
-/// it).  `load(assignment, extensions)` folds duplicate entries exactly
-/// like `compute_footprints` (earliest start, summed extra buffers).
+/// it).  `load(assignment, extensions)` folds duplicate entries (earliest
+/// start, summed extra buffers), like `oracle::compute_footprints`.
 class FootprintTracker {
  public:
   /// Precomputes the per-array clipped live spans and the cheapest
@@ -92,7 +116,7 @@ class FootprintTracker {
 
   // ------------------------------------------------------------ queries
   /// O(1): true iff no bounded layer holds an over-capacity cell — exactly
-  /// `compute_footprints(ctx, mirrored state).feasible`.
+  /// `report().feasible`.
   bool feasible() const { return overfull_cells_ == 0; }
 
   /// Live bytes of one (layer, nest) cell.
@@ -110,15 +134,10 @@ class FootprintTracker {
   /// Peak of one layer over the time axis (O(nests), for reporting).
   i64 peak(int layer) const;
 
-  /// Full report, bit-identical to `compute_footprints` on the mirrored
-  /// (assignment, extensions) state.
+  /// Full report of the mirrored (assignment, extensions) state.
   FootprintReport report() const;
 
   int copy_layer(int cc_id) const { return cc_layer_[static_cast<std::size_t>(cc_id)]; }
-  int extension_start(int cc_id) const { return cc_ext_start_[static_cast<std::size_t>(cc_id)]; }
-  int extension_buffers(int cc_id) const {
-    return cc_ext_buffers_[static_cast<std::size_t>(cc_id)];
-  }
 
  private:
   struct UndoRec {

@@ -19,7 +19,7 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
   SearchResult result;
 
   CostEngine engine(ctx);  // loads out_of_box
-  Objective objective = make_objective(ctx, options.energy_weight, options.time_weight);
+  Objective objective = engine.objective(options.energy_weight, options.time_weight);
   double current_scalar = engine.scalar(objective);
   result.evaluations = 1;
 

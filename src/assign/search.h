@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "assign/cost.h"
-#include "assign/inplace.h"
 #include "assign/search_status.h"
 #include "core/run_budget.h"
 

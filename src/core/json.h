@@ -98,8 +98,6 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
-  bool is_object() const { return kind_ == Kind::Object; }
-  bool is_array() const { return kind_ == Kind::Array; }
 
   /// Checked scalar accessors.
   bool boolean() const;

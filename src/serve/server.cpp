@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/pipeline.h"
 #include "core/work_stealing.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
@@ -31,6 +32,16 @@ bool persists_periodically(const ServerConfig& config) {
 
 std::string job_args(std::uint64_t job) {
   return "{\"job\": " + std::to_string(job) + "}";
+}
+
+/// `config`, once its worker count is known to be within core::kMaxThreads;
+/// runs first in the constructor, before anything binds or starts.
+ServerConfig checked(ServerConfig config) {
+  if (config.workers > core::kMaxThreads) {
+    throw std::invalid_argument("ServerConfig::workers " + std::to_string(config.workers) +
+                                " above the limit " + std::to_string(core::kMaxThreads));
+  }
+  return config;
 }
 
 }  // namespace
@@ -104,7 +115,7 @@ class Server::Session : public EventSink, public std::enable_shared_from_this<Se
 };
 
 Server::Server(ServerConfig config)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       cache_(config_.cache_max_entries),
       listener_(config_.host, config_.port),
       queue_(config_.job_retention) {

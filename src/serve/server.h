@@ -19,8 +19,9 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 binds an ephemeral port; Server::port() reports it
 
-  /// Job workers.  Each claims whole jobs; per-job parallelism comes from
-  /// the job's own config (`num_threads`), so the two multiply deliberately.
+  /// Job workers (0 = 2, at most core::kMaxThreads).  Each claims whole
+  /// jobs; per-job parallelism comes from the job's own config
+  /// (`num_threads`), so the two multiply deliberately.
   unsigned workers = 2;
 
   /// Persistent cache document; empty = in-memory only.  Loaded (with the
@@ -66,8 +67,9 @@ struct ServerConfig {
 class Server {
  public:
   /// Bind, load the persistent cache, start all threads.  Throws
-  /// std::runtime_error when the address cannot be bound or the cache file
-  /// exists but cannot be read.
+  /// std::invalid_argument, before binding or starting anything, when
+  /// `config.workers` exceeds core::kMaxThreads, and std::runtime_error when
+  /// the address cannot be bound or the cache file exists but cannot be read.
   explicit Server(ServerConfig config);
 
   /// Equivalent to stop().

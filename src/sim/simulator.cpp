@@ -82,7 +82,7 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   result.layers = layer_stats(ctx.hierarchy, tally);
 
   // --- Capacity audit including TE lifetime growth.
-  result.footprints = assign::compute_footprints(ctx, assignment, extensions);
+  result.footprints = assign::FootprintTracker(ctx, assignment, extensions).report();
   result.feasible = result.footprints.feasible;
   return result;
 }

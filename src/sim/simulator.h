@@ -1,6 +1,6 @@
 #pragma once
 
-#include "assign/inplace.h"
+#include "assign/footprint_tracker.h"
 #include "sim/energy.h"
 #include "te/schedule.h"
 
@@ -42,9 +42,12 @@ struct SimResult {
 /// walk the loop nests, serve every access from its resolved layer, run the
 /// block transfers under the selected mode, and account cycles and energy.
 ///
-/// This is an implementation independent of assign::estimate_cost (the
-/// static model); in Blocking mode the two must agree exactly, which the
-/// test suite checks.
+/// This is an implementation independent of the static cost model
+/// (`CostEngine::cost()`, defined from scratch by the test oracle's
+/// `oracle::estimate_cost`); in Blocking mode the two must agree exactly,
+/// which the test suite checks.  `footprints` is the `FootprintTracker`
+/// report of the assignment under the run's TE extensions, bit-identical to
+/// `oracle::compute_footprints`.
 SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& assignment,
                    const SimOptions& options = {});
 

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "assign/cost.h"
-#include "assign/inplace.h"
+#include "assign/footprint_tracker.h"
 #include "core/run_budget.h"
 #include "te/block_transfer.h"
 
@@ -48,7 +48,7 @@ struct BtExtension {
 /// Result of the TE step.
 struct TeResult {
   std::vector<BtExtension> extensions;      ///< one per BT, indexed by bt id
-  std::vector<assign::CopyExtension> footprint_extensions;  ///< for inplace checks
+  std::vector<assign::CopyExtension> footprint_extensions;  ///< for footprint checks
   double total_hidden_cycles = 0.0;         ///< sum over all issues
   core::StopReason stop = core::StopReason::None;  ///< why the budget cut the pass, if it did
 

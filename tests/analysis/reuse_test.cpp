@@ -86,6 +86,113 @@ TEST(Reuse, WholeNestCandidate) {
   EXPECT_DOUBLE_EQ(cc->reuse_factor(), 10.0);
 }
 
+TEST(Reuse, BlockedChainBoxesAndDeltas) {
+  // a[16*bi + i][j]: the box shrinks 64x16 -> 16x16 -> 1x16 -> 1x1 as the
+  // loops are fixed, and consecutive iterations of each carrying loop move
+  // the box by at least its own extent, so every level reloads wholesale.
+  ir::ProgramBuilder pb("p");
+  pb.array("a", {64, 64}, 4);
+  pb.begin_loop("bi", 0, 4);
+  pb.begin_loop("i", 0, 16);
+  pb.begin_loop("j", 0, 16);
+  pb.stmt("s", 1).read("a", {av("bi", 16) + av("i"), av("j")});
+  pb.end_loop();
+  pb.end_loop();
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const ir::i64 elems[] = {64 * 16, 16 * 16, 16, 1};
+  for (int level = 0; level <= 3; ++level) {
+    const CopyCandidate* cc = find_cc(an.reuse, "a", 0, level);
+    ASSERT_NE(cc, nullptr) << "level " << level;
+    EXPECT_EQ(cc->elems, elems[level]) << "level " << level;
+    EXPECT_EQ(cc->elems_per_transfer, elems[level]) << "level " << level;
+  }
+}
+
+TEST(Reuse, BoxClampsToArrayExtent) {
+  ir::ProgramBuilder pb("p");
+  pb.array("a", {8}, 4);
+  pb.begin_loop("i", 0, 8);
+  pb.stmt("s", 1).read("a", {av("i")});
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const CopyCandidate* cc = find_cc(an.reuse, "a", 0, 0);
+  ASSERT_NE(cc, nullptr);
+  EXPECT_EQ(cc->elems, 8);  // never exceeds the extent
+  EXPECT_EQ(cc->elems_per_transfer, 8);
+}
+
+TEST(Reuse, OverlappingWindowMovesOneElementPerIteration) {
+  // Sliding 3-wide window: a[i + k], i in 0..10, k in 0..3.
+  ir::ProgramBuilder pb("p");
+  pb.array("a", {16}, 4);
+  pb.begin_loop("i", 0, 10);
+  pb.begin_loop("k", 0, 3);
+  pb.stmt("s", 1).read("a", {av("i") + av("k")});
+  pb.end_loop();
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const CopyCandidate* window = find_cc(an.reuse, "a", 0, 1);  // i fixed
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(window->elems, 3);
+  EXPECT_EQ(window->elems_per_transfer, 1);  // two of three elements stay
+  const CopyCandidate* whole = find_cc(an.reuse, "a", 0, 0);  // both vary
+  ASSERT_NE(whole, nullptr);
+  EXPECT_EQ(whole->elems, 12);  // 9 + 2 + 1
+  EXPECT_EQ(whole->elems_per_transfer, 12);
+}
+
+TEST(Reuse, StridedAccessWidensBox) {
+  ir::ProgramBuilder pb("p");
+  pb.array("a", {64}, 4);
+  pb.begin_loop("i", 0, 16);
+  pb.stmt("s", 1).read("a", {av("i", 4)});  // touches 0,4,...,60
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const CopyCandidate* cc = find_cc(an.reuse, "a", 0, 0);
+  ASSERT_NE(cc, nullptr);
+  // The bounding box spans 61 elements (holes included, rectangular model).
+  EXPECT_EQ(cc->elems, 61);
+  EXPECT_EQ(cc->elems_per_transfer, 61);
+}
+
+TEST(Reuse, SlidingWindowTransfersOnlyNewColumns) {
+  ir::ProgramBuilder pb("p");
+  pb.array("a", {4, 64}, 4);
+  pb.begin_loop("i", 0, 32);
+  pb.begin_loop("r", 0, 4);
+  pb.begin_loop("k", 0, 8);
+  pb.stmt("s", 1).read("a", {av("r"), av("i") + av("k")});
+  pb.end_loop();
+  pb.end_loop();
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const CopyCandidate* cc = find_cc(an.reuse, "a", 0, 1);  // i fixed
+  ASSERT_NE(cc, nullptr);
+  // Box: 4 x 8 = 32.  Shift per i step: 1 column, so one new column of 4
+  // rows is moved per transfer: 32 - 4 * 7 = 4.
+  EXPECT_EQ(cc->elems, 32);
+  EXPECT_EQ(cc->elems_per_transfer, 4);
+}
+
+TEST(Reuse, StationaryBoxReloadsWholesale) {
+  // The inner table does not move with the outer loop: conservative full
+  // reload (the buffer is recycled between iterations).
+  ir::ProgramBuilder pb("p");
+  pb.array("tab", {16}, 4);
+  pb.begin_loop("i", 0, 8);
+  pb.begin_loop("k", 0, 16);
+  pb.stmt("s", 1).read("tab", {av("k")});
+  pb.end_loop();
+  pb.end_loop();
+  Analyzed an = analyze(pb.finish());
+  const CopyCandidate* cc = find_cc(an.reuse, "tab", 0, 1);
+  ASSERT_NE(cc, nullptr);
+  EXPECT_EQ(cc->elems, 16);
+  EXPECT_EQ(cc->elems_per_transfer, 16);
+  EXPECT_EQ(cc->transfers, 8);
+}
+
 TEST(Reuse, MergesSitesOfSameArraySameNest) {
   // Two reads of adjacent rows merge into one (taller) candidate box.
   ir::ProgramBuilder pb("p");

@@ -7,9 +7,14 @@
 #include "assign/cost.h"
 #include "core/pipeline.h"
 #include "helpers.h"
+#include "oracle/model.h"
 
 namespace mhla::assign {
 namespace {
+
+using oracle::estimate_cost;
+using oracle::fits;
+using oracle::make_objective;
 
 TEST(Anneal, BitIdenticalForAFixedSeed) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());

@@ -7,11 +7,14 @@
 #include "assign/search.h"
 #include "helpers.h"
 #include "gen/random_program.h"
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 namespace mhla::assign {
 namespace {
 
+using oracle::estimate_cost;
+using oracle::make_objective;
 using testing::make_ws;
 
 /// Exact (bitwise) agreement between the engine's evaluation of its live
@@ -28,6 +31,11 @@ void expect_engine_matches_scratch(const AssignContext& ctx, const CostEngine& e
 
   Objective objective = make_objective(ctx, 1.0, 1.0);
   EXPECT_EQ(engine.scalar(objective), objective.scalar(scratch));
+  // The searches' objective: normalized by the engine's out-of-box totals,
+  // whatever state the engine has moved to since.
+  Objective from_engine = engine.objective(1.0, 1.0);
+  EXPECT_EQ(from_engine.baseline_energy_nj, objective.baseline_energy_nj);
+  EXPECT_EQ(from_engine.baseline_cycles, objective.baseline_cycles);
 
   // The maintained resolution must equal a fresh resolve.
   Resolution res = resolve(ctx, engine.assignment());

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracle/model.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracle::estimate_cost;
+using oracle::loop_iteration_cpu_cycles;
+using oracle::make_objective;
+using oracle::nest_cpu_cycles;
 using testing::make_ws;
 
 /// Ten reads of a small array plus op cycles: every term checkable by hand.

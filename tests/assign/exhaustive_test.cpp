@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracle::estimate_cost;
+using oracle::fits;
+using oracle::make_objective;
 using testing::make_ws;
 
 /// Minimal program: one array, one loop, few candidates — exhaustively

@@ -11,12 +11,15 @@
 #include "assign/search.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "te/block_transfer.h"
 #include "te/extension.h"
 
 namespace mhla::assign {
 namespace {
 
+using oracle::compute_footprints;
+using oracle::fits;
 using testing::make_ws;
 
 /// Mirror state the property test maintains alongside the tracker: the

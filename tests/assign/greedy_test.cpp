@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "helpers.h"
+#include "oracle/model.h"
 
 namespace mhla::assign {
 namespace {
 
+using oracle::estimate_cost;
+using oracle::fits;
+using oracle::make_objective;
 using testing::make_ws;
 
 TEST(Greedy, ImprovesOverBaseline) {

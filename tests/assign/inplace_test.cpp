@@ -1,4 +1,4 @@
-#include "assign/inplace.h"
+#include "oracle/model.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 namespace mhla::assign {
 namespace {
 
+using oracle::compute_footprints;
+using oracle::fits;
 using testing::make_ws;
 
 /// Three-phase pipeline with two disjoint-lifetime intermediates of 512 B

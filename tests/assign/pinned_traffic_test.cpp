@@ -5,12 +5,14 @@
 
 #include "assign/search.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "sim/simulator.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracle::estimate_cost;
 using testing::make_ws;
 
 /// One input, one output, one scratch array, all small enough for L1.

@@ -6,12 +6,14 @@
 #include <stdexcept>
 
 #include "helpers.h"
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracle::fits;
 using testing::make_ws;
 
 /// Small single-array program every registered strategy (and the oracle

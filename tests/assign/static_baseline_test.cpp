@@ -4,11 +4,15 @@
 
 #include "assign/search.h"
 #include "helpers.h"
+#include "oracle/model.h"
 
 namespace mhla::assign {
 namespace {
 
 using ir::av;
+using oracle::estimate_cost;
+using oracle::fits;
+using oracle::make_objective;
 using testing::make_ws;
 
 TEST(StaticBaseline, PlacesDensestArraysFirst) {

@@ -27,6 +27,7 @@
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 namespace mhla {
@@ -76,7 +77,7 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
     EXPECT_EQ(greedy.scalar, greedy_ref.scalar);
     EXPECT_EQ(greedy.evaluations, greedy_ref.evaluations);
     expect_same_moves(greedy, greedy_ref);
-    EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, greedy.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
     ++greedy_compared;
 
@@ -133,11 +134,11 @@ TEST(Differential, RegistryStrategyPairsAgreeOverRandomCorpus) {
     // Dominance: no heuristic may beat the exact optimum (the tiny margin
     // absorbs the heuristics' independently accumulated float sums).
     if (have_optimum) {
-      EXPECT_TRUE(assign::fits(ctx, optimum.assignment));
+      EXPECT_TRUE(oracle::fits(ctx, optimum.assignment));
       EXPECT_TRUE(assign::layering_valid(ctx, optimum.assignment));
       EXPECT_GE(greedy.scalar, optimum.scalar * (1.0 - 1e-9));
       assign::SearchResult anneal = assign::searcher("anneal").search(ctx, options);
-      EXPECT_TRUE(assign::fits(ctx, anneal.assignment));
+      EXPECT_TRUE(oracle::fits(ctx, anneal.assignment));
       EXPECT_GE(anneal.scalar, optimum.scalar * (1.0 - 1e-9));
       ++dominance_checked;
     }

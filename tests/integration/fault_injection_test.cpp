@@ -47,6 +47,7 @@
 #include "explore/explorer.h"
 #include "gen/random_program.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 namespace mhla {
@@ -180,7 +181,7 @@ TEST(FaultInjection, EveryStrategyDegradesOnInjectedExpiry) {
     assign::SearchResult result = assign::searcher(strategy).search(ctx, {});
     EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
     EXPECT_EQ(result.stop, core::StopReason::Injected) << core::to_string(result.stop);
-    EXPECT_TRUE(assign::fits(ctx, result.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, result.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   }
 }
@@ -257,7 +258,7 @@ TEST(CancellationConsistency, GreedyTruncatesToAReplayablePrefix) {
 
     // Degraded, never broken: the returned assignment is always the exact
     // state after the last accepted move.
-    EXPECT_TRUE(assign::fits(ctx, truncated.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, truncated.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, truncated.assignment));
 
     if (truncated.status != assign::SearchStatus::BudgetExhausted) {
@@ -320,7 +321,7 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
     bounded.budget.max_probes = truncation_point(seed, total);
     assign::SearchResult truncated = assign::searcher("bnb").search(ctx, bounded);
 
-    EXPECT_TRUE(assign::fits(ctx, truncated.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, truncated.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, truncated.assignment));
     // The incumbent can only be at or above the true optimum.
     EXPECT_GE(truncated.scalar, baseline.scalar * (1.0 - 1e-9));
@@ -330,8 +331,8 @@ TEST(CancellationConsistency, BnbIncumbentMatchesAFreshEvaluation) {
     // incremental journal left no residue).  The greedy fallback incumbent
     // accumulates its scalar over moves, so the comparison carries the
     // usual float-accumulation tolerance.
-    assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
-    double fresh = objective.scalar(assign::estimate_cost(ctx, truncated.assignment));
+    assign::Objective objective = oracle::make_objective(ctx, 1.0, 1.0);
+    double fresh = objective.scalar(oracle::estimate_cost(ctx, truncated.assignment));
     EXPECT_NEAR(fresh, truncated.scalar, 1e-9 * std::max(1.0, std::abs(truncated.scalar)));
 
     if (truncated.status == assign::SearchStatus::BudgetExhausted) {
@@ -375,12 +376,12 @@ TEST(CancellationConsistency, AnnealTruncatesDeterministically) {
 
     EXPECT_EQ(truncated.status, assign::SearchStatus::BudgetExhausted);
     ++truncated_cases;
-    EXPECT_TRUE(assign::fits(ctx, truncated.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, truncated.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, truncated.assignment));
 
     // Best-so-far state re-evaluates from scratch to the reported scalar.
-    assign::Objective objective = assign::make_objective(ctx, 1.0, 1.0);
-    double fresh = objective.scalar(assign::estimate_cost(ctx, truncated.assignment));
+    assign::Objective objective = oracle::make_objective(ctx, 1.0, 1.0);
+    double fresh = objective.scalar(oracle::estimate_cost(ctx, truncated.assignment));
     EXPECT_NEAR(fresh, truncated.scalar, 1e-9 * std::max(1.0, std::abs(truncated.scalar)));
 
     // The seeded walk truncated at a fixed iteration is fully reproducible.
@@ -471,7 +472,7 @@ TEST(CancellationConsistency, BnbParProbeAllowanceOvershootsByAtMostOneBatchPerW
     EXPECT_EQ(token.reason(), core::StopReason::ProbeBudget);
     EXPECT_GT(token.probes(), kAllowance);
     EXPECT_LE(token.probes(), kAllowance + static_cast<long>(kThreads) * kBnbParProbeBatch);
-    EXPECT_TRUE(assign::fits(ctx, result.assignment));
+    EXPECT_TRUE(oracle::fits(ctx, result.assignment));
     EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   }
 }
@@ -485,7 +486,7 @@ void expect_certified_best_so_far(const assign::AssignContext& ctx,
                                   const assign::SearchResult& result, core::StopReason stop) {
   EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
   EXPECT_EQ(result.stop, stop) << core::to_string(result.stop);
-  EXPECT_TRUE(assign::fits(ctx, result.assignment));
+  EXPECT_TRUE(oracle::fits(ctx, result.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, result.assignment));
   EXPECT_GT(result.scalar, 0.0);
   EXPECT_GE(result.gap, 0.0);
@@ -520,7 +521,7 @@ TEST(Anytime, Mpeg2AboveGuardReturnsCertifiedBestSoFar) {
   assign::SearchResult parallel = assign::searcher("bnb-par").search(ctx, bounded_par);
   EXPECT_EQ(parallel.status, assign::SearchStatus::BudgetExhausted);
   EXPECT_EQ(parallel.stop, core::StopReason::ProbeBudget) << core::to_string(parallel.stop);
-  EXPECT_TRUE(assign::fits(ctx, parallel.assignment));
+  EXPECT_TRUE(oracle::fits(ctx, parallel.assignment));
   EXPECT_GE(parallel.gap, 0.0);
 }
 

@@ -5,6 +5,7 @@
 
 #include "assign/search.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "sim/simulator.h"
 #include "ir/serialize.h"
 #include "ir/validate.h"
@@ -63,7 +64,7 @@ TEST_P(Fuzz, SimAgreesWithCostModel) {
   auto ctx = ws->context();
   for (const assign::Assignment& a :
        {assign::out_of_box(ctx), assign::greedy_assign(ctx).assignment}) {
-    assign::CostEstimate cost = assign::estimate_cost(ctx, a);
+    assign::CostEstimate cost = oracle::estimate_cost(ctx, a);
     sim::SimResult result = sim::simulate(ctx, a, {te::TransferMode::Blocking, {}});
     EXPECT_NEAR(result.total_cycles(), cost.total_cycles(),
                 1e-9 * std::max(1.0, cost.total_cycles()));
@@ -75,11 +76,11 @@ TEST_P(Fuzz, GreedyIsFeasibleAndNeverWorseThanBaseline) {
   auto ws = core::make_workspace(gen::random_program(GetParam()), {}, {});
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
+  EXPECT_TRUE(oracle::fits(ctx, greedy.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
-  assign::Objective obj = assign::make_objective(ctx, 1.0, 1.0);
+  assign::Objective obj = oracle::make_objective(ctx, 1.0, 1.0);
   EXPECT_LE(greedy.scalar,
-            obj.scalar(assign::estimate_cost(ctx, assign::out_of_box(ctx))) + 1e-9);
+            obj.scalar(oracle::estimate_cost(ctx, assign::out_of_box(ctx))) + 1e-9);
 }
 
 TEST_P(Fuzz, TransferModeOrderingHolds) {
@@ -110,7 +111,7 @@ TEST_P(Fuzz, TeFootprintExtensionsStayFeasible) {
   assign::Assignment a = assign::greedy_assign(ctx).assignment;
   auto bts = te::collect_block_transfers(ctx, a);
   te::TeResult result = te::time_extend(ctx, a, bts);
-  EXPECT_TRUE(assign::fits(ctx, a, result.footprint_extensions));
+  EXPECT_TRUE(oracle::fits(ctx, a, result.footprint_extensions));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz, ::testing::Range<std::uint32_t>(0, 24));

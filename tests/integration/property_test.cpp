@@ -5,6 +5,7 @@
 
 #include "assign/search.h"
 #include "helpers.h"
+#include "oracle/model.h"
 #include "sim/simulator.h"
 
 namespace mhla {
@@ -33,22 +34,22 @@ class PlatformSweep : public ::testing::TestWithParam<PlatformCase> {
 TEST_P(PlatformSweep, GreedyNeverWorseThanBaseline) {
   auto ctx = ws_->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  assign::Objective obj = assign::make_objective(ctx, 1.0, 1.0);
-  double baseline = obj.scalar(assign::estimate_cost(ctx, assign::out_of_box(ctx)));
+  assign::Objective obj = oracle::make_objective(ctx, 1.0, 1.0);
+  double baseline = obj.scalar(oracle::estimate_cost(ctx, assign::out_of_box(ctx)));
   EXPECT_LE(greedy.scalar, baseline + 1e-9);
 }
 
 TEST_P(PlatformSweep, ResultAlwaysFeasible) {
   auto ctx = ws_->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  EXPECT_TRUE(assign::fits(ctx, greedy.assignment));
+  EXPECT_TRUE(oracle::fits(ctx, greedy.assignment));
   EXPECT_TRUE(assign::layering_valid(ctx, greedy.assignment));
 }
 
 TEST_P(PlatformSweep, SimAgreesWithCost) {
   auto ctx = ws_->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  assign::CostEstimate cost = assign::estimate_cost(ctx, greedy.assignment);
+  assign::CostEstimate cost = oracle::estimate_cost(ctx, greedy.assignment);
   sim::SimResult result = sim::simulate(ctx, greedy.assignment);
   EXPECT_NEAR(result.total_cycles(), cost.total_cycles(), 1e-6 * cost.total_cycles());
   EXPECT_NEAR(result.energy_nj, cost.energy_nj, 1e-6 * cost.energy_nj);

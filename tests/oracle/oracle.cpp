@@ -1,3 +1,4 @@
+#include "oracle/model.h"
 #include "oracle/oracle.h"
 
 #include <algorithm>
@@ -51,8 +52,8 @@ struct Enumeration {
       budget_hit = true;
       return;
     }
-    if (!assign::fits(ctx, assignment) || !assign::layering_valid(ctx, assignment)) return;
-    double scalar = objective.scalar(assign::estimate_cost(ctx, assignment));
+    if (!fits(ctx, assignment) || !assign::layering_valid(ctx, assignment)) return;
+    double scalar = objective.scalar(estimate_cost(ctx, assignment));
     if (scalar < best_scalar) {
       best_scalar = scalar;
       best = assignment;
@@ -111,8 +112,8 @@ SearchResult greedy(const assign::AssignContext& ctx, const SearchOptions& optio
   SearchResult result;
   result.assignment = assign::out_of_box(ctx);
   assign::Objective objective =
-      assign::make_objective(ctx, options.energy_weight, options.time_weight);
-  double current_scalar = objective.scalar(assign::estimate_cost(ctx, result.assignment));
+      make_objective(ctx, options.energy_weight, options.time_weight);
+  double current_scalar = objective.scalar(estimate_cost(ctx, result.assignment));
   result.evaluations = 1;
   const int background = ctx.hierarchy.background();
 
@@ -131,9 +132,9 @@ SearchResult greedy(const assign::AssignContext& ctx, const SearchOptions& optio
     Assignment best_next;
 
     auto consider = [&](GreedyMove move, Assignment next) {
-      if (!assign::fits(ctx, next)) return;
+      if (!fits(ctx, next)) return;
       if (move.kind == GreedyMove::Kind::SelectCopy && !assign::layering_valid(ctx, next)) return;
-      double scalar = objective.scalar(assign::estimate_cost(ctx, next));
+      double scalar = objective.scalar(estimate_cost(ctx, next));
       ++result.evaluations;
       double gain = current_scalar - scalar;
       if (gain <= 1e-12) return;
@@ -207,10 +208,10 @@ SearchResult enumerate(const assign::AssignContext& ctx, const SearchOptions& op
   }
   std::optional<core::RunBudget> local;
   Enumeration search{ctx, options,
-                     assign::make_objective(ctx, options.energy_weight, options.time_weight),
+                     make_objective(ctx, options.energy_weight, options.time_weight),
                      core::resolve_budget(options.budget, options.shared_budget, local),
                      assign::out_of_box(ctx)};
-  search.best_scalar = search.objective.scalar(assign::estimate_cost(ctx, search.best));
+  search.best_scalar = search.objective.scalar(estimate_cost(ctx, search.best));
   Assignment scratch = assign::out_of_box(ctx);
   search.homes(scratch, 0);
 
@@ -222,7 +223,7 @@ SearchResult enumerate(const assign::AssignContext& ctx, const SearchOptions& op
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
   } else {
-    result.status = assign::fits(ctx, result.assignment) &&
+    result.status = fits(ctx, result.assignment) &&
                             assign::layering_valid(ctx, result.assignment)
                         ? SearchStatus::BudgetExhausted
                         : SearchStatus::Infeasible;

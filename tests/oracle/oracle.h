@@ -2,9 +2,10 @@
 
 // From-scratch reference searches: the test oracles every production search
 // strategy is compared against.  Built only on the model definition —
-// `estimate_cost`, `fits` and `layering_valid` over plain `Assignment`
-// copies — with no incremental engine state, so an engine bug cannot hide
-// in both sides of a comparison.
+// `estimate_cost`, `make_objective` and `fits` of oracle/model.h, plus
+// `assign::layering_valid`, over plain `Assignment` copies — with no
+// incremental engine state, so an engine bug cannot hide in both sides of a
+// comparison.
 
 #include <cstddef>
 
@@ -28,7 +29,7 @@ inline constexpr std::size_t kExactCorpusPlacements = 64;
 std::size_t candidate_placements(const assign::AssignContext& ctx);
 
 /// The greedy steering heuristic, every candidate scored by a fresh
-/// `estimate_cost` over a copied assignment.  Enumerates moves, charges
+/// `oracle::estimate_cost` over a copied assignment.  Enumerates moves, charges
 /// budget probes, counts evaluations and breaks ties exactly as
 /// `assign::greedy_assign` must, so the two agree move for move.
 assign::SearchResult greedy(const assign::AssignContext& ctx,

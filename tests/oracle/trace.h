@@ -33,7 +33,7 @@ ExactCounts enumerate_program(const ir::Program& program, i64 max_instances = 5'
 /// partition touch during ONE execution of the varying loops, maximized
 /// over every concrete combination of the fixed outer iterators.  The
 /// analytic bounding box must be a superset (>=) of this for every
-/// candidate — the soundness property of analysis::footprint.
+/// candidate — the soundness property of the ReuseAnalysis boxes.
 ///
 /// `site` supplies the loop context; `fixed` is the number of outer loops
 /// held constant (the candidate's level).

@@ -18,6 +18,7 @@
 
 #include "apps/registry.h"
 #include "core/json.h"
+#include "core/pipeline.h"
 #include "core/work_stealing.h"
 #include "helpers.h"
 #include "obs/metrics.h"
@@ -966,6 +967,18 @@ TEST(Server, OneTickerThreadServesBothPeriods) {
   }
   EXPECT_TRUE(std::filesystem::exists(ticking.cache_path));
   std::remove(ticking.cache_path.c_str());
+}
+
+TEST(Server, WorkerCountAboveTheThreadLimitIsRejectedBeforeAnythingStarts) {
+  // Config documents and the CLI cap thread counts at core::kMaxThreads; the
+  // server enforces the same cap itself, before it binds or starts a thread.
+  const long before = settled_thread_count();
+  ServerConfig config;
+  config.workers = core::kMaxThreads + 1;
+  EXPECT_THROW({ Server server(config); }, std::invalid_argument);
+  if (before >= 0) {
+    EXPECT_EQ(settled_thread_count(), before);
+  }
 }
 
 TEST(Server, SoakOfRandomVerbsWhileStopLandsKeepsTheBooks) {

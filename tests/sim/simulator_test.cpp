@@ -1,3 +1,4 @@
+#include "oracle/model.h"
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +21,14 @@ TEST(Simulator, BaselineHasNoStalls) {
 }
 
 TEST(Simulator, AgreesWithStaticCostModelBlocking) {
-  // The simulator and assign::estimate_cost are independent
+  // The simulator and oracle::estimate_cost are independent
   // implementations; in Blocking mode they must agree exactly.
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
 
   for (const assign::Assignment& a : {assign::out_of_box(ctx), greedy.assignment}) {
-    assign::CostEstimate cost = assign::estimate_cost(ctx, a);
+    assign::CostEstimate cost = oracle::estimate_cost(ctx, a);
     SimResult sim_result = simulate(ctx, a, {te::TransferMode::Blocking, {}});
     EXPECT_NEAR(sim_result.total_cycles(), cost.total_cycles(), 1e-6);
     EXPECT_NEAR(sim_result.energy_nj, cost.energy_nj, 1e-6);

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/footprint.h"
 #include "analysis/reuse.h"
 #include "helpers.h"
 
@@ -169,8 +168,8 @@ TEST(TraceProperty, FootprintBoxesAreSound) {
 }
 
 TEST(TraceProperty, DenseBoxesAreTight) {
-  // For dense (stride-1, single-access) patterns the bounding box is exact,
-  // not just sound.
+  // For dense (stride-1, single-access) patterns the candidate box is
+  // exact, not just sound, at every level of the reuse chain.
   ir::ProgramBuilder pb("dense");
   pb.array("d", {16, 32}, 4);
   pb.begin_loop("b", 0, 16);
@@ -180,11 +179,11 @@ TEST(TraceProperty, DenseBoxesAreTight) {
   pb.end_loop();
   ir::Program program = pb.finish();
   auto sites = analysis::collect_sites(program);
-  for (std::size_t fixed = 0; fixed <= 2; ++fixed) {
-    analysis::Box box =
-        analysis::footprint(*sites[0].array, *sites[0].access, sites[0].path, fixed);
-    ir::i64 exact = exact_footprint_elems(program, sites[0], fixed);
-    EXPECT_EQ(box.elems(), exact) << "fixed=" << fixed;
+  analysis::ReuseAnalysis reuse = analysis::ReuseAnalysis::run(program, sites);
+  ASSERT_EQ(reuse.candidates().size(), 3u);  // levels 0, 1, 2
+  for (const analysis::CopyCandidate& cc : reuse.candidates()) {
+    ir::i64 exact = exact_footprint_elems(program, sites[0], static_cast<std::size_t>(cc.level));
+    EXPECT_EQ(cc.elems, exact) << "level=" << cc.level;
   }
 }
 

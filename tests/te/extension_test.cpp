@@ -1,3 +1,4 @@
+#include "oracle/model.h"
 #include "te/extension.h"
 
 #include <gtest/gtest.h>
@@ -71,7 +72,7 @@ TEST(TimeExtend, ExtensionKeepsFootprintFeasible) {
   TeSetup setup = streaming_setup(512);  // two buffers max
   auto ctx = setup.ws->context();
   TeResult result = time_extend(ctx, setup.assignment, setup.bts);
-  EXPECT_TRUE(assign::fits(ctx, setup.assignment, result.footprint_extensions));
+  EXPECT_TRUE(oracle::fits(ctx, setup.assignment, result.footprint_extensions));
   EXPECT_LE(result.for_bt(0).extra_buffers, 1);
 }
 
@@ -191,7 +192,7 @@ TEST_P(ExtensionOrderSweep, EveryOrderProducesFeasibleResult) {
   TeOptions options;
   options.order = GetParam();
   TeResult result = time_extend(ctx, setup.assignment, setup.bts, options);
-  EXPECT_TRUE(assign::fits(ctx, setup.assignment, result.footprint_extensions));
+  EXPECT_TRUE(oracle::fits(ctx, setup.assignment, result.footprint_extensions));
   for (const BtExtension& ext : result.extensions) {
     EXPECT_GE(ext.hidden_cycles, 0.0);
   }
