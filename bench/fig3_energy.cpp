@@ -37,8 +37,9 @@ void BM_EnergyEvaluation(benchmark::State& state) {
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
   assign::Assignment a = assign::searcher("greedy").search(ctx, {}).assignment;
+  assign::Resolution res = assign::resolve(ctx, a);
   for (auto _ : state) {
-    sim::AccessTally tally = sim::tally_accesses(ctx, a);
+    sim::AccessTally tally = sim::tally_accesses(ctx, a, res);
     benchmark::DoNotOptimize(sim::tally_energy_nj(ctx.hierarchy, tally));
   }
   state.SetLabel(info.name);

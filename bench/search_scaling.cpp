@@ -1,6 +1,6 @@
 // Search-engine scaling: how fast the MHLA step-1 searches run on the
-// incremental CostEngine (apply/undo delta evaluation, batched greedy
-// scoring, branch-and-bound), how parallel branch-and-bound scales with
+// incremental CostEngine (apply/undo delta evaluation, screened greedy
+// rounds, branch-and-bound), how parallel branch-and-bound scales with
 // threads on a dense and a pruning-heavy instance, and how the fixed
 // layer-size grid (one stride-1 Explorer wave) scales across worker threads.
 //
@@ -189,13 +189,13 @@ FeasibilityRow measure_feasibility(const apps::AppInfo& info) {
 struct DataLayoutRow {
   std::string app;
   long moves = 0;              ///< accepted greedy moves
-  double batched_s = 0.0;      ///< greedy end-to-end (batched round scoring)
+  double batched_s = 0.0;      ///< greedy end-to-end (screened rounds)
   long steady_allocs = 0;      ///< heap allocations across one full move replay
   long allocs_per_move = 0;    ///< steady_allocs / moves (CI asserts 0)
 };
 
-/// The data-layout measurements: greedy end-to-end under batched round
-/// scoring, and the steady-state heap-allocation count of replaying the
+/// The data-layout measurements: greedy end-to-end under screened
+/// rounds, and the steady-state heap-allocation count of replaying the
 /// accepted move trail on a warmed-up engine (the SoA tables, scorer
 /// scratch, and arena journals make it zero by construction).
 DataLayoutRow measure_data_layout(const apps::AppInfo& info) {
@@ -287,11 +287,11 @@ bool print_scaling_report() {
   std::cout << "feasibility (fits() probes on the final greedy assignment):\n"
             << feas_table.str() << "\n";
 
-  // --- Data layout: batched greedy end-to-end and the steady-state
+  // --- Data layout: screened greedy end-to-end and the steady-state
   // allocation count of the engine move loop (zero once the setup-time
   // reservations hold; the CI bench smoke asserts it).
   std::vector<DataLayoutRow> data_layout;
-  core::Table dl_table({"application", "moves", "batched ms", "batched moves/s", "allocs/move"});
+  core::Table dl_table({"application", "moves", "greedy ms", "greedy moves/s", "allocs/move"});
   for (const apps::AppInfo& info : apps::all_apps()) {
     if (info.name != "motion_estimation" && info.name != "mpeg2_encoder") continue;
     DataLayoutRow row = measure_data_layout(info);
@@ -301,7 +301,7 @@ bool print_scaling_report() {
          std::to_string(row.allocs_per_move)});
     data_layout.push_back(std::move(row));
   }
-  std::cout << "data layout (batched round scoring + arena journals):\n"
+  std::cout << "data layout (screened round scoring + arena journals):\n"
             << dl_table.str() << "\n";
 
   // --- Branch-and-bound node rate on the rate instance (valid only while

@@ -37,7 +37,8 @@ void print_ablation() {
     auto ws = core::make_workspace(info.build(), tight, {});
     auto ctx = ws->context();
     assign::Assignment a = assign::searcher("greedy").search(ctx, {}).assignment;
-    auto bts = te::collect_block_transfers(ctx, a);
+    assign::Resolution res = assign::resolve(ctx, a);
+    auto bts = te::collect_block_transfers(ctx, res);
     double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
     if (blocking <= 0.0) continue;
 
@@ -47,7 +48,7 @@ void print_ablation() {
           te::ExtensionOrder::BySizeDescending, te::ExtensionOrder::Reverse}) {
       te::TeOptions options;
       options.order = order;
-      te::TeResult result = te::time_extend(ctx, a, bts, options);
+      te::TeResult result = te::time_extend(ctx, a, res, bts, options);
       double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
       if (order == te::ExtensionOrder::TimePerByte) paper_stall = stall;
       table.add_row({info.name, order_name(order), core::Table::num(stall, 0),
@@ -64,11 +65,12 @@ void print_ablation() {
   auto ws = core::make_workspace(apps::build_adpcm_coder(), tight, {});
   auto ctx = ws->context();
   assign::Assignment a = assign::searcher("greedy").search(ctx, {}).assignment;
-  auto bts = te::collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
   for (int depth : {0, 1, 2, 3, 4, 8}) {
     te::TeOptions options;
     options.max_lookahead = depth;
-    te::TeResult result = te::time_extend(ctx, a, bts, options);
+    te::TeResult result = te::time_extend(ctx, a, res, bts, options);
     double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
     depth_table.add_row({std::to_string(depth), core::Table::num(result.total_hidden_cycles, 0),
                          core::Table::num(stall, 0)});
@@ -113,7 +115,8 @@ void print_contention_scenario() {
       a.copies.push_back({cc.id, 0});
     }
   }
-  auto bts = te::collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
   double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
 
   std::cout << "contention scenario (one slot, two candidates):\n";
@@ -123,7 +126,7 @@ void print_contention_scenario() {
         te::ExtensionOrder::BySizeDescending, te::ExtensionOrder::Reverse}) {
     te::TeOptions options;
     options.order = order;
-    te::TeResult result = te::time_extend(ctx, a, bts, options);
+    te::TeResult result = te::time_extend(ctx, a, res, bts, options);
     double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
     table.add_row({order_name(order), core::Table::num(stall, 0),
                    core::Table::num(100.0 * (blocking - stall) / blocking)});
@@ -138,9 +141,10 @@ void BM_TimeExtension(benchmark::State& state) {
   auto ws = core::make_workspace(info.build(), bench::default_platform(), {});
   auto ctx = ws->context();
   assign::Assignment a = assign::searcher("greedy").search(ctx, {}).assignment;
-  auto bts = te::collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(te::time_extend(ctx, a, bts));
+    benchmark::DoNotOptimize(te::time_extend(ctx, a, res, bts));
   }
   state.SetLabel(info.name);
 }

@@ -41,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli_number.h"
 #include "apps/registry.h"
 #include "core/json.h"
 #include "core/json_report.h"
@@ -115,7 +116,7 @@ bool parse_args(int argc, char** argv, Options& options) {
     if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
-      options.port = std::stoi(next());
+      options.port = cli::parse_number<int>(arg, next());
       options.have_port = true;
     } else if (arg == "--submit") {
       set_action(options, serve::Command::Submit);
@@ -140,34 +141,38 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--config") {
       next();  // loaded in the first pass
     } else if (arg == "--job") {
-      long long job = std::stoll(next());
+      long long job = cli::parse_number<long long>(arg, next());
       if (job < 0) throw std::invalid_argument("--job must be >= 0");
       options.request.job = static_cast<std::uint64_t>(job);
       options.request.has_job = true;
     } else if (arg == "--l1") {
-      options.request.config.platform.l1_bytes = std::stoll(next());
+      options.request.config.platform.l1_bytes =
+          cli::parse_number<long long>(arg, next());
       config_field();
     } else if (arg == "--l2") {
-      options.request.config.platform.l2_bytes = std::stoll(next());
+      options.request.config.platform.l2_bytes =
+          cli::parse_number<long long>(arg, next());
       config_field();
     } else if (arg == "--strategy") {
       options.request.config.strategy = next();
       config_field();
     } else if (arg == "--threads") {
-      long long threads = std::stoll(next());
+      long long threads = cli::parse_number<long long>(arg, next());
       if (threads < 0 || threads > std::numeric_limits<unsigned>::max()) {
         throw std::invalid_argument("--threads out of range");
       }
       options.request.config.num_threads = static_cast<unsigned>(threads);
       config_field();
     } else if (arg == "--deadline") {
-      options.request.config.search.budget.deadline_seconds = std::stod(next());
+      options.request.config.search.budget.deadline_seconds =
+          cli::parse_number<double>(arg, next());
       if (options.request.config.search.budget.deadline_seconds < 0) {
         throw std::invalid_argument("--deadline must be >= 0");
       }
       config_field();
     } else if (arg == "--max-probes") {
-      options.request.config.search.budget.max_probes = std::stol(next());
+      options.request.config.search.budget.max_probes =
+          cli::parse_number<long>(arg, next());
       if (options.request.config.search.budget.max_probes < 0) {
         throw std::invalid_argument("--max-probes must be >= 0");
       }
@@ -176,13 +181,13 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.request.config.dma.present = false;
       config_field();
     } else if (arg == "--budget") {
-      long long budget = std::stoll(next());
+      long long budget = cli::parse_number<long long>(arg, next());
       if (budget < 0) throw std::invalid_argument("--budget must be >= 0");
       options.request.explore.budget = static_cast<std::size_t>(budget);
     } else if (arg == "--explore-te") {
       options.request.explore.explore_te = true;
     } else if (arg == "--seed-stride") {
-      long long stride = std::stoll(next());
+      long long stride = cli::parse_number<long long>(arg, next());
       if (stride < 1) throw std::invalid_argument("--seed-stride must be >= 1");
       options.request.explore.seed_stride = static_cast<std::size_t>(stride);
     } else {

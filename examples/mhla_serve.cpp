@@ -48,6 +48,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli_number.h"
 #include "core/pipeline.h"
 #include "serve/server.h"
 
@@ -98,14 +99,14 @@ int main(int argc, char** argv) {
       if (arg == "--host") {
         config.host = next();
       } else if (arg == "--port") {
-        config.port = std::stoi(next());
+        config.port = cli::parse_number<int>(arg, next());
         if (config.port < 0 || config.port > 65535) {
           throw std::invalid_argument("--port out of range");
         }
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--workers") {
-        long long workers = std::stoll(next());
+        long long workers = cli::parse_number<long long>(arg, next());
         if (workers < 1 || workers > core::kMaxThreads) {
           throw std::invalid_argument("--workers must be in [1, " +
                                       std::to_string(core::kMaxThreads) + "]");
@@ -114,20 +115,20 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache") {
         config.cache_path = next();
       } else if (arg == "--persist-interval") {
-        config.persist_interval_seconds = std::stod(next());
+        config.persist_interval_seconds = cli::parse_number<double>(arg, next());
         if (config.persist_interval_seconds < 0) {
           throw std::invalid_argument("--persist-interval must be >= 0");
         }
       } else if (arg == "--cache-max-entries") {
-        long long n = std::stoll(next());
+        long long n = cli::parse_number<long long>(arg, next());
         if (n < 0) throw std::invalid_argument("--cache-max-entries must be >= 0");
         config.cache_max_entries = static_cast<std::size_t>(n);
       } else if (arg == "--job-retention") {
-        long long n = std::stoll(next());
+        long long n = cli::parse_number<long long>(arg, next());
         if (n < 0) throw std::invalid_argument("--job-retention must be >= 0");
         config.job_retention = static_cast<std::size_t>(n);
       } else if (arg == "--stats-interval") {
-        config.stats_interval_seconds = std::stod(next());
+        config.stats_interval_seconds = cli::parse_number<double>(arg, next());
         if (config.stats_interval_seconds < 0) {
           throw std::invalid_argument("--stats-interval must be >= 0");
         }

@@ -81,6 +81,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.h"
 #include "apps/registry.h"
 #include "core/json_report.h"
 #include "core/pipeline.h"
@@ -163,7 +164,7 @@ bool parse_args(int argc, char** argv, Options& options) {
     };
     // Config documents cap thread counts at the same limit, by key name.
     auto thread_count = [&](const std::string& flag) -> unsigned {
-      long long threads = std::stoll(next());
+      long long threads = cli::parse_number<long long>(flag, next());
       if (threads < 0 || threads > core::kMaxThreads) {
         throw std::invalid_argument(flag + " must be in [0, " +
                                     std::to_string(core::kMaxThreads) + "]");
@@ -179,9 +180,9 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--config") {
       next();  // loaded in the first pass
     } else if (arg == "--l1") {
-      options.pipeline.platform.l1_bytes = std::stoll(next());
+      options.pipeline.platform.l1_bytes = cli::parse_number<long long>(arg, next());
     } else if (arg == "--l2") {
-      options.pipeline.platform.l2_bytes = std::stoll(next());
+      options.pipeline.platform.l2_bytes = cli::parse_number<long long>(arg, next());
     } else if (arg == "--target") {
       options.pipeline.target = assign::parse_target(next());
     } else if (arg == "--strategy") {
@@ -200,7 +201,7 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--corpus") {
       options.corpus = true;
     } else if (arg == "--budget") {
-      options.budget = std::stoll(next());
+      options.budget = cli::parse_number<long long>(arg, next());
       if (options.budget < 0) throw std::invalid_argument("--budget must be >= 0");
     } else if (arg == "--cache") {
       options.cache = next();
@@ -211,12 +212,13 @@ bool parse_args(int argc, char** argv, Options& options) {
         throw std::invalid_argument("--cache-merge needs an output and at least one shard");
       }
     } else if (arg == "--deadline") {
-      options.pipeline.search.budget.deadline_seconds = std::stod(next());
+      options.pipeline.search.budget.deadline_seconds =
+          cli::parse_number<double>(arg, next());
       if (options.pipeline.search.budget.deadline_seconds < 0) {
         throw std::invalid_argument("--deadline must be >= 0");
       }
     } else if (arg == "--max-probes") {
-      options.pipeline.search.budget.max_probes = std::stol(next());
+      options.pipeline.search.budget.max_probes = cli::parse_number<long>(arg, next());
       if (options.pipeline.search.budget.max_probes < 0) {
         throw std::invalid_argument("--max-probes must be >= 0");
       }

@@ -74,6 +74,16 @@ CostEngine::CostEngine(const AssignContext& ctx)
     }
   }
 
+  // Array -> sites, in site-id order (a migrate re-serves its array's sites).
+  array_sites_off_.assign(arrays.size() + 1, 0);
+  for (std::size_t a : site_array_) ++array_sites_off_[a + 1];
+  for (std::size_t a = 0; a < arrays.size(); ++a) array_sites_off_[a + 1] += array_sites_off_[a];
+  array_sites_items_.resize(S);
+  std::vector<std::size_t> array_next(array_sites_off_.begin(), array_sites_off_.end() - 1);
+  for (std::size_t s = 0; s < S; ++s) {
+    array_sites_items_[array_next[site_array_[s]]++] = static_cast<int>(s);
+  }
+
   // Per-candidate structure and transfer terms for every layer pair.  A
   // candidate covers exactly its member sites (same array, nest and fixed
   // loops), so the member lists are the candidate -> sites rows.
@@ -139,20 +149,13 @@ CostEngine::CostEngine(const AssignContext& ctx)
 
   // Steady-state allocation discipline: size the undo arena for a deep
   // speculative excursion plus a healthy accepted-move history, and every
-  // scratch vector for its worst case, so the moves and the batched scorer
+  // scratch vector for its worst case, so the moves and `move_delta`
   // never touch the heap after this point (ArenaStack regrows — counted —
   // if a walk outruns the reservation).
   undo_.reserve(64 + S + 4 * C + 2 * arrays.size());
-  offenders_.reserve(C);
   home_touched_list_.reserve(arrays.size());
-  scr_stamp_.reserve(C);
-  scr_desc_max_.reserve(C);
-  scr_parent_.reserve(C);
-  scr_displaces_.reserve(C * C);
-  scr_e_.reserve(C * L);
-  scr_ac_.reserve(C * L);
-  scr_pin_e_.reserve(2 * arrays.size());
-  scr_pin_c_.reserve(2 * arrays.size());
+  scr_drop_.assign(C, 0);
+  scr_drop_list_.reserve(C);
 
   load(out_of_box(ctx_));
   baseline_ = totals();
@@ -209,14 +212,7 @@ void CostEngine::load(const Assignment& assignment) {
   }
 
   serving_cc_.assign(site_n_.size(), -1);
-  for (std::size_t s = 0; s < serving_cc_.size(); ++s) {
-    for (int cc : covering(s)) {
-      if (copy_layer_[static_cast<std::size_t>(cc)] >= 0) {
-        serving_cc_[s] = cc;  // covering is level-descending: first hit is deepest
-        break;
-      }
-    }
-  }
+  for (std::size_t s = 0; s < serving_cc_.size(); ++s) serving_cc_[s] = deepest_selected(s, -1);
 
   footprint_.load(assignment_);
 }
@@ -234,6 +230,33 @@ void CostEngine::set_serving(std::size_t site, int cc_id) {
   serving_cc_[site] = cc_id;
 }
 
+int CostEngine::deepest_selected(std::size_t site, int skip) const {
+  for (int cc : covering(site)) {
+    // covering is level-descending: the first hit is the deepest
+    if (cc != skip && copy_layer_[static_cast<std::size_t>(cc)] >= 0) return cc;
+  }
+  return -1;
+}
+
+int CostEngine::parent_after_drops(int cc_id, std::size_t array, int layer) const {
+  for (int anc : ancestors(cc_id)) {
+    if (layer_after_drops(anc) >= 0) return layer_after_drops(anc);
+  }
+  std::size_t owner = cc_array_[static_cast<std::size_t>(cc_id)];
+  return owner == array ? layer : home_[owner];
+}
+
+bool CostEngine::parents(int cc_id, int child) const {
+  if (cc_array_[static_cast<std::size_t>(child)] != cc_array_[static_cast<std::size_t>(cc_id)]) {
+    return false;
+  }
+  for (int anc : ancestors(child)) {
+    if (anc == cc_id) return true;
+    if (copy_layer_[static_cast<std::size_t>(anc)] >= 0) return false;
+  }
+  return false;
+}
+
 void CostEngine::select_copy(int cc_id, int layer) {
   validate_copy(cc_id, layer);
   std::size_t c = static_cast<std::size_t>(cc_id);
@@ -246,10 +269,7 @@ void CostEngine::select_copy(int cc_id, int layer) {
   footprint_.place_copy(cc_id, layer);
   for (int site : candidate_sites(cc_id)) {
     std::size_t s = static_cast<std::size_t>(site);
-    int cur = serving_cc_[s];
-    if (cur < 0 || cc_level_[static_cast<std::size_t>(cur)] < cc_level_[c]) {
-      set_serving(s, cc_id);
-    }
+    if (would_serve(s, cc_id)) set_serving(s, cc_id);
   }
 }
 
@@ -271,15 +291,7 @@ void CostEngine::remove_copy(int cc_id) {
   footprint_.remove_copy(cc_id);
   for (int site : candidate_sites(cc_id)) {
     std::size_t s = static_cast<std::size_t>(site);
-    if (serving_cc_[s] != cc_id) continue;
-    int replacement = -1;
-    for (int other : covering(s)) {
-      if (copy_layer_[static_cast<std::size_t>(other)] >= 0) {
-        replacement = other;
-        break;
-      }
-    }
-    set_serving(s, replacement);
+    if (serving_cc_[s] == cc_id) set_serving(s, deepest_selected(s, cc_id));
   }
 }
 
@@ -306,19 +318,29 @@ void CostEngine::set_home(const std::string& array, int layer) {
 
 int CostEngine::migrate_array(std::size_t array_index, int layer) {
   set_home(array_index, layer);
-  // Same fixpoint as drop_invalid_copies: offenders of one pass are computed
-  // against the state entering the pass, then removed together.
-  int dropped = 0;
+  core::IntSpan drops = migrate_drops(array_index, layer);
+  for (int cc : drops) remove_copy(cc);
+  return static_cast<int>(drops.size());
+}
+
+core::IntSpan CostEngine::migrate_drops(std::size_t array, int layer) const {
+  for (int cc : scr_drop_list_) scr_drop_[static_cast<std::size_t>(cc)] = 0;
+  scr_drop_list_.clear();
   for (;;) {
-    offenders_.clear();
+    std::size_t pass = scr_drop_list_.size();
     for (const PlacedCopy& pc : assignment_.copies) {
-      if (pc.layer >= parent_layer(pc.cc_id)) offenders_.push_back(pc.cc_id);
+      if (layer_after_drops(pc.cc_id) < 0) continue;
+      if (pc.layer >= parent_after_drops(pc.cc_id, array, layer)) {
+        scr_drop_list_.push_back(pc.cc_id);
+      }
     }
-    if (offenders_.empty()) break;
-    for (int cc : offenders_) remove_copy(cc);
-    dropped += static_cast<int>(offenders_.size());
+    if (scr_drop_list_.size() == pass) break;
+    for (std::size_t i = pass; i < scr_drop_list_.size(); ++i) {
+      scr_drop_[static_cast<std::size_t>(scr_drop_list_[i])] = 1;
+    }
   }
-  return dropped;
+  const int* base = scr_drop_list_.data();
+  return {base, base + scr_drop_list_.size()};
 }
 
 int CostEngine::migrate_array(const std::string& array, int layer) {
@@ -412,140 +434,80 @@ CostEngine::Totals CostEngine::totals() const {
   return t;
 }
 
-void CostEngine::score_select_candidates(const Objective& objective, const int* cc_ids,
-                                         const int* layers, std::size_t count, double* scalars,
-                                         unsigned char* ok) const {
-  const std::size_t C = cc_level_.size();
-  const std::size_t K = assignment_.copies.size();
-  const std::size_t L = static_cast<std::size_t>(num_layers_);
-  const std::size_t S = site_n_.size();
+CostEngine::MoveDelta CostEngine::select_delta(int cc_id, int layer) const {
+  MoveDelta d;
+  // Layering: the copy sits below its parent store and above every copy
+  // it re-parents (the live state is layering-valid).
+  int parent = parent_layer(cc_id);
+  if (layer >= parent || !footprint_.feasible_with_copy(cc_id, layer)) return d;
+  add_copy_terms(d, cc_id, parent, layer, 1.0);
+  for (const PlacedCopy& pc : assignment_.copies) {
+    if (!parents(cc_id, pc.cc_id)) continue;
+    if (pc.layer >= layer) return MoveDelta{};
+    add_copy_terms(d, pc.cc_id, parent, pc.layer, -1.0);
+    add_copy_terms(d, pc.cc_id, layer, pc.layer, 1.0);
+  }
+  for (int site : candidate_sites(cc_id)) {
+    std::size_t s = static_cast<std::size_t>(site);
+    if (would_serve(s, cc_id)) add_reroute(d, s, serving_layer(s), layer);
+  }
+  d.ok = true;
+  return d;
+}
 
-  // Pass 1 — displacement structure, shared by every slot (independent of
-  // the slot's layer).  For each placed copy, its current parent layer, and
-  // for each unselected ancestor that precedes the copy's first selected
-  // ancestor in the level-descending chain: selecting that ancestor would
-  // re-parent the copy onto the new store (parent_layer walks the same chain
-  // and stops at the first selected entry).
-  scr_parent_.assign(K, 0);
-  scr_desc_max_.assign(C, -1);
-  scr_displaces_.assign(C * K, 0);
-  for (std::size_t k = 0; k < K; ++k) {
-    const PlacedCopy& pc = assignment_.copies[k];
-    int parent = home_[cc_array_[static_cast<std::size_t>(pc.cc_id)]];
-    for (int anc : ancestors(pc.cc_id)) {
-      std::size_t ac = static_cast<std::size_t>(anc);
-      int layer = copy_layer_[ac];
-      if (layer >= 0) {
-        parent = layer;
+CostEngine::MoveDelta CostEngine::remove_delta(int cc_id) const {
+  // Removing a copy only frees bytes and raises its children's parents,
+  // so a feasible, layering-valid state stays both.
+  assert(fits() && "CostEngine::remove_delta: live state must be feasible");
+  MoveDelta d;
+  int own = copy_layer_[static_cast<std::size_t>(cc_id)];
+  int parent = parent_layer(cc_id);
+  add_copy_terms(d, cc_id, parent, own, -1.0);
+  for (const PlacedCopy& pc : assignment_.copies) {
+    if (!parents(cc_id, pc.cc_id)) continue;
+    add_copy_terms(d, pc.cc_id, own, pc.layer, -1.0);
+    add_copy_terms(d, pc.cc_id, parent, pc.layer, 1.0);
+  }
+  for (int site : candidate_sites(cc_id)) {
+    std::size_t s = static_cast<std::size_t>(site);
+    if (serving_cc_[s] != cc_id) continue;
+    int next = deepest_selected(s, cc_id);
+    add_reroute(d, s, own, next >= 0 ? copy_layer_[static_cast<std::size_t>(next)]
+                                     : home_[site_array_[s]]);
+  }
+  d.ok = true;
+  return d;
+}
+
+CostEngine::MoveDelta CostEngine::migrate_delta(std::size_t array, int layer) const {
+  MoveDelta d;
+  if (!footprint_.feasible_with_home(array, layer, migrate_drops(array, layer))) return d;
+  d.ok = true;
+  for (const PlacedCopy& pc : assignment_.copies) {
+    if (cc_array_[static_cast<std::size_t>(pc.cc_id)] != array) continue;
+    int before = parent_layer(pc.cc_id);
+    int after = parent_after_drops(pc.cc_id, array, layer);
+    if (layer_after_drops(pc.cc_id) < 0) {
+      add_copy_terms(d, pc.cc_id, before, pc.layer, -1.0);
+    } else if (after != before) {
+      add_copy_terms(d, pc.cc_id, before, pc.layer, -1.0);
+      add_copy_terms(d, pc.cc_id, after, pc.layer, 1.0);
+    }
+  }
+  for (int site : array_sites(array)) {
+    std::size_t s = static_cast<std::size_t>(site);
+    int next = layer;
+    for (int cc : covering(s)) {
+      if (layer_after_drops(cc) >= 0) {
+        next = layer_after_drops(cc);
         break;
       }
-      scr_displaces_[ac * K + k] = 1;
-      if (pc.layer > scr_desc_max_[ac]) scr_desc_max_[ac] = pc.layer;
     }
-    scr_parent_[k] = parent;
+    add_reroute(d, s, serving_layer(s), next);
   }
-
-  // Pass 2 — site-major accumulation.  Every slot's (energy, access-cycle)
-  // accumulators receive exactly one addition per site, in site-id order:
-  // the redirected term when the slot's candidate would take over the site
-  // (the same level-strict condition select_copy applies), the live serving
-  // term otherwise.  Per accumulator this is the canonical totals() site
-  // pass, so the doubles match the sequential path bit for bit.
-  scr_stamp_.assign(C, -1);
-  scr_e_.assign(count, 0.0);
-  scr_ac_.assign(count, 0.0);
-  for (std::size_t s = 0; s < S; ++s) {
-    int cur = serving_cc_[s];
-    if (cur >= 0) {
-      int cur_level = cc_level_[static_cast<std::size_t>(cur)];
-      for (int c : covering(s)) {
-        if (cc_level_[static_cast<std::size_t>(c)] <= cur_level) break;  // level-descending
-        scr_stamp_[static_cast<std::size_t>(c)] = static_cast<int>(s);
-      }
-    } else {
-      for (int c : covering(s)) scr_stamp_[static_cast<std::size_t>(c)] = static_cast<int>(s);
-    }
-    const double* se = &site_energy_[s * L];
-    const double* sc = &site_cycles_[s * L];
-    const std::size_t base = static_cast<std::size_t>(serving_layer(s));
-    for (std::size_t m = 0; m < count; ++m) {
-      std::size_t l = scr_stamp_[static_cast<std::size_t>(cc_ids[m])] == static_cast<int>(s)
-                          ? static_cast<std::size_t>(layers[m])
-                          : base;
-      scr_e_[m] += se[l];
-      scr_ac_[m] += sc[l];
-    }
-  }
-
-  // Active pinned terms, hoisted once (homes are untouched by a select):
-  // the exact (energy, cycles) additions totals() performs, in declaration
-  // order.
-  scr_pin_e_.clear();
-  scr_pin_c_.clear();
-  for (std::size_t a = 0; a < home_.size(); ++a) {
-    int home = home_[a];
-    if (home == background_) continue;
-    std::size_t idx = a * L + static_cast<std::size_t>(home);
-    if (array_input_[a]) {
-      scr_pin_e_.push_back(pin_fill_energy_[idx]);
-      scr_pin_c_.push_back(pin_fill_cycles_[idx]);
-    }
-    if (array_output_[a]) {
-      scr_pin_e_.push_back(pin_flush_energy_[idx]);
-      scr_pin_c_.push_back(pin_flush_cycles_[idx]);
-    }
-  }
-
-  // Pass 3 — per-slot verdicts and transfer/pinned tails.  Feasibility is
-  // the tracker's exact post-place answer; layering validity reduces to the
-  // two new constraints (pre-move state is layering-valid, the searches'
-  // standing invariant): the new copy sits below its parent store, and
-  // strictly above every copy it would re-parent.  Transfers are folded in
-  // copy-selection order with the new copy last — exactly the order
-  // totals() sees after select_copy's push_back.
-  for (std::size_t m = 0; m < count; ++m) {
-    int cc_id = cc_ids[m];
-    int layer = layers[m];
-    std::size_t c = static_cast<std::size_t>(cc_id);
-    int parent_c = parent_layer(cc_id);
-    bool layering_ok = layer < parent_c && layer > scr_desc_max_[c];
-    if (!layering_ok || !footprint_.feasible_with_copy(cc_id, layer)) {
-      ok[m] = 0;
-      continue;
-    }
-    ok[m] = 1;
-    double e = scr_e_[m];
-    double ac = scr_ac_[m];
-    double tc = 0.0;
-    for (std::size_t k = 0; k < K; ++k) {
-      const PlacedCopy& pc = assignment_.copies[k];
-      std::size_t pcc = static_cast<std::size_t>(pc.cc_id);
-      int src = scr_displaces_[c * K + k] ? layer : scr_parent_[k];
-      std::size_t idx = table_index(pc.cc_id, src, pc.layer);
-      if (!cc_fill_free_[pcc]) {
-        e += fill_energy_[idx];
-        tc += xfer_cycles_[idx];
-      }
-      if (cc_write_back_[pcc]) {
-        e += wb_energy_[idx];
-        tc += xfer_cycles_[idx];
-      }
-    }
-    std::size_t idx = table_index(cc_id, parent_c, layer);
-    if (!cc_fill_free_[c]) {
-      e += fill_energy_[idx];
-      tc += xfer_cycles_[idx];
-    }
-    if (cc_write_back_[c]) {
-      e += wb_energy_[idx];
-      tc += xfer_cycles_[idx];
-    }
-    for (std::size_t p = 0; p < scr_pin_e_.size(); ++p) {
-      e += scr_pin_e_[p];
-      tc += scr_pin_c_[p];
-    }
-    scalars[m] = objective.scalar_terms(e, compute_cycles_ + ac + tc);
-  }
+  d.energy_nj += pinned_energy_term(array, layer) - pinned_energy_term(array, home_[array]);
+  d.cycles += pinned_cycle_term(array, layer) - pinned_cycle_term(array, home_[array]);
+  return d;
 }
 
 CostEstimate CostEngine::cost() const {

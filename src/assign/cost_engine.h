@@ -7,6 +7,7 @@
 
 #include "assign/cost.h"
 #include "assign/footprint_tracker.h"
+#include "assign/search.h"
 #include "core/arena.h"
 #include "core/span.h"
 
@@ -186,27 +187,38 @@ class CostEngine {
     return objective.scalar_terms(t.energy_nj, t.total_cycles());
   }
 
-  /// Batched scoring of one round of select-copy moves.  For each slot `m`,
-  /// decides whether selecting candidate `cc_ids[m]` on `layers[m]` keeps
-  /// the assignment feasible *and* layering-valid (`ok[m]`), and when it
-  /// does, computes the post-move objective scalar into `scalars[m]` —
-  /// bit-identical, slot for slot, to the sequential
-  /// `checkpoint / select_copy / fits() && layering_valid() / scalar() /
-  /// undo_to` cycle.
+  /// What a greedy move would change, without applying it: `ok` is the
+  /// move's gate (the post-move state fits and is layering-valid), and the
+  /// deltas are the post-move `totals()` minus the live ones, energy and
+  /// total cycles.  One method per `GreedyMove` kind: select `cc_id` on
+  /// `layer`, migrate `array` to home `layer` (dropping the copies
+  /// `migrate_drops` names) or remove `cc_id`.
   ///
-  /// One site-major pass over the contiguous term tables scores every slot:
-  /// each slot's accumulators receive exactly the additions `totals()` would
-  /// perform after the move, in the same canonical order (sites in id order,
-  /// then transfers in copy order with the new copy last, then pinned arrays
-  /// in declaration order), so the floating-point results match the
-  /// sequential path bit for bit.
+  /// Every move changes the terms of one array only — its sites, the
+  /// transfers of its copies and its pinned traffic — so the deltas are
+  /// summed over that array alone, in no canonical order: they match the
+  /// canonical fold to rounding, not bit for bit (docs/perf.md derives the
+  /// bound greedy's screen relies on).  The verdict is exact.
   ///
-  /// Preconditions (the searches' standing invariants): every `cc_ids[m]` is
-  /// a currently unselected candidate, and the live assignment is
-  /// layering-valid.  The engine state is never touched; internal scratch is
-  /// reused across calls, so steady-state calls are allocation-free.
-  void score_select_candidates(const Objective& objective, const int* cc_ids, const int* layers,
-                               std::size_t count, double* scalars, unsigned char* ok) const;
+  /// Preconditions (the searches' standing invariants): the live
+  /// assignment is feasible and layering-valid, a select candidate is
+  /// unselected, a removed candidate is selected and a migrate layer
+  /// differs from the home.  Allocation-free; internal scratch is reused.
+  struct MoveDelta {
+    bool ok = false;
+    double energy_nj = 0.0;
+    double cycles = 0.0;
+  };
+  MoveDelta select_delta(int cc_id, int layer) const;
+  MoveDelta migrate_delta(std::size_t array, int layer) const;
+  MoveDelta remove_delta(int cc_id) const;
+
+  /// The copies homing `array` on `layer` makes layering-invalid —
+  /// `drop_invalid_copies`'s fixpoint, run on the live state as if the
+  /// home had moved: each pass's offenders are found against the state
+  /// entering the pass, then dropped together.  Ids in drop order; the
+  /// span stays valid until the next call.
+  core::IntSpan migrate_drops(std::size_t array, int layer) const;
 
   // ------------------------------------------- precomputed term accessors
   // Exposed for the branch-and-bound lower bound in exhaustive_assign: the
@@ -238,6 +250,12 @@ class CostEngine {
     std::size_t c = static_cast<std::size_t>(cc_id);
     const int* base = cc_sites_items_.data();
     return {base + cc_sites_off_[c], base + cc_sites_off_[c + 1]};
+  }
+
+  /// Site ids of array `array`, in id order.
+  core::IntSpan array_sites(std::size_t array) const {
+    const int* base = array_sites_items_.data();
+    return {base + array_sites_off_[array], base + array_sites_off_[array + 1]};
   }
 
   /// Ancestor ids of candidate `cc_id` (the shallower candidates of its
@@ -286,6 +304,34 @@ class CostEngine {
   }
 
   void set_serving(std::size_t site, int cc_id);
+  /// Whether selecting `cc_id` makes it the copy serving `site` (a member).
+  bool would_serve(std::size_t site, int cc_id) const {
+    int cur = serving_cc_[site];
+    return cur < 0 || cc_level_[static_cast<std::size_t>(cur)] <
+                          cc_level_[static_cast<std::size_t>(cc_id)];
+  }
+  /// Deepest selected candidate covering `site` other than `skip`, or -1.
+  int deepest_selected(std::size_t site, int skip) const;
+  /// The layer of `cc_id` / of its parent store once `migrate_drops`' last
+  /// list is dropped and `array` homes on `layer` (-1: not placed).
+  int layer_after_drops(int cc_id) const {
+    std::size_t c = static_cast<std::size_t>(cc_id);
+    return scr_drop_[c] ? -1 : copy_layer_[c];
+  }
+  int parent_after_drops(int cc_id, std::size_t array, int layer) const;
+  /// Whether `cc_id`, selected, is the parent store of placed copy `child`:
+  /// the first selected ancestor of `child`, counting `cc_id` itself.
+  bool parents(int cc_id, int child) const;
+  /// `d` += sign x the transfer terms of `cc_id` from `src` to `dst`.
+  void add_copy_terms(MoveDelta& d, int cc_id, int src, int dst, double sign) const {
+    d.energy_nj += sign * cc_energy_term(cc_id, src, dst);
+    d.cycles += sign * cc_cycle_term(cc_id, src, dst);
+  }
+  /// `d` += the change of `site`'s terms when `to` serves it instead of `from`.
+  void add_reroute(MoveDelta& d, std::size_t site, int from, int to) const {
+    d.energy_nj += site_energy_term(site, to) - site_energy_term(site, from);
+    d.cycles += site_cycle_term(site, to) - site_cycle_term(site, from);
+  }
   void validate_copy(int cc_id, int layer) const;
   std::size_t array_index(const std::string& name) const;
   /// Replay every home change since load into assignment_.array_layer —
@@ -315,6 +361,8 @@ class CostEngine {
   /// cc -> ancestor ids, level desc: a [first, second) range of covering_items_
   std::vector<std::pair<std::size_t, std::size_t>> cc_anc_;
   std::vector<std::size_t> cc_array_;          ///< cc -> array index
+  std::vector<int> array_sites_items_;         ///< array -> site ids (CSR)
+  std::vector<std::size_t> array_sites_off_;   ///< size arrays + 1
   std::vector<double> fill_energy_;    ///< [cc][src][dst]
   std::vector<double> wb_energy_;      ///< [cc][src][dst]
   std::vector<double> xfer_cycles_;    ///< [cc][src][dst] (per direction)
@@ -338,19 +386,12 @@ class CostEngine {
   std::vector<int> serving_cc_;   ///< site -> deepest selected covering cc or -1
   std::vector<int> home_;         ///< array index -> home layer
   core::ArenaStack<UndoRec> undo_;
-  std::vector<int> offenders_;    ///< migrate_array fixpoint scratch
   FootprintTracker footprint_;    ///< usage matrix, mirrored move for move
 
-  // ---- batched-scoring scratch (sized once at construction, reused per
-  // call; mutable because scoring is logically const)
-  mutable std::vector<int> scr_stamp_;            ///< cc -> site currently marking it affected
-  mutable std::vector<int> scr_desc_max_;         ///< cc -> deepest displaced-copy layer
-  mutable std::vector<int> scr_parent_;           ///< placed-copy slot -> current parent layer
-  mutable std::vector<unsigned char> scr_displaces_;  ///< [cc][placed-copy slot]
-  mutable std::vector<double> scr_e_;             ///< per-slot energy accumulator
-  mutable std::vector<double> scr_ac_;            ///< per-slot access-cycle accumulator
-  mutable std::vector<double> scr_pin_e_;         ///< active pinned terms, declaration order
-  mutable std::vector<double> scr_pin_c_;
+  // ---- migrate_drops scratch (sized once at construction; mutable because
+  // the query is logically const): the last call's drop list and its marks
+  mutable std::vector<char> scr_drop_;       ///< cc -> dropped by the move
+  mutable std::vector<int> scr_drop_list_;   ///< the marked cc ids, drop order
 };
 
 }  // namespace mhla::assign

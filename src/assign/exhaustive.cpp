@@ -231,12 +231,6 @@ struct EngineSearch {
   /// array-home-phase part of the bound.
   std::vector<double> site_open_e_;
   std::vector<double> site_open_c_;
-  std::vector<int> array_sites_items_;  ///< array index -> site ids (CSR)
-  std::vector<std::size_t> array_sites_off_;
-  core::IntSpan array_sites(std::size_t a) const {
-    const int* base = array_sites_items_.data();
-    return {base + array_sites_off_[a], base + array_sites_off_[a + 1]};
-  }
   // -- per copy phase --
   std::vector<double> site_lb_e_;  ///< current per-site bound contribution
   std::vector<double> site_lb_c_;
@@ -402,26 +396,13 @@ struct EngineSearch {
     // member sites, so the member-site total bounds the journal depth.
     saved_sites_.reserve(member_sites);
 
-    // The array->sites map via a counting sort over the site->array table.
     const auto& arrays = ctx.program.arrays();
-    array_sites_off_.assign(arrays.size() + 1, 0);
-    for (std::size_t s = 0; s < S; ++s) ++array_sites_off_[engine.site_array(s) + 1];
-    for (std::size_t a = 0; a < arrays.size(); ++a) {
-      array_sites_off_[a + 1] += array_sites_off_[a];
-    }
-    array_sites_items_.assign(S, 0);
-    {
-      std::vector<std::size_t> cursor(array_sites_off_.begin(), array_sites_off_.end() - 1);
-      for (std::size_t s = 0; s < S; ++s) {
-        array_sites_items_[cursor[engine.site_array(s)]++] = static_cast<int>(s);
-      }
-    }
     site_open_e_.assign(S, inf);
     site_open_c_.assign(S, inf);
     for (std::size_t a = 0; a < arrays.size(); ++a) {
       // An array without access sites has no row to carry a share; its
       // pinned traffic simply enters the bound exactly once its home is set.
-      core::IntSpan sites = array_sites(a);
+      core::IntSpan sites = engine.array_sites(a);
       if (sites.empty()) continue;
       double per_site = 1.0 / static_cast<double>(sites.size());
       for_each_feasible_home(ctx, arrays[a], options.allow_array_migration, [&](int, int home) {
@@ -679,7 +660,7 @@ struct EngineSearch {
     bound.exact_e += engine.pinned_energy_term(a, home);
     bound.exact_c += engine.pinned_cycle_term(a, home);
     const std::size_t C = engine.num_candidates();
-    for (int site : array_sites(a)) {
+    for (int site : engine.array_sites(a)) {
       std::size_t s = static_cast<std::size_t>(site);
       double e = std::min(engine.site_energy_term(s, home), suffix_e_[s * (C + 1)]);
       double c = std::min(engine.site_cycle_term(s, home), suffix_c_[s * (C + 1)]);

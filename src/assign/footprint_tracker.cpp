@@ -47,6 +47,8 @@ FootprintTracker::FootprintTracker(const AssignContext& ctx, const Assignment& a
   // Size the undo arena so steady-state move/undo traffic (searches, TE
   // freedom-unit loops, work-stealing engine reuse) never regrows it.
   undo_.reserve(64 + 4 * candidates.size() + 2 * arrays.size());
+  scr_delta_.assign(static_cast<std::size_t>(num_layers_) * row_, 0);
+  scr_cells_.reserve((2 + candidates.size()) * row_);
 
   load(assignment, extensions);
 }
@@ -82,10 +84,9 @@ void FootprintTracker::add_cell(int layer, int nest, i64 delta) {
   }
 }
 
-void FootprintTracker::apply_copy(std::size_t c, int sign) {
+template <typename Fn>
+void FootprintTracker::each_copy_cell(std::size_t c, Fn&& fn) const {
   int nest = cc_nest_[c];
-  int layer = cc_layer_[c];
-  i64 bytes = cc_bytes_[c];
   int ext_start = cc_ext_start_[c];
   int start = ext_start >= 0 ? std::min(nest, ext_start) : nest;
   i64 buffers = 1 + cc_ext_buffers_[c];
@@ -94,9 +95,12 @@ void FootprintTracker::apply_copy(std::size_t c, int sign) {
     // Multi-buffering only matters during the copy's own nest; the
     // prefetch tail occupies one buffer (the oracle::compute_footprints
     // rule).
-    i64 cell_bytes = (t == nest) ? bytes * buffers : bytes;
-    add_cell(layer, t, sign * cell_bytes);
+    fn(cc_layer_[c], t, (t == nest) ? cc_bytes_[c] * buffers : cc_bytes_[c]);
   }
+}
+
+void FootprintTracker::apply_copy(std::size_t c, int sign) {
+  each_copy_cell(c, [&](int layer, int t, i64 bytes) { add_cell(layer, t, sign * bytes); });
 }
 
 void FootprintTracker::apply_array(std::size_t a, int layer, int sign) {
@@ -248,6 +252,38 @@ bool FootprintTracker::feasible_with_copy(int cc_id, int layer) const {
       over += static_cast<long>(cell + cc_bytes_[c] > capacity) - static_cast<long>(cell > capacity);
     }
   }
+  return over == 0;
+}
+
+bool FootprintTracker::feasible_with_home(std::size_t array_index, int layer,
+                                          core::IntSpan dropped) const {
+  auto touch = [&](int l, int t, i64 delta) {
+    std::size_t idx = static_cast<std::size_t>(l) * row_ + static_cast<std::size_t>(t);
+    scr_delta_[idx] += delta;
+    scr_cells_.push_back(idx);
+  };
+  if (home_[array_index] != layer) {
+    for (int t = array_first_[array_index]; t <= array_last_[array_index]; ++t) {
+      touch(home_[array_index], t, -array_bytes_[array_index]);
+      touch(layer, t, array_bytes_[array_index]);
+    }
+  }
+  for (int cc : dropped) {
+    each_copy_cell(static_cast<std::size_t>(cc),
+                   [&](int l, int t, i64 bytes) { touch(l, t, -bytes); });
+  }
+  // A cell listed twice is settled on its first visit and adds nothing later.
+  long over = overfull_cells_;
+  for (std::size_t idx : scr_cells_) {
+    i64 capacity = layer_capacity_[idx / row_];
+    i64 delta = scr_delta_[idx];
+    scr_delta_[idx] = 0;
+    if (capacity > 0) {
+      over += static_cast<long>(usage_[idx] + delta > capacity) -
+              static_cast<long>(usage_[idx] > capacity);
+    }
+  }
+  scr_cells_.clear();
   return over == 0;
 }
 

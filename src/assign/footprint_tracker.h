@@ -6,6 +6,7 @@
 
 #include "assign/assignment.h"
 #include "core/arena.h"
+#include "core/span.h"
 
 namespace mhla::assign {
 
@@ -127,9 +128,16 @@ class FootprintTracker {
   /// Exact feasibility of the state `place_copy(cc_id, layer)` would reach,
   /// answered without mutating anything: an unextended placement touches a
   /// single (layer, own-nest) cell, so the post-move overfull count is the
-  /// live count plus that one cell's transition.  Lets batched scorers probe
+  /// live count plus that one cell's transition.  Lets a scorer probe
   /// a whole round of placements against the live matrix.
   bool feasible_with_copy(int cc_id, int layer) const;
+
+  /// Exact feasibility of the state a home change of `array_index` to
+  /// `layer` plus `remove_copy` of every id in `dropped` would reach — a
+  /// migrate with its invalid-copy drops — without mutating anything.  The
+  /// net change of each touched cell is gathered in scratch, so a cell hit
+  /// by several of the moves makes one transition.  Allocation-free.
+  bool feasible_with_home(std::size_t array_index, int layer, core::IntSpan dropped) const;
 
   /// Peak of one layer over the time axis (O(nests), for reporting).
   i64 peak(int layer) const;
@@ -151,6 +159,10 @@ class FootprintTracker {
 
   /// Apply `delta` bytes to one cell, keeping the overfull count exact.
   void add_cell(int layer, int nest, i64 delta);
+  /// Call `fn(layer, nest, bytes)` for every cell of a placed copy's
+  /// current (possibly extended) footprint.
+  template <typename Fn>
+  void each_copy_cell(std::size_t c, Fn&& fn) const;
   /// Add (+1) or subtract (-1) a placed copy's current footprint.
   void apply_copy(std::size_t c, int sign);
   /// Add or subtract an array's footprint on `layer` over its live span.
@@ -180,6 +192,8 @@ class FootprintTracker {
   std::vector<int> cc_ext_start_; ///< cc -> extension start nest or -1
   std::vector<int> cc_ext_buffers_;  ///< cc -> extra buffers
   core::ArenaStack<UndoRec> undo_;
+  mutable std::vector<i64> scr_delta_;         ///< feasible_with_home: cell -> net bytes
+  mutable std::vector<std::size_t> scr_cells_;  ///< the cells it touched
 };
 
 }  // namespace mhla::assign

@@ -102,6 +102,9 @@ struct SearchResult {
 
   std::vector<GreedyMove> moves;  ///< accepted-move trace (greedy)
   int evaluations = 0;            ///< cost-model invocations (greedy, anneal)
+  /// Greedy: the evaluations its screen scored with the canonical fold.  A
+  /// run metric (`search.exact_folds`), kept out of the report JSON.
+  int exact_folds = 0;
 
   long states_explored = 0;       ///< evaluated leaves (exact strategies)
   long bound_prunes = 0;          ///< subtrees cut by the lower bound
@@ -123,8 +126,10 @@ struct SearchResult {
 /// select a copy candidate onto a layer, migrate an array's home layer, or
 /// deselect a copy — with the best objective gain per byte of on-chip space
 /// claimed; stop when no improving feasible move remains.  Every candidate
-/// is scored on the incremental CostEngine; the select-copy moves of a round
-/// are scored in one batched pass over its term tables.  One budget probe is
+/// is gated and estimated from the one array it changes
+/// (`CostEngine::select_delta` / `migrate_delta` / `remove_delta`); only
+/// the moves that could win the round are
+/// applied, scored and undone on the engine.  One budget probe is
 /// charged per enumerated candidate; on expiry the round is abandoned, so
 /// the result is always the exact state after the last accepted move
 /// (status BudgetExhausted) and replays from `moves`.

@@ -115,6 +115,7 @@ PointResult Pipeline::evaluate(const assign::AssignContext& ctx, bool time_exten
   registry.counter("search.bound_prunes").add(result.search.bound_prunes);
   registry.counter("search.capacity_prunes").add(result.search.capacity_prunes);
   registry.counter("search.evaluations").add(result.search.evaluations);
+  registry.counter("search.exact_folds").add(result.search.exact_folds);
   registry.histogram("search.states_per_run").record(result.search.states_explored);
   if (local_budget) registry.counter("search.budget_probes").add(local_budget->probes());
   return result;

@@ -102,7 +102,8 @@ std::string metrics_payload(const char* event, const ServerMetricsView& view) {
   out << "}, \"pool\": {\"threads_started\": " << view.pool_threads_started
       << ", \"idle_us\": ";
   append_quantiles(out, view.pool_idle_us);
-  out << "}}";
+  out << "}, \"search\": {\"evaluations\": " << view.search_evaluations
+      << ", \"exact_folds\": " << view.search_exact_folds << "}}";
   return out.take();
 }
 

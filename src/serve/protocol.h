@@ -148,6 +148,12 @@ struct ServerMetricsView {
   /// threads started so far and each pool worker's idle µs per run.
   std::uint64_t pool_threads_started = 0;
   obs::HistogramSnapshot pool_idle_us;
+  /// The process's design-point searches, reported as `"search":
+  /// {"evaluations", "exact_folds"}` (registry `search.evaluations`,
+  /// `search.exact_folds`): moves scored, and moves greedy scored on the
+  /// canonical fold.
+  std::uint64_t search_evaluations = 0;
+  std::uint64_t search_exact_folds = 0;
 };
 
 /// Reply to the `metrics` verb ({"event":"metrics",...}).

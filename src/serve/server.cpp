@@ -504,7 +504,10 @@ ServerMetricsView Server::metrics_view() const {
                      {"queue_wait", queue_wait_us_.snapshot()},
                      {"job_run", job_run_us_.snapshot()}};
   view.pool_threads_started = core::WorkStealingPool::helper_threads_started();
-  view.pool_idle_us = obs::Registry::instance().histogram("core.pool_idle_us").snapshot();
+  obs::Registry& registry = obs::Registry::instance();
+  view.pool_idle_us = registry.histogram("core.pool_idle_us").snapshot();
+  view.search_evaluations = registry.counter("search.evaluations").value();
+  view.search_exact_folds = registry.counter("search.exact_folds").value();
   return view;
 }
 

@@ -2,10 +2,9 @@
 
 namespace mhla::sim {
 
-AccessTally tally_accesses(const assign::AssignContext& ctx,
-                           const assign::Assignment& assignment) {
+AccessTally tally_accesses(const assign::AssignContext& ctx, const assign::Assignment& assignment,
+                           const assign::Resolution& res) {
   AccessTally tally(ctx.hierarchy.num_layers());
-  assign::Resolution res = assign::resolve(ctx, assignment);
 
   for (const analysis::AccessSite& site : ctx.sites) {
     int layer = res.site_layer[static_cast<std::size_t>(site.id)];

@@ -33,8 +33,9 @@ struct AccessTally {
 /// Count every dynamic access the configuration performs:
 ///  * processor loads/stores against the layer that serves each site, and
 ///  * copy traffic (source reads + destination writes per transferred
-///    element, plus write-back mirrors for dirty copies).
-AccessTally tally_accesses(const assign::AssignContext& ctx,
-                           const assign::Assignment& assignment);
+///    element, plus write-back mirrors for dirty copies),
+/// where `res` is `assign::resolve(ctx, assignment)`.
+AccessTally tally_accesses(const assign::AssignContext& ctx, const assign::Assignment& assignment,
+                           const assign::Resolution& res);
 
 }  // namespace mhla::sim

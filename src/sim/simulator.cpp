@@ -9,6 +9,7 @@ namespace mhla::sim {
 SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& assignment,
                    const SimOptions& options) {
   SimResult result;
+  // One resolution serves the processor side, the transfers, TE and the tally.
   assign::Resolution res = assign::resolve(ctx, assignment);
   result.nest_cycles.assign(ctx.program.top().size(), 0.0);
 
@@ -30,13 +31,13 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   }
 
   // --- Transfer side.
-  std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, assignment);
+  std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, res);
   result.num_block_transfers = static_cast<int>(bts.size());
   result.dma_busy_cycles = te::total_dma_busy_cycles(bts);
 
   std::vector<assign::CopyExtension> extensions;
   if (options.mode == te::TransferMode::TimeExtended) {
-    te::TeResult te_result = te::time_extend(ctx, assignment, bts, options.te);
+    te::TeResult te_result = te::time_extend(ctx, assignment, res, bts, options.te);
     result.stall_cycles =
         te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &te_result);
 
@@ -77,7 +78,7 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   }
 
   // --- Energy (mode independent, exactly like the paper's model).
-  AccessTally tally = tally_accesses(ctx, assignment);
+  AccessTally tally = tally_accesses(ctx, assignment, res);
   result.energy_nj = tally_energy_nj(ctx.hierarchy, tally);
   result.layers = layer_stats(ctx.hierarchy, tally);
 

@@ -3,9 +3,8 @@
 namespace mhla::te {
 
 std::vector<BlockTransfer> collect_block_transfers(const assign::AssignContext& ctx,
-                                                   const assign::Assignment& assignment) {
+                                                   const assign::Resolution& res) {
   std::vector<BlockTransfer> bts;
-  assign::Resolution res = assign::resolve(ctx, assignment);
   for (const assign::TransferEdge& edge : res.transfers) {
     const analysis::CopyCandidate& cc = ctx.reuse.candidate(edge.cc_id);
     if (cc.transfers <= 0 || cc.bytes_per_transfer() <= 0) continue;

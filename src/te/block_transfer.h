@@ -27,10 +27,11 @@ struct BlockTransfer {
   double total_cycles() const { return static_cast<double>(issues) * cycles; }
 };
 
-/// Materialize the block-transfer list of an assignment.  Transfers with
-/// zero bytes or zero issues are dropped.  Requires a DMA engine; callers
-/// must not apply TE when `ctx.dma.present` is false (paper, section 1).
+/// Materialize the block-transfer list of a resolved assignment (one
+/// stream per copy edge of `res`).  Transfers with zero bytes or zero
+/// issues are dropped.  Requires a DMA engine; callers must not apply TE
+/// when `ctx.dma.present` is false (paper, section 1).
 std::vector<BlockTransfer> collect_block_transfers(const assign::AssignContext& ctx,
-                                                   const assign::Assignment& assignment);
+                                                   const assign::Resolution& res);
 
 }  // namespace mhla::te

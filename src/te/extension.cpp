@@ -44,7 +44,8 @@ std::vector<std::size_t> order_indices(const std::vector<BlockTransfer>& bts,
 }  // namespace
 
 TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment& assignment,
-                     const std::vector<BlockTransfer>& bts, const TeOptions& options) {
+                     const assign::Resolution& res, const std::vector<BlockTransfer>& bts,
+                     const TeOptions& options) {
   TeResult result;
   result.extensions.resize(bts.size());
   for (std::size_t i = 0; i < bts.size(); ++i) {
@@ -52,9 +53,8 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
   }
   if (!ctx.dma.present) return result;  // TE not applicable without an engine
 
-  // The assignment is fixed for the whole pass: resolve once and share the
-  // resolution across the per-nest and per-BT lookahead queries below.
-  assign::Resolution res = assign::resolve(ctx, assignment);
+  // The assignment is fixed for the whole pass: the one resolution serves
+  // the per-nest and per-BT lookahead queries below.
   std::vector<double> nest_cycles = assign::nest_cpu_cycles(ctx, res);
 
   // One load of the fixed assignment, then every freedom unit is a

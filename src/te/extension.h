@@ -75,7 +75,11 @@ struct TeResult {
 /// Note: the published pseudo-code reads `if (fits_size(...)) break;`, which
 /// would abandon a BT exactly when it fits; we implement the evident intent
 /// (stop extending when the grown lifetime no longer fits).
+///
+/// `res` is `assign::resolve(ctx, assignment)`, resolved once by the caller
+/// and shared with `collect_block_transfers`.
 TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment& assignment,
-                     const std::vector<BlockTransfer>& bts, const TeOptions& options = {});
+                     const assign::Resolution& res, const std::vector<BlockTransfer>& bts,
+                     const TeOptions& options = {});
 
 }  // namespace mhla::te

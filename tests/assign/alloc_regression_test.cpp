@@ -4,7 +4,7 @@
 // topology, scorer scratch, and the arena-backed undo journals are sized in
 // the CostEngine/FootprintTracker constructors, so every subsequent move —
 // select, remove, migrate, home change, extension, undo, scalar read,
-// feasibility probe, batched round scoring — is loads and stores into
+// feasibility probe, screened round scoring — is loads and stores into
 // existing blocks.  These tests pin that property with the binary-wide
 // counting allocator from tests/helpers_alloc.cpp: warm each move kind once
 // (the lazy high-water marks fill on the first cycle), then assert that
@@ -24,6 +24,7 @@
 #include "assign/cost.h"
 #include "assign/cost_engine.h"
 #include "assign/footprint_tracker.h"
+#include "assign/search.h"
 #include "helpers.h"
 #include "ir/serialize.h"
 #include "oracle/model.h"
@@ -85,37 +86,73 @@ TEST(AllocRegression, CostEngineSteadyStateMovesAreAllocationFree) {
       << "engine moves must stay allocation-free after the first cycle";
 }
 
-TEST(AllocRegression, BatchedScoringIsAllocationFree) {
-  auto ws = testing::make_ws(testing::blocked_reuse_program());
+TEST(AllocRegression, ScreenedGreedyRoundIsAllocationFree) {
+  // One steady-state greedy round on the engine, mid-walk: the totals fold,
+  // a select/migrate/remove delta for every enumerated move, and the
+  // canonical fold (checkpoint, apply, scalar, undo) of each gated move —
+  // more folds than the screen ever runs.
+  auto ws = core::make_workspace(apps::build_app("qsdpcm"));
   auto ctx = ws->context();
+  assign::SearchResult walk = assign::greedy_assign(ctx);
+  ASSERT_GE(walk.moves.size(), 2u);
   assign::CostEngine engine(ctx);
-  assign::Objective objective = oracle::make_objective(ctx, 1.0, 1.0);
-
-  // Slot buffers sized outside the sampled region, exactly like the greedy
-  // round loop reserves its slot vectors up front.
-  const int background = ctx.hierarchy.background();
-  std::vector<int> cc_ids;
-  std::vector<int> layers;
-  for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
-    if (cc.elems <= 0) continue;
-    for (int layer = 0; layer < background; ++layer) {
-      cc_ids.push_back(cc.id);
-      layers.push_back(layer);
+  assign::Objective objective = engine.objective(1.0, 1.0);
+  for (std::size_t i = 0; i < walk.moves.size() / 2; ++i) {
+    const assign::GreedyMove& move = walk.moves[i];
+    switch (move.kind) {
+      case assign::GreedyMove::Kind::SelectCopy:
+        engine.select_copy(move.cc_id, move.layer);
+        break;
+      case assign::GreedyMove::Kind::MigrateArray:
+        engine.migrate_array(move.array, move.layer);
+        break;
+      case assign::GreedyMove::Kind::RemoveCopy:
+        engine.remove_copy(move.cc_id);
+        break;
     }
   }
-  ASSERT_FALSE(cc_ids.empty());
-  std::vector<double> scalars(cc_ids.size(), 0.0);
-  std::vector<unsigned char> ok(cc_ids.size(), 0);
+  ASSERT_FALSE(engine.placed_copies().empty());
 
-  engine.score_select_candidates(objective, cc_ids.data(), layers.data(), cc_ids.size(),
-                                 scalars.data(), ok.data());  // warm-up
+  using Kind = assign::GreedyMove::Kind;
+  const int layers = ctx.hierarchy.num_layers();
+  double sink = 0.0;
+  auto round = [&]() {
+    assign::CostEngine::Totals now = engine.totals();
+    sink += now.energy_nj;
+    auto screen = [&](const assign::CostEngine::MoveDelta& d, Kind kind, int cc_id,
+                      std::size_t array, int layer) {
+      if (!d.ok) return;
+      assign::CostEngine::Checkpoint mark = engine.checkpoint();
+      if (kind == Kind::SelectCopy) engine.select_copy(cc_id, layer);
+      if (kind == Kind::MigrateArray) engine.migrate_array(array, layer);
+      if (kind == Kind::RemoveCopy) engine.remove_copy(cc_id);
+      sink += engine.scalar(objective) + d.energy_nj;
+      engine.undo_to(mark);
+    };
+    for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
+      if (engine.has_copy(cc.id) || cc.elems <= 0) continue;
+      for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
+        screen(engine.select_delta(cc.id, layer), Kind::SelectCopy, cc.id, 0, layer);
+      }
+    }
+    for (std::size_t a = 0; a < engine.num_arrays(); ++a) {
+      for (int layer = 0; layer < layers; ++layer) {
+        if (layer == engine.home_of(a)) continue;
+        screen(engine.migrate_delta(a, layer), Kind::MigrateArray, -1, a, layer);
+      }
+    }
+    for (std::size_t i = 0; i < engine.placed_copies().size(); ++i) {
+      int cc_id = engine.placed_copies()[i].cc_id;
+      screen(engine.remove_delta(cc_id), Kind::RemoveCopy, cc_id, 0, -1);
+    }
+  };
+
+  round();  // warm-up
   long before = testing::heap_allocations();
-  for (int i = 0; i < 200; ++i) {
-    engine.score_select_candidates(objective, cc_ids.data(), layers.data(), cc_ids.size(),
-                                   scalars.data(), ok.data());
-  }
+  for (int i = 0; i < 20; ++i) round();
   EXPECT_EQ(testing::heap_allocations() - before, 0)
-      << "batched round scoring must reuse the engine's scratch arrays";
+      << "a screened greedy round must reuse the engine's and tracker's scratch";
+  EXPECT_GT(sink, 0.0);
 }
 
 TEST(AllocRegression, FootprintTrackerSteadyStateMovesAreAllocationFree) {

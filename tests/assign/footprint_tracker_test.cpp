@@ -238,9 +238,10 @@ TEST(FootprintTracker, TimeExtendDecisionsMatchFromScratchFits) {
 
     // TE extends the copies of a realistic assignment: take greedy's.
     Assignment assignment = greedy_assign(ctx).assignment;
-    std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, assignment);
+    assign::Resolution res = assign::resolve(ctx, assignment);
+    std::vector<te::BlockTransfer> bts = te::collect_block_transfers(ctx, res);
     te::TeOptions options;
-    te::TeResult result = te::time_extend(ctx, assignment, bts, options);
+    te::TeResult result = te::time_extend(ctx, assignment, res, bts, options);
     const std::vector<CopyExtension>& accepted = result.footprint_extensions;
     EXPECT_TRUE(fits(ctx, assignment, accepted));
 

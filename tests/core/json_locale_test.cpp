@@ -143,6 +143,8 @@ std::vector<Document> emit_every_document() {
   view.latency_us = {{"parse", latency}};
   view.pool_threads_started = 1024;
   view.pool_idle_us = latency;
+  view.search_evaluations = 1234567;
+  view.search_exact_folds = 12345;
   docs.push_back({"accepted", serve::event_accepted(1234, serve::Command::Submit)});
   docs.push_back({"frontier", serve::event_frontier(1234, frontier)});
   docs.push_back({"done explore", serve::event_done_explore(1234, "done", frontier)});

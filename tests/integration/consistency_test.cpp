@@ -46,7 +46,7 @@ TEST_P(PerAppConsistency, TallyMatchesCostModelCounts) {
   assign::Assignment a = assign::greedy_assign(ctx).assignment;
 
   assign::CostEstimate cost = oracle::estimate_cost(ctx, a);
-  sim::AccessTally tally = sim::tally_accesses(ctx, a);
+  sim::AccessTally tally = sim::tally_accesses(ctx, a, assign::resolve(ctx, a));
   for (int l = 0; l < ctx.hierarchy.num_layers(); ++l) {
     EXPECT_EQ(tally.reads[static_cast<std::size_t>(l)],
               cost.layer_reads[static_cast<std::size_t>(l)])
@@ -85,7 +85,8 @@ TEST_P(PerAppConsistency, TeNeverExceedsBlockingNorUndercutsIdeal) {
 
   // Each mode's footprints are the from-scratch model's under that mode's
   // extensions (TE's for the extended run, none otherwise).
-  te::TeResult te = te::time_extend(ctx, a, te::collect_block_transfers(ctx, a));
+  assign::Resolution res = assign::resolve(ctx, a);
+  te::TeResult te = te::time_extend(ctx, a, res, te::collect_block_transfers(ctx, res));
   for (const auto& [run, extensions] :
        {std::pair{&blocking, std::vector<assign::CopyExtension>{}},
         std::pair{&extended, te.footprint_extensions},
@@ -101,8 +102,9 @@ TEST_P(PerAppConsistency, TeFootprintStaysWithinConstraint) {
   auto ws = core::make_workspace(GetParam().build(), {}, {});
   auto ctx = ws->context();
   assign::Assignment a = assign::greedy_assign(ctx).assignment;
-  auto bts = te::collect_block_transfers(ctx, a);
-  te::TeResult result = te::time_extend(ctx, a, bts);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
+  te::TeResult result = te::time_extend(ctx, a, res, bts);
   EXPECT_TRUE(oracle::fits(ctx, a, result.footprint_extensions));
 }
 

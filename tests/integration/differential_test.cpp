@@ -183,22 +183,41 @@ TEST(Differential, BnbParIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Differential, GreedyMatchesOracleMoveForMove) {
-  // The engine walk — batched select-move scoring, migrate/remove moves
-  // applied and undone on the engine, O(1) tracker feasibility — must make
-  // every decision of the from-scratch oracle on the registry applications:
-  // every score, verdict, tie-break and accepted move, not merely the final
-  // assignment.
-  for (const std::string& app : stress_apps()) {
-    SCOPED_TRACE(app);
-    auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
-    auto ctx = ws->context();
-    assign::SearchResult fast = assign::searcher("greedy").search(ctx, {});
-    assign::SearchResult slow = oracle::greedy(ctx);
-    EXPECT_EQ(fast.assignment, slow.assignment);
-    EXPECT_EQ(fast.scalar, slow.scalar);
-    EXPECT_EQ(fast.evaluations, slow.evaluations);
-    expect_same_moves(fast, slow);
+  // The engine walk — screened rounds that fold only the moves that could
+  // win, tracker feasibility — must make every decision of the
+  // from-scratch oracle on all nine registry applications: every score,
+  // verdict, tie-break and accepted move, not merely the final assignment.
+  // The platform slice puts the screen against tight capacities (256 B L1,
+  // no L2) as well as roomy ones, under every target; it holds the default
+  // platform (4 KiB L1, 128 KiB L2).
+  int compared = 0;
+  for (const apps::AppInfo& info : apps::all_apps()) {
+    const std::string& app = info.name;
+    for (ir::i64 l1 : {256, 4096, 65536}) {
+      for (ir::i64 l2 : {0, 128 * 1024, 256 * 1024}) {
+        mem::PlatformConfig platform;
+        platform.l1_bytes = l1;
+        platform.l2_bytes = l2;
+        auto ws = core::make_workspace(apps::build_app(app), platform, {});
+        auto ctx = ws->context();
+        for (assign::Target target :
+             {assign::Target::Balanced, assign::Target::Energy, assign::Target::Time}) {
+          SCOPED_TRACE(app + " L1 " + std::to_string(l1) + " L2 " + std::to_string(l2) + " " +
+                       assign::to_string(target));
+          assign::SearchOptions options;
+          options.set_target(target);
+          assign::SearchResult fast = assign::searcher("greedy").search(ctx, options);
+          assign::SearchResult slow = oracle::greedy(ctx, options);
+          EXPECT_EQ(fast.assignment, slow.assignment);
+          EXPECT_EQ(fast.scalar, slow.scalar);
+          EXPECT_EQ(fast.evaluations, slow.evaluations);
+          expect_same_moves(fast, slow);
+          compared += fast.moves.empty() ? 0 : 1;
+        }
+      }
+    }
   }
+  EXPECT_GE(compared, 150);  // most of the 243 cells take at least one move
 }
 
 TEST(Differential, ExplorerWithBnbParIsBitIdenticalAcrossThreadCounts) {

@@ -109,8 +109,9 @@ TEST_P(Fuzz, TeFootprintExtensionsStayFeasible) {
   auto ws = core::make_workspace(gen::random_program(GetParam()), {}, {});
   auto ctx = ws->context();
   assign::Assignment a = assign::greedy_assign(ctx).assignment;
-  auto bts = te::collect_block_transfers(ctx, a);
-  te::TeResult result = te::time_extend(ctx, a, bts);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
+  te::TeResult result = te::time_extend(ctx, a, res, bts);
   EXPECT_TRUE(oracle::fits(ctx, a, result.footprint_extensions));
 }
 

@@ -98,9 +98,10 @@ TEST_P(LookaheadSweep, DeeperLookaheadNeverHurts) {
   te::TeOptions deep;
   deep.max_lookahead = GetParam();
 
-  auto bts = te::collect_block_transfers(ctx, a);
-  double hidden_shallow = te::time_extend(ctx, a, bts, shallow).total_hidden_cycles;
-  double hidden_deep = te::time_extend(ctx, a, bts, deep).total_hidden_cycles;
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
+  double hidden_shallow = te::time_extend(ctx, a, res, bts, shallow).total_hidden_cycles;
+  double hidden_deep = te::time_extend(ctx, a, res, bts, deep).total_hidden_cycles;
   EXPECT_GE(hidden_deep, hidden_shallow - 1e-9);
 }
 

@@ -152,6 +152,8 @@ TEST(Protocol, MetricsEventCarriesEveryServerCounter) {
   view.pool_threads_started = 3;
   view.pool_idle_us.count = 2;
   view.pool_idle_us.buckets[4] = 2;  // two samples in [8, 16) µs
+  view.search_evaluations = 70;
+  view.search_exact_folds = 11;
 
   for (const std::string& line : {event_metrics(view), event_stats(view)}) {
     SCOPED_TRACE(line);
@@ -171,6 +173,8 @@ TEST(Protocol, MetricsEventCarriesEveryServerCounter) {
     EXPECT_EQ(event.at("pool").at("threads_started").integer(), 3);
     EXPECT_EQ(event.at("pool").at("idle_us").at("count").integer(), 2);
     EXPECT_EQ(event.at("pool").at("idle_us").at("p50").integer(), 15);
+    EXPECT_EQ(event.at("search").at("evaluations").integer(), 70);
+    EXPECT_EQ(event.at("search").at("exact_folds").integer(), 11);
   }
   EXPECT_EQ(Json::parse(event_metrics(view)).at("event").string(), "metrics");
   EXPECT_EQ(Json::parse(event_stats(view)).at("event").string(), "stats");

@@ -452,6 +452,12 @@ TEST(Server, MetricsVerbReportsJobQueueCacheAndConnectionCounters) {
   EXPECT_EQ(view.at("pool").at("threads_started").integer(),
             static_cast<std::int64_t>(core::WorkStealingPool::helper_threads_started()));
   EXPECT_GE(view.at("pool").at("idle_us").at("count").integer(), 0);
+  // The cold submit ran greedy: the search block counts its scored moves,
+  // and the screen folded only some of them.
+  const Json& search = view.at("search");
+  EXPECT_GT(search.at("evaluations").integer(), 0);
+  EXPECT_GT(search.at("exact_folds").integer(), 0);
+  EXPECT_LT(search.at("exact_folds").integer(), search.at("evaluations").integer());
 
   // The same cells feed the process-wide registry through the server's
   // sources — one source of truth, two doors.
@@ -468,6 +474,7 @@ TEST(Server, MetricsVerbReportsJobQueueCacheAndConnectionCounters) {
   EXPECT_GE(counter("serve.cache.hits"), 1);
   EXPECT_EQ(counter("core.pool_threads_started"),
             static_cast<std::int64_t>(core::WorkStealingPool::helper_threads_started()));
+  EXPECT_GE(counter("search.exact_folds"), search.at("exact_folds").integer());
 }
 
 TEST(Server, ExploreCellsAndSubmitsRunThePipelineStagesAndCounters) {

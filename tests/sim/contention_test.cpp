@@ -113,15 +113,16 @@ TEST(DmaContention, MoreChannelsRelieveContention) {
 TEST(ColdStart, ChargesPipelineFill) {
   ContentionSetup setup = contention_setup(1, 50);
   auto ctx = setup.ws->context();
-  auto bts = te::collect_block_transfers(ctx, setup.assignment);
+  assign::Resolution res = assign::resolve(ctx, setup.assignment);
+  auto bts = te::collect_block_transfers(ctx, res);
   ASSERT_EQ(bts.size(), 1u);
 
   te::TeOptions steady;
   te::TeOptions cold = steady;
   cold.charge_cold_start = true;
 
-  te::TeResult steady_result = te::time_extend(ctx, setup.assignment, bts, steady);
-  te::TeResult cold_result = te::time_extend(ctx, setup.assignment, bts, cold);
+  te::TeResult steady_result = te::time_extend(ctx, setup.assignment, res, bts, steady);
+  te::TeResult cold_result = te::time_extend(ctx, setup.assignment, res, bts, cold);
 
   double steady_stall =
       te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &steady_result);
@@ -137,10 +138,11 @@ TEST(ColdStart, ChargesPipelineFill) {
 TEST(ColdStart, NeverExceedsBlocking) {
   ContentionSetup setup = contention_setup(4, 2);
   auto ctx = setup.ws->context();
-  auto bts = te::collect_block_transfers(ctx, setup.assignment);
+  assign::Resolution res = assign::resolve(ctx, setup.assignment);
+  auto bts = te::collect_block_transfers(ctx, res);
   te::TeOptions cold;
   cold.charge_cold_start = true;
-  te::TeResult result = te::time_extend(ctx, setup.assignment, bts, cold);
+  te::TeResult result = te::time_extend(ctx, setup.assignment, res, bts, cold);
   double te_stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
   double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
   EXPECT_LE(te_stall, blocking + 1e-9);
@@ -154,10 +156,11 @@ TEST(ColdStart, ZeroLookaheadMeansNoCharge) {
   for (const auto& cc : ctx.reuse.candidates()) {
     if (cc.array == "mid" && cc.nest == 1 && cc.level == 0) a.copies.push_back({cc.id, 0});
   }
-  auto bts = te::collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  auto bts = te::collect_block_transfers(ctx, res);
   te::TeOptions cold;
   cold.charge_cold_start = true;
-  te::TeResult result = te::time_extend(ctx, a, bts, cold);
+  te::TeResult result = te::time_extend(ctx, a, res, bts, cold);
   for (const te::BtExtension& ext : result.extensions) {
     if (ext.extra_buffers == 0) {
       EXPECT_DOUBLE_EQ(ext.cold_start_stall_cycles, 0.0);

@@ -107,7 +107,7 @@ TEST(AccessTally, CountsProcessorAndCopyTraffic) {
   }
   ASSERT_GE(cc_id, 0);
   a.copies.push_back({cc_id, 0});
-  AccessTally tally = tally_accesses(ctx, a);
+  AccessTally tally = tally_accesses(ctx, a, assign::resolve(ctx, a));
   const analysis::CopyCandidate& cc = ctx.reuse.candidate(cc_id);
 
   // L1: processor reads + copy-fill writes.
@@ -121,7 +121,8 @@ TEST(AccessTally, CountsProcessorAndCopyTraffic) {
 TEST(AccessTally, GrandTotalConsistency) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  AccessTally tally = tally_accesses(ctx, assign::out_of_box(ctx));
+  assign::Assignment a = assign::out_of_box(ctx);
+  AccessTally tally = tally_accesses(ctx, a, assign::resolve(ctx, a));
   ir::i64 expected = 0;
   for (const analysis::AccessSite& site : ctx.sites) expected += site.dynamic_accesses();
   EXPECT_EQ(tally.grand_total(), expected);

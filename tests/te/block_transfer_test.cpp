@@ -13,7 +13,8 @@ using testing::make_ws;
 TEST(BlockTransfer, EmptyWithoutCopies) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  EXPECT_TRUE(collect_block_transfers(ctx, assign::out_of_box(ctx)).empty());
+  assign::Resolution res = assign::resolve(ctx, assign::out_of_box(ctx));
+  EXPECT_TRUE(collect_block_transfers(ctx, res).empty());
 }
 
 TEST(BlockTransfer, OnePerSelectedCopy) {
@@ -21,7 +22,8 @@ TEST(BlockTransfer, OnePerSelectedCopy) {
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
   ASSERT_FALSE(greedy.assignment.copies.empty());
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, greedy.assignment);
+  assign::Resolution res = assign::resolve(ctx, greedy.assignment);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   EXPECT_EQ(bts.size(), greedy.assignment.copies.size());
 }
 
@@ -35,7 +37,8 @@ TEST(BlockTransfer, FieldsMatchCandidate) {
   }
   ASSERT_GE(cc_id, 0);
   a.copies.push_back({cc_id, 0});
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   ASSERT_EQ(bts.size(), 1u);
   const BlockTransfer& bt = bts[0];
   const analysis::CopyCandidate& cc = ctx.reuse.candidate(cc_id);
@@ -53,7 +56,8 @@ TEST(BlockTransfer, CyclesMatchDmaModel) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  for (const BlockTransfer& bt : collect_block_transfers(ctx, greedy.assignment)) {
+  assign::Resolution res = assign::resolve(ctx, greedy.assignment);
+  for (const BlockTransfer& bt : collect_block_transfers(ctx, res)) {
     double expected = ctx.dma.transfer_cycles(bt.bytes, ctx.hierarchy.layer(bt.src_layer),
                                               ctx.hierarchy.layer(bt.dst_layer));
     EXPECT_DOUBLE_EQ(bt.cycles, expected);
@@ -66,7 +70,8 @@ TEST(BlockTransfer, IdsAreDense) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, greedy.assignment);
+  assign::Resolution res = assign::resolve(ctx, greedy.assignment);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   for (std::size_t i = 0; i < bts.size(); ++i) {
     EXPECT_EQ(bts[i].id, static_cast<int>(i));
   }
@@ -79,7 +84,8 @@ TEST(BlockTransfer, WriteBackFlagged) {
   for (const auto& cc : ctx.reuse.candidates()) {
     if (cc.array == "mid" && cc.nest == 0 && cc.level == 0) a.copies.push_back({cc.id, 0});
   }
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   ASSERT_EQ(bts.size(), 1u);
   EXPECT_TRUE(bts[0].write_back);
 }

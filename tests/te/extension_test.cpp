@@ -15,6 +15,7 @@ using testing::make_ws;
 struct TeSetup {
   std::unique_ptr<core::Workspace> ws;
   assign::Assignment assignment;
+  assign::Resolution res;
   std::vector<BlockTransfer> bts;
 };
 
@@ -34,7 +35,7 @@ TeSetup streaming_setup(ir::i64 l1_bytes) {
   mem::PlatformConfig platform;
   platform.l1_bytes = l1_bytes;
   platform.l2_bytes = 0;
-  TeSetup setup{testing::make_ws(pb.finish(), platform), {}, {}};
+  TeSetup setup{testing::make_ws(pb.finish(), platform), {}, {}, {}};
   auto ctx = setup.ws->context();
   setup.assignment = assign::out_of_box(ctx);
   for (const auto& cc : ctx.reuse.candidates()) {
@@ -42,7 +43,8 @@ TeSetup streaming_setup(ir::i64 l1_bytes) {
       setup.assignment.copies.push_back({cc.id, 0});  // 256 B frame copy
     }
   }
-  setup.bts = collect_block_transfers(ctx, setup.assignment);
+  setup.res = assign::resolve(ctx, setup.assignment);
+  setup.bts = collect_block_transfers(ctx, setup.res);
   return setup;
 }
 
@@ -50,7 +52,7 @@ TEST(TimeExtend, FullyHidesWithDoubleBufferRoom) {
   TeSetup setup = streaming_setup(1024);  // room for 4 buffers
   auto ctx = setup.ws->context();
   ASSERT_EQ(setup.bts.size(), 1u);
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts);
   const BtExtension& ext = result.for_bt(0);
   EXPECT_TRUE(ext.fully_hidden);
   EXPECT_GE(ext.extra_buffers, 1);
@@ -61,7 +63,7 @@ TEST(TimeExtend, FullyHidesWithDoubleBufferRoom) {
 TEST(TimeExtend, BlockedWhenNoRoomForSecondBuffer) {
   TeSetup setup = streaming_setup(256);  // exactly one buffer fits
   auto ctx = setup.ws->context();
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts);
   const BtExtension& ext = result.for_bt(0);
   EXPECT_EQ(ext.extra_buffers, 0);
   EXPECT_DOUBLE_EQ(ext.hidden_cycles, 0.0);
@@ -71,7 +73,7 @@ TEST(TimeExtend, BlockedWhenNoRoomForSecondBuffer) {
 TEST(TimeExtend, ExtensionKeepsFootprintFeasible) {
   TeSetup setup = streaming_setup(512);  // two buffers max
   auto ctx = setup.ws->context();
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts);
   EXPECT_TRUE(oracle::fits(ctx, setup.assignment, result.footprint_extensions));
   EXPECT_LE(result.for_bt(0).extra_buffers, 1);
 }
@@ -81,7 +83,7 @@ TEST(TimeExtend, LookaheadCapIsRespected) {
   auto ctx = setup.ws->context();
   TeOptions options;
   options.max_lookahead = 2;
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts, options);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts, options);
   EXPECT_LE(result.for_bt(0).extra_buffers, 2);
 }
 
@@ -109,8 +111,9 @@ TEST(TimeExtend, NoDmaEngineMeansNoExtensions) {
   for (const auto& cc : ctx.reuse.candidates()) {
     if (cc.array == "in" && cc.level == 1) a.copies.push_back({cc.id, 0});
   }
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, a);
-  TeResult result = time_extend(ctx, a, bts);
+  assign::Resolution res = assign::resolve(ctx, a);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
+  TeResult result = time_extend(ctx, a, res, bts);
   for (const BtExtension& ext : result.extensions) {
     EXPECT_DOUBLE_EQ(ext.hidden_cycles, 0.0);
     EXPECT_EQ(ext.extra_buffers, 0);
@@ -145,11 +148,12 @@ TEST(TimeExtend, CrossNestPrefetchForLevel0Copies) {
     if (cc.array == "tab" && cc.nest == 1 && cc.level == 0) a.copies.push_back({cc.id, 0});
   }
   ASSERT_EQ(a.copies.size(), 1u);
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   ASSERT_EQ(bts.size(), 1u);
   EXPECT_EQ(bts[0].level, 0);
 
-  TeResult result = time_extend(ctx, a, bts);
+  TeResult result = time_extend(ctx, a, res, bts);
   const BtExtension& ext = result.for_bt(0);
   EXPECT_EQ(ext.start_nest, 0);  // prefetch during nest 0
   EXPECT_TRUE(ext.fully_hidden);
@@ -164,9 +168,10 @@ TEST(TimeExtend, CrossNestRespectsProducerDependence) {
   for (const auto& cc : ctx.reuse.candidates()) {
     if (cc.array == "mid" && cc.nest == 1 && cc.level == 0) a.copies.push_back({cc.id, 0});
   }
-  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, a);
+  assign::Resolution res = assign::resolve(ctx, a);
+  std::vector<BlockTransfer> bts = collect_block_transfers(ctx, res);
   ASSERT_EQ(bts.size(), 1u);
-  TeResult result = time_extend(ctx, a, bts);
+  TeResult result = time_extend(ctx, a, res, bts);
   EXPECT_EQ(result.for_bt(0).start_nest, -1);
   EXPECT_DOUBLE_EQ(result.for_bt(0).hidden_cycles, 0.0);
 }
@@ -174,7 +179,7 @@ TEST(TimeExtend, CrossNestRespectsProducerDependence) {
 TEST(TimeExtend, DmaPrioritiesAreAPermutation) {
   TeSetup setup = streaming_setup(1024);
   auto ctx = setup.ws->context();
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts);
   std::vector<bool> seen(result.extensions.size(), false);
   for (const BtExtension& ext : result.extensions) {
     ASSERT_GE(ext.dma_priority, 0);
@@ -191,7 +196,7 @@ TEST_P(ExtensionOrderSweep, EveryOrderProducesFeasibleResult) {
   auto ctx = setup.ws->context();
   TeOptions options;
   options.order = GetParam();
-  TeResult result = time_extend(ctx, setup.assignment, setup.bts, options);
+  TeResult result = time_extend(ctx, setup.assignment, setup.res, setup.bts, options);
   EXPECT_TRUE(oracle::fits(ctx, setup.assignment, result.footprint_extensions));
   for (const BtExtension& ext : result.extensions) {
     EXPECT_GE(ext.hidden_cycles, 0.0);
