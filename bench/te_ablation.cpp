@@ -39,7 +39,7 @@ void print_ablation() {
     assign::Assignment a = assign::searcher("greedy").search(ctx, {}).assignment;
     assign::Resolution res = assign::resolve(ctx, a);
     auto bts = te::collect_block_transfers(ctx, res);
-    double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
+    double blocking = te::total_dma_busy_cycles(bts);
     if (blocking <= 0.0) continue;
 
     double paper_stall = 0.0;
@@ -49,7 +49,7 @@ void print_ablation() {
       te::TeOptions options;
       options.order = order;
       te::TeResult result = te::time_extend(ctx, a, res, bts, options);
-      double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
+      double stall = te::total_stall_cycles(bts, result);
       if (order == te::ExtensionOrder::TimePerByte) paper_stall = stall;
       table.add_row({info.name, order_name(order), core::Table::num(stall, 0),
                      core::Table::num(100.0 * (blocking - stall) / blocking),
@@ -71,7 +71,7 @@ void print_ablation() {
     te::TeOptions options;
     options.max_lookahead = depth;
     te::TeResult result = te::time_extend(ctx, a, res, bts, options);
-    double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
+    double stall = te::total_stall_cycles(bts, result);
     depth_table.add_row({std::to_string(depth), core::Table::num(result.total_hidden_cycles, 0),
                          core::Table::num(stall, 0)});
   }
@@ -117,7 +117,7 @@ void print_contention_scenario() {
   }
   assign::Resolution res = assign::resolve(ctx, a);
   auto bts = te::collect_block_transfers(ctx, res);
-  double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
+  double blocking = te::total_dma_busy_cycles(bts);
 
   std::cout << "contention scenario (one slot, two candidates):\n";
   core::Table table({"order", "stall cycles", "hidden %"});
@@ -127,7 +127,7 @@ void print_contention_scenario() {
     te::TeOptions options;
     options.order = order;
     te::TeResult result = te::time_extend(ctx, a, res, bts, options);
-    double stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
+    double stall = te::total_stall_cycles(bts, result);
     table.add_row({order_name(order), core::Table::num(stall, 0),
                    core::Table::num(100.0 * (blocking - stall) / blocking)});
   }

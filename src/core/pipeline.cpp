@@ -33,21 +33,15 @@ PipelineResult Pipeline::run(const Workspace& workspace) const {
   PipelineResult result;
   result.strategy = config_.strategy;
   result.search = std::move(point.search);
-  result.points.mhla_te = std::move(point.sim);
   result.timings.push_back({"analyze", 0.0});
   result.timings.insert(result.timings.end(), point.timings.begin(), point.timings.end());
 
-  // The other three reference points of the paper's figures; each point is
-  // an independent simulation, so the values stay bit-identical to
-  // simulate_four_points.
+  // The other three reference points of the paper's figures: the blocking
+  // and ideal bars follow from the TE point's simulation, only out-of-box
+  // is simulated anew.
   {
     obs::Span span("simulate", "pipeline");
-    result.points.out_of_box =
-        sim::simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}, false});
-    result.points.mhla =
-        sim::simulate(ctx, result.search.assignment, {te::TransferMode::Blocking, {}, false});
-    result.points.ideal =
-        sim::simulate(ctx, result.search.assignment, {te::TransferMode::Ideal, {}, false});
+    result.points = sim::four_points(ctx, result.search.assignment, std::move(point.sim));
     double simulate_s = span.finish();
     result.timings.push_back({"simulate", simulate_s});
     if (progress_) progress_("simulate", simulate_s);

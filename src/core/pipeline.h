@@ -51,7 +51,7 @@ struct StageTiming {
 /// Result of one pipeline run: the search outcome, the four reference
 /// simulation points of the paper's figures, and per-stage timings.  A TE
 /// pass cut short by the run budget marks `search.status` BudgetExhausted
-/// (the `mhla_te` point is then truncated), whatever the search returned.
+/// (only the `mhla_te` point is then truncated), whatever the search returned.
 struct PipelineResult {
   std::string strategy;  ///< registry name that produced `search`
   assign::SearchResult search;
@@ -70,9 +70,9 @@ struct PointResult {
 
 /// Staged MHLA driver: analyze -> assign -> time-extend -> simulate, with
 /// one PipelineConfig driving every stage.  With the default "greedy"
-/// strategy the simulation points are bit-identical to the from-scratch
-/// greedy oracle plus `sim::simulate_four_points` on the same workspace
-/// (covered by tests/core/pipeline_test.cpp).
+/// strategy the four points (`sim::four_points`) are bit-identical to the
+/// from-scratch greedy oracle plus one `sim::simulate` per bar on the same
+/// workspace (covered by tests/core/pipeline_test.cpp).
 class Pipeline {
  public:
   /// Validates the strategy name against the registry (throws

@@ -6,6 +6,16 @@
 
 namespace mhla::sim {
 
+namespace {
+
+/// The step-1 stall rule: a blocking CPU waits out every busy DMA cycle
+/// (fills, flushes and pinned traffic alike), the ideal bar waits for none.
+double step1_stall_cycles(te::TransferMode mode, double dma_busy_cycles) {
+  return mode == te::TransferMode::Ideal ? 0.0 : dma_busy_cycles;
+}
+
+}  // namespace
+
 SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& assignment,
                    const SimOptions& options) {
   SimResult result;
@@ -35,11 +45,10 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
   result.num_block_transfers = static_cast<int>(bts.size());
   result.dma_busy_cycles = te::total_dma_busy_cycles(bts);
 
-  std::vector<assign::CopyExtension> extensions;
-  if (options.mode == te::TransferMode::TimeExtended) {
+  const bool time_extended = options.mode == te::TransferMode::TimeExtended;
+  if (time_extended) {
     te::TeResult te_result = te::time_extend(ctx, assignment, res, bts, options.te);
-    result.stall_cycles =
-        te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &te_result);
+    result.stall_cycles = te::total_stall_cycles(bts, te_result);
 
     if (options.model_dma_contention) {
       // The engine can only overlap `channels` transfers with compute at a
@@ -58,15 +67,16 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
         if (excess > 0.0) result.stall_cycles += excess;
       }
     }
-    extensions = te_result.footprint_extensions;
+    // --- Capacity audit including TE lifetime growth: the pass's tracker.
+    result.footprints = std::move(te_result.footprints);
     result.stop = te_result.stop;
   } else {
-    result.stall_cycles = te::total_stall_cycles(bts, options.mode, nullptr);
+    result.footprints = assign::FootprintTracker(ctx, assignment).report();
   }
+  result.feasible = result.footprints.feasible;
 
-  // One-time fills/flushes of pinned on-chip inputs/outputs block the
-  // processor (program startup / shutdown); in the ideal zero-wait bar
-  // they are hidden like every other transfer.
+  // One-time fills/flushes of pinned on-chip inputs/outputs occupy the
+  // engine at program startup / shutdown; TE never prefetches them.
   for (const assign::PinnedTraffic& pinned : assign::pinned_array_traffic(ctx, assignment)) {
     const mem::MemLayer& home = ctx.hierarchy.layer(pinned.home);
     const mem::MemLayer& bg = ctx.hierarchy.layer(ctx.hierarchy.background());
@@ -74,28 +84,33 @@ SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& a
                                                   pinned.fill ? bg : home,
                                                   pinned.fill ? home : bg, ctx.dma);
     result.dma_busy_cycles += cycles;
-    if (options.mode != te::TransferMode::Ideal) result.stall_cycles += cycles;
+    if (time_extended) result.stall_cycles += cycles;
+  }
+  if (!time_extended) {
+    result.stall_cycles = step1_stall_cycles(options.mode, result.dma_busy_cycles);
   }
 
   // --- Energy (mode independent, exactly like the paper's model).
   AccessTally tally = tally_accesses(ctx, assignment, res);
   result.energy_nj = tally_energy_nj(ctx.hierarchy, tally);
   result.layers = layer_stats(ctx.hierarchy, tally);
-
-  // --- Capacity audit including TE lifetime growth.
-  result.footprints = assign::FootprintTracker(ctx, assignment, extensions).report();
-  result.feasible = result.footprints.feasible;
   return result;
 }
 
-FourPoint simulate_four_points(const assign::AssignContext& ctx,
-                               const assign::Assignment& step1,
-                               const te::TeOptions& te_options) {
+FourPoint four_points(const assign::AssignContext& ctx, const assign::Assignment& step1,
+                      SimResult mhla_te) {
   FourPoint fp;
-  fp.out_of_box = simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}});
-  fp.mhla = simulate(ctx, step1, {te::TransferMode::Blocking, {}});
-  fp.mhla_te = simulate(ctx, step1, {te::TransferMode::TimeExtended, te_options});
-  fp.ideal = simulate(ctx, step1, {te::TransferMode::Ideal, {}});
+  fp.out_of_box = simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}, false});
+
+  fp.mhla = mhla_te;
+  fp.mhla.footprints = assign::FootprintTracker(ctx, step1).report();
+  fp.mhla.feasible = fp.mhla.footprints.feasible;
+  fp.mhla.stop = core::StopReason::None;
+  fp.ideal = fp.mhla;
+  fp.mhla.stall_cycles = step1_stall_cycles(te::TransferMode::Blocking, mhla_te.dma_busy_cycles);
+  fp.ideal.stall_cycles = step1_stall_cycles(te::TransferMode::Ideal, mhla_te.dma_busy_cycles);
+
+  fp.mhla_te = std::move(mhla_te);
   return fp;
 }
 

@@ -16,8 +16,7 @@ struct SimOptions {
   /// cannot exceed that nest's CPU time multiplied by the engine's channel
   /// count — transfers beyond that queue on the engine and their time
   /// becomes exposed again.  Disabled by default to match the paper's
-  /// idealized engine; the contention tests and the ablation bench turn it
-  /// on.
+  /// idealized engine; only the contention tests turn it on.
   bool model_dma_contention = false;
 };
 
@@ -42,6 +41,9 @@ struct SimResult {
 /// walk the loop nests, serve every access from its resolved layer, run the
 /// block transfers under the selected mode, and account cycles and energy.
 ///
+/// Only the stall depends on the mode: TimeExtended charges what TE leaves
+/// exposed, Blocking `dma_busy_cycles`, Ideal nothing.
+///
 /// This is an implementation independent of the static cost model
 /// (`CostEngine::cost()`, defined from scratch by the test oracle's
 /// `oracle::estimate_cost`); in Blocking mode the two must agree exactly,
@@ -51,8 +53,8 @@ struct SimResult {
 SimResult simulate(const assign::AssignContext& ctx, const assign::Assignment& assignment,
                    const SimOptions& options = {});
 
-/// Convenience bundle: the four bars of the paper's Figure 2 for one
-/// configuration (plus the matching energy numbers for Figure 3).
+/// The four bars of the paper's Figure 2 for one configuration (plus the
+/// matching energy numbers for Figure 3).
 struct FourPoint {
   SimResult out_of_box;  ///< everything off-chip, no copies
   SimResult mhla;        ///< step 1, blocking transfers
@@ -60,8 +62,12 @@ struct FourPoint {
   SimResult ideal;       ///< step 1 with zero-wait transfers
 };
 
-FourPoint simulate_four_points(const assign::AssignContext& ctx,
-                               const assign::Assignment& step1,
-                               const te::TeOptions& te_options = {});
+/// The four bars around `mhla_te`, the simulated TE point of `step1`.  The
+/// blocking and ideal bars copy its mode-independent fields and take the
+/// step-1 stall, `step1`'s unextended footprints and `stop = None`; only
+/// out-of-box is simulated.  Bit-identical to independent `simulate` calls,
+/// also when a budget cut the TE pass.
+FourPoint four_points(const assign::AssignContext& ctx, const assign::Assignment& step1,
+                      SimResult mhla_te);
 
 }  // namespace mhla::sim

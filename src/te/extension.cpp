@@ -51,17 +51,20 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
   for (std::size_t i = 0; i < bts.size(); ++i) {
     result.extensions[i].bt_id = static_cast<int>(i);
   }
-  if (!ctx.dma.present) return result;  // TE not applicable without an engine
+  // One load of the fixed assignment, then every freedom unit is a
+  // speculative extend_copy probed in O(extended lifetime) and undone on
+  // rejection — accepted extensions simply stay in the tracker, so it
+  // always holds exactly the extensions accepted so far, and its final
+  // report is the point's footprint audit.
+  assign::FootprintTracker tracker(ctx, assignment);
+  if (!ctx.dma.present) {  // TE not applicable without an engine
+    result.footprints = tracker.report();
+    return result;
+  }
 
   // The assignment is fixed for the whole pass: the one resolution serves
   // the per-nest and per-BT lookahead queries below.
   std::vector<double> nest_cycles = assign::nest_cpu_cycles(ctx, res);
-
-  // One load of the fixed assignment, then every freedom unit is a
-  // speculative extend_copy probed in O(extended lifetime) and undone on
-  // rejection — accepted extensions simply stay in the tracker, so it
-  // always holds exactly the extensions accepted so far.
-  assign::FootprintTracker tracker(ctx, assignment);
 
   // Budget probes land at BT and freedom-unit boundaries only, so an
   // expired budget never leaves a half-probed extension: the tracker holds
@@ -146,6 +149,7 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
   }
 
   if (out_of_budget) result.stop = options.budget->reason();
+  result.footprints = tracker.report();
 
   // dma_priority(): issue order = earliest start first, then the greedy
   // sort factor as tie break (urgent transfers drain first).

@@ -19,7 +19,7 @@ struct TeOptions {
   /// Charge the pipeline fill: with a lookahead of k, the first k issues of
   /// a BT have no preceding iteration to hide behind and stay exposed.
   /// Off by default (steady-state model, like the paper's estimates); the
-  /// refinement benches/tests turn it on.
+  /// config key `te.charge_cold_start` and the cold-start tests turn it on.
   bool charge_cold_start = false;
 
   /// Cooperative run budget (one probe per BT plus one per freedom unit,
@@ -48,7 +48,8 @@ struct BtExtension {
 /// Result of the TE step.
 struct TeResult {
   std::vector<BtExtension> extensions;      ///< one per BT, indexed by bt id
-  std::vector<assign::CopyExtension> footprint_extensions;  ///< for footprint checks
+  std::vector<assign::CopyExtension> footprint_extensions;  ///< the accepted extensions
+  assign::FootprintReport footprints;       ///< the pass's tracker: assignment + extensions
   double total_hidden_cycles = 0.0;         ///< sum over all issues
   core::StopReason stop = core::StopReason::None;  ///< why the budget cut the pass, if it did
 

@@ -11,14 +11,13 @@ enum class TransferMode {
   Ideal,         ///< paper's reference bar: every transfer costs 0 wait cycles
 };
 
-/// Residual processor stall cycles of one BT stream under a mode.
-/// In TimeExtended mode `ext` must be the BT's extension record.
-double bt_stall_cycles(const BlockTransfer& bt, TransferMode mode, const BtExtension* ext);
+/// Residual processor stall cycles of one BT stream's fills after time
+/// extension; `ext` is the BT's extension record.
+double bt_stall_cycles(const BlockTransfer& bt, const BtExtension& ext);
 
-/// Total residual stall over a BT list (+ write-back flush streams, which
-/// are never prefetchable and always block in non-ideal modes).
-double total_stall_cycles(const std::vector<BlockTransfer>& bts, TransferMode mode,
-                          const TeResult* te);
+/// Total residual stall of a time-extended BT list (+ write-back flush
+/// streams, which are never prefetchable and always block).
+double total_stall_cycles(const std::vector<BlockTransfer>& bts, const TeResult& te);
 
 /// Total DMA-engine busy cycles of a BT list (mode independent).
 double total_dma_busy_cycles(const std::vector<BlockTransfer>& bts);

@@ -57,7 +57,9 @@ TEST(JsonReport, SimResultIsWellFormed) {
 TEST(JsonReport, FourPointIncludesAllBars) {
   auto ws = testing::make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
-  sim::FourPoint fp = sim::simulate_four_points(ctx, assign::greedy_assign(ctx).assignment);
+  assign::Assignment step1 = assign::greedy_assign(ctx).assignment;
+  sim::FourPoint fp = sim::four_points(
+      ctx, step1, sim::simulate(ctx, step1, {te::TransferMode::TimeExtended, {}}));
   std::string json = to_json("demo app", fp);
   expect_balanced(json);
   for (const char* key : {"\"application\"", "\"out_of_box\"", "\"mhla\"", "\"mhla_te\"",

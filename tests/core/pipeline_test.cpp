@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/json.h"
 #include "core/json_report.h"
+#include "gen/random_program.h"
 #include "helpers.h"
 #include "oracle/oracle.h"
 
@@ -31,6 +33,10 @@ void expect_same_result(const sim::SimResult& a, const sim::SimResult& b,
     EXPECT_EQ(a.layers[i].energy_nj, b.layers[i].energy_nj) << where;
   }
   EXPECT_EQ(a.nest_cycles, b.nest_cycles) << where;
+  EXPECT_EQ(a.footprints.peak_bytes, b.footprints.peak_bytes) << where;
+  EXPECT_EQ(a.footprints.usage, b.footprints.usage) << where;
+  EXPECT_EQ(a.footprints.feasible, b.footprints.feasible) << where;
+  EXPECT_EQ(a.stop, b.stop) << where;
 }
 
 void expect_same_points(const sim::FourPoint& a, const sim::FourPoint& b,
@@ -77,8 +83,24 @@ PipelineConfig custom_config() {
   return config;
 }
 
+/// The four bars from one independent `sim::simulate` per bar: the
+/// reference the pipeline's derived blocking and ideal bars are pinned
+/// against.  The TE bar follows the pipeline's rule (blocking without a DMA
+/// engine).
+sim::FourPoint independent_points(const assign::AssignContext& ctx,
+                                  const assign::Assignment& step1) {
+  const te::TransferMode te_mode =
+      ctx.dma.present ? te::TransferMode::TimeExtended : te::TransferMode::Blocking;
+  sim::FourPoint points;
+  points.out_of_box = sim::simulate(ctx, assign::out_of_box(ctx), {te::TransferMode::Blocking, {}});
+  points.mhla = sim::simulate(ctx, step1, {te::TransferMode::Blocking, {}});
+  points.mhla_te = sim::simulate(ctx, step1, {te_mode, {}});
+  points.ideal = sim::simulate(ctx, step1, {te::TransferMode::Ideal, {}});
+  return points;
+}
+
 /// The pipeline's result assembled by hand from the from-scratch greedy
-/// oracle and the four reference simulations.
+/// oracle and the four independent reference simulations.
 struct OracleRun {
   assign::SearchResult search;
   sim::FourPoint points;
@@ -89,25 +111,53 @@ OracleRun oracle_run(const Workspace& ws, assign::Target target) {
   assign::SearchOptions options;
   options.set_target(target);
   OracleRun run{oracle::greedy(ctx, options), {}};
-  run.points = sim::simulate_four_points(ctx, run.search.assignment, te::TeOptions{});
+  run.points = independent_points(ctx, run.search.assignment);
   return run;
+}
+
+/// One greedy pipeline run on `program` against the oracle run.
+void expect_matches_oracle(ir::Program program, const std::string& name,
+                           const mem::PlatformConfig& platform, const mem::DmaEngine& dma) {
+  auto ws = make_workspace(std::move(program), platform, dma);
+  OracleRun expected = oracle_run(*ws, assign::Target::Balanced);
+
+  PipelineConfig config;
+  config.platform = platform;
+  config.dma = dma;
+  PipelineResult result = Pipeline(config).run(*ws);
+
+  expect_same_points(result.points, expected.points, name);
+  EXPECT_EQ(result.search.assignment, expected.search.assignment) << name;
+  EXPECT_EQ(result.search.scalar, expected.search.scalar) << name;
+  EXPECT_EQ(result.search.evaluations, expected.search.evaluations) << name;
 }
 
 TEST(Pipeline, GreedyStrategyMatchesTheOracleBitIdenticallyOnAllNineApps) {
   // The facade with the default "greedy" strategy must not move a single
-  // bit relative to the from-scratch greedy oracle + the reference
-  // simulations.
-  for (const apps::AppInfo& info : apps::all_apps()) {
-    auto ws = make_workspace(info.build(), {}, {});
-    OracleRun expected = oracle_run(*ws, assign::Target::Balanced);
-
-    Pipeline pipeline(PipelineConfig{});
-    PipelineResult result = pipeline.run(*ws);
-
-    expect_same_points(result.points, expected.points, info.name);
-    EXPECT_EQ(result.search.assignment, expected.search.assignment) << info.name;
-    EXPECT_EQ(result.search.scalar, expected.search.scalar) << info.name;
-    EXPECT_EQ(result.search.evaluations, expected.search.evaluations) << info.name;
+  // bit relative to the from-scratch greedy oracle + one independent
+  // simulation per bar, with and without a DMA engine, over a slice of the
+  // L1/L2 lattice (tight, default and roomy) and on seeded random programs.
+  for (bool dma_present : {true, false}) {
+    mem::DmaEngine dma;
+    dma.present = dma_present;
+    const std::string suffix = dma_present ? " dma" : " no-dma";
+    for (const apps::AppInfo& info : apps::all_apps()) {
+      for (ir::i64 l1 : {256, 4096, 65536}) {
+        for (ir::i64 l2 : {0, 128 * 1024}) {
+          mem::PlatformConfig platform;
+          platform.l1_bytes = l1;
+          platform.l2_bytes = l2;
+          expect_matches_oracle(info.build(),
+                                info.name + " L1 " + std::to_string(l1) + " L2 " +
+                                    std::to_string(l2) + suffix,
+                                platform, dma);
+        }
+      }
+    }
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+      expect_matches_oracle(gen::random_program(seed), "seed " + std::to_string(seed) + suffix,
+                            {}, dma);
+    }
   }
 }
 
@@ -180,6 +230,37 @@ TEST(Pipeline, TePassCutByTheRunBudgetDegradesTheResult) {
     EXPECT_EQ(cut.search.status, assign::SearchStatus::BudgetExhausted) << strategy;
     EXPECT_EQ(cut.search.stop, core::StopReason::ProbeBudget) << strategy;
   }
+}
+
+TEST(Pipeline, TePassCutLeavesTheStepOneBarsWhole) {
+  // A probe allowance that lets the search finish and cuts the TE pass
+  // after it accepted an extension.  The blocking and ideal bars describe
+  // the step-1 assignment alone: they must equal independent, uncut
+  // simulations bit for bit, never inherit the truncated TE point's stop
+  // or its TE-extended footprints.
+  PipelineConfig config;
+  auto ws = make_workspace(apps::build_app("conv_filter"), config.platform, config.dma);
+  const long search_probes = testing::search_probes(*ws, config);
+  const PipelineResult full = Pipeline(config).run(*ws);
+  const sim::FourPoint independent = independent_points(ws->context(), full.search.assignment);
+  ASSERT_NE(full.points.mhla_te.footprints.usage, independent.mhla.footprints.usage)
+      << "TE must extend a buffer for the cut to be visible in the footprints";
+
+  bool cut_after_an_extension = false;
+  for (long extra = 1; extra <= 256 && !cut_after_an_extension; ++extra) {
+    config.search.budget.max_probes = search_probes + extra;
+    const PipelineResult cut = Pipeline(config).run(*ws);
+    ASSERT_EQ(cut.points.mhla_te.stop, core::StopReason::ProbeBudget) << extra;
+    ASSERT_EQ(cut.search.assignment, full.search.assignment) << extra;
+    const std::string where = "allowance +" + std::to_string(extra);
+    expect_same_result(cut.points.mhla, independent.mhla, where + "/mhla");
+    expect_same_result(cut.points.ideal, independent.ideal, where + "/ideal");
+    EXPECT_EQ(cut.points.mhla.stop, core::StopReason::None) << where;
+    EXPECT_EQ(cut.points.ideal.stop, core::StopReason::None) << where;
+    cut_after_an_extension =
+        cut.points.mhla_te.footprints.usage != independent.mhla.footprints.usage;
+  }
+  EXPECT_TRUE(cut_after_an_extension);
 }
 
 TEST(PipelineConfigJson, DefaultConfigRoundTrips) {

@@ -124,9 +124,8 @@ TEST(ColdStart, ChargesPipelineFill) {
   te::TeResult steady_result = te::time_extend(ctx, setup.assignment, res, bts, steady);
   te::TeResult cold_result = te::time_extend(ctx, setup.assignment, res, bts, cold);
 
-  double steady_stall =
-      te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &steady_result);
-  double cold_stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &cold_result);
+  double steady_stall = te::total_stall_cycles(bts, steady_result);
+  double cold_stall = te::total_stall_cycles(bts, cold_result);
   EXPECT_GT(cold_stall, steady_stall);
 
   // Cold start charges exactly extra_buffers issues' worth of hidden time.
@@ -143,8 +142,8 @@ TEST(ColdStart, NeverExceedsBlocking) {
   te::TeOptions cold;
   cold.charge_cold_start = true;
   te::TeResult result = te::time_extend(ctx, setup.assignment, res, bts, cold);
-  double te_stall = te::total_stall_cycles(bts, te::TransferMode::TimeExtended, &result);
-  double blocking = te::total_stall_cycles(bts, te::TransferMode::Blocking, nullptr);
+  double te_stall = te::total_stall_cycles(bts, result);
+  double blocking = te::total_dma_busy_cycles(bts);
   EXPECT_LE(te_stall, blocking + 1e-9);
 }
 

@@ -32,7 +32,8 @@ TEST(Report, FormatFourPointsNormalizesTo100) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  FourPoint fp = simulate_four_points(ctx, greedy.assignment);
+  SimResult te_point = simulate(ctx, greedy.assignment, {te::TransferMode::TimeExtended, {}});
+  FourPoint fp = four_points(ctx, greedy.assignment, te_point);
   std::string text = format_four_points("demo", fp);
   EXPECT_NE(text.find("demo"), std::string::npos);
   EXPECT_NE(text.find("out-of-box"), std::string::npos);

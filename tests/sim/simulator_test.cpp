@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "assign/search.h"
 #include "helpers.h"
 
@@ -50,7 +52,11 @@ TEST(Simulator, ModeOrdering) {
 
   EXPECT_LE(ideal.total_cycles(), extended.total_cycles());
   EXPECT_LE(extended.total_cycles(), blocking.total_cycles());
-  EXPECT_DOUBLE_EQ(ideal.stall_cycles, 0.0);
+  // The step-1 rule: blocking waits out every busy engine cycle, ideal none.
+  EXPECT_GT(blocking.dma_busy_cycles, 0.0);
+  EXPECT_EQ(blocking.stall_cycles, blocking.dma_busy_cycles);
+  EXPECT_EQ(ideal.stall_cycles, 0.0);
+  EXPECT_FALSE(std::signbit(ideal.stall_cycles));
 }
 
 TEST(Simulator, EnergyInvariantAcrossModes) {
@@ -89,7 +95,8 @@ TEST(Simulator, FourPointsShape) {
   auto ws = make_ws(testing::blocked_reuse_program());
   auto ctx = ws->context();
   assign::SearchResult greedy = assign::greedy_assign(ctx);
-  FourPoint fp = simulate_four_points(ctx, greedy.assignment);
+  SimResult te_point = simulate(ctx, greedy.assignment, {te::TransferMode::TimeExtended, {}});
+  FourPoint fp = four_points(ctx, greedy.assignment, te_point);
   EXPECT_LE(fp.mhla.total_cycles(), fp.out_of_box.total_cycles());
   EXPECT_LE(fp.mhla_te.total_cycles(), fp.mhla.total_cycles());
   EXPECT_LE(fp.ideal.total_cycles(), fp.mhla_te.total_cycles());

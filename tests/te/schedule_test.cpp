@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <initializer_list>
 
 namespace mhla::te {
 namespace {
@@ -17,65 +17,49 @@ BlockTransfer make_bt(double cycles, ir::i64 issues, bool write_back = false) {
   return bt;
 }
 
-TEST(Schedule, BlockingChargesFullTime) {
-  BlockTransfer bt = make_bt(50.0, 4);
-  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, TransferMode::Blocking, nullptr), 200.0);
+BtExtension hiding(double hidden_cycles) {
+  BtExtension ext;
+  ext.hidden_cycles = hidden_cycles;
+  return ext;
 }
 
-TEST(Schedule, IdealChargesNothing) {
-  BlockTransfer bt = make_bt(50.0, 4);
-  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, TransferMode::Ideal, nullptr), 0.0);
+TeResult te_hiding(std::initializer_list<double> hidden_cycles) {
+  TeResult te;
+  for (double hidden : hidden_cycles) {
+    te.extensions.push_back(hiding(hidden));
+    te.extensions.back().bt_id = static_cast<int>(te.extensions.size()) - 1;
+  }
+  return te;
 }
 
 TEST(Schedule, TimeExtendedChargesResidual) {
   BlockTransfer bt = make_bt(50.0, 4);
-  BtExtension ext;
-  ext.hidden_cycles = 30.0;
-  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, TransferMode::TimeExtended, &ext), 80.0);
+  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, hiding(30.0)), 80.0);
 }
 
 TEST(Schedule, FullyHiddenCostsZero) {
   BlockTransfer bt = make_bt(50.0, 4);
-  BtExtension ext;
-  ext.hidden_cycles = 50.0;
-  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, TransferMode::TimeExtended, &ext), 0.0);
+  EXPECT_DOUBLE_EQ(bt_stall_cycles(bt, hiding(50.0)), 0.0);
 }
 
 TEST(Schedule, OverHiddenNeverGoesNegative) {
   BlockTransfer bt = make_bt(50.0, 4);
-  BtExtension ext;
-  ext.hidden_cycles = 500.0;
-  EXPECT_GE(bt_stall_cycles(bt, TransferMode::TimeExtended, &ext), 0.0);
+  EXPECT_GE(bt_stall_cycles(bt, hiding(500.0)), 0.0);
 }
 
-TEST(Schedule, TimeExtendedWithoutExtensionThrows) {
-  BlockTransfer bt = make_bt(50.0, 4);
-  EXPECT_THROW(bt_stall_cycles(bt, TransferMode::TimeExtended, nullptr), std::invalid_argument);
-}
-
-TEST(Schedule, WriteBackAlwaysBlocksExceptIdeal) {
-  std::vector<BlockTransfer> bts = {make_bt(50.0, 2, /*write_back=*/true)};
-  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, TransferMode::Blocking, nullptr), 200.0);
-  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, TransferMode::Ideal, nullptr), 0.0);
-
-  TeResult te;
-  te.extensions.resize(1);
-  te.extensions[0].bt_id = 0;
-  te.extensions[0].hidden_cycles = 50.0;
+TEST(Schedule, FlushBlocksAfterTimeExtension) {
   // Fill hidden, flush still blocks: 0 + 100.
-  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, TransferMode::TimeExtended, &te), 100.0);
+  std::vector<BlockTransfer> bts = {make_bt(50.0, 2, /*write_back=*/true)};
+  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, te_hiding({50.0})), 100.0);
+  // Fill-free copies have only the flush stream.
+  bts[0].has_fill = false;
+  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, te_hiding({0.0})), 100.0);
 }
 
 TEST(Schedule, TotalStallSumsStreams) {
   std::vector<BlockTransfer> bts = {make_bt(10.0, 3), make_bt(20.0, 1)};
   bts[1].id = 1;
-  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, TransferMode::Blocking, nullptr), 50.0);
-}
-
-TEST(Schedule, TeModeWithoutResultThrows) {
-  std::vector<BlockTransfer> bts = {make_bt(10.0, 3)};
-  EXPECT_THROW(total_stall_cycles(bts, TransferMode::TimeExtended, nullptr),
-               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(total_stall_cycles(bts, te_hiding({4.0, 0.0})), 6.0 * 3 + 20.0);
 }
 
 TEST(Schedule, DmaBusyCountsBothDirections) {
