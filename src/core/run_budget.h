@@ -6,6 +6,8 @@
 #include <optional>
 #include <string>
 
+#include "core/fault_injector.h"
+
 namespace mhla::core {
 
 /// Why a run stopped early, the one vocabulary of every early stop.  Where
@@ -60,9 +62,10 @@ struct BudgetSpec {
 /// on any thread observes the expiry, so a parallel run drains promptly.
 /// Expiry is sticky and one-way: a budget never un-expires.
 ///
-/// Thread-safe throughout; `probe()` is one relaxed atomic increment plus a
-/// flag read on the hot path (the wall clock is only consulted every 64th
-/// probe, so tight search loops do not pay a syscall per state).
+/// Thread-safe throughout.  With no knob set and no fault site armed,
+/// `probe()` is an inline relaxed atomic increment plus the expiry read;
+/// otherwise the wall clock is only consulted every 64th probe, so tight
+/// search loops do not pay a syscall per state.
 ///
 /// The fault injector's `BudgetProbe` site hooks `probe()`: an armed
 /// injector forces expiry at the Nth probe with reason
@@ -82,7 +85,13 @@ class RunBudget {
 
   /// Charge `n` units of work.  Returns true while the budget holds;
   /// returns false — forever after — once it has expired.
-  bool probe(long n = 1);
+  bool probe(long n = 1) {
+    if (unbounded_ && !FaultInjector::any_armed()) {
+      probes_.fetch_add(n, std::memory_order_relaxed);
+      return !expired();
+    }
+    return probe_bounded(n);
+  }
 
   /// Non-charging expiry check (used between waves / before claiming work).
   bool expired() const {
@@ -102,12 +111,15 @@ class RunBudget {
  private:
   using Clock = std::chrono::steady_clock;
 
+  bool probe_bounded(long n);  ///< `probe` with a knob set or a site armed
+
   std::atomic<StopReason> reason_{StopReason::None};
   std::atomic<long> probes_{0};
   long max_probes_ = 0;
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
   std::shared_ptr<std::atomic<bool>> cancel_;
+  bool unbounded_ = true;  ///< no knob can expire the budget
 };
 
 /// The budget token a strategy charges: the caller's `shared` token wins;

@@ -88,9 +88,10 @@ TEST(AllocRegression, CostEngineSteadyStateMovesAreAllocationFree) {
 
 TEST(AllocRegression, ScreenedGreedyRoundIsAllocationFree) {
   // One steady-state greedy round on the engine, mid-walk: the totals fold,
-  // a select/migrate/remove delta for every enumerated move, and the
-  // canonical fold (checkpoint, apply, scalar, undo) of each gated move —
-  // more folds than the screen ever runs.
+  // a select/migrate/remove delta and the footprint query of greedy's split
+  // gate for every enumerated move (a round with every cached slot stale),
+  // and the canonical fold (checkpoint, apply, scalar, undo) of each gated
+  // move — more folds than the screen ever runs.
   auto ws = core::make_workspace(apps::build_app("qsdpcm"));
   auto ctx = ws->context();
   assign::SearchResult walk = assign::greedy_assign(ctx);
@@ -119,9 +120,9 @@ TEST(AllocRegression, ScreenedGreedyRoundIsAllocationFree) {
   auto round = [&]() {
     assign::CostEngine::Totals now = engine.totals();
     sink += now.energy_nj;
-    auto screen = [&](const assign::CostEngine::MoveDelta& d, Kind kind, int cc_id,
+    auto screen = [&](const assign::CostEngine::MoveDelta& d, bool fits, Kind kind, int cc_id,
                       std::size_t array, int layer) {
-      if (!d.ok) return;
+      if (!d.ok || !fits) return;
       assign::CostEngine::Checkpoint mark = engine.checkpoint();
       if (kind == Kind::SelectCopy) engine.select_copy(cc_id, layer);
       if (kind == Kind::MigrateArray) engine.migrate_array(array, layer);
@@ -132,18 +133,22 @@ TEST(AllocRegression, ScreenedGreedyRoundIsAllocationFree) {
     for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
       if (engine.has_copy(cc.id) || cc.elems <= 0) continue;
       for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
-        screen(engine.select_delta(cc.id, layer), Kind::SelectCopy, cc.id, 0, layer);
+        screen(engine.select_delta(cc.id, layer),
+               engine.footprint().feasible_with_copy(cc.id, layer), Kind::SelectCopy, cc.id, 0,
+               layer);
       }
     }
     for (std::size_t a = 0; a < engine.num_arrays(); ++a) {
       for (int layer = 0; layer < layers; ++layer) {
         if (layer == engine.home_of(a)) continue;
-        screen(engine.migrate_delta(a, layer), Kind::MigrateArray, -1, a, layer);
+        screen(engine.migrate_delta(a, layer),
+               engine.footprint().feasible_with_home(a, layer, engine.migrate_drops(a, layer)),
+               Kind::MigrateArray, -1, a, layer);
       }
     }
     for (std::size_t i = 0; i < engine.placed_copies().size(); ++i) {
       int cc_id = engine.placed_copies()[i].cc_id;
-      screen(engine.remove_delta(cc_id), Kind::RemoveCopy, cc_id, 0, -1);
+      screen(engine.remove_delta(cc_id), true, Kind::RemoveCopy, cc_id, 0, -1);
     }
   };
 

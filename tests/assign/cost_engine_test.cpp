@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
+#include <vector>
 
+#include "apps/registry.h"
 #include "assign/search.h"
 #include "helpers.h"
 #include "gen/random_program.h"
@@ -164,6 +168,131 @@ TEST(CostEngine, GreedyEquivalenceOnRandomPrograms) {
       EXPECT_EQ(fast.moves[i].gain, slow.moves[i].gain);
     }
   }
+}
+
+/// Every move delta of the live state whose move touches an array other
+/// than `skip`, in one fixed order: a select on each on-chip layer for an
+/// unselected candidate, a remove for a placed one, then a migrate to every
+/// layer but the home.
+std::vector<CostEngine::MoveDelta> deltas_off(const AssignContext& ctx, const CostEngine& engine,
+                                              std::size_t skip) {
+  std::vector<CostEngine::MoveDelta> deltas;
+  for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
+    if (static_cast<std::size_t>(cc.array_id) == skip) continue;
+    if (engine.has_copy(cc.id)) {
+      deltas.push_back(engine.remove_delta(cc.id));
+      continue;
+    }
+    for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
+      deltas.push_back(engine.select_delta(cc.id, layer));
+    }
+  }
+  for (std::size_t a = 0; a < engine.num_arrays(); ++a) {
+    if (a == skip) continue;
+    for (int layer = 0; layer < ctx.hierarchy.num_layers(); ++layer) {
+      if (layer != engine.home_of(a)) deltas.push_back(engine.migrate_delta(a, layer));
+    }
+  }
+  return deltas;
+}
+
+bool same_bits(const CostEngine::MoveDelta& x, const CostEngine::MoveDelta& y) {
+  return x.ok == y.ok &&
+         std::bit_cast<std::uint64_t>(x.energy_nj) == std::bit_cast<std::uint64_t>(y.energy_nj) &&
+         std::bit_cast<std::uint64_t>(x.cycles) == std::bit_cast<std::uint64_t>(y.cycles);
+}
+
+/// A random walk of feasible moves from the out-of-box state.  Before and
+/// after each move on array A, every select, migrate and remove delta of
+/// every other array must be bit-identical: verdict, energy and cycles.
+/// Greedy's delta cache (assign/greedy.cpp) rests on this contract.
+long check_deltas_stay_local(const AssignContext& ctx, std::uint32_t seed) {
+  using Kind = GreedyMove::Kind;
+  struct Move {
+    Kind kind;
+    int cc_id;
+    std::size_t array;
+    int layer;
+  };
+  CostEngine engine(ctx);
+  std::mt19937 rng(seed);
+  long compared = 0;
+  std::vector<Move> moves;
+  for (int step = 0; step < 16; ++step) {
+    // The moves greedy would gate in: the delta's local verdict and the
+    // footprint's query.
+    moves.clear();
+    for (const analysis::CopyCandidate& cc : ctx.reuse.candidates()) {
+      std::size_t array = static_cast<std::size_t>(cc.array_id);
+      if (engine.has_copy(cc.id)) {
+        moves.push_back({Kind::RemoveCopy, cc.id, array, -1});
+        continue;
+      }
+      for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
+        if (engine.select_delta(cc.id, layer).ok &&
+            engine.footprint().feasible_with_copy(cc.id, layer)) {
+          moves.push_back({Kind::SelectCopy, cc.id, array, layer});
+        }
+      }
+    }
+    for (std::size_t a = 0; a < engine.num_arrays(); ++a) {
+      for (int layer = 0; layer < ctx.hierarchy.num_layers(); ++layer) {
+        if (layer != engine.home_of(a) && engine.migrate_delta(a, layer).ok &&
+            engine.footprint().feasible_with_home(a, layer, engine.migrate_drops(a, layer))) {
+          moves.push_back({Kind::MigrateArray, -1, a, layer});
+        }
+      }
+    }
+    if (moves.empty()) break;
+    const Move move = moves[std::uniform_int_distribution<std::size_t>(0, moves.size() - 1)(rng)];
+    SCOPED_TRACE("step " + std::to_string(step) + " kind " +
+                 std::to_string(static_cast<int>(move.kind)) + " cc " +
+                 std::to_string(move.cc_id) + " array " + std::to_string(move.array) +
+                 " layer " + std::to_string(move.layer));
+    std::vector<CostEngine::MoveDelta> before = deltas_off(ctx, engine, move.array);
+    switch (move.kind) {
+      case Kind::SelectCopy:
+        engine.select_copy(move.cc_id, move.layer);
+        break;
+      case Kind::MigrateArray:
+        engine.migrate_array(move.array, move.layer);
+        break;
+      case Kind::RemoveCopy:
+        engine.remove_copy(move.cc_id);
+        break;
+    }
+    EXPECT_TRUE(engine.fits() && engine.layering_valid());
+    std::vector<CostEngine::MoveDelta> after = deltas_off(ctx, engine, move.array);
+    EXPECT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < std::min(before.size(), after.size()); ++i) {
+      EXPECT_TRUE(same_bits(before[i], after[i])) << "delta " << i;
+    }
+    compared += static_cast<long>(before.size());
+    if (::testing::Test::HasFailure()) break;
+  }
+  return compared;
+}
+
+TEST(CostEngine, MoveDeltasDependOnlyOnTheirArray) {
+  long compared = 0;
+  for (const mem::PlatformConfig& platform : testing::platform_slice()) {
+    for (const apps::AppInfo& app : apps::all_apps()) {
+      SCOPED_TRACE(app.name + " L1 " + std::to_string(platform.l1_bytes) + " L2 " +
+                   std::to_string(platform.l2_bytes));
+      auto ws = core::make_workspace(app.build(), platform, {});
+      for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+        compared += check_deltas_stay_local(ws->context(), seed);
+      }
+    }
+    for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE("random program " + std::to_string(seed));
+      auto ws = core::make_workspace(gen::random_program(seed), platform, {});
+      compared += check_deltas_stay_local(ws->context(), seed);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(compared, 10000);
+  RecordProperty("deltas_compared", std::to_string(compared));
 }
 
 /// Branch-and-bound must return the same optimum as the un-pruned oracle

@@ -5,7 +5,8 @@
 // inside the allowance eps = 1e-9 * max(1, |scalar|, |estimate|) of the
 // fold.  These tests replay greedy's accepted-move trail and, at every
 // round, hold each gated move's estimate to eps / 1000 of sequential
-// apply / scalar() / undo, and each verdict to the applied state's.
+// apply / scalar() / undo, and each split verdict (the delta's local gate
+// and the footprint's query) to the applied state's.
 
 #include <gtest/gtest.h>
 
@@ -29,21 +30,6 @@ struct Replay {
   long moves_checked = 0;
   double worst_ratio = 0.0;  ///< max |estimate - fold| / eps
 };
-
-/// The platform slice: tight to roomy L1, with and without L2; it holds
-/// the default platform (4 KiB L1, 128 KiB L2).
-std::vector<mem::PlatformConfig> platform_slice() {
-  std::vector<mem::PlatformConfig> platforms;
-  for (ir::i64 l1 : {256, 4096, 65536}) {
-    for (ir::i64 l2 : {0, 128 * 1024, 256 * 1024}) {
-      mem::PlatformConfig platform;
-      platform.l1_bytes = l1;
-      platform.l2_bytes = l2;
-      platforms.push_back(platform);
-    }
-  }
-  return platforms;
-}
 
 void apply(assign::CostEngine& engine, Kind kind, int cc_id, std::size_t array, int layer) {
   switch (kind) {
@@ -72,6 +58,21 @@ assign::CostEngine::MoveDelta delta(const assign::CostEngine& engine, Kind kind,
   return engine.remove_delta(cc_id);
 }
 
+/// The footprint half of greedy's split gate: whether the post-move state fits.
+bool fits_after(const assign::CostEngine& engine, Kind kind, int cc_id, std::size_t array,
+                int layer) {
+  switch (kind) {
+    case Kind::SelectCopy:
+      return engine.footprint().feasible_with_copy(cc_id, layer);
+    case Kind::MigrateArray:
+      return engine.footprint().feasible_with_home(array, layer,
+                                                   engine.migrate_drops(array, layer));
+    case Kind::RemoveCopy:
+      break;
+  }
+  return true;
+}
+
 /// Check every move greedy enumerates in the engine's live state.
 void check_round(assign::CostEngine& engine, const assign::AssignContext& ctx,
                  const assign::Objective& objective, Replay& replay) {
@@ -85,6 +86,7 @@ void check_round(assign::CostEngine& engine, const assign::AssignContext& ctx,
                  std::to_string(cc_id) + " array " + std::to_string(array) + " layer " +
                  std::to_string(layer));
     assign::CostEngine::MoveDelta d = delta(engine, kind, cc_id, array, layer);
+    bool gated = d.ok && fits_after(engine, kind, cc_id, array, layer);
 
     // The const migrate-feasibility query against apply + fits().
     std::vector<int> before;
@@ -107,8 +109,8 @@ void check_round(assign::CostEngine& engine, const assign::AssignContext& ctx,
     assign::CostEngine::Totals folded = engine.totals();
     engine.undo_to(mark);
 
-    ASSERT_EQ(d.ok, gate);
-    if (!d.ok) return;
+    ASSERT_EQ(gated, gate);
+    if (!gated) return;
     double exact = objective.scalar_terms(folded.energy_nj, folded.total_cycles());
     // The estimate as greedy forms it, and from the summed totals.
     double linear = scalar + energy_unit * d.energy_nj + cycle_unit * d.cycles;
@@ -147,7 +149,7 @@ void check_round(assign::CostEngine& engine, const assign::AssignContext& ctx,
 /// checking each round before its accepted move and the final round.
 template <typename Build>
 void replay_program(const Build& build, Replay& replay) {
-  for (const mem::PlatformConfig& platform : platform_slice()) {
+  for (const mem::PlatformConfig& platform : testing::platform_slice()) {
     auto ws = core::make_workspace(build(), platform, {});
     auto ctx = ws->context();
     for (assign::Target target :

@@ -3,6 +3,7 @@
 // Shared fixtures and builders for the MHLA test suite.
 
 #include <memory>
+#include <vector>
 
 #include "apps/registry.h"
 #include "core/pipeline.h"
@@ -71,6 +72,21 @@ inline mem::PlatformConfig small_platform() {
   platform.l1_bytes = 1024;
   platform.l2_bytes = 16 * 1024;
   return platform;
+}
+
+/// The greedy platform slice: tight to roomy L1, with and without L2; it
+/// holds the default platform (4 KiB L1, 128 KiB L2).
+inline std::vector<mem::PlatformConfig> platform_slice() {
+  std::vector<mem::PlatformConfig> platforms;
+  for (ir::i64 l1 : {256, 4096, 65536}) {
+    for (ir::i64 l2 : {0, 128 * 1024, 256 * 1024}) {
+      mem::PlatformConfig platform;
+      platform.l1_bytes = l1;
+      platform.l2_bytes = l2;
+      platforms.push_back(platform);
+    }
+  }
+  return platforms;
 }
 
 /// The guard-64 rate instance of bench/search_scaling.cpp (the benchmark
