@@ -61,14 +61,16 @@ constexpr long kProbeBatch = 64;
 /// (the expired budget's reason, else the node cap), substitute the greedy
 /// fallback when it beats the incumbent, certify the gap against the global
 /// root lower bound, and verify the returned assignment is actually
-/// consumable.
+/// consumable.  Where capacity does not bind the root bound equals the
+/// optimum and may round an ulp above it, so the reported bound is clamped
+/// to the returned scalar.
 void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budget_hit,
                       const core::RunBudget& budget, double lower_bound,
                       const SearchResult* fallback) {
-  result.lower_bound = lower_bound;
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
+    result.lower_bound = std::min(lower_bound, result.scalar);
     return;
   }
   result.stop = budget.expired() ? budget.reason() : core::StopReason::NodeCap;
@@ -79,6 +81,7 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
   bool usable = FootprintTracker(ctx, result.assignment).feasible() &&
                 layering_valid(ctx, result.assignment);
   result.status = usable ? SearchStatus::BudgetExhausted : SearchStatus::Infeasible;
+  result.lower_bound = std::min(lower_bound, result.scalar);
   if (result.scalar > 0.0) {
     result.gap = std::max(0.0, (result.scalar - lower_bound) / result.scalar);
   } else {
@@ -94,6 +97,27 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
 /// a bounded layer (copy selection only ever adds footprint, so no
 /// completion of such a branch is feasible), and placements not strictly
 /// below the copy's parent store (fixed by then, so never layering-valid).
+///
+/// ## The lower bound
+///
+/// Every objective term but the compute cycles belongs to one array: its
+/// sites, its copies' transfers and its pinned traffic.  With the capacity
+/// rows dropped the problem therefore splits per array (the λ = 0
+/// Lagrangian relaxation), and one array's copy choice is a tree problem:
+/// a candidate's parent is `ancestors(c)[0]`, a site is served by its
+/// deepest selected covering copy, and a copy's parent store is the layer
+/// serving its parent's sites.  `solve_trees` computes, bottom-up,
+/// g(c, p) — the cheapest cost of c's subtree (its own sites, its
+/// descendants' sites and the transfers of the copies chosen there) when
+/// the store above it is layer p — in objective-scalar units, over only
+/// the placements that fit.  Footprints only grow along a DFS path, so a
+/// placement denied at a node stays denied below it and the bound is
+/// admissible.  Candidates are decided in id order and ancestors have
+/// smaller ids, so the undecided candidates always form whole subtrees
+/// under decided parents: the bound of a copy-phase node is the exact
+/// terms of everything decided plus g(root, parent layer) per undecided
+/// subtree, and deciding candidate j swaps g(j, p) for j's own-site terms,
+/// its transfer and its children's g — an O(1) update.
 ///
 /// Copyable on purpose: a multi-worker search stamps one search per pool
 /// worker from a shared prototype, reusing the engine precompute and the
@@ -181,164 +205,29 @@ struct EngineSearch {
   std::vector<int> cur_path_;
   std::vector<int> best_path_;  ///< path of `best` (all zeros = out-of-box)
 
-  /// Running lower bound, split into an exact part (terms whose final value
-  /// is already fixed) and an optimistic part (admissible minima for the
-  /// still-open decisions).  Passed by value down the DFS so backtracking
-  /// restores it exactly.
-  struct Bound {
-    double exact_e = 0.0;
-    double exact_c = 0.0;
-    double opt_e = 0.0;
-    double opt_c = 0.0;
-  };
-
   // -- static bound tables (per context) --
-  /// [cc * background + layer]: the candidate's cheapest transfer into
-  /// `layer` over every layering-valid parent store (src > layer), divided
-  /// by its member-site count — the share of that transfer each member site
-  /// carries while the candidate is undecided.  Admissible: a selected copy
-  /// serves a subset of its member sites and pays at least the cheapest
-  /// transfer, so the shares of the sites it serves sum to at most what it
-  /// pays.
-  std::vector<double> share_e_;
-  std::vector<double> share_c_;
-  /// Per-site suffix minima over undecided candidates, [site * (C + 1) +
-  /// next_cc]: with candidates decided in id order, the cheapest term any
-  /// undecided candidate (id >= next_cc) covering the site could still give
-  /// it — its access term on a layer the candidate individually fits plus
-  /// the candidate's transfer share there — or +infinity once no covering
-  /// candidate remains open.
-  std::vector<double> suffix_e_;
-  std::vector<double> suffix_c_;
-  /// [j] -> sites whose suffix minimum actually changes when candidate j is
-  /// decided (suffix at j+1 differs from j) — what the skip branch
-  /// re-bounds.  With candidates sorted (array, nest, level) the deepest
-  /// chain member usually carries the minimum, so for most candidates this
-  /// list is empty and skipping costs nothing; a site whose last useful
-  /// candidate dies mid-chain tightens the moment it does.  CSR-flattened
-  /// (items + offsets) so per-worker copies are two contiguous blocks.
-  std::vector<int> tighten_items_;
-  std::vector<std::size_t> tighten_off_;
-  core::IntSpan tighten_at(std::size_t j) const {
-    const int* base = tighten_items_.data();
-    return {base + tighten_off_[j], base + tighten_off_[j + 1]};
-  }
-  /// Per-site optimistic term before the array's home is decided: min over
-  /// the homes the DFS may choose (background always qualifies) of the
-  /// site's term there plus its share of the array's pinned fill/flush
-  /// (divided evenly over the array's sites, so the shares sum to exactly
-  /// the pinned traffic), and over the copy suffix minima — the
-  /// array-home-phase part of the bound.
-  std::vector<double> site_open_e_;
-  std::vector<double> site_open_c_;
-  // -- per copy phase --
-  std::vector<double> site_lb_e_;  ///< current per-site bound contribution
-  std::vector<double> site_lb_c_;
+  std::size_t layers_ = 0;  ///< row width of the [.. * layers_ + layer] tables
+  /// [c * layers_ + layer]: scalar terms of the sites candidate c covers
+  /// deepest (its own sites), served from `layer`.
+  std::vector<double> own_;
+  /// [a * layers_ + home]: array a's pinned traffic plus the terms of its
+  /// sites no candidate covers — what a home fixes outright.
+  std::vector<double> fixed_;
+  /// [a * layers_ + home]: array a's exact capacity-free minimum under a
+  /// feasible home (individual fits only); `home_min_` is its minimum over
+  /// the homes the DFS may choose.
+  std::vector<double> home_bound_;
+  std::vector<double> home_min_;
+  double root_bound_ = 0.0;
 
-  // -- footprint-aware copy-phase bound (rebuilt at each copy-phase entry) --
-  /// The static suffix tables min over every layer a candidate
-  /// *individually* fits — too optimistic once the homes-only footprint of
-  /// this copy-phase entry already denies some of those placements.  When
-  /// that happens the dynamic tables below rebuild the identical suffix
-  /// recurrence over only the placements with entry headroom
-  /// (usage(layer, nest) + bytes <= capacity).  Copy selection only ever
-  /// adds footprint, so entry-feasible is a superset of selectable anywhere
-  /// in the subtree: dropping the denied terms keeps the bound admissible
-  /// while a site whose every remaining placement is denied contributes its
-  /// exact serving term (suffix +inf) instead of an unreachable optimistic
-  /// one.  When nothing is denied, `dyn_active_` stays false and the bound
-  /// reads the static tables untouched.
-  bool dyn_active_ = false;
-  std::vector<double> dyn_suffix_e_;  ///< [site * (C + 1) + next_cc]
-  std::vector<double> dyn_suffix_c_;
-  std::vector<char> placeable_;       ///< scratch: [cc * background + layer]
-
-  double suffix_e(std::size_t site, std::size_t next_cc) const {
-    std::size_t i = site * (engine.num_candidates() + 1) + next_cc;
-    return dyn_active_ ? dyn_suffix_e_[i] : suffix_e_[i];
-  }
-  double suffix_c(std::size_t site, std::size_t next_cc) const {
-    std::size_t i = site * (engine.num_candidates() + 1) + next_cc;
-    return dyn_active_ ? dyn_suffix_c_[i] : suffix_c_[i];
-  }
-
-  /// Mark in `placeable_` every (candidate, on-chip layer) placement the
-  /// candidate individually fits and, with `entry_headroom`, that still
-  /// fits the live footprint of its nest.  Returns true iff the headroom
-  /// check denied a placement the individual fit allows.
-  bool mark_placeable(bool entry_headroom) {
-    const auto& candidates = ctx.reuse.candidates();
-    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
-    placeable_.assign(candidates.size() * B, 0);
-    bool denied = false;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      const analysis::CopyCandidate& cc = candidates[c];
-      for (std::size_t layer = 0; layer < B; ++layer) {
-        const mem::MemLayer& target = ctx.hierarchy.layer(static_cast<int>(layer));
-        if (!target.fits(cc.bytes)) continue;
-        if (entry_headroom &&
-            !target.fits(engine.footprint().usage(static_cast<int>(layer), cc.nest) + cc.bytes)) {
-          denied = true;
-          continue;
-        }
-        placeable_[c * B + layer] = 1;
-      }
-    }
-    return denied;
-  }
-
-  /// The suffix-minimum recurrence over the placements `placeable_` marks,
-  /// one site row at a time: seed column j with the cheapest term candidate
-  /// j offers the site (access term plus transfer share), then fold right
-  /// to left; column C is "no candidate left" (+inf).  Builds the static
-  /// tables at construction (nothing denied) and the footprint-filtered
-  /// ones at a copy-phase entry.
-  void build_suffix(std::vector<double>& out_e, std::vector<double>& out_c) const {
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::size_t C = engine.num_candidates();
-    const std::size_t S = engine.num_sites();
-    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
-    out_e.assign(S * (C + 1), inf);
-    out_c.assign(S * (C + 1), inf);
-    for (std::size_t s = 0; s < S; ++s) {
-      double* row_e = out_e.data() + s * (C + 1);
-      double* row_c = out_c.data() + s * (C + 1);
-      for (int cc : engine.covering(s)) {
-        std::size_t c = static_cast<std::size_t>(cc);
-        for (std::size_t layer = 0; layer < B; ++layer) {
-          if (!placeable_[c * B + layer]) continue;
-          int l = static_cast<int>(layer);
-          row_e[c] = std::min(row_e[c], engine.site_energy_term(s, l) + share_e_[c * B + layer]);
-          row_c[c] = std::min(row_c[c], engine.site_cycle_term(s, l) + share_c_[c * B + layer]);
-        }
-      }
-      for (std::size_t c = C; c-- > 0;) {
-        row_e[c] = std::min(row_e[c], row_e[c + 1]);
-        row_c[c] = std::min(row_c[c], row_c[c + 1]);
-      }
-    }
-  }
-
-  /// Recompute the entry-feasibility filter and, if it denies anything, the
-  /// dynamic suffix tables.  Called once per copy-phase entry, before any
-  /// copy is selected, so `engine.footprint()` holds exactly the homes-only
-  /// usage; a replayed task recomputes byte-identical tables because the
-  /// same homes produce the same footprint.
-  void prepare_copy_bound() {
-    dyn_active_ = mark_placeable(/*entry_headroom=*/true);
-    if (dyn_active_) build_suffix(dyn_suffix_e_, dyn_suffix_c_);
-  }
-
-  /// Backtracking journal for the per-site bound contributions; tighten
-  /// pushes the displaced values, restore pops to a mark.  An arena stack
-  /// reserved for the deepest possible DFS path (every candidate's member
-  /// sites pushed once) keeps the hot path allocation-free outright.
-  struct SavedSite {
-    int site;
-    double e;
-    double c;
-  };
-  core::ArenaStack<SavedSite> saved_sites_;
+  // -- per copy phase (rebuilt at each copy-phase entry) --
+  /// [c * layers_ + p]: g(c, p) over the placements with entry headroom.
+  std::vector<double> tree_;
+  /// [c * layers_ + l]: c's own-site terms at l plus its children's
+  /// g(., l) — c's subtree cost once the layer serving c's sites is l.
+  std::vector<double> served_;
+  /// [a * layers_ + h]: g(r, h) summed over array a's chain roots r.
+  std::vector<double> roots_;
 
   EngineSearch(const AssignContext& c, const SearchOptions& o)
       : ctx(c),
@@ -350,87 +239,118 @@ struct EngineSearch {
     precompute_bounds();
   }
 
+  /// One (energy, cycles) term in objective-scalar units; the objective is
+  /// linear, so these sum to the scalar up to rounding.
+  double term(double energy, double cycles) const { return objective.scalar_terms(energy, cycles); }
+
+  double transfer(int cc, int src, int dst) const {
+    return term(engine.cc_energy_term(cc, src, dst), engine.cc_cycle_term(cc, src, dst));
+  }
+
   void precompute_bounds() {
-    const double inf = std::numeric_limits<double>::infinity();
     const std::size_t C = engine.num_candidates();
-    const std::size_t S = engine.num_sites();
-    const int L = ctx.hierarchy.num_layers();
-    const std::size_t B = static_cast<std::size_t>(ctx.hierarchy.background());
+    const std::size_t A = ctx.program.arrays().size();
+    layers_ = static_cast<std::size_t>(ctx.hierarchy.num_layers());
 
-    share_e_.assign(C * B, 0.0);
-    share_c_.assign(C * B, 0.0);
-    std::size_t member_sites = 0;
-    for (std::size_t c = 0; c < C; ++c) {
-      int cc = static_cast<int>(c);
-      std::size_t members = engine.candidate_sites(cc).size();
-      member_sites += members;
-      double per_site = 1.0 / static_cast<double>(std::max<std::size_t>(members, 1));
-      for (std::size_t dst = 0; dst < B; ++dst) {
-        double lb_e = inf;
-        double lb_c = inf;
-        // Layering-valid states have src > dst (the search cuts the rest),
-        // so the cheapest valid parent bounds the transfer admissibly.
-        for (int src = static_cast<int>(dst) + 1; src < L; ++src) {
-          lb_e = std::min(lb_e, engine.cc_energy_term(cc, src, static_cast<int>(dst)));
-          lb_c = std::min(lb_c, engine.cc_cycle_term(cc, src, static_cast<int>(dst)));
-        }
-        share_e_[c * B + dst] = lb_e * per_site;
-        share_c_[c * B + dst] = lb_c * per_site;
+    own_.assign(C * layers_, 0.0);
+    fixed_.assign(A * layers_, 0.0);
+    for (std::size_t s = 0; s < engine.num_sites(); ++s) {
+      core::IntSpan covering = engine.covering(s);
+      double* out = covering.empty()
+                        ? &fixed_[engine.site_array(s) * layers_]
+                        : &own_[static_cast<std::size_t>(covering[0]) * layers_];
+      for (std::size_t l = 0; l < layers_; ++l) {
+        int layer = static_cast<int>(l);
+        out[l] += term(engine.site_energy_term(s, layer), engine.site_cycle_term(s, layer));
       }
     }
-    mark_placeable(/*entry_headroom=*/false);
-    build_suffix(suffix_e_, suffix_c_);
 
-    tighten_off_.assign(C + 1, 0);
-    tighten_items_.clear();
-    for (std::size_t c = 0; c < C; ++c) {
-      for (int site : engine.candidate_sites(static_cast<int>(c))) {
-        std::size_t i = static_cast<std::size_t>(site) * (C + 1) + c;
-        if (suffix_e_[i + 1] != suffix_e_[i] || suffix_c_[i + 1] != suffix_c_[i]) {
-          tighten_items_.push_back(site);
-        }
-      }
-      tighten_off_[c + 1] = tighten_items_.size();
-    }
-    // The deepest DFS path decides every candidate once, pushing at most its
-    // member sites, so the member-site total bounds the journal depth.
-    saved_sites_.reserve(member_sites);
-
+    // The static trees admit every placement a candidate fits on its own.
+    solve_trees(/*entry_headroom=*/false);
     const auto& arrays = ctx.program.arrays();
-    site_open_e_.assign(S, inf);
-    site_open_c_.assign(S, inf);
-    for (std::size_t a = 0; a < arrays.size(); ++a) {
-      // An array without access sites has no row to carry a share; its
-      // pinned traffic simply enters the bound exactly once its home is set.
-      core::IntSpan sites = engine.array_sites(a);
-      if (sites.empty()) continue;
-      double per_site = 1.0 / static_cast<double>(sites.size());
+    home_bound_.assign(A * layers_, std::numeric_limits<double>::infinity());
+    home_min_.assign(A, std::numeric_limits<double>::infinity());
+    root_bound_ = term(0.0, engine.compute_cycles());
+    for (std::size_t a = 0; a < A; ++a) {
       for_each_feasible_home(ctx, arrays[a], options.allow_array_migration, [&](int, int home) {
-        double pin_e = engine.pinned_energy_term(a, home) * per_site;
-        double pin_c = engine.pinned_cycle_term(a, home) * per_site;
-        for (int site : sites) {
-          std::size_t s = static_cast<std::size_t>(site);
-          site_open_e_[s] = std::min(site_open_e_[s], engine.site_energy_term(s, home) + pin_e);
-          site_open_c_[s] = std::min(site_open_c_[s], engine.site_cycle_term(s, home) + pin_c);
-        }
+        std::size_t h = static_cast<std::size_t>(home);
+        fixed_[a * layers_ + h] +=
+            term(engine.pinned_energy_term(a, home), engine.pinned_cycle_term(a, home));
+        double value = array_value(a, home);
+        home_bound_[a * layers_ + h] = value;
+        home_min_[a] = std::min(home_min_[a], value);
       });
-    }
-    for (std::size_t s = 0; s < S; ++s) {
-      site_open_e_[s] = std::min(site_open_e_[s], suffix_e_[s * (C + 1)]);
-      site_open_c_[s] = std::min(site_open_c_[s], suffix_c_[s * (C + 1)]);
+      root_bound_ += home_min_[a];
     }
   }
 
-  /// Admissible scalar lower bound for every completion of the current node.
-  /// The tiny relative margin absorbs floating-point drift in the running
-  /// sums so pruning never discards a state that could strictly improve.
-  /// The cut is against the shared incumbent, which every worker's best
-  /// improvement lowers (so it is never above `best_scalar`), and strict:
-  /// the best may come from a canonically *later* task, so a subtree that
-  /// could still tie may hold the canonical-first optimum and must survive
-  /// for the path tie-break.
-  bool prune(const Bound& bound) {
-    double lb = objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
+  /// Fill `tree_`, `served_` and `roots_` bottom-up.  A candidate's parent
+  /// is `ancestors(c)[0]`, a smaller id, so by the time c is solved every
+  /// child has folded its g into c's `served_` row, and c folds its own
+  /// into its parent's row (or, for a chain root, its array's `roots_`).
+  /// A candidate may go on an on-chip layer strictly below the store above
+  /// it that it fits on its own and, with `entry_headroom`, that still fits
+  /// the live footprint of its nest.
+  void solve_trees(bool entry_headroom) {
+    const auto& candidates = ctx.reuse.candidates();
+    const int L = static_cast<int>(layers_);
+    const int B = ctx.hierarchy.background();
+    tree_.resize(candidates.size() * layers_);
+    served_ = own_;
+    roots_.assign(ctx.program.arrays().size() * layers_, 0.0);
+    for (std::size_t c = candidates.size(); c-- > 0;) {
+      const analysis::CopyCandidate& cc = candidates[c];
+      const double* served = &served_[c * layers_];
+      double* g = &tree_[c * layers_];
+      for (int p = 0; p < L; ++p) g[p] = served[p];
+      for (int l = 0; l < B; ++l) {
+        const mem::MemLayer& target = ctx.hierarchy.layer(l);
+        if (!target.fits(cc.bytes)) continue;
+        if (entry_headroom && !target.fits(engine.footprint().usage(l, cc.nest) + cc.bytes)) continue;
+        for (int p = l + 1; p < L; ++p) {
+          g[p] = std::min(g[p], transfer(cc.id, p, l) + served[l]);
+        }
+      }
+      core::IntSpan ancestors = engine.ancestors(cc.id);
+      double* up = ancestors.empty()
+                       ? &roots_[static_cast<std::size_t>(cc.array_id) * layers_]
+                       : &served_[static_cast<std::size_t>(ancestors[0]) * layers_];
+      for (std::size_t l = 0; l < layers_; ++l) up[l] += g[l];
+    }
+  }
+
+  /// Array a's minimum under `home` from the last `solve_trees`.
+  double array_value(std::size_t a, int home) const {
+    std::size_t h = a * layers_ + static_cast<std::size_t>(home);
+    return fixed_[h] + roots_[h];
+  }
+
+  /// The bound once candidate j, under a store on `parent`, is decided:
+  /// skipped (`layer == parent`, its own sites stay served by the parent)
+  /// or placed on `layer`.  g(j, parent) gives way to j's transfer, if
+  /// any, plus its own-site terms and its children's g under `layer`.
+  double decide(double bound, std::size_t j, int parent, int layer) const {
+    double next = bound - tree_[j * layers_ + static_cast<std::size_t>(parent)] +
+                  served_[j * layers_ + static_cast<std::size_t>(layer)];
+    if (layer != parent) next += transfer(static_cast<int>(j), parent, layer);
+    return next;
+  }
+
+  /// The bound once array a homes on `home`: its any-home minimum gives way
+  /// to its minimum under that home.
+  double with_home(double bound, std::size_t a, int home) const {
+    return bound + (home_bound_[a * layers_ + static_cast<std::size_t>(home)] - home_min_[a]);
+  }
+
+  /// Admissible scalar lower bound `lb` for every completion of the current
+  /// node.  The tiny relative margin absorbs floating-point drift in the
+  /// running sums so pruning never discards a state that could strictly
+  /// improve.  The cut is against the shared incumbent, which every
+  /// worker's best improvement lowers (so it is never above `best_scalar`),
+  /// and strict: the best may come from a canonically *later* task, so a
+  /// subtree that could still tie may hold the canonical-first optimum and
+  /// must survive for the path tie-break.
+  bool prune(double lb) {
     if (lb * (1.0 - 1e-9) > shared_incumbent->load()) {
       ++bound_prunes;
       return true;
@@ -465,59 +385,7 @@ struct EngineSearch {
     }
   }
 
-  /// Candidate j has just been decided: `sites` can no longer receive a
-  /// copy from it, so each one's bound contribution tightens to
-  /// min(current serving term, suffix minimum over candidates > j).  Once a
-  /// site's last covering candidate is decided the suffix is +inf and the
-  /// contribution becomes the exact serving term.  Displaced values go on
-  /// `saved_sites_`; the caller restores to its mark.
-  ///
-  /// A skip re-bounds only `tighten_at(j)`, the sites whose *static* suffix
-  /// moves: the others keep a contribution at most the new minimum.  With
-  /// the dynamic (footprint-filtered) tables active a site may keep a
-  /// stale, smaller contribution past the step where only its dynamic
-  /// suffix rose; that is merely a weaker admissible bound, and spawn and
-  /// replay tighten at identical steps either way.  A selection re-bounds
-  /// every member site: they are now served by the copy, whose transfer is
-  /// charged exactly, so a contribution still holding the copy's own share
-  /// would count that transfer twice.
-  void tighten_sites(core::IntSpan sites, std::size_t j, Bound& bound) {
-    for (int site : sites) {
-      std::size_t s = static_cast<std::size_t>(site);
-      int layer = engine.serving_layer(s);
-      double e = std::min(engine.site_energy_term(s, layer), suffix_e(s, j + 1));
-      double c = std::min(engine.site_cycle_term(s, layer), suffix_c(s, j + 1));
-      saved_sites_.push_back({site, site_lb_e_[s], site_lb_c_[s]});
-      bound.opt_e += e - site_lb_e_[s];
-      bound.opt_c += c - site_lb_c_[s];
-      site_lb_e_[s] = e;
-      site_lb_c_[s] = c;
-    }
-  }
-
-  /// Select candidate j on `layer` below its parent store and fold the
-  /// decision into the bound: the copy's transfer is exact (its ancestors
-  /// all have smaller ids, so its parent store is final), and its member
-  /// sites re-bound against the new serving layer.
-  void select_into_bound(std::size_t j, int parent, int layer, Bound& bound) {
-    int id = static_cast<int>(j);
-    engine.select_copy(id, layer);
-    bound.exact_e += engine.cc_energy_term(id, parent, layer);
-    bound.exact_c += engine.cc_cycle_term(id, parent, layer);
-    tighten_sites(engine.candidate_sites(id), j, bound);
-  }
-
-  void restore_sites(std::size_t mark) {
-    while (saved_sites_.size() > mark) {
-      const SavedSite& saved = saved_sites_.back();
-      std::size_t s = static_cast<std::size_t>(saved.site);
-      site_lb_e_[s] = saved.e;
-      site_lb_c_[s] = saved.c;
-      saved_sites_.pop_back();
-    }
-  }
-
-  void recurse_copies(std::size_t j, Bound bound) {
+  void recurse_copies(std::size_t j, double bound) {
     if (budget_hit) return;
     if (!charge()) {
       budget_hit = true;
@@ -530,21 +398,19 @@ struct EngineSearch {
       evaluate_leaf();
       return;
     }
+    // Candidates are decided in id order and every ancestor has a smaller
+    // id, so the parent store read here is the one candidate j will have
+    // in every completion of this node.
+    const int parent = engine.parent_layer(static_cast<int>(j));
     // Parallel split: when peers are starving and enough candidates remain
     // for the subtree to outweigh a prefix replay, hand every live Option-B
     // branch to the pool first, then keep only the skip branch locally.
     const bool offload = candidates.size() - j >= kMinCopySplit && should_split();
-    if (offload) place_copy(j, bound, /*offload=*/true);
+    if (offload) place_copy(j, parent, bound, /*offload=*/true);
     // Option A: skip this candidate.
-    {
-      cur_path_[ctx.program.arrays().size() + j] = 0;
-      Bound child = bound;
-      std::size_t mark = saved_sites_.size();
-      tighten_sites(tighten_at(j), j, child);
-      recurse_copies(j + 1, child);
-      restore_sites(mark);
-    }
-    if (!offload) place_copy(j, bound, /*offload=*/false);
+    cur_path_[ctx.program.arrays().size() + j] = 0;
+    recurse_copies(j + 1, decide(bound, j, parent, parent));
+    if (!offload) place_copy(j, parent, bound, /*offload=*/false);
   }
 
   /// Option B of candidate j: place it on every on-chip layer it fits
@@ -555,16 +421,12 @@ struct EngineSearch {
   /// descent runs (the placement cuts and the child bound prune), so a
   /// spawned code always replays to a live branch this DFS would have
   /// entered, and the prune counters match.
-  void place_copy(std::size_t j, const Bound& bound, bool offload) {
+  void place_copy(std::size_t j, int parent, double bound, bool offload) {
     const std::size_t A = ctx.program.arrays().size();
     const analysis::CopyCandidate& cc = ctx.reuse.candidates()[j];
     assert(cc.id == static_cast<int>(j));
-    // Candidates are decided in id order and every ancestor has a smaller
-    // id, so the parent store read here is the one the copy will have in
-    // every completion of this branch.
     assert(std::all_of(engine.ancestors(cc.id).begin(), engine.ancestors(cc.id).end(),
                        [j](int anc) { return static_cast<std::size_t>(anc) < j; }));
-    const int parent = engine.parent_layer(cc.id);
     for (int layer = 0; layer < ctx.hierarchy.background(); ++layer) {
       const mem::MemLayer& target = ctx.hierarchy.layer(layer);
       if (!target.fits(cc.bytes)) continue;
@@ -581,15 +443,13 @@ struct EngineSearch {
       }
       cur_path_[A + j] = layer + 1;
       CostEngine::Checkpoint cp = engine.checkpoint();
-      Bound child = bound;
-      std::size_t mark = saved_sites_.size();
-      select_into_bound(j, parent, layer, child);
+      engine.select_copy(cc.id, layer);
+      double child = decide(bound, j, parent, layer);
       if (!offload) {
         recurse_copies(j + 1, child);
       } else if (!prune(child)) {
         spawn_prefix(A + j + 1);
       }
-      restore_sites(mark);
       engine.undo_to(cp);
     }
   }
@@ -605,71 +465,36 @@ struct EngineSearch {
                                    cur_path_.begin() + static_cast<std::ptrdiff_t>(len)));
   }
 
-  /// Replay one copy decision of a stolen task's prefix onto the engine and
-  /// the bound.  No prune or feasibility re-checks: the spawning worker ran
-  /// them on the identical deterministic state before offloading, so
-  /// re-running could only agree.
-  void apply_copy_code(std::size_t j, int code, Bound& bound) {
-    cur_path_[ctx.program.arrays().size() + j] = code;
-    if (code > 0) {
-      int parent = engine.parent_layer(static_cast<int>(j));
-      select_into_bound(j, parent, code - 1, bound);
-    } else {
-      tighten_sites(tighten_at(j), j, bound);
-    }
-  }
-
   /// Copy-phase entry, optionally replaying the copy-code prefix of a
   /// stolen task before recursing at candidate `j0`.  Array homes are fixed
   /// from here on: the pinned traffic and the array-only footprint are
   /// exact, and no copies are selected yet, so the engine's tracker holds
-  /// exactly the homes-only footprint the footprint-aware bound filters
-  /// against.  The bound is rebuilt from scratch — the same homes always
-  /// produce the same numbers, so a replayed subtree prunes identically to
-  /// the subtree the spawning worker would have descended.
+  /// exactly the homes-only footprint the trees filter against.  The bound
+  /// is rebuilt from scratch and the replayed codes fold in exactly as the
+  /// DFS folded them (no prune or feasibility re-checks: the spawning
+  /// worker ran them on the identical deterministic state), so a replayed
+  /// subtree prunes identically to the one the spawning worker would have
+  /// descended.
   void enter_copy_phase_at(std::size_t j0, const int* codes) {
     if (!engine.fits()) return;  // no copy subset can shrink an array overflow
 
-    prepare_copy_bound();
-    Bound bound;
-    auto [pin_e, pin_c] = engine.pinned_totals();
-    bound.exact_e = pin_e;
-    bound.exact_c = engine.compute_cycles() + pin_c;
-
-    const std::size_t S = engine.num_sites();
-    site_lb_e_.assign(S, 0.0);
-    site_lb_c_.assign(S, 0.0);
-    for (std::size_t s = 0; s < S; ++s) {
-      // No copies are selected yet, so serving_layer == the array's home;
-      // suffix 0 is the minimum over every covering candidate.
-      int home = engine.serving_layer(s);
-      site_lb_e_[s] = std::min(engine.site_energy_term(s, home), suffix_e(s, 0));
-      site_lb_c_[s] = std::min(engine.site_cycle_term(s, home), suffix_c(s, 0));
-      bound.opt_e += site_lb_e_[s];
-      bound.opt_c += site_lb_c_[s];
+    solve_trees(/*entry_headroom=*/true);
+    double bound = term(0.0, engine.compute_cycles());
+    for (std::size_t a = 0; a < ctx.program.arrays().size(); ++a) {
+      bound += array_value(a, engine.home_of(a));
     }
-    for (std::size_t j = 0; j < j0; ++j) apply_copy_code(j, codes[j], bound);
+    const std::size_t A = ctx.program.arrays().size();
+    for (std::size_t j = 0; j < j0; ++j) {
+      int parent = engine.parent_layer(static_cast<int>(j));
+      int layer = codes[j] > 0 ? codes[j] - 1 : parent;
+      cur_path_[A + j] = codes[j];
+      if (codes[j] > 0) engine.select_copy(static_cast<int>(j), layer);
+      bound = decide(bound, j, parent, layer);
+    }
     recurse_copies(j0, bound);
   }
 
-  /// Fold array `a`'s home decision into the array-phase bound: its pinned
-  /// traffic becomes exact and its sites' contributions move from the
-  /// any-home optimistic term to min(term at the chosen home, copy suffix).
-  /// The bound travels by value down the DFS, so no restore is needed.
-  void apply_home_to_bound(std::size_t a, int home, Bound& bound) {
-    bound.exact_e += engine.pinned_energy_term(a, home);
-    bound.exact_c += engine.pinned_cycle_term(a, home);
-    const std::size_t C = engine.num_candidates();
-    for (int site : engine.array_sites(a)) {
-      std::size_t s = static_cast<std::size_t>(site);
-      double e = std::min(engine.site_energy_term(s, home), suffix_e_[s * (C + 1)]);
-      double c = std::min(engine.site_cycle_term(s, home), suffix_c_[s * (C + 1)]);
-      bound.opt_e += e - site_open_e_[s];
-      bound.opt_c += c - site_open_c_[s];
-    }
-  }
-
-  void recurse_arrays(std::size_t index, Bound bound) {
+  void recurse_arrays(std::size_t index, double bound) {
     if (budget_hit) return;
     if (!charge()) {
       budget_hit = true;
@@ -690,8 +515,7 @@ struct EngineSearch {
       cur_path_[index] = offset;
       CostEngine::Checkpoint cp = engine.checkpoint();
       engine.set_home(index, layer);
-      Bound child = bound;
-      apply_home_to_bound(index, layer, child);
+      double child = with_home(bound, index, layer);
       if (!offload) {
         recurse_arrays(index + 1, child);
       } else if (!prune(child)) {
@@ -701,40 +525,13 @@ struct EngineSearch {
     });
   }
 
-  /// Array-phase bound with the homes of arrays [0, homes) already set on
-  /// the engine: every site starts at its any-home optimistic term, then
-  /// each decided home is folded in.  `homes == 0` gives the root bound.
-  Bound array_phase_bound(std::size_t homes) {
-    Bound bound;
-    bound.exact_c = engine.compute_cycles();
-    const std::size_t S = engine.num_sites();
-    for (std::size_t s = 0; s < S; ++s) {
-      bound.opt_e += site_open_e_[s];
-      bound.opt_c += site_open_c_[s];
-    }
-    for (std::size_t a = 0; a < homes; ++a) {
-      apply_home_to_bound(a, engine.home_of(a), bound);
-    }
-    return bound;
-  }
-
-  /// Global admissible scalar lower bound of the whole search (the root
-  /// task's bound before any decision): every feasible assignment
-  /// costs at least this much.  Built from the static per-site/per-array
-  /// tables, so it is independent of the engine's current state — the
-  /// anytime gap certificate compares the incumbent against it.
-  double root_scalar_bound() {
-    Bound bound = array_phase_bound(0);
-    return objective.scalar_terms(bound.exact_e + bound.opt_e, bound.exact_c + bound.opt_c);
-  }
-
   /// Execute one work-stealing task: replay the canonical path prefix
   /// onto this worker's engine, search the subtree under it, and unwind so
   /// the next task this worker claims starts from a pristine out-of-box
-  /// engine.  A prefix inside the array phase rebuilds the array-phase
-  /// bound from the decided homes; a prefix reaching the copy phase lets
-  /// `enter_copy_phase_at` rebuild its own bound — either way replay needs
-  /// nothing from the spawning worker beyond the codes.
+  /// engine.  A prefix inside the array phase folds the decided homes into
+  /// the root bound exactly as the DFS did; a prefix reaching the copy
+  /// phase lets `enter_copy_phase_at` rebuild its own bound — either way
+  /// replay needs nothing from the spawning worker beyond the codes.
   ///
   /// `nodes` and `budget_hit` outlive the task, so `max_states` bounds the
   /// whole search, not each task; once hit, this worker's later tasks
@@ -742,23 +539,22 @@ struct EngineSearch {
   /// uncharged probe remainder is flushed to the budget on exit.
   void run_task(const std::vector<int>& prefix) {
     if (budget_hit) return;
-    const auto& arrays = ctx.program.arrays();
-    const std::size_t A = arrays.size();
+    const std::size_t A = ctx.program.arrays().size();
     std::size_t homes = std::min(prefix.size(), A);
+    double bound = root_bound_;
     for (std::size_t a = 0; a < homes; ++a) {
       cur_path_[a] = prefix[a];
-      engine.set_home(a, home_layer(ctx, prefix[a]));
+      int layer = home_layer(ctx, prefix[a]);
+      engine.set_home(a, layer);
+      bound = with_home(bound, a, layer);
     }
     if (prefix.size() < A) {
-      recurse_arrays(prefix.size(), array_phase_bound(homes));
+      recurse_arrays(prefix.size(), bound);
     } else {
       enter_copy_phase_at(prefix.size() - A, prefix.data() + A);
     }
     if (!flush_probes()) budget_hit = true;
-    // Blanket unwind: drop the replay's journal entries and rewind the
-    // engine to out-of-box for the next task.
-    restore_sites(0);
-    engine.undo_to(0);
+    engine.undo_to(0);  // rewind to out-of-box for the next task
   }
 };
 
@@ -802,7 +598,7 @@ SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& opt
 
   EngineSearch prototype(ctx, options);
   prototype.run_budget = run_budget;
-  double root_lb = prototype.root_scalar_bound();
+  double root_lb = prototype.root_bound_;
 
   SearchResult result;
   result.assignment = prototype.best;

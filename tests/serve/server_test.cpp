@@ -3,6 +3,8 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -42,13 +44,24 @@ std::string temp_path(const std::string& name) {
 /// One protocol connection against a Server under test.
 class TestClient {
  public:
+  /// Longest wait for one event.  A missing event fails the test (the read
+  /// throws) instead of blocking the suite forever.
+  static constexpr int kReceiveTimeoutSeconds = 60;
+
   explicit TestClient(int port)
-      : socket_(connect_to("127.0.0.1", port)), reader_(socket_) {}
+      : socket_(connect_to("127.0.0.1", port)), reader_(socket_) {
+    timeval timeout{};
+    timeout.tv_sec = kReceiveTimeoutSeconds;
+    if (::setsockopt(socket_.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout) != 0) {
+      throw std::runtime_error("cannot set the test socket's receive timeout");
+    }
+  }
 
   void send(const Request& request) { ASSERT_TRUE(write_line(socket_, to_json(request))); }
   void send_raw(const std::string& line) { ASSERT_TRUE(write_line(socket_, line)); }
 
-  /// Next event object; fails the test on EOF.
+  /// Next event object; fails the test on EOF or after
+  /// `kReceiveTimeoutSeconds` without one.
   Json next() {
     std::string line;
     if (!reader_.read_line(line)) throw std::runtime_error("server closed the connection");
@@ -109,6 +122,23 @@ Request explore_request(const ir::Program& program) {
   request.has_config = true;
   request.explore.l1_axis = {128, 256, 512, 1024, 2048};
   request.explore.l2_axis = {0, 8192};
+  return request;
+}
+
+/// A submit whose exact search runs far longer than any test waits:
+/// mpeg2_encoder with a 256 B L1, where capacity binds (2e9 nodes are
+/// still not enough; about a minute on a 4-vCPU VM), with the node cap
+/// effectively removed, so only a cancel or the `deadline_seconds`
+/// backstop (which keeps a broken cancel from hanging the suite) ends it.
+Request long_exact_search(double deadline_seconds) {
+  Request request;
+  request.command = Command::Submit;
+  request.program_text = ir::serialize(apps::build_app("mpeg2_encoder"));
+  request.config.platform.l1_bytes = 256;
+  request.config.strategy = "bnb";
+  request.config.search.max_states = 2'000'000'000L;
+  request.config.search.budget.deadline_seconds = deadline_seconds;
+  request.has_config = true;
   return request;
 }
 
@@ -293,17 +323,9 @@ TEST(Server, CancelMidFlightEndsBudgetExhaustedWithCertifiedGap) {
   Server server(config);
   TestClient client(server.port());
 
-  // A genuinely long-running exact search: a real app on the default
-  // platform with the state cap effectively removed, so only the cancel
-  // (or the 60 s deadline backstop that keeps a broken cancel from
-  // hanging the suite) can stop it.
-  Request request;
-  request.command = Command::Submit;
-  request.program_text = ir::serialize(apps::build_app("mpeg2_encoder"));
-  request.config.strategy = "bnb";
-  request.config.search.max_states = 2'000'000'000L;
-  request.config.search.budget.deadline_seconds = 60.0;
-  request.has_config = true;
+  // A genuinely long-running exact search: only the cancel (or the 60 s
+  // deadline backstop) can stop it.
+  Request request = long_exact_search(60.0);
 
   const auto start = std::chrono::steady_clock::now();
   client.send(request);
@@ -343,12 +365,13 @@ TEST(Server, CancelMidFlightEndsBudgetExhaustedWithCertifiedGap) {
 TEST(Server, JobStateFollowsTheStopReason) {
   // A job is cancelled exactly when its stop is the cancel: a node-capped
   // search and a cell-budgeted explore stopped early too, but they finished.
+  // fft_filter's exact search runs past the default node cap.
   Server server({});
   TestClient client(server.port());
 
   Request capped;
   capped.command = Command::Submit;
-  capped.program_text = ir::serialize(apps::build_app("wavelet"));
+  capped.program_text = ir::serialize(apps::build_app("fft_filter"));
   capped.config.strategy = "bnb";
   capped.has_config = true;
   client.send(capped);
@@ -356,7 +379,7 @@ TEST(Server, JobStateFollowsTheStopReason) {
   Json done = client.next_named("done");
   EXPECT_EQ(done.at("state").string(), "done");
   EXPECT_EQ(done.at("status").string(), "budget_exhausted");
-  EXPECT_EQ(done.at("stop").string(), "node_cap");
+  ASSERT_EQ(done.at("stop").string(), "node_cap") << "the node cap no longer binds";
 
   Request sampled = explore_request(mhla::testing::blocked_reuse_program());
   sampled.explore.budget = 3;
@@ -371,10 +394,7 @@ TEST(Server, JobStateFollowsTheStopReason) {
 
   // One exact cell that only the cancel (or the 60 s backstop) can end.
   Request long_running = explore_request(apps::build_app("mpeg2_encoder"));
-  long_running.config.platform = mem::PlatformConfig{};
-  long_running.config.strategy = "bnb";
-  long_running.config.search.max_states = 2'000'000'000L;
-  long_running.config.search.budget.deadline_seconds = 60.0;
+  long_running.config = long_exact_search(60.0).config;
   long_running.explore.l1_axis = {long_running.config.platform.l1_bytes};
   long_running.explore.l2_axis = {long_running.config.platform.l2_bytes};
   client.send(long_running);
@@ -666,16 +686,8 @@ TEST(Server, CancelWhileQueuedEmitsImmediateTerminalEvent) {
   Server server(config);
   TestClient client(server.port());
 
-  // Occupy the single worker with a genuinely long exact search (60 s
-  // deadline as the backstop against a broken cancel hanging the suite).
-  Request blocker;
-  blocker.command = Command::Submit;
-  blocker.program_text = ir::serialize(apps::build_app("mpeg2_encoder"));
-  blocker.config.strategy = "bnb";
-  blocker.config.search.max_states = 2'000'000'000L;
-  blocker.config.search.budget.deadline_seconds = 60.0;
-  blocker.has_config = true;
-  client.send(blocker);
+  // Occupy the single worker with a genuinely long exact search.
+  client.send(long_exact_search(60.0));
   const std::uint64_t running =
       static_cast<std::uint64_t>(client.next_named("accepted").at("job").integer());
 
@@ -707,6 +719,7 @@ TEST(Server, CancelWhileQueuedEmitsImmediateTerminalEvent) {
   client.next_named("cancelled");
   Json blocker_done = client.next_named("done");
   EXPECT_EQ(static_cast<std::uint64_t>(blocker_done.at("job").integer()), running);
+  EXPECT_EQ(blocker_done.at("stop").string(), "cancelled") << "the blocker ended on its own";
   ServerMetricsView view = server.metrics_view();
   EXPECT_EQ(view.jobs_accepted,
             view.jobs_done + view.jobs_failed + view.jobs_cancelled);
@@ -723,17 +736,10 @@ TEST(Server, CacheHitIsAnsweredWhileTheOnlyWorkerIsBusy) {
   client.next_named("accepted");
   EXPECT_FALSE(client.next_named("done").at("from_cache").boolean());
 
-  // Occupy the only worker with a long exact search (no state cap; the
-  // 10 s deadline only bounds the run should the hit wait behind it), and
-  // make sure the worker has claimed it.
-  Request blocker;
-  blocker.command = Command::Submit;
-  blocker.program_text = ir::serialize(apps::build_app("mpeg2_encoder"));
-  blocker.config.strategy = "bnb";
-  blocker.config.search.max_states = 2'000'000'000L;
-  blocker.config.search.budget.deadline_seconds = 10.0;
-  blocker.has_config = true;
-  client.send(blocker);
+  // Occupy the only worker with a long exact search (the 10 s deadline
+  // only bounds the run should the hit wait behind it), and make sure the
+  // worker has claimed it.
+  client.send(long_exact_search(10.0));
   const std::uint64_t running =
       static_cast<std::uint64_t>(client.next_named("accepted").at("job").integer());
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
