@@ -66,7 +66,7 @@ constexpr long kProbeBatch = 64;
 /// to the returned scalar.
 void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budget_hit,
                       const core::RunBudget& budget, double lower_bound,
-                      const SearchResult* fallback) {
+                      const SearchResult& fallback) {
   if (!budget_hit) {
     result.status = SearchStatus::Optimal;
     result.gap = 0.0;
@@ -74,9 +74,9 @@ void finalize_anytime(SearchResult& result, const AssignContext& ctx, bool budge
     return;
   }
   result.stop = budget.expired() ? budget.reason() : core::StopReason::NodeCap;
-  if (fallback && fallback->scalar < result.scalar) {
-    result.assignment = fallback->assignment;
-    result.scalar = fallback->scalar;
+  if (fallback.scalar < result.scalar) {
+    result.assignment = fallback.assignment;
+    result.scalar = fallback.scalar;
   }
   bool usable = FootprintTracker(ctx, result.assignment).feasible() &&
                 layering_valid(ctx, result.assignment);
@@ -558,21 +558,19 @@ struct EngineSearch {
   }
 };
 
-/// Seed `incumbent` with a greedy run (when `bnb_seed_incumbent` is on) and
-/// return that run.  A greedy run gives an *achievable* scalar, so pruning strictly above it
-/// can only discard non-optimal subtrees: admissible bounds satisfy
+/// Seed `incumbent` with a greedy run and return that run.  A greedy run
+/// gives an *achievable* scalar, so pruning strictly above it can only
+/// discard non-optimal subtrees: admissible bounds satisfy
 /// lb <= optimum <= seed on any subtree holding an optimal state.  The seed
 /// scalar rides in `shared_incumbent` — whose prune is strict — rather than
 /// the local best, so tie states (scalar == seed) still enumerate and the
-/// returned optimum is bit-identical to an unseeded search.  The full
-/// greedy result is kept as the anytime fallback: if the budget expires
-/// before the enumeration beats it, its assignment is the best answer.
+/// returned optimum is the canonical-DFS-order one.  The full greedy result
+/// is kept as the anytime fallback: if the budget expires before the
+/// enumeration beats it, its assignment is the best answer.
 /// The seed search itself observes the run budget, so a cancelled run
 /// degrades all the way down.
-std::optional<SearchResult> seed_incumbent(const AssignContext& ctx, const SearchOptions& options,
-                                           core::RunBudget* run_budget,
-                                           core::AtomicMin& incumbent) {
-  if (!options.bnb_seed_incumbent) return std::nullopt;
+SearchResult seed_incumbent(const AssignContext& ctx, const SearchOptions& options,
+                            core::RunBudget* run_budget, core::AtomicMin& incumbent) {
   SearchOptions greedy;
   greedy.energy_weight = options.energy_weight;
   greedy.time_weight = options.time_weight;
@@ -608,7 +606,7 @@ SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& opt
   // them never cuts an optimal state; the returned assignment always comes
   // from the enumeration (greedy substitutes only on a truncated run).
   core::AtomicMin incumbent(prototype.best_scalar);
-  std::optional<SearchResult> fallback = seed_incumbent(ctx, options, run_budget, incumbent);
+  SearchResult fallback = seed_incumbent(ctx, options, run_budget, incumbent);
 
   core::WorkStealingPool pool(threads);
   const bool alone = pool.num_workers() == 1;
@@ -673,8 +671,7 @@ SearchResult branch_and_bound(const AssignContext& ctx, const SearchOptions& opt
       best_path = &worker->best_path_;
     }
   }
-  finalize_anytime(result, ctx, budget_hit, *run_budget, root_lb,
-                   fallback ? &*fallback : nullptr);
+  finalize_anytime(result, ctx, budget_hit, *run_budget, root_lb, fallback);
   return result;
 }
 

@@ -56,9 +56,6 @@ struct SearchOptions {
   /// incumbent bound.  The result is bit-identical to "bnb" for any thread
   /// count (the incumbent only prunes).
   unsigned bnb_threads = 0;        ///< worker threads (0 = hardware concurrency)
-  /// Seed the incumbent bound with the greedy scalar ("bnb" and "bnb-par").
-  /// The seed only prunes (strictly), so the optimum is bit-identical.
-  bool bnb_seed_incumbent = true;
 
   /// Cooperative run budget for any strategy (see core::BudgetSpec).  The
   /// deadline/probe knobs round-trip through the JSON config ("search"
@@ -162,8 +159,8 @@ SearchResult exhaustive_assign(const AssignContext& ctx, const SearchOptions& op
 /// sibling branches — array homes, then copy-phase placements while enough
 /// candidates remain — but only those whose child bound survives pruning.
 /// Tasks are canonical path prefixes, replayed onto a per-worker engine;
-/// every worker prunes against a shared atomic incumbent bound (optionally
-/// seeded with the greedy scalar).  With more than one worker each charges
+/// every worker prunes against a shared atomic incumbent bound (seeded
+/// with the greedy scalar).  With more than one worker each charges
 /// the run budget and a shared node total in batches of 64 units, so a
 /// `max_probes` allowance or the `max_states` cap may be overshot by at most
 /// one batch per worker; a lone worker charges each unit exactly as "bnb"

@@ -10,25 +10,6 @@ namespace mhla::core {
 
 namespace {
 
-const char* order_name(te::ExtensionOrder order) {
-  switch (order) {
-    case te::ExtensionOrder::TimePerByte: return "time_per_byte";
-    case te::ExtensionOrder::Fifo: return "fifo";
-    case te::ExtensionOrder::BySizeDescending: return "by_size_descending";
-    case te::ExtensionOrder::Reverse: return "reverse";
-  }
-  return "?";
-}
-
-te::ExtensionOrder parse_order(const std::string& name) {
-  if (name == "time_per_byte") return te::ExtensionOrder::TimePerByte;
-  if (name == "fifo") return te::ExtensionOrder::Fifo;
-  if (name == "by_size_descending") return te::ExtensionOrder::BySizeDescending;
-  if (name == "reverse") return te::ExtensionOrder::Reverse;
-  throw std::invalid_argument("unknown te order '" + name +
-                              "' (time_per_byte|fifo|by_size_descending|reverse)");
-}
-
 /// Walk an object's members through per-key handlers; any key without a
 /// handler is an error (catches config typos instead of silently ignoring
 /// them).
@@ -247,12 +228,9 @@ std::string to_json(const PipelineConfig& config, int indent) {
       << ", \"anneal_initial_temp\": " << json_number_exact(search.anneal_initial_temp)
       << ", \"anneal_cooling\": " << json_number_exact(search.anneal_cooling)
       << ",\n" << p1 << "             \"bnb_threads\": " << search.bnb_threads
-      << ", \"bnb_seed_incumbent\": " << json_bool(search.bnb_seed_incumbent)
-      << ",\n" << p1 << "             \"deadline_seconds\": "
-      << json_number_exact(search.budget.deadline_seconds)
+      << ", \"deadline_seconds\": " << json_number_exact(search.budget.deadline_seconds)
       << ", \"max_probes\": " << search.budget.max_probes << "},\n";
-  out << p1 << "\"te\": {\"order\": \"" << order_name(config.te.order)
-      << "\", \"max_lookahead\": " << config.te.max_lookahead
+  out << p1 << "\"te\": {\"max_lookahead\": " << config.te.max_lookahead
       << ", \"charge_cold_start\": " << json_bool(config.te.charge_cold_start) << "},\n";
   out << p1 << "\"num_threads\": " << config.num_threads << "\n";
   out << p0 << "}";
@@ -323,7 +301,6 @@ PipelineConfig pipeline_config_from_json(const Json& document) {
                    .field("anneal_initial_temp", search.anneal_initial_temp, as_double)
                    .field("anneal_cooling", search.anneal_cooling, as_double)
                    .field("bnb_threads", search.bnb_threads, as_thread_count)
-                   .field("bnb_seed_incumbent", search.bnb_seed_incumbent, as_bool)
                    .field("deadline_seconds", search.budget.deadline_seconds, as_double)
                    .field("max_probes", search.budget.max_probes, as_long);
                return search;
@@ -332,7 +309,6 @@ PipelineConfig pipeline_config_from_json(const Json& document) {
              [](const Json& j) {
                te::TeOptions te;
                ObjectReader(j, "te")
-                   .field("order", te.order, [](const Json& o) { return parse_order(o.string()); })
                    .field("max_lookahead", te.max_lookahead, as_int)
                    .field("charge_cold_start", te.charge_cold_start, as_bool);
                return te;

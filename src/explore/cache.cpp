@@ -27,8 +27,9 @@ namespace {
 /// Document format version.  Each bump follows a change of the config text
 /// keys are hashed over, so no older key can ever hit again: version 2
 /// dropped the engine/reference toggles, version 3 the bnb-par scheduler
-/// knobs (`bnb_work_stealing`, `bnb_tasks_per_thread`).
-constexpr std::int64_t kFormatVersion = 3;
+/// knobs (`bnb_work_stealing`, `bnb_tasks_per_thread`), version 4
+/// the TE order and incumbent-seed toggle (`te.order`, `search.bnb_seed_*`).
+constexpr std::int64_t kFormatVersion = 4;
 
 std::string hex_key(std::uint64_t key) {
   char text[17];

@@ -155,7 +155,7 @@ class ResultCache : public ResultStore {
   void save(const std::string& path) const { persist(path, false); }
   bool save_if_dirty(const std::string& path) const { return persist(path, true); }
 
-  /// The document `save` writes (version 3, entries sorted by key).
+  /// The document `save` writes (version 4, entries sorted by key).
   std::string to_json() const;
 
  private:

@@ -17,30 +17,6 @@ struct FreedomUnit {
   int start_nest = -1;     ///< new live-range start if taken (-1 = unchanged)
 };
 
-std::vector<std::size_t> order_indices(const std::vector<BlockTransfer>& bts,
-                                       ExtensionOrder order) {
-  std::vector<std::size_t> idx(bts.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  switch (order) {
-    case ExtensionOrder::TimePerByte:
-      std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-        return bts[a].sort_factor > bts[b].sort_factor;
-      });
-      break;
-    case ExtensionOrder::Fifo:
-      break;
-    case ExtensionOrder::BySizeDescending:
-      std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-        return bts[a].bytes > bts[b].bytes;
-      });
-      break;
-    case ExtensionOrder::Reverse:
-      std::reverse(idx.begin(), idx.end());
-      break;
-  }
-  return idx;
-}
-
 }  // namespace
 
 TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment& assignment,
@@ -68,17 +44,25 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
 
   // Budget probes land at BT and freedom-unit boundaries only, so an
   // expired budget never leaves a half-probed extension: the tracker holds
-  // exactly the accepted extensions and the priority pass below still runs
-  // over a consistent (partial) extension vector.
+  // exactly the accepted extensions and the extension vector stays
+  // consistent (partial).
   bool out_of_budget = false;
   auto probe = [&]() {
     if (!out_of_budget && options.budget && !options.budget->probe()) out_of_budget = true;
     return !out_of_budget;
   };
 
+  // The paper's one order: BT time per byte, descending; ties keep BT id
+  // order.
+  std::vector<std::size_t> order(bts.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return bts[a].sort_factor > bts[b].sort_factor;
+  });
+
   // Hoisted out of the BT loop so its buffer is allocated once and reused.
   std::vector<FreedomUnit> units;
-  for (std::size_t index : order_indices(bts, options.order)) {
+  for (std::size_t index : order) {
     if (!probe()) break;
     const BlockTransfer& bt = bts[index];
     if (!bt.has_fill) continue;  // nothing to prefetch, only a flush stream
@@ -150,22 +134,6 @@ TeResult time_extend(const assign::AssignContext& ctx, const assign::Assignment&
 
   if (out_of_budget) result.stop = options.budget->reason();
   result.footprints = tracker.report();
-
-  // dma_priority(): issue order = earliest start first, then the greedy
-  // sort factor as tie break (urgent transfers drain first).
-  std::vector<std::size_t> by_priority(bts.size());
-  std::iota(by_priority.begin(), by_priority.end(), 0);
-  std::stable_sort(by_priority.begin(), by_priority.end(), [&](std::size_t a, std::size_t b) {
-    const BtExtension& ea = result.extensions[a];
-    const BtExtension& eb = result.extensions[b];
-    int start_a = ea.start_nest >= 0 ? ea.start_nest : bts[a].nest;
-    int start_b = eb.start_nest >= 0 ? eb.start_nest : bts[b].nest;
-    if (start_a != start_b) return start_a < start_b;
-    return bts[a].sort_factor > bts[b].sort_factor;
-  });
-  for (std::size_t rank = 0; rank < by_priority.size(); ++rank) {
-    result.extensions[by_priority[rank]].dma_priority = static_cast<int>(rank);
-  }
   return result;
 }
 

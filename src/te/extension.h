@@ -7,13 +7,7 @@
 
 namespace mhla::te {
 
-/// Order in which BTs are considered for extension.  The paper's Figure 1
-/// uses TimePerByte (BT_time / size, descending); the others exist for the
-/// ablation benchmark.
-enum class ExtensionOrder { TimePerByte, Fifo, BySizeDescending, Reverse };
-
 struct TeOptions {
-  ExtensionOrder order = ExtensionOrder::TimePerByte;
   int max_lookahead = 3;  ///< max extra buffers per copy (iteration lookahead)
 
   /// Charge the pipeline fill: with a lookahead of k, the first k issues of
@@ -41,7 +35,6 @@ struct BtExtension {
   int extra_buffers = 0;        ///< iteration-lookahead depth chosen
   int start_nest = -1;          ///< cross-nest prefetch start (-1 = own nest)
   bool fully_hidden = false;    ///< hidden_cycles >= BT cycles
-  int dma_priority = 0;         ///< issue priority (0 = most urgent)
   double cold_start_stall_cycles = 0.0;  ///< extra exposed cycles (pipeline fill)
 };
 
@@ -65,6 +58,13 @@ struct TeResult {
 ///   loop earlier at a time while the grown copy lifetime still fits the
 ///   on-chip size constraint, accumulating hideable CPU cycles, until the
 ///   transfer is fully hidden; finally assign DMA priorities.
+///
+/// The last step is not computed.  The stall model is analytic per BT: each
+/// BT's residual stall depends only on its own hidden cycles, and even the
+/// contention refinement in `sim::simulate` charges per-nest sums, so no
+/// quantity here depends on the order in which the engine issues transfers.
+/// Priorities become meaningful only with a transfer replay that queues
+/// issues on the DMA channels.
 ///
 /// Two kinds of "one loop earlier" units are modeled:
 ///  * iteration lookahead for level>0 copies (fetch iteration i+k during

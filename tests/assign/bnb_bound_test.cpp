@@ -1,9 +1,10 @@
-// The branch-and-bound lower bound charges a selected copy the transfer from
-// its actual parent store and spreads every open transfer over the sites
-// that would pay it.  These tests pin the precondition that makes the
-// parent charge exact, the guard-64 instance the old bound never pruned,
-// and the zero-site corner of the per-site shares.  The guard-64 instance
-// also anchors the check that "bnb" is exactly the one-worker "bnb-par".
+// The branch-and-bound lower bound solves each array's reuse tree exactly
+// (capacity relaxed) and charges a selected copy the transfer from its
+// actual parent store.  These tests pin the precondition that makes the
+// parent charge exact, the guard-64 instance the old per-site bound never
+// pruned, and arrays with pinned traffic but no access site.  The guard-64
+// instance also anchors the check that "bnb" is exactly the one-worker
+// "bnb-par".
 
 #include <gtest/gtest.h>
 
@@ -73,16 +74,17 @@ TEST(BnbBound, AncestorsHaveSmallerIdsOnTheAppsAndTheRandomCorpus) {
 TEST(BnbBound, Guard64PrunesToAHandfulOfLeaves) {
   // The full enumeration has 10,024,964 leaves.  The parent-exact charge
   // leaves single digits (charging the cheapest source instead evaluates
-  // about 560k); the layering cut and the transfer shares cut the nodes
-  // around them, which the serial run's probe count (one per node, plus
-  // the greedy seed's) sees: about 163k, against 370k without the shares
-  // and 2.2M without the cut.
+  // about 560k).  The serial run's probe count is one per node plus the
+  // greedy seed's: 756, of which 556 are the seed's.  The allowance is
+  // twice that count: room for a small change in greedy's walk or the node
+  // order, while a bound that prunes like the old per-site one (about 163k
+  // probes) breaks it.
   auto ws = testing::make_ws(testing::guard64_program(), testing::guard64_platform());
   auto ctx = ws->context();
   ASSERT_LE(oracle::candidate_placements(ctx), oracle::kExactCorpusPlacements);
   constexpr double kOptimum = 0x1.1c0bf8063e98cp-2;
   constexpr long kMaxLeaves = 1000;
-  constexpr long kMaxSerialProbes = 250'000;
+  constexpr long kMaxSerialProbes = 1'500;
 
   core::RunBudget token{core::BudgetSpec{}};
   assign::SearchOptions counted;
@@ -182,7 +184,7 @@ TEST(Exhaustive, BnbIsTheOneWorkerBnbPar) {
 
 /// A reuse program that also declares arrays no statement touches: an
 /// input and an output, each with pinned traffic on any on-chip home but no
-/// access site to carry a share of it, and a temporary with neither.
+/// access site, and a temporary with neither.
 ir::Program program_with_unaccessed_arrays() {
   ir::ProgramBuilder pb("unaccessed");
   pb.array("a", {16}, 4).input();

@@ -75,8 +75,6 @@ PipelineConfig custom_config() {
   config.search.max_states = 12345;
   config.search.allow_array_migration = false;
   config.search.bnb_threads = 6;
-  config.search.bnb_seed_incumbent = false;
-  config.te.order = te::ExtensionOrder::BySizeDescending;
   config.te.max_lookahead = 5;
   config.te.charge_cold_start = true;
   config.num_threads = 3;
@@ -288,19 +286,16 @@ TEST(PipelineConfigJson, PartialDocumentsKeepDefaults) {
 }
 
 TEST(PipelineConfigJson, BnbParKnobsRoundTrip) {
-  // The parallel branch-and-bound knobs ride in the search block: partial
-  // documents set them, dumps carry them, and the round trip is lossless
-  // (CustomConfigRoundTripsLosslessly covers non-default values).
+  // The parallel branch-and-bound thread count rides in the search block:
+  // partial documents set it, dumps carry it, and the round trip is
+  // lossless (CustomConfigRoundTripsLosslessly covers non-default values).
   PipelineConfig parsed = pipeline_config_from_json(
-      R"({"strategy": "bnb-par",
-          "search": {"bnb_threads": 4, "bnb_seed_incumbent": false}})");
+      R"({"strategy": "bnb-par", "search": {"bnb_threads": 4}})");
   EXPECT_EQ(parsed.strategy, "bnb-par");
   EXPECT_EQ(parsed.search.bnb_threads, 4u);
-  EXPECT_FALSE(parsed.search.bnb_seed_incumbent);
 
   std::string dumped = to_json(PipelineConfig{});
   EXPECT_NE(dumped.find("bnb_threads"), std::string::npos);
-  EXPECT_NE(dumped.find("bnb_seed_incumbent"), std::string::npos);
 }
 
 TEST(PipelineConfigJson, MalformedInputGivesClearErrors) {
@@ -326,14 +321,14 @@ TEST(PipelineConfigJson, MalformedInputGivesClearErrors) {
                std::invalid_argument);
   // Bad enum text.
   EXPECT_THROW(pipeline_config_from_json(R"({"target": "speed"})"), std::invalid_argument);
-  EXPECT_THROW(pipeline_config_from_json(R"({"te": {"order": "random"}})"),
-               std::invalid_argument);
-  // Removed engine/reference toggles and bnb-par scheduler knobs: old
-  // documents fail loudly instead of silently running on defaults.
+  // Removed engine/reference toggles, bnb-par scheduler knobs, the TE
+  // order and the incumbent-seed toggle: old documents fail loudly instead
+  // of silently running on defaults.
   for (const std::string key : {"search.use_cost_engine", "search.use_branch_and_bound",
                                 "search.use_footprint_tracker", "search.greedy_batched_scoring",
                                 "search.use_footprint_bound", "te.use_footprint_tracker",
-                                "search.bnb_work_stealing", "search.bnb_tasks_per_thread"}) {
+                                "search.bnb_work_stealing", "search.bnb_tasks_per_thread",
+                                "search.bnb_seed_incumbent", "te.order"}) {
     std::size_t dot = key.find('.');
     std::string document =
         "{\"" + key.substr(0, dot) + "\": {\"" + key.substr(dot + 1) + "\": true}}";

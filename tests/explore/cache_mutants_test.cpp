@@ -169,14 +169,15 @@ TEST(CacheDocumentMutants, HandBuiltCornersLoad) {
       "[" + entry + "]",
       std::string(100000, '[') + entry,
       std::string(100000, '{') + "\"key\"" + std::string(100000, '}'),
+      "{\"version\": 4, \"entries\": {}}",
+      "{\"version\": \"4\", \"entries\": []}",
       "{\"version\": 3, \"entries\": {}}",
-      "{\"version\": \"3\", \"entries\": []}",
       "{\"version\": 0, \"entries\": [\n" + entry + "\n]}",
       "{\"version\": -1, \"entries\": [\n" + entry + "\n]}",
       "{\"version\": 99999999999999999999, \"entries\": []}",
       "{\"version\": 1e308, \"entries\": []}",
-      "{\"version\": 3, \"entries\": [\n" + entry + ",\n" + entry + "\n]}",
-      std::string("{\"version\": 3,") + '\0' + " \"entries\": [\n" + entry + "\n]}",
+      "{\"version\": 4, \"entries\": [\n" + entry + ",\n" + entry + "\n]}",
+      std::string("{\"version\": 4,") + '\0' + " \"entries\": [\n" + entry + "\n]}",
       entry + "\n" + entry,
   };
   Outcomes outcomes;

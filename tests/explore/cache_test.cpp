@@ -326,7 +326,7 @@ TEST(ResultCache, LoadLeavesTheCacheDirtyOnlyWhenTheDocumentNeedsRewriting) {
 
   // A salvaged load is dirty, and the save it triggers repairs the document.
   std::string damaged = document;
-  damaged.replace(damaged.find("\"version\": 3,"), 13, "\"version\": 3,,");
+  damaged.replace(damaged.find("\"version\": 4,"), 13, "\"version\": 4,,");
   std::ofstream(path, std::ios::trunc) << damaged;
   ResultCache salvaged;
   ResultCache::LoadReport report = salvaged.load(path);
@@ -341,7 +341,7 @@ TEST(ResultCache, LoadLeavesTheCacheDirtyOnlyWhenTheDocumentNeedsRewriting) {
   // A stale load keeps nothing and is dirty: the save replaces the document
   // with an empty current-version one.
   std::string stale = document;
-  stale.replace(stale.find("\"version\": 3"), 12, "\"version\": 2");
+  stale.replace(stale.find("\"version\": 4"), 12, "\"version\": 3");
   std::ofstream(path, std::ios::trunc) << stale;
   ResultCache dropped;
   ASSERT_FALSE(dropped.load(path).clean);

@@ -132,7 +132,7 @@ TEST(ResultCache, MalformedFileSalvagesIntactEntriesAndQuarantines) {
     }
   }
   ASSERT_FALSE(intact_line.empty());
-  std::ofstream(path) << "{\"version\": 3, \"entries\": [oops\n"
+  std::ofstream(path) << "{\"version\": 4, \"entries\": [oops\n"
                       << intact_line << "\n"
                       << "    {\"key\": \"00000000000000";  // truncated entry
 
@@ -164,7 +164,7 @@ void expect_loads_empty_as_stale(int version) {
   ResultCache full;
   full.insert(7, {256, 0, "greedy", true, 10.0, 20.0});
   std::string document = full.to_json();
-  std::size_t at = document.find("\"version\": 3");
+  std::size_t at = document.find("\"version\": 4");
   ASSERT_NE(at, std::string::npos);
   document.replace(at, 12, "\"version\": " + std::to_string(version));
   std::ofstream(path) << document;
@@ -190,6 +190,12 @@ TEST(ResultCache, VersionTwoDocumentLoadsEmptyAsStale) {
   expect_loads_empty_as_stale(2);
 }
 
+TEST(ResultCache, VersionThreeDocumentLoadsEmptyAsStale) {
+  // Version 3 keys were hashed over a config text that still carried the
+  // removed `te.order` and `search.bnb_seed_incumbent` keys.
+  expect_loads_empty_as_stale(3);
+}
+
 TEST(ResultCache, WellFormedLoadReportsClean) {
   std::string path = temp_path("mhla_cache_clean.json");
   ResultCache cache;
@@ -204,14 +210,16 @@ TEST(ResultCache, WellFormedLoadReportsClean) {
   std::remove(path.c_str());
 }
 
-TEST(ResultCache, VersionThreeDocumentIsByteStable) {
+TEST(ResultCache, CurrentVersionDocumentIsByteStable) {
   // Written by the saver of the previous (map-backed) implementation via
-  // `mhla_tool --cache-merge` over two small explorations.  It must load
-  // clean, and both to_json() and save() must reproduce it byte for byte:
-  // entries sorted by key, doubles with 17 significant digits.
+  // `mhla_tool --cache-merge` over two small explorations, as version 3;
+  // version 4 changed only the config text the keys hash over, not the
+  // document shape.  It must load clean, and both to_json() and save()
+  // must reproduce it byte for byte: entries sorted by key, doubles with
+  // 17 significant digits.
   const std::string document =
       "{\n"
-      "  \"version\": 3,\n"
+      "  \"version\": 4,\n"
       "  \"entries\": [\n"
       "    {\"key\": \"814822206720f075\", \"l1_bytes\": 256, \"l2_bytes\": 0, "
       "\"strategy\": \"greedy\", \"with_te\": true, \"status\": \"feasible\", "
@@ -227,7 +235,7 @@ TEST(ResultCache, VersionThreeDocumentIsByteStable) {
       "\"cycles\": 1843132, \"energy_nj\": 579806.71999999997}\n"
       "  ]\n"
       "}";
-  std::string path = temp_path("mhla_cache_v3_stable.json");
+  std::string path = temp_path("mhla_cache_v4_stable.json");
   std::ofstream(path) << document << "\n";
 
   ResultCache cache;
@@ -236,12 +244,12 @@ TEST(ResultCache, VersionThreeDocumentIsByteStable) {
   EXPECT_EQ(report.entries, 4u);
   EXPECT_EQ(cache.to_json(), document);
 
-  std::string saved_path = temp_path("mhla_cache_v3_resaved.json");
+  std::string saved_path = temp_path("mhla_cache_v4_resaved.json");
   cache.save(saved_path);
   EXPECT_EQ(slurp(saved_path), document + "\n");
 
   // The empty document keeps its shape too.
-  EXPECT_EQ(ResultCache{}.to_json(), "{\n  \"version\": 3,\n  \"entries\": []\n}");
+  EXPECT_EQ(ResultCache{}.to_json(), "{\n  \"version\": 4,\n  \"entries\": []\n}");
   std::remove(path.c_str());
   std::remove(saved_path.c_str());
 }
@@ -548,9 +556,9 @@ TEST(Explorer, WarmRunRepairsASalvagedCacheDocument) {
   ASSERT_TRUE(original.load(path).clean);
 
   std::string document = slurp(path);
-  std::size_t at = document.find("\"version\": 3,");
+  std::size_t at = document.find("\"version\": 4,");
   ASSERT_NE(at, std::string::npos);
-  document.replace(at, 13, "\"version\": 3,,");
+  document.replace(at, 13, "\"version\": 4,,");
   std::ofstream(path, std::ios::trunc) << document;
 
   ExploreResult warm = Explorer(config).run(testing::blocked_reuse_program());
@@ -611,11 +619,10 @@ TEST(Explorer, CacheKeysSeparateProgramsAndConfigs) {
   ExploreResult same_key = Explorer(threaded).run(testing::blocked_reuse_program());
   EXPECT_EQ(same_key.evaluations, 0u);
 
-  // The bnb-par knobs only steer pruning (the optimum is bit-identical for
-  // any setting), so they must not change keys either.
+  // The bnb-par thread count only steers scheduling (the optimum is
+  // bit-identical at any count), so it must not change keys either.
   ExplorerConfig par_knobs = config;
   par_knobs.pipeline.search.bnb_threads = 8;
-  par_knobs.pipeline.search.bnb_seed_incumbent = false;
   ExploreResult par_key = Explorer(par_knobs).run(testing::blocked_reuse_program());
   EXPECT_EQ(par_key.evaluations, 0u);
   std::remove(path.c_str());
@@ -634,7 +641,6 @@ TEST(Explorer, CacheKeyIgnoresExactlyTheResultInvariantKnobs) {
   using Config = core::PipelineConfig;
   EXPECT_EQ(key_with([](Config& c) { c.num_threads = 3; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.bnb_threads = 8; }), key);
-  EXPECT_EQ(key_with([](Config& c) { c.search.bnb_seed_incumbent = false; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.budget.deadline_seconds = 5.0; }), key);
   EXPECT_EQ(key_with([](Config& c) { c.search.budget.max_probes = 100; }), key);
   EXPECT_NE(key_with([](Config& c) { c.search.anneal_seed = 7; }), key);

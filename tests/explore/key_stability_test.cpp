@@ -1,6 +1,6 @@
 // Pins the bytes every design-cell cache key is made of.  A key is
 // fnv1a64(canonical program text + '\x1f' + core::to_json(effective config) +
-// '\x1f' + variant) (see xplore::design_cache_key), and version-3 cache
+// '\x1f' + variant) (see xplore::design_cache_key), and version-4 cache
 // documents on disk are indexed by those keys, so the emitters below may
 // get faster but must never change a byte: a changed key silently turns
 // every persisted entry into a miss.  The expected values were produced by
@@ -38,7 +38,7 @@ std::vector<core::PipelineConfig> pinned_configs() {
   exact.search.energy_weight = 0.25;
   exact.search.time_weight = 0.75;
   exact.search.max_states = 123456;
-  exact.te.order = te::ExtensionOrder::Fifo;
+  exact.te.max_lookahead = 4;
   core::PipelineConfig& anneal = configs[2];
   anneal.strategy = "anneal";
   anneal.search.anneal_seed = 7;
@@ -60,41 +60,41 @@ struct PinnedKeys {
 TEST(KeyStability, DesignCacheKeysOfEveryAppAndConfigArePinned) {
   const PinnedKeys pinned[] = {
       {"motion_estimation",
-       {0x5f9a32b50ece1f26ULL, 0x26ed622792124172ULL,
-        0xb68d29ccae61e3e4ULL, 0x331239e7005b4bb0ULL,
-        0x2aaa14021506bbb7ULL, 0x5a1145fb04ed6c9bULL}},
+       {0x09b0484bfe01c720ULL, 0x4becb2c145840c2cULL,
+        0x49a0a2bdf889cd9fULL, 0x5267d38dcc0fbed3ULL,
+        0xee0dad9b42909737ULL, 0xa812504bebe44c1bULL}},
       {"qsdpcm",
-       {0x74072e9f16289275ULL, 0x2dbb14f6f3bec501ULL,
-        0x1a7816fda795e3e5ULL, 0x567b721991ee8ad1ULL,
-        0x5ef2fe422b1a3a8cULL, 0x668c94e8cd646468ULL}},
+       {0xd105d7bcb3eda98dULL, 0xbadec0d6d9074e49ULL,
+        0x04bccf761f1319d6ULL, 0x6f43b58bb7a8a842ULL,
+        0x6150f4f0b29d504eULL, 0xdce62257bf71424aULL}},
       {"mpeg2_encoder",
-       {0x2db4785edec3532bULL, 0x018c2aecaa43e97fULL,
-        0x4cad91443cab02efULL, 0xdf875c189a629f03ULL,
-        0xbd391515efb30012ULL, 0xdd61ddde1e4b051eULL}},
+       {0xfb0f9c12b6cb07d3ULL, 0x597b8672771aa257ULL,
+        0x44634d360d928bc4ULL, 0xe9845d1502893e90ULL,
+        0x328ff99a45b710b4ULL, 0x23f8ef0559a20ea0ULL}},
       {"cavity_detection",
-       {0xd17e827b67d33b70ULL, 0xa129ded101b70b9cULL,
-        0x56dc957dcb42128aULL, 0xbb10bc3355166566ULL,
-        0xaa4d9ab90e1d8781ULL, 0x5bfbc19517d44cddULL}},
+       {0x23a2645fe3da262aULL, 0xd0efc331c19b9606ULL,
+        0x95e356f51ba71d79ULL, 0xa1e00fa81ae23945ULL,
+        0x28dbf64c3e90b8b1ULL, 0xf81924603780932dULL}},
       {"jpeg_compress",
-       {0x98159868791de836ULL, 0x7ae61dbed263f6a2ULL,
-        0x0535f70a63176914ULL, 0x494b8b65b158c000ULL,
-        0x02defe3594bac947ULL, 0x6b33f79d4d331dcbULL}},
+       {0x2aa1a5e8ca621d70ULL, 0xc1cb902338535d9cULL,
+        0xc6d94c5f060908cfULL, 0x51bb58f3a92fa7e3ULL,
+        0x9ca08bd73974b6c7ULL, 0x4b9a1ceaddc9ff4bULL}},
       {"wavelet",
-       {0xa89522101ca9fecaULL, 0xb355db5291609da6ULL,
-        0x9bc13faae3faf220ULL, 0x1dbbbf21ac409f2cULL,
-        0xde49ca7b46d6fdabULL, 0x52d6e81b0f03dfffULL}},
+       {0xec6cadab3319019cULL, 0x40ef5ea469e01e18ULL,
+        0x413150f44be810fbULL, 0x9373fdd3ff8cdfafULL,
+        0x2cfbf738a593fb53ULL, 0x01be8c2ec9add9d7ULL}},
       {"conv_filter",
-       {0xd7554a5fd90385e7ULL, 0xaef7e3408eca7c6bULL,
-        0x8a72ae33e3a3fac3ULL, 0x90fffa9b253a1be7ULL,
-        0x8290c02d801c92feULL, 0xcc71c0f0c7b3d6daULL}},
+       {0x76f14c94902be027ULL, 0x24179a0d5a67f7abULL,
+        0x30bcdcb5f30cd908ULL, 0x72a4d091f2b4fd84ULL,
+        0xc211525043afe3a8ULL, 0x62de6e6d8965ee24ULL}},
       {"adpcm_coder",
-       {0xca95f578d4aad3a6ULL, 0xe8b703a7c05171f2ULL,
-        0xf41852e12870e964ULL, 0x1830191979748530ULL,
-        0xd559216e695db037ULL, 0x5ffab38bb9e4dd1bULL}},
+       {0xddb13a1fb548a8a0ULL, 0x81167e23b03541acULL,
+        0xda3687b7efd86b1fULL, 0xb807804e6fe1d053ULL,
+        0x50e308ec06a838b7ULL, 0x937a22b46590419bULL}},
       {"fft_filter",
-       {0x2d9187eabce79361ULL, 0x77e9f02100f69dbdULL,
-        0x21807919aa5da4d9ULL, 0x20675c9a064891a5ULL,
-        0x984a58e142a94528ULL, 0xf2fcfcf379d5a3a4ULL}},
+       {0x9b766ee109a107d1ULL, 0xfa89997b4156904dULL,
+        0xf6fa52e1b66af61aULL, 0x4906933a51839456ULL,
+        0x019ba445ae619852ULL, 0x059adbe803273a5eULL}},
   };
   const std::vector<core::PipelineConfig> configs = pinned_configs();
   ASSERT_EQ(std::size(pinned), apps::all_apps().size());
@@ -121,9 +121,8 @@ TEST(KeyStability, ConfigDocumentIsByteExact) {
   "target": "balanced",
   "search": {"energy_weight": 1, "time_weight": 1, "max_moves": 100000, "max_states": 2000000, "allow_array_migration": true,
                "anneal_iterations": 2000, "anneal_seed": 7, "anneal_initial_temp": 0.33333333333333331, "anneal_cooling": 0.98499999999999999,
-               "bnb_threads": 0, "bnb_seed_incumbent": true,
-               "deadline_seconds": 2.5, "max_probes": 0},
-  "te": {"order": "time_per_byte", "max_lookahead": 3, "charge_cold_start": false},
+               "bnb_threads": 0, "deadline_seconds": 2.5, "max_probes": 0},
+  "te": {"max_lookahead": 3, "charge_cold_start": false},
   "num_threads": 8
 })json";
   EXPECT_EQ(core::to_json(pinned_configs()[2]), expected);

@@ -426,19 +426,22 @@ TEST(CancellationConsistency, BnbParChargesEveryBatchedProbe) {
   // Workers count probes locally and charge them in batches; the remainder
   // of every task is flushed when the task ends, so a complete run charges
   // at least one probe per evaluated state — no batch remainder is lost.
-  // The greedy seed is off: its own probes would mask a lost remainder.
+  // The greedy seed charges the same token first; greedy is deterministic,
+  // so a standalone greedy run under the same weights measures the seed's
+  // share, and only the rest counts as the search's own.
   for (const std::string& app : {"conv_filter", "cavity_detection", "adpcm_coder"}) {
     SCOPED_TRACE(app);
     auto ws = core::make_workspace(apps::build_app(app), mem::PlatformConfig{}, {});
     auto ctx = ws->context();
+    const long seed_probes = probes_of_full_run(ctx, "greedy", {}, nullptr);
     for (unsigned threads : {1u, 4u}) {
       assign::SearchOptions options;
       options.bnb_threads = threads;
-      options.bnb_seed_incumbent = false;
       assign::SearchResult result;
       long probes = probes_of_full_run(ctx, "bnb-par", options, &result);
       EXPECT_EQ(result.status, assign::SearchStatus::Optimal) << "threads " << threads;
-      EXPECT_GE(probes, result.states_explored) << "threads " << threads;
+      ASSERT_GT(probes, seed_probes) << "threads " << threads;
+      EXPECT_GE(probes - seed_probes, result.states_explored) << "threads " << threads;
     }
   }
 }
@@ -564,16 +567,26 @@ TEST(Anytime, DefaultNodeCapTruncatesTheHardApps) {
 
 TEST(Anytime, EveryStrategyNamesAProbeBudgetStop) {
   // A probe allowance that binds names itself as the stop in every
-  // strategy, including bnb-par's batched charging on two workers (its
-  // greedy seed is off, so the allowance binds inside the parallel search).
+  // strategy, including bnb-par's batched charging on two workers.  bnb-par
+  // gets its greedy seed's probes on top of the 1000, so the allowance
+  // binds inside the parallel search, not inside the seed (greedy is
+  // deterministic: a standalone run under the same weights measures it).
   auto ws = core::make_workspace(apps::build_app("wavelet"), mem::PlatformConfig{}, {});
   auto ctx = ws->context();
+  constexpr long kAllowance = 1000;
+  const long seed_probes = probes_of_full_run(ctx, "greedy", {}, nullptr);
   for (const std::string& strategy : {"greedy", "anneal", "bnb", "bnb-par"}) {
     SCOPED_TRACE(strategy);
     assign::SearchOptions options;
-    options.budget.max_probes = 1000;
+    options.budget.max_probes = kAllowance + (strategy == "bnb-par" ? seed_probes : 0);
     options.bnb_threads = 2;
-    options.bnb_seed_incumbent = strategy != "bnb-par";
+    if (strategy == "bnb-par") {
+      assign::SearchOptions unbudgeted;
+      unbudgeted.bnb_threads = 2;
+      ASSERT_GT(probes_of_full_run(ctx, strategy, unbudgeted, nullptr),
+                options.budget.max_probes + 2 * kBnbParProbeBatch)
+          << "the allowance no longer binds inside the parallel search";
+    }
     assign::SearchResult result = assign::searcher(strategy).search(ctx, options);
     EXPECT_EQ(result.status, assign::SearchStatus::BudgetExhausted);
     EXPECT_EQ(result.stop, core::StopReason::ProbeBudget) << core::to_string(result.stop);
@@ -642,8 +655,10 @@ TEST(Anytime, NodeCapBoundsTheWholeParallelSearch) {
   // `max_states` caps the nodes of one search, not of each worker: four
   // workers of a capped fft_filter search charge at most the cap plus one
   // unflushed 64-node probe batch each.  Every node charges one probe of
-  // the shared (unbounded) token, and the greedy seed is off so only the
-  // search's own nodes are counted.
+  // the shared (unbounded) token.  The greedy seed charges the token first
+  // and counts no node; greedy is deterministic, so a standalone greedy run
+  // under the same weights measures its probes, and the rest are the
+  // search's own nodes.
   constexpr long kCap = 50'000;
   constexpr long kProbeBatch = 64;  // exhaustive.cpp's per-worker batch
   auto ws = core::make_workspace(apps::build_app("fft_filter"), mem::PlatformConfig{}, {});
@@ -653,13 +668,16 @@ TEST(Anytime, NodeCapBoundsTheWholeParallelSearch) {
   options.shared_budget = &token;
   options.max_states = kCap;
   options.bnb_threads = 4;
-  options.bnb_seed_incumbent = false;
+  assign::SearchResult seed;
+  const long seed_probes = probes_of_full_run(ctx, "greedy", {}, &seed);
+  ASSERT_EQ(seed.stop, core::StopReason::None) << "the greedy seed must run to completion";
   assign::SearchResult result = assign::searcher("bnb-par").search(ctx, options);
   ASSERT_EQ(result.stop, core::StopReason::NodeCap)
       << "the cap no longer binds: " << core::to_string(result.stop);
   EXPECT_EQ(token.reason(), core::StopReason::None) << core::to_string(token.reason());
-  EXPECT_GE(token.probes(), kCap);
-  EXPECT_LE(token.probes(), kCap + 4 * kProbeBatch);
+  const long search_probes = token.probes() - seed_probes;
+  EXPECT_GE(search_probes, kCap);
+  EXPECT_LE(search_probes, kCap + 4 * kProbeBatch);
 }
 
 // --- Pipeline / report integration ------------------------------------------

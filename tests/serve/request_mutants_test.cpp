@@ -140,7 +140,7 @@ TEST(RequestMutants, HandBuiltConfigCornersAgreeWithTheTextReader) {
       R"({"platform": {"sram": {"base_energy_nj": 1.7976931348623157e308}}})",
       R"({"strategy": "a\u0001\"b", "num_threads": 9007199254740992})",
       R"({"dma": {"bytes_per_cycle": 0.1000000000000000055511151231257827}})",
-      R"({"te": {"order": "fifo"}, "target": "custom"})",
+      R"({"te": {"max_lookahead": 8, "charge_cold_start": true}, "target": "custom"})",
   };
   for (const char* config : configs) {
     SCOPED_TRACE(config);

@@ -579,6 +579,21 @@ TEST(Server, MalformedRequestsYieldErrorEventsAndKeepTheConnection) {
   client.send(bad);
   EXPECT_EQ(client.next().at("event").string(), "error");
 
+  // So is a submit whose config carries a removed key; the error names it.
+  const std::string program =
+      core::json_escape(ir::serialize(mhla::testing::tiny_stream_program()));
+  for (const auto& [config, key] :
+       {std::pair{R"({"te": {"order": "time_per_byte"}})", "te.order"},
+        std::pair{R"({"search": {"bnb_seed_incumbent": true}})", "search.bnb_seed_incumbent"}}) {
+    client.send_raw(std::string(R"({"cmd": "submit", "program": ")") + program +
+                    R"(", "config": )" + config + "}");
+    Json removed = client.next();
+    EXPECT_EQ(removed.at("event").string(), "error");
+    EXPECT_NE(removed.at("message").string().find("unknown key \"" + std::string(key) + "\""),
+              std::string::npos)
+        << removed.at("message").string();
+  }
+
   // Cancel of an unknown job acknowledges found=false.
   Request cancel;
   cancel.command = Command::Cancel;
